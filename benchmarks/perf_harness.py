@@ -22,9 +22,11 @@ exercise per request, at three levels:
   the serve hot path (see ``docs/PERSISTENCE.md``);
 * **lifecycle** — the Example Manager's columnar hot paths over the
   struct-of-arrays :class:`~repro.core.table.ExampleTable`: vectorized
-  gain decay (us/maintenance tick), one over-budget knapsack eviction
-  pass (us/pass), and the cache-level columnar snapshot roundtrip
-  (examples/sec), at N=10k and N=50k synthetic pools;
+  gain decay (us/maintenance tick), the knapsack eviction pass one
+  example over budget (us/pass, with its in-run speedup over the
+  per-object pass) and 30% over budget (us/pass), and the cache-level
+  columnar snapshot roundtrip (examples/sec), at N=10k and N=50k
+  synthetic pools;
 * **memory** — resident bytes per vector for the flat storage and the IVF
   cluster blocks (measured via ``nbytes``, not estimated), recorded per
   pool size so a dtype regression (float32 silently upcast back to
@@ -396,7 +398,7 @@ def _synthetic_pool(n: int, seed: int = 0):
 def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
     """Example Manager lifecycle hot paths at pool size ``n``.
 
-    Three numbers per pool size, all running over the columnar
+    Four numbers per pool size, all running over the columnar
     :class:`~repro.core.table.ExampleTable` behind the cache:
 
     * **decay** — :meth:`ExampleManager.apply_decay` with exactly one whole
@@ -407,12 +409,20 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
       copy-on-write sidecar decode → ``restore_cache_state`` into a fresh
       cache.  This is the example-pool half of a warm restart (the
       ``persistence`` section measures the full service on top);
-    * **evict** — one over-budget :meth:`ExampleManager.enforce_capacity`
-      knapsack pass with the byte budget set to 70% of the pool.  The pass
-      is destructive (it evicts), so it runs last.
+    * **evict one** — :meth:`ExampleManager.enforce_capacity` with the
+      pool one byte over budget, the pass every admission pays on a full
+      cache (``bench_e2e``'s ``lifecycle_churn``): all of it is ranking
+      the pool, one example goes.  ``evict_one_speedup_vs_object`` is the
+      same decision taken the per-object way in the same run — one
+      ``KnapsackItem`` per example from its properties, ``solve_knapsack``,
+      a kept-set scan — over this pass;
+    * **evict** — one pass with the byte budget set to 70% of the pool,
+      which is mostly the removals themselves.  The passes are destructive
+      (they evict), so they run last.
     """
     import tempfile
 
+    from repro.analysis.knapsack import KnapsackItem, solve_knapsack
     from repro.core.cache import ExampleCache
     from repro.core.config import ManagerConfig
     from repro.core.manager import ExampleManager
@@ -455,12 +465,29 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
 
         t_restore = _best_of(restore)
 
-    evictor = ExampleManager(
-        cache,
-        ManagerConfig(sanitize=False,
-                      capacity_bytes=int(cache.total_bytes * 0.7)),
-        clock=clock,
-    )
+    evictor = ExampleManager(cache, ManagerConfig(sanitize=False),
+                             clock=clock)
+
+    def object_pass():
+        items = [KnapsackItem(key=ex.example_id, weight=ex.plaintext_bytes,
+                              value=ex.offload_gain.value
+                              * (1 + ex.access_count) + 1e-3)
+                 for ex in cache]
+        keep = solve_knapsack(items, cache.total_bytes - 1)
+        return [item.key for item in items if item.key not in keep]
+
+    def evict_one():
+        evictor.config.capacity_bytes = cache.total_bytes - 1
+        return evictor.enforce_capacity()
+
+    would_evict = object_pass()
+    assert evict_one() == len(would_evict) >= 1
+    assert not any(ex_id in cache for ex_id in would_evict), \
+        "array pass and per-object pass must evict the same examples"
+    t_object = _best_of(object_pass)
+    t_evict_one = _best_of(evict_one)       # each round evicts once more
+
+    evictor.config.capacity_bytes = int(cache.total_bytes * 0.7)
     start = time.perf_counter()
     evicted = evictor.enforce_capacity()
     evict_s = time.perf_counter() - start
@@ -475,6 +502,8 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
         "save_examples_per_s": n / save_s,
         "restore_s": t_restore,
         "restore_examples_per_s": n / t_restore,
+        "evict_one_us": t_evict_one * 1e6,
+        "evict_one_speedup_vs_object": t_object / t_evict_one,
         "evicted": evicted,
         "evict_us_per_pass": evict_s * 1e6,
     }
@@ -702,6 +731,7 @@ def check_against_baseline(results: dict, baseline: dict,
         if current is None:
             continue
         for key, label in (("decay_us_per_tick", "lifecycle decay tick"),
+                           ("evict_one_us", "lifecycle evict-one pass"),
                            ("evict_us_per_pass", "lifecycle eviction pass")):
             base_val = base.get(key)
             if not base_val:
@@ -847,7 +877,9 @@ def main(argv: list[str] | None = None) -> int:
           f"({runtime['n_sim_requests']} requests)")
     for n, row in results["lifecycle"].items():
         print(f"lifecyc N={n:>7}: decay {row['decay_us_per_tick']:8.1f} "
-              f"us/tick, evict {row['evict_us_per_pass'] / 1e3:8.1f} ms/pass "
+              f"us/tick, evict one {row['evict_one_us'] / 1e3:6.2f} ms "
+              f"({row['evict_one_speedup_vs_object']:.1f}x vs per-object), "
+              f"evict {row['evict_us_per_pass'] / 1e3:8.1f} ms/pass "
               f"({row['evicted']} evicted), restore "
               f"{row['restore_examples_per_s']:,.0f} ex/s")
     persist = results["persistence"]

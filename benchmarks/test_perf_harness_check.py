@@ -17,7 +17,8 @@ import perf_harness
 def _results(serve_qps: float = 1000.0, search_qps: float = 50_000.0,
              restore_per_s: float = 1e4, retrain_s: float = 1.0,
              tick_s: float = 0.05, decay_us: float = 100.0,
-             evict_us: float = 1e4, lifecycle_restore: float = 2e5,
+             evict_us: float = 1e4, evict_one_us: float = 2e3,
+             lifecycle_restore: float = 2e5,
              pool_restore: float = 2e5, pool_decay_us: float = 2e3) -> dict:
     return {
         "serve": {"800": {"qps": serve_qps}},
@@ -27,6 +28,7 @@ def _results(serve_qps: float = 1000.0, search_qps: float = 50_000.0,
                         "restore_examples_per_s": restore_per_s},
         "lifecycle": {"10000": {"decay_us_per_tick": decay_us,
                                 "evict_us_per_pass": evict_us,
+                                "evict_one_us": evict_one_us,
                                 "restore_examples_per_s":
                                     lifecycle_restore}},
         "churn": {"1000": {"retrain_s": retrain_s}},
@@ -143,6 +145,16 @@ class TestPresentBaseline:
             _results(evict_us=2e4), baseline)
         assert code == 1
         assert "lifecycle eviction pass at N=10000" in \
+            capsys.readouterr().out
+
+    def test_fails_on_lifecycle_evict_one_regression(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(_results(evict_one_us=2e3)),
+                            encoding="utf-8")
+        code = perf_harness.run_baseline_gate(
+            _results(evict_one_us=1e4), baseline)
+        assert code == 1
+        assert "lifecycle evict-one pass at N=10000" in \
             capsys.readouterr().out
 
     def test_fails_on_lifecycle_restore_regression(self, tmp_path, capsys):

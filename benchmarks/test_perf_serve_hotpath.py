@@ -11,6 +11,9 @@ stage-2 ``predict`` calls.  Asserted here:
 * vectorized ``IVFIndex.search`` >= 5x the throughput of the reference
   per-candidate loop (the pre-refactor implementation) at N=10k, dim=64;
 * trained add/remove stays O(1)-cheap (no retrain tripped mid-bench);
+* the knapsack eviction pass with the pool one example over budget (what a
+  full cache runs on every admission) is >= 5x faster than the same pass
+  taken per object, at a 10k pool;
 * steady-state end-to-end ``serve`` throughput is recorded, and the full
   result set is written to ``benchmarks/BENCH_serve_hotpath.json`` — the
   artifact CI uploads and gates against the checked-in baseline.
@@ -58,6 +61,14 @@ def test_perf_serve_hotpath(benchmark):
     speedup = results["search"]["10000"]["speedup_vs_loop"]
     assert speedup >= 5.0, \
         f"vectorized search only {speedup:.1f}x over the reference loop"
+
+    # The eviction pass a full cache runs on every admission stays array
+    # work: no per-example Python on the kept set.
+    evict_one = results["lifecycle"]["10000"]
+    assert evict_one["evict_one_speedup_vs_object"] >= 5.0, \
+        f"evict-one pass only " \
+        f"{evict_one['evict_one_speedup_vs_object']:.1f}x over the " \
+        f"per-object pass ({evict_one['evict_one_us']:.0f} us)"
 
     # Maintenance stays cheap: O(1) swap-delete, not O(cluster size).
     for n, churn in results["churn"].items():

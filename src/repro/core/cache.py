@@ -227,6 +227,10 @@ class ExampleCache:
     def examples(self) -> list[Example]:
         return list(self._examples.values())
 
+    def ids(self) -> list[str]:
+        """Cached example ids, in insertion order."""
+        return list(self._examples)
+
 
 class ShardedExampleCache(ExampleCache):
     """Example cache partitioned across ``n_shards`` IVF shards.

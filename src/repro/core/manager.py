@@ -12,11 +12,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.knapsack import (
-    KnapsackItem,
-    solve_knapsack,
-    solve_knapsack_arrays,
-)
+from repro.analysis.knapsack import knapsack_keep_mask
 from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
 from repro.core.example import Example
@@ -133,24 +129,17 @@ class ExampleManager:
     def _maybe_decay(self) -> None:
         """Apply the hourly 0.9 decay to every example's gain statistics.
 
-        With a columnar table behind the cache this is one vectorized
-        ``values *= factor ** periods`` over the two gain columns —
-        bit-identical to the per-object ``EMA.decay`` loop it replaced
-        (``tests/test_core_table_properties.py`` pins the equivalence);
-        the loop remains as the fallback for table-less cache stand-ins.
+        One vectorized ``values *= factor ** periods`` over the cache
+        table's two gain columns — bit-identical to a per-object
+        ``EMA.decay`` loop (``tests/test_core_table_properties.py`` pins
+        the equivalence).
         """
         elapsed = self.clock.now - self._last_decay
         periods = elapsed / self.config.decay_period_s
         if periods < 1.0:
             return
         whole = int(periods)
-        table = getattr(self.cache, "table", None)
-        if table is not None:
-            table.decay_gains(self.config.decay_factor, whole)
-        else:
-            for example in self.cache:
-                example.offload_gain.decay(self.config.decay_factor, whole)
-                example.gain_ema.decay(self.config.decay_factor, whole)
+        self.cache.table.decay_gains(self.config.decay_factor, whole)
         self._last_decay += whole * self.config.decay_period_s
         journal = self.cache.journal
         if journal is not None:
@@ -167,46 +156,29 @@ class ExampleManager:
         capacity = self.config.capacity_bytes
         if capacity is None or self.cache.total_bytes <= capacity:
             return 0
-        table = getattr(self.cache, "table", None)
-        ids = [example.example_id for example in self.cache]
-        if table is not None:
-            # One-shot column assembly: weights and values come from two
-            # fancy-indexed gathers (in cache-insertion order, the same
-            # item order the object loop produced, so knapsack ties break
-            # identically).  Value: decayed offload successes, with access
-            # count as a small tiebreaker and a floor so fresh examples
-            # are not instantly discarded before they can prove themselves.
-            rows = table.rows_for(ids)
-            weights = table.col("plaintext_bytes")[rows]
-            values = (table.col("offload_gain__value")[rows]
-                      * (1 + table.col("access_count")[rows]) + 1e-3)
-            keep = solve_knapsack_arrays(
-                ids, weights, values, capacity,
-                exact=len(ids) <= self.config.knapsack_exact_below,
-            )
-        else:
-            items = [
-                KnapsackItem(
-                    key=example.example_id,
-                    weight=example.plaintext_bytes,
-                    value=example.offload_gain.value
-                    * (1 + example.access_count) + 1e-3,
-                )
-                for example in self.cache
-            ]
-            keep = solve_knapsack(
-                items, capacity,
-                exact=len(items) <= self.config.knapsack_exact_below,
-            )
-        evicted = 0
-        for ex_id in ids:
-            if ex_id not in keep:
-                self.cache.remove(ex_id)
-                evicted += 1
-        self.evictions += evicted
+        # Positions in cache-insertion order (the order knapsack ties break
+        # by); no per-example Python runs on the kept set.  Value: decayed
+        # offload successes, with access count as a small tiebreaker and a
+        # floor so fresh examples can prove themselves before they go.
+        ids = self.cache.ids()
+        table = self.cache.table
+        rows = table.rows_for(ids)
+        keep = knapsack_keep_mask(
+            table.col("plaintext_bytes")[rows],
+            table.col("offload_gain__value")[rows]
+            * (1 + table.col("access_count")[rows]) + 1e-3,
+            capacity,
+            exact=len(ids) <= self.config.knapsack_exact_below,
+        )
+        # One journaled remove at a time, oldest first: recovery replays
+        # the WAL record sequence and the swap-delete history it implies.
+        evicted = (~keep).nonzero()[0].tolist()
+        for position in evicted:
+            self.cache.remove(ids[position])
+        self.evictions += len(evicted)
         if evicted:
             self._journal_counters()
-        return evicted
+        return len(evicted)
 
     # -- replay ----------------------------------------------------------
 

@@ -258,10 +258,8 @@ class ExampleTable:
 
     def rows_for(self, example_ids) -> np.ndarray:
         """Row indices for an id sequence, as one intp array."""
-        rows = self._rows
-        ids = list(example_ids)
-        return np.fromiter((rows[i] for i in ids), dtype=np.intp,
-                           count=len(ids))
+        return np.fromiter(map(self._rows.__getitem__, example_ids),
+                           dtype=np.intp, count=len(example_ids))
 
     def owner(self, row: int):
         """The Example object bound to a row (None only mid-adoption)."""

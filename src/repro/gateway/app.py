@@ -182,7 +182,12 @@ class AsyncGateway:
         self._connections[writer] = None
         try:
             while True:
-                parsed = await self._read_request(reader)
+                try:
+                    parsed = await self._read_request(reader)
+                except PayloadError as exc:  # framing lost: answer, close
+                    await self._respond(writer, 400, error_payload(
+                        "bad request", str(exc)))
+                    break
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
@@ -220,7 +225,12 @@ class AsyncGateway:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length") or "0")
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise PayloadError("bad content-length: not a byte count")
         if length > self.config.max_body_bytes:
             return method.upper(), target, headers, None
         body = await reader.readexactly(length) if length else b""

@@ -15,19 +15,24 @@ bookkeeping overwrite) — against a pure-Python reference implementing the
 pre-refactor per-object semantics.  After **every** operation the full
 visible state is compared with exact ``==``, no tolerances.
 
-A second property pins :func:`repro.analysis.knapsack.solve_knapsack_arrays`
-(the eviction pass's column-oriented solver) to the object solver's answer
-on identical inputs, greedy and exact paths both.
+A second property pins :func:`repro.analysis.knapsack.knapsack_keep_mask`
+(the eviction pass's array kernel) and its key-mapping wrapper to the
+per-item reference solvers on identical inputs: the greedy path against the
+object solver's item loop, the vectorised exact path against a list-of-lists
+DP kept here.  A third drives :meth:`ExampleManager.enforce_capacity` after
+the same lifecycle interleavings and requires the ids it evicts, and the
+order it evicts them in, to be the reference solvers' over the same pool.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.knapsack import (
     KnapsackItem,
+    knapsack_keep_mask,
     solve_knapsack,
     solve_knapsack_arrays,
 )
@@ -241,26 +246,156 @@ def test_detach_reuses_rows_and_keeps_survivors_intact(ops):
     assert len(cache.table) == 0
 
 
-_knapsack_cases = st.tuples(
-    st.lists(st.tuples(st.integers(0, 50),
-                       st.integers(0, 1000)),  # (weight, value-in-1000ths)
-             min_size=0, max_size=12),
-    st.integers(0, 200),
-    st.booleans(),
+def _reference_dp(items: list[KnapsackItem], capacity: int) -> set[object]:
+    """The per-cell list DP the vectorised ``_solve_dp`` must reproduce:
+    weights iterated downwards, strict ``>`` updates, parent pointers."""
+    best = [0.0] * (capacity + 1)
+    take = [[False] * (capacity + 1) for _ in items]
+    for i, item in enumerate(items):
+        for w in range(capacity, item.weight - 1, -1):
+            candidate = best[w - item.weight] + item.value
+            if candidate > best[w]:
+                best[w] = candidate
+                take[i][w] = True
+    chosen: set[object] = set()
+    w = capacity
+    for i in range(len(items) - 1, -1, -1):
+        if take[i][w]:
+            chosen.add(items[i].key)
+            w -= items[i].weight
+    return chosen
+
+
+def _reference_keep(items: list[KnapsackItem], capacity: int,
+                    exact: bool) -> set[object]:
+    """Kept keys by per-item Python only (no array code on either path)."""
+    if not exact:
+        return solve_knapsack(items, capacity, exact=False)
+    free = {item.key for item in items if item.weight == 0}
+    if capacity == 0:
+        return free
+    return free | _reference_dp(
+        [item for item in items if item.weight > 0], capacity)
+
+
+def _tenths(lo: int, hi: int):
+    """Inexact floats (k/10): the order a total is summed in shows in its
+    last bits."""
+    return st.integers(lo, hi).map(lambda k: k / 10.0)
+
+
+def _pool(weights, values, **sizes):
+    return st.lists(st.tuples(weights, values), **sizes)
+
+
+# ((weight, value) pool, capacity) shapes the run-jumping kernel must get
+# exactly right, beside the general case.
+_knapsack_cases = st.one_of(
+    st.tuples(_pool(st.integers(0, 50), _tenths(0, 1000),
+                    min_size=0, max_size=12), st.integers(0, 200)),
+    # heavy ties: value = weight * 0.5 or weight * 1.0, so density ties
+    # across different weights and values, zero-weight items among them
+    st.tuples(_pool(st.integers(0, 4), st.sampled_from([0.5, 1.0]),
+                    min_size=0, max_size=16
+                    ).map(lambda pool: [(w, w * k) for w, k in pool]),
+              st.integers(0, 24)),
+    # capacity far below the total: most of the ranking is misfits, with
+    # light items that still fit scattered between them
+    st.tuples(_pool(st.sampled_from([1, 2, 30, 45, 50]), _tenths(0, 1000),
+                    min_size=8, max_size=40), st.integers(0, 60)),
+    # a dense crowd, and one item about as valuable as all of it that only
+    # fits alone: the best-single-item fix-up decides
+    st.tuples(
+        st.builds(lambda crowd, big, at: crowd[:at] + [big] + crowd[at:],
+                  _pool(st.integers(1, 3), st.sampled_from([0.5, 1.0, 1.5]),
+                        min_size=1, max_size=8),
+                  st.tuples(st.integers(8, 12),
+                            st.integers(1, 24).map(lambda k: k / 2.0)),
+                  st.integers(0, 8)),
+        st.integers(8, 14)),
 )
+
+# Sequentially in rank order the twelve small values sum to
+# 7.1000000000000005; pairwise, reversed or in position order to 7.1.  The
+# last item is worth exactly the former, so it must NOT displace them.
+_SUM_ORDER_CASE = ([(1, 0.6), (3, 0.9), (2, 0.9), (2, 0.7), (1, 0.1),
+                    (2, 0.2), (1, 0.7), (3, 0.5), (3, 0.9), (3, 0.7),
+                    (1, 0.8), (2, 0.1), (24, 7.1000000000000005)], 24)
 
 
 @settings(**QUICK)
-@given(case=_knapsack_cases)
-def test_solve_knapsack_arrays_matches_object_solver(case):
-    """The eviction pass's column-oriented solver keeps the object
-    solver's exact answer — same keys kept, greedy and exact DP both."""
-    rows, capacity, exact = case
-    keys = [f"k-{i}" for i in range(len(rows))]
-    items = [KnapsackItem(key=key, weight=w, value=v / 1000.0)
-             for key, (w, v) in zip(keys, rows)]
-    weights = np.array([w for w, _ in rows], dtype=np.float64)
-    values = np.array([v / 1000.0 for _, v in rows], dtype=np.float64)
-    expected = solve_knapsack(items, capacity, exact=exact)
-    got = solve_knapsack_arrays(keys, weights, values, capacity, exact=exact)
-    assert got == expected
+@given(case=_knapsack_cases, exact=st.booleans())
+# equal density: the more valuable item ranks first and crowds the other out
+@example(case=([(1, 0.5), (2, 1.0)], 2), exact=False)
+# a single item worth exactly the greedy total does not replace it
+@example(case=([(1, 1.0), (1, 1.0), (3, 2.0)], 3), exact=False)
+@example(case=_SUM_ORDER_CASE, exact=False)
+# DP updates are strict: of two identical items the earlier one is kept
+@example(case=([(2, 1.0), (2, 1.0)], 2), exact=True)
+def test_array_knapsack_matches_per_item_reference(case, exact):
+    """The eviction pass's array kernel keeps the per-item solvers' exact
+    answer, position for position — greedy run-jumping against the item
+    loop, vectorised DP rows against the list DP — and the key-mapping
+    wrapper and the object solver's exact path agree with it."""
+    pool, capacity = case
+    keys = [f"k-{i}" for i in range(len(pool))]
+    items = [KnapsackItem(key=key, weight=w, value=v)
+             for key, (w, v) in zip(keys, pool)]
+    weights = np.array([w for w, _ in pool], dtype=np.int64)
+    values = np.array([v for _, v in pool], dtype=np.float64)
+    expected = _reference_keep(items, capacity, exact)
+    mask = knapsack_keep_mask(weights, values, capacity, exact=exact)
+    assert mask.dtype == np.bool_ and mask.shape == (len(pool),)
+    assert {keys[i] for i in np.flatnonzero(mask)} == expected
+    assert solve_knapsack_arrays(keys, weights, values, capacity,
+                                 exact=exact) == expected
+    assert solve_knapsack(items, capacity, exact=exact) == expected
+
+
+@settings(**QUICK)
+@given(ops=_ops, percent=st.integers(0, 100), exact=st.booleans())
+# equal size and gain: the access count alone decides which one stays
+@example(ops=[("add", "ex-0", 5), ("add", "ex-1", 5),
+              ("record_use", "ex-0", 100), ("record_use", "ex-1", 100),
+              ("access", "ex-1", 0)], percent=50, exact=False)
+def test_enforce_capacity_evicts_what_the_reference_solver_would(
+        ops, percent, exact):
+    """After any lifecycle interleaving, one over-budget pass removes the
+    ids the per-item solver rejects over the same pool (cache-insertion
+    order, per-object weights and values), oldest first, one journaled
+    remove each, and leaves every survivor's state untouched."""
+    cache = ExampleCache(dim=64)
+    clock = SimClock()
+    manager = ExampleManager(
+        cache,
+        ManagerConfig(sanitize=False,
+                      knapsack_exact_below=64 if exact else 0),
+        clock=clock)
+    reference: dict[str, RefExample] = {}
+    for op, example_id, arg in ops:
+        _apply(cache, manager, clock, reference, op, example_id, arg)
+    capacity = cache.total_bytes * percent // 100
+    manager.config.capacity_bytes = capacity
+
+    items = [
+        KnapsackItem(
+            key=example_id,
+            weight=ref.plaintext_bytes,
+            value=(ref.offload_gain.raw or 0.0) * (1 + ref.access_count)
+            + 1e-3)
+        for example_id, ref in reference.items()
+    ]
+    keep = _reference_keep(items, capacity, exact)
+    expected = ([] if cache.total_bytes <= capacity
+                else [key for key in reference if key not in keep])
+
+    journaled: list[tuple[str, object]] = []
+    cache.journal = lambda kind, payload: journaled.append((kind, payload))
+    assert manager.enforce_capacity() == len(expected)
+    assert [payload for kind, payload in journaled
+            if kind == "remove"] == expected
+    assert manager.evictions == len(expected)
+    for example_id in expected:
+        del reference[example_id]
+    assert [example.example_id for example in cache] == list(reference)
+    _assert_state_matches(cache, reference)

@@ -222,3 +222,44 @@ class TestGatewayHttpStatuses:
         assert slo["n_rate_limited"] == 1
         assert bad.status == 400 and "error" in bad.payload
         assert missing.status == 404
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1e3"])
+    def test_bad_content_length_is_400_and_gateway_survives(self, declared):
+        """A content-length that is not a non-negative integer loses the
+        request framing: the gateway answers 400 and closes *that*
+        connection; the writer task and the session behind it carry on."""
+        async def scenario():
+            service = build_service()
+            gateway = AsyncGateway(
+                GatewaySession(service, cluster_config(service)))
+            await gateway.start()
+            try:
+                async with GatewayClient("127.0.0.1", gateway.port) as client:
+                    before = await client.post(
+                        "/serve", request_to_payload(make_request("a"), 0.0))
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", gateway.port)
+                    writer.write(
+                        b"POST /serve HTTP/1.1\r\n"
+                        + f"content-length: {declared}\r\n\r\n".encode())
+                    await writer.drain()
+                    # read() to EOF: the reply, then the server's close.
+                    raw = await asyncio.wait_for(reader.read(), timeout=10)
+                    writer.close()
+                    await writer.wait_closed()
+                    writer_alive = not gateway._writer_task.done()
+                    after = await client.post(
+                        "/serve", request_to_payload(make_request("b"), 1.0))
+                    stats = await client.get("/stats")
+                    return raw, before, after, stats, writer_alive
+            finally:
+                await gateway.shutdown()
+
+        raw, before, after, stats, writer_alive = self._run(scenario())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"bad content-length" in body
+        assert writer_alive
+        assert (before.status, after.status) == (200, 200)
+        assert stats.payload["gateway"]["accepted"] == 2
+        assert stats.payload["gateway"]["completed"] == 2
