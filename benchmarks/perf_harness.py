@@ -8,6 +8,11 @@ exercise per request, at three levels:
   Python loop (the pre-contiguous-layout implementation), at N examples;
 * **churn** — index maintenance cost: trained add/remove throughput
   (O(1) swap-deletes against the cluster blocks) and a full K-Means retrain;
+* **kmeans** — the global-retrain regime between the trivial fit and
+  ``incremental_min_n`` (N=3k/6k, where every ``bench_e2e`` retrain runs):
+  ``KMeans.fit`` time, its in-run speedup over the preserved reference
+  Lloyd loop (``tests/kmeans_reference.py``), and the deterministic work
+  counter — distance columns computed / (iterations x k) — gated exactly;
 * **serve** — steady-state end-to-end ``ICCacheService.serve`` throughput on
   a seeded example bank (embedding + stage-1 IVF search + vectorized
   stage-2 proxy scoring + routing + generation + learning);
@@ -41,7 +46,7 @@ Results are written to ``BENCH_serve_hotpath.json`` so every future perf PR
 is measured against a recorded trajectory, and ``--check`` gates CI against
 ``benchmarks/BENCH_serve_hotpath_baseline.json`` (>30% regressions fail on
 serve/search/runtime throughput, snapshot save/restore throughput, and
-retrain time).
+retrain / K-Means fit time; the K-Means work counters must match exactly).
 
 Run from the repo root::
 
@@ -57,18 +62,27 @@ import argparse
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.vectorstore.flat import FlatIndex, SearchResult
-from repro.vectorstore.ivf import IVFIndex
+from repro.vectorstore.ivf import IVFIndex, optimal_cluster_count
+from repro.vectorstore.kmeans import KMeans
+
+# The reference Lloyd loop lives with the tests that hold ``fit`` to it.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.kmeans_reference import _reference_fit  # noqa: E402
 
 DIM = 64
 TOP_K = 5
 N_TOPICS = 50
 SCHEMA = "serve_hotpath/v3"
+#: Pool sizes for the ``kmeans`` section: the seeded bank of ``bench_e2e``'s
+#: serve workloads, and about where their last in-run retrain lands.
+KMEANS_SIZES = (3_000, 6_000)
 
 
 def clustered_vectors(n: int, dim: int = DIM, n_topics: int = N_TOPICS,
@@ -192,6 +206,37 @@ def bench_churn(n: int, seed: int = 0,
         "trainings_during_build": build_trainings,
         "add_remove_us_per_op": churn_s / (2 * pairs) * 1e6,
         "retrain_s": retrain_s,
+    }
+
+
+def bench_kmeans(n: int, seed: int = 0) -> dict:
+    """One global-retrain ``KMeans.fit`` at pool size ``n`` (k = sqrt(n)).
+
+    ``column_share`` is the fit's distance columns (seeding included) over
+    the ``iterations * k`` a recompute-everything Lloyd loop pays after its
+    own seeding pass: a count, so it repeats exactly run to run, and it
+    reaches 1.0 if column skipping ever stops working.  The reference loop
+    is timed in the same run as the speedup denominator and must return the
+    same labels and centroids.
+    """
+    data = clustered_vectors(n, seed=seed).astype(np.float32)
+    model = KMeans(n_clusters=optimal_cluster_count(n), seed=seed)
+    result = model.fit(data)
+    reference = _reference_fit(model, data)
+    assert result.centroids.tobytes() == reference.centroids.tobytes()
+    assert np.array_equal(result.labels, reference.labels)
+    t_fit = _best_of(lambda: model.fit(data))
+    t_ref = _best_of(lambda: _reference_fit(model, data), rounds=2)
+    return {
+        "n": n,
+        "k_clusters": model.n_clusters,
+        "iterations": result.iterations,
+        "distance_columns": result.distance_columns,
+        "column_share": result.distance_columns
+        / (result.iterations * model.n_clusters),
+        "kmeans_fit_ms": t_fit * 1e3,
+        "reference_fit_ms": t_ref * 1e3,
+        "kmeans_speedup_vs_reference": t_ref / t_fit,
     }
 
 
@@ -642,6 +687,7 @@ def run(sizes: list[int], serve_banks: list[int] | None = None,
         },
         "search": {},
         "churn": {},
+        "kmeans": {str(n): bench_kmeans(n) for n in KMEANS_SIZES},
         "memory": {},
         "serve": {str(bank): bench_serve(bank=bank) for bank in serve_banks},
         "runtime": bench_runtime(),
@@ -761,6 +807,25 @@ def check_against_baseline(results: dict, baseline: dict,
                 f"retrain at N={n} regressed: {current['retrain_s']:.3f} s > "
                 f"{ceiling:.0%} of baseline {base_val:.3f} s"
             )
+    # K-Means fit: the time like any other, the work counters exactly — a
+    # count that moves means the fit did different work, not slower work.
+    for n, base in baseline.get("kmeans", {}).items():
+        current = results.get("kmeans", {}).get(n)
+        if current is None:
+            continue
+        for key in ("iterations", "distance_columns"):
+            if key in base and current[key] != base[key]:
+                failures.append(
+                    f"kmeans {key} at N={n} changed: {current[key]} != "
+                    f"baseline {base[key]}"
+                )
+        base_val = base.get("kmeans_fit_ms")
+        if base_val and current["kmeans_fit_ms"] > ceiling * base_val:
+            failures.append(
+                f"kmeans fit at N={n} regressed: "
+                f"{current['kmeans_fit_ms']:.0f} ms > {ceiling:.0%} of "
+                f"baseline {base_val:.0f} ms"
+            )
     base_scale = baseline.get("scale")
     if base_scale and results.get("scale"):
         got_scale = results["scale"]
@@ -865,6 +930,12 @@ def main(argv: list[str] | None = None) -> int:
               f"({row['trainings_during_build']} trains), add/remove "
               f"{row['add_remove_us_per_op']:6.1f} us/op, retrain "
               f"{row['retrain_s']:6.2f}s")
+    for n, row in results["kmeans"].items():
+        print(f"kmeans  N={n:>6}: fit {row['kmeans_fit_ms']:7.1f} ms "
+              f"({row['kmeans_speedup_vs_reference']:.1f}x vs reference "
+              f"loop), {row['iterations']} iterations, "
+              f"{row['distance_columns']} distance columns "
+              f"({row['column_share']:.2f} of iterations x k)")
     for bank, serve in results["serve"].items():
         print(f"serve   bank={serve['bank_examples']}: "
               f"{serve['us_per_request']:.0f} us/request "

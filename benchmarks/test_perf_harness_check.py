@@ -4,7 +4,8 @@
 the tests exercise the gate logic itself — the missing-baseline warning
 (which must be loud, not a silent pass), the pass path, and every
 regression-failure path (serve, search, runtime, persistence restore,
-retrain amortization, the N=1M scale rows) — in milliseconds.
+retrain amortization, the K-Means fit time and its exact work counters,
+the N=1M scale rows) — in milliseconds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ def _results(serve_qps: float = 1000.0, search_qps: float = 50_000.0,
              tick_s: float = 0.05, decay_us: float = 100.0,
              evict_us: float = 1e4, evict_one_us: float = 2e3,
              lifecycle_restore: float = 2e5,
-             pool_restore: float = 2e5, pool_decay_us: float = 2e3) -> dict:
+             pool_restore: float = 2e5, pool_decay_us: float = 2e3,
+             fit_ms: float = 50.0, distance_columns: int = 305) -> dict:
     return {
         "serve": {"800": {"qps": serve_qps}},
         "search": {"1000": {"qps": search_qps}},
@@ -32,6 +34,8 @@ def _results(serve_qps: float = 1000.0, search_qps: float = 50_000.0,
                                 "restore_examples_per_s":
                                     lifecycle_restore}},
         "churn": {"1000": {"retrain_s": retrain_s}},
+        "kmeans": {"3000": {"kmeans_fit_ms": fit_ms, "iterations": 9,
+                            "distance_columns": distance_columns}},
         "scale": {"retrain_s_per_tick": tick_s,
                   "two_pass_us_per_query": 100.0,
                   "pool": {"restore_examples_per_s": pool_restore,
@@ -118,6 +122,27 @@ class TestPresentBaseline:
         assert code == 1
         assert "retrain at N=1000" in capsys.readouterr().out
 
+    def test_fails_when_kmeans_fit_gets_slower(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(_results(fit_ms=50.0)),
+                            encoding="utf-8")
+        code = perf_harness.run_baseline_gate(
+            _results(fit_ms=100.0), baseline)
+        assert code == 1
+        assert "kmeans fit at N=3000 regressed" in capsys.readouterr().out
+
+    def test_kmeans_work_counter_gates_exactly_in_both_directions(
+            self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(_results(distance_columns=305)),
+                            encoding="utf-8")
+        for moved in (304, 306):
+            code = perf_harness.run_baseline_gate(
+                _results(distance_columns=moved), baseline)
+            assert code == 1
+            assert f"kmeans distance_columns at N=3000 changed: {moved}" \
+                in capsys.readouterr().out
+
     def test_fails_on_scale_tick_amortization_regression(self, tmp_path,
                                                          capsys):
         baseline = tmp_path / "baseline.json"
@@ -191,6 +216,7 @@ class TestPresentBaseline:
         baseline.write_text(json.dumps(_results()), encoding="utf-8")
         smoke = _results()
         del smoke["lifecycle"]
+        del smoke["kmeans"]
         del smoke["scale"]["pool"]
         assert perf_harness.run_baseline_gate(smoke, baseline) == 0
         old = _results()

@@ -14,12 +14,15 @@ stage-2 ``predict`` calls.  Asserted here:
 * the knapsack eviction pass with the pool one example over budget (what a
   full cache runs on every admission) is >= 5x faster than the same pass
   taken per object, at a 10k pool;
+* the incremental, tiled ``KMeans.fit`` is >= 2x the reference Lloyd loop
+  at N=3k and N=6k (the lazy global retrain every ``bench_e2e`` workload
+  pays), and skips distance columns at all (share < 1);
 * steady-state end-to-end ``serve`` throughput is recorded, and the full
   result set is written to ``benchmarks/BENCH_serve_hotpath.json`` — the
   artifact CI uploads and gates against the checked-in baseline.
 
-Set ``REPRO_PERF_FULL=1`` to extend the sweep to N=50k (a full K-Means
-retrain at that size takes minutes; the default keeps the bench suite fast).
+Set ``REPRO_PERF_FULL=1`` to extend the sweep to N=50k (its build's one
+global K-Means fit takes ~10 s; the default keeps the bench suite fast).
 """
 
 import json
@@ -69,6 +72,16 @@ def test_perf_serve_hotpath(benchmark):
         f"evict-one pass only " \
         f"{evict_one['evict_one_speedup_vs_object']:.1f}x over the " \
         f"per-object pass ({evict_one['evict_one_us']:.0f} us)"
+
+    # The lazy global retrain: same bits as the reference loop (asserted
+    # inside the bench) on a fraction of its distance work.
+    for n, row in results["kmeans"].items():
+        assert row["kmeans_speedup_vs_reference"] >= 2.0, \
+            f"KMeans.fit at N={n} only " \
+            f"{row['kmeans_speedup_vs_reference']:.1f}x over the reference " \
+            f"loop ({row['kmeans_fit_ms']:.0f} ms)"
+        assert row["column_share"] < 1.0, \
+            f"KMeans.fit at N={n} recomputed every distance column"
 
     # Maintenance stays cheap: O(1) swap-delete, not O(cluster size).
     for n, churn in results["churn"].items():

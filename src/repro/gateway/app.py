@@ -210,8 +210,16 @@ class AsyncGateway:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError as exc:  # longer than the StreamReader limit
+            raise PayloadError(f"request or header line too long: {exc}") \
+                from None
+
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        line = await self._read_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             return None
         try:
@@ -220,7 +228,7 @@ class AsyncGateway:
             return None
         headers: dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")

@@ -4,7 +4,11 @@ Paper section 4.1 balances the per-request matching cost K + N/K and picks
 K = sqrt(N) clusters; :func:`optimal_cluster_count` implements exactly that.
 The index clusters lazily: entries accumulate in the exact flat index until
 ``retrain_threshold`` inserts/removes have occurred, then the clustering is
-refreshed in the background (here: synchronously on the next search).
+refreshed in the background (here: synchronously on the next search).  That
+search pays for the refit, so :class:`~repro.vectorstore.kmeans.KMeans` keeps
+it small: one (n, k) distance matrix plus one fixed-size scratch tile per
+fit, whatever n and k, and each Lloyd iteration recomputes only what the
+previous update moved.
 
 Storage is cluster-major and contiguous, FAISS-style (the section 5
 deployment note): every cluster owns a dense ``(m, dim)`` float32 block plus
@@ -253,6 +257,9 @@ class IVFIndex:
         self._key_to_cluster: dict[object, int] = {}
         self._churn = 0  # churn events (insert/remove/overwrite) since last train
         self.trainings = 0  # exposed for tests/benchmarks
+        # (question, top hit) of the last single-pass trained search; see
+        # :meth:`search`.
+        self._answered: tuple[tuple | None, SearchResult | None] = (None, None)
 
     def __len__(self) -> int:
         return len(self._flat)
@@ -331,6 +338,17 @@ class IVFIndex:
         if self._centroids is None:
             return self._flat.search(query, k)
 
+        # Admission's dedupe probe asks, at k=1, the query stage 1 just ran
+        # at k=pre_k.  Every mutation moves ``(trainings, _churn)``, so an
+        # equal question against an equal stamp scores the same blocks: its
+        # argmax is the first hit of that stable argsort, already computed.
+        raw = np.asarray(query)
+        question = (raw.dtype.char, raw.tobytes(), self.nprobe,
+                    self.trainings, self._churn)
+        if k == 1 and question == self._answered[0] \
+                and not self.two_pass_active:
+            return [self._answered[1]]
+
         q = np.asarray(query, dtype=np.float64).reshape(-1)
         qnorm = float(np.linalg.norm(q))
         if qnorm <= 0 or k <= 0:
@@ -369,14 +387,18 @@ class IVFIndex:
         # query costs more than the scoring matmuls).
         if len(blocks) == 1:
             keys0 = blocks[0].keys
-            return [SearchResult(keys0[i], float(scores[i])) for i in top]
-        offsets = np.zeros(len(blocks) + 1, dtype=np.intp)
-        offsets[1:] = np.cumsum([len(b.keys) for b in blocks])
-        owners = np.searchsorted(offsets, top, side="right") - 1
-        return [
-            SearchResult(blocks[b].keys[int(gi - offsets[b])], float(scores[gi]))
-            for b, gi in zip(owners, top)
-        ]
+            hits = [SearchResult(keys0[i], float(scores[i])) for i in top]
+        else:
+            offsets = np.zeros(len(blocks) + 1, dtype=np.intp)
+            offsets[1:] = np.cumsum([len(b.keys) for b in blocks])
+            owners = np.searchsorted(offsets, top, side="right") - 1
+            hits = [
+                SearchResult(blocks[b].keys[int(gi - offsets[b])],
+                             float(scores[gi]))
+                for b, gi in zip(owners, top)
+            ]
+        self._answered = (question, hits[0])
+        return hits
 
     def _search_two_pass(self, blocks: list[_ClusterBlock], q32: np.ndarray,
                          k: int) -> list[SearchResult]:
@@ -614,23 +636,22 @@ class IVFIndex:
             result = KMeans(n_clusters=k, seed=self.seed).fit(matrix)
             self._set_centroids(result.centroids)
             labels = result.labels
-        # Rebuild the cluster-major blocks: one contiguous gather per cluster,
-        # members in flat row order (the order a per-key rebuild would visit).
-        rows_by_cluster: list[list[int]] = [
-            [] for _ in range(self._centroids.shape[0])
-        ]
-        for row, label in enumerate(labels):
-            rows_by_cluster[int(label)].append(row)
+        # Rebuild the cluster-major blocks: one stable argsort groups the rows
+        # by label, members in flat row order (the order a per-key rebuild
+        # would visit), then one contiguous gather per cluster.
+        order = np.argsort(labels, kind="stable")
+        stops = np.cumsum(np.bincount(labels,
+                                      minlength=self._centroids.shape[0]))
         self._blocks = []
         self._key_to_cluster = {}
-        for cluster, rows in enumerate(rows_by_cluster):
-            block_keys = [keys[r] for r in rows]
+        start = 0
+        for cluster, stop in enumerate(stops.tolist()):
+            rows = order[start:stop]
+            block_keys = [keys[r] for r in rows.tolist()]
             self._blocks.append(_ClusterBlock(
-                self.dim, keys=block_keys,
-                vectors=matrix[np.asarray(rows, dtype=np.intp)],
-            ))
-            for key in block_keys:
-                self._key_to_cluster[key] = cluster
+                self.dim, keys=block_keys, vectors=matrix[rows]))
+            self._key_to_cluster.update(dict.fromkeys(block_keys, cluster))
+            start = stop
 
     def _set_centroids(self, centroids: np.ndarray) -> None:
         """Store unit-normalized float64 centroids (scored against queries)."""

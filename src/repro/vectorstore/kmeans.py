@@ -8,6 +8,17 @@ splits of oversized clusters in the incremental maintenance path.
 (no silent float64 upcast copy of the whole pool), centroids come back in the
 input dtype, and per-cluster means accumulate in float64 before narrowing so
 the result is the correctly-rounded mean regardless of storage precision.
+
+``fit`` is also *exactly incremental*.  One (n, k) distance matrix lives
+across the whole fit; k-means++ seeding fills it a column per seeded
+centroid, and each later Lloyd iteration recomputes only the columns of
+centroids whose value changed in the previous update, and only the means of
+clusters that gained or lost a member.  Every (row, centroid) distance is the
+same ``einsum`` reduction over ``dim`` whichever iteration or tile computes
+it, and an unchanged centroid against an unchanged row is an unchanged
+distance, so the result is bit-identical to recomputing everything every
+iteration (``tests/kmeans_reference.py`` keeps that loop as the oracle).  The
+only temporary is one ``_TILE_ELEMS`` difference scratch, whatever n and k.
 """
 
 from __future__ import annotations
@@ -21,12 +32,18 @@ from repro.utils.rng import make_rng
 
 @dataclass
 class KMeansResult:
-    """Fitted clustering: ``centroids`` is (k, dim), ``labels`` is (n,)."""
+    """Fitted clustering: ``centroids`` is (k, dim), ``labels`` is (n,).
+
+    ``distance_columns`` counts the centroid columns of the (n, k) distance
+    matrix the fit computed, seeding included — its deterministic unit of
+    work (a loop that recomputes everything pays ``(iterations + 1) * k``).
+    """
 
     centroids: np.ndarray
     labels: np.ndarray
     inertia: float
     iterations: int
+    distance_columns: int = 0
 
 
 class KMeans:
@@ -52,32 +69,57 @@ class KMeans:
             x = np.asarray(data, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError(f"expected non-empty 2-D data, got shape {x.shape}")
-        n = x.shape[0]
+        n, dim = x.shape
         k = min(self.n_clusters, n)
         rng = make_rng(self.seed)
 
-        centroids = self._kmeanspp_init(x, k, rng)
+        dists = np.empty((n, k), dtype=x.dtype)
+        scratch = np.empty(max(_TILE_ELEMS, dim), dtype=x.dtype)
+        centroids = self._kmeanspp_init(x, k, rng, dists, scratch)
+        # Seeding left every column current, so iteration 1 refreshes none.
+        moved = np.empty(0, dtype=np.intp)
+        distance_columns = k
+
+        rows = np.arange(n)
         labels = np.zeros(n, dtype=int)
+        previous = None
         inertia = float("inf")
         iterations = 0
         for iterations in range(1, self.max_iter + 1):
-            dists = _sq_distances(x, centroids)
+            _refresh_columns(x, centroids, moved, dists, scratch)
+            distance_columns += moved.size
             labels = np.argmin(dists, axis=1)
-            new_inertia = float(dists[np.arange(n), labels].sum())
+            closest = dists[rows, labels]
+            new_inertia = float(closest.sum())
+
+            # A cluster whose member set is unchanged keeps its mean: same
+            # rows in the same order through the same reduction.  The first
+            # update replaces seeds (not means), so it recomputes them all.
+            occupied = np.bincount(labels, minlength=k) > 0
+            if previous is None:
+                redo = occupied
+            else:
+                switched = labels != previous
+                redo = np.zeros(k, dtype=bool)
+                redo[labels[switched]] = True
+                redo[previous[switched]] = True
+                redo &= occupied
+            previous = labels
 
             new_centroids = centroids.copy()
-            for c in range(k):
-                members = x[labels == c]
-                if members.shape[0] > 0:
-                    # Accumulate the mean in float64, then narrow once: the
-                    # stored centroid is the correctly-rounded mean even for
-                    # float32 members.
-                    new_centroids[c] = members.mean(axis=0, dtype=np.float64)
-                else:
-                    # Re-seed an empty cluster on the farthest point, the
-                    # standard fix for centroid collapse.
-                    farthest = int(np.argmax(dists[np.arange(n), labels]))
-                    new_centroids[c] = x[farthest]
+            if not occupied.all():
+                # Re-seed empty clusters on the farthest point, the standard
+                # fix for centroid collapse (every time: that point moves).
+                new_centroids[~occupied] = x[int(np.argmax(closest))]
+            for c in np.flatnonzero(redo):
+                # Accumulate the mean in float64, then narrow once: the
+                # stored centroid is the correctly-rounded mean even for
+                # float32 members.
+                new_centroids[c] = x[labels == c].mean(axis=0,
+                                                       dtype=np.float64)
+            # ``!=`` rather than a bit compare: -0.0 vs 0.0 yields the same
+            # distances, and NaN compares unequal, which only over-refreshes.
+            moved = np.flatnonzero((new_centroids != centroids).any(axis=1))
             shift = float(np.linalg.norm(new_centroids - centroids))
             centroids = new_centroids
             if abs(inertia - new_inertia) <= self.tol or shift <= self.tol:
@@ -86,16 +128,25 @@ class KMeans:
             inertia = new_inertia
 
         return KMeansResult(centroids=centroids, labels=labels, inertia=inertia,
-                            iterations=iterations)
+                            iterations=iterations,
+                            distance_columns=distance_columns)
 
     @staticmethod
-    def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-        """k-means++ seeding: spread initial centroids by D^2 sampling."""
+    def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator,
+                       dists: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """k-means++ seeding: spread initial centroids by D^2 sampling.
+
+        Column ``c`` of ``dists`` receives the distances to seed ``c`` — the
+        D^2 weights need them anyway, and they are exactly what the first
+        Lloyd iteration would compute.
+        """
         n = x.shape[0]
         centroids = np.empty((k, x.shape[1]), dtype=x.dtype)
+        columns = np.arange(k)
         first = int(rng.integers(0, n))
         centroids[0] = x[first]
-        closest_sq = _sq_distances(x, centroids[:1]).reshape(-1)
+        _refresh_columns(x, centroids, columns[:1], dists, scratch)
+        closest_sq = dists[:, 0].copy()
         for c in range(1, k):
             total = float(closest_sq.sum())
             if total <= 0:
@@ -108,32 +159,42 @@ class KMeans:
                 probs /= probs.sum()
                 idx = int(rng.choice(n, p=probs))
             centroids[c] = x[idx]
-            new_sq = _sq_distances(x, centroids[c : c + 1]).reshape(-1)
-            closest_sq = np.minimum(closest_sq, new_sq)
+            _refresh_columns(x, centroids, columns[c : c + 1], dists, scratch)
+            np.minimum(closest_sq, dists[:, c], out=closest_sq)
         return centroids
 
 
-#: Cap on the (rows, k, dim) broadcast temporary inside ``_sq_distances``.
-#: At n=1M, k=1000, dim=64 the unchunked temporary is 238 GiB; chunking
-#: rows bounds it at ~_CHUNK_ELEMS * itemsize regardless of pool size.
-_CHUNK_ELEMS = 16_000_000
+#: Elements of the (rows, centroids, dim) difference scratch: 256 KiB of
+#: float32, 512 KiB of float64 — written by the subtract and read straight
+#: back by the reduction, so it has to stay L2-resident to be worth reusing.
+_TILE_ELEMS = 1 << 16
 
 
-def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (n, k), in ``x``'s dtype.
+def _refresh_columns(x: np.ndarray, centroids: np.ndarray, cols: np.ndarray,
+                     dists: np.ndarray, scratch: np.ndarray) -> None:
+    """Recompute ``dists[:, cols]``: squared Euclidean distance of every row
+    of ``x`` to ``centroids[cols]``.
 
     Computed as diff-square-sum (not the ``||x||^2 - 2x.c + ||c||^2``
-    expansion, whose cancellation changes results bit-for-bit), chunked
-    over rows so the broadcast temporary stays bounded.  Each (row,
-    centroid) pair reduces independently over ``dim``, so row chunking
-    performs the identical IEEE operations as one shot.
+    expansion, whose cancellation changes results bit-for-bit) in
+    row x centroid tiles that each fit ``scratch``.  Each (row, centroid)
+    pair reduces independently over ``dim``, so any tiling performs the
+    identical IEEE operations as one (n, k, dim) shot.
     """
     n, dim = x.shape
-    k = centroids.shape[0]
-    out = np.empty((n, k), dtype=x.dtype)
-    step = max(1, _CHUNK_ELEMS // max(1, k * dim))
-    for start in range(0, n, step):
-        chunk = x[start : start + step]
-        diffs = chunk[:, None, :] - centroids[None, :, :]
-        out[start : start + step] = np.einsum("nkd,nkd->nk", diffs, diffs)
-    return out
+    pairs = max(1, scratch.size // max(1, dim))
+    for j in range(0, cols.size, pairs):
+        tile_cols = cols[j : j + pairs]
+        tile_centroids = centroids[tile_cols]
+        w = tile_cols.size
+        height = pairs // w
+        for i in range(0, n, height):
+            chunk = x[i : i + height, None, :]
+            h = chunk.shape[0]
+            diffs = scratch[: h * w * dim].reshape(h, w, dim)
+            # Broadcast-copy then subtract in place: the in-place pass runs
+            # over w * dim contiguous elements per row, where a broadcast
+            # subtract would restart its inner loop every dim elements.
+            diffs[...] = chunk
+            np.subtract(diffs, tile_centroids, out=diffs)
+            dists[i : i + h, tile_cols] = np.einsum("nkd,nkd->nk", diffs, diffs)

@@ -22,7 +22,9 @@ from tests.strategies.settings import (
     STANDARD,
 )
 from tests.strategies.vectors import (
+    KMeansCase,
     VectorPool,
+    kmeans_cases,
     vector_pools,
 )
 from tests.strategies.workload import (
@@ -52,4 +54,6 @@ __all__ = [
     "chaos_windows",
     "VectorPool",
     "vector_pools",
+    "KMeansCase",
+    "kmeans_cases",
 ]

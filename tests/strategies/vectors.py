@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-__all__ = ["seeds", "vector_pools", "VectorPool"]
+__all__ = ["seeds", "vector_pools", "VectorPool", "kmeans_cases",
+           "KMeansCase"]
 
 #: Pools stay above this so an IVFIndex(min_train_size=64) always trains.
 MIN_POOL = 70
@@ -85,3 +86,44 @@ def vector_pools(draw, min_duplicates: int = 0,
         min_size=min_duplicates, max_size=max_duplicates,
     ))
     return VectorPool(seed, n, dim, duplicates)
+
+
+class KMeansCase:
+    """One ``KMeans.fit`` input: training rows, cluster count and seed.
+
+    ``distinct`` is how many different rows ``data`` was built from: with
+    ``distinct < k`` k-means++ must seed coinciding centroids (its
+    ``total <= 0`` branch once every row sits on one), the later twins lose
+    every argmin tie, and Lloyd re-seeds several empty clusters in one
+    iteration.
+    """
+
+    def __init__(self, seed: int, n: int, dim: int, k: int, distinct: int,
+                 dtype: type) -> None:
+        self.seed = seed
+        self.k = k
+        self.distinct = distinct
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(max(2, distinct // 8), dim))
+        base = centers[rng.integers(0, len(centers), size=distinct)]
+        base = base + rng.normal(0.0, 0.3, size=(distinct, dim))
+        rows = np.concatenate([np.arange(distinct),
+                               rng.integers(0, distinct, size=n - distinct)])
+        self.data = base[rng.permutation(rows)].astype(dtype)
+
+    def __repr__(self) -> str:  # shrinker-friendly reporting
+        n, dim = self.data.shape
+        return (f"KMeansCase(seed={self.seed}, n={n}, dim={dim}, k={self.k}, "
+                f"distinct={self.distinct}, dtype={self.data.dtype})")
+
+
+@st.composite
+def kmeans_cases(draw) -> KMeansCase:
+    """Clustered training rows with duplicates; k spans n < k to k << n."""
+    seed = draw(seeds())
+    n = draw(st.integers(min_value=1, max_value=96))
+    dim = draw(st.sampled_from([1, 2, 5, 16]))
+    k = draw(st.one_of(st.integers(1, 12), st.just(n), st.integers(n, n + 4)))
+    distinct = draw(st.one_of(st.just(n), st.integers(1, n)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return KMeansCase(seed, n, dim, k, distinct, dtype)

@@ -223,11 +223,25 @@ class TestGatewayHttpStatuses:
         assert bad.status == 400 and "error" in bad.payload
         assert missing.status == 404
 
-    @pytest.mark.parametrize("declared", ["abc", "-5", "1e3"])
-    def test_bad_content_length_is_400_and_gateway_survives(self, declared):
-        """A content-length that is not a non-negative integer loses the
-        request framing: the gateway answers 400 and closes *that*
-        connection; the writer task and the session behind it carry on."""
+    @pytest.mark.parametrize("sent,complaint", [
+        (b"POST /serve HTTP/1.1\r\ncontent-length: abc\r\n\r\n",
+         b"bad content-length"),
+        (b"POST /serve HTTP/1.1\r\ncontent-length: -5\r\n\r\n",
+         b"bad content-length"),
+        (b"POST /serve HTTP/1.1\r\ncontent-length: 1e3\r\n\r\n",
+         b"bad content-length"),
+        # Lines past the StreamReader limit (64 KiB): readline raises
+        # ValueError, which used to escape the connection handler.
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", b"line too long"),
+        (b"GET /health HTTP/1.1\r\nx-junk: " + b"a" * 70_000 + b"\r\n\r\n",
+         b"line too long"),
+    ], ids=["length-abc", "length-negative", "length-float",
+            "long-request-line", "long-header-line"])
+    def test_lost_framing_is_400_and_gateway_survives(self, sent, complaint):
+        """A content-length that is not a non-negative integer, or a line
+        longer than the reader will buffer, loses the request framing: the
+        gateway answers 400 and closes *that* connection; the writer task
+        and the session behind it carry on."""
         async def scenario():
             service = build_service()
             gateway = AsyncGateway(
@@ -239,9 +253,7 @@ class TestGatewayHttpStatuses:
                         "/serve", request_to_payload(make_request("a"), 0.0))
                     reader, writer = await asyncio.open_connection(
                         "127.0.0.1", gateway.port)
-                    writer.write(
-                        b"POST /serve HTTP/1.1\r\n"
-                        + f"content-length: {declared}\r\n\r\n".encode())
+                    writer.write(sent)
                     await writer.drain()
                     # read() to EOF: the reply, then the server's close.
                     raw = await asyncio.wait_for(reader.read(), timeout=10)
@@ -258,7 +270,7 @@ class TestGatewayHttpStatuses:
         raw, before, after, stats, writer_alive = self._run(scenario())
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 Bad Request")
-        assert b"bad content-length" in body
+        assert complaint in body
         assert writer_alive
         assert (before.status, after.status) == (200, 200)
         assert stats.payload["gateway"]["accepted"] == 2

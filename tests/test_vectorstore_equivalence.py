@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.config import SelectorConfig
 from repro.core.proxy import HelpfulnessProxy, proxy_features_matrix
 from repro.core.selector import ExampleSelector
 from repro.vectorstore.flat import SearchResult
-from repro.vectorstore.ivf import IVFIndex
+from repro.vectorstore.ivf import IVFIndex, _ClusterBlock, quantize_i8
 
+from tests.strategies import DETERMINISM, VectorPool, vector_pools
 from tests.test_core_selector import build_selector, query_direction
 
 DIM = 16
@@ -141,6 +143,83 @@ class TestSearchMatchesReference:
             single_scores = {str(r.key): r.score for r in single}
             for hit in batch_hits:
                 assert abs(hit.score - single_scores[str(hit.key)]) < 1e-5
+
+
+class TestRepeatedProbeReusesTopHit:
+    """``search(q, 1)`` straight after ``search(q, k)`` (admission's dedupe
+    probe after stage 1) answers from the first search's top hit — and only
+    while the index is exactly the index that search scored."""
+
+    @staticmethod
+    def _trained(pool: VectorPool, **kwargs) -> IVFIndex:
+        index = IVFIndex(dim=pool.dim, nprobe=3, min_train_size=64, seed=1,
+                         **kwargs)
+        for row, vec in enumerate(pool.vectors):
+            index.add(row, vec)
+        assert index.retrain()
+        return index
+
+    @staticmethod
+    def _fresh_probe(index: IVFIndex, query: np.ndarray) -> list[SearchResult]:
+        """The k=1 answer of a restored copy, which has nothing to reuse."""
+        return IVFIndex.from_state(index.to_state()).search(query, 1)
+
+    @settings(**DETERMINISM)
+    @given(pool=vector_pools(min_duplicates=2))
+    def test_reused_hit_equals_a_real_probe(self, pool: VectorPool):
+        index = self._trained(pool)
+        scored = []
+        view = _ClusterBlock.view
+        for query in pool.queries(6):
+            first = index.search(query, 12)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_ClusterBlock, "view",
+                              lambda block: scored.append(1) or view(block))
+                again = index.search(query, 1)
+            assert again == first[:1] == self._fresh_probe(index, query)
+        assert not scored, "the repeated probe scored blocks again"
+
+    def test_any_mutation_forces_a_real_probe(self):
+        pool = VectorPool(seed=3, n=150, dim=8, duplicates=[(0, 1)])
+        index = self._trained(pool)
+        query = pool.queries(1)[0]
+        top = index.search(query, 12)[0]
+
+        index.add("twin", query)                       # add
+        assert index.search(query, 1)[0].key == "twin"
+        index.search(query, 12)
+        index.remove("twin")                           # remove
+        assert index.search(query, 1) == [top]
+        index.search(query, 12)
+        index.add(top.key, -query)                     # overwrite
+        assert index.search(query, 1)[0].key != top.key
+        index.search(query, 12)
+        assert index.retrain()                         # retrain
+        assert index.search(query, 1) == self._fresh_probe(index, query)
+
+    def test_query_edited_in_place_is_a_new_question(self):
+        pool = VectorPool(seed=4, n=150, dim=8, duplicates=[])
+        index = self._trained(pool)
+        query = pool.queries(1)[0].copy()
+        index.search(query, 12)
+        query[:] = pool.vectors[17]
+        assert index.search(query, 1) == self._fresh_probe(index, query)
+        assert index.search(query, 1)[0].key == 17
+
+    def test_two_pass_never_reuses(self):
+        # Rows 0 and 1 differ below int8 resolution: the coarse pass ties
+        # them and, at rescore_depth=1, rescores only row 0 — so two-pass
+        # k=1 answers row 0 where the single-pass top hit is row 1.
+        pool = VectorPool(seed=6, n=150, dim=8, duplicates=[])
+        pool.vectors[1] = pool.vectors[0] + 3e-4
+        query = pool.vectors[1].copy()
+        index = self._trained(pool, rescore_depth=1)
+        assert np.array_equal(quantize_i8(index.get_vector(0)),
+                              quantize_i8(index.get_vector(1)))
+        assert index.search(query, 12)[0].key == 1
+        index.two_pass_min_n = 1
+        assert index.search(query, 1) == self._fresh_probe(index, query)
+        assert index.search(query, 1)[0].key == 0
 
 
 class TestChurnAccounting:
