@@ -29,7 +29,8 @@ exercise per request, at three levels:
   struct-of-arrays :class:`~repro.core.table.ExampleTable`: vectorized
   gain decay (us/maintenance tick), the knapsack eviction pass one
   example over budget (us/pass, with its in-run speedup over the
-  per-object pass) and 30% over budget (us/pass), and the cache-level
+  per-object pass and the rows it had to rank, a count gated exactly)
+  and 30% over budget (us/pass), and the cache-level
   columnar snapshot roundtrip (examples/sec), at N=10k and N=50k
   synthetic pools;
 * **memory** — resident bytes per vector for the flat storage and the IVF
@@ -46,7 +47,8 @@ Results are written to ``BENCH_serve_hotpath.json`` so every future perf PR
 is measured against a recorded trajectory, and ``--check`` gates CI against
 ``benchmarks/BENCH_serve_hotpath_baseline.json`` (>30% regressions fail on
 serve/search/runtime throughput, snapshot save/restore throughput, and
-retrain / K-Means fit time; the K-Means work counters must match exactly).
+retrain / K-Means fit time; the K-Means and eviction work counters must
+match exactly).
 
 Run from the repo root::
 
@@ -456,17 +458,21 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
       ``persistence`` section measures the full service on top);
     * **evict one** — :meth:`ExampleManager.enforce_capacity` with the
       pool one byte over budget, the pass every admission pays on a full
-      cache (``bench_e2e``'s ``lifecycle_churn``): all of it is ranking
-      the pool, one example goes.  ``evict_one_speedup_vs_object`` is the
-      same decision taken the per-object way in the same run — one
-      ``KnapsackItem`` per example from its properties, ``solve_knapsack``,
-      a kept-set scan — over this pass;
+      cache (``bench_e2e``'s ``lifecycle_churn``): one example goes, and
+      only the low-density tail it could come from is ranked.
+      ``rows_ranked_per_pass`` counts the rows handed to the ranking sort
+      (a work count: same pool, same number, on any box);
+      ``evict_one_speedup_vs_object`` is the same decision taken the
+      per-object way in the same run — one ``KnapsackItem`` per example
+      from its properties, ``solve_knapsack``, a kept-set scan — over
+      this pass;
     * **evict** — one pass with the byte budget set to 70% of the pool,
       which is mostly the removals themselves.  The passes are destructive
       (they evict), so they run last.
     """
     import tempfile
 
+    from repro.analysis import knapsack
     from repro.analysis.knapsack import KnapsackItem, solve_knapsack
     from repro.core.cache import ExampleCache
     from repro.core.config import ManagerConfig
@@ -525,12 +531,25 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
         evictor.config.capacity_bytes = cache.total_bytes - 1
         return evictor.enforce_capacity()
 
+    # Rows ranked, counted where the ranking happens: the sort is the
+    # kernel's one super-linear step.
+    ranked_rows: list[int] = []
+    rank = knapsack._rank
+
+    def counting_rank(w, v):
+        ranked_rows.append(w.size)
+        return rank(w, v)
+
     would_evict = object_pass()
-    assert evict_one() == len(would_evict) >= 1
-    assert not any(ex_id in cache for ex_id in would_evict), \
-        "array pass and per-object pass must evict the same examples"
-    t_object = _best_of(object_pass)
-    t_evict_one = _best_of(evict_one)       # each round evicts once more
+    knapsack._rank = counting_rank
+    try:
+        assert evict_one() == len(would_evict) >= 1
+        assert not any(ex_id in cache for ex_id in would_evict), \
+            "array pass and per-object pass must evict the same examples"
+        t_object = _best_of(object_pass)
+        t_evict_one = _best_of(evict_one)   # each round evicts once more
+    finally:
+        knapsack._rank = rank
 
     evictor.config.capacity_bytes = int(cache.total_bytes * 0.7)
     start = time.perf_counter()
@@ -549,6 +568,7 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
         "restore_examples_per_s": n / t_restore,
         "evict_one_us": t_evict_one * 1e6,
         "evict_one_speedup_vs_object": t_object / t_evict_one,
+        "rows_ranked_per_pass": sum(ranked_rows) / len(ranked_rows),
         "evicted": evicted,
         "evict_us_per_pass": evict_s * 1e6,
     }
@@ -796,6 +816,14 @@ def check_against_baseline(results: dict, baseline: dict,
                     f"lifecycle restore at N={n} regressed: {got:.0f} ex/s "
                     f"< {floor:.0%} of baseline {base_val:.0f} ex/s"
                 )
+        # A count, like the K-Means ones below: it moves only if the
+        # evict-one pass ranks a different part of the pool.
+        key = "rows_ranked_per_pass"
+        if key in base and current.get(key) != base[key]:
+            failures.append(
+                f"lifecycle evict-one {key} at N={n} changed: "
+                f"{current.get(key)} != baseline {base[key]}"
+            )
     # Retrain amortization: a *time*, so regression means slower, not lower.
     for n, base in baseline.get("churn", {}).items():
         current = results.get("churn", {}).get(n)
@@ -948,8 +976,9 @@ def main(argv: list[str] | None = None) -> int:
           f"({runtime['n_sim_requests']} requests)")
     for n, row in results["lifecycle"].items():
         print(f"lifecyc N={n:>7}: decay {row['decay_us_per_tick']:8.1f} "
-              f"us/tick, evict one {row['evict_one_us'] / 1e3:6.2f} ms "
-              f"({row['evict_one_speedup_vs_object']:.1f}x vs per-object), "
+              f"us/tick, evict one {row['evict_one_us']:6.0f} us "
+              f"({row['evict_one_speedup_vs_object']:.0f}x vs per-object, "
+              f"{row['rows_ranked_per_pass']:g} rows ranked/pass), "
               f"evict {row['evict_us_per_pass'] / 1e3:8.1f} ms/pass "
               f"({row['evicted']} evicted), restore "
               f"{row['restore_examples_per_s']:,.0f} ex/s")

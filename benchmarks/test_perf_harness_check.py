@@ -21,7 +21,8 @@ def _results(serve_qps: float = 1000.0, search_qps: float = 50_000.0,
              evict_us: float = 1e4, evict_one_us: float = 2e3,
              lifecycle_restore: float = 2e5,
              pool_restore: float = 2e5, pool_decay_us: float = 2e3,
-             fit_ms: float = 50.0, distance_columns: int = 305) -> dict:
+             fit_ms: float = 50.0, distance_columns: int = 305,
+             rows_ranked: float = 4.0) -> dict:
     return {
         "serve": {"800": {"qps": serve_qps}},
         "search": {"1000": {"qps": search_qps}},
@@ -31,6 +32,7 @@ def _results(serve_qps: float = 1000.0, search_qps: float = 50_000.0,
         "lifecycle": {"10000": {"decay_us_per_tick": decay_us,
                                 "evict_us_per_pass": evict_us,
                                 "evict_one_us": evict_one_us,
+                                "rows_ranked_per_pass": rows_ranked,
                                 "restore_examples_per_s":
                                     lifecycle_restore}},
         "churn": {"1000": {"retrain_s": retrain_s}},
@@ -181,6 +183,18 @@ class TestPresentBaseline:
         assert code == 1
         assert "lifecycle evict-one pass at N=10000" in \
             capsys.readouterr().out
+
+    def test_evict_one_rows_ranked_gates_exactly_in_both_directions(
+            self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(_results(rows_ranked=4.0)),
+                            encoding="utf-8")
+        for moved in (3.75, 10000.0):
+            code = perf_harness.run_baseline_gate(
+                _results(rows_ranked=moved), baseline)
+            assert code == 1
+            assert ("lifecycle evict-one rows_ranked_per_pass at N=10000 "
+                    f"changed: {moved}") in capsys.readouterr().out
 
     def test_fails_on_lifecycle_restore_regression(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"

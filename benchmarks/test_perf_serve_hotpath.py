@@ -12,8 +12,10 @@ stage-2 ``predict`` calls.  Asserted here:
   per-candidate loop (the pre-refactor implementation) at N=10k, dim=64;
 * trained add/remove stays O(1)-cheap (no retrain tripped mid-bench);
 * the knapsack eviction pass with the pool one example over budget (what a
-  full cache runs on every admission) is >= 5x faster than the same pass
-  taken per object, at a 10k pool;
+  full cache runs on every admission) is >= 40x faster than the same pass
+  taken per object, at a 10k pool — ranking the whole pool, however
+  vectorised, reads ~17x — and the rows it ranks are gated exactly
+  against the baseline;
 * the incremental, tiled ``KMeans.fit`` is >= 2x the reference Lloyd loop
   at N=3k and N=6k (the lazy global retrain every ``bench_e2e`` workload
   pays), and skips distance columns at all (share < 1);
@@ -65,10 +67,13 @@ def test_perf_serve_hotpath(benchmark):
     assert speedup >= 5.0, \
         f"vectorized search only {speedup:.1f}x over the reference loop"
 
-    # The eviction pass a full cache runs on every admission stays array
-    # work: no per-example Python on the kept set.
+    # The eviction pass a full cache runs on every admission ranks the
+    # tail an example could leave from, not the pool (a full sort is ~17x).
     evict_one = results["lifecycle"]["10000"]
-    assert evict_one["evict_one_speedup_vs_object"] >= 5.0, \
+    assert evict_one["rows_ranked_per_pass"] < 100, \
+        f"evict-one pass ranked {evict_one['rows_ranked_per_pass']:g} " \
+        f"rows of a 10k pool"
+    assert evict_one["evict_one_speedup_vs_object"] >= 40.0, \
         f"evict-one pass only " \
         f"{evict_one['evict_one_speedup_vs_object']:.1f}x over the " \
         f"per-object pass ({evict_one['evict_one_us']:.0f} us)"

@@ -132,17 +132,26 @@ class ExampleCache:
             self._journal("retrain",
                           {"trainings": trainings, "per_shard": per_shard})
 
-    def refresh_total_bytes(self) -> int:
+    def refresh_total_bytes(self, examples=None) -> int:
         """Re-sync the byte counter with current example sizes.
 
         Call after a pass that rewrites stored text in place (e.g. replay
         refinement swapping in a better response); add/remove keep the
-        counter exact on their own.  Returns the refreshed total.
+        counter exact on their own.  ``examples`` names the cached
+        examples the pass rewrote — only they are re-measured; without it
+        the whole pool is.  Returns the refreshed total.
         """
-        self._bytes_by_id = {
-            ex_id: ex.plaintext_bytes for ex_id, ex in self._examples.items()
-        }
-        self._total_bytes = sum(self._bytes_by_id.values())
+        if examples is None:
+            self._bytes_by_id = {
+                ex_id: ex.plaintext_bytes
+                for ex_id, ex in self._examples.items()
+            }
+            self._total_bytes = sum(self._bytes_by_id.values())
+            return self._total_bytes
+        for example in examples:
+            size = example.plaintext_bytes
+            self._total_bytes += size - self._bytes_by_id[example.example_id]
+            self._bytes_by_id[example.example_id] = size
         return self._total_bytes
 
     def add(self, example: Example) -> None:
@@ -172,11 +181,8 @@ class ExampleCache:
         self._examples[example_id] = example
         self._index.add(example_id, example.embedding)
         if previous is not example:
-            self._table.detach(previous)
-            self._table.attach(example)
-        size = example.plaintext_bytes
-        self._total_bytes += size - self._bytes_by_id[example_id]
-        self._bytes_by_id[example_id] = size
+            self._table.replace(previous, example)
+        self.refresh_total_bytes([example])
         if self._journal is not None:
             self._journal("overwrite", example)
 
@@ -226,10 +232,6 @@ class ExampleCache:
 
     def examples(self) -> list[Example]:
         return list(self._examples.values())
-
-    def ids(self) -> list[str]:
-        """Cached example ids, in insertion order."""
-        return list(self._examples)
 
 
 class ShardedExampleCache(ExampleCache):

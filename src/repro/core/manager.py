@@ -5,18 +5,23 @@
 * **Bookkeeping**: every repurposing updates the example's G(e) gain EMA and
   its offload-success value; a 0.9-per-hour decay discounts stale usage.
 * **Eviction**: under a byte budget, retention is the 0/1 knapsack of
-  section 4.3 — weight = plaintext size, value = decayed offload gain.
+  section 4.3 — weight = plaintext size, value = decayed offload gain —
+  run on the cache table's live columns, in row order, on every
+  over-budget admission.
 * **Replay**: delegated to :class:`repro.core.replay.ReplayEngine`,
   typically invoked off-peak by the service.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.knapsack import knapsack_keep_mask
 from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
 from repro.core.example import Example
 from repro.core.replay import ReplayEngine, replay_gain
+from repro.core.table import INSERTION_RANK
 from repro.llm.model import GenerationResult
 from repro.privacy.sanitizer import sanitize_text
 from repro.utils.clock import SimClock
@@ -151,30 +156,39 @@ class ExampleManager:
         """Evict down to the byte budget via the retention knapsack.
 
         Returns the number of evicted examples.  No-op when the cache is
-        within budget or the budget is unbounded.
+        within budget or the budget is unbounded.  Otherwise the kernel
+        gets the table's weight and value columns as they lie, with the
+        insertion rank to break ties the way cache-insertion order would;
+        a full cache one admission over budget ranks a handful of rows
+        (see :mod:`repro.analysis.knapsack`), and the evicted rows map
+        back to ids through the table's owners.
         """
         capacity = self.config.capacity_bytes
         if capacity is None or self.cache.total_bytes <= capacity:
             return 0
-        # Positions in cache-insertion order (the order knapsack ties break
-        # by); no per-example Python runs on the kept set.  Value: decayed
-        # offload successes, with access count as a small tiebreaker and a
-        # floor so fresh examples can prove themselves before they go.
-        ids = self.cache.ids()
+        # Live columns in table-row order, the insertion rank breaking ties
+        # as cache-insertion order would; no per-example Python runs on the
+        # kept set.  Value: decayed offload successes, with access count as
+        # a small tiebreaker and a floor so fresh examples can prove
+        # themselves before they go.
         table = self.cache.table
-        rows = table.rows_for(ids)
+        rank = table.col(INSERTION_RANK)
+        values = table.col("offload_gain__value") * (
+            1 + table.col("access_count"))
+        values += 1e-3
         keep = knapsack_keep_mask(
-            table.col("plaintext_bytes")[rows],
-            table.col("offload_gain__value")[rows]
-            * (1 + table.col("access_count")[rows]) + 1e-3,
-            capacity,
-            exact=len(ids) <= self.config.knapsack_exact_below,
+            table.col("plaintext_bytes"), values, capacity,
+            exact=len(table) <= self.config.knapsack_exact_below,
+            tie_rank=rank,
         )
         # One journaled remove at a time, oldest first: recovery replays
         # the WAL record sequence and the swap-delete history it implies.
-        evicted = (~keep).nonzero()[0].tolist()
-        for position in evicted:
-            self.cache.remove(ids[position])
+        # Ids are resolved up front — each remove moves a row.
+        rows = (~keep).nonzero()[0]
+        evicted = [table.owner(row).example_id
+                   for row in rows[np.argsort(rank[rows])].tolist()]
+        for example_id in evicted:
+            self.cache.remove(example_id)
         self.evictions += len(evicted)
         if evicted:
             self._journal_counters()
@@ -194,21 +208,20 @@ class ExampleManager:
         """
         if self.replay_engine is None:
             raise RuntimeError("no replay engine configured on this manager")
-        journal = self.cache.journal
-        before = (
-            {ex.example_id: ex.replay_count for ex in self.cache}
-            if journal is not None else None
-        )
-        outcome = self.replay_engine.run(self.cache.examples(),
-                                         expected_reuse=expected_reuse)
+        table = self.cache.table
+        outcome = self.replay_engine.run(table, expected_reuse=expected_reuse)
+        replayed = outcome.examples
         # Replay rewrites response texts in place; re-sync the cache's
         # running byte counter so the eviction knapsack sees true sizes.
-        self.cache.refresh_total_bytes()
-        if journal is not None:
+        self.cache.refresh_total_bytes(replayed)
+        journal = self.cache.journal
+        if journal is not None and replayed:
             teacher = self.replay_engine.teacher
-            for example in self.cache:
-                if example.replay_count == before.get(example.example_id):
-                    continue
+            # Records go out in cache-insertion order, not replay order.
+            rank = table.col(INSERTION_RANK)[
+                table.rows_for([ex.example_id for ex in replayed])]
+            for position in np.argsort(rank).tolist():
+                example = replayed[position]
                 request_id = example.request.request_id
                 journal("replay_rewrite", {
                     "example": example,

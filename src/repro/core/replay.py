@@ -15,10 +15,13 @@ been through five replay iterations are filtered out of further replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core.config import ManagerConfig
 from repro.core.example import Example
+from repro.core.table import INSERTION_RANK, ExampleTable
 from repro.llm.model import SimulatedLLM
 
 
@@ -43,6 +46,8 @@ class ReplayOutcome:
     improved: int
     skipped_budget: int
     total_quality_gain: float
+    #: The examples replayed, in replay order (what a journal must record).
+    examples: list[Example] = field(default_factory=list)
 
 
 class ReplayEngine:
@@ -59,12 +64,25 @@ class ReplayEngine:
         self.teacher = teacher
         self.config = config or ManagerConfig()
 
-    def candidates(self, examples: list[Example]) -> list[Example]:
+    def candidates(self,
+                   examples: list[Example] | ExampleTable) -> list[Example]:
         """Replay candidates ranked by accumulated G(e), highest first.
 
         Examples past the replay-iteration cap are excluded (section 5's
         outlier filter), as are examples never repurposed (gain unknown).
+        Equal gains keep the order given; for an :class:`ExampleTable` —
+        the whole pool, filtered and ranked from three columns with no
+        per-example Python — that is insertion order.
         """
+        if isinstance(examples, ExampleTable):
+            table = examples
+            rows = np.flatnonzero(
+                (table.col("replay_count") < self.config.replay_max_iterations)
+                & table.col("gain_ema__initialized"))
+            rows = rows[np.argsort(table.col(INSERTION_RANK)[rows])]
+            ranked = rows[np.argsort(-table.col("gain_ema__value")[rows],
+                                     kind="stable")]
+            return [table.owner(row) for row in ranked.tolist()]
         eligible = [
             ex for ex in examples
             if ex.replay_count < self.config.replay_max_iterations
@@ -89,7 +107,7 @@ class ReplayEngine:
         example.gain_ema.decay(0.0)
         return improvement
 
-    def run(self, examples: list[Example],
+    def run(self, examples: list[Example] | ExampleTable,
             expected_reuse: float = 20.0) -> ReplayOutcome:
         """One offline replay pass with the cost-aware cut-off.
 
@@ -99,21 +117,23 @@ class ReplayEngine:
         """
         if expected_reuse <= 0:
             raise ValueError(f"expected_reuse must be positive: {expected_reuse}")
-        replayed = improved = skipped = 0
+        improved = skipped = 0
         total_gain = 0.0
+        replayed: list[Example] = []
         for example in self.candidates(examples):
             expected_saving = example.gain_ema.value * expected_reuse
             if expected_saving <= self.config.replay_cost_per_example:
                 skipped += 1
                 break  # ranked descending: everything after is unprofitable
             gain = self.replay_one(example)
-            replayed += 1
+            replayed.append(example)
             if gain > 0:
                 improved += 1
                 total_gain += gain
         return ReplayOutcome(
-            replayed=replayed,
+            replayed=len(replayed),
             improved=improved,
             skipped_budget=skipped,
             total_quality_gain=total_gain,
+            examples=replayed,
         )

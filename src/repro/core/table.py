@@ -12,9 +12,9 @@ cost:
   (``values *= factor ** periods``) instead of looping ``EMA.decay`` over
   the pool — bit-identical, because the scalar elementwise multiply is the
   exact IEEE operation the per-object loop performs;
-* ``ExampleManager.enforce_capacity`` gathers knapsack weights/values with
-  two fancy-indexed column reads instead of building a Python object per
-  example;
+* ``ExampleManager.enforce_capacity`` hands the knapsack kernel live column
+  views in row order, with the ``INSERTION_RANK`` column as the tie-break,
+  instead of building a Python object per example;
 * ``proxy_features_matrix`` fills its feature columns from table gathers;
 * snapshot format v3 serializes the columns as bulk arrays (plus
   offset-indexed UTF-8 string blobs), so restore is array adoption plus
@@ -56,6 +56,11 @@ BOOKKEEPING_COLUMNS = (
 EMA_STREAMS = ("gain_ema", "offload_gain", "feedback_quality")
 
 EMA_FIELDS = ("value", "initialized", "count", "alpha")
+
+#: The one column outside :func:`column_schema`: where each row's example
+#: sits in the cache's insertion order.  Derived state — never written to a
+#: snapshot, rebuilt on restore from the order rows are bound in.
+INSERTION_RANK = "insertion_rank"
 
 _SCALAR_DTYPES = {
     "quality": np.float64,
@@ -227,7 +232,14 @@ class ExampleTable:
     dense in [0, n): removal moves the last row into the hole and rebinds
     that example's cached row index, exactly like ``_ClusterBlock`` does
     for index vectors.  Row order is therefore an artifact of mutation
-    history and carries no meaning — every consumer gathers by id/row map.
+    history and carries no meaning of its own.  Consumers either gather by
+    the id/row map (snapshots, proxy features) or read whole columns in row
+    order beside the ``INSERTION_RANK`` column, which travels with each row
+    and says where its example sits in the cache's insertion order — the
+    order eviction ties, eviction sequence and replay ranking ties are
+    defined in.  Ranks increase strictly in the order examples entered the
+    pool (gaps where examples left), so ``argsort`` of the column is
+    insertion order.
     """
 
     def __init__(self, capacity: int = 0) -> None:
@@ -237,8 +249,10 @@ class ExampleTable:
             name: np.zeros(self._capacity, dtype=dtype)
             for name, dtype in column_schema()
         }
+        self._cols[INSERTION_RANK] = np.zeros(self._capacity, dtype=np.int64)
         self._owners: list = []
         self._rows: dict[str, int] = {}
+        self._next_rank = 0
 
     def __len__(self) -> int:
         return self._n
@@ -319,11 +333,25 @@ class ExampleTable:
                     "_x_replay_count", "_x_source_cost",
                     "_tokens_memo", "_bytes_memo", "_norm_memo"):
             d.pop(key, None)
+        cols[INSERTION_RANK][row] = self._next_rank
+        self._next_rank += 1
         self._n = row + 1
         self._owners.append(example)
         self._rows[example.example_id] = row
         d["_table"] = self
         d["_row"] = row
+        return row
+
+    def replace(self, previous, example) -> int:
+        """Swap ``example`` in for ``previous`` at the same insertion rank.
+
+        The cache's overwrite: the new object gets a fresh row, but keeps
+        the place in insertion order its id already holds.
+        """
+        rank = self._cols[INSERTION_RANK][previous.__dict__["_row"]]
+        self.detach(previous)
+        row = self.attach(example)
+        self._cols[INSERTION_RANK][row] = rank
         return row
 
     def detach(self, example) -> None:
@@ -427,15 +455,23 @@ class ExampleTable:
                     f"column {name!r}: expected shape ({n},), "
                     f"got {arr.shape}")
             cols[name] = arr
+        cols[INSERTION_RANK] = np.zeros(table._n, dtype=np.int64)
         table._cols = cols
         table._owners = [None] * table._n
         table._rows = {}
+        table._next_rank = 0
         return table
 
     def bind_owner(self, row: int, example) -> None:
-        """Bind a restored Example view to its row (adoption path only)."""
+        """Bind a restored Example view to its row (adoption path only).
+
+        Binding order is insertion order: the caller builds the cache's
+        id dict in the same pass.
+        """
         self._owners[row] = example
         self._rows[example.example_id] = row
+        self._cols[INSERTION_RANK][row] = self._next_rank
+        self._next_rank += 1
         d = example.__dict__
         d["_table"] = self
         d["_row"] = row

@@ -20,6 +20,9 @@ Admission maps to status codes: queue-depth shed → **503** (a
 :class:`~repro.serving.records.ShedEvent` lands in the SLO report),
 per-tenant token-bucket refusal → **429** (a ``RateLimitEvent``), requests
 arriving during a drain → **503 draining**, malformed payloads → **400**.
+A request whose framing is lost — a ``content-length`` that is not a byte
+count, a line longer than the reader buffers, more than 100 header lines —
+is a **400** followed by a close of that connection only.
 
 Concurrency model — the lock discipline, spelled out
 ----------------------------------------------------
@@ -63,6 +66,10 @@ _REASONS = {
 
 #: admission outcome -> HTTP status for the ack/response.
 _STATUS = {"accepted": 200, "shed": 503, "rate_limited": 429}
+
+#: Header lines read per request; one more is a 400 and a close, so a
+#: client cannot hold the parser in its header loop without bound.
+_MAX_HEADERS = 100
 
 
 @dataclass
@@ -227,10 +234,15 @@ class AsyncGateway:
         except ValueError:
             return None
         headers: dict[str, str] = {}
+        lines = 0
         while True:
             raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > _MAX_HEADERS:
+                raise PayloadError(
+                    f"too many header lines: limit is {_MAX_HEADERS}")
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING
 from repro.persistence.snapshot import (
     _decode,
     _encode,
+    ema_record,
     example_from_record,
     example_record,
     load_snapshot,
@@ -111,8 +112,21 @@ class WriteAheadLog:
         elif kind == "remove":
             data = {"example_id": payload}
         elif kind == "replay_rewrite":
+            # Only what replay refines and :func:`_apply_replay_rewrite`
+            # reads — not the request, latent and embedding an ``add``
+            # already journaled.
+            example = payload["example"]
             data = {
-                "example": example_record(payload["example"]),
+                "example": {
+                    "example_id": example.example_id,
+                    "response_text": example.response_text,
+                    "quality": example.quality,
+                    "access_count": example.access_count,
+                    "replay_count": example.replay_count,
+                    "gain_ema": ema_record(example.gain_ema),
+                    "offload_gain": ema_record(example.offload_gain),
+                    "feedback_quality": ema_record(example.feedback_quality),
+                },
                 "teacher_decode_counts": dict(payload["teacher_decode_counts"]),
             }
         elif kind in ("retrain", "decay", "clock", "manager_counters"):
@@ -127,7 +141,7 @@ class WriteAheadLog:
         self._fh.write(line + "\n")
         self._fh.flush()
         self._seq += 1
-        self._bytes += len(line.encode("utf-8")) + 1
+        self._bytes += len(line) + 1   # json.dumps escapes to pure ASCII
 
     def reset(self, epoch: int | None = None) -> None:
         """Truncate the journal (called right after a fresh snapshot).
@@ -319,10 +333,7 @@ def _apply_replay_rewrite(service: "ICCacheService", data: dict) -> None:
     restore_ema(example.offload_gain, record["offload_gain"])
     restore_ema(example.feedback_quality, record["feedback_quality"])
     # Keep the byte counter exact (rewrites change plaintext size).
-    cache = service.cache
-    new_size = example.plaintext_bytes
-    cache._total_bytes += new_size - cache._bytes_by_id[example.example_id]
-    cache._bytes_by_id[example.example_id] = new_size
+    service.cache.refresh_total_bytes([example])
     teacher = service.manager.replay_engine.teacher \
         if service.manager.replay_engine is not None else None
     if teacher is not None:

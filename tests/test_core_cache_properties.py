@@ -68,9 +68,7 @@ def _apply(cache: ExampleCache, op: str, example_id: str, size: int) -> None:
         # the incremental counter fix-up (wal._apply_replay_rewrite).
         example = cache.get(example_id)
         example.response_text = "refined " + "r " * size
-        new_size = example.plaintext_bytes
-        cache._total_bytes += new_size - cache._bytes_by_id[example_id]
-        cache._bytes_by_id[example_id] = new_size
+        cache.refresh_total_bytes([example])
 
 
 @settings(**QUICK)

@@ -16,10 +16,9 @@ pre-refactor per-object semantics.  After **every** operation the full
 visible state is compared with exact ``==``, no tolerances.
 
 A second property pins :func:`repro.analysis.knapsack.knapsack_keep_mask`
-(the eviction pass's array kernel) and its key-mapping wrapper to the
-per-item reference solvers on identical inputs: the greedy path against the
-object solver's item loop, the vectorised exact path against a list-of-lists
-DP kept here.  A third drives :meth:`ExampleManager.enforce_capacity` after
+(the eviction pass's array kernel) to the per-item reference solvers on
+identical inputs: the greedy path against the object solver's item loop,
+the vectorised exact path against a list-of-lists DP kept here.  A third drives :meth:`ExampleManager.enforce_capacity` after
 the same lifecycle interleavings and requires the ids it evicts, and the
 order it evicts them in, to be the reference solvers' over the same pool.
 """
@@ -34,7 +33,6 @@ from repro.analysis.knapsack import (
     KnapsackItem,
     knapsack_keep_mask,
     solve_knapsack,
-    solve_knapsack_arrays,
 )
 from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
@@ -172,9 +170,7 @@ def _apply(cache, manager, clock, reference, op, example_id, arg) -> None:
             example.replay_count = example.replay_count + 1
             ref.response_text = new_text
             ref.replay_count += 1
-            new_size = example.plaintext_bytes
-            cache._total_bytes += new_size - cache._bytes_by_id[example_id]
-            cache._bytes_by_id[example_id] = new_size
+            cache.refresh_total_bytes([example])
 
 
 def _assert_ema_matches(view, ref: RefEMA, label: str) -> None:
@@ -335,8 +331,8 @@ _SUM_ORDER_CASE = ([(1, 0.6), (3, 0.9), (2, 0.9), (2, 0.7), (1, 0.1),
 def test_array_knapsack_matches_per_item_reference(case, exact):
     """The eviction pass's array kernel keeps the per-item solvers' exact
     answer, position for position — greedy run-jumping against the item
-    loop, vectorised DP rows against the list DP — and the key-mapping
-    wrapper and the object solver's exact path agree with it."""
+    loop, vectorised DP rows against the list DP — and the object solver's
+    exact path agrees with it."""
     pool, capacity = case
     keys = [f"k-{i}" for i in range(len(pool))]
     items = [KnapsackItem(key=key, weight=w, value=v)
@@ -347,8 +343,6 @@ def test_array_knapsack_matches_per_item_reference(case, exact):
     mask = knapsack_keep_mask(weights, values, capacity, exact=exact)
     assert mask.dtype == np.bool_ and mask.shape == (len(pool),)
     assert {keys[i] for i in np.flatnonzero(mask)} == expected
-    assert solve_knapsack_arrays(keys, weights, values, capacity,
-                                 exact=exact) == expected
     assert solve_knapsack(items, capacity, exact=exact) == expected
 
 

@@ -235,13 +235,18 @@ class TestGatewayHttpStatuses:
         (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", b"line too long"),
         (b"GET /health HTTP/1.1\r\nx-junk: " + b"a" * 70_000 + b"\r\n\r\n",
          b"line too long"),
+        # One header line past the cap, the same name every time: the
+        # header dict never grows, the parser's loop still must end.
+        (b"GET /health HTTP/1.1\r\n" + b"x-junk: a\r\n" * 101 + b"\r\n",
+         b"too many header lines"),
     ], ids=["length-abc", "length-negative", "length-float",
-            "long-request-line", "long-header-line"])
+            "long-request-line", "long-header-line", "too-many-headers"])
     def test_lost_framing_is_400_and_gateway_survives(self, sent, complaint):
-        """A content-length that is not a non-negative integer, or a line
-        longer than the reader will buffer, loses the request framing: the
-        gateway answers 400 and closes *that* connection; the writer task
-        and the session behind it carry on."""
+        """A content-length that is not a non-negative integer, a line
+        longer than the reader will buffer, or more header lines than the
+        parser will read loses the request framing: the gateway answers 400
+        and closes *that* connection; the writer task and the session
+        behind it carry on."""
         async def scenario():
             service = build_service()
             gateway = AsyncGateway(

@@ -1,0 +1,92 @@
+"""What a ``replay_rewrite`` journal record carries, and what still reads.
+
+The record holds the fields replay refines and its redo reads — not the
+request, latent and embedding the example's ``add`` already journaled.
+Journals written with the whole example in that slot must keep replaying
+to the same state.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+
+from repro.core.config import ICCacheConfig, ManagerConfig
+from repro.core.service import ICCacheService
+from repro.persistence.snapshot import _encode, cache_state, example_record
+from repro.persistence.wal import Checkpointer, WriteAheadLog
+from repro.workload.datasets import SyntheticDataset
+
+SEED = 11
+
+
+def _journaled_replay(directory):
+    """A checkpointed service, 40 served requests, one replay pass; returns
+    the journal's records and, by seq, each rewrite's whole-example form."""
+    service = ICCacheService(ICCacheConfig(
+        seed=SEED, manager=ManagerConfig(sanitize=False)))
+    dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
+    service.seed_cache(dataset.example_bank_requests()[:80])
+    checkpointer = Checkpointer(service, directory)
+    checkpointer.checkpoint()
+    for request in dataset.online_requests(40):
+        service.serve(request, load=0.2)
+    checkpointer.checkpoint()       # bound the serving window
+
+    whole: dict[int, dict] = {}
+    record = checkpointer.wal.record
+
+    def tee(kind, payload):
+        if kind == "replay_rewrite":
+            whole[len(checkpointer.wal)] = {
+                "example": example_record(payload["example"]),
+                "teacher_decode_counts":
+                    dict(payload["teacher_decode_counts"]),
+            }
+        record(kind, payload)
+
+    service.cache.journal = tee
+    service.clock.advance(1800.0)
+    assert service.run_maintenance(replay=True)["replayed"] > 0
+    checkpointer.detach()
+    return WriteAheadLog.read(checkpointer.wal_path), whole
+
+
+def test_replay_rewrite_carries_only_the_refined_fields(tmp_path):
+    records, whole = _journaled_replay(tmp_path / "ckpt")
+    rewrites = [r for r in records if r["kind"] == "replay_rewrite"]
+    assert len(rewrites) == len(whole) > 0
+    for record in rewrites:
+        assert set(record["data"]) == {"example", "teacher_decode_counts"}
+        assert set(record["data"]["example"]) == {
+            "example_id", "response_text", "quality", "access_count",
+            "replay_count", "gain_ema", "offload_gain", "feedback_quality"}
+        # the same values the whole-example form holds for those fields
+        fat = whole[record["seq"]]["example"]
+        assert all(record["data"]["example"][key] == fat[key]
+                   for key in record["data"]["example"])
+
+
+def test_journal_with_whole_example_rewrites_still_replays(tmp_path):
+    slim_dir, fat_dir = tmp_path / "slim", tmp_path / "fat"
+    _, whole = _journaled_replay(slim_dir)
+    shutil.copytree(slim_dir, fat_dir)
+    lines = (slim_dir / Checkpointer.WAL_NAME).read_text(
+        encoding="utf-8").splitlines()
+    for seq, data in whole.items():
+        record = json.loads(lines[seq])
+        assert record["kind"] == "replay_rewrite"
+        record["data"] = _encode(data)
+        lines[seq] = json.dumps(record, separators=(",", ":"))
+    (fat_dir / Checkpointer.WAL_NAME).write_text(
+        "\n".join(lines) + "\n", encoding="utf-8")
+    assert (fat_dir / Checkpointer.WAL_NAME).stat().st_size > \
+        2 * (slim_dir / Checkpointer.WAL_NAME).stat().st_size
+
+    slim = Checkpointer.recover(slim_dir)
+    fat = Checkpointer.recover(fat_dir)
+    assert json.dumps(_encode(cache_state(fat.cache))) == \
+        json.dumps(_encode(cache_state(slim.cache)))
+    teacher = slim.manager.replay_engine.teacher
+    assert fat.manager.replay_engine.teacher._decode_counts == \
+        teacher._decode_counts
