@@ -5,49 +5,31 @@ to exist.  At production pool sizes the serve loop must not pay a Python
 loop per *candidate*; ``search_batch`` turns a micro-batch of queries into
 a few vectorized matmuls (one per probed cluster).  Asserted here:
 
-* ``IVFIndex.search_batch`` >= 5x the throughput of the per-candidate
-  Python reference loop at N=10k, dim=64, batch=64 (since the contiguous
-  cluster-major layout, looped single-query ``search`` is itself
-  vectorized — see ``docs/PERFORMANCE.md`` — so the batch path must also
-  stay within 2x of it: batching may only amortize, never slow serving);
+* ``IVFIndex.search_batch`` >= 6x the throughput of the per-candidate
+  Python reference loop at N=10k, dim=64, batch=64 — it reads ~19x (since
+  the contiguous cluster-major layout, looped single-query ``search`` is
+  itself vectorized — see ``docs/PERFORMANCE.md`` — so the batch path must
+  also stay within 2x of it: batching may only amortize, never slow
+  serving);
 * ``ShardedExampleCache``-style fan-out (``ShardedIndex``) keeps recall@5
   >= 0.9 against exact flat search on topic-clustered vectors.
 """
 
-import time
-
-import numpy as np
-
 from harness import print_table, run_once
-from perf_harness import reference_search
+from perf_harness import (
+    N_TOPICS,
+    _best_of,
+    clustered_vectors,
+    reference_search,
+)
 from repro.vectorstore import FlatIndex, IVFIndex, ShardedIndex
 
 N, DIM, BATCH, K = 10_000, 64, 64, 5
-N_TOPICS = 50
-
-
-def _clustered_vectors(n: int, dim: int, n_topics: int, seed: int) -> np.ndarray:
-    """Topic-clustered unit vectors (the cache's real workload shape)."""
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(size=(n_topics, dim))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    vecs = centers[rng.integers(0, n_topics, size=n)]
-    vecs = vecs + rng.normal(0.0, 0.15, size=(n, dim))
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-
-
-def _best_of(fn, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_perf_batched_retrieval(benchmark):
-    vectors = _clustered_vectors(N, DIM, N_TOPICS, seed=0)
-    queries = _clustered_vectors(BATCH, DIM, N_TOPICS, seed=1)
+    vectors = clustered_vectors(N, DIM, N_TOPICS, seed=0)
+    queries = clustered_vectors(BATCH, DIM, N_TOPICS, seed=1)
 
     flat = FlatIndex(DIM)
     ivf = IVFIndex(dim=DIM, nprobe=4, min_train_size=64, seed=0)
@@ -83,7 +65,7 @@ def test_perf_batched_retrieval(benchmark):
     )
 
     # The tentpole claim: batching amortizes per-candidate Python overhead.
-    assert speedup >= 5.0, f"search_batch only {speedup:.1f}x over looped search"
+    assert speedup >= 6.0, f"search_batch only {speedup:.1f}x over looped search"
     # And it must never cost throughput versus looped vectorized search.
     slowdown = times["ivf batch"] / times["ivf loop"]
     assert slowdown <= 2.0, f"search_batch {slowdown:.1f}x slower than looping"

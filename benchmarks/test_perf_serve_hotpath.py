@@ -1,15 +1,17 @@
 """Perf — contiguous-array IVF single-request serve hot path.
 
 Not a paper figure: this bench guards the contiguous cluster-major layout's
-reason to exist and records the repo's perf trajectory.  The single-request
-serve path (every online figure exercises it per request) must not pay a
-Python-interpreter loop per candidate: one ``block @ q`` product per probed
-cluster replaces per-key ``get_vector`` dots, swap-delete replaces O(m)
-posting-list removal, and one proxy matrix product replaces per-candidate
-stage-2 ``predict`` calls.  Asserted here:
+reason to exist.  The single-request serve path (every online figure
+exercises it per request) must not pay a Python-interpreter loop per
+candidate: one ``block @ q`` product per probed cluster replaces per-key
+dots, and swap-delete replaces O(m) posting-list removal.  Every assertion
+is an in-run ratio against a reference timed in the same process, or an
+exact work count — wall-clock against a recorded number is ``bench_e2e``'s
+job.  Asserted here:
 
-* vectorized ``IVFIndex.search`` >= 5x the throughput of the reference
-  per-candidate loop (the pre-refactor implementation) at N=10k, dim=64;
+* vectorized ``IVFIndex.search`` >= 6x the throughput of the reference
+  per-candidate loop (``tests/search_reference.py``) at N=10k, dim=64 —
+  it reads ~12x, a per-key Python loop in its place reads ~1x;
 * trained add/remove stays O(1)-cheap (no retrain tripped mid-bench);
 * the knapsack eviction pass with the pool one example over budget (what a
   full cache runs on every admission) is >= 40x faster than the same pass
@@ -19,9 +21,9 @@ stage-2 ``predict`` calls.  Asserted here:
 * the incremental, tiled ``KMeans.fit`` is >= 2x the reference Lloyd loop
   at N=3k and N=6k (the lazy global retrain every ``bench_e2e`` workload
   pays), and skips distance columns at all (share < 1);
-* steady-state end-to-end ``serve`` throughput is recorded, and the full
-  result set is written to ``benchmarks/BENCH_serve_hotpath.json`` — the
-  artifact CI uploads and gates against the checked-in baseline.
+* the full result set is written to
+  ``benchmarks/BENCH_serve_hotpath.json`` — the artifact CI uploads — and
+  its work counters equal the checked-in baseline exactly.
 
 Set ``REPRO_PERF_FULL=1`` to extend the sweep to N=50k (its build's one
 global K-Means fit takes ~10 s; the default keeps the bench suite fast).
@@ -44,7 +46,7 @@ SIZES = [1_000, 10_000] + \
 
 def test_perf_serve_hotpath(benchmark):
     results = run_once(
-        benchmark, lambda: run(SIZES, serve_banks=[800], out_path=BENCH_PATH)
+        benchmark, lambda: run(SIZES, out_path=BENCH_PATH)
     )
 
     print_table(
@@ -57,14 +59,10 @@ def test_perf_serve_hotpath(benchmark):
           results["churn"][n]["retrain_s"]]
          for n, s in results["search"].items()],
     )
-    serve = results["serve"]["800"]
-    print(f"   end-to-end serve: {serve['us_per_request']:.0f} us/request "
-          f"({serve['qps']:.0f} qps, bank={serve['bank_examples']}, "
-          f"index search {serve['index_search_us_per_query']:.0f} us/q)")
 
     # The tentpole claim: contiguous blocks beat the per-candidate loop.
     speedup = results["search"]["10000"]["speedup_vs_loop"]
-    assert speedup >= 5.0, \
+    assert speedup >= 6.0, \
         f"vectorized search only {speedup:.1f}x over the reference loop"
 
     # The eviction pass a full cache runs on every admission ranks the
@@ -93,8 +91,7 @@ def test_perf_serve_hotpath(benchmark):
         assert churn["add_remove_us_per_op"] < 500, \
             f"add/remove at N={n} costs {churn['add_remove_us_per_op']:.0f} us"
 
-    # The serve path itself must clear the recorded regression gate.
-    assert serve["qps"] > 0
+    # Counts repeat exactly on any box: a moved one is different work.
     if BASELINE_PATH.is_file():
         baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
         failures = check_against_baseline(results, baseline)

@@ -19,7 +19,7 @@ from repro.core.selector import ExampleSelector, ScoredExample
 from repro.core.router import BanditRouter, RouterArm, RoutingChoice
 from repro.core.replay import ReplayEngine, replay_gain
 from repro.core.manager import ExampleManager
-from repro.core.service import ICCacheService, ServeOutcome, ServiceStats
+from repro.core.service import ICCacheService, ServeOutcome
 from repro.core.client import ICCacheClient
 
 __all__ = [
@@ -43,6 +43,5 @@ __all__ = [
     "ExampleManager",
     "ICCacheService",
     "ServeOutcome",
-    "ServiceStats",
     "ICCacheClient",
 ]

@@ -51,8 +51,6 @@ class ExampleCache:
         elif index_config is not None:
             self._index = IVFIndex(
                 dim=dim, nprobe=index_config.nprobe, seed=seed,
-                two_pass_min_n=index_config.two_pass_min_n,
-                rescore_depth=index_config.rescore_depth,
                 incremental_min_n=index_config.incremental_min_n,
             )
         else:
@@ -253,8 +251,6 @@ class ShardedExampleCache(ExampleCache):
             dim,
             index=ShardedIndex(dim=dim, n_shards=n_shards, nprobe=cfg.nprobe,
                                seed=seed, shard_fn=shard_fn,
-                               two_pass_min_n=cfg.two_pass_min_n,
-                               rescore_depth=cfg.rescore_depth,
                                incremental_min_n=cfg.incremental_min_n),
         )
 

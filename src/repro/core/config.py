@@ -75,27 +75,19 @@ class ManagerConfig:
 
 @dataclass
 class IndexConfig:
-    """IVF index scale knobs (vectorstore memory/speed overhaul).
+    """IVF index knobs.
 
-    Defaults leave small-pool behavior exactly as before the overhaul:
-    two-pass search is fully off (``two_pass_min_n=None``) and incremental
-    retrain only engages above pools far larger than the golden scenarios
-    build (``incremental_min_n=10_000``) — below that, staleness still
+    Incremental retrain only engages above pools far larger than the golden
+    scenarios build (``incremental_min_n=10_000``) — below that, staleness
     triggers a global K-Means.
     """
 
     nprobe: int = 2                   # clusters probed per query
-    two_pass_min_n: int | None = None # int8 coarse+rescore above this N (None = off)
-    rescore_depth: int = 64           # exact-rescore candidates (C) in two-pass
     incremental_min_n: int = 10_000   # split/merge retrain above this N
 
     def __post_init__(self) -> None:
         if self.nprobe < 1:
             raise ValueError("nprobe must be >= 1")
-        if self.two_pass_min_n is not None and self.two_pass_min_n < 1:
-            raise ValueError("two_pass_min_n must be None or >= 1")
-        if self.rescore_depth < 1:
-            raise ValueError("rescore_depth must be >= 1")
         if self.incremental_min_n < 1:
             raise ValueError("incremental_min_n must be >= 1")
 

@@ -35,14 +35,14 @@ from repro.embedding.embedder import LatentEmbedder
 from repro.llm.icl import example_utility
 from repro.llm.model import GenerationResult, SimulatedLLM
 from repro.llm.zoo import get_model
-from repro.pipeline.stats import ServiceStats  # re-exported for old call sites
+from repro.pipeline.stats import ServiceStats
 from repro.serving.records import ServedRequest
 from repro.utils.clock import SimClock
 from repro.utils.rng import make_rng, stable_hash
 from repro.workload.feedback import FeedbackSimulator
 from repro.workload.request import Request
 
-__all__ = ["ICCacheService", "ServeOutcome", "ServiceStats"]
+__all__ = ["ICCacheService", "ServeOutcome"]
 
 
 @dataclass
@@ -208,10 +208,9 @@ class ICCacheService:
                 admitted += 1
         return admitted
 
-    # -- serving facades (compat shims over the pipeline) --------------------
-    # These four entry points predate the pipeline; they are kept stable so
-    # old call sites keep working (tests/test_compat_shims.py locks this
-    # surface).  New code can drive self.pipeline directly.
+    # -- serving facades over the pipeline -----------------------------------
+    # These four entry points predate the pipeline and stay as thin facades
+    # over it.  New code can drive self.pipeline directly.
 
     def serve(self, request: Request, load: float | None = None) -> ServeOutcome:
         """Serve one request end-to-end, including learning and admission."""

@@ -59,45 +59,40 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     cache = snapshot["cache"]
     index = cache["index"]
     stats = snapshot["service"]["stats"]
-    sidecar = snapshot.get("sidecar")
-    sidecar_path = Path(args.path).with_name(sidecar) if sidecar else None
+    sidecar = snapshot["sidecar"]
+    sidecar_bytes = Path(args.path).with_name(sidecar).stat().st_size
     n_examples = snapshot_example_count(cache)
     lines = [
         f"format:        {snapshot['format']} v{snapshot['version']}",
-        "sidecar:       " + (
-            f"{sidecar} ({sidecar_path.stat().st_size} bytes, mmap)"
-            if sidecar_path is not None and sidecar_path.exists()
-            else "none (arrays inline)"
-        ),
+        f"sidecar:       {sidecar} ({sidecar_bytes} bytes, mmap)",
         f"clock:         {snapshot['clock_now']:.3f} s",
         f"cache:         {n_examples} examples, "
         f"{cache['total_bytes']} plaintext bytes, "
         f"{'sharded' if cache['sharded'] else 'monolithic'} index, "
-        f"{'columnar' if 'examples_columns' in cache else 'record'} pool",
+        "columnar pool",
     ]
-    if "examples_columns" in cache:
-        # v3 columnar pool: one line per bookkeeping column, then the
-        # string blobs and the dense matrices.
-        columns = cache["examples_columns"]
-        for name, arr in columns["bookkeeping"].items():
-            arr = np.asarray(arr)
-            lines.append(f"  col {name:<30} {arr.dtype.str:>5} "
-                         f"{arr.nbytes:>10} bytes")
-        blobs = [("ids", columns["ids"]),
-                 ("response_texts", columns["response_texts"]),
-                 ("source_models", columns["source_models"])] + [
-                (f"request.{key}", columns["request"][key])
-                for key in ("request_ids", "datasets", "tasks",
-                            "texts", "metadata")]
-        for name, blob in blobs:
-            data = np.asarray(blob["data"])
-            lines.append(f"  str {name:<30} utf-8 "
-                         f"{data.nbytes:>10} bytes")
-        for name, arr in (("embeddings", columns["embeddings"]),
-                          ("request.latents", columns["request"]["latents"])):
-            arr = np.asarray(arr)
-            lines.append(f"  mat {name:<30} {arr.dtype.str:>5} "
-                         f"{arr.nbytes:>10} bytes  shape {arr.shape}")
+    # The pool: one line per bookkeeping column, then the string blobs
+    # and the dense matrices.
+    columns = cache["examples_columns"]
+    for name, arr in columns["bookkeeping"].items():
+        arr = np.asarray(arr)
+        lines.append(f"  col {name:<30} {arr.dtype.str:>5} "
+                     f"{arr.nbytes:>10} bytes")
+    blobs = [("ids", columns["ids"]),
+             ("response_texts", columns["response_texts"]),
+             ("source_models", columns["source_models"])] + [
+            (f"request.{key}", columns["request"][key])
+            for key in ("request_ids", "datasets", "tasks",
+                        "texts", "metadata")]
+    for name, blob in blobs:
+        data = np.asarray(blob["data"])
+        lines.append(f"  str {name:<30} utf-8 "
+                     f"{data.nbytes:>10} bytes")
+    for name, arr in (("embeddings", columns["embeddings"]),
+                      ("request.latents", columns["request"]["latents"])):
+        arr = np.asarray(arr)
+        lines.append(f"  mat {name:<30} {arr.dtype.str:>5} "
+                     f"{arr.nbytes:>10} bytes  shape {arr.shape}")
     if cache["sharded"]:
         sizes = [len(s["flat"]["keys"]) for s in index["shards"]]
         trains = [s["trainings"] for s in index["shards"]]
@@ -125,7 +120,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         summary = {
             "version": snapshot["version"],
             "examples": n_examples,
-            "columnar": "examples_columns" in cache,
             "total_bytes": cache["total_bytes"],
             "served": stats["served"],
         }

@@ -20,29 +20,27 @@ format must capture more than the obvious data:
   repo's RNG discipline (per-entity seeded streams) makes these few
   numbers sufficient to resume every stochastic sequence mid-stream.
 
-On disk a snapshot is a JSON manifest plus (since format version 2) a raw
-little-endian **sidecar** file holding every array's bytes at 64-byte-aligned
-offsets; the manifest stores ``{offset, dtype, shape}`` references and the
-sidecar's filename.  Restore opens the sidecar once with ``np.memmap`` in
-copy-on-write mode, so arrays come back as O(1) views — pages fault in on
-first touch and mutations stay private — instead of paying a JSON+base64
-decode per array.  The sidecar is content-hash named
-(``<manifest>.<digest>.bin``), which makes the bin-then-json replace order
-crash-safe: a half-finished write never changes the file the previous
-manifest points at.
+On disk a snapshot is a JSON manifest plus a raw little-endian **sidecar**
+file holding every array's bytes at 64-byte-aligned offsets; the manifest
+stores ``{offset, dtype, shape}`` references and the sidecar's filename.
+Restore opens the sidecar once with ``np.memmap`` in copy-on-write mode, so
+arrays come back as O(1) views — pages fault in on first touch and
+mutations stay private — instead of paying a JSON+base64 decode per array.
+The sidecar is content-hash named (``<manifest>.<digest>.bin``), which
+makes the bin-then-json replace order crash-safe: a half-finished write
+never changes the file the previous manifest points at.
 
-Format version 3 stores the example pool **columnar**: the cache's
+The example pool is stored **columnar**: the cache's
 :class:`~repro.core.table.ExampleTable` bookkeeping columns ride the
 sidecar as whole arrays, string fields become offset-indexed UTF-8 blobs
 (one ``int64`` offsets array of length n+1 plus one ``uint8`` byte array
 per column), and embeddings/latents become one ``(n, dim)`` matrix each.
 Restore is then bulk array adoption plus cheap per-example view
 construction instead of per-example record decoding — two orders of
-magnitude fewer Python-level operations.  Version-1 snapshots (arrays
-inline as base64 of raw bytes) and version-2 per-example-record documents
-still load; all encodings round-trip bit-exactly.  Scalar floats rely on
-JSON's shortest-roundtrip repr, which is also exact.  ``version`` gates
-compatibility: readers reject unknown versions instead of guessing.
+magnitude fewer Python-level operations.  Arrays round-trip bit-exactly;
+scalar floats rely on JSON's shortest-roundtrip repr, which is also exact.
+There is one format: :func:`load_snapshot` accepts exactly the ``version``
+:func:`write_snapshot` writes and refuses every other, never guessing.
 
 Not captured (by design): in-flight requests parked in the pipeline
 (``pipeline._pending``) — a crash loses them, like any serving system;
@@ -83,13 +81,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.service import ICCacheService
 
 SNAPSHOT_FORMAT = "ic-cache-snapshot"
-SNAPSHOT_VERSION = 3
-#: Versions this reader restores: 1 = arrays inline as base64, 2 = arrays
-#: in the mmap sidecar (base64 still accepted anywhere in a v2 document),
-#: 3 = the example pool as bulk columns + string blobs (``examples_columns``)
-#: with per-example records kept as the fallback encoding.  Unknown (v4+)
-#: versions are rejected, never guessed at.
-SUPPORTED_VERSIONS = (1, 2, 3)
+SNAPSHOT_VERSION = 4
 
 #: Sidecar array offsets are padded to this alignment so every mapped view
 #: is at least cache-line aligned regardless of the preceding array's size.
@@ -157,17 +149,11 @@ class SidecarBuilder:
     def __init__(self) -> None:
         self._chunks: list[bytes] = []
         self._offset = 0
-        self.count = 0
-
-    @property
-    def data_bytes(self) -> int:
-        return self._offset
 
     def add(self, array: np.ndarray) -> dict:
         arr = np.ascontiguousarray(array)
         if arr.dtype.byteorder == ">":
             arr = arr.astype(arr.dtype.newbyteorder("<"))
-        self.count += 1
         pad = (-self._offset) % SIDECAR_ALIGN
         if pad:
             self._chunks.append(b"\x00" * pad)
@@ -250,9 +236,9 @@ def _encode(obj, sidecar: SidecarBuilder | None = None):
 def _decode(obj, sidecar: SidecarReader | None = None):
     """Inverse of :func:`_encode` (arrays come back as ndarrays).
 
-    Handles both encodings regardless of the writer: inline base64 decodes
-    to a fresh array, ``__extarray__`` resolves to a copy-on-write view of
-    the mapped sidecar.
+    Inline base64 (WAL records, request metadata) decodes to a fresh
+    array, ``__extarray__`` resolves to a copy-on-write view of the mapped
+    sidecar.
     """
     # Exact type checks: json.loads only ever yields dict/list/str/int/
     # float/bool/None, and this walk visits every node of a snapshot (tens
@@ -376,38 +362,39 @@ def example_from_record(record: dict) -> Example:
     )
 
 
-def examples_columns_state(cache) -> dict | None:
-    """The example pool as bulk columns + string blobs (format v3).
+def examples_columns_state(cache) -> dict:
+    """The example pool as bulk columns + string blobs.
 
     Rows are emitted in cache-insertion order (dict order IS iteration
     order, and downstream passes — decay, replay ranking ties — iterate
     the pool), NOT table-row order: table rows are a swap-delete history
-    artifact and carry no meaning.  Returns ``None`` when the pool cannot
-    be expressed columnar — examples not attached to the cache's table, or
-    heterogeneous embedding/latent dimensions — in which case the caller
-    falls back to per-example records inside the same v3 document.
+    artifact and carry no meaning.  Raises ``ValueError`` naming the
+    example when an embedding or latent does not share the pool's 1-D
+    shape: such a pool has no ``(n, dim)`` matrix, and nothing is written.
     """
     examples = list(cache)
     n = len(examples)
-    table = getattr(cache, "table", None)
-    if table is None or len(table) != n:
-        return None
 
-    def _matrix(arrays: list[np.ndarray]) -> np.ndarray | None:
+    def _matrix(field: str, arrays: list[np.ndarray]) -> np.ndarray:
         if not arrays:
             return np.empty((0, 0))
-        if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
-            return None
+        shape = arrays[0].shape
+        for example, array in zip(examples, arrays):
+            if array.ndim != 1 or array.shape != shape:
+                raise ValueError(
+                    f"example {example.example_id!r} has {field} shape "
+                    f"{array.shape}, the pool's is {shape}; a snapshot "
+                    "stores one (n, dim) matrix per field"
+                )
         return np.stack(arrays)
 
-    embeddings = _matrix([ex.embedding for ex in examples])
-    latents = _matrix([np.asarray(ex.request.latent, dtype=float)
-                       for ex in examples])
-    if embeddings is None or latents is None:
-        return None
+    embeddings = _matrix("embedding", [ex.embedding for ex in examples])
+    latents = _matrix("latent", [np.asarray(ex.request.latent, dtype=float)
+                                 for ex in examples])
     ids = [ex.example_id for ex in examples]
     requests = [ex.request for ex in examples]
     bytes_by_id = cache._bytes_by_id
+    table = cache.table
     bookkeeping = table.gather(table.rows_for(ids))
     return {
         "n": n,
@@ -428,7 +415,7 @@ def examples_columns_state(cache) -> dict | None:
             "texts": encode_str_column([r.text for r in requests]),
             # Metadata dicts as JSON strings ("" for the common empty
             # case), run through _encode first so embedded ndarrays keep
-            # the bit-exact base64 encoding the record path used.
+            # a bit-exact base64 encoding.
             "metadata": encode_str_column([
                 json.dumps(_encode(r.metadata), separators=(",", ":"))
                 if r.metadata else "" for r in requests
@@ -453,10 +440,10 @@ def _restore_examples_columns(columns: dict) -> tuple[dict, dict, ExampleTable]:
     """Bulk-rebuild the example pool from an ``examples_columns`` section.
 
     Returns ``(examples dict, bytes_by_id, table)``.  The table adopts the
-    bookkeeping arrays directly (copy-on-write views when the snapshot has
-    a sidecar); each Example is a cheap attached view bound to its row, so
-    the per-example cost is a handful of ``__dict__`` stores instead of
-    record decoding, validation, and memo priming.
+    bookkeeping arrays directly (copy-on-write views of the sidecar); each
+    Example is a cheap attached view bound to its row, so the per-example
+    cost is a handful of ``__dict__`` stores instead of record decoding,
+    validation, and memo priming.
     """
     n = int(columns["n"])
     table = ExampleTable.adopt_columns(
@@ -508,29 +495,18 @@ def _restore_examples_columns(columns: dict) -> tuple[dict, dict, ExampleTable]:
 
 
 def snapshot_example_count(cache_state_doc: dict) -> int:
-    """Number of examples in a ``cache_state`` section, any format."""
-    if "examples_columns" in cache_state_doc:
-        return int(cache_state_doc["examples_columns"]["n"])
-    return len(cache_state_doc["examples"])
+    """Number of examples in a ``cache_state`` section."""
+    return int(cache_state_doc["examples_columns"]["n"])
 
 
 def cache_state(cache) -> dict:
     """Serializable state of an ExampleCache / ShardedExampleCache."""
-    state = {
+    return {
         "sharded": isinstance(cache, ShardedExampleCache),
         "total_bytes": cache.total_bytes,
         "index": cache._index.to_state(),
+        "examples_columns": examples_columns_state(cache),
     }
-    columns = examples_columns_state(cache)
-    if columns is not None:
-        state["examples_columns"] = columns
-    else:
-        # Per-example record fallback (also the only v1/v2 encoding).
-        # Insertion order is preserved: dict order IS iteration order and
-        # downstream passes (decay, replay ranking ties) iterate the pool.
-        state["examples"] = [example_record(ex) for ex in cache]
-        state["bytes_by_id"] = dict(cache._bytes_by_id)
-    return state
 
 
 def restore_cache_state(cache, state: dict, shard_fn=None) -> None:
@@ -543,9 +519,8 @@ def restore_cache_state(cache, state: dict, shard_fn=None) -> None:
     existing keys keep their memoized assignments either way, but new adds
     would silently fall back to hash placement without it.
 
-    The columnar table is rebuilt along with the pool: bulk array adoption
-    for v3 ``examples_columns`` documents, re-attachment in insertion order
-    for per-example-record documents (v1/v2, and the v3 fallback).
+    The columnar table is rebuilt along with the pool by bulk array
+    adoption of the ``examples_columns`` section.
     """
     sharded = bool(state["sharded"])
     if sharded != isinstance(cache, ShardedExampleCache):
@@ -553,21 +528,8 @@ def restore_cache_state(cache, state: dict, shard_fn=None) -> None:
             "snapshot cache layout does not match the configured one "
             f"(snapshot sharded={sharded}); check config.cache_shards"
         )
-    if "examples_columns" in state:
-        examples, bytes_by_id, table = _restore_examples_columns(
-            state["examples_columns"])
-        cache._examples = examples
-        cache._bytes_by_id = bytes_by_id
-        cache._table = table
-    else:
-        examples = [example_from_record(rec) for rec in state["examples"]]
-        table = ExampleTable(capacity=len(examples))
-        for example in examples:
-            table.attach(example)
-        cache._examples = {ex.example_id: ex for ex in examples}
-        cache._bytes_by_id = {key: int(value)
-                              for key, value in state["bytes_by_id"].items()}
-        cache._table = table
+    cache._examples, cache._bytes_by_id, cache._table = \
+        _restore_examples_columns(state["examples_columns"])
     cache._total_bytes = int(state["total_bytes"])
     if sharded:
         cache._index = ShardedIndex.from_state(state["index"],
@@ -647,38 +609,33 @@ def service_state(service: "ICCacheService", wal_epoch: int = 0) -> dict:
 
 
 def write_snapshot(service: "ICCacheService", path: str | Path,
-                   wal_epoch: int = 0, sidecar: bool = True) -> Path:
+                   wal_epoch: int = 0) -> Path:
     """Serialize ``service`` to ``path``, atomically.
 
-    With ``sidecar=True`` (the default) array bytes go to a content-hash
-    named ``<name>.<digest>.bin`` next to the manifest and the JSON holds
-    only references.  Write order is bin first, then manifest, each via a
-    sibling temp file and ``os.replace`` — and because the bin's name is a
-    hash of its contents, a new image can never overwrite the bin the
+    Array bytes go to a content-hash named ``<name>.<digest>.bin`` next to
+    the manifest and the JSON holds only references.  The whole image is
+    encoded before anything touches the disk, so a pool that cannot be
+    written (see :func:`examples_columns_state`) leaves the previous
+    snapshot untouched.  Write order is bin first, then manifest, each via
+    a sibling temp file and ``os.replace`` — and because the bin's name is
+    a hash of its contents, a new image can never overwrite the bin the
     previous manifest points at (identical bytes replace harmlessly), so a
     crash at any point leaves a complete old image or a complete new one.
     Stale sidecars from earlier images are removed after the manifest
-    lands.  ``sidecar=False`` writes a self-contained JSON document with
-    inline base64 arrays (same layout a version-1 reader knew, minus the
-    version bump).
+    lands.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     state = service_state(service, wal_epoch=wal_epoch)
-    bin_name = None
-    if sidecar:
-        builder = SidecarBuilder()
-        doc = _encode(state, builder)
-        if builder.data_bytes:
-            blob = builder.tobytes()
-            digest = hashlib.blake2b(blob, digest_size=8).hexdigest()
-            bin_name = f"{path.name}.{digest}.bin"
-            doc["sidecar"] = bin_name
-            bin_tmp = path.with_name(bin_name + ".tmp")
-            bin_tmp.write_bytes(blob)
-            os.replace(bin_tmp, path.with_name(bin_name))
-    else:
-        doc = _encode(state)
+    builder = SidecarBuilder()
+    doc = _encode(state, builder)
+    blob = builder.tobytes()
+    digest = hashlib.blake2b(blob, digest_size=8).hexdigest()
+    bin_name = f"{path.name}.{digest}.bin"
+    doc["sidecar"] = bin_name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    bin_tmp = path.with_name(bin_name + ".tmp")
+    bin_tmp.write_bytes(blob)
+    os.replace(bin_tmp, path.with_name(bin_name))
     payload = json.dumps(doc, separators=(",", ":"))
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(payload + "\n", encoding="utf-8")
@@ -692,42 +649,33 @@ def write_snapshot(service: "ICCacheService", path: str | Path,
 def load_snapshot(path: str | Path) -> dict:
     """Read and decode a snapshot; validates format and version.
 
-    Version-2 manifests referencing a sidecar resolve arrays as
-    copy-on-write ``np.memmap`` views; version-1 documents (and inline
-    base64 anywhere) decode exactly as before.
+    Arrays resolve as copy-on-write ``np.memmap`` views of the sidecar.
+    A manifest of any version but :data:`SNAPSHOT_VERSION` is refused:
+    this reader knows one layout and does not guess at another.
     """
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path} is not an {SNAPSHOT_FORMAT} file")
     version = doc.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != SNAPSHOT_VERSION:
         raise ValueError(
             f"snapshot version {version} unsupported "
-            f"(this reader speaks {sorted(SUPPORTED_VERSIONS)})"
+            f"(this reader speaks version {SNAPSHOT_VERSION} only)"
         )
-    sidecar_name = doc.get("sidecar")
-    reader = SidecarReader(path.with_name(sidecar_name)) \
-        if sidecar_name else None
-    return _decode(doc, reader)
+    return _decode(doc, SidecarReader(path.with_name(doc["sidecar"])))
 
 
 def config_from_record(record: dict) -> ICCacheConfig:
-    """Rebuild the nested config dataclasses from their asdict form.
-
-    The ``index`` section defaults when absent: version-1 snapshots predate
-    the index scale knobs, and the defaults reproduce their behavior.
-    """
+    """Rebuild the nested config dataclasses from their asdict form."""
     record = dict(record)
     selector = dict(record.pop("selector"))
     selector["threshold_grid"] = tuple(selector["threshold_grid"])
-    index_record = record.pop("index", None)
     return ICCacheConfig(
         selector=SelectorConfig(**selector),
         router=RouterConfig(**record.pop("router")),
         manager=ManagerConfig(**record.pop("manager")),
-        index=IndexConfig(**index_record) if index_record is not None
-        else IndexConfig(),
+        index=IndexConfig(**record.pop("index")),
         **record,
     )
 

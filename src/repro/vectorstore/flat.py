@@ -104,10 +104,8 @@ class FlatIndex:
     def from_state(cls, state: dict) -> "FlatIndex":
         """Rebuild an index bit-identical to the one :meth:`to_state` saw.
 
-        Float64 vectors from pre-float32 snapshots are narrowed to float32
-        here (each element correctly rounded); see the back-compat matrix
-        in ``docs/PERSISTENCE.md``.  A float32 sidecar slice passes through
-        without a copy, which is what makes mmap restores O(ms).
+        A float32 sidecar slice passes through without a copy, which is
+        what makes mmap restores O(ms).
         """
         index = cls(int(state["dim"]))
         keys = list(state["keys"])

@@ -18,22 +18,13 @@ matrix-vector product instead of a Python loop over posting-list keys, and
 batched path (:meth:`IVFIndex.search_batch`) reuses the same blocks, scoring
 each probed cluster for all of its querying rows in one matmul.
 
-Two scale features are gated by configuration and OFF by default:
-
-* **Two-pass search** (``two_pass_min_n``): probed clusters are first scored
-  against an int8 symmetric-quantized mirror of each block (one byte per
-  component, int32 accumulation), then only the top ``rescore_depth``
-  candidates are re-scored exactly in float32.  The coarse pass touches 4x
-  less memory per candidate, which is what matters once the probed set blows
-  the cache hierarchy; the rescore restores exact ordering for everything
-  that can reach the top k.
-* **Incremental retrain** (``incremental_min_n``): above this pool size a
-  staleness-triggered retrain stops re-running global K-Means and instead
-  recenters every cluster, splits oversized clusters with a seeded 2-means
-  on their own rows, and retires undersized clusters into their nearest
-  surviving neighbor.  The schedule is a pure function of journaled state
-  (blocks, centroids, seed, trainings counter), so WAL replay reproduces it
-  bit-identically.
+**Incremental retrain** (``incremental_min_n``): above this pool size a
+staleness-triggered retrain stops re-running global K-Means and instead
+recenters every cluster, splits oversized clusters with a seeded 2-means on
+their own rows, and retires undersized clusters into their nearest surviving
+neighbor.  The schedule is a pure function of journaled state (blocks,
+centroids, seed, trainings counter), so WAL replay reproduces it
+bit-identically.
 """
 
 from __future__ import annotations
@@ -46,10 +37,6 @@ import numpy as np
 from repro.utils.rng import make_rng, stable_hash
 from repro.vectorstore.flat import STORAGE_DTYPE, FlatIndex, SearchResult
 from repro.vectorstore.kmeans import KMeans
-
-#: Symmetric int8 quantization scale: components of unit vectors lie in
-#: [-1, 1], so ±127 uses the full signed-byte range with no zero-point.
-_Q8_SCALE = 127.0
 
 _EPS = 1e-12
 
@@ -75,18 +62,6 @@ def _nearest_centroid(matrix: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return labels
 
 
-def quantize_i8(x: np.ndarray) -> np.ndarray:
-    """Symmetric int8 quantization of unit-norm float rows.
-
-    ``round(x * 127)`` clipped to [-127, 127]; the dot product of two
-    quantized vectors then approximates ``127^2 * cosine`` and fits int32
-    for any practical dim (dim * 127^2 << 2^31).  Deterministic: rint
-    rounds half-to-even and the result depends only on the input values.
-    """
-    scaled = np.rint(np.asarray(x, dtype=STORAGE_DTYPE) * _Q8_SCALE)
-    return np.clip(scaled, -_Q8_SCALE, _Q8_SCALE).astype(np.int8)
-
-
 def optimal_cluster_count(n: int) -> int:
     """K = argmin_K (K + N/K) = sqrt(N), at least 1."""
     if n <= 0:
@@ -103,25 +78,18 @@ class _ClusterBlock:
     Capacity grows by doubling, so appends are amortized O(1).  ``keys`` is
     the live list — callers may iterate it but must not mutate it.
 
-    A lazy int8 mirror (:meth:`q8view`) serves the two-pass coarse score.
-    It materializes on first use and is then maintained incrementally in
-    lock-step with the float32 rows (append quantizes one row, remove mirrors
-    the swap), so steady-state search never re-quantizes a whole block.  The
-    mirror is derived state: never serialized, rebuilt on demand after a
-    restore, and always the exact quantization of the live float32 rows.
-
     A float64 running sum of the member rows rides along (``running_sum``),
     updated on every append/remove, so recentering a cluster during
     incremental retrain is O(dim) instead of an O(members * dim) pass over
-    the block.  Unlike the int8 mirror it IS journaled state: the
-    incremental updates accumulate in a different order than a fresh
-    pairwise reduction would, so a restored index must inherit the exact
-    sum (not recompute it) for its next retrain to stay bit-identical to
-    the uninterrupted control.  Fresh blocks compute the sum with the same
-    pairwise reduction ``mean`` uses, so construction bits never drift.
+    the block.  It is journaled state: the incremental updates accumulate
+    in a different order than a fresh pairwise reduction would, so a
+    restored index must inherit the exact sum (not recompute it) for its
+    next retrain to stay bit-identical to the uninterrupted control.  Fresh
+    blocks compute the sum with the same pairwise reduction ``mean`` uses,
+    so construction bits never drift.
     """
 
-    __slots__ = ("keys", "_pos", "_vectors", "_q8", "_sum")
+    __slots__ = ("keys", "_pos", "_vectors", "_sum")
 
     def __init__(self, dim: int, keys: list[object] | None = None,
                  vectors: np.ndarray | None = None,
@@ -140,18 +108,14 @@ class _ClusterBlock:
             self._sum = self._vectors[: len(self.keys)].sum(
                 axis=0, dtype=np.float64) if self.keys \
                 else np.zeros(dim, dtype=np.float64)
-        self._q8: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.keys)
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes: float32 rows plus the int8 mirror if materialized."""
-        total = self._vectors.nbytes
-        if self._q8 is not None:
-            total += self._q8.nbytes
-        return total
+        """Resident bytes of the float32 rows (capacity, not just live)."""
+        return self._vectors.nbytes
 
     def view(self) -> np.ndarray:
         """The live (m, dim) float32 block of member vectors (no copy)."""
@@ -162,14 +126,6 @@ class _ClusterBlock:
         """The maintained float64 sum of the live rows (journaled state)."""
         return self._sum
 
-    def q8view(self) -> np.ndarray:
-        """The live (m, dim) int8 quantized mirror (materialized on demand)."""
-        if self._q8 is None:
-            self._q8 = np.empty(self._vectors.shape, dtype=np.int8)
-            m = len(self.keys)
-            self._q8[:m] = quantize_i8(self._vectors[:m])
-        return self._q8[: len(self.keys)]
-
     def append(self, key: object, vector: np.ndarray) -> None:
         row = len(self.keys)
         if row == self._vectors.shape[0]:  # grow capacity by doubling
@@ -178,15 +134,8 @@ class _ClusterBlock:
                              dtype=STORAGE_DTYPE)
             grown[:row] = self._vectors[:row]
             self._vectors = grown
-            if self._q8 is not None:
-                grown_q8 = np.empty((cap, self._vectors.shape[1]),
-                                    dtype=np.int8)
-                grown_q8[:row] = self._q8[:row]
-                self._q8 = grown_q8
         self._vectors[row] = vector
         self._sum += self._vectors[row]  # the stored (float32-cast) row
-        if self._q8 is not None:
-            self._q8[row] = quantize_i8(self._vectors[row])
         self._pos[key] = row
         self.keys.append(key)
 
@@ -198,8 +147,6 @@ class _ClusterBlock:
             moved = self.keys[last]
             self.keys[row] = moved
             self._vectors[row] = self._vectors[last]
-            if self._q8 is not None:
-                self._q8[row] = self._q8[last]
             self._pos[moved] = row
         self.keys.pop()
 
@@ -219,26 +166,18 @@ class IVFIndex:
     per-key loop over the same posting lists exactly (stable sort over
     cluster-probe order, then block row order).
 
-    ``two_pass_min_n`` / ``rescore_depth`` gate the int8 coarse + exact
-    rescore path and ``incremental_min_n`` gates split/merge maintenance;
-    see the module docstring.  Both default to values that leave behavior
-    on existing workloads unchanged (two-pass fully off; incremental only
-    above pools far larger than any golden scenario builds).
+    ``incremental_min_n`` gates split/merge maintenance; see the module
+    docstring.  Its default only engages above pools far larger than any
+    golden scenario builds.
     """
 
     def __init__(self, dim: int, nprobe: int = 2, min_train_size: int = 64,
                  retrain_threshold: float = 0.3, seed: int = 0,
-                 two_pass_min_n: int | None = None, rescore_depth: int = 64,
                  incremental_min_n: int = 10_000) -> None:
         if nprobe < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
         if not 0.0 < retrain_threshold <= 1.0:
             raise ValueError(f"retrain_threshold must be in (0,1], got {retrain_threshold}")
-        if two_pass_min_n is not None and two_pass_min_n < 1:
-            raise ValueError(
-                f"two_pass_min_n must be None or >= 1, got {two_pass_min_n}")
-        if rescore_depth < 1:
-            raise ValueError(f"rescore_depth must be >= 1, got {rescore_depth}")
         if incremental_min_n < 1:
             raise ValueError(
                 f"incremental_min_n must be >= 1, got {incremental_min_n}")
@@ -247,8 +186,6 @@ class IVFIndex:
         self.min_train_size = min_train_size
         self.retrain_threshold = retrain_threshold
         self.seed = seed
-        self.two_pass_min_n = two_pass_min_n
-        self.rescore_depth = rescore_depth
         self.incremental_min_n = incremental_min_n
 
         self._flat = FlatIndex(dim)
@@ -257,7 +194,7 @@ class IVFIndex:
         self._key_to_cluster: dict[object, int] = {}
         self._churn = 0  # churn events (insert/remove/overwrite) since last train
         self.trainings = 0  # exposed for tests/benchmarks
-        # (question, top hit) of the last single-pass trained search; see
+        # (question, top hit) of the last trained search; see
         # :meth:`search`.
         self._answered: tuple[tuple | None, SearchResult | None] = (None, None)
 
@@ -314,12 +251,6 @@ class IVFIndex:
     def get_vector(self, key: object) -> np.ndarray:
         return self._flat.get_vector(key)
 
-    @property
-    def two_pass_active(self) -> bool:
-        """Whether the next trained search takes the coarse+rescore path."""
-        return (self.two_pass_min_n is not None
-                and len(self._flat) >= self.two_pass_min_n)
-
     def search(self, query: np.ndarray, k: int) -> list[SearchResult]:
         """Approximate top-k; exact while untrained or small.
 
@@ -327,12 +258,6 @@ class IVFIndex:
         matrix-vector product each, then take the top k with a *stable*
         argsort so exact ties resolve in cluster-probe-then-row order —
         the same order a per-key Python loop over the posting lists yields.
-
-        When two-pass is active, the probed blocks are first scored in int8
-        (:meth:`_ClusterBlock.q8view`) and only the top ``rescore_depth``
-        coarse candidates are scored in float32.  Identical vectors get
-        identical coarse AND exact scores, so the stable sorts keep their
-        relative order equal to probe-then-row order, same as single-pass.
         """
         self._maybe_train()
         if self._centroids is None:
@@ -345,8 +270,7 @@ class IVFIndex:
         raw = np.asarray(query)
         question = (raw.dtype.char, raw.tobytes(), self.nprobe,
                     self.trainings, self._churn)
-        if k == 1 and question == self._answered[0] \
-                and not self.two_pass_active:
+        if k == 1 and question == self._answered[0]:
             return [self._answered[1]]
 
         q = np.asarray(query, dtype=np.float64).reshape(-1)
@@ -364,8 +288,6 @@ class IVFIndex:
         blocks = [self._blocks[c] for c in probe if self._blocks[c].keys]
         if not blocks:
             return []
-        if self.two_pass_active:
-            return self._search_two_pass(blocks, q32, k)
 
         # One vectorized product per probed cluster.  einsum, not BLAS
         # gemv: its per-row accumulation is a pure function of row
@@ -400,39 +322,6 @@ class IVFIndex:
         self._answered = (question, hits[0])
         return hits
 
-    def _search_two_pass(self, blocks: list[_ClusterBlock], q32: np.ndarray,
-                         k: int) -> list[SearchResult]:
-        """int8 coarse score over probed blocks, exact float32 rescore of top-C.
-
-        Only the C = max(k, rescore_depth) survivors of the coarse pass pay
-        float32 work (and Python-level key lookups), so per-query cost is
-        dominated by the 1-byte-per-component coarse scan.  Both sorts are
-        stable: coarse ties keep probe-then-row order, and exact-rescore ties
-        keep coarse order — so identical vectors rank exactly as they would
-        single-pass.
-        """
-        q8 = quantize_i8(q32)
-        chunks = [np.einsum("ij,j->i", block.q8view(), q8, dtype=np.int32)
-                  for block in blocks]
-        coarse = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        depth = min(max(k, self.rescore_depth), coarse.shape[0])
-        cand = np.argsort(-coarse, kind="stable")[:depth]
-
-        # Map concatenated candidate indices back to (block, row) through the
-        # chunk offsets; only these `depth` rows get gathered and rescored.
-        offsets = np.zeros(len(blocks) + 1, dtype=np.intp)
-        offsets[1:] = np.cumsum([len(b) for b in blocks])
-        cand_vecs = np.empty((depth, self.dim), dtype=STORAGE_DTYPE)
-        cand_keys: list[object] = []
-        for out, gi in enumerate(cand):
-            b = int(np.searchsorted(offsets, gi, side="right")) - 1
-            row = int(gi - offsets[b])
-            cand_vecs[out] = blocks[b].view()[row]
-            cand_keys.append(blocks[b].keys[row])
-        exact = np.einsum("ij,j->i", cand_vecs, q32)
-        top = np.argsort(-exact, kind="stable")[: min(k, depth)]
-        return [SearchResult(cand_keys[i], float(exact[i])) for i in top]
-
     def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchResult]]:
         """Approximate top-``k`` for a micro-batch of queries.
 
@@ -441,9 +330,6 @@ class IVFIndex:
         multiplied once per querying subset (``Q_sub @ block.T``) — no
         per-call row gathering, which is the amortization that makes batched
         serving pay off (section 7's throughput experiments assume this).
-        The batched path always scores in exact float32: the block matmul is
-        already amortized across the batch, so the int8 coarse pass has
-        nothing to win here (it targets the single-request serve loop).
         """
         self._maybe_train()
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -500,9 +386,8 @@ class IVFIndex:
         split/merge schedule is a function of them), each block's running
         sum (recentering reads it, and its incremental accumulation order
         is not recoverable from the rows), and the churn counter (it
-        schedules the *next* retrain).  The int8 mirrors are derived state
-        and deliberately absent.  See :mod:`repro.persistence.snapshot`
-        for the on-disk encoding.
+        schedules the *next* retrain).  See
+        :mod:`repro.persistence.snapshot` for the on-disk encoding.
         """
         return {
             "dim": self.dim,
@@ -510,8 +395,6 @@ class IVFIndex:
             "min_train_size": self.min_train_size,
             "retrain_threshold": self.retrain_threshold,
             "seed": self.seed,
-            "two_pass_min_n": self.two_pass_min_n,
-            "rescore_depth": self.rescore_depth,
             "incremental_min_n": self.incremental_min_n,
             "flat": self._flat.to_state(),
             "centroids": None if self._centroids is None
@@ -528,34 +411,23 @@ class IVFIndex:
 
     @classmethod
     def from_state(cls, state: dict) -> "IVFIndex":
-        """Rebuild an index bit-identical to the one :meth:`to_state` saw.
-
-        The scale knobs default when absent so pre-overhaul snapshots (which
-        never wrote them) restore with today's default behavior; float64
-        vectors from such snapshots narrow to float32 in
-        :meth:`FlatIndex.from_state` and the block constructor.
-        """
+        """Rebuild an index bit-identical to the one :meth:`to_state` saw."""
         index = cls(
             dim=int(state["dim"]),
             nprobe=int(state["nprobe"]),
             min_train_size=int(state["min_train_size"]),
             retrain_threshold=float(state["retrain_threshold"]),
             seed=int(state["seed"]),
-            two_pass_min_n=state.get("two_pass_min_n"),
-            rescore_depth=int(state.get("rescore_depth", 64)),
-            incremental_min_n=int(state.get("incremental_min_n", 10_000)),
+            incremental_min_n=int(state["incremental_min_n"]),
         )
         index._flat = FlatIndex.from_state(state["flat"])
         centroids = state["centroids"]
         index._centroids = None if centroids is None \
             else np.ascontiguousarray(centroids, dtype=np.float64)
-        # Pre-overhaul snapshots carry no running sum; recomputing it is
-        # exact for them because the drifted accumulation order only exists
-        # once incremental retrains have run (which those snapshots predate).
         index._blocks = [
             _ClusterBlock(index.dim, keys=block["keys"],
                           vectors=block["vectors"],
-                          running_sum=block.get("sum"))
+                          running_sum=block["sum"])
             for block in state["blocks"]
         ]
         index._key_to_cluster = {

@@ -38,22 +38,20 @@ class ShardedIndex:
                  min_train_size: int = 64, retrain_threshold: float = 0.3,
                  seed: int = 0,
                  shard_fn: Callable[[object], int] | None = None,
-                 two_pass_min_n: int | None = None, rescore_depth: int = 64,
                  incremental_min_n: int = 10_000) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.dim = dim
         self.n_shards = n_shards
         self._shard_fn = shard_fn
-        # Scale knobs apply per shard: each shard sees ~1/S of the pool, so
-        # a caller tuning thresholds for the total pool size should divide
-        # by S (documented in docs/PERFORMANCE.md).
+        # ``incremental_min_n`` applies per shard: each shard sees ~1/S of
+        # the pool, so a caller tuning it for the total pool size should
+        # divide by S (documented in docs/PERFORMANCE.md).
         self._shards = [
             IVFIndex(
                 dim=dim, nprobe=nprobe, min_train_size=min_train_size,
                 retrain_threshold=retrain_threshold,
                 seed=stable_hash("shard", seed, s),
-                two_pass_min_n=two_pass_min_n, rescore_depth=rescore_depth,
                 incremental_min_n=incremental_min_n,
             )
             for s in range(n_shards)

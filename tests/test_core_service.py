@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.client import ICCacheClient
 from repro.core.config import ICCacheConfig, ManagerConfig
-from repro.core.service import ICCacheService
+from repro.core.service import ICCacheService, ServeOutcome
 from repro.judge import evaluate_pairwise
 from repro.llm.zoo import get_model
+from repro.pipeline.stats import ServiceStats
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
 from repro.workload.datasets import SyntheticDataset
 
@@ -20,6 +21,106 @@ def seeded_service():
     dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=11)
     service.seed_cache(dataset.example_bank_requests()[:200])
     return service, dataset
+
+
+def _small_service(seed):
+    service = ICCacheService(ICCacheConfig(
+        seed=seed, manager=ManagerConfig(sanitize=False)))
+    dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
+    service.seed_cache(dataset.example_bank_requests()[:50])
+    return service, dataset
+
+
+class TestPublicSurface:
+    def test_core_package_exports(self):
+        import repro
+        import repro.core as core
+
+        for name in ("ICCacheService", "ServeOutcome", "ICCacheClient",
+                     "ICCacheConfig"):
+            assert hasattr(core, name), name
+        assert repro.ICCacheService is ICCacheService
+
+    def test_serve_outcome_fields(self):
+        fields = {f.name for f in ServeOutcome.__dataclass_fields__.values()}
+        assert {"request", "result", "choice", "examples",
+                "admitted_example", "bypassed"} <= fields
+        assert isinstance(ServeOutcome.offloaded, property)
+
+    def test_stats_surface(self):
+        stats = ServiceStats()
+        for counter in ("served", "offloaded", "bypasses",
+                        "router_updates", "proxy_updates"):
+            assert getattr(stats, counter) == 0
+        assert stats.offload_ratio == 0.0
+        assert stats.mean_quality == 0.0
+
+
+class TestFacadeCallSites:
+    """``serve`` / ``serve_batch`` / ``cluster_router`` / ``on_complete``
+    are thin facades over the pipeline; benchmarks and examples call them
+    exactly like this."""
+
+    def test_serve_returns_serve_outcome(self):
+        service, dataset = _small_service(seed=71)
+        outcome = service.serve(dataset.online_requests(1)[0], load=0.2)
+        assert isinstance(outcome, ServeOutcome)
+        assert outcome.result.model_name == outcome.choice.model_name
+        assert isinstance(outcome.offloaded, bool)
+
+    def test_serve_positional_load_still_accepted(self):
+        service, dataset = _small_service(seed=72)
+        outcome = service.serve(dataset.online_requests(1)[0], 0.2)
+        assert isinstance(outcome, ServeOutcome)
+
+    def test_serve_batch_returns_outcome_list(self):
+        service, dataset = _small_service(seed=73)
+        outcomes = service.serve_batch(dataset.online_requests(4), load=0.2)
+        assert len(outcomes) == 4
+        assert all(isinstance(o, ServeOutcome) for o in outcomes)
+
+    def test_cluster_router_contract(self):
+        # The returned callable has the RouterFn shape and pairs with
+        # service.on_complete.
+        service, dataset = _small_service(seed=74)
+        sim = ClusterSimulator(ClusterConfig(
+            deployments=[
+                ModelDeployment(service.models[service.small_name], replicas=4),
+                ModelDeployment(service.models[service.large_name], replicas=1),
+            ],
+            gpu_budget=16,
+        ))
+        requests = dataset.online_requests(20)
+        arrivals = [(i * 0.4, r) for i, r in enumerate(requests)]
+        report = sim.run(arrivals, service.cluster_router(),
+                         on_complete=service.on_complete)
+        assert report.n == 20
+        assert service.stats.served == 20
+
+    def test_ablation_flags_toggle_mid_run(self):
+        # The Fig. 16/20 ablations flip these after construction; the
+        # flags must keep taking effect on the next request.
+        service, dataset = _small_service(seed=76)
+        service.selector_enabled = False
+        service.router_enabled = False
+        outcomes = [service.serve(r, load=0.2)
+                    for r in dataset.online_requests(10)]
+        assert all(o.result.n_examples == 0 for o in outcomes)
+        assert all(o.choice.model_name == service.small_name for o in outcomes)
+
+        service.selector_enabled = True
+        service.router_enabled = True
+        outcomes = [service.serve(r, load=0.0)
+                    for r in dataset.online_requests(30)]
+        assert any(o.examples for o in outcomes)
+        assert any(o.choice.model_name == service.large_name for o in outcomes)
+
+    def test_stats_attribute_is_live(self):
+        service, dataset = _small_service(seed=75)
+        before = service.stats.served
+        service.serve(dataset.online_requests(1)[0])
+        assert service.stats.served == before + 1
+        assert 0.0 < service.stats.mean_quality <= 1.0
 
 
 class TestSeeding:

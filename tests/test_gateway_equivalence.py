@@ -42,6 +42,7 @@ from repro.gateway import (
     GatewaySession,
     request_to_payload,
 )
+from repro.persistence.snapshot import snapshot_example_count
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
 from repro.workload import SyntheticDataset
 
@@ -158,8 +159,7 @@ def capture() -> dict:
         "decisions": decisions,
         "slo": slo,
         "state_digest": _state_digest(state),
-        "state_examples": len(state.get("cache", {}).get("examples", []))
-        if isinstance(state.get("cache"), dict) else None,
+        "state_examples": snapshot_example_count(state["cache"]),
     }
 
 
@@ -215,6 +215,8 @@ def test_simulator_side_matches_golden(sim_run, golden):
     )
     assert slo == golden["slo"]
     assert _state_digest(state) == golden["state_digest"]
+    assert snapshot_example_count(state["cache"]) \
+        == golden["state_examples"] == 381
 
 
 if __name__ == "__main__":

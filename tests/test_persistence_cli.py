@@ -63,10 +63,9 @@ class TestInspect:
         assert summary["served"] == SERVE
         assert summary["examples"] > 0
         assert summary["total_bytes"] > 0
-        assert summary["columnar"] is True
 
     def test_v3_per_column_stats(self, snapshot_path, capsys):
-        """A v3 snapshot inspects as a columnar pool: one line per
+        """A snapshot inspects as a columnar pool: one line per
         bookkeeping column, string blob, and embedding matrix."""
         assert main(["inspect", str(snapshot_path), "--json"]) == 0
         n = json.loads(

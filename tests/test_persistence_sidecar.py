@@ -1,4 +1,4 @@
-"""The mmap sidecar snapshot path (format versions 2+).
+"""The mmap sidecar snapshot path.
 
 Companion to ``test_persistence_recovery.py``: that file pins crash
 recovery through snapshot + WAL; this one pins the *encoding* overhaul —
@@ -7,10 +7,11 @@ manifest, restored as copy-on-write ``np.memmap`` views.  Covered here:
 
 * warm-restart determinism through the sidecar, mono and sharded — the
   restored service finishes a request stream bit-identically;
-* back-compat: inline-base64 documents (``sidecar=False``) and version-1
-  snapshots still restore;
+* one format: a manifest of any version but the one ``write_snapshot``
+  writes is refused, by number;
 * crash-safety bookkeeping: content-hash naming, stale-sidecar cleanup,
-  and hard errors on truncated or missing sidecar files;
+  hard errors on truncated or missing sidecar files, and a pool that cannot
+  be written leaving the previous image untouched;
 * copy-on-write isolation: serving a restored service never writes back
   into the snapshot files.
 """
@@ -19,15 +20,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.service import ICCacheService
-from repro.persistence.snapshot import (
-    SNAPSHOT_VERSION,
-    load_snapshot,
-    write_snapshot,
-)
+from repro.persistence.snapshot import SNAPSHOT_VERSION, load_snapshot
 from repro.workload.datasets import SyntheticDataset
 
 SEED = 13
@@ -62,7 +60,7 @@ class TestSidecarFormat:
         service.save(path)
 
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 3
+        assert doc["version"] == SNAPSHOT_VERSION == 4
         bins = _bin_files(path)
         assert len(bins) == 1
         assert doc["sidecar"] == bins[0].name
@@ -74,18 +72,6 @@ class TestSidecarFormat:
         text = path.read_text(encoding="utf-8")
         assert "__extarray__" in text
         assert "__ndarray__" not in text
-
-    def test_inline_mode_writes_self_contained_document(self, tmp_path):
-        service, _ = _build()
-        path = tmp_path / "snap.json"
-        write_snapshot(service, path, sidecar=False)
-        assert _bin_files(path) == []
-        text = path.read_text(encoding="utf-8")
-        assert "__ndarray__" in text
-        assert "__extarray__" not in text
-        restored = ICCacheService.restore(path)
-        assert sorted(ex.example_id for ex in restored.cache) == \
-            sorted(ex.example_id for ex in service.cache)
 
     def test_stale_sidecars_removed_on_rewrite(self, tmp_path):
         service, dataset = _build()
@@ -119,31 +105,46 @@ class TestSidecarFormat:
         with pytest.raises(ValueError, match="missing"):
             ICCacheService.restore(path)
 
-    def test_version_1_inline_snapshot_still_loads(self, tmp_path):
-        """A pre-overhaul snapshot — version 1, every array inline — is
-        exactly what ``sidecar=False`` writes modulo the version field."""
-        service, _ = _build()
-        path = tmp_path / "snap.json"
-        write_snapshot(service, path, sidecar=False)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["version"] = 1
-        path.write_text(json.dumps(doc, separators=(",", ":")) + "\n",
-                        encoding="utf-8")
-        snapshot = load_snapshot(path)
-        assert snapshot["version"] == 1
-        restored = ICCacheService.restore(path)
-        assert sorted(ex.example_id for ex in restored.cache) == \
-            sorted(ex.example_id for ex in service.cache)
-
     def test_unknown_version_rejected(self, tmp_path):
+        """Every version but the written one is refused — the three this
+        reader used to accept included — naming both numbers."""
         service, _ = _build()
         path = tmp_path / "snap.json"
-        write_snapshot(service, path, sidecar=False)
+        service.save(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["version"] = 99
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ValueError, match="version 99"):
-            load_snapshot(path)
+        for version in (1, 2, 3, 99):
+            doc["version"] = version
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(ValueError) as refused:
+                load_snapshot(path)
+            assert f"version {version} unsupported" in str(refused.value)
+            assert f"speaks version {SNAPSHOT_VERSION} " in str(refused.value)
+
+    def test_unwritable_pool_raises_and_keeps_the_previous_image(
+            self, tmp_path):
+        """One example whose latent does not share the pool's shape: the
+        save names it, writes nothing, and the image already at that path
+        still restores and serves."""
+        service, dataset = _build()
+        path = tmp_path / "snap.json"
+        service.save(path)
+        files_before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        victim = service.cache.examples()[7]
+        latent = victim.request.latent
+        victim.request.latent = np.append(latent, 0.0)
+        with pytest.raises(ValueError) as refused:
+            service.save(path)
+        assert repr(victim.example_id) in str(refused.value)
+        assert "latent" in str(refused.value)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} \
+            == files_before, "a refused save must leave no .tmp or new .bin"
+
+        victim.request.latent = latent
+        tail = dataset.online_requests(N_AFTER)
+        restored = ICCacheService.restore(path)
+        assert _snap([restored.serve(r, load=0.2) for r in tail]) == \
+            _snap([service.serve(r, load=0.2) for r in tail])
 
 
 class TestWarmRestartDeterminism:
@@ -157,7 +158,7 @@ class TestWarmRestartDeterminism:
             service.serve(request, load=0.2)
         path = tmp_path / "snap.json"
         service.save(path)
-        assert _bin_files(path), "v2 save must produce a sidecar"
+        assert _bin_files(path), "a save must produce a sidecar"
 
         after = _snap(
             [service.serve(r, load=0.2) for r in requests[N_BEFORE:]]
@@ -170,23 +171,6 @@ class TestWarmRestartDeterminism:
         assert restored.stats == service.stats
         assert sorted(ex.example_id for ex in restored.cache) == \
             sorted(ex.example_id for ex in service.cache)
-
-    def test_sidecar_and_inline_restores_serve_identically(self, tmp_path):
-        """Same state, both encodings: the restored services must be
-        indistinguishable request for request."""
-        service, dataset = _build()
-        for request in dataset.online_requests(N_BEFORE):
-            service.serve(request, load=0.2)
-        side = tmp_path / "side.json"
-        inline = tmp_path / "inline.json"
-        write_snapshot(service, side, sidecar=True)
-        write_snapshot(service, inline, sidecar=False)
-
-        tail = dataset.online_requests(N_BEFORE + N_AFTER)[N_BEFORE:]
-        a = ICCacheService.restore(side)
-        b = ICCacheService.restore(inline)
-        assert _snap([a.serve(r, load=0.2) for r in tail]) == \
-            _snap([b.serve(r, load=0.2) for r in tail])
 
     def test_serving_a_restored_service_never_mutates_the_snapshot(
             self, tmp_path):

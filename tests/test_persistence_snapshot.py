@@ -273,12 +273,12 @@ class TestServiceSnapshot:
             load_snapshot(path)
 
     def test_v3_document_stores_the_pool_columnar(self, tmp_path):
-        """A fresh save is format v3: the pool rides as bulk columns +
-        string blobs, with no per-example record list in the manifest."""
+        """The pool rides as bulk columns + string blobs (the layout format
+        v3 introduced), with no per-example record list in the manifest."""
         service, _ = _build_service(bank=40)
         path = service.save(tmp_path / "s.json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 3
+        assert doc["version"] == SNAPSHOT_VERSION == 4
         cache = doc["cache"]
         assert "examples" not in cache
         columns = cache["examples_columns"]
@@ -307,35 +307,6 @@ class TestServiceSnapshot:
             assert copy.offload_gain.count == original.offload_gain.count
             assert copy.request.metadata == original.request.metadata
         assert restored.cache._bytes_by_id == service.cache._bytes_by_id
-
-    def test_v2_pr8_fixture_restores_and_serves_pinned_decisions(self):
-        """Back-compat proof: a genuine pre-columnar (v2, per-example
-        record) snapshot restores and serves bit-identically to the
-        decisions pinned when the fixture was created."""
-        from pathlib import Path
-
-        fixture = Path(__file__).parent / "fixtures" / "snapshot_v2_pr8.json"
-        expected = json.loads(
-            fixture.with_name("snapshot_v2_pr8.expected.json").read_text(
-                encoding="utf-8"))
-        snapshot = load_snapshot(fixture)
-        assert snapshot["version"] == 2
-        assert "examples" in snapshot["cache"]
-        service = ICCacheService.restore(fixture)
-        dataset = SyntheticDataset("ms_marco", scale=0.0005,
-                                   seed=service.config.seed)
-        dataset.example_bank_requests()  # keep generation call order stable
-        served = service.stats.served
-        tail = dataset.online_requests(served + 6)[-6:]
-        decisions = [
-            [o.choice.model_name, o.result.quality, o.result.n_examples,
-             o.bypassed]
-            for o in (service.serve(r, load=0.3) for r in tail)
-        ]
-        assert decisions == expected["decisions"]
-        assert len(service.cache) == expected["examples"]
-        assert service.cache.total_bytes == expected["total_bytes"]
-        assert service.stats.served == expected["served_after"]
 
     def test_overwrite_keeps_bytes_and_counts_one_churn(self):
         service, _ = _build_service(bank=80)

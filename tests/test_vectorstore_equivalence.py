@@ -25,41 +25,13 @@ from repro.core.config import SelectorConfig
 from repro.core.proxy import HelpfulnessProxy, proxy_features_matrix
 from repro.core.selector import ExampleSelector
 from repro.vectorstore.flat import SearchResult
-from repro.vectorstore.ivf import IVFIndex, _ClusterBlock, quantize_i8
+from repro.vectorstore.ivf import IVFIndex, _ClusterBlock
 
+from tests.search_reference import reference_search
 from tests.strategies import DETERMINISM, VectorPool, vector_pools
 from tests.test_core_selector import build_selector, query_direction
 
 DIM = 16
-
-
-def reference_search(index: IVFIndex, query: np.ndarray, k: int
-                     ) -> list[SearchResult]:
-    """The pre-refactor trained-path loop: one Python dot per candidate.
-
-    Probes clusters in descending centroid-score order, walks each posting
-    list in storage order, and stable-sorts by score — the semantics the
-    vectorized path must reproduce exactly (including tie-breaking).  Each
-    candidate is scored with a single-vector einsum in storage precision
-    (float32), the same sequential per-row accumulation the block einsum
-    performs, so scores must agree to the last bit and ordering exactly.
-    """
-    assert index.is_trained
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    qnorm = float(np.linalg.norm(q))
-    if qnorm <= 0 or k <= 0:
-        return []
-    q = q / qnorm
-    nprobe = min(index.nprobe, index.n_clusters)
-    probe = np.argsort(-(index._centroids @ q))[:nprobe]
-    q32 = q.astype(np.float32)
-    candidates = [
-        SearchResult(key, float(np.einsum("j,j->", index.get_vector(key), q32)))
-        for cluster in probe
-        for key in index._blocks[cluster].keys
-    ]
-    candidates.sort(key=lambda r: r.score, reverse=True)
-    return candidates[:k]
 
 
 def clustered(rng: np.random.Generator, n: int, n_centers: int = 8
@@ -151,9 +123,8 @@ class TestRepeatedProbeReusesTopHit:
     while the index is exactly the index that search scored."""
 
     @staticmethod
-    def _trained(pool: VectorPool, **kwargs) -> IVFIndex:
-        index = IVFIndex(dim=pool.dim, nprobe=3, min_train_size=64, seed=1,
-                         **kwargs)
+    def _trained(pool: VectorPool) -> IVFIndex:
+        index = IVFIndex(dim=pool.dim, nprobe=3, min_train_size=64, seed=1)
         for row, vec in enumerate(pool.vectors):
             index.add(row, vec)
         assert index.retrain()
@@ -205,21 +176,6 @@ class TestRepeatedProbeReusesTopHit:
         query[:] = pool.vectors[17]
         assert index.search(query, 1) == self._fresh_probe(index, query)
         assert index.search(query, 1)[0].key == 17
-
-    def test_two_pass_never_reuses(self):
-        # Rows 0 and 1 differ below int8 resolution: the coarse pass ties
-        # them and, at rescore_depth=1, rescores only row 0 — so two-pass
-        # k=1 answers row 0 where the single-pass top hit is row 1.
-        pool = VectorPool(seed=6, n=150, dim=8, duplicates=[])
-        pool.vectors[1] = pool.vectors[0] + 3e-4
-        query = pool.vectors[1].copy()
-        index = self._trained(pool, rescore_depth=1)
-        assert np.array_equal(quantize_i8(index.get_vector(0)),
-                              quantize_i8(index.get_vector(1)))
-        assert index.search(query, 12)[0].key == 1
-        index.two_pass_min_n = 1
-        assert index.search(query, 1) == self._fresh_probe(index, query)
-        assert index.search(query, 1)[0].key == 0
 
 
 class TestChurnAccounting:

@@ -1,19 +1,18 @@
-"""Float32 storage determinism and the scale-gated search paths.
+"""Float32 storage determinism and the scale-gated retrain path.
 
 The PR-3 equivalence suite (``test_vectorstore_equivalence.py``) pins the
 vectorized trained search against a per-key reference on fixed pools; this
 file generalizes those pins into Hypothesis properties over adversarial
 pools (bit-exact duplicates, varying dims/sizes — ``tests/strategies/
-vectors.py``) and covers the scale features the float32 overhaul added:
+vectors.py``) and covers what the float32 overhaul added:
 
 * float32 block scores are bit-equal to a per-key float32 loop, and within
   narrowing tolerance of exact float64 cosine;
 * exact ties — bit-identical duplicate vectors — keep loop-order
   tie-breaking wherever they sit in the blocks, including the ``k == 1``
   argmax fast path;
-* the int8 coarse + exact-rescore two-pass search preserves recall@5
-  against single-pass within the configured bound (and exactly, when the
-  rescore depth covers the probed set);
+* a cluster block's resident bytes are its float32 rows and nothing else,
+  through append, remove and capacity growth;
 * incremental split/merge retrains hold recall@5 close to a global
   K-Means retrain under the maintenance-tick churn regime;
 * ``KMeans.fit`` consumes the index's cached storage view without copying.
@@ -24,11 +23,18 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 
-from repro.vectorstore.flat import STORAGE_DTYPE, FlatIndex, SearchResult
-from repro.vectorstore.ivf import IVFIndex
+from repro.vectorstore.flat import STORAGE_DTYPE, FlatIndex
+from repro.vectorstore.ivf import IVFIndex, _ClusterBlock
 from repro.vectorstore.kmeans import KMeans
 
-from tests.strategies import DETERMINISM, STANDARD, VectorPool, vector_pools
+from tests.clustered_pool import clustered_vectors
+from tests.search_reference import reference_search
+from tests.strategies import (
+    DETERMINISM,
+    STANDARD,
+    VectorPool,
+    vector_pools,
+)
 
 DIM = 32
 
@@ -41,30 +47,6 @@ def build_index(pool: VectorPool, **kwargs) -> IVFIndex:
     index.search(pool.vectors[0], 1)  # settle the lazy train
     assert index.is_trained
     return index
-
-
-def reference_search(index: IVFIndex, query: np.ndarray,
-                     k: int) -> list[SearchResult]:
-    """Per-key float32 scoring loop: probe clusters in descending centroid
-    score, walk rows in block order, stable-sort by score.  The semantics —
-    scores to the last bit, ordering including ties — the vectorized path
-    (and its ``k == 1`` argmax fast path) must reproduce exactly."""
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    qnorm = float(np.linalg.norm(q))
-    if qnorm <= 0 or k <= 0:
-        return []
-    q = q / qnorm
-    nprobe = min(index.nprobe, index.n_clusters)
-    probe = np.argsort(-(index._centroids @ q))[:nprobe]
-    q32 = q.astype(STORAGE_DTYPE)
-    candidates = [
-        SearchResult(key, float(np.einsum(
-            "j,j->", index._blocks[cluster].view()[row], q32)))
-        for cluster in probe
-        for row, key in enumerate(index._blocks[cluster].keys)
-    ]
-    order = np.argsort([-c.score for c in candidates], kind="stable")
-    return [candidates[i] for i in order[:k]]
 
 
 class TestFloat32SearchProperties:
@@ -111,67 +93,31 @@ class TestFloat32SearchProperties:
                 )
                 assert abs(hit.score - exact) < 5e-6
 
-    @given(pool=vector_pools(min_duplicates=2))
-    @settings(**DETERMINISM)
-    def test_two_pass_with_full_depth_matches_single_pass(self, pool):
-        """With rescore depth covering the whole pool, the coarse pass can
-        only reorder candidates *between* exact ties; scores and the hit
-        set must match single-pass exactly, and bit-identical duplicates
-        keep a deterministic order through both stable sorts."""
-        index = build_index(pool, nprobe=4, two_pass_min_n=1,
-                            rescore_depth=pool.n)
-        assert index.two_pass_active
-        for query in pool.queries(3):
-            two = index.search(query, 10)
-            index.two_pass_min_n = None
-            one = index.search(query, 10)
-            index.two_pass_min_n = 1
-            # Same scores in the same order...
-            assert [r.score for r in two] == [r.score for r in one]
-            # ...and the same keys at every strictly-ordered rank; keys may
-            # swap only inside an exact-tie run (two candidates whose
-            # float32 scores are bit-equal but quantizations differ).
-            scores = [r.score for r in one]
-            for i, (a, b) in enumerate(zip(two, one)):
-                tied = (i > 0 and scores[i - 1] == scores[i]) or (
-                    i + 1 < len(scores) and scores[i + 1] == scores[i])
-                if not tied:
-                    assert a.key == b.key
+
+def _clustered(n: int, seed: int) -> np.ndarray:
+    return clustered_vectors(n, DIM, n_topics=24, seed=seed)
 
 
-class TestTwoPassRecall:
-    def _clustered(self, n, seed, n_topics=24):
-        rng = np.random.default_rng(seed)
-        centers = rng.normal(size=(n_topics, DIM))
-        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        vecs = centers[rng.integers(0, n_topics, size=n)]
-        vecs = vecs + rng.normal(0.0, 0.15, size=(n, DIM))
-        return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-
-    def test_rescore_depth_keeps_recall_within_one_percent(self):
-        """The acceptance bound the default ``rescore_depth`` is sized for:
-        two-pass recall@5 within 1% of single-pass on a clustered pool."""
-        index = IVFIndex(dim=DIM, nprobe=4, min_train_size=64, seed=0,
-                         two_pass_min_n=500, rescore_depth=64)
-        for row, vec in enumerate(self._clustered(2000, seed=0)):
-            index.add(row, vec)
-        index.search(index.get_vector(0), 1)
-        assert index.two_pass_active
-
-        queries = self._clustered(40, seed=1)
-        two = [{r.key for r in index.search(q, 5)} for q in queries]
-        index.two_pass_min_n = None
-        one = [{r.key for r in index.search(q, 5)} for q in queries]
-        overlap = sum(len(a & b) for a, b in zip(two, one)) / (40 * 5)
-        assert overlap >= 0.99
-
-    def test_two_pass_only_activates_above_threshold(self):
-        index = IVFIndex(dim=DIM, two_pass_min_n=10_000)
-        for row, vec in enumerate(self._clustered(200, seed=2)):
-            index.add(row, vec)
-        assert not index.two_pass_active  # below threshold: single-pass
-        index.two_pass_min_n = None
-        assert not index.two_pass_active  # disabled: never active
+class TestClusterBlockBytes:
+    def test_nbytes_is_the_float32_rows_through_append_remove_growth(self):
+        """``IVFIndex.nbytes`` (and ``index_bytes_per_example`` on top of
+        it) sums this: capacity x dim x 4, with no second copy of the rows
+        riding along."""
+        rows = _clustered(40, seed=6).astype(STORAGE_DTYPE)
+        block = _ClusterBlock(DIM, keys=list(range(5)), vectors=rows[:5])
+        assert block.nbytes == 5 * DIM * 4
+        capacities = set()
+        for key in range(5, 40):                    # append through growth
+            block.append(key, rows[key])
+            capacity = block._vectors.shape[0]
+            capacities.add(capacity)
+            assert capacity >= len(block)
+            assert block.nbytes == capacity * DIM * 4
+        assert len(capacities) > 2, "capacity never doubled"
+        for key in range(0, 40, 3):                 # swap-delete keeps capacity
+            block.remove(key)
+            assert block.nbytes == capacity * DIM * 4
+        assert block.view().nbytes == len(block) * DIM * 4
 
 
 class TestIncrementalRetrainRecall:
@@ -179,14 +125,13 @@ class TestIncrementalRetrainRecall:
     TICKS = 5
 
     def _build(self, incremental_min_n: int) -> IVFIndex:
-        rng_pool = TestTwoPassRecall()
         index = IVFIndex(dim=DIM, nprobe=8, min_train_size=64, seed=0,
                          incremental_min_n=incremental_min_n)
-        base = rng_pool._clustered(self.N, seed=2)
+        base = _clustered(self.N, seed=2)
         for row, vec in enumerate(base):
             index.add(row, vec)
         index.search(base[0], 1)  # first train is global either way
-        spare = rng_pool._clustered(self.N, seed=3)
+        spare = _clustered(self.N, seed=3)
         si = 0
         for tick in range(self.TICKS):  # the bench's 1%-churn tick regime
             m = self.N // 100
@@ -215,7 +160,7 @@ class TestIncrementalRetrainRecall:
         control = self._build(incremental_min_n=10**9)
         assert incremental.trainings == control.trainings == self.TICKS + 1
 
-        queries = TestTwoPassRecall()._clustered(40, seed=4)
+        queries = _clustered(40, seed=4)
         r_inc = self._recall_vs_flat(incremental, queries)
         r_glo = self._recall_vs_flat(control, queries)
         # Measured on this seeded scenario: 0.880 incremental, 0.920 global.
@@ -273,20 +218,10 @@ class TestIncrementalRetrainBookkeeping:
             # ...and restore inherits it exactly (no recompute drift).
             assert np.array_equal(a.running_sum, b.running_sum)
 
-    def test_legacy_state_without_sums_recomputes(self):
-        index = self._churned()
-        state = index.to_state()
-        for block in state["blocks"]:
-            del block["sum"]
-        restored = IVFIndex.from_state(state)
-        for block in restored._blocks:
-            fresh = block.view().sum(axis=0, dtype=np.float64)
-            assert np.array_equal(block.running_sum, fresh)
-
 
 class TestKMeansConsumesStorageView:
     def test_global_retrain_fits_on_the_cached_view_no_copy(self, monkeypatch):
-        pool = TestTwoPassRecall()._clustered(300, seed=5)
+        pool = _clustered(300, seed=5)
         index = IVFIndex(dim=DIM, min_train_size=64, seed=0)
         for row, vec in enumerate(pool):
             index.add(row, vec)
