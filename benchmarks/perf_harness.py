@@ -7,8 +7,11 @@ harness keeps only what that benchmark cannot give:
 * **work counters, gated exactly** — counts repeat run to run on any box, so
   ``--check`` fails when one moves in either direction: the K-Means fit's
   ``iterations`` and ``distance_columns`` at N=3k/6k (where every
-  ``bench_e2e`` retrain runs) and the evict-one pass's
-  ``rows_ranked_per_pass``;
+  ``bench_e2e`` retrain runs), the evict-one pass's
+  ``rows_ranked_per_pass``, and the per-request floor — calls one ``serve``
+  issues from ``src/repro/``, generators it mints, proxy solves it pays
+  (``floor``; the call count is exact per interpreter minor version, and the
+  recorded one is 3.11's);
 * **in-run ratios against a reference** — both sides timed in the same
   process, so box speed cancels: vectorized :meth:`IVFIndex.search` over the
   per-key loop (``tests/search_reference.py``), ``KMeans.fit`` over the
@@ -66,6 +69,8 @@ SCHEMA = "serve_hotpath/v4"
 #: Pool sizes for the ``kmeans`` section: the seeded bank of ``bench_e2e``'s
 #: serve workloads, and about where their last in-run retrain lands.
 KMEANS_SIZES = (3_000, 6_000)
+#: Bank of the ``floor`` section: ``bench_e2e``'s ``serve_repeat`` bank.
+FLOOR_BANK = 3_000
 
 
 def _best_of(fn, rounds: int = 3) -> float:
@@ -374,6 +379,101 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
     }
 
 
+def _floor_stream(dataset, bank: list, n: int, seed: int = 0,
+                  reask_share: float = 0.8) -> list:
+    """``n`` requests, ``reask_share`` of them verbatim re-asks of banked
+    requests under a fresh id (``bench_e2e``'s ``serve_repeat`` mix)."""
+    import dataclasses
+
+    from repro.utils.rng import make_rng, stable_hash
+
+    is_reask = make_rng(stable_hash("bench_e2e", "mix", seed)
+                        ).random(n) < reask_share
+    picks = make_rng(stable_hash("bench_e2e", "pick", seed)
+                     ).integers(0, len(bank), size=n)
+    fresh = iter(dataset.generate_requests(int((~is_reask).sum()),
+                                           split=f"online-s{seed}"))
+    return [
+        dataclasses.replace(bank[pick], metadata={},
+                            request_id=f"re{i}-{bank[pick].request_id}")
+        if again else next(fresh)
+        for i, (again, pick) in enumerate(zip(is_reask, picks))
+    ]
+
+
+def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
+                counted: int = 400) -> dict:
+    """Work one ``ICCacheService.serve`` issues, as exact counts.
+
+    The per-request floor is call overhead spread over a dozen layers, so
+    its work counter is calls: over ``counted`` serves of ``bench_e2e``'s
+    ``serve_repeat`` mix (seed 0, same bank and config), a ``sys.setprofile``
+    hook counts every ``call`` event whose *caller's* frame, and every
+    ``c_call`` event whose own frame, is code under ``src/repro/`` — calls
+    the package issues, whatever the callee then does inside numpy or the
+    standard library.  Two of those calls are also counted by name:
+    generators minted (``make_rng`` / ``spawn_rng``, the simulator's fixed
+    per-request cost) and ``solve`` calls issued by the helpfulness proxy.
+    No index retrain may land in the counted window (asserted): a K-Means
+    fit is thousands of calls that belong to no request.
+    """
+    from repro import ICCacheConfig, ICCacheService
+    from repro.core import proxy as proxy_module
+    from repro.core.config import ManagerConfig
+    from repro.utils import rng as rng_module
+    from repro.workload import SyntheticDataset
+
+    dataset = SyntheticDataset("ms_marco", scale=bank_size / 808_731, seed=0)
+    bank = dataset.example_bank_requests()[:bank_size]
+    stream = _floor_stream(dataset, bank, warmup + counted)
+    service = ICCacheService(ICCacheConfig(
+        seed=0, manager=ManagerConfig(sanitize=True)))
+    service.seed_cache(bank)
+    for request in stream[:warmup]:
+        service.serve(request)
+
+    package = str(Path(rng_module.__file__).resolve().parents[1]) + os.sep
+    proxy_file = proxy_module.__file__
+    minting = (rng_module.make_rng.__code__, rng_module.spawn_rng.__code__)
+    counts = {"calls": 0, "minted": 0, "solves": 0}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            caller = frame.f_back
+            if caller is None or \
+                    not caller.f_code.co_filename.startswith(package):
+                return
+            counts["calls"] += 1
+            code = frame.f_code
+            if code in minting:
+                counts["minted"] += 1
+            elif code.co_name == "solve" and \
+                    caller.f_code.co_filename == proxy_file:
+                counts["solves"] += 1
+        elif event == "c_call" and \
+                frame.f_code.co_filename.startswith(package):
+            counts["calls"] += 1
+
+    index = service.cache._index
+    trainings = index.trainings
+    serve = service.serve
+    sys.setprofile(hook)
+    try:
+        for request in stream[warmup:]:
+            serve(request)
+    finally:
+        sys.setprofile(None)
+    assert index.trainings == trainings, \
+        "an index retrain landed in the counted window"
+    return {
+        "n": bank_size,
+        "requests": counted,
+        "calls_per_request": counts["calls"] / counted,
+        "generators_minted_per_request": counts["minted"] / counted,
+        "proxy_solves_per_request": counts["solves"] / counted,
+    }
+
+
 def bench_scale(n: int = 1_000_000, seed: int = 0, n_queries: int = 200,
                 recall_queries: int = 50, maintenance_ticks: int = 5) -> dict:
     """The N=1M story: build, search, retrain amortization, memory.
@@ -462,6 +562,7 @@ def run(sizes: list[int], out_path: str | Path | None = None,
         "churn": {},
         "kmeans": {str(n): bench_kmeans(n) for n in KMEANS_SIZES},
         "lifecycle": {str(n): bench_lifecycle(n) for n in lifecycle_sizes},
+        "floor": {str(FLOOR_BANK): bench_floor(FLOOR_BANK)},
     }
     for n in sizes:
         # One build (and one K-Means train) per size, shared by both
@@ -486,6 +587,8 @@ def run(sizes: list[int], out_path: str | Path | None = None,
 GATED_COUNTERS = {
     "kmeans": ("iterations", "distance_columns"),
     "lifecycle": ("rows_ranked_per_pass",),
+    "floor": ("calls_per_request", "generators_minted_per_request",
+              "proxy_solves_per_request"),
 }
 
 
@@ -578,6 +681,12 @@ def main(argv: list[str] | None = None) -> int:
               f"evict {row['evict_us_per_pass'] / 1e3:8.1f} ms/pass "
               f"({row['evicted']} evicted), restore "
               f"{row['restore_examples_per_s']:,.0f} ex/s")
+    for n, row in results["floor"].items():
+        print(f"floor   N={n:>6}: {row['calls_per_request']:.2f} calls from "
+              f"src/repro per serve, "
+              f"{row['generators_minted_per_request']:.2f} generators "
+              f"minted, {row['proxy_solves_per_request']:.2f} proxy solves "
+              f"(over {row['requests']} requests)")
     scale = results.get("scale")
     if scale:
         print(f"scale   N={scale['n']:,}: build {scale['build_s']:.0f}s "

@@ -2,7 +2,7 @@
 
 ``run_baseline_gate`` is driven with hand-built results/baseline dicts so
 the tests exercise the gate logic itself — the missing-baseline warning
-(which must be loud, not a silent pass), the pass path, each of the three
+(which must be loud, not a silent pass), the pass path, each of the six
 exact work counters failing in both directions, and sections one side did
 not run being skipped — in milliseconds.  One more guard: the harness must
 import with numpy and ``repro`` alone, because that is all CI's perf jobs
@@ -21,7 +21,9 @@ import repro
 
 
 def _results(iterations: int = 9, distance_columns: int = 305,
-             rows_ranked: float = 4.0, fit_ms: float = 50.0) -> dict:
+             rows_ranked: float = 4.0, fit_ms: float = 50.0,
+             calls: float = 502.7175, minted: float = 5.0625,
+             solves: float = 0.8075) -> dict:
     return {
         "search": {"1000": {"qps": 50_000.0}},
         "kmeans": {"3000": {"kmeans_fit_ms": fit_ms,
@@ -29,6 +31,10 @@ def _results(iterations: int = 9, distance_columns: int = 305,
                             "distance_columns": distance_columns}},
         "lifecycle": {"10000": {"evict_one_us": 2e3,
                                 "rows_ranked_per_pass": rows_ranked}},
+        "floor": {"3000": {"requests": 400,
+                           "calls_per_request": calls,
+                           "generators_minted_per_request": minted,
+                           "proxy_solves_per_request": solves}},
     }
 
 
@@ -115,12 +121,27 @@ class TestPresentBaseline:
             assert ("lifecycle rows_ranked_per_pass at N=10000 "
                     f"changed: {moved}") in capsys.readouterr().out
 
+    def test_floor_counters_gate_exactly_in_both_directions(
+            self, tmp_path, capsys):
+        baseline = _baseline(tmp_path)
+        for argument, key, moves in (
+                ("calls", "calls_per_request", (502.715, 502.72)),
+                ("minted", "generators_minted_per_request", (5.06, 5.065)),
+                ("solves", "proxy_solves_per_request", (0.805, 1.415))):
+            for moved in moves:
+                code = perf_harness.run_baseline_gate(
+                    _results(**{argument: moved}), baseline)
+                assert code == 1
+                assert f"floor {key} at N=3000 changed: {moved}" \
+                    in capsys.readouterr().out
+
     def test_lifecycle_rows_skipped_when_absent(self, tmp_path):
         """A section (or pool size) only one side ran is not compared:
         a smoke run without lifecycle/kmeans, and a baseline without."""
         smoke = _results()
         del smoke["lifecycle"]
         del smoke["kmeans"]
+        del smoke["floor"]
         assert perf_harness.run_baseline_gate(
             smoke, _baseline(tmp_path)) == 0
         old = _results()

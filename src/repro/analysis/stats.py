@@ -53,6 +53,21 @@ class EMA:
         return self.value
 
 
+def small_sum(values: list[float]) -> float:
+    """``float(np.add.reduce(np.array(values)))`` for a short list, bit for
+    bit, without the array: below 8 items numpy's reduce is the plain
+    left-to-right loop written here (from 0.0, so a lone ``-0.0`` sums to
+    ``0.0`` as it does there); from 8 up its pairwise blocks take over.
+    Never builtin ``sum``: it is compensated from Python 3.12 on.
+    """
+    if len(values) >= 8:
+        return float(np.add.reduce(np.asarray(values, dtype=float)))
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def percentile(values, q: float) -> float:
     """The q-th percentile (q in [0, 100]) of a sequence; NaN when empty."""
     arr = np.asarray(list(values), dtype=float)

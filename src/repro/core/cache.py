@@ -202,7 +202,8 @@ class ExampleCache:
         """Top-k (example, relevance) pairs for a request embedding."""
         hits = self._index.search(embedding, k)
         self._note_search()
-        return [(self._examples[hit.key], hit.score) for hit in hits]
+        examples = self._examples
+        return [(examples[key], score) for key, score in hits]
 
     def search_batch(self, embeddings: np.ndarray,
                      k: int) -> list[list[tuple[Example, float]]]:
@@ -213,10 +214,9 @@ class ExampleCache:
         """
         batches = self._index.search_batch(embeddings, k)
         self._note_search()
-        return [
-            [(self._examples[hit.key], hit.score) for hit in hits]
-            for hits in batches
-        ]
+        examples = self._examples
+        return [[(examples[key], score) for key, score in hits]
+                for hits in batches]
 
     def nearest_similarity(self, embedding: np.ndarray) -> float:
         """Similarity of the closest cached example (0.0 on an empty cache)."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.stats import EMA
-from repro.core.table import ColumnEMA
+from repro.core.table import EMBEDDING, ColumnEMA
 from repro.llm.icl import ExampleView
 from repro.utils.tokens import count_tokens
 from repro.workload.request import Request
@@ -81,12 +81,15 @@ class Example:
       example augmented (the ``normalized_response_quality`` term of G(e)).
 
     The constructor signature matches the original dataclass.  Bookkeeping
-    fields are properties: standalone examples store them per object, cached
-    examples store them in the owning cache's columnar
+    fields and the embedding are properties: standalone examples store them
+    per object, cached examples store them in the owning cache's columnar
     :class:`~repro.core.table.ExampleTable` (which is what lets decay,
-    eviction, and snapshot restore run over contiguous arrays).  Only
-    ``ExampleTable`` and these property setters may write the table-backed
-    fields — ``reprolint`` WAL003 enforces that.
+    eviction, stage-2 scoring and snapshot restore run over contiguous
+    arrays).  Only ``ExampleTable`` and these property setters may write the
+    table-backed fields — ``reprolint`` WAL003 enforces that.  A cached
+    example's ``embedding`` is a view of its table row, read afresh on every
+    access: use it, do not keep it across an eviction (a swap-delete may
+    move another row into its place); ``np.array(ex.embedding)`` copies.
     """
 
     def __init__(self, example_id: str, request: Request, response_text: str,
@@ -106,7 +109,8 @@ class Example:
         self.example_id = example_id
         self.request = request
         self.response_text = response_text
-        self.embedding = np.asarray(embedding, dtype=float)
+        # A copy: the caller's array may be another cached example's row.
+        d["_x_embedding"] = np.array(embedding, dtype=float)
         self.quality = quality
         self.source_model = source_model
         self.source_cost = source_cost
@@ -127,13 +131,12 @@ class Example:
 
     @classmethod
     def _attached_view(cls, table, row: int, example_id: str, request: Request,
-                       response_text: str, source_model: str,
-                       embedding: np.ndarray) -> "Example":
+                       response_text: str, source_model: str) -> "Example":
         """A cheap Example bound to an existing table row (bulk restore).
 
         Skips ``__init__`` entirely: validation, memo priming, and EMA
         construction already happened when the row was first written, so a
-        v3 snapshot restore only pays five ``__dict__`` stores per example.
+        snapshot restore only pays four ``__dict__`` stores per example.
         """
         self = object.__new__(cls)
         d = self.__dict__
@@ -141,7 +144,6 @@ class Example:
         d["request"] = request
         d["response_text"] = response_text
         d["source_model"] = source_model
-        d["embedding"] = embedding
         table.bind_owner(row, self)
         return self
 
@@ -156,12 +158,11 @@ class Example:
     feedback_quality = _table_ema("feedback_quality")
 
     def __setattr__(self, name: str, value: object) -> None:
-        # The token count, plaintext size, and embedding norm are memoized
-        # (they sit on the per-candidate serve and eviction hot paths); drop
-        # the memo — or eagerly refresh the table slot — when the text or
-        # the embedding they derive from is rebound.  Replay refinement
-        # rebinding ``response_text`` in place is the case that makes this
-        # necessary.
+        # The token count and plaintext size are memoized (they sit on the
+        # per-candidate serve and eviction hot paths); drop the memo — or
+        # eagerly refresh the table slot — when the text they derive from is
+        # rebound.  Replay refinement rebinding ``response_text`` in place
+        # is the case that makes this necessary.
         if name in ("response_text", "request"):
             d = self.__dict__
             d.pop("_tokens_memo", None)
@@ -171,15 +172,26 @@ class Example:
             if table is not None:
                 table.refresh_text_stats(d["_row"], self)
             return
-        if name == "embedding":
-            d = self.__dict__
-            d.pop("_norm_memo", None)
-            object.__setattr__(self, name, value)
-            table = d["_table"]
-            if table is not None:
-                table.refresh_embedding_norm(d["_row"], self)
-            return
         object.__setattr__(self, name, value)
+
+    @property
+    def embedding(self) -> np.ndarray:
+        """This object's own array while detached, its table row if cached."""
+        d = self.__dict__
+        table = d["_table"]
+        if table is None:
+            return d["_x_embedding"]
+        return table._cols[EMBEDDING][d["_row"]]
+
+    @embedding.setter
+    def embedding(self, value: np.ndarray) -> None:
+        d = self.__dict__
+        table = d["_table"]
+        if table is None:
+            d.pop("_norm_memo", None)
+            d["_x_embedding"] = np.asarray(value, dtype=float)
+        else:
+            table.write_embedding(d["_row"], value)
 
     def _compute_tokens(self) -> int:
         return count_tokens(self.request.text) + count_tokens(self.response_text)
@@ -261,12 +273,27 @@ class Example:
 
     def view(self) -> ExampleView:
         """The minimal view handed to the LLM's ICL model."""
-        return ExampleView(
-            latent=self.request.latent, quality=self.quality, tokens=self.tokens
-        )
+        d = self.__dict__
+        table = d["_table"]
+        if table is None:
+            return ExampleView(self.request.latent, self.quality, self.tokens)
+        cols, row = table._cols, d["_row"]
+        return ExampleView(self.request.latent, float(cols["quality"][row]),
+                           int(cols["tokens"][row]))
 
     def record_access(self) -> None:
         self.access_count += 1
+
+    def record_use(self, gain: float, quality: float, offload: float) -> None:
+        """Feed the three bookkeeping streams after one repurposing."""
+        d = self.__dict__
+        table = d["_table"]
+        if table is not None:
+            table.record_use(d["_row"], gain, quality, offload)
+        else:
+            self.gain_ema.update(gain)
+            self.feedback_quality.update(quality)
+            self.offload_gain.update(offload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Example({self.example_id!r}, quality={self.quality:.3f}, "

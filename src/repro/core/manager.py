@@ -111,9 +111,8 @@ class ExampleManager:
     def record_use(self, example: Example, response_quality: float,
                    model_cost: float, offloaded: bool) -> None:
         """Update an example's stats after it augmented a served request."""
-        example.gain_ema.update(replay_gain(response_quality, model_cost))
-        example.feedback_quality.update(response_quality)
-        example.offload_gain.update(1.0 if offloaded else 0.0)
+        example.record_use(replay_gain(response_quality, model_cost),
+                           response_quality, 1.0 if offloaded else 0.0)
         self._maybe_decay()
 
     def apply_decay(self) -> None:

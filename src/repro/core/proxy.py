@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.example import Example
-from repro.core.table import attached_rows
-from repro.embedding.similarity import cosine_similarity
+from repro.core.table import EMBEDDING, EMBEDDING_ROW_NORM, attached_rows
+from repro.embedding.similarity import cosine_similarity, vector_norm
 
 N_FEATURES = 7
 
@@ -31,38 +31,51 @@ N_FEATURES = 7
 def proxy_features(request_embedding: np.ndarray, example: Example) -> np.ndarray:
     """Feature vector for one (request, candidate example) pair."""
     relevance = cosine_similarity(request_embedding, example.embedding)
-    feedback_q = (
-        example.feedback_quality.value if example.feedback_quality.initialized
-        else 0.5
-    )
-    tokens_norm = min(1.0, example.tokens / 512.0)
-    replayed = min(1.0, example.replay_count / 5.0)
+    feedback = example.feedback_quality
+    feedback_q = feedback.value if feedback.initialized else 0.5
     return np.array([
         1.0,
         relevance,
         feedback_q,
         relevance * feedback_q,
         example.source_cost,
-        tokens_norm,
-        replayed,
+        min(1.0, example.tokens / 512.0),
+        min(1.0, example.replay_count / 5.0),
     ])
 
 
 def proxy_features_matrix(request_embedding: np.ndarray,
-                          examples: list[Example]) -> np.ndarray:
+                          examples: list[Example],
+                          attached=None) -> np.ndarray:
     """The (n, N_FEATURES) feature matrix for one request against a
     candidate list — the vectorized counterpart of :func:`proxy_features`.
 
     Relevance for every candidate comes from a single embedding-matrix
-    product instead of n cosine calls; the remaining features are cheap
-    per-example attribute reads.  Values match :func:`proxy_features` up to
-    BLAS accumulation order in the cosine term.
+    product (``einsum`` over axis-1 norms) instead of n cosine calls (a BLAS
+    dot over 1-D norms), so the two agree to the last few bits, not to the
+    bit.  ``attached`` is ``attached_rows(examples)`` if the caller holds it.
     """
     n = len(examples)
     q = np.asarray(request_embedding, dtype=float).reshape(-1)
-    emb = np.stack([ex.embedding for ex in examples]) if n else \
-        np.empty((0, q.shape[0]))
-    denom = np.linalg.norm(emb, axis=1) * float(np.linalg.norm(q))
+    if attached is None:
+        attached = attached_rows(examples)
+    if attached is not None:
+        # Columnar fast path: every candidate is attached to the same
+        # ExampleTable (the cache-search case — i.e. the serve hot path), so
+        # embeddings, their axis-1 norms and the scalar features are
+        # fancy-indexed gathers: the rows ``np.stack`` would hold, the norm
+        # ``norm(axis=1)`` gives each, and ``np.where``/``np.minimum`` doing
+        # the IEEE operations of the per-example expressions below, so
+        # utilities stay bit-identical either way.
+        table, rows = attached
+        cols = table._cols
+        emb = cols[EMBEDDING][rows]
+        norms = cols[EMBEDDING_ROW_NORM][rows]
+    else:
+        emb = np.stack([ex.embedding for ex in examples]) if n else \
+            np.empty((0, q.shape[0]))
+        norms = np.linalg.norm(emb, axis=1)
+    denom = norms * vector_norm(q)
     # einsum rather than BLAS gemv: per-row accumulation depends only on row
     # content, so duplicate embeddings get bit-equal relevance (and therefore
     # bit-equal utility) regardless of their position in the candidate list.
@@ -74,18 +87,7 @@ def proxy_features_matrix(request_embedding: np.ndarray,
     features = np.empty((n, N_FEATURES))
     features[:, 0] = 1.0
     features[:, 1] = relevance
-
-    # Columnar fast path: when every candidate is attached to the same
-    # ExampleTable (the cache-search case — i.e. the serve hot path), the
-    # scalar features are four fancy-indexed column gathers instead of
-    # per-object property reads.  ``np.where``/``np.minimum`` on float64
-    # columns perform the same IEEE operations on the same values as the
-    # per-example ``value if initialized else 0.5`` / ``min(1.0, x/d)``
-    # expressions, so utilities stay bit-identical either way.
-    attached = attached_rows(examples)
     if attached is not None:
-        table, rows = attached
-        cols = table._cols
         features[:, 2] = np.where(
             cols["feedback_quality__initialized"][rows],
             cols["feedback_quality__value"][rows], 0.5,
@@ -133,15 +135,24 @@ class HelpfulnessProxy:
         prior_mean[1] = prior_relevance_weight
         self._moment = ridge * prior_mean
         self._weights = prior_mean.copy()
+        # ``update`` only accumulates; the next read solves.  A solve is a
+        # pure function of (precision, moment): readers see the same weights.
+        self._stale = False
         self.updates = 0
+
+    def _solved(self) -> np.ndarray:
+        if self._stale:
+            self._weights = np.linalg.solve(self._precision, self._moment)
+            self._stale = False
+        return self._weights
 
     def predict(self, request_embedding: np.ndarray, example: Example) -> float:
         """Estimated helpfulness of ``example`` for the request."""
         x = proxy_features(request_embedding, example)
-        return float(x @ self._weights)
+        return float(x @ self._solved())
 
     def score_batch(self, request_embedding: np.ndarray,
-                    examples: list[Example]) -> np.ndarray:
+                    examples: list[Example], *, attached=None) -> np.ndarray:
         """Estimated helpfulness of every candidate, as one matrix product.
 
         The stage-2 hot path: scoring a request's whole stage-1 candidate
@@ -150,17 +161,18 @@ class HelpfulnessProxy:
         """
         if not examples:
             return np.empty(0)
-        return proxy_features_matrix(request_embedding, examples) @ self._weights
+        return proxy_features_matrix(request_embedding, examples,
+                                     attached) @ self._solved()
 
     def update(self, request_embedding: np.ndarray, example: Example,
                observed_utility: float) -> None:
-        """Ingest one feedback observation and refresh the posterior mean."""
+        """Ingest one feedback observation (the next read re-solves)."""
         x = proxy_features(request_embedding, example)
-        self._precision += np.outer(x, x)
+        self._precision += x[:, None] * x     # np.outer(x, x)
         self._moment += observed_utility * x
-        self._weights = np.linalg.solve(self._precision, self._moment)
+        self._stale = True
         self.updates += 1
 
     @property
     def weights(self) -> np.ndarray:
-        return self._weights.copy()
+        return self._solved().copy()

@@ -17,11 +17,12 @@ Thompson-sampled, mirroring appendix A.2's hybrid scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.stats import EMA
+from repro.analysis.stats import EMA, small_sum
 from repro.core.config import RouterConfig
 from repro.core.selector import ScoredExample
 from repro.utils.rng import make_rng, stable_hash
@@ -38,14 +39,14 @@ def routing_features(request: Request,
     complexity and length, and the selected examples' count/utility profile.
     """
     utilities = [s.utility for s in examples]
-    relevances = [s.relevance for s in examples]
+    n = len(utilities)
     return np.array([
         1.0,
         request.observable_difficulty(),
-        len(examples) / 5.0,
+        n / 5.0,
         max(utilities, default=0.0),
-        float(np.mean(utilities)) if utilities else 0.0,
-        max(relevances, default=0.0),
+        small_sum(utilities) / n if n else 0.0,     # np.mean(utilities)
+        max([s.relevance for s in examples], default=0.0),
         min(1.0, request.prompt_tokens / 1024.0),
     ])
 
@@ -78,7 +79,9 @@ class _LinearTSArm:
     def mean_score(self, x: np.ndarray) -> float:
         return float(x @ self._posterior()[0])
 
-    def sampled_score(self, x: np.ndarray, rng: np.random.Generator) -> float:
+    def scores(self, x: np.ndarray,
+               rng: np.random.Generator) -> tuple[float, float]:
+        """(posterior-mean score, one Thompson-sampled score) for ``x``."""
         # Identical draw to ``rng.multivariate_normal(mean, cov,
         # method="cholesky")``: that path factorizes cov afresh per call and
         # computes mean + standard_normal(dim) @ L.T — here L is cached with
@@ -86,10 +89,10 @@ class _LinearTSArm:
         # stream) and the float results are bit-equal.
         mean, _, chol = self._posterior()
         weights = mean + rng.standard_normal(mean.shape[0]) @ chol.T
-        return float(x @ weights)
+        return float(x @ mean), float(x @ weights)
 
     def update(self, x: np.ndarray, reward: float) -> None:
-        self._precision += np.outer(x, x)
+        self._precision += x[:, None] * x     # np.outer(x, x)
         self._moment += reward * x
         self.pulls += 1
         self._posterior_memo = None
@@ -167,7 +170,11 @@ class BanditRouter:
     def _load_bias(self, load: float) -> float:
         """The tanh feedback-controller bias, active only above threshold."""
         overload = max(0.0, load - self.config.load_threshold)
-        return self.config.bias_lambda * float(np.tanh(self.config.bias_gamma * overload))
+        scaled = self.config.bias_gamma * overload
+        # tanh(+-0.0) is +-0.0 in every libm; only a loaded system pays the
+        # numpy call (numpy's tanh, not math's: they may differ by an ulp).
+        return self.config.bias_lambda * (
+            float(np.tanh(scaled)) if scaled else scaled)
 
     def current_bias(self) -> float:
         """The bias at the current load EMA — the autoscaling signal the
@@ -187,21 +194,21 @@ class BanditRouter:
 
         x = routing_features(request, examples)
         bias = self._load_bias(effective_load)
+        rng = self._rng
 
         mean_scores = {}
-        sampled_scores = {}
         biased_scores = {}
+        sampled_scores = []     # in arm order, like the two dicts
         for arm in self.arms:
-            posterior = self._posteriors[arm.model_name]
-            mean_scores[arm.model_name] = posterior.mean_score(x)
-            sampled = posterior.sampled_score(x, self._rng)
-            sampled_scores[arm.model_name] = sampled
-            biased_scores[arm.model_name] = sampled - bias * arm.cost
+            name = arm.model_name
+            mean_scores[name], sampled = self._posteriors[name].scores(x, rng)
+            sampled_scores.append(sampled)
+            biased_scores[name] = sampled - bias * arm.cost
 
         # Occasional forced exploration keeps every arm identifiable even
         # after the posterior becomes confident (model upgrades, section 8).
-        if self._rng.uniform() < self.config.exploration_floor:
-            chosen = self.arms[int(self._rng.integers(0, len(self.arms)))].model_name
+        if rng.random() < self.config.exploration_floor:
+            chosen = self.arms[int(rng.integers(0, len(self.arms)))].model_name
         else:
             chosen = max(biased_scores, key=biased_scores.get)
 
@@ -221,25 +228,33 @@ class BanditRouter:
         )
 
     def _feedback_decision(self, chosen: str, mean_scores: dict[str, float],
-                           sampled_scores: dict[str, float]) -> tuple[bool, str | None]:
+                           sampled_scores: list[float]
+                           ) -> tuple[bool, str | None]:
         """Solicit preference feedback only on uncertain decisions.
 
         Uncertainty gate: the softmax over arm mean scores is near-uniform
         (std below the configured gate).  The top-ranked arm is always
-        included; the challenger is the Thompson-sampled best of the rest.
+        included; the challenger is the Thompson-sampled best of the rest
+        (``sampled_scores`` is in arm order).
         """
-        scores = np.array(list(mean_scores.values())) / self.config.uncertainty_temp
-        probs = np.exp(scores - scores.max())
-        probs /= probs.sum()
-        if float(probs.std()) >= self.config.uncertainty_std_gate:
+        # The softmax and its std, as the scalar operations numpy's array
+        # forms perform (``exp`` stays numpy's: libm's may differ by an ulp).
+        temp = self.config.uncertainty_temp
+        scores = [score / temp for score in mean_scores.values()]
+        top = max(scores)
+        exps = np.exp(np.array([score - top for score in scores])).tolist()
+        total = small_sum(exps)
+        probs = [e / total for e in exps]
+        mean = small_sum(probs) / len(probs)
+        squares = [(p - mean) * (p - mean) for p in probs]
+        if math.sqrt(small_sum(squares) / len(probs)) \
+                >= self.config.uncertainty_std_gate:
             return False, None
-        others = {
-            name: score for name, score in sampled_scores.items() if name != chosen
-        }
-        if not others:
-            return False, None
-        challenger = max(others, key=others.get)
-        return True, challenger
+        challenger = best = None
+        for arm, sampled in zip(self.arms, sampled_scores):
+            if arm.model_name != chosen and (best is None or sampled > best):
+                challenger, best = arm.model_name, sampled
+        return challenger is not None, challenger
 
     # -- learning -----------------------------------------------------------
 

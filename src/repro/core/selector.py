@@ -20,18 +20,7 @@ from repro.core.config import SelectorConfig
 from repro.core.example import Example
 from repro.core.proxy import HelpfulnessProxy
 from repro.core.table import attached_rows
-
-
-def _pair_similarity(a: Example, b: Example) -> float:
-    """:func:`cosine_similarity` of two examples' embeddings, bit-identical,
-    but with each norm memoized on the example (the diversity loop compares
-    every viable candidate against every chosen one, re-norming the same
-    embeddings dozens of times per request otherwise)."""
-    denom = float(a.embedding_norm * b.embedding_norm)
-    if denom < 1e-12:
-        return 0.0
-    sim = float(np.dot(a.embedding, b.embedding) / denom)
-    return max(-1.0, min(1.0, sim))
+from repro.embedding.similarity import cosine_from_norms
 
 
 @dataclass
@@ -71,10 +60,8 @@ class ExampleSelector:
         self._requests_seen += 1
         if self._requests_seen % self.config.adapt_every == 0:
             self._adapt_threshold()
-
-        candidates = self._stage1(request_embedding)
-        scored = self._stage2(request_embedding, candidates)
-        return self._combine(scored)
+        candidates = self.cache.search(request_embedding, self.config.pre_k)
+        return self._choose(request_embedding, candidates)
 
     def select_batch(self, request_embeddings: np.ndarray
                      ) -> list[list[ScoredExample]]:
@@ -92,76 +79,83 @@ class ExampleSelector:
             self._requests_seen += 1
             if self._requests_seen % self.config.adapt_every == 0:
                 self._adapt_threshold()
-            scored = self._stage2(embedding, candidates)
-            combinations.append(self._combine(scored))
+            combinations.append(self._choose(embedding, candidates))
         return combinations
 
-    # -- stage 1: relevance pre-selection --------------------------------
+    # -- stage 2 (proxy helpfulness), then the combination ---------------
 
-    def _stage1(self, request_embedding: np.ndarray) -> list[tuple[Example, float]]:
-        return self.cache.search(request_embedding, self.config.pre_k)
-
-    # -- stage 2: proxy helpfulness estimation ---------------------------
-
-    def _stage2(self, request_embedding: np.ndarray,
+    def _choose(self, request_embedding: np.ndarray,
                 candidates: list[tuple[Example, float]]) -> list[ScoredExample]:
         # One proxy matrix product scores the whole candidate list (both
         # `select` and `select_batch` land here), replacing a per-candidate
-        # predict() loop on the serve hot path.
+        # predict() loop on the serve hot path.  Candidates stay parallel
+        # lists; only the chosen handful become ScoredExample objects.
         examples = [example for example, _ in candidates]
-        utilities = self.proxy.score_batch(request_embedding, examples)
         attached = attached_rows(examples)
+        utilities = self.proxy.score_batch(
+            request_embedding, examples, attached=attached).tolist()
         if attached is not None:
             table, rows = attached
             token_counts = table.col("tokens")[rows].tolist()
         else:
             token_counts = [example.tokens for example in examples]
-        scored = []
-        for (example, relevance), utility, tokens in zip(
-                candidates, utilities, token_counts):
-            utility = float(utility)
-            scored.append(ScoredExample(example, relevance, utility))
-            self._recent_scored.append((utility, tokens))
+        self._recent_scored.extend(zip(utilities, token_counts))
         # Size the rolling window in whole queries (pre_k candidates each) so
         # it always spans several requests' full candidate lists — trimming
         # mid-query would bias the sample toward low-relevance tails.
         window = 10 * self.config.pre_k
         if len(self._recent_scored) > 2 * window:
             self._recent_scored = self._recent_scored[-window:]
-        return scored
+
+        chosen = self._combine(examples, utilities, token_counts)
+        if attached is not None:
+            table.record_access(rows[chosen].tolist())
+        else:
+            for i in chosen:
+                examples[i].record_access()
+        # Ascending utility: strongest example ends up adjacent to the query
+        # (ties keep selection order, as a stable sort of the chosen would).
+        return [ScoredExample(examples[i], candidates[i][1], utility)
+                for utility, _, i in sorted(
+                    [(utilities[i], n, i) for n, i in enumerate(chosen)])]
 
     # -- combination selection --------------------------------------------
 
-    def _combine(self, scored: list[ScoredExample]) -> list[ScoredExample]:
-        viable = [s for s in scored if s.utility >= self.utility_threshold]
-        viable.sort(key=lambda s: s.utility, reverse=True)
-
-        chosen: list[ScoredExample] = []
-        budget = self.config.context_budget_tokens
-        for candidate in viable:
-            if len(chosen) >= self.config.max_examples:
+    def _combine(self, examples: list[Example], utilities: list[float],
+                 token_counts: list[int]) -> list[int]:
+        """Candidate positions of the chosen combination, in pick order."""
+        threshold = self.utility_threshold
+        config = self.config
+        max_examples = config.max_examples
+        budget = config.context_budget_tokens
+        chosen: list[int] = []
+        geometry: list[tuple[np.ndarray, float]] = []   # of the chosen
+        for _, i in sorted([(-utility, i)
+                            for i, utility in enumerate(utilities)
+                            if utility >= threshold]):
+            if len(geometry) >= max_examples:
                 break
-            if candidate.example.tokens > budget:
+            if token_counts[i] > budget:
                 continue
             # Diversity: discount utility by similarity to already-chosen
             # examples; a redundant near-duplicate adds tokens, not signal.
-            redundancy = max(
-                (_pair_similarity(candidate.example, c.example)
-                 for c in chosen),
-                default=0.0,
-            )
-            effective = candidate.utility - self.config.diversity_weight * max(
-                0.0, redundancy - 0.9
-            )
-            if effective < self.utility_threshold:
+            # Only redundancy above 0.9 counts: the running max starts there.
+            example = examples[i]
+            embedding, norm = example.embedding, example.embedding_norm
+            redundancy = 0.9
+            for other, other_norm in geometry:
+                similarity = cosine_from_norms(embedding, other,
+                                               float(norm * other_norm))
+                if similarity > redundancy:
+                    redundancy = similarity
+            effective = utilities[i]
+            if redundancy > 0.9:
+                effective -= config.diversity_weight * (redundancy - 0.9)
+            if effective < threshold:
                 continue
-            chosen.append(candidate)
-            budget -= candidate.example.tokens
-
-        for selection in chosen:
-            selection.example.record_access()
-        # Ascending utility: strongest example ends up adjacent to the query.
-        chosen.sort(key=lambda s: s.utility)
+            chosen.append(i)
+            geometry.append((embedding, norm))
+            budget -= token_counts[i]
         return chosen
 
     # -- dynamic threshold adaptation -------------------------------------
@@ -180,11 +174,13 @@ class ExampleSelector:
         # Evaluate high thresholds first so ties resolve toward admitting
         # fewer examples (same net utility at lower prompt cost).
         for threshold in sorted(self.config.threshold_grid, reverse=True):
-            net = sum(
+            # Builtin sum on purpose: this figure has always been one, and
+            # its algorithm is the interpreter's (compensated from 3.12).
+            net = sum([
                 utility - self.config.token_cost_weight * tokens
                 for utility, tokens in self._recent_scored
                 if utility >= threshold
-            )
+            ])
             if net > best_net:
                 best_net = net
                 best_threshold = threshold

@@ -327,11 +327,13 @@ class ICCacheService:
         """All feedback-driven updates for one served request."""
         choice = ctx.choice
         quality = ctx.result.quality
+        rng = self._rng
+        sample_rate = self.config.feedback_sample_rate
 
         if self.router_enabled and choice.mean_scores:
             if choice.solicit_feedback and choice.challenger is not None:
                 self._solicited_update(ctx)
-            elif self._rng.uniform() < self.config.feedback_sample_rate:
+            elif rng.random() < sample_rate:
                 rating = self.feedback.rating(quality)
                 self.router.update(choice.model_name, choice.features, rating)
                 self.stats.router_updates += 1
@@ -339,22 +341,23 @@ class ICCacheService:
         # Proxy training from sampled helpfulness observations, and manager
         # bookkeeping for every *repurposed* example (examples are only
         # prepended when the request was offloaded).
-        small = self.models[self.small_name]
+        offloaded = ctx.offloaded
+        model_cost = self.arm_costs[choice.model_name]
         for scored in ctx.examples:
-            if ctx.offloaded:
+            if offloaded:
                 self.manager.record_use(
                     scored.example,
                     response_quality=quality,
-                    model_cost=self.arm_costs[choice.model_name],
+                    model_cost=model_cost,
                     offloaded=True,
                 )
-            if self._rng.uniform() < self.config.feedback_sample_rate:
+            if rng.random() < sample_rate:
                 true_utility = example_utility(
                     ctx.request.latent,
                     scored.example.view(),
-                    small.base_quality(ctx.request),
+                    self.models[self.small_name].base_quality(ctx.request),
                 )
-                observed = true_utility + self._rng.normal(
+                observed = true_utility + rng.normal(
                     0.0, self.config.feedback_noise * 0.5
                 )
                 self.proxy.update(ctx.embedding, scored.example, observed)

@@ -15,10 +15,13 @@ cost:
 * ``ExampleManager.enforce_capacity`` hands the knapsack kernel live column
   views in row order, with the ``INSERTION_RANK`` column as the tie-break,
   instead of building a Python object per example;
-* ``proxy_features_matrix`` fills its feature columns from table gathers;
-* snapshot format v3 serializes the columns as bulk arrays (plus
-  offset-indexed UTF-8 string blobs), so restore is array adoption plus
-  cheap view construction instead of per-example JSON decoding.
+* ``proxy_features_matrix`` fills its feature columns from table gathers —
+  embeddings too: the table owns the pool's one float64 ``(n, dim)`` matrix
+  (rows swap-delete like any column; ``Example.embedding`` is a row view);
+* ``ExampleManager.record_use`` is one :meth:`ExampleTable.record_use`;
+* snapshots serialize the columns as bulk arrays (plus offset-indexed
+  UTF-8 string blobs), so restore is array adoption plus cheap view
+  construction instead of per-example JSON decoding.
 
 The EMA streams are stored as four columns each (value, initialized, count,
 alpha); :class:`ColumnEMA` is an :class:`repro.analysis.stats.EMA`-compatible
@@ -32,6 +35,8 @@ desynchronizes the journaled state the WAL/snapshot machinery replays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -57,10 +62,14 @@ EMA_STREAMS = ("gain_ema", "offload_gain", "feedback_quality")
 
 EMA_FIELDS = ("value", "initialized", "count", "alpha")
 
-#: The one column outside :func:`column_schema`: where each row's example
-#: sits in the cache's insertion order.  Derived state — never written to a
-#: snapshot, rebuilt on restore from the order rows are bound in.
+#: The columns outside :func:`column_schema`.  ``INSERTION_RANK``: where each
+#: row's example sits in the cache's insertion order; derived state, rebuilt
+#: on restore from the order rows are bound in.  ``EMBEDDING``: the float64
+#: ``(n, dim)`` matrix, allocated when the first example attaches (which
+#: fixes ``dim``).  ``EMBEDDING_ROW_NORM``: derived, see :func:`row_norm`.
 INSERTION_RANK = "insertion_rank"
+EMBEDDING = "embedding"
+EMBEDDING_ROW_NORM = "embedding_row_norm"
 
 _SCALAR_DTYPES = {
     "quality": np.float64,
@@ -86,6 +95,20 @@ def ema_column(stream: str, field: str) -> str:
     return f"{stream}__{field}"
 
 
+#: ``stream -> (value, initialized, count, alpha)`` column keys.
+_EMA_KEYS = {stream: tuple(ema_column(stream, field) for field in EMA_FIELDS)
+             for stream in EMA_STREAMS}
+
+
+def row_norm(vector: np.ndarray) -> float:
+    """One row's entry of ``np.linalg.norm(matrix, axis=1)``, bit for bit,
+    whatever other rows the matrix holds: stage 2's divisor.  That is a
+    pairwise ``add.reduce`` of squares; the 1-D ``np.linalg.norm`` behind
+    ``embedding_norm`` is a BLAS dot and differs in the last bit, hence two
+    columns."""
+    return math.sqrt(np.add.reduce(vector * vector))
+
+
 def column_schema() -> list[tuple[str, np.dtype]]:
     """Every column of the table as (name, dtype), in canonical order."""
     schema = [(name, np.dtype(_SCALAR_DTYPES[name]))
@@ -105,16 +128,14 @@ def attached_rows(examples) -> "tuple[ExampleTable, np.ndarray] | None":
     """
     if not examples:
         return None
-    table = examples[0].__dict__.get("_table")
+    dicts = [example.__dict__ for example in examples]
+    table = dicts[0]["_table"]
     if table is None:
         return None
-    rows = np.empty(len(examples), dtype=np.intp)
-    for i, example in enumerate(examples):
-        d = example.__dict__
-        if d.get("_table") is not table:
+    for d in dicts:
+        if d["_table"] is not table:
             return None
-        rows[i] = d["_row"]
-    return table, rows
+    return table, np.array([d["_row"] for d in dicts], dtype=np.intp)
 
 
 class ColumnEMA:
@@ -250,6 +271,7 @@ class ExampleTable:
             for name, dtype in column_schema()
         }
         self._cols[INSERTION_RANK] = np.zeros(self._capacity, dtype=np.int64)
+        self._cols[EMBEDDING_ROW_NORM] = np.zeros(self._capacity)
         self._owners: list = []
         self._rows: dict[str, int] = {}
         self._next_rank = 0
@@ -295,7 +317,7 @@ class ExampleTable:
         while capacity < need:
             capacity *= 2
         for name, arr in self._cols.items():
-            grown = np.zeros(capacity, dtype=arr.dtype)
+            grown = np.zeros((capacity,) + arr.shape[1:], dtype=arr.dtype)
             grown[: self._n] = arr[: self._n]
             self._cols[name] = grown
         self._capacity = capacity
@@ -309,10 +331,19 @@ class ExampleTable:
         if example.example_id in self._rows:
             raise ValueError(
                 f"duplicate example id {example.example_id!r} in table")
+        embedding = d["_x_embedding"]
+        cols = self._cols
+        matrix = cols.get(EMBEDDING)
+        if embedding.ndim != 1:    # a wrong dim fails the row write below
+            raise ValueError(f"example {example.example_id!r}: embedding "
+                             f"shape {embedding.shape} is not 1-D")
         if self._n == self._capacity:
             self._grow(self._n + 1)
+        if matrix is None:
+            cols[EMBEDDING] = np.zeros((self._capacity, embedding.size))
         row = self._n
-        cols = self._cols
+        cols[EMBEDDING][row] = embedding
+        cols[EMBEDDING_ROW_NORM][row] = row_norm(embedding)
         cols["quality"][row] = example.quality
         cols["created_at"][row] = example.created_at
         cols["access_count"][row] = example.access_count
@@ -330,7 +361,7 @@ class ExampleTable:
             cols[ema_column(stream, "count")][row] = ema.count
             cols[ema_column(stream, "alpha")][row] = ema.alpha
         for key in ("_x_quality", "_x_created_at", "_x_access_count",
-                    "_x_replay_count", "_x_source_cost",
+                    "_x_replay_count", "_x_source_cost", "_x_embedding",
                     "_tokens_memo", "_bytes_memo", "_norm_memo"):
             d.pop(key, None)
         cols[INSERTION_RANK][row] = self._next_rank
@@ -370,6 +401,7 @@ class ExampleTable:
         d["_tokens_memo"] = int(cols["tokens"][row])
         d["_bytes_memo"] = int(cols["plaintext_bytes"][row])
         d["_norm_memo"] = float(cols["embedding_norm"][row])
+        d["_x_embedding"] = cols[EMBEDDING][row].copy()
         for stream in EMA_STREAMS:
             ema = EMA(alpha=float(cols[ema_column(stream, "alpha")][row]))
             if cols[ema_column(stream, "initialized")][row]:
@@ -408,9 +440,38 @@ class ExampleTable:
         self._cols["tokens"][row] = example._compute_tokens()
         self._cols["plaintext_bytes"][row] = example._compute_bytes()
 
-    def refresh_embedding_norm(self, row: int, example) -> None:
-        self._cols["embedding_norm"][row] = float(
-            np.linalg.norm(example.embedding))
+    def write_embedding(self, row: int, embedding: np.ndarray) -> None:
+        """Rebind one row's embedding and refresh both of its norms."""
+        stored = self._cols[EMBEDDING][row]
+        stored[:] = embedding
+        self._cols["embedding_norm"][row] = float(np.linalg.norm(stored))
+        self._cols[EMBEDDING_ROW_NORM][row] = row_norm(stored)
+
+    # -- per-request bookkeeping ---------------------------------------------
+
+    def record_use(self, row: int, gain: float, quality: float,
+                   offload: float) -> None:
+        """One repurposing of the example at ``row``: three
+        :meth:`ColumnEMA.update` s (same Python-float arithmetic) without
+        the per-field round trips."""
+        cols = self._cols
+        for stream, x in (("gain_ema", gain), ("feedback_quality", quality),
+                          ("offload_gain", offload)):
+            value, initialized, count, alpha = _EMA_KEYS[stream]
+            values = cols[value]
+            if cols[initialized][row]:
+                a = float(cols[alpha][row])
+                values[row] = a * float(x) + (1.0 - a) * float(values[row])
+            else:
+                values[row] = float(x)
+                cols[initialized][row] = True
+            cols[count][row] += 1
+
+    def record_access(self, rows) -> None:
+        """``Example.record_access`` for each of ``rows``."""
+        counts = self._cols["access_count"]
+        for row in rows:
+            counts[row] += 1
 
     # -- vectorized lifecycle ------------------------------------------------
 
@@ -433,14 +494,14 @@ class ExampleTable:
     # -- bulk restore --------------------------------------------------------
 
     @classmethod
-    def adopt_columns(cls, n: int,
-                      columns: dict[str, np.ndarray]) -> "ExampleTable":
+    def adopt_columns(cls, n: int, columns: dict[str, np.ndarray],
+                      embeddings: np.ndarray) -> "ExampleTable":
         """Build a table directly over restored column arrays (no copies).
 
-        The arrays may be copy-on-write memmap views from a snapshot
-        sidecar: in-place mutation then dirties private pages, never the
-        file.  Owners must be bound afterwards via :meth:`bind_owner`,
-        one per row.
+        The arrays (``embeddings`` is the ``(n, dim)`` matrix, in row
+        order) may be copy-on-write memmap views from a snapshot sidecar:
+        in-place mutation then dirties private pages, never the file.
+        Owners must be bound afterwards via :meth:`bind_owner`, one per row.
         """
         table = object.__new__(cls)
         table._n = int(n)
@@ -456,6 +517,11 @@ class ExampleTable:
                     f"got {arr.shape}")
             cols[name] = arr
         cols[INSERTION_RANK] = np.zeros(table._n, dtype=np.int64)
+        if table._n:    # an empty pool's dim is set by its first attach
+            cols[EMBEDDING] = np.asarray(
+                embeddings, dtype=np.float64).reshape(table._n, -1)
+        cols[EMBEDDING_ROW_NORM] = np.linalg.norm(
+            cols[EMBEDDING], axis=1) if table._n else np.zeros(0)
         table._cols = cols
         table._owners = [None] * table._n
         table._rows = {}

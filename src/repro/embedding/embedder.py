@@ -10,6 +10,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.embedding.similarity import vector_norm
 from repro.utils.rng import make_rng, stable_hash
 
 _EPS = 1e-12
@@ -26,7 +27,7 @@ class Embedder(Protocol):
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
+    norm = vector_norm(vec)
     if norm < _EPS:
         # Degenerate input: fall back to a fixed basis vector so downstream
         # cosine math stays well-defined.

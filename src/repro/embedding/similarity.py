@@ -8,9 +8,32 @@ that need the paper's [0, 1] convention use ``rescaled=True``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _EPS = 1e-12
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a 1-D float64 array, bit for bit.
+
+    ``sqrt(v.dot(v))`` *is* numpy's 1-D path, minus its dispatch; callers
+    that hold one side of a cosine fixed norm it once with this.
+    """
+    return math.sqrt(v.dot(v))
+
+
+def cosine_from_norms(a: np.ndarray, b: np.ndarray,
+                      norm_product: float) -> float:
+    """:func:`cosine_similarity` of two 1-D float64 arrays whose norms the
+    caller already holds (``norm_product`` is their product)."""
+    if norm_product < _EPS:
+        return 0.0
+    sim = float(a.dot(b)) / norm_product
+    # max(-1.0, min(1.0, sim)) as two comparisons; NaN clamps to 1.0 in both.
+    sim = sim if sim < 1.0 else 1.0
+    return sim if sim > -1.0 else -1.0
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray, rescaled: bool = False) -> float:
@@ -23,11 +46,10 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray, rescaled: bool = False) -> f
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom < _EPS:
+    norm_product = vector_norm(a) * vector_norm(b)
+    if norm_product < _EPS:     # before rescaling: "no direction" stays 0
         return 0.0
-    sim = float(np.dot(a, b) / denom)
-    sim = max(-1.0, min(1.0, sim))
+    sim = cosine_from_norms(a, b, norm_product)
     if rescaled:
         sim = (sim + 1.0) / 2.0
     return sim

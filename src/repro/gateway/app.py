@@ -22,7 +22,9 @@ per-tenant token-bucket refusal → **429** (a ``RateLimitEvent``), requests
 arriving during a drain → **503 draining**, malformed payloads → **400**.
 A request whose framing is lost — a ``content-length`` that is not a byte
 count, a line longer than the reader buffers, more than 100 header lines —
-is a **400** followed by a close of that connection only.
+is a **400** followed by a close of that connection only; so is a **408**
+for a request whose head or body stalls after its request line arrived (an
+idle keep-alive connection, which has sent no request line, is not timed).
 
 Concurrency model — the lock discipline, spelled out
 ----------------------------------------------------
@@ -59,7 +61,8 @@ from repro.gateway.session import ACCEPTED, GatewaySession
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
+    405: "Method Not Allowed", 408: "Request Timeout",
+    413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -70,6 +73,15 @@ _STATUS = {"accepted": 200, "shed": 503, "rate_limited": 429}
 #: Header lines read per request; one more is a 400 and a close, so a
 #: client cannot hold the parser in its header loop without bound.
 _MAX_HEADERS = 100
+
+#: Seconds the rest of a request — headers and body — may take to arrive
+#: once its request line has; a client that stalls longer is a 408 and a
+#: close, so it cannot park a handler (and its buffers) without bound.
+_REQUEST_READ_TIMEOUT_S = 10.0
+
+
+class _RequestStalled(Exception):
+    """Raised out of a pending read when a request outlives its deadline."""
 
 
 @dataclass
@@ -195,6 +207,11 @@ class AsyncGateway:
                     await self._respond(writer, 400, error_payload(
                         "bad request", str(exc)))
                     break
+                except _RequestStalled:
+                    await self._respond(writer, 408, error_payload(
+                        "request timeout", "the rest of the request did not "
+                        f"arrive within {_REQUEST_READ_TIMEOUT_S:g} s"))
+                    break
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
@@ -233,6 +250,18 @@ class AsyncGateway:
             method, target, _version = line.decode("ascii").split(" ", 2)
         except ValueError:
             return None
+        # One timer handle per request, not a wait_for (a task per request
+        # before 3.12): on expiry the pending read raises, as every later
+        # read on this connection would — the handler answers 408 and closes.
+        deadline = asyncio.get_running_loop().call_later(
+            _REQUEST_READ_TIMEOUT_S, reader.set_exception, _RequestStalled())
+        try:
+            return await self._read_rest(reader, method.upper(), target)
+        finally:
+            deadline.cancel()
+
+    async def _read_rest(self, reader: asyncio.StreamReader, method: str,
+                         target: str):
         headers: dict[str, str] = {}
         lines = 0
         while True:
@@ -252,9 +281,9 @@ class AsyncGateway:
         if length < 0:
             raise PayloadError("bad content-length: not a byte count")
         if length > self.config.max_body_bytes:
-            return method.upper(), target, headers, None
+            return method, target, headers, None
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, headers, body
+        return method, target, headers, body
 
     async def _respond(self, writer: asyncio.StreamWriter,
                        status: int, payload: dict) -> None:

@@ -30,11 +30,17 @@ lot).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.embedding.similarity import cosine_similarity
+from repro.embedding.similarity import (
+    cosine_from_norms,
+    cosine_similarity,
+    vector_norm,
+)
+
+_FLOAT64 = np.dtype(np.float64)
 
 # Calibrated constants (see module docstring for roles).
 REL_GATE = 0.55            # below this, an example cannot help
@@ -47,13 +53,13 @@ EXCEED_MARGIN = 0.01       # how far imitation may exceed the teacher example
 TRANSFER_EFFICIENCY = 0.65 # fraction of teacher headroom that transfers
 
 
-@dataclass(frozen=True)
-class ExampleView:
+class ExampleView(NamedTuple):
     """The minimal view of a cached example the ICL model needs.
 
     ``quality`` is the latent quality of the example's stored response;
     ``tokens`` its prompt-length contribution (used by the latency model,
-    carried here so one object serves both).
+    carried here so one object serves both).  Immutable, and cheap to
+    build: the serve path makes one per prepended example per request.
     """
 
     latent: np.ndarray
@@ -63,7 +69,9 @@ class ExampleView:
 
 def _smoothstep(x: float) -> float:
     """C1-smooth ramp from 0 to 1 over [0, 1]."""
-    t = min(1.0, max(0.0, x))
+    # min(1.0, max(0.0, x)), as the two comparisons those builtins make.
+    t = x if x > 0.0 else 0.0
+    t = t if t < 1.0 else 1.0
     return t * t * (3.0 - 2.0 * t)
 
 
@@ -104,37 +112,41 @@ class ICLBoostModel:
         distraction = 0.0
         best_teacher = 0.0
         # Inlined :func:`example_utility` with the request-latent norm hoisted
-        # out of the loop and one cosine per example instead of two — the
-        # arithmetic (and every float result) is unchanged.
+        # out of the loop and one cosine per example instead of two.  Scalar
+        # numpy and the min/max builtins are written out as the IEEE
+        # operations and comparisons they perform, so every float result is
+        # unchanged (``tests/hotpath_reference.py`` keeps the old form).
         q = np.asarray(request_latent, dtype=float)
-        qnorm = np.linalg.norm(q)
+        qnorm = vector_norm(q)
         for example in examples:
-            denom = float(qnorm * np.linalg.norm(example.latent))
-            if denom < 1e-12:
-                relevance = 0.0
-            else:
-                relevance = float(np.dot(q, example.latent) / denom)
-                relevance = max(-1.0, min(1.0, relevance))
+            latent = example.latent
+            if latent.dtype is _FLOAT64:
+                denom = qnorm * vector_norm(latent)
+            else:   # numpy's own path norms in the latent's precision
+                denom = float(np.float64(qnorm) * np.linalg.norm(latent))
+            relevance = cosine_from_norms(q, latent, denom)
             if relevance < DISTRACT_GATE:
                 distraction += DISTRACTION_PENALTY
-            else:
-                gate = _smoothstep(
-                    (relevance - REL_GATE) / (REL_FULL - REL_GATE)
-                )
-                positive_sum += gate * max(0.0, example.quality - base_quality)
-                if relevance >= REL_GATE:
-                    best_teacher = max(best_teacher, example.quality)
+                continue
+            gate = _smoothstep((relevance - REL_GATE) / (REL_FULL - REL_GATE))
+            quality = example.quality
+            headroom = quality - base_quality
+            if headroom > 0.0:
+                positive_sum += gate * headroom
+            if relevance >= REL_GATE and quality > best_teacher:
+                best_teacher = quality
 
-        gain = self.max_boost * (1.0 - np.exp(-positive_sum / self.saturation))
         # Imitation cap: the augmented model approaches (and may slightly
-        # exceed) the best relevant teacher example, but cannot leapfrog it.
+        # exceed) the best relevant teacher example, but cannot leapfrog it;
+        # without a relevant teacher there is no gain at all.
+        gain = 0.0
         if best_teacher > 0.0:
-            cap = max(
-                0.0,
-                TRANSFER_EFFICIENCY * (best_teacher - base_quality)
-                + self.exceed_margin,
-            )
-            gain = min(gain, cap)
-        else:
-            gain = 0.0
+            gain = self.max_boost * (
+                1.0 - float(np.exp(-positive_sum / self.saturation)))
+            cap = TRANSFER_EFFICIENCY * (best_teacher - base_quality) \
+                + self.exceed_margin
+            if not cap > 0.0:
+                cap = 0.0
+            if cap < gain:
+                gain = cap
         return float(gain - distraction)

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.llm.icl import ExampleView, ICLBoostModel
-from repro.llm.quality import QualityModel
+from repro.llm.quality import APTITUDE_STD, QualityModel, clip_unit
 from repro.utils.rng import make_rng, spawn_rng, stable_hash
 from repro.workload.request import Request
 
@@ -132,8 +130,6 @@ class SimulatedLLM:
         (see :data:`repro.llm.quality.APTITUDE_STD`): the same request always
         gets the same aptitude from the same model.
         """
-        from repro.llm.quality import APTITUDE_STD
-
         memo_key = (request.request_id, request.difficulty)
         memo = self._base_quality_memo.get(memo_key)
         if memo is not None:
@@ -145,7 +141,7 @@ class SimulatedLLM:
             stable_hash("aptitude", self.spec.name, request.request_id)
         )
         base += float(aptitude_rng.normal(0.0, APTITUDE_STD))
-        result = float(np.clip(base, 0.0, 1.0))
+        result = clip_unit(base)
         if len(self._base_quality_memo) >= 8192:
             self._base_quality_memo.clear()
         self._base_quality_memo[memo_key] = result

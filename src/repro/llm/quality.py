@@ -38,6 +38,17 @@ DECODE_NOISE_STD = 0.08  # token-sampling variance in quality units
 APTITUDE_STD = 0.12
 
 
+def clip_unit(x: float) -> float:
+    """``float(np.clip(x, 0.0, 1.0))`` of a Python float, bit for bit:
+    like numpy's, the comparisons keep ``x`` on ties (``-0.0`` stays
+    ``-0.0``) and pass NaN through."""
+    if x > 1.0:
+        return 1.0
+    if x < 0.0:
+        return 0.0
+    return x
+
+
 class QualityModel:
     """Maps (capability, difficulty, icl boost) to response quality."""
 
@@ -60,7 +71,7 @@ class QualityModel:
         if not 0.0 <= difficulty <= 1.0:
             raise ValueError(f"difficulty must be in [0, 1], got {difficulty}")
         penalty = difficulty * (self.penalty_ceiling - capability)
-        return float(np.clip(capability - penalty, 0.0, 1.0))
+        return clip_unit(capability - penalty)
 
     def sample_quality(self, base: float, icl_boost: float,
                        rng: np.random.Generator) -> float:
@@ -70,4 +81,4 @@ class QualityModel:
         :data:`APTITUDE_STD`); this adds the ICL boost and decode noise.
         """
         noise = rng.normal(0.0, self.noise_std) if self.noise_std > 0 else 0.0
-        return float(np.clip(base + icl_boost + noise, 0.0, 1.0))
+        return clip_unit(base + icl_boost + noise)

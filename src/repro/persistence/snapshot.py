@@ -72,7 +72,7 @@ from repro.core.config import (
     SelectorConfig,
 )
 from repro.core.example import Example
-from repro.core.table import ExampleTable, column_schema
+from repro.core.table import EMBEDDING, ExampleTable, column_schema
 from repro.vectorstore.ivf import IVFIndex
 from repro.vectorstore.sharded import ShardedIndex
 from repro.workload.request import Request, TaskType
@@ -368,34 +368,32 @@ def examples_columns_state(cache) -> dict:
     Rows are emitted in cache-insertion order (dict order IS iteration
     order, and downstream passes — decay, replay ranking ties — iterate
     the pool), NOT table-row order: table rows are a swap-delete history
-    artifact and carry no meaning.  Raises ``ValueError`` naming the
-    example when an embedding or latent does not share the pool's 1-D
-    shape: such a pool has no ``(n, dim)`` matrix, and nothing is written.
+    artifact and carry no meaning.  Embeddings are one gather of the
+    table's matrix.  Raises ``ValueError`` naming the example when a latent
+    does not share the pool's 1-D shape: such a pool has no ``(n, dim)``
+    latent matrix, and nothing is written (an embedding of another shape
+    never gets in: the table refuses it at ``attach``).
     """
     examples = list(cache)
     n = len(examples)
-
-    def _matrix(field: str, arrays: list[np.ndarray]) -> np.ndarray:
-        if not arrays:
-            return np.empty((0, 0))
-        shape = arrays[0].shape
-        for example, array in zip(examples, arrays):
-            if array.ndim != 1 or array.shape != shape:
-                raise ValueError(
-                    f"example {example.example_id!r} has {field} shape "
-                    f"{array.shape}, the pool's is {shape}; a snapshot "
-                    "stores one (n, dim) matrix per field"
-                )
-        return np.stack(arrays)
-
-    embeddings = _matrix("embedding", [ex.embedding for ex in examples])
-    latents = _matrix("latent", [np.asarray(ex.request.latent, dtype=float)
-                                 for ex in examples])
     ids = [ex.example_id for ex in examples]
     requests = [ex.request for ex in examples]
+    latents = [np.asarray(r.latent, dtype=float) for r in requests]
+    if latents:
+        shape = latents[0].shape
+        for example, latent in zip(examples, latents):
+            if latent.ndim != 1 or latent.shape != shape:
+                raise ValueError(
+                    f"example {example.example_id!r} has latent shape "
+                    f"{latent.shape}, the pool's is {shape}; a snapshot "
+                    "stores one (n, dim) matrix per field"
+                )
     bytes_by_id = cache._bytes_by_id
     table = cache.table
-    bookkeeping = table.gather(table.rows_for(ids))
+    rows = table.rows_for(ids)
+    bookkeeping = table.gather(rows)
+    # The table owns the pool's one embedding matrix (and its one dim).
+    embeddings = table.col(EMBEDDING)[rows] if n else np.empty((0, 0))
     return {
         "n": n,
         "ids": encode_str_column(ids),
@@ -420,7 +418,7 @@ def examples_columns_state(cache) -> dict:
                 json.dumps(_encode(r.metadata), separators=(",", ":"))
                 if r.metadata else "" for r in requests
             ]),
-            "latents": latents,
+            "latents": np.stack(latents) if n else np.empty((0, 0)),
             "topic_ids": np.fromiter((r.topic_id for r in requests),
                                      dtype=np.int64, count=n),
             "difficulties": np.fromiter((r.difficulty for r in requests),
@@ -448,11 +446,11 @@ def _restore_examples_columns(columns: dict) -> tuple[dict, dict, ExampleTable]:
     n = int(columns["n"])
     table = ExampleTable.adopt_columns(
         n, {name: np.asarray(columns["bookkeeping"][name])
-            for name, _ in column_schema()})
+            for name, _ in column_schema()},
+        np.asarray(columns["embeddings"], dtype=float))
     ids = decode_str_column(columns["ids"])
     response_texts = decode_str_column(columns["response_texts"])
     source_models = decode_str_column(columns["source_models"])
-    embeddings = np.asarray(columns["embeddings"], dtype=float)
     req = columns["request"]
     request_ids = decode_str_column(req["request_ids"])
     datasets = decode_str_column(req["datasets"])
@@ -486,8 +484,7 @@ def _restore_examples_columns(columns: dict) -> tuple[dict, dict, ExampleTable]:
             metadata=_decode(json.loads(metadata[i])) if metadata[i] else {},
         )
         examples[ids[i]] = Example._attached_view(
-            table, i, ids[i], request, response_texts[i],
-            source_models[i], embeddings[i],
+            table, i, ids[i], request, response_texts[i], source_models[i],
         )
     bytes_by_id = dict(zip(
         ids, np.asarray(columns["recorded_bytes"]).tolist()))
@@ -569,7 +566,7 @@ def service_state(service: "ICCacheService", wal_epoch: int = 0) -> dict:
         "proxy": {
             "precision": service.proxy._precision,
             "moment": service.proxy._moment,
-            "weights": service.proxy._weights,
+            "weights": service.proxy.weights,   # flushes the lazy solve
             "updates": service.proxy.updates,
         },
         "router": {

@@ -104,14 +104,19 @@ class ICCachePipeline:
         contexts = [ServeContext(request=r, load=load) for r in requests]
         if not contexts:
             return contexts
+        # Hooks are looked up on the middleware at every emission (never
+        # bound ahead of time), so one patched on a live instance is honoured.
+        middlewares = self.middlewares
         for ctx in contexts:
             ctx.embedding = self.embedder.embed(ctx.request.text,
                                                 ctx.request.latent)
-        self._emit_batch("on_batch", contexts)
+        for mw in middlewares:
+            mw.on_batch(contexts)
 
         # Retrieval: batch granularity; a failure fails the whole batch.
         try:
-            self._emit_batch("before_retrieve", contexts)
+            for mw in middlewares:
+                mw.before_retrieve(contexts)
             combos = self.retrieval.retrieve_batch(contexts)
             if len(combos) != len(contexts):
                 raise RuntimeError(
@@ -120,7 +125,8 @@ class ICCachePipeline:
                 )
             for ctx, examples in zip(contexts, combos):
                 ctx.examples = list(examples)
-                self._emit("after_retrieve", ctx)
+                for mw in middlewares:
+                    mw.after_retrieve(ctx)
         except Exception as exc:
             for ctx in contexts:
                 self._fail(ctx, "retrieve", exc)
@@ -130,9 +136,11 @@ class ICCachePipeline:
             if ctx.failed_stage is not None:
                 continue
             try:
-                self._emit("before_route", ctx)
+                for mw in middlewares:
+                    mw.before_route(ctx)
                 ctx.choice = self.routing.route(ctx)
-                self._emit("after_route", ctx)
+                for mw in middlewares:
+                    mw.after_route(ctx)
             except Exception as exc:
                 self._fail(ctx, "route", exc)
 
@@ -157,7 +165,8 @@ class ICCachePipeline:
                  result: GenerationResult) -> ServeContext:
         """Attach the result, run learning middleware, admit, record stats."""
         ctx.result = result
-        self._emit("after_complete", ctx)
+        for mw in self.middlewares:
+            mw.after_complete(ctx)
         ctx.admitted_example = self.admission.admit(ctx)
         self.stats.served += 1
         if ctx.offloaded:
@@ -284,14 +293,6 @@ class ICCachePipeline:
         return pipeline
 
     # -- internals ---------------------------------------------------------
-
-    def _emit(self, hook: str, ctx: ServeContext) -> None:
-        for mw in self.middlewares:
-            getattr(mw, hook)(ctx)
-
-    def _emit_batch(self, hook: str, contexts: list[ServeContext]) -> None:
-        for mw in self.middlewares:
-            getattr(mw, hook)(contexts)
 
     def _fail(self, ctx: ServeContext, stage: str, exc: Exception) -> None:
         ctx.failed_stage = stage

@@ -1,9 +1,8 @@
 """Serving statistics shared by every pipeline-driven policy.
 
 ``ServiceStats`` predates the pipeline (it was defined next to
-``ICCacheService``) and is re-exported from :mod:`repro.core.service` for
-old call sites.  It lives here so the pipeline — which updates it — has no
-import-time dependency on the service layer.
+``ICCacheService``).  It lives here, and only here, so the pipeline — which
+updates it — has no import-time dependency on the service layer.
 
 This module must stay import-light (stdlib only): it is the one pipeline
 module :mod:`repro.core.service` imports at module level, and anything

@@ -12,7 +12,7 @@ identical stored vectors still tie exactly (same bits in, same bits out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ _EPS = 1e-12
 STORAGE_DTYPE = np.float32
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """One retrieval hit: the stored key and its cosine score to the query."""
 
     key: object

@@ -29,6 +29,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 
@@ -39,6 +40,9 @@ from repro.vectorstore.flat import STORAGE_DTYPE, FlatIndex, SearchResult
 from repro.vectorstore.kmeans import KMeans
 
 _EPS = 1e-12
+
+#: ``SearchResult(*pair)`` with no Python frame per hit.
+_hit = functools.partial(tuple.__new__, SearchResult)
 
 #: Above this pool size a global retrain fits K-Means on a seeded uniform
 #: subsample of this many rows and assigns the rest by nearest centroid.
@@ -274,18 +278,17 @@ class IVFIndex:
             return [self._answered[1]]
 
         q = np.asarray(query, dtype=np.float64).reshape(-1)
-        qnorm = float(np.linalg.norm(q))
+        qnorm = math.sqrt(q.dot(q))     # np.linalg.norm's own 1-D path
         if qnorm <= 0 or k <= 0:
             return []
         q = q / qnorm
-        nprobe = min(self.nprobe, self.n_clusters)
-        centroid_scores = self._centroids @ q
-        probe = np.argsort(-centroid_scores)[:nprobe]
+        probe = np.argsort(-(self._centroids @ q))[:self.nprobe]
         # Block scoring happens in storage precision: a float64 query would
         # silently upcast every probed block per call.
         q32 = q.astype(STORAGE_DTYPE)
 
-        blocks = [self._blocks[c] for c in probe if self._blocks[c].keys]
+        every = self._blocks
+        blocks = [every[c] for c in probe.tolist() if every[c].keys]
         if not blocks:
             return []
 
@@ -301,24 +304,24 @@ class IVFIndex:
             # stable-argsort winner — and skips sorting the other few
             # hundred probed rows (the admission dedupe check hits this
             # path on every served request).
-            top = (int(np.argmax(scores)),)
+            top = np.argmax(scores)[None]
         else:
-            top = np.argsort(-scores, kind="stable")[: min(k, scores.shape[0])]
+            top = np.argsort(-scores, kind="stable")[:k]
         # Materialize keys for the k winners only (probed clusters hold
         # hundreds of keys; extending a Python list with all of them per
-        # query costs more than the scoring matmuls).
+        # query costs more than the scoring matmuls), and leave numpy once:
+        # ``tolist`` widens each float32 score exactly as ``float()`` does.
         if len(blocks) == 1:
             keys0 = blocks[0].keys
-            hits = [SearchResult(keys0[i], float(scores[i])) for i in top]
+            keys = [keys0[i] for i in top.tolist()]
         else:
             offsets = np.zeros(len(blocks) + 1, dtype=np.intp)
             offsets[1:] = np.cumsum([len(b.keys) for b in blocks])
             owners = np.searchsorted(offsets, top, side="right") - 1
-            hits = [
-                SearchResult(blocks[b].keys[int(gi - offsets[b])],
-                             float(scores[gi]))
-                for b, gi in zip(owners, top)
-            ]
+            keys = [blocks[b].keys[i]
+                    for b, i in zip(owners.tolist(),
+                                    (top - offsets[owners]).tolist())]
+        hits = list(map(_hit, zip(keys, scores[top].tolist())))
         self._answered = (question, hits[0])
         return hits
 

@@ -38,6 +38,7 @@ from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
 from repro.core.manager import ExampleManager
 from repro.core.replay import replay_gain
+from repro.core.table import EMBEDDING_ROW_NORM
 from repro.utils.clock import SimClock
 from repro.utils.tokens import count_tokens
 from tests.strategies import QUICK
@@ -199,6 +200,11 @@ def _assert_state_matches(cache, reference) -> None:
         assert example.tokens == ref.tokens, example_id
         assert example.embedding_norm == float(
             np.linalg.norm(ref.embedding)), example_id
+        # The row the table owns, wherever swap-deletes have moved it.
+        assert example.embedding.tobytes() == ref.embedding.tobytes(), \
+            example_id
+        assert table.col(EMBEDDING_ROW_NORM)[row] == float(
+            np.linalg.norm(ref.embedding[None, :], axis=1)[0]), example_id
         _assert_ema_matches(example.gain_ema, ref.gain_ema,
                             f"{example_id}.gain_ema")
         _assert_ema_matches(example.offload_gain, ref.offload_gain,

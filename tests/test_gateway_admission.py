@@ -13,6 +13,7 @@ import asyncio
 
 import pytest
 
+import repro.gateway.app as gateway_app
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.service import ICCacheService
 from repro.gateway import (
@@ -277,6 +278,66 @@ class TestGatewayHttpStatuses:
         assert head.startswith(b"HTTP/1.1 400 Bad Request")
         assert complaint in body
         assert writer_alive
+        assert (before.status, after.status) == (200, 200)
+        assert stats.payload["gateway"]["accepted"] == 2
+        assert stats.payload["gateway"]["completed"] == 2
+
+    @pytest.mark.parametrize("sent", [
+        b"POST /serve HTTP/1.1\r\ncontent-length: 10\r\n",
+        b"POST /serve HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc",
+    ], ids=["stalled-head", "stalled-body"])
+    def test_stalled_request_is_408_and_gateway_survives(self, sent,
+                                                         monkeypatch):
+        """Once a request line has arrived, the rest of the head and the
+        body have a deadline: a client that stalls gets 408 and a close of
+        *its* connection.  Connections that are merely idle between
+        requests — one that never sent a byte, one with a served request
+        behind it — are not timed, and nothing reaches the session."""
+        monkeypatch.setattr(gateway_app, "_REQUEST_READ_TIMEOUT_S", 0.05)
+
+        async def scenario():
+            service = build_service()
+            gateway = AsyncGateway(
+                GatewaySession(service, cluster_config(service)))
+            await gateway.start()
+            try:
+                async with GatewayClient("127.0.0.1", gateway.port) as client:
+                    before = await client.post(
+                        "/serve", request_to_payload(make_request("a"), 0.0))
+                    idle_reader, idle_writer = await asyncio.open_connection(
+                        "127.0.0.1", gateway.port)
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", gateway.port)
+                    writer.write(sent)
+                    await writer.drain()
+                    # read() to EOF: the 408, then the server's close.
+                    raw = await asyncio.wait_for(reader.read(), timeout=10)
+                    writer.close()
+                    await writer.wait_closed()
+                    # Both idle connections have now sat out several
+                    # deadlines; each must still be served.
+                    await asyncio.sleep(0.15)
+                    writer_alive = not gateway._writer_task.done()
+                    idle_writer.write(b"GET /health HTTP/1.1\r\n\r\n")
+                    await idle_writer.drain()
+                    idle_status = await asyncio.wait_for(
+                        idle_reader.readline(), timeout=10)
+                    idle_writer.close()
+                    await idle_writer.wait_closed()
+                    after = await client.post(
+                        "/serve", request_to_payload(make_request("b"), 1.0))
+                    stats = await client.get("/stats")
+                    return raw, before, after, stats, writer_alive, idle_status
+            finally:
+                await gateway.shutdown()
+
+        raw, before, after, stats, writer_alive, idle_status = \
+            self._run(scenario())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 Request Timeout")
+        assert b"request timeout" in body
+        assert writer_alive
+        assert idle_status.startswith(b"HTTP/1.1 200 OK")
         assert (before.status, after.status) == (200, 200)
         assert stats.payload["gateway"]["accepted"] == 2
         assert stats.payload["gateway"]["completed"] == 2

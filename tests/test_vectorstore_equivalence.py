@@ -218,7 +218,7 @@ class TestSelectorMatchesLoopedStage2:
     def _looped(self, selector: ExampleSelector) -> ExampleSelector:
         """Patch stage-2 scoring back to a per-candidate predict() loop."""
         proxy = selector.proxy
-        proxy.score_batch = lambda emb, examples: np.array(
+        proxy.score_batch = lambda emb, examples, attached=None: np.array(
             [proxy.predict(emb, ex) for ex in examples]
         )
         return selector
