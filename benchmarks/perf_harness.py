@@ -11,7 +11,9 @@ harness keeps only what that benchmark cannot give:
   ``rows_ranked_per_pass``, and the per-request floor — calls one ``serve``
   issues from ``src/repro/``, generators it mints, proxy solves it pays
   (``floor``; the call count is exact per interpreter minor version, and the
-  recorded one is 3.11's);
+  recorded one is 3.11's), and the journal's share of a churned request —
+  calls issued while ``WriteAheadLog.record`` runs, frames and bytes
+  appended (``journal``);
 * **in-run ratios against a reference** — both sides timed in the same
   process, so box speed cancels: vectorized :meth:`IVFIndex.search` over the
   per-key loop (``tests/search_reference.py``), ``KMeans.fit`` over the
@@ -71,6 +73,10 @@ SCHEMA = "serve_hotpath/v4"
 KMEANS_SIZES = (3_000, 6_000)
 #: Bank of the ``floor`` section: ``bench_e2e``'s ``serve_repeat`` bank.
 FLOOR_BANK = 3_000
+#: Bank and compaction size of the ``journal`` section: ``bench_e2e``'s
+#: ``lifecycle_churn``.
+JOURNAL_BANK = 1_500
+JOURNAL_COMPACT_AFTER_BYTES = 2_000_000
 
 
 def _best_of(fn, rounds: int = 3) -> float:
@@ -401,6 +407,14 @@ def _floor_stream(dataset, bank: list, n: int, seed: int = 0,
     ]
 
 
+def _package_root() -> str:
+    """``.../src/repro/`` — the prefix of every file the call counters
+    attribute a call to."""
+    import repro
+
+    return str(Path(repro.__file__).resolve().parent) + os.sep
+
+
 def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
                 counted: int = 400) -> dict:
     """Work one ``ICCacheService.serve`` issues, as exact counts.
@@ -432,7 +446,7 @@ def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
     for request in stream[:warmup]:
         service.serve(request)
 
-    package = str(Path(rng_module.__file__).resolve().parents[1]) + os.sep
+    package = _package_root()
     proxy_file = proxy_module.__file__
     minting = (rng_module.make_rng.__code__, rng_module.spawn_rng.__code__)
     counts = {"calls": 0, "minted": 0, "solves": 0}
@@ -472,6 +486,88 @@ def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
         "generators_minted_per_request": counts["minted"] / counted,
         "proxy_solves_per_request": counts["solves"] / counted,
     }
+
+
+def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
+                  counted: int = 400) -> dict:
+    """Work the journal does for one churned request, as exact counts.
+
+    ``bench_e2e``'s ``lifecycle_churn`` seed-0 inputs rebuilt here — all-fresh
+    requests, ``sanitize=True``, capacity = the seeded bank's bytes, the timed
+    service a recovered one behind a size-compacting ``Checkpointer`` — and
+    ``counted`` serves after ``warmup``, with no maintenance tick and no
+    compaction in the window (asserted).  ``journal_calls_per_request``
+    counts, by :func:`bench_floor`'s definition (``call`` events whose
+    caller's frame, ``c_call`` events whose own frame, lies under
+    ``src/repro/``), the calls issued while ``WriteAheadLog.record`` is on
+    the stack; frames and bytes are what those records appended.
+    """
+    import tempfile
+
+    from repro import ICCacheConfig, ICCacheService
+    from repro.core.config import ManagerConfig
+    from repro.persistence import Checkpointer, WriteAheadLog
+    from repro.workload import SyntheticDataset
+
+    dataset = SyntheticDataset("ms_marco", scale=bank_size / 808_731, seed=0)
+    bank = dataset.example_bank_requests()[:bank_size]
+    stream = _floor_stream(dataset, bank, warmup + counted, reask_share=0.0)
+    built = ICCacheService(ICCacheConfig(
+        seed=0, manager=ManagerConfig(sanitize=True)))
+    built.seed_cache(bank)
+    built.manager.config.capacity_bytes = built.cache.total_bytes
+
+    package = _package_root()
+    record_code = WriteAheadLog.record.__code__
+    state = {"depth": 0, "calls": 0}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            caller = frame.f_back
+            if state["depth"] and caller is not None and \
+                    caller.f_code.co_filename.startswith(package):
+                state["calls"] += 1
+            if frame.f_code is record_code:    # itself not counted
+                state["depth"] += 1
+        elif event == "return":
+            if frame.f_code is record_code:
+                state["depth"] -= 1
+        elif event == "c_call" and state["depth"] and \
+                frame.f_code.co_filename.startswith(package):
+            state["calls"] += 1
+
+    with tempfile.TemporaryDirectory() as directory:
+        first = Checkpointer(built, directory)
+        first.checkpoint()
+        first.detach()
+        service = Checkpointer.recover(directory, config=built.config)
+        checkpointer = Checkpointer(
+            service, directory,
+            compact_after_bytes=JOURNAL_COMPACT_AFTER_BYTES)
+        checkpointer.checkpoint()
+        for request in stream[:warmup]:
+            service.serve(request)
+        wal = checkpointer.wal
+        frames, size = len(wal), wal.size_bytes
+        checkpoints = checkpointer.checkpoints
+        serve = service.serve
+        sys.setprofile(hook)
+        try:
+            for request in stream[warmup:]:
+                serve(request)
+        finally:
+            sys.setprofile(None)
+        assert checkpointer.checkpoints == checkpoints, \
+            "a compaction landed in the counted window"
+        result = {
+            "n": bank_size,
+            "requests": counted,
+            "journal_calls_per_request": state["calls"] / counted,
+            "wal_frames_per_request": (len(wal) - frames) / counted,
+            "wal_bytes_per_request": (wal.size_bytes - size) / counted,
+        }
+        checkpointer.detach()
+    return result
 
 
 def bench_scale(n: int = 1_000_000, seed: int = 0, n_queries: int = 200,
@@ -563,6 +659,7 @@ def run(sizes: list[int], out_path: str | Path | None = None,
         "kmeans": {str(n): bench_kmeans(n) for n in KMEANS_SIZES},
         "lifecycle": {str(n): bench_lifecycle(n) for n in lifecycle_sizes},
         "floor": {str(FLOOR_BANK): bench_floor(FLOOR_BANK)},
+        "journal": {str(JOURNAL_BANK): bench_journal(JOURNAL_BANK)},
     }
     for n in sizes:
         # One build (and one K-Means train) per size, shared by both
@@ -589,6 +686,8 @@ GATED_COUNTERS = {
     "lifecycle": ("rows_ranked_per_pass",),
     "floor": ("calls_per_request", "generators_minted_per_request",
               "proxy_solves_per_request"),
+    "journal": ("journal_calls_per_request", "wal_frames_per_request",
+                "wal_bytes_per_request"),
 }
 
 
@@ -686,6 +785,12 @@ def main(argv: list[str] | None = None) -> int:
               f"src/repro per serve, "
               f"{row['generators_minted_per_request']:.2f} generators "
               f"minted, {row['proxy_solves_per_request']:.2f} proxy solves "
+              f"(over {row['requests']} requests)")
+    for n, row in results["journal"].items():
+        print(f"journal N={n:>6}: {row['journal_calls_per_request']:.2f} "
+              f"calls from src/repro inside WriteAheadLog.record per churned "
+              f"serve, {row['wal_frames_per_request']:.3f} frames, "
+              f"{row['wal_bytes_per_request']:.1f} bytes "
               f"(over {row['requests']} requests)")
     scale = results.get("scale")
     if scale:

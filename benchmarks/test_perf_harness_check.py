@@ -2,7 +2,7 @@
 
 ``run_baseline_gate`` is driven with hand-built results/baseline dicts so
 the tests exercise the gate logic itself — the missing-baseline warning
-(which must be loud, not a silent pass), the pass path, each of the six
+(which must be loud, not a silent pass), the pass path, each of the nine
 exact work counters failing in both directions, and sections one side did
 not run being skipped — in milliseconds.  One more guard: the harness must
 import with numpy and ``repro`` alone, because that is all CI's perf jobs
@@ -23,7 +23,8 @@ import repro
 def _results(iterations: int = 9, distance_columns: int = 305,
              rows_ranked: float = 4.0, fit_ms: float = 50.0,
              calls: float = 502.7175, minted: float = 5.0625,
-             solves: float = 0.8075) -> dict:
+             solves: float = 0.8075, journal_calls: float = 63.58,
+             frames: float = 4.6575, wal_bytes: float = 1904.0075) -> dict:
     return {
         "search": {"1000": {"qps": 50_000.0}},
         "kmeans": {"3000": {"kmeans_fit_ms": fit_ms,
@@ -35,6 +36,10 @@ def _results(iterations: int = 9, distance_columns: int = 305,
                            "calls_per_request": calls,
                            "generators_minted_per_request": minted,
                            "proxy_solves_per_request": solves}},
+        "journal": {"1500": {"requests": 400,
+                             "journal_calls_per_request": journal_calls,
+                             "wal_frames_per_request": frames,
+                             "wal_bytes_per_request": wal_bytes}},
     }
 
 
@@ -135,6 +140,21 @@ class TestPresentBaseline:
                 assert f"floor {key} at N=3000 changed: {moved}" \
                     in capsys.readouterr().out
 
+    def test_journal_counters_gate_exactly_in_both_directions(
+            self, tmp_path, capsys):
+        baseline = _baseline(tmp_path)
+        for argument, key, moves in (
+                ("journal_calls", "journal_calls_per_request",
+                 (63.5775, 502.525)),
+                ("frames", "wal_frames_per_request", (4.655, 4.66)),
+                ("wal_bytes", "wal_bytes_per_request", (1904.005, 2956.565))):
+            for moved in moves:
+                code = perf_harness.run_baseline_gate(
+                    _results(**{argument: moved}), baseline)
+                assert code == 1
+                assert f"journal {key} at N=1500 changed: {moved}" \
+                    in capsys.readouterr().out
+
     def test_lifecycle_rows_skipped_when_absent(self, tmp_path):
         """A section (or pool size) only one side ran is not compared:
         a smoke run without lifecycle/kmeans, and a baseline without."""
@@ -142,6 +162,7 @@ class TestPresentBaseline:
         del smoke["lifecycle"]
         del smoke["kmeans"]
         del smoke["floor"]
+        del smoke["journal"]
         assert perf_harness.run_baseline_gate(
             smoke, _baseline(tmp_path)) == 0
         old = _results()

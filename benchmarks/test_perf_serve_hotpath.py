@@ -28,6 +28,12 @@ job.  Asserted here:
   it repeats exactly per interpreter minor version (3.12 inlines
   comprehensions and counts fewer), so its exact gate is CI's
   ``perf-smoke`` job, which pins 3.11;
+* the journal's share of one churned ``serve`` (``bench_e2e``'s
+  ``lifecycle_churn`` inputs) is at most 130 calls from ``src/repro/``
+  inside ``WriteAheadLog.record`` (502.5 when every record went through
+  ``json.dumps``) and 2 500 bytes (2 957), for exactly the baseline's frames
+  per request — nothing coalesced, nothing dropped.  Upper bounds again: the
+  exact call count is ``perf-smoke``'s;
 * the full result set is written to
   ``benchmarks/BENCH_serve_hotpath.json`` — the artifact CI uploads — and
   its other work counters equal the checked-in baseline exactly.
@@ -108,10 +114,18 @@ def test_perf_serve_hotpath(benchmark):
         f"{floor['proxy_solves_per_request']:.2f} proxy solves per serve: " \
         f"update() is solving eagerly again"
 
+    # The journal's share of a churned request: framed, not json.dumps'ed.
+    journal = results["journal"]["1500"]
+    assert journal["journal_calls_per_request"] <= 130, \
+        f"journaling one churned serve issues " \
+        f"{journal['journal_calls_per_request']:.1f} calls from src/repro/"
+    assert journal["wal_bytes_per_request"] <= 2_500, \
+        f"{journal['wal_bytes_per_request']:.0f} journal bytes per serve"
+
     # Counts repeat exactly on any box: a moved one is different work.  (The
-    # call count repeats per interpreter version; perf-smoke gates it.)
+    # call counts repeat per interpreter version; perf-smoke gates them.)
     if BASELINE_PATH.is_file():
         baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
         failures = [f for f in check_against_baseline(results, baseline)
-                    if not f.startswith("floor calls_per_request")]
+                    if "calls_per_request" not in f]
         assert not failures, "; ".join(failures)

@@ -9,9 +9,14 @@ stream.  A control service that never crashed serves the identical
 stream, and the two halves are compared decision by decision — the
 persistence subsystem's guarantee is that they match *bit for bit*.  Run:
 
-    python examples/warm_restart.py
+    python examples/warm_restart.py [checkpoint-dir]
+
+The checkpoint directory (a fresh temp one by default) is left behind:
+``snapshot.json`` + its ``.bin`` sidecar + the binary journal ``wal.bin``,
+which ``python -m repro.persistence.cli wal <dir>`` prints frame by frame.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -60,7 +65,8 @@ def main() -> None:
     )
 
     # --- the crash-recovery run -------------------------------------------
-    workdir = Path(tempfile.mkdtemp(prefix="ic_cache_ckpt_"))
+    workdir = Path(sys.argv[1] if len(sys.argv) > 1
+                   else tempfile.mkdtemp(prefix="ic_cache_ckpt_"))
     service, dataset = build_service()
     requests = dataset.online_requests(N_REQUESTS)
     first = decisions([service.serve(r, load=0.3) for r in requests[:HALF]])
@@ -72,8 +78,9 @@ def main() -> None:
     print(f"checkpoint: {snapshot_path} "
           f"({snapshot_path.stat().st_size} bytes, "
           f"{len(service.cache)} examples)")
-    print(f"journaled window: {len(wal_records)} WAL records "
-          f"({maintenance['replayed']} replays, "
+    print(f"journaled window: {len(wal_records)} WAL records in "
+          f"{checkpointer.wal_path} ({checkpointer.wal.size_bytes} bytes; "
+          f"{maintenance['replayed']} replays, "
           f"{maintenance['improved']} improved)")
 
     del service  # ----------------- crash: process state is gone ----------

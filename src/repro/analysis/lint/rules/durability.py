@@ -4,8 +4,9 @@ The snapshot + WAL recovery contract (``docs/PERSISTENCE.md``) only
 holds if (a) every cache mutation reaches the journal and (b) every
 field ``to_state`` writes is consumed by the paired ``from_state``.
 These rules verify both structurally — WAL001 against the record
-vocabulary parsed out of ``repro/persistence/wal.py`` itself, so the
-rule cannot drift from the journal implementation it polices.
+vocabulary parsed out of ``repro/persistence/wal.py`` itself (its
+``RECORD_KINDS`` literal), so the rule cannot drift from the journal
+implementation it polices.
 """
 
 from __future__ import annotations
@@ -26,31 +27,33 @@ DEFAULT_RECORD_KINDS = frozenset({
 
 
 def _kinds_from_wal(path) -> frozenset[str] | None:
-    """String constants compared against ``kind`` in WAL record/apply code.
+    """The record vocabulary, parsed from ``persistence/wal.py``.
 
-    Reads the ``record``/``apply_wal`` dispatchers: every ``kind ==
-    "x"`` / ``kind in ("a", "b")`` comparison contributes its constants.
+    Reads the module-level ``RECORD_KINDS`` tuple literal — the one
+    declaration the frame writer, the reader and the CLI go by.
     """
+    return _string_literals(path, {"RECORD_KINDS"})
+
+
+def _string_literals(path, names: set[str]) -> frozenset[str] | None:
+    """String elements of the module-level tuple/list literals assigned to
+    any of ``names`` in the file at ``path``."""
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"))
     except (OSError, SyntaxError):
         return None
-    kinds: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Compare):
+    found: set[str] = set()
+    for node in tree.body:
+        if not isinstance(node, ast.Assign):
             continue
-        if not (isinstance(node.left, ast.Name) and node.left.id == "kind"):
+        if not names & {t.id for t in node.targets if isinstance(t, ast.Name)}:
             continue
-        for comparator in node.comparators:
-            if isinstance(comparator, ast.Constant) and isinstance(
-                    comparator.value, str):
-                kinds.add(comparator.value)
-            elif isinstance(comparator, (ast.Tuple, ast.List, ast.Set)):
-                for elt in comparator.elts:
-                    if isinstance(elt, ast.Constant) and isinstance(
-                            elt.value, str):
-                        kinds.add(elt.value)
-    return frozenset(kinds) if kinds else None
+        if isinstance(node.value, (ast.Tuple, ast.List)):
+            for elt in node.value.elts:
+                if isinstance(elt, ast.Constant) and isinstance(
+                        elt.value, str):
+                    found.add(elt.value)
+    return frozenset(found) if found else None
 
 
 def _is_example_cache_class(cls: ast.ClassDef) -> bool:
@@ -186,23 +189,7 @@ def _fields_from_table(path) -> frozenset[str] | None:
     tuple literals, so the rule's vocabulary cannot drift from the schema
     it polices.
     """
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError):
-        return None
-    fields: set[str] = set()
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        names = {tgt.id for tgt in node.targets if isinstance(tgt, ast.Name)}
-        if not names & {"BOOKKEEPING_COLUMNS", "EMA_STREAMS"}:
-            continue
-        if isinstance(node.value, (ast.Tuple, ast.List)):
-            for elt in node.value.elts:
-                if isinstance(elt, ast.Constant) and isinstance(
-                        elt.value, str):
-                    fields.add(elt.value)
-    return frozenset(fields) if fields else None
+    return _string_literals(path, {"BOOKKEEPING_COLUMNS", "EMA_STREAMS"})
 
 
 @register

@@ -241,6 +241,15 @@ class Example:
             d["_bytes_memo"] = memo
         return memo
 
+    def journal_row(self) -> tuple:
+        """:meth:`ExampleTable.journal_row` of this example's row.  The
+        journal records cache mutations, so only a cached example has one."""
+        d = self.__dict__
+        table = d["_table"]
+        if table is None:
+            raise ValueError(f"example {self.example_id!r} is not cached")
+        return table.journal_row(d["_row"])
+
     def detached_copy(self) -> "Example":
         """An independent, detached Example with identical current state.
 

@@ -306,6 +306,23 @@ class ExampleTable:
         return {name: self._cols[name][: self._n][rows]
                 for name, _ in column_schema()}
 
+    def journal_row(self, row: int) -> tuple:
+        """One row's bookkeeping in the journal's wire order: quality,
+        source_cost, created_at, access_count, replay_count, then alpha,
+        value, count per EMA stream, last the bitmask of initialized
+        streams.  Numpy scalars as they lie (``struct`` packs them
+        unchanged); an uninitialized stream's value slot holds 0.0."""
+        cols = self._cols
+        out = [cols["quality"][row], cols["source_cost"][row],
+               cols["created_at"][row], cols["access_count"][row],
+               cols["replay_count"][row]]
+        flags = 0
+        for bit, stream in enumerate(EMA_STREAMS):
+            value, initialized, count, alpha = _EMA_KEYS[stream]
+            out += (cols[alpha][row], cols[value][row], cols[count][row])
+            flags |= bool(cols[initialized][row]) << bit
+        return (*out, flags)
+
     def nbytes(self) -> int:
         """Resident bytes of the allocated column storage."""
         return sum(arr.nbytes for arr in self._cols.values())

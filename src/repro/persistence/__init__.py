@@ -11,10 +11,10 @@ recipe, specialized to IC-Cache's determinism contract:
   so a restored service serves *bit-identically* to one that never stopped.
 * :mod:`repro.persistence.wal` — a write-ahead journal of cache mutations
   (add / overwrite / remove / replay-rewrite / decay) between snapshots,
-  with replay-on-recovery and size-triggered compaction into a fresh
-  snapshot (:class:`Checkpointer`).
+  one CRC-checked binary frame per record, with replay-on-recovery and
+  size-triggered compaction into a fresh snapshot (:class:`Checkpointer`).
 * :mod:`repro.persistence.cli` — ``python -m repro.persistence.cli
-  snapshot|restore|inspect`` for operators.
+  snapshot|restore|inspect|wal`` for operators.
 
 ``docs/PERSISTENCE.md`` documents the format, the record vocabulary, and
 the recovery semantics; ``tests/test_persistence_recovery.py`` pins the

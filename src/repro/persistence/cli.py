@@ -1,6 +1,6 @@
 """Operator CLI for durable state: ``python -m repro.persistence.cli``.
 
-Three subcommands (``docs/PERSISTENCE.md`` has a worked walkthrough):
+Four subcommands (``docs/PERSISTENCE.md`` has a worked walkthrough):
 
 * ``snapshot`` — build a seeded demo service (example bank + optional
   online traffic), then write a snapshot.  Useful for producing fixtures,
@@ -10,6 +10,8 @@ Three subcommands (``docs/PERSISTENCE.md`` has a worked walkthrough):
 * ``restore`` — rebuild a service from a snapshot (optionally replaying a
   WAL tail), report its state, and optionally serve a few requests to
   prove the warm restart works.
+* ``wal`` — dump a journal (``wal.bin``) frame by frame: the operator's
+  view of a binary file.
 """
 
 from __future__ import annotations
@@ -166,6 +168,35 @@ def cmd_restore(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_wal(args: argparse.Namespace) -> int:
+    from repro.persistence.wal import Checkpointer, read_journal
+
+    path = Path(args.path)
+    if path.is_dir():
+        path = path / Checkpointer.WAL_NAME
+    if not path.exists():
+        raise FileNotFoundError(2, "no such journal", str(path))
+    records, sizes, torn = read_journal(path)
+    for record, nbytes in zip(records, sizes):
+        data = record["data"]
+        if "example" in data:    # carries an example: show whose, not all of it
+            data = {"example_id": data["example"]["example_id"],
+                    **{k: v for k, v in data.items() if k != "example"}}
+        row = {"seq": record["seq"], "epoch": record["epoch"],
+               "kind": record["kind"], "bytes": nbytes, **data}
+        if args.json:
+            print(json.dumps(row))
+        else:
+            print(f"{row['seq']:>6} {row['epoch']:>5} {row['kind']:<16} "
+                  f"{nbytes:>7}  "
+                  + " ".join(f"{k}={v}" for k, v in data.items()))
+    if torn and not args.json:
+        print(f"torn tail: {torn} bytes of an unfinished append after "
+              f"frame {len(records) - 1} (dropped by recovery, truncated "
+              "on resume)")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.persistence.cli",
@@ -198,11 +229,19 @@ def main(argv: list[str] | None = None) -> int:
                               "(or a checkpoint directory)")
     res.add_argument("path",
                      help="snapshot file, or a Checkpointer directory "
-                          "containing snapshot.json + wal.jsonl")
-    res.add_argument("--wal", help="WAL file to replay after the snapshot")
+                          "containing snapshot.json + wal.bin")
+    res.add_argument("--wal",
+                     help="journal (wal.bin) to replay after the snapshot")
     res.add_argument("--serve", type=int, default=0,
                      help="serve this many demo requests after restoring")
     res.set_defaults(fn=cmd_restore)
+
+    wal = sub.add_parser("wal", help="print a journal, one line per frame")
+    wal.add_argument("path", help="journal file, or a Checkpointer "
+                                  "directory containing wal.bin")
+    wal.add_argument("--json", action="store_true",
+                     help="one JSON object per frame instead")
+    wal.set_defaults(fn=cmd_wal)
 
     args = parser.parse_args(argv)
     try:
@@ -216,11 +255,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
-        print(f"error: not a valid snapshot/WAL (corrupt JSON): {exc}",
+        print(f"error: not a valid snapshot manifest (corrupt JSON): {exc}",
               file=sys.stderr)
         return 2
     except ValueError as exc:
-        # load_snapshot/WAL validation errors (wrong format, bad seq, ...).
+        # load_snapshot/WAL validation errors (wrong format, failed CRC,
+        # bad seq, ...).
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

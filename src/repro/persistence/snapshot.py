@@ -217,8 +217,8 @@ def _encode(obj, sidecar: SidecarBuilder | None = None):
     """Recursively convert a state structure into JSON-serializable form.
 
     With a ``sidecar`` builder, array bytes go to the sidecar and the JSON
-    gets an ``__extarray__`` reference; without one (the WAL path, which
-    keeps self-contained single-line records), arrays inline as base64.
+    gets an ``__extarray__`` reference; without one (a request's metadata
+    blob, see :func:`metadata_blob`), arrays inline as base64.
     """
     if isinstance(obj, np.ndarray):
         return sidecar.add(obj) if sidecar is not None else encode_array(obj)
@@ -236,9 +236,8 @@ def _encode(obj, sidecar: SidecarBuilder | None = None):
 def _decode(obj, sidecar: SidecarReader | None = None):
     """Inverse of :func:`_encode` (arrays come back as ndarrays).
 
-    Inline base64 (WAL records, request metadata) decodes to a fresh
-    array, ``__extarray__`` resolves to a copy-on-write view of the mapped
-    sidecar.
+    Inline base64 (request metadata) decodes to a fresh array,
+    ``__extarray__`` resolves to a copy-on-write view of the mapped sidecar.
     """
     # Exact type checks: json.loads only ever yields dict/list/str/int/
     # float/bool/None, and this walk visits every node of a snapshot (tens
@@ -258,6 +257,21 @@ def _decode(obj, sidecar: SidecarReader | None = None):
     if t is list:
         return [_decode(value, sidecar) for value in obj]
     return obj
+
+
+def metadata_blob(metadata: dict) -> str:
+    """``request.metadata`` as one string: ``""`` for the common empty dict,
+    else JSON run through :func:`_encode` first, so embedded ndarrays keep a
+    bit-exact base64 encoding.  The snapshot's metadata column and the
+    journal's ``add`` frames both carry this form."""
+    if not metadata:
+        return ""
+    return json.dumps(_encode(metadata), separators=(",", ":"))
+
+
+def metadata_from_blob(blob: str) -> dict:
+    """Inverse of :func:`metadata_blob`."""
+    return _decode(json.loads(blob)) if blob else {}
 
 
 # -- component records ------------------------------------------------------
@@ -294,22 +308,6 @@ def set_rng_state(rng: np.random.Generator, state: dict) -> None:
     rng.bit_generator.state = state
 
 
-def request_record(request: Request) -> dict:
-    return {
-        "request_id": request.request_id,
-        "dataset": request.dataset,
-        "task": request.task.value,
-        "text": request.text,
-        "latent": np.asarray(request.latent, dtype=float),
-        "topic_id": request.topic_id,
-        "difficulty": request.difficulty,
-        "prompt_tokens": request.prompt_tokens,
-        "target_output_tokens": request.target_output_tokens,
-        "arrival_time": request.arrival_time,
-        "metadata": request.metadata,
-    }
-
-
 def request_from_record(record: dict) -> Request:
     return Request(
         request_id=record["request_id"],
@@ -324,24 +322,6 @@ def request_from_record(record: dict) -> Request:
         arrival_time=float(record["arrival_time"]),
         metadata=dict(record["metadata"]),
     )
-
-
-def example_record(example: Example) -> dict:
-    return {
-        "example_id": example.example_id,
-        "request": request_record(example.request),
-        "response_text": example.response_text,
-        "embedding": np.asarray(example.embedding, dtype=float),
-        "quality": example.quality,
-        "source_model": example.source_model,
-        "source_cost": example.source_cost,
-        "created_at": example.created_at,
-        "access_count": example.access_count,
-        "replay_count": example.replay_count,
-        "gain_ema": ema_record(example.gain_ema),
-        "offload_gain": ema_record(example.offload_gain),
-        "feedback_quality": ema_record(example.feedback_quality),
-    }
 
 
 def example_from_record(record: dict) -> Example:
@@ -411,13 +391,8 @@ def examples_columns_state(cache) -> dict:
             "datasets": encode_str_column([r.dataset for r in requests]),
             "tasks": encode_str_column([r.task.value for r in requests]),
             "texts": encode_str_column([r.text for r in requests]),
-            # Metadata dicts as JSON strings ("" for the common empty
-            # case), run through _encode first so embedded ndarrays keep
-            # a bit-exact base64 encoding.
-            "metadata": encode_str_column([
-                json.dumps(_encode(r.metadata), separators=(",", ":"))
-                if r.metadata else "" for r in requests
-            ]),
+            "metadata": encode_str_column(
+                [metadata_blob(r.metadata) for r in requests]),
             "latents": np.stack(latents) if n else np.empty((0, 0)),
             "topic_ids": np.fromiter((r.topic_id for r in requests),
                                      dtype=np.int64, count=n),
@@ -481,7 +456,7 @@ def _restore_examples_columns(columns: dict) -> tuple[dict, dict, ExampleTable]:
             prompt_tokens=prompt_tokens[i],
             target_output_tokens=target_output_tokens[i],
             arrival_time=arrival_times[i],
-            metadata=_decode(json.loads(metadata[i])) if metadata[i] else {},
+            metadata=metadata_from_blob(metadata[i]),
         )
         examples[ids[i]] = Example._attached_view(
             table, i, ids[i], request, response_texts[i], source_models[i],
@@ -618,8 +593,8 @@ def write_snapshot(service: "ICCacheService", path: str | Path,
     a hash of its contents, a new image can never overwrite the bin the
     previous manifest points at (identical bytes replace harmlessly), so a
     crash at any point leaves a complete old image or a complete new one.
-    Stale sidecars from earlier images are removed after the manifest
-    lands.
+    Stale sidecars from earlier images, and any ``.tmp`` sibling a crashed
+    write left behind, are removed after the manifest lands.
     """
     path = Path(path)
     state = service_state(service, wal_epoch=wal_epoch)
@@ -637,9 +612,10 @@ def write_snapshot(service: "ICCacheService", path: str | Path,
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(payload + "\n", encoding="utf-8")
     os.replace(tmp, path)
-    for stale in path.parent.glob(path.name + ".*.bin"):
-        if stale.name != bin_name:
-            stale.unlink(missing_ok=True)
+    for pattern in (".*.bin", "*.tmp"):
+        for stale in path.parent.glob(path.name + pattern):
+            if stale.name != bin_name:
+                stale.unlink(missing_ok=True)
     return path
 
 

@@ -25,25 +25,35 @@ those windows must be bounded by checkpoints, which is what
 :class:`~repro.runtime.sources.CheckpointTickSource` are for.  In-flight
 requests at the crash are lost (standard serving-system semantics).
 
-Layout on disk: one JSON object per line (``wal.jsonl``), each with a
-monotonic ``seq``, the record ``kind``, and its data; arrays use the same
-bit-exact base64 encoding as snapshots.
+Layout on disk (``wal.bin``): :data:`MAGIC`, then one little-endian frame
+per record — ``len u32 | crc32 u32 | kind u8 | epoch u32 | seq u64 | body``,
+``len`` counting and the CRC covering everything after the CRC.  A body is
+fixed-layout ``struct`` fields, length-prefixed UTF-8 strings and raw
+float64 vectors taken straight from the example and its table row; the one
+JSON left is a non-empty ``request.metadata``, which rides as the blob the
+snapshot's metadata column uses.  ``docs/PERSISTENCE.md`` has the per-kind
+body table and the three fault rules :func:`_scan` implements.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import os
+import struct
 import warnings
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from repro.core.table import EMA_STREAMS
 from repro.persistence.snapshot import (
-    _decode,
-    _encode,
-    ema_record,
     example_from_record,
-    example_record,
     load_snapshot,
+    metadata_blob,
+    metadata_from_blob,
     restore_ema,
     restore_service,
 )
@@ -52,18 +62,262 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.config import ICCacheConfig
     from repro.core.service import ICCacheService
 
+#: The record vocabulary, declared once: a frame's ``kind`` byte is the
+#: position here plus one, and the writer, the reader, the CLI and
+#: reprolint's WAL001 (which parses this literal) all go by it.
+RECORD_KINDS = ("add", "overwrite", "remove", "retrain", "decay", "clock",
+                "manager_counters", "replay_rewrite")
+
+#: First bytes of every journal; a file that starts otherwise (a JSON-lines
+#: journal from an older tree, say) is refused by name, never parsed.
+MAGIC = b"ICWAL\x00\x01\n"
+
+_PREFIX = struct.Struct("<II")        # len, crc32 of the ``len`` bytes after it
+_HEAD = struct.Struct("<BIQ")         # kind, epoch, seq
+_EMAS = "2dq" * len(EMA_STREAMS) + "B"     # alpha, value, count each; flags
+#: ``ExampleTable.journal_row``, the request's scalars, both vector sizes.
+_EXAMPLE = struct.Struct("<3d2q" + _EMAS + "qd2qd2I")
+#: quality, access_count, replay_count, the EMAs, decode-count entries.
+_REWRITE = struct.Struct("<d2q" + _EMAS + "I")
+_RETRAIN = struct.Struct("<q?I")      # trainings, sharded?, shard count
+_F8 = np.dtype("<f8")
+
+
+def _pack_strings(*strings: str) -> bytes:
+    """The strings' u32 byte lengths, then their UTF-8 bytes."""
+    blobs = [s.encode("utf-8") for s in strings]
+    return struct.pack(f"<{len(blobs)}I", *map(len, blobs)) + b"".join(blobs)
+
+
+def _unpack_strings(body: bytes, offset: int,
+                    count: int) -> tuple[list[str], int]:
+    """``count`` strings written by :func:`_pack_strings`, and the offset
+    just past them."""
+    lengths = struct.unpack_from(f"<{count}I", body, offset)
+    offset += 4 * count
+    strings = []
+    for length in lengths:
+        strings.append(str(body[offset:offset + length], "utf-8"))
+        offset += length
+    return strings, offset
+
+
+def _ema_records(fields: tuple) -> dict:
+    """The three ``ema_record`` dicts out of an ``_EMAS`` run; a stream
+    whose flag bit is clear has no value yet (``None``, whatever the slot
+    holds — presence is never a sentinel double)."""
+    flags = fields[-1]
+    return {stream: {"alpha": fields[3 * i],
+                     "value": fields[3 * i + 1] if flags >> i & 1 else None,
+                     "count": fields[3 * i + 2]}
+            for i, stream in enumerate(EMA_STREAMS)}
+
+
+def _encode_example(example) -> bytes:
+    request = example.request
+    embedding = np.asarray(example.embedding, dtype=_F8)
+    latent = np.asarray(request.latent, dtype=_F8)
+    if latent.ndim != 1:
+        raise ValueError(f"example {example.example_id!r}: latent shape "
+                         f"{latent.shape} is not 1-D")
+    return b"".join((
+        _EXAMPLE.pack(*example.journal_row(), request.topic_id,
+                      request.difficulty, request.prompt_tokens,
+                      request.target_output_tokens, request.arrival_time,
+                      embedding.size, latent.size),
+        _pack_strings(example.example_id, example.response_text,
+                      example.source_model, request.request_id,
+                      request.dataset, request.task.value, request.text,
+                      metadata_blob(request.metadata)),
+        embedding.tobytes(), latent.tobytes()))
+
+
+def _decode_example(body: bytes) -> dict:
+    fields = _EXAMPLE.unpack_from(body)
+    (example_id, response_text, source_model, request_id, dataset, task,
+     text, metadata), offset = _unpack_strings(body, _EXAMPLE.size, 8)
+    n_embedding, n_latent = fields[-2:]
+    return {"example": {
+        "example_id": example_id,
+        "request": {
+            "request_id": request_id, "dataset": dataset, "task": task,
+            "text": text,
+            "latent": np.frombuffer(body, _F8, n_latent,
+                                    offset + 8 * n_embedding).copy(),
+            "topic_id": fields[15], "difficulty": fields[16],
+            "prompt_tokens": fields[17], "target_output_tokens": fields[18],
+            "arrival_time": fields[19],
+            "metadata": metadata_from_blob(metadata),
+        },
+        "response_text": response_text,
+        "embedding": np.frombuffer(body, _F8, n_embedding, offset).copy(),
+        "quality": fields[0], "source_model": source_model,
+        "source_cost": fields[1], "created_at": fields[2],
+        "access_count": fields[3], "replay_count": fields[4],
+        **_ema_records(fields[5:15]),
+    }}
+
+
+def _encode_rewrite(payload: dict) -> bytes:
+    # Only what replay refines and :func:`_apply_replay_rewrite` reads —
+    # not the request, latent and embedding an ``add`` already journaled.
+    example = payload["example"]
+    counts = payload["teacher_decode_counts"]
+    row = example.journal_row()
+    return b"".join((
+        _REWRITE.pack(row[0], *row[3:], len(counts)),
+        _pack_strings(example.example_id, example.response_text, *counts),
+        struct.pack(f"<{len(counts)}q", *counts.values())))
+
+
+def _decode_rewrite(body: bytes) -> dict:
+    fields = _REWRITE.unpack_from(body)
+    n_counts = fields[-1]
+    (example_id, response_text, *request_ids), offset = _unpack_strings(
+        body, _REWRITE.size, 2 + n_counts)
+    return {
+        "example": {"example_id": example_id, "response_text": response_text,
+                    "quality": fields[0], "access_count": fields[1],
+                    "replay_count": fields[2], **_ema_records(fields[3:13])},
+        "teacher_decode_counts": dict(zip(
+            request_ids, struct.unpack_from(f"<{n_counts}q", body, offset))),
+    }
+
+
+def _encode_retrain(payload: dict) -> bytes:
+    per_shard = payload.get("per_shard")
+    shards = per_shard or ()
+    return (_RETRAIN.pack(payload["trainings"], per_shard is not None,
+                          len(shards))
+            + struct.pack(f"<{len(shards)}q", *shards))
+
+
+def _decode_retrain(body: bytes) -> dict:
+    trainings, sharded, n_shards = _RETRAIN.unpack_from(body)
+    per_shard = struct.unpack_from(f"<{n_shards}q", body, _RETRAIN.size)
+    return {"trainings": trainings,
+            "per_shard": list(per_shard) if sharded else None}
+
+
+def _flat(fmt: str, *names: str) -> tuple:
+    """The codec of a record that is one flat dict of numbers."""
+    packer = struct.Struct(fmt)
+    return (lambda payload: packer.pack(*map(payload.__getitem__, names)),
+            lambda body: dict(zip(names, packer.unpack(body))))
+
+
+#: kind -> (wire code, body encoder, body decoder); the code is the kind's
+#: position in RECORD_KINDS plus one.
+_CODECS = {
+    kind: (RECORD_KINDS.index(kind) + 1, encode, decode)
+    for kind, (encode, decode) in zip(RECORD_KINDS, (
+        (_encode_example, _decode_example),         # add
+        (_encode_example, _decode_example),         # overwrite
+        (_pack_strings,                             # remove: the id
+         lambda body: {"example_id": _unpack_strings(body, 0, 1)[0][0]}),
+        (_encode_retrain, _decode_retrain),
+        _flat("<q", "periods"),                     # decay
+        _flat("<d", "now"),                         # clock
+        _flat("<4q", "next_id", "admitted", "rejected_duplicates",
+              "evictions"),                         # manager_counters
+        (_encode_rewrite, _decode_rewrite),         # replay_rewrite
+    ), strict=True)}
+
+
+def _holds_complete_frame(tail: bytes, crc: int) -> bool:
+    """Whether some prefix of ``tail`` satisfies ``crc``.
+
+    A frame that claims to run past the end of the file is a torn append —
+    unless the bytes on hand already hold a complete frame, in which case
+    what is damaged is its length prefix.  Only ever runs on such a tail.
+    """
+    running = zlib.crc32(tail[:_HEAD.size - 1])
+    for i in range(_HEAD.size - 1, len(tail)):
+        running = zlib.crc32(tail[i:i + 1], running)
+        if running == crc:
+            return True
+    return False
+
+
+def _scan(path: Path, buf, verify: bool) -> tuple[list[tuple], int]:
+    """Walk the frames of a journal image: ``(frames, valid end)``.
+
+    Each frame is ``(offset, kind code, epoch, seq, end)``.  The fault
+    rules: a *short* final frame (prefix or body cut) is a torn append and
+    ends the walk — the caller drops or truncates what follows ``valid
+    end``; a complete frame whose CRC does not match (checked when
+    ``verify``), an impossible or damaged length, and a gap in ``seq`` are
+    corruption and raise ``ValueError`` naming path, frame and offset; a
+    file that does not start with :data:`MAGIC` is not a journal of this
+    format and is refused.
+    """
+    size = len(buf)
+    if buf[:len(MAGIC)] != MAGIC:
+        if MAGIC.startswith(buf[:size]):
+            return [], 0    # empty, or torn while the magic was written
+        raise ValueError(
+            f"{path} is not a framed IC-Cache journal (a JSON-lines journal "
+            "from an older tree replays only on the tree that wrote it)")
+    frames: list[tuple] = []
+    offset = len(MAGIC)
+
+    def corrupt(what: str) -> ValueError:
+        return ValueError(f"{path}: frame {len(frames)} at byte offset "
+                          f"{offset} {what} (journal corrupt)")
+
+    while size - offset >= _PREFIX.size:
+        length, crc = _PREFIX.unpack_from(buf, offset)
+        start = offset + _PREFIX.size
+        end = start + length
+        if length < _HEAD.size:
+            raise corrupt(f"has impossible length {length}")
+        if end > size:
+            if _holds_complete_frame(buf[start:size], crc):
+                raise corrupt("has a damaged length prefix")
+            break
+        if verify and zlib.crc32(buf[start:end]) != crc:
+            raise corrupt("fails its CRC")
+        code, epoch, seq = _HEAD.unpack_from(buf, start)
+        if seq != len(frames):
+            raise corrupt(f"has seq {seq}: a record is missing")
+        frames.append((offset, code, epoch, seq, end))
+        offset = end
+    return frames, offset
+
+
+def read_journal(path: str | Path) -> tuple[list[dict], list[int], int]:
+    """Validate and decode a journal: ``(records, frame sizes in bytes,
+    bytes of torn tail dropped)``; ``records`` is what
+    :meth:`WriteAheadLog.read` returns."""
+    path = Path(path)
+    if not path.exists():
+        return [], [], 0
+    buf = path.read_bytes()
+    frames, valid_end = _scan(path, buf, verify=True)
+    records = []
+    for offset, code, epoch, seq, end in frames:
+        if not 0 < code <= len(RECORD_KINDS):
+            raise ValueError(f"{path}: frame {seq} at byte offset {offset} "
+                             f"has unknown kind code {code}")
+        kind = RECORD_KINDS[code - 1]
+        body = buf[offset + _PREFIX.size + _HEAD.size:end]
+        records.append({"seq": seq, "epoch": epoch, "kind": kind,
+                        "data": _CODECS[kind][2](body)})
+    return (records, [end - offset for offset, *_, end in frames],
+            len(buf) - valid_end)
+
 
 class WriteAheadLog:
     """Append-only journal of cache mutation records.
 
     Low-level: callers attach its :meth:`record` as ``cache.journal`` (or
     go through :class:`Checkpointer`, which also owns compaction).  One
-    append handle stays open across records; each append is flushed to
-    the OS before returning, so by the time a mutation's effects can be
-    observed, its record survives a *process* crash (power-loss
-    durability would additionally need an fsync per record — out of
-    scope for the simulation substrate, and noted in
-    ``docs/PERSISTENCE.md``).
+    unbuffered append handle stays open across records; each record is one
+    ``write`` of one whole frame, handed to the OS before :meth:`record`
+    returns, so by the time a mutation's effects can be observed, its
+    record survives a *process* crash (power-loss durability would
+    additionally need an fsync per record — out of scope for the
+    simulation substrate, and noted in ``docs/PERSISTENCE.md``).
 
     ``epoch`` stamps every record with the journal generation it belongs
     to (bumped by :meth:`reset`); recovery uses it to ignore records a
@@ -75,22 +329,22 @@ class WriteAheadLog:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.epoch = int(epoch)
         self._fh = None   # persistent append handle, opened lazily
-        # Resuming over an existing journal only needs the record *count*
-        # for seq continuity; full decode (and validation) is deferred to
-        # :meth:`read`, so reopening a large journal is cheap.  A file not
-        # ending in a newline carries a torn tail from a mid-append crash
-        # (record payloads never contain raw newlines): drop the fragment
-        # now, or the next append would concatenate onto it and corrupt
-        # an otherwise-recoverable record.
+        # Resuming over an existing journal only needs the record count
+        # (seq continuity) and the valid end, so it hops the length
+        # prefixes of the mapped file; CRC validation and decoding are
+        # deferred to :meth:`read`.  A torn final frame is truncated now,
+        # or the next append would land behind it and strand every later
+        # record.
         self._seq = 0
         self._bytes = 0
-        if self.path.exists():
-            raw = self.path.read_bytes()
-            if raw and not raw.endswith(b"\n"):
-                raw = raw[:raw.rfind(b"\n") + 1] if b"\n" in raw else b""
-                self.path.write_bytes(raw)
-            self._seq = raw.count(b"\n")
-            self._bytes = len(raw)
+        if self.path.exists() and self.path.stat().st_size:
+            with self.path.open("rb") as fh, mmap.mmap(
+                    fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
+                frames, self._bytes = _scan(self.path, buf, verify=False)
+                torn = len(buf) > self._bytes
+            self._seq = len(frames)
+            if torn:
+                os.truncate(self.path, self._bytes)
 
     def __len__(self) -> int:
         return self._seq
@@ -105,43 +359,33 @@ class WriteAheadLog:
         """
         return self._bytes
 
+    def _open(self):
+        self._fh = fh = self.path.open("ab", buffering=0)
+        if self._bytes == 0:
+            self._bytes = fh.write(MAGIC)
+        return fh
+
     def record(self, kind: str, payload) -> None:
-        """Serialize and append one mutation record (the journal callback)."""
-        if kind in ("add", "overwrite"):
-            data = {"example": example_record(payload)}
-        elif kind == "remove":
-            data = {"example_id": payload}
-        elif kind == "replay_rewrite":
-            # Only what replay refines and :func:`_apply_replay_rewrite`
-            # reads — not the request, latent and embedding an ``add``
-            # already journaled.
-            example = payload["example"]
-            data = {
-                "example": {
-                    "example_id": example.example_id,
-                    "response_text": example.response_text,
-                    "quality": example.quality,
-                    "access_count": example.access_count,
-                    "replay_count": example.replay_count,
-                    "gain_ema": ema_record(example.gain_ema),
-                    "offload_gain": ema_record(example.offload_gain),
-                    "feedback_quality": ema_record(example.feedback_quality),
-                },
-                "teacher_decode_counts": dict(payload["teacher_decode_counts"]),
-            }
-        elif kind in ("retrain", "decay", "clock", "manager_counters"):
-            data = dict(payload)
-        else:
-            raise ValueError(f"unknown WAL record kind {kind!r}")
-        line = json.dumps(_encode({"seq": self._seq, "epoch": self.epoch,
-                                   "kind": kind, "data": data}),
-                          separators=(",", ":"))
-        if self._fh is None:
-            self._fh = self.path.open("a", encoding="utf-8")
-        self._fh.write(line + "\n")
-        self._fh.flush()
+        """Encode and append one mutation record (the journal callback).
+
+        The frame is complete before its one ``write``: a payload that
+        cannot be encoded (an int outside i64, a latent that is no float
+        vector) raises with the file untouched.
+        """
+        try:
+            code, encode, _ = _CODECS[kind]
+        except KeyError:
+            raise ValueError(f"unknown WAL record kind {kind!r}") from None
+        rest = _HEAD.pack(code, self.epoch, self._seq) + encode(payload)
+        frame = _PREFIX.pack(len(rest), zlib.crc32(rest)) + rest
+        fh = self._fh if self._fh is not None else self._open()
+        written = fh.write(frame)
+        if written != len(frame):   # disk full: take the fragment back
+            os.truncate(self.path, self._bytes)
+            raise OSError(f"{self.path}: short journal write "
+                          f"({written} of {len(frame)} bytes)")
+        self._bytes += written
         self._seq += 1
-        self._bytes += len(line) + 1   # json.dumps escapes to pure ASCII
 
     def reset(self, epoch: int | None = None) -> None:
         """Truncate the journal (called right after a fresh snapshot).
@@ -150,7 +394,7 @@ class WriteAheadLog:
         they pair with the snapshot that triggered the truncation.
         """
         self.close()
-        self.path.write_text("", encoding="utf-8")
+        self.path.write_bytes(b"")
         self._seq = 0
         self._bytes = 0
         if epoch is not None:
@@ -164,37 +408,11 @@ class WriteAheadLog:
 
     @staticmethod
     def read(path: str | Path) -> list[dict]:
-        """Decode every record in seq order; validates contiguity.
-
-        Standard torn-tail semantics: a final line that fails to parse is
-        the fragment of an append interrupted by a crash and is dropped
-        (the snapshot plus the valid prefix recover correctly); an
-        unparsable line anywhere *else* is real corruption and raises.
-        """
-        path = Path(path)
-        if not path.exists():
-            return []
-        lines = [line for line in
-                 path.read_text(encoding="utf-8").splitlines()
-                 if line.strip()]
-        records = []
-        for position, line in enumerate(lines):
-            try:
-                records.append(_decode(json.loads(line)))
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    break   # torn tail: mid-append crash, drop it
-                raise ValueError(
-                    f"{path}: unparsable record at line {position} "
-                    "(journal corrupt)"
-                ) from None
-        for position, record in enumerate(records):
-            if record["seq"] != position:
-                raise ValueError(
-                    f"{path}: record {position} has seq {record['seq']} "
-                    "(journal corrupt or truncated mid-record)"
-                )
-        return records
+        """Decode every record in seq order, as ``{"seq", "epoch", "kind",
+        "data"}`` dicts (arrays as ndarrays), by :func:`_scan`'s rules: a
+        torn final frame is dropped (the snapshot plus the valid prefix
+        recover correctly), corruption anywhere raises."""
+        return read_journal(path)[0]
 
 
 def filter_stale_records(records: list[dict], snapshot: dict,
@@ -302,20 +520,10 @@ def _apply_retrain(cache, data: dict) -> None:
 
 
 def _apply_decay(manager, periods: int) -> None:
-    """Redo one decay pass: same factor, same periods, same clock math.
-
-    Vectorized over the cache's columnar table when one is present (the
-    same ``values *= factor ** periods`` the live pass runs, so replay
-    stays bit-identical); the per-object loop remains for table-less
-    cache stand-ins.
-    """
-    table = getattr(manager.cache, "table", None)
-    if table is not None:
-        table.decay_gains(manager.config.decay_factor, periods)
-    else:
-        for example in manager.cache:
-            example.offload_gain.decay(manager.config.decay_factor, periods)
-            example.gain_ema.decay(manager.config.decay_factor, periods)
+    """Redo one decay pass: same factor, same periods, same clock math —
+    the ``values *= factor ** periods`` over the cache's columnar table
+    that the live pass runs, so replay stays bit-identical."""
+    manager.cache.table.decay_gains(manager.config.decay_factor, periods)
     manager._last_decay += periods * manager.config.decay_period_s
 
 
@@ -341,18 +549,28 @@ def _apply_replay_rewrite(service: "ICCacheService", data: dict) -> None:
             teacher._decode_counts[request_id] = int(count)
 
 
+def _refuse_legacy_journal(directory: Path) -> None:
+    legacy = directory / "wal.jsonl"
+    if legacy.exists():
+        raise ValueError(
+            f"{legacy} is a JSON-lines journal from an older tree; this one "
+            f"reads framed {Checkpointer.WAL_NAME} only — recover and "
+            "checkpoint with the tree that wrote it, then remove the file")
+
+
 class Checkpointer:
     """Snapshot + WAL under one directory, with size-triggered compaction.
 
     ``directory/snapshot.json`` is the latest full snapshot;
-    ``directory/wal.jsonl`` journals cache mutations since.  When the WAL
+    ``directory/wal.bin`` journals cache mutations since.  When the WAL
     grows past ``compact_after_bytes``, the next record triggers a fresh
     snapshot and truncates the journal — compaction is just "checkpoint
-    now".  :meth:`recover` inverts the whole arrangement.
+    now".  :meth:`recover` inverts the whole arrangement.  A directory
+    still holding an older tree's ``wal.jsonl`` is refused, not half-read.
     """
 
     SNAPSHOT_NAME = "snapshot.json"
-    WAL_NAME = "wal.jsonl"
+    WAL_NAME = "wal.bin"
 
     def __init__(self, service: "ICCacheService", directory: str | Path,
                  compact_after_bytes: int | None = None,
@@ -360,6 +578,7 @@ class Checkpointer:
         self.service = service
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        _refuse_legacy_journal(self.directory)
         self.compact_after_bytes = compact_after_bytes
         # Pair the journal with the existing snapshot's generation, so a
         # resumed Checkpointer keeps stamping records the next recovery
@@ -456,6 +675,7 @@ class Checkpointer:
         does not replay it again (construction alone never snapshots).
         """
         directory = Path(directory)
+        _refuse_legacy_journal(directory)
         snapshot = load_snapshot(directory / cls.SNAPSHOT_NAME)
         service = restore_service(snapshot, config=config, models=models,
                                   shard_fn=shard_fn)

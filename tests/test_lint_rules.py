@@ -241,14 +241,12 @@ class TestWAL001JournaledMutation:
         wal = tmp_path / "src/repro/persistence/wal.py"
         wal.parent.mkdir(parents=True, exist_ok=True)
         wal.write_text(
+            "RECORD_KINDS = ('put', 'drop',\n"
+            "                'mark')\n"
             "class WriteAheadLog:\n"
             "    def record(self, kind, payload):\n"
-            "        if kind in ('put', 'drop'):\n"
-            "            pass\n"
-            "        elif kind == 'mark':\n"
-            "            pass\n"
-            "        else:\n"
-            "            raise ValueError(kind)\n",
+            "        if kind == 'add':\n"      # a comparison declares nothing
+            "            pass\n",
             encoding="utf-8",
         )
         found = lint_source(tmp_path, "src/repro/core/cache.py", (
@@ -260,10 +258,13 @@ class TestWAL001JournaledMutation:
         assert any(f.code == "WAL001" and "'add'" in f.message for f in found)
 
     def test_default_kinds_match_live_wal_vocabulary(self):
-        """The fallback vocabulary cannot drift from persistence/wal.py."""
+        """The fallback vocabulary cannot drift from persistence/wal.py:
+        the literal the rule parses is the one the codec runs on."""
         from repro.analysis.lint.rules.durability import _kinds_from_wal
+        from repro.persistence.wal import RECORD_KINDS
         live = _kinds_from_wal(REPO_ROOT / "src/repro/persistence/wal.py")
-        assert live == DEFAULT_RECORD_KINDS
+        assert live == DEFAULT_RECORD_KINDS == frozenset(RECORD_KINDS)
+        assert len(RECORD_KINDS) == len(DEFAULT_RECORD_KINDS)
 
 
 class TestWAL002SnapshotPairing:

@@ -4,8 +4,9 @@ Drives ``main(argv)`` in process (capsys for output) over real snapshot
 and WAL files: ``snapshot`` builds a fixture, ``inspect`` reads it back
 (human lines plus the ``--json`` summary), ``restore`` replays WAL tails —
 including the stale-epoch case, where every journal record predates the
-snapshot and exactly zero must be applied — and the error paths exit with
-code 2 and a one-line message instead of a traceback.
+snapshot and exactly zero must be applied — ``wal`` dumps a journal frame
+by frame (torn tail noted, a flipped bit refused), and the error paths exit
+with code 2 and a one-line message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.service import ICCacheService
 from repro.persistence.cli import main
-from repro.persistence.wal import Checkpointer
+from repro.persistence.wal import MAGIC, Checkpointer, read_journal
 from repro.workload.datasets import SyntheticDataset
 
 BANK = 30
@@ -102,7 +103,7 @@ class TestRestore:
         assert len(checkpointer.wal) > 0
         # Preserve the epoch-0 journal, then checkpoint: the snapshot bumps
         # to epoch 1 and subsumes every preserved record.
-        stale_wal = tmp_path / "stale_wal.jsonl"
+        stale_wal = tmp_path / "stale_wal.bin"
         shutil.copy(checkpointer.wal_path, stale_wal)
         checkpointer.checkpoint()
 
@@ -121,6 +122,91 @@ class TestRestore:
         checkpointer.checkpoint()
         assert main(["restore", str(tmp_path / "ckpt")]) == 0
         assert "restored:" in capsys.readouterr().out
+
+
+class TestWal:
+    @pytest.fixture
+    def journal(self, tmp_path):
+        """A checkpoint directory whose journal holds one served window."""
+        service = ICCacheService(ICCacheConfig(
+            seed=0, manager=ManagerConfig(sanitize=False)))
+        dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=0)
+        service.seed_cache(dataset.example_bank_requests()[:BANK])
+        checkpointer = Checkpointer(service, tmp_path / "ckpt")
+        checkpointer.checkpoint()
+        for request in dataset.online_requests(SERVE):
+            service.serve(request, load=0.3)
+        service.clock.advance(3600.0)
+        service.run_maintenance(replay=True)
+        checkpointer.detach()
+        return checkpointer.wal_path
+
+    def test_one_line_per_frame(self, journal, capsys):
+        records, sizes, _ = read_journal(journal)
+        assert main(["wal", str(journal)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(records) > 0
+        for line, record, nbytes in zip(lines, records, sizes):
+            seq, epoch, kind, printed = line.split()[:4]
+            assert (int(seq), int(epoch), kind, int(printed)) == (
+                record["seq"], record["epoch"], record["kind"], nbytes)
+        by_kind = {line.split()[2]: line for line in lines}
+        assert "example_id=ex-" in by_kind["add"]
+        assert "admitted=" in by_kind["manager_counters"]
+        assert "teacher_decode_counts={" in by_kind["replay_rewrite"]
+        # The checkpoint directory names the same journal.
+        assert main(["wal", str(journal.parent)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_json_lines(self, journal, capsys):
+        records, sizes, _ = read_journal(journal)
+        assert main(["wal", str(journal), "--json"]) == 0
+        rows = [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+        assert [(r["seq"], r["kind"], r["bytes"]) for r in rows] == [
+            (r["seq"], r["kind"], n) for r, n in zip(records, sizes)]
+        assert sum(sizes) + len(MAGIC) == journal.stat().st_size
+        adds = [r for r in rows if r["kind"] == "add"]
+        assert adds and all(set(r) == {"seq", "epoch", "kind", "bytes",
+                                       "example_id"} for r in adds)
+
+    def test_torn_tail_is_noted(self, journal, capsys):
+        records = read_journal(journal)[0]
+        journal.write_bytes(journal.read_bytes()[:-5])
+        assert main(["wal", str(journal)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(records)       # one frame fewer + the note
+        assert lines[-1].startswith("torn tail: ")
+        assert f"after frame {len(records) - 2}" in lines[-1]
+
+    def test_flipped_bit_exits_2_naming_frame_and_offset(self, journal,
+                                                         capsys):
+        sizes = read_journal(journal)[1]
+        raw = bytearray(journal.read_bytes())
+        offset = len(MAGIC) + sum(sizes[:3])
+        raw[offset + 30] ^= 0x10                  # inside frame 3's body
+        journal.write_bytes(bytes(raw))
+        assert main(["wal", str(journal)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert f"frame 3 at byte offset {offset}" in captured.err
+        # Recovery refuses to start on the same journal.
+        assert main(["restore", str(journal.parent)]) == 2
+        assert "CRC" in capsys.readouterr().err
+
+    def test_json_lines_journal_is_refused_by_name(self, tmp_path, capsys):
+        legacy = tmp_path / "wal.jsonl"
+        legacy.write_text('{"seq":0,"epoch":0,"kind":"clock",'
+                          '"data":{"now":1.0}}\n', encoding="utf-8")
+        assert main(["wal", str(legacy)]) == 2
+        err = capsys.readouterr().err
+        assert str(legacy) in err and "JSON-lines" in err
+
+    def test_missing_journal_exits_2(self, tmp_path, capsys):
+        assert main(["wal", str(tmp_path)]) == 2
+        assert "no such file" in capsys.readouterr().err
 
 
 class TestErrorPaths:

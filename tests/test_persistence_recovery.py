@@ -20,7 +20,12 @@ from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.example import Example
 from repro.core.service import ICCacheService
 from repro.persistence.snapshot import load_snapshot, snapshot_example_count
-from repro.persistence.wal import Checkpointer, WriteAheadLog
+from repro.persistence.wal import (
+    MAGIC,
+    Checkpointer,
+    WriteAheadLog,
+    read_journal,
+)
 from repro.pipeline.protocols import ServeMiddleware
 from repro.workload.datasets import SyntheticDataset
 from repro.workload.request import Request
@@ -288,11 +293,11 @@ class TestCompaction:
         checkpointer = Checkpointer(service, tmp_path / "ckpt")
         checkpointer.checkpoint()
         _ingest(service)  # journaled: 3 adds + 1 remove at epoch 1
-        stranded = checkpointer.wal_path.read_text(encoding="utf-8")
+        stranded = checkpointer.wal_path.read_bytes()
         checkpointer.checkpoint()  # snapshot now at epoch 2, WAL empty
         # The crash: journal truncation "didn't happen".
         checkpointer.detach()
-        checkpointer.wal_path.write_text(stranded, encoding="utf-8")
+        checkpointer.wal_path.write_bytes(stranded)
 
         recovered = Checkpointer.recover(tmp_path / "ckpt")
         assert sorted(ex.example_id for ex in recovered.cache) == \
@@ -321,28 +326,29 @@ class TestCompaction:
         assert len(recovered.cache) == len(service.cache)
 
     def test_corrupt_wal_rejected(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
+        path = tmp_path / "wal.bin"
         wal = WriteAheadLog(path)
         wal.record("clock", {"now": 1.0})
         wal.record("clock", {"now": 2.0})
         wal.close()
-        lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text(lines[1] + "\n", encoding="utf-8")  # drop record 0
+        raw = path.read_bytes()
+        first = read_journal(path)[1][0]
+        path.write_bytes(MAGIC + raw[len(MAGIC) + first:])  # drop record 0
         with pytest.raises(ValueError, match="seq"):
             WriteAheadLog.read(path)
 
     def test_torn_tail_dropped_not_fatal(self, tmp_path):
-        """A mid-append crash leaves a partial final line: recovery keeps
-        the valid prefix, and a resumed journal does not append onto the
+        """A mid-append crash leaves a partial final frame: recovery keeps
+        the valid prefix, and a resumed journal does not append behind the
         fragment."""
-        path = tmp_path / "wal.jsonl"
+        path = tmp_path / "wal.bin"
         wal = WriteAheadLog(path)
         wal.record("clock", {"now": 1.0})
         wal.record("clock", {"now": 2.0})
+        whole = path.read_bytes()
+        wal.record("clock", {"now": 3.0})
         wal.close()
-        text = path.read_text(encoding="utf-8")
-        torn = text + '{"seq": 2, "epoch": 0, "kind": "clo'   # no newline
-        path.write_text(torn, encoding="utf-8")
+        path.write_bytes(path.read_bytes()[:len(whole) + 15])  # cut mid-head
         records = WriteAheadLog.read(path)
         assert [r["data"]["now"] for r in records] == [1.0, 2.0]
         # Resuming truncates the fragment and continues at the right seq.

