@@ -58,6 +58,10 @@ from repro.vectorstore.kmeans import KMeans
 # (numpy-only modules: the CI jobs that run this install no test extras).
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.kmeans_reference import _reference_fit  # noqa: E402
+from tests.knapsack_reference import (  # noqa: E402
+    KnapsackItem,
+    solve_knapsack,
+)
 from tests.clustered_pool import (  # noqa: E402
     clustered_chunks,
     clustered_vectors,
@@ -284,7 +288,6 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
     import tempfile
 
     from repro.analysis import knapsack
-    from repro.analysis.knapsack import KnapsackItem, solve_knapsack
     from repro.core.cache import ExampleCache
     from repro.core.config import ManagerConfig
     from repro.core.manager import ExampleManager

@@ -2,7 +2,7 @@
 
 ``stats`` provides the streaming aggregates the paper reports (percentiles,
 CDFs, Pearson correlation, exponential moving averages); ``knapsack`` solves
-the cache-eviction problem of section 4.3.
+the cache-eviction problem of section 4.3 (``knapsack.knapsack_keep_mask``).
 """
 
 from repro.analysis.stats import (
@@ -12,7 +12,6 @@ from repro.analysis.stats import (
     percentile,
     summarize_latencies,
 )
-from repro.analysis.knapsack import KnapsackItem, solve_knapsack
 
 __all__ = [
     "EMA",
@@ -20,6 +19,4 @@ __all__ = [
     "pearson_correlation",
     "percentile",
     "summarize_latencies",
-    "KnapsackItem",
-    "solve_knapsack",
 ]

@@ -13,9 +13,9 @@ fix-up, which gives the 1/2-approximation bound.
   pool is only a little over budget, ranks only the low-density tail an
   item could be rejected from (:func:`_density_tail`) — the same answer
   as ranking the pool, for a partition instead of a sort;
-* :func:`solve_knapsack` — the same two solvers over ``KnapsackItem``
-  objects; the greedy one is the per-item reference the kernel is tested
-  against.
+* ``tests/knapsack_reference.py`` — the same two solvers over
+  ``KnapsackItem`` objects; the greedy one, ``_solve_greedy``, is the
+  per-item reference the kernel is tested against.
 
 The kernel ranks every item, as the reference does, whenever the tail
 cannot be proven: the exact-DP branch, a pool within budget, an excess
@@ -27,57 +27,15 @@ best-single fix-up could fire).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class KnapsackItem:
-    """One candidate for retention: ``key`` identifies the cache entry."""
-
-    key: object
-    weight: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"negative weight for {self.key}: {self.weight}")
-        if self.value < 0:
-            raise ValueError(f"negative value for {self.key}: {self.value}")
-
-
-def solve_knapsack(
-    items: list[KnapsackItem], capacity: int, exact: bool = False
-) -> set[object]:
-    """Return the set of item keys to *keep* under the weight budget.
-
-    ``exact`` selects the DP solver (optimal, O(n * capacity)); otherwise the
-    greedy density heuristic runs in O(n log n).  Zero-weight items are always
-    kept — they consume no budget.
-    """
-    if capacity < 0:
-        raise ValueError(f"capacity must be non-negative, got {capacity}")
-    keys = [item.key for item in items]
-    if len(set(keys)) != len(keys):
-        raise ValueError("knapsack items must have unique keys")
-
-    if exact:
-        mask = knapsack_keep_mask([item.weight for item in items],
-                                  [item.value for item in items],
-                                  capacity, exact=True)
-        return {key for key, kept in zip(keys, mask) if kept}
-    free = {item.key for item in items if item.weight == 0}
-    weighted = [item for item in items if item.weight > 0]
-    if not weighted or capacity == 0:
-        return free
-    return free | _solve_greedy(weighted, capacity)
 
 
 def knapsack_keep_mask(weights: np.ndarray, values: np.ndarray,
                        capacity: int, exact: bool = False,
                        tie_rank: np.ndarray | None = None) -> np.ndarray:
-    """Array-native :func:`solve_knapsack`: a boolean keep-mask by position.
+    """The items to keep under the weight budget, as a boolean mask by
+    position (``exact`` selects the DP, optimal in O(n * capacity);
+    otherwise the greedy density heuristic; zero-weight items always stay).
 
     ``weights``/``values`` are parallel arrays, e.g. live column views of an
     :class:`repro.core.table.ExampleTable`.  The kept set is the object
@@ -130,8 +88,8 @@ def _solve(w: np.ndarray, v: np.ndarray, capacity: int, exact: bool,
 
 def _rank(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The greedy ranking as a permutation: density desc, then value desc,
-    ties keeping the order given — ``sorted(..., reverse=True)`` in
-    :func:`_solve_greedy`.
+    ties keeping the order given — ``sorted(..., reverse=True)`` in the
+    reference's ``_solve_greedy``.
 
     Complex numbers sort lexicographically, so this is one stable argsort,
     at half ``np.lexsort``'s cost.
@@ -193,7 +151,8 @@ def _density_tail(w: np.ndarray, v: np.ndarray,
 
 def _greedy_mask(w: np.ndarray, v: np.ndarray, capacity: int,
                  tie_rank: np.ndarray | None = None) -> np.ndarray:
-    """:func:`_solve_greedy` over positive-weight arrays, as a keep-mask.
+    """The reference's ``_solve_greedy`` (density ranking, item loop,
+    best-single fix-up) over positive-weight arrays, as a keep-mask.
 
     Only the items :func:`_density_tail` cannot prove taken are ranked
     (``members``, in tie order; everything when it proves nothing).
@@ -236,28 +195,6 @@ def _greedy_mask(w: np.ndarray, v: np.ndarray, capacity: int,
         if w[best] <= capacity and v[best] > greedy_value:
             chosen[:] = False
             chosen[members[best]] = True
-    return chosen
-
-
-def _solve_greedy(items: list[KnapsackItem], capacity: int) -> set[object]:
-    """Greedy by value density, compared against the best single item."""
-    ranked = sorted(items, key=lambda it: (it.value / it.weight, it.value), reverse=True)
-    chosen: set[object] = set()
-    used = 0
-    greedy_value = 0.0
-    for item in ranked:
-        if used + item.weight <= capacity:
-            chosen.add(item.key)
-            used += item.weight
-            greedy_value += item.value
-
-    # Classic fix-up: a single high-value item can beat the greedy prefix,
-    # which restores the 1/2-approximation guarantee.
-    fitting = [it for it in items if it.weight <= capacity]
-    if fitting:
-        best_single = max(fitting, key=lambda it: it.value)
-        if best_single.value > greedy_value:
-            return {best_single.key}
     return chosen
 
 

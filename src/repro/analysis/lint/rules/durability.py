@@ -215,8 +215,6 @@ class TableBookkeepingBypassRule(Rule):
     def _is_table_field(name: object, fields: frozenset[str]) -> bool:
         if not isinstance(name, str):
             return False
-        if name.startswith("_x_"):  # the detached-state __dict__ keys
-            name = name[3:]
         return name in fields or name.split("__")[0] in fields
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -230,8 +228,8 @@ class TableBookkeepingBypassRule(Rule):
                 if not isinstance(tgt, ast.Subscript):
                     continue
                 base = tgt.value
-                # ex.__dict__["quality"] = ... (or the "_x_quality" key):
-                # a write the property setter never sees.
+                # ex.__dict__["quality"] = ...: a write the property
+                # setter never sees.
                 if (isinstance(base, ast.Attribute)
                         and base.attr == "__dict__"
                         and isinstance(tgt.slice, ast.Constant)

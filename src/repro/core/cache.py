@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.config import IndexConfig
 from repro.core.example import Example
 from repro.core.table import ExampleTable
+from repro.vectorstore.flat import _EPS
 from repro.vectorstore.ivf import IVFIndex
 from repro.vectorstore.sharded import ShardedIndex
 
@@ -55,14 +56,6 @@ class ExampleCache:
             )
         else:
             self._index = IVFIndex(dim=dim, nprobe=nprobe, seed=seed)
-        # Running plaintext-byte total, maintained on add/remove so the
-        # manager's admission/eviction path reads it in O(1) instead of
-        # summing the pool.  Per-example sizes are recorded at add time so
-        # the counter cannot drift even if an example's text is later
-        # mutated in place (replay refinement does exactly that); see
-        # :meth:`refresh_total_bytes` for the post-mutation reconcile.
-        self._total_bytes = 0
-        self._bytes_by_id: dict[str, int] = {}
         # Optional mutation journal (the persistence WAL attaches here):
         # a callable ``fn(kind, payload)`` invoked on every add / overwrite
         # / remove, plus ``retrain`` markers when a search triggered a lazy
@@ -82,8 +75,9 @@ class ExampleCache:
 
     @property
     def total_bytes(self) -> int:
-        """Plaintext bytes held, as a maintained O(1) running counter."""
-        return self._total_bytes
+        """Plaintext bytes held: the table's running sum of its
+        ``plaintext_bytes`` column, exact through text rebinds too."""
+        return self._table.total_bytes
 
     @property
     def table(self) -> ExampleTable:
@@ -130,37 +124,25 @@ class ExampleCache:
             self._journal("retrain",
                           {"trainings": trainings, "per_shard": per_shard})
 
-    def refresh_total_bytes(self, examples=None) -> int:
-        """Re-sync the byte counter with current example sizes.
-
-        Call after a pass that rewrites stored text in place (e.g. replay
-        refinement swapping in a better response); add/remove keep the
-        counter exact on their own.  ``examples`` names the cached
-        examples the pass rewrote — only they are re-measured; without it
-        the whole pool is.  Returns the refreshed total.
-        """
-        if examples is None:
-            self._bytes_by_id = {
-                ex_id: ex.plaintext_bytes
-                for ex_id, ex in self._examples.items()
-            }
-            self._total_bytes = sum(self._bytes_by_id.values())
-            return self._total_bytes
-        for example in examples:
-            size = example.plaintext_bytes
-            self._total_bytes += size - self._bytes_by_id[example.example_id]
-            self._bytes_by_id[example.example_id] = size
-        return self._total_bytes
+    def _check_indexable(self, example: Example) -> None:
+        """Refuse what the index would refuse, before anything is mutated
+        (an index overwrite drops the old vector before it looks at the new
+        one), so a rejected add or overwrite leaves the cache as it was."""
+        if example.embedding.shape != (self._index.dim,):
+            raise ValueError(
+                f"example {example.example_id!r}: embedding dim "
+                f"{example.embedding.shape} != index dim ({self._index.dim},)")
+        if example.embedding_norm < _EPS:
+            raise ValueError(
+                f"cannot index a zero vector for {example.example_id!r}")
 
     def add(self, example: Example) -> None:
         if example.example_id in self._examples:
             raise KeyError(f"duplicate example id {example.example_id!r}")
-        self._examples[example.example_id] = example
+        self._check_indexable(example)
+        self._table.attach(example)     # refuses, first, a cached example
         self._index.add(example.example_id, example.embedding)
-        self._table.attach(example)
-        size = example.plaintext_bytes
-        self._bytes_by_id[example.example_id] = size
-        self._total_bytes += size
+        self._examples[example.example_id] = example
         if self._journal is not None:
             self._journal("add", example)
 
@@ -173,24 +155,19 @@ class ExampleCache:
         retrain cadence.  The example must already be cached.
         """
         example_id = example.example_id
-        if example_id not in self._examples:
-            raise KeyError(example_id)
         previous = self._examples[example_id]
-        self._examples[example_id] = example
-        self._index.add(example_id, example.embedding)
+        self._check_indexable(example)
         if previous is not example:
             self._table.replace(previous, example)
-        self.refresh_total_bytes([example])
+            self._examples[example_id] = example
+        self._index.add(example_id, example.embedding)
         if self._journal is not None:
             self._journal("overwrite", example)
 
     def remove(self, example_id: str) -> Example:
-        example = self._examples.pop(example_id, None)
-        if example is None:
-            raise KeyError(example_id)
+        example = self._examples.pop(example_id)
         self._index.remove(example_id)
         self._table.detach(example)
-        self._total_bytes -= self._bytes_by_id.pop(example_id)
         if self._journal is not None:
             self._journal("remove", example_id)
         return example

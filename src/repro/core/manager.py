@@ -21,7 +21,7 @@ from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
 from repro.core.example import Example
 from repro.core.replay import ReplayEngine, replay_gain
-from repro.core.table import INSERTION_RANK
+from repro.core.table import INSERTION_RANK, attached_rows
 from repro.llm.model import GenerationResult
 from repro.privacy.sanitizer import sanitize_text
 from repro.utils.clock import SimClock
@@ -210,15 +210,11 @@ class ExampleManager:
         table = self.cache.table
         outcome = self.replay_engine.run(table, expected_reuse=expected_reuse)
         replayed = outcome.examples
-        # Replay rewrites response texts in place; re-sync the cache's
-        # running byte counter so the eviction knapsack sees true sizes.
-        self.cache.refresh_total_bytes(replayed)
         journal = self.cache.journal
         if journal is not None and replayed:
             teacher = self.replay_engine.teacher
             # Records go out in cache-insertion order, not replay order.
-            rank = table.col(INSERTION_RANK)[
-                table.rows_for([ex.example_id for ex in replayed])]
+            rank = table.col(INSERTION_RANK)[attached_rows(replayed)[1]]
             for position in np.argsort(rank).tolist():
                 example = replayed[position]
                 request_id = example.request.request_id

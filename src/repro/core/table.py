@@ -2,11 +2,11 @@
 
 Every numeric bookkeeping field of :class:`repro.core.example.Example` lives
 here as one contiguous numpy column, mirroring the ``_ClusterBlock``
-discipline of :mod:`repro.vectorstore.ivf`: parallel arrays, an id->row map,
-and O(1) swap-with-last removal.  ``Example`` stays the public API — its
-bookkeeping attributes become properties over a table slot once the example
-is attached — but the lifecycle hot paths stop paying per-object Python
-cost:
+discipline of :mod:`repro.vectorstore.ivf`: parallel arrays and O(1)
+swap-with-last removal.  ``Example`` stays the public API — its bookkeeping
+attributes are properties over its row's slots, in a cache's table or in a
+one-row table of its own — and the lifecycle hot paths do not pay
+per-object Python cost:
 
 * ``ExampleManager.apply_decay`` multiplies two value columns by one scalar
   (``values *= factor ** periods``) instead of looping ``EMA.decay`` over
@@ -24,9 +24,9 @@ cost:
   construction instead of per-example JSON decoding.
 
 The EMA streams are stored as four columns each (value, initialized, count,
-alpha); :class:`ColumnEMA` is an :class:`repro.analysis.stats.EMA`-compatible
-view over one stream's slot, doing its arithmetic in Python floats so every
-update/decay is bit-equal to the object it replaces.
+alpha); :class:`ColumnEMA` is an :class:`repro.analysis.stats.EMA` over one
+stream's slot, doing that class's arithmetic in Python floats so every
+update/decay is bit-equal to a plain object's.
 
 Mutation discipline: columns may only be written by this module and by
 ``Example``'s property setters — ``reprolint``'s WAL003 rule flags direct
@@ -41,6 +41,7 @@ import math
 import numpy as np
 
 from repro.analysis.stats import EMA
+from repro.utils.tokens import count_tokens
 
 #: Scalar bookkeeping columns (name -> dtype).  WAL003 parses this literal
 #: (and EMA_STREAMS below) structurally to learn which attribute names are
@@ -61,8 +62,9 @@ BOOKKEEPING_COLUMNS = (
 EMA_STREAMS = ("gain_ema", "offload_gain", "feedback_quality")
 
 EMA_FIELDS = ("value", "initialized", "count", "alpha")
+_VALUE, _INITIALIZED, _COUNT, _ALPHA = range(len(EMA_FIELDS))
 
-#: The columns outside :func:`column_schema`.  ``INSERTION_RANK``: where each
+#: The columns outside :data:`COLUMN_SCHEMA`.  ``INSERTION_RANK``: where each
 #: row's example sits in the cache's insertion order; derived state, rebuilt
 #: on restore from the order rows are bound in.  ``EMBEDDING``: the float64
 #: ``(n, dim)`` matrix, allocated when the first example attaches (which
@@ -109,135 +111,90 @@ def row_norm(vector: np.ndarray) -> float:
     return math.sqrt(np.add.reduce(vector * vector))
 
 
-def column_schema() -> list[tuple[str, np.dtype]]:
-    """Every column of the table as (name, dtype), in canonical order."""
-    schema = [(name, np.dtype(_SCALAR_DTYPES[name]))
-              for name in BOOKKEEPING_COLUMNS]
-    for stream in EMA_STREAMS:
-        for field in EMA_FIELDS:
-            schema.append((ema_column(stream, field),
-                           np.dtype(_EMA_DTYPES[field])))
-    return schema
+#: Every persisted column of the table as (name, dtype), in canonical order.
+COLUMN_SCHEMA = tuple(
+    [(name, np.dtype(_SCALAR_DTYPES[name])) for name in BOOKKEEPING_COLUMNS]
+    + [(ema_column(stream, field), np.dtype(_EMA_DTYPES[field]))
+       for stream in EMA_STREAMS for field in EMA_FIELDS])
 
 
 def attached_rows(examples) -> "tuple[ExampleTable, np.ndarray] | None":
-    """(table, rows) when every example is attached to one table, else None.
+    """(table, rows) when every example is a row of one table, else None.
 
     The hot-path gate for columnar reads: cache-sourced candidate lists
-    always qualify; mixed or detached lists fall back to per-object reads.
+    always qualify; lists mixing tables (standalone examples each have
+    their own) fall back to per-object reads.
     """
     if not examples:
         return None
     dicts = [example.__dict__ for example in examples]
     table = dicts[0]["_table"]
-    if table is None:
-        return None
     for d in dicts:
         if d["_table"] is not table:
             return None
     return table, np.array([d["_row"] for d in dicts], dtype=np.intp)
 
 
-class ColumnEMA:
-    """An EMA-compatible view over one stream's slot in an ExampleTable.
+class ColumnEMA(EMA):
+    """An :class:`repro.analysis.stats.EMA` whose state is one stream's
+    slot in an ExampleTable.
 
-    Implements the full :class:`repro.analysis.stats.EMA` surface —
-    ``alpha``/``_value``/``count`` (the persistence fields), ``value``/
-    ``initialized``, ``update``/``decay`` — reading and writing the
-    example's current table row.  All arithmetic happens in Python floats
-    on values round-tripped through float64 columns, so results are
-    bit-identical to the per-object EMA it stands in for.
+    The three stored fields — ``alpha``, ``count``, ``_value`` — read and
+    write the example's current table row; ``value``/``initialized``/
+    ``update``/``decay`` are the base class's, so the arithmetic is the
+    plain EMA's, in Python floats on values round-tripped through float64
+    columns: bit-identical results.
     """
 
-    __slots__ = ("_example", "_stream")
+    __slots__ = ("_example", "_stream")     # no per-view ``__dict__``
 
     def __init__(self, example, stream: str) -> None:
-        object.__setattr__(self, "_example", example)
-        object.__setattr__(self, "_stream", stream)
+        self._example = example
+        self._stream = stream
 
-    def _slot(self, field: str):
+    def _slot(self, field: int):
+        """(column, row) of one of the stream's ``EMA_FIELDS``, by position."""
         d = self._example.__dict__
-        return d["_table"]._cols[ema_column(self._stream, field)], d["_row"]
+        return d["_table"]._cols[_EMA_KEYS[self._stream][field]], d["_row"]
 
     @property
     def alpha(self) -> float:
-        col, row = self._slot("alpha")
+        col, row = self._slot(_ALPHA)
         return float(col[row])
 
     @alpha.setter
     def alpha(self, value: float) -> None:
-        col, row = self._slot("alpha")
+        col, row = self._slot(_ALPHA)
         col[row] = value
 
     @property
     def count(self) -> int:
-        col, row = self._slot("count")
+        col, row = self._slot(_COUNT)
         return int(col[row])
 
     @count.setter
     def count(self, value: int) -> None:
-        col, row = self._slot("count")
+        col, row = self._slot(_COUNT)
         col[row] = value
 
     @property
     def _value(self) -> float | None:
-        init, row = self._slot("initialized")
+        init, row = self._slot(_INITIALIZED)
         if not init[row]:
             return None
-        col, _ = self._slot("value")
+        col, _ = self._slot(_VALUE)
         return float(col[row])
 
     @_value.setter
     def _value(self, value: float | None) -> None:
-        init, row = self._slot("initialized")
-        col, _ = self._slot("value")
+        init, row = self._slot(_INITIALIZED)
+        col, _ = self._slot(_VALUE)
         if value is None:
             init[row] = False
             col[row] = 0.0
         else:
             init[row] = True
             col[row] = float(value)
-
-    @property
-    def value(self) -> float:
-        init, row = self._slot("initialized")
-        if not init[row]:
-            return 0.0
-        col, _ = self._slot("value")
-        return float(col[row])
-
-    @property
-    def initialized(self) -> bool:
-        init, row = self._slot("initialized")
-        return bool(init[row])
-
-    def update(self, x: float) -> float:
-        init, row = self._slot("initialized")
-        col, _ = self._slot("value")
-        if not init[row]:
-            new = float(x)
-            init[row] = True
-        else:
-            alpha = self.alpha
-            new = alpha * float(x) + (1.0 - alpha) * float(col[row])
-        col[row] = new
-        count, _ = self._slot("count")
-        count[row] += 1
-        return new
-
-    def decay(self, factor: float, periods: float = 1.0) -> float:
-        init, row = self._slot("initialized")
-        col, _ = self._slot("value")
-        if init[row] and periods > 0:
-            col[row] = float(col[row]) * factor**periods
-        return float(col[row]) if init[row] else 0.0
-
-    def to_ema(self) -> EMA:
-        """A detached plain-object copy of this stream's current state."""
-        ema = EMA(alpha=self.alpha)
-        ema._value = self._value
-        ema.count = self.count
-        return ema
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ColumnEMA({self._stream}, value={self._value!r}, "
@@ -247,20 +204,24 @@ class ColumnEMA:
 class ExampleTable:
     """Contiguous columnar bookkeeping for a pool of examples.
 
-    ``attach`` migrates an example's bookkeeping into a fresh row (the
-    example's properties then read/write the slot); ``detach`` copies the
-    slot back into per-object storage and swap-deletes the row.  Rows are
-    dense in [0, n): removal moves the last row into the hole and rebinds
-    that example's cached row index, exactly like ``_ClusterBlock`` does
+    Every :class:`~repro.core.example.Example` is one row of one table from
+    construction on: a standalone example holds a one-row table of its own
+    (:meth:`standalone`), ``attach`` moves that row into a cache's table
+    and rebinds the example, ``detach`` moves it back out and swap-deletes.
+    Rows are dense in [0, n): removal moves the last row into the hole and
+    rebinds that example's row index, exactly like ``_ClusterBlock`` does
     for index vectors.  Row order is therefore an artifact of mutation
-    history and carries no meaning of its own.  Consumers either gather by
-    the id/row map (snapshots, proxy features) or read whole columns in row
-    order beside the ``INSERTION_RANK`` column, which travels with each row
-    and says where its example sits in the cache's insertion order — the
-    order eviction ties, eviction sequence and replay ranking ties are
-    defined in.  Ranks increase strictly in the order examples entered the
-    pool (gaps where examples left), so ``argsort`` of the column is
-    insertion order.
+    history and carries no meaning of its own; the table knows no ids (the
+    cache's id map is the one there is, and an example carries its row).
+    Consumers either gather by the rows of the examples they hold
+    (snapshots, proxy features) or read whole columns in row order beside
+    the ``INSERTION_RANK`` column, which travels with each row and says
+    where its example sits in the cache's insertion order — the order
+    eviction ties, eviction sequence and replay ranking ties are defined
+    in.  Ranks increase strictly in the order examples entered the pool
+    (gaps where examples left), so ``argsort`` of the column is insertion
+    order.  ``total_bytes`` is the running sum of the ``plaintext_bytes``
+    column, moved wherever that column is written.
     """
 
     def __init__(self, capacity: int = 0) -> None:
@@ -268,13 +229,24 @@ class ExampleTable:
         self._capacity = max(int(capacity), 0)
         self._cols: dict[str, np.ndarray] = {
             name: np.zeros(self._capacity, dtype=dtype)
-            for name, dtype in column_schema()
+            for name, dtype in COLUMN_SCHEMA
         }
         self._cols[INSERTION_RANK] = np.zeros(self._capacity, dtype=np.int64)
         self._cols[EMBEDDING_ROW_NORM] = np.zeros(self._capacity)
-        self._owners: list = []
-        self._rows: dict[str, int] = {}
+        self._owners: list | None = []
         self._next_rank = 0
+        self.total_bytes = 0
+
+    @classmethod
+    def standalone(cls, dim: int) -> "ExampleTable":
+        """The one-row table of an example no cache holds.  It keeps no
+        owners list — that is what tells it from a pool (and spares every
+        standalone example a reference cycle)."""
+        table = cls(1)
+        table._cols[EMBEDDING] = np.zeros((1, dim))
+        table._n = 1
+        table._owners = None
+        return table
 
     def __len__(self) -> int:
         return self._n
@@ -289,14 +261,6 @@ class ExampleTable:
         """
         return self._cols[name][: self._n]
 
-    def row_of(self, example_id: str) -> int:
-        return self._rows[example_id]
-
-    def rows_for(self, example_ids) -> np.ndarray:
-        """Row indices for an id sequence, as one intp array."""
-        return np.fromiter(map(self._rows.__getitem__, example_ids),
-                           dtype=np.intp, count=len(example_ids))
-
     def owner(self, row: int):
         """The Example object bound to a row (None only mid-adoption)."""
         return self._owners[row]
@@ -304,7 +268,7 @@ class ExampleTable:
     def gather(self, rows: np.ndarray) -> dict[str, np.ndarray]:
         """Copies of every column gathered in the given row order."""
         return {name: self._cols[name][: self._n][rows]
-                for name, _ in column_schema()}
+                for name, _ in COLUMN_SCHEMA}
 
     def journal_row(self, row: int) -> tuple:
         """One row's bookkeeping in the journal's wire order: quality,
@@ -339,93 +303,62 @@ class ExampleTable:
             self._cols[name] = grown
         self._capacity = capacity
 
-    def attach(self, example) -> int:
-        """Migrate a detached example's bookkeeping into a new row."""
+    def _move_row(self, row: int, example) -> None:
+        """Copy every column of ``example``'s row into ``row`` here, then
+        rebind the example to it."""
         d = example.__dict__
-        if d["_table"] is not None:
+        source, source_row = d["_table"]._cols, d["_row"]
+        for name, arr in self._cols.items():
+            arr[row] = source[name][source_row]
+        d["_table"] = self
+        d["_row"] = row
+
+    def attach(self, example) -> int:
+        """Move a standalone example's row into a new row of this table."""
+        source = example.__dict__["_table"]
+        if source._owners is not None:
             raise ValueError(
                 f"example {example.example_id!r} is already attached")
-        if example.example_id in self._rows:
-            raise ValueError(
-                f"duplicate example id {example.example_id!r} in table")
-        embedding = d["_x_embedding"]
         cols = self._cols
-        matrix = cols.get(EMBEDDING)
-        if embedding.ndim != 1:    # a wrong dim fails the row write below
-            raise ValueError(f"example {example.example_id!r}: embedding "
-                             f"shape {embedding.shape} is not 1-D")
         if self._n == self._capacity:
             self._grow(self._n + 1)
-        if matrix is None:
-            cols[EMBEDDING] = np.zeros((self._capacity, embedding.size))
+        if EMBEDDING not in cols:       # the first row fixes the pool's dim
+            cols[EMBEDDING] = np.zeros(
+                (self._capacity, source._cols[EMBEDDING].shape[1]))
         row = self._n
-        cols[EMBEDDING][row] = embedding
-        cols[EMBEDDING_ROW_NORM][row] = row_norm(embedding)
-        cols["quality"][row] = example.quality
-        cols["created_at"][row] = example.created_at
-        cols["access_count"][row] = example.access_count
-        cols["replay_count"][row] = example.replay_count
-        cols["source_cost"][row] = example.source_cost
-        cols["plaintext_bytes"][row] = example.plaintext_bytes
-        cols["tokens"][row] = example.tokens
-        cols["embedding_norm"][row] = example.embedding_norm
-        for stream in EMA_STREAMS:
-            ema = d.pop("_x_" + stream)
-            cols[ema_column(stream, "value")][row] = (
-                0.0 if ema._value is None else ema._value)
-            cols[ema_column(stream, "initialized")][row] = (
-                ema._value is not None)
-            cols[ema_column(stream, "count")][row] = ema.count
-            cols[ema_column(stream, "alpha")][row] = ema.alpha
-        for key in ("_x_quality", "_x_created_at", "_x_access_count",
-                    "_x_replay_count", "_x_source_cost", "_x_embedding",
-                    "_tokens_memo", "_bytes_memo", "_norm_memo"):
-            d.pop(key, None)
+        self._move_row(row, example)    # an embedding of another dim fails
         cols[INSERTION_RANK][row] = self._next_rank
         self._next_rank += 1
         self._n = row + 1
         self._owners.append(example)
-        self._rows[example.example_id] = row
-        d["_table"] = self
-        d["_row"] = row
+        self.total_bytes += int(cols["plaintext_bytes"][row])
         return row
 
-    def replace(self, previous, example) -> int:
+    def replace(self, previous, example) -> None:
         """Swap ``example`` in for ``previous`` at the same insertion rank.
 
-        The cache's overwrite: the new object gets a fresh row, but keeps
-        the place in insertion order its id already holds.
+        The cache's overwrite: the new object keeps the place in insertion
+        order its id already holds.  It is attached before ``previous``
+        leaves, so a refused example changes nothing, and the swap-delete
+        then moves it into the row ``previous`` held.
         """
-        rank = self._cols[INSERTION_RANK][previous.__dict__["_row"]]
+        row = self.attach(example)      # may grow: read the column after
+        ranks = self._cols[INSERTION_RANK]
+        ranks[row] = ranks[previous.__dict__["_row"]]
         self.detach(previous)
-        row = self.attach(example)
-        self._cols[INSERTION_RANK][row] = rank
-        return row
 
     def detach(self, example) -> None:
-        """Copy a row back into per-object storage and swap-delete it."""
+        """Move a row out into a standalone table and swap-delete it."""
         d = example.__dict__
         if d["_table"] is not self:
             raise ValueError(
                 f"example {example.example_id!r} is not attached here")
         row = d["_row"]
         cols = self._cols
-        d["_x_quality"] = float(cols["quality"][row])
-        d["_x_created_at"] = float(cols["created_at"][row])
-        d["_x_access_count"] = int(cols["access_count"][row])
-        d["_x_replay_count"] = int(cols["replay_count"][row])
-        d["_x_source_cost"] = float(cols["source_cost"][row])
-        d["_tokens_memo"] = int(cols["tokens"][row])
-        d["_bytes_memo"] = int(cols["plaintext_bytes"][row])
-        d["_norm_memo"] = float(cols["embedding_norm"][row])
-        d["_x_embedding"] = cols[EMBEDDING][row].copy()
-        for stream in EMA_STREAMS:
-            ema = EMA(alpha=float(cols[ema_column(stream, "alpha")][row]))
-            if cols[ema_column(stream, "initialized")][row]:
-                ema._value = float(cols[ema_column(stream, "value")][row])
-            ema.count = int(cols[ema_column(stream, "count")][row])
-            d["_x_" + stream] = ema
-            d.pop("_view_" + stream, None)
+        out = ExampleTable.standalone(cols[EMBEDDING].shape[1])
+        out._move_row(0, example)
+        out.total_bytes = int(cols["plaintext_bytes"][row])
+        self.total_bytes -= out.total_bytes
         last = self._n - 1
         if row != last:
             for arr in cols.values():
@@ -433,29 +366,30 @@ class ExampleTable:
             moved = self._owners[last]
             self._owners[row] = moved
             moved.__dict__["_row"] = row
-            self._rows[moved.example_id] = row
         self._owners.pop()
-        del self._rows[example.example_id]
         self._n = last
-        d["_table"] = None
-        d["_row"] = -1
 
     def write_ema(self, row: int, stream: str, ema) -> None:
         """Overwrite one stream's slot from an EMA-like object's state."""
         cols = self._cols
-        value = ema._value
-        cols[ema_column(stream, "value")][row] = (
-            0.0 if value is None else value)
-        cols[ema_column(stream, "initialized")][row] = value is not None
-        cols[ema_column(stream, "count")][row] = ema.count
-        cols[ema_column(stream, "alpha")][row] = ema.alpha
+        value, initialized, count, alpha = _EMA_KEYS[stream]
+        raw = ema._value
+        cols[value][row] = 0.0 if raw is None else raw
+        cols[initialized][row] = raw is not None
+        cols[count][row] = ema.count
+        cols[alpha][row] = ema.alpha
 
     # -- derived-column maintenance ----------------------------------------
 
     def refresh_text_stats(self, row: int, example) -> None:
         """Recompute tokens/plaintext_bytes after a text rebind."""
-        self._cols["tokens"][row] = example._compute_tokens()
-        self._cols["plaintext_bytes"][row] = example._compute_bytes()
+        asked, answered = example.request.text, example.response_text
+        self._cols["tokens"][row] = (count_tokens(asked)
+                                     + count_tokens(answered))
+        sizes = self._cols["plaintext_bytes"]
+        size = len(asked.encode("utf-8")) + len(answered.encode("utf-8"))
+        self.total_bytes += size - int(sizes[row])
+        sizes[row] = size
 
     def write_embedding(self, row: int, embedding: np.ndarray) -> None:
         """Rebind one row's embedding and refresh both of its norms."""
@@ -524,7 +458,7 @@ class ExampleTable:
         table._n = int(n)
         table._capacity = int(n)
         cols: dict[str, np.ndarray] = {}
-        for name, dtype in column_schema():
+        for name, dtype in COLUMN_SCHEMA:
             arr = np.asarray(columns[name])
             if arr.dtype != dtype:
                 arr = arr.astype(dtype)
@@ -541,8 +475,8 @@ class ExampleTable:
             cols[EMBEDDING], axis=1) if table._n else np.zeros(0)
         table._cols = cols
         table._owners = [None] * table._n
-        table._rows = {}
         table._next_rank = 0
+        table.total_bytes = int(cols["plaintext_bytes"].sum())
         return table
 
     def bind_owner(self, row: int, example) -> None:
@@ -552,7 +486,6 @@ class ExampleTable:
         id dict in the same pass.
         """
         self._owners[row] = example
-        self._rows[example.example_id] = row
         self._cols[INSERTION_RANK][row] = self._next_rank
         self._next_rank += 1
         d = example.__dict__

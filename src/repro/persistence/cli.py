@@ -64,18 +64,20 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     sidecar = snapshot["sidecar"]
     sidecar_bytes = Path(args.path).with_name(sidecar).stat().st_size
     n_examples = snapshot_example_count(cache)
+    columns = cache["examples_columns"]
+    total_bytes = int(np.asarray(
+        columns["bookkeeping"]["plaintext_bytes"]).sum())
     lines = [
         f"format:        {snapshot['format']} v{snapshot['version']}",
         f"sidecar:       {sidecar} ({sidecar_bytes} bytes, mmap)",
         f"clock:         {snapshot['clock_now']:.3f} s",
         f"cache:         {n_examples} examples, "
-        f"{cache['total_bytes']} plaintext bytes, "
+        f"{total_bytes} plaintext bytes, "
         f"{'sharded' if cache['sharded'] else 'monolithic'} index, "
         "columnar pool",
     ]
     # The pool: one line per bookkeeping column, then the string blobs
     # and the dense matrices.
-    columns = cache["examples_columns"]
     for name, arr in columns["bookkeeping"].items():
         arr = np.asarray(arr)
         lines.append(f"  col {name:<30} {arr.dtype.str:>5} "
@@ -122,7 +124,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         summary = {
             "version": snapshot["version"],
             "examples": n_examples,
-            "total_bytes": cache["total_bytes"],
+            "total_bytes": total_bytes,
             "served": stats["served"],
         }
         print(json.dumps(summary))

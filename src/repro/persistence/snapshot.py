@@ -7,7 +7,7 @@ snapshot serves bit-identically to one that never stopped, which means the
 format must capture more than the obvious data:
 
 * **Examples** — full records including the per-example gain/feedback EMAs
-  (section 4.3 bookkeeping) and the cache's per-id recorded byte sizes.
+  (section 4.3 bookkeeping); the byte total is the sum of a stored column.
 * **Index layout, not just membership** — the flat storage's row order is
   the index's entire add/remove history (swap-delete moves the last row
   into the hole) and is exactly what K-Means reads at retrain time, so it
@@ -72,7 +72,7 @@ from repro.core.config import (
     SelectorConfig,
 )
 from repro.core.example import Example
-from repro.core.table import EMBEDDING, ExampleTable, column_schema
+from repro.core.table import COLUMN_SCHEMA, EMBEDDING, ExampleTable, attached_rows
 from repro.vectorstore.ivf import IVFIndex
 from repro.vectorstore.sharded import ShardedIndex
 from repro.workload.request import Request, TaskType
@@ -81,7 +81,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.service import ICCacheService
 
 SNAPSHOT_FORMAT = "ic-cache-snapshot"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 #: Sidecar array offsets are padded to this alignment so every mapped view
 #: is at least cache-line aligned regardless of the preceding array's size.
@@ -352,7 +352,7 @@ def examples_columns_state(cache) -> dict:
     table's matrix.  Raises ``ValueError`` naming the example when a latent
     does not share the pool's 1-D shape: such a pool has no ``(n, dim)``
     latent matrix, and nothing is written (an embedding of another shape
-    never gets in: the table refuses it at ``attach``).
+    never gets in: ``Example`` and the cache's ``add`` refuse it).
     """
     examples = list(cache)
     n = len(examples)
@@ -368,9 +368,8 @@ def examples_columns_state(cache) -> dict:
                     f"{latent.shape}, the pool's is {shape}; a snapshot "
                     "stores one (n, dim) matrix per field"
                 )
-    bytes_by_id = cache._bytes_by_id
     table = cache.table
-    rows = table.rows_for(ids)
+    rows = attached_rows(examples)[1] if n else np.empty(0, dtype=np.intp)
     bookkeeping = table.gather(rows)
     # The table owns the pool's one embedding matrix (and its one dim).
     embeddings = table.col(EMBEDDING)[rows] if n else np.empty((0, 0))
@@ -382,8 +381,6 @@ def examples_columns_state(cache) -> dict:
         "source_models": encode_str_column(
             [ex.source_model for ex in examples]),
         "embeddings": embeddings,
-        "recorded_bytes": np.fromiter(
-            (bytes_by_id[i] for i in ids), dtype=np.int64, count=n),
         "bookkeeping": bookkeeping,
         "request": {
             "request_ids": encode_str_column(
@@ -409,19 +406,19 @@ def examples_columns_state(cache) -> dict:
     }
 
 
-def _restore_examples_columns(columns: dict) -> tuple[dict, dict, ExampleTable]:
+def _restore_examples_columns(columns: dict) -> tuple[dict, ExampleTable]:
     """Bulk-rebuild the example pool from an ``examples_columns`` section.
 
-    Returns ``(examples dict, bytes_by_id, table)``.  The table adopts the
+    Returns ``(examples dict, table)``.  The table adopts the
     bookkeeping arrays directly (copy-on-write views of the sidecar); each
     Example is a cheap attached view bound to its row, so the per-example
-    cost is a handful of ``__dict__`` stores instead of record decoding,
-    validation, and memo priming.
+    cost is a handful of ``__dict__`` stores instead of record decoding
+    and validation.
     """
     n = int(columns["n"])
     table = ExampleTable.adopt_columns(
         n, {name: np.asarray(columns["bookkeeping"][name])
-            for name, _ in column_schema()},
+            for name, _ in COLUMN_SCHEMA},
         np.asarray(columns["embeddings"], dtype=float))
     ids = decode_str_column(columns["ids"])
     response_texts = decode_str_column(columns["response_texts"])
@@ -461,9 +458,7 @@ def _restore_examples_columns(columns: dict) -> tuple[dict, dict, ExampleTable]:
         examples[ids[i]] = Example._attached_view(
             table, i, ids[i], request, response_texts[i], source_models[i],
         )
-    bytes_by_id = dict(zip(
-        ids, np.asarray(columns["recorded_bytes"]).tolist()))
-    return examples, bytes_by_id, table
+    return examples, table
 
 
 def snapshot_example_count(cache_state_doc: dict) -> int:
@@ -475,7 +470,6 @@ def cache_state(cache) -> dict:
     """Serializable state of an ExampleCache / ShardedExampleCache."""
     return {
         "sharded": isinstance(cache, ShardedExampleCache),
-        "total_bytes": cache.total_bytes,
         "index": cache._index.to_state(),
         "examples_columns": examples_columns_state(cache),
     }
@@ -500,9 +494,8 @@ def restore_cache_state(cache, state: dict, shard_fn=None) -> None:
             "snapshot cache layout does not match the configured one "
             f"(snapshot sharded={sharded}); check config.cache_shards"
         )
-    cache._examples, cache._bytes_by_id, cache._table = \
-        _restore_examples_columns(state["examples_columns"])
-    cache._total_bytes = int(state["total_bytes"])
+    cache._examples, cache._table = _restore_examples_columns(
+        state["examples_columns"])
     if sharded:
         cache._index = ShardedIndex.from_state(state["index"],
                                                shard_fn=shard_fn)

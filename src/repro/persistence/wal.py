@@ -540,8 +540,6 @@ def _apply_replay_rewrite(service: "ICCacheService", data: dict) -> None:
     restore_ema(example.gain_ema, record["gain_ema"])
     restore_ema(example.offload_gain, record["offload_gain"])
     restore_ema(example.feedback_quality, record["feedback_quality"])
-    # Keep the byte counter exact (rewrites change plaintext size).
-    service.cache.refresh_total_bytes([example])
     teacher = service.manager.replay_engine.teacher \
         if service.manager.replay_engine is not None else None
     if teacher is not None:

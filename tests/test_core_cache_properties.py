@@ -1,16 +1,14 @@
 """Property test: the cache's O(1) byte counter never drifts.
 
-PR 3 replaced ``total_bytes``'s full recomputation with an incrementally
-maintained counter (``_total_bytes`` + ``_bytes_by_id``), updated by
-``add``/``overwrite``/``remove`` and by the WAL's replay-rewrite path.
-This Hypothesis test drives arbitrary interleavings of all four mutation
-kinds against a fresh cache and asserts, after every operation, that the
-counter equals the recomputed ground truth — locking the optimization
-against future drift from any new mutation path.
+``total_bytes`` is the table's running sum of its ``plaintext_bytes``
+column, moved by ``add``/``overwrite``/``remove`` and by every text rebind
+(the WAL's replay-rewrite path).  This Hypothesis test drives arbitrary
+interleavings of all four mutation kinds against a fresh cache and asserts,
+after every operation, that the counter equals the recomputed ground truth
+— locking it against drift from any new mutation path.
 
 Rewrites mirror ``repro.persistence.wal._apply_replay_rewrite`` exactly:
-mutate ``response_text`` in place, then apply the same incremental
-counter adjustment.
+mutate ``response_text`` in place, nothing more.
 """
 
 from __future__ import annotations
@@ -64,11 +62,9 @@ def _apply(cache: ExampleCache, op: str, example_id: str, size: int) -> None:
     elif op == "rewrite":
         if not present:
             return
-        # The WAL replay-rewrite pattern: in-place response mutation plus
-        # the incremental counter fix-up (wal._apply_replay_rewrite).
-        example = cache.get(example_id)
-        example.response_text = "refined " + "r " * size
-        cache.refresh_total_bytes([example])
+        # The WAL replay-rewrite pattern: in-place response mutation
+        # (wal._apply_replay_rewrite); the rebind moves the counter.
+        cache.get(example_id).response_text = "refined " + "r " * size
 
 
 @settings(**QUICK)
@@ -80,8 +76,8 @@ def test_total_bytes_matches_recomputed_sum(ops):
         assert cache.total_bytes == _recomputed(cache), (
             f"byte counter drifted after {op}({example_id!r}, size={size})"
         )
-    # refresh_total_bytes is a no-op when the counter is exact.
-    assert cache.refresh_total_bytes() == cache.total_bytes
+    assert cache.total_bytes == int(
+        cache.table.col("plaintext_bytes").sum())
 
 
 @settings(**QUICK)

@@ -21,27 +21,40 @@ identical inputs: the greedy path against the object solver's item loop,
 the vectorised exact path against a list-of-lists DP kept here.  A third drives :meth:`ExampleManager.enforce_capacity` after
 the same lifecycle interleavings and requires the ids it evicts, and the
 order it evicts them in, to be the reference solvers' over the same pool.
+
+A fourth is about the record itself: an ``Example`` is one row of one table
+from construction on (its own one-row table, then the cache's, then its own
+again), the table's ``plaintext_bytes`` column is the only byte ledger and
+the cache's dict the only id map — so over add / overwrite / remove /
+re-add / text-rebind / snapshot-restore interleavings the three byte totals
+agree after every step, every row's owner is its example, iteration is
+insertion order, and no move between tables changes a bit of an example.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.knapsack import (
-    KnapsackItem,
-    knapsack_keep_mask,
-    solve_knapsack,
-)
+from repro.analysis.knapsack import knapsack_keep_mask
 from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
 from repro.core.manager import ExampleManager
 from repro.core.replay import replay_gain
-from repro.core.table import EMBEDDING_ROW_NORM
+from repro.core.table import EMA_STREAMS, EMBEDDING_ROW_NORM, INSERTION_RANK
+from repro.persistence.snapshot import (
+    _decode,
+    _encode,
+    cache_state,
+    restore_cache_state,
+)
 from repro.utils.clock import SimClock
 from repro.utils.tokens import count_tokens
-from tests.strategies import QUICK
+from tests.knapsack_reference import KnapsackItem, solve_knapsack
+from tests.strategies import DETERMINISM, QUICK
 from tests.test_core_cache import make_example
 
 POOL = [f"ex-{i}" for i in range(6)]
@@ -162,8 +175,8 @@ def _apply(cache, manager, clock, reference, op, example_id, arg) -> None:
     elif op == "rewrite":
         if present:
             # The WAL replay-rewrite pattern: in-place field overwrite
-            # through the property setters, plus the byte-counter fix-up
-            # (mirrors repro.persistence.wal._apply_replay_rewrite).
+            # through the property setters (mirrors
+            # repro.persistence.wal._apply_replay_rewrite).
             example = cache.get(example_id)
             ref = reference[example_id]
             new_text = "refined " + "r " * arg
@@ -171,7 +184,6 @@ def _apply(cache, manager, clock, reference, op, example_id, arg) -> None:
             example.replay_count = example.replay_count + 1
             ref.response_text = new_text
             ref.replay_count += 1
-            cache.refresh_total_bytes([example])
 
 
 def _assert_ema_matches(view, ref: RefEMA, label: str) -> None:
@@ -187,9 +199,9 @@ def _assert_state_matches(cache, reference) -> None:
     assert len(cache) == len(reference)
     for example_id, ref in reference.items():
         example = cache.get(example_id)
-        row = table.row_of(example_id)
+        row = example.__dict__["_row"]
         assert example.__dict__["_table"] is table
-        assert example.__dict__["_row"] == row
+        assert table.owner(row) is example
         assert 0 <= row < len(reference)
         assert example.quality == ref.quality, example_id
         assert example.access_count == ref.access_count, example_id
@@ -399,3 +411,132 @@ def test_enforce_capacity_evicts_what_the_reference_solver_would(
         del reference[example_id]
     assert [example.example_id for example in cache] == list(reference)
     _assert_state_matches(cache, reference)
+
+
+# -- one record per cached example ------------------------------------------
+
+_record_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(POOL), st.integers(0, 30)),
+        st.tuples(st.just("overwrite_new"), st.sampled_from(POOL),
+                  st.integers(0, 30)),
+        st.tuples(st.just("overwrite_same"), st.sampled_from(POOL),
+                  st.just(0)),
+        st.tuples(st.just("remove"), st.sampled_from(POOL), st.just(0)),
+        st.tuples(st.just("readd"), st.sampled_from(POOL), st.just(0)),
+        st.tuples(st.just("rebind"), st.sampled_from(POOL),
+                  st.integers(0, 40)),
+        st.tuples(st.just("record_use"), st.sampled_from(POOL),
+                  st.integers(0, 100)),
+        st.tuples(st.just("restore"), st.just(""), st.just(0)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def _restored(cache) -> ExampleCache:
+    """The cache's state through a snapshot's JSON form into a fresh cache."""
+    state = _decode(json.loads(json.dumps(_encode(cache_state(cache)))))
+    fresh = ExampleCache(dim=64)
+    restore_cache_state(fresh, state)
+    return fresh
+
+
+def _fingerprint(example) -> tuple:
+    """Every table-backed field of an example, floats by their bits."""
+    d = example.__dict__
+    table, row = d["_table"], d["_row"]
+    streams = tuple(
+        (np.float64(stream.alpha).tobytes(), stream.count,
+         stream.initialized, stream._value,
+         np.float64(stream.value).tobytes())
+        for stream in (getattr(example, name) for name in EMA_STREAMS))
+    return (example.example_id, example.request.text, example.response_text,
+            example.source_model, np.float64(example.quality).tobytes(),
+            np.float64(example.source_cost).tobytes(),
+            np.float64(example.created_at).tobytes(),
+            example.access_count, example.replay_count, example.tokens,
+            example.plaintext_bytes,
+            np.float64(example.embedding_norm).tobytes(),
+            np.float64(table.col(EMBEDDING_ROW_NORM)[row]).tobytes(),
+            example.embedding.tobytes(), example.journal_row(), streams)
+
+
+def _assert_one_record(cache, order: list[str]) -> None:
+    table = cache.table
+    assert [example.example_id for example in cache] == order
+    assert len(table) == len(cache) == len(order)
+    assert cache.total_bytes == int(table.col("plaintext_bytes").sum()) \
+        == sum(example.plaintext_bytes for example in cache)
+    assert isinstance(cache.total_bytes, int)
+    for example in cache:
+        assert example.__dict__["_table"] is table
+        assert table.owner(example.__dict__["_row"]) is example
+    rows = np.argsort(table.col(INSERTION_RANK)).tolist()
+    assert [table.owner(row).example_id for row in rows] == order
+
+
+@settings(**DETERMINISM)
+@given(ops=_record_ops)
+# an evicted example goes back in after a rebind while it was out, then the
+# pool is restored and it is overwritten by itself
+@example(ops=[("add", "ex-0", 3), ("add", "ex-1", 0), ("remove", "ex-0", 0),
+              ("rebind", "ex-0", 9), ("readd", "ex-0", 0), ("restore", "", 0),
+              ("overwrite_same", "ex-0", 0), ("remove", "ex-1", 0)])
+def test_one_record_per_cached_example(ops):
+    cache = ExampleCache(dim=64)
+    manager = ExampleManager(cache, ManagerConfig(sanitize=False))
+    order: list[str] = []               # the model: ids in insertion order
+    evicted: dict[str, object] = {}     # standalone again, state kept
+
+    def moved_unchanged(example, move):
+        before = _fingerprint(example)
+        move()
+        assert _fingerprint(example) == before
+
+    for op, example_id, arg in ops:
+        cached = example_id in order
+        if op == "add" and not cached:
+            fresh = make_example(example_id=example_id,
+                                 direction=hash(example_id) % 64,
+                                 text="q " * arg + "question")
+            moved_unchanged(fresh, lambda: cache.add(fresh))
+            order.append(example_id)
+            evicted.pop(example_id, None)
+        elif op == "overwrite_new" and cached:
+            fresh = make_example(example_id=example_id,
+                                 direction=hash(example_id) % 64,
+                                 text="w " * arg + "rewritten")
+            previous = cache.get(example_id)
+            before = _fingerprint(previous)
+            moved_unchanged(fresh, lambda: cache.overwrite(fresh))
+            assert cache.get(example_id) is fresh
+            assert _fingerprint(previous) == before     # out, and intact
+        elif op == "overwrite_same" and cached:
+            same = cache.get(example_id)
+            moved_unchanged(same, lambda: cache.overwrite(same))
+        elif op == "remove" and cached:
+            leaving = cache.get(example_id)
+            moved_unchanged(leaving, lambda: cache.remove(example_id))
+            order.remove(example_id)
+            evicted[example_id] = leaving
+        elif op == "readd" and not cached and example_id in evicted:
+            back = evicted.pop(example_id)
+            moved_unchanged(back, lambda: cache.add(back))
+            order.append(example_id)
+        elif op == "rebind" and (cached or example_id in evicted):
+            target = (cache.get(example_id) if cached
+                      else evicted[example_id])
+            target.response_text = "refined " + "r " * arg
+            assert target.plaintext_bytes == len(
+                target.request.text.encode()) + len(
+                target.response_text.encode())
+        elif op == "record_use" and cached:
+            manager.record_use(cache.get(example_id), arg / 100.0,
+                               model_cost=0.25, offloaded=arg % 2 == 0)
+        elif op == "restore":
+            prints = [_fingerprint(example) for example in cache]
+            cache = _restored(cache)
+            manager = ExampleManager(cache, ManagerConfig(sanitize=False))
+            assert [_fingerprint(example) for example in cache] == prints
+        _assert_one_record(cache, order)

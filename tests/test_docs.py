@@ -135,3 +135,20 @@ def test_doc_imports_resolve(path: Path, line: str):
             f"{path.name} imports {name!r} from {from_module}, "
             f"which does not export it"
         )
+
+
+#: ``wc -l`` over ``src/**/*.py`` may not exceed this.  A PR that grows
+#: ``src/`` past it raises the number in its own diff and says in
+#: ``CHANGES.md`` which deletion pays the growth back; a PR that shrinks
+#: ``src/`` lowers it to its result rounded up to the next 50.
+SRC_LINE_CEILING = 14_900
+
+
+def test_src_stays_under_its_line_ceiling():
+    total = sum(path.read_bytes().count(b"\n")
+                for path in (REPO_ROOT / "src").rglob("*.py"))
+    assert total <= SRC_LINE_CEILING, (
+        f"src/ is {total} lines, over SRC_LINE_CEILING = {SRC_LINE_CEILING}: "
+        "delete what pays for the growth, or raise the ceiling in this diff "
+        "and name the payback in CHANGES.md"
+    )

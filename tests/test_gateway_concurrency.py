@@ -141,5 +141,5 @@ def test_gateway_concurrency_invariants(plan: dict):
     # counter reconciles against a full recount.
     cache = session.service.cache
     counted = cache.total_bytes
-    assert counted == cache.refresh_total_bytes()
+    assert counted == sum(example.plaintext_bytes for example in cache)
     assert counted >= 0

@@ -318,7 +318,7 @@ class TestWAL003TableBookkeepingBypass:
         found = lint_source(tmp_path, "src/repro/core/manager.py", (
             "def sneaky(ex):\n"
             "    ex.__dict__['quality'] = 0.9\n"
-            "    ex.__dict__['_x_access_count'] = 3\n"
+            "    ex.__dict__['access_count'] = 3\n"
         ))
         assert codes(found).count("WAL003") == 2
 

@@ -60,7 +60,7 @@ class TestSidecarFormat:
         service.save(path)
 
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 4
+        assert doc["version"] == SNAPSHOT_VERSION == 5
         bins = _bin_files(path)
         assert len(bins) == 1
         assert doc["sidecar"] == bins[0].name
@@ -106,13 +106,14 @@ class TestSidecarFormat:
             ICCacheService.restore(path)
 
     def test_unknown_version_rejected(self, tmp_path):
-        """Every version but the written one is refused — the three this
+        """Every version but the written one is refused — the previous one
+        (v4 carried the byte ledger twice) and the three older ones this
         reader used to accept included — naming both numbers."""
         service, _ = _build()
         path = tmp_path / "snap.json"
         service.save(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2, 3, 99):
+        for version in (1, 2, 3, 4, 99):
             doc["version"] = version
             path.write_text(json.dumps(doc), encoding="utf-8")
             with pytest.raises(ValueError) as refused:

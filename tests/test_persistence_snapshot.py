@@ -278,9 +278,12 @@ class TestServiceSnapshot:
         service, _ = _build_service(bank=40)
         path = service.save(tmp_path / "s.json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 4
+        assert doc["version"] == SNAPSHOT_VERSION == 5
         cache = doc["cache"]
         assert "examples" not in cache
+        # The byte ledger is the bookkeeping column, stored once.
+        assert "total_bytes" not in cache
+        assert "recorded_bytes" not in cache["examples_columns"]
         columns = cache["examples_columns"]
         assert columns["n"] == len(service.cache)
         # Bookkeeping columns reference sidecar arrays, strings are
@@ -306,7 +309,8 @@ class TestServiceSnapshot:
             assert copy.gain_ema._value == original.gain_ema._value
             assert copy.offload_gain.count == original.offload_gain.count
             assert copy.request.metadata == original.request.metadata
-        assert restored.cache._bytes_by_id == service.cache._bytes_by_id
+        assert restored.cache.total_bytes == service.cache.total_bytes \
+            == sum(example.plaintext_bytes for example in restored.cache)
 
     def test_overwrite_keeps_bytes_and_counts_one_churn(self):
         service, _ = _build_service(bank=80)

@@ -304,10 +304,10 @@ def test_unencodable_example_raises_and_writes_nothing(tmp_path,
         with pytest.raises((ValueError, TypeError, struct.error)):
             wal.record(kind, bad)
     assert wal.path.read_bytes() == before and len(wal) == 1
-    # A detached example is no cache mutation: refused the same way.
-    with pytest.raises(ValueError, match="not cached"):
-        wal.record("add", cache.remove("good"))
-    assert wal.path.read_bytes() == before
+    # An evicted example took its row with it: the same record, bit for bit.
+    wal.record("add", cache.remove("good"))
+    first, second = WriteAheadLog.read(wal.path)
+    assert_same(second["data"], first["data"])
 
 
 def test_a_short_write_is_taken_back(tmp_path):

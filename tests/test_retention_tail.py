@@ -30,11 +30,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import knapsack
-from repro.analysis.knapsack import (
-    KnapsackItem,
-    knapsack_keep_mask,
-    solve_knapsack,
-)
+from repro.analysis.knapsack import knapsack_keep_mask
 from repro.core.cache import ExampleCache
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.manager import ExampleManager
@@ -42,21 +38,18 @@ from repro.core.replay import ReplayEngine
 from repro.core.service import ICCacheService
 from repro.core.table import INSERTION_RANK
 from repro.llm.zoo import get_model
-from repro.persistence.snapshot import (
-    _decode,
-    _encode,
-    cache_state,
-    restore_cache_state,
-)
+from repro.persistence.snapshot import _encode
 from repro.persistence.wal import Checkpointer, WriteAheadLog
 from repro.utils.clock import SimClock
 from repro.workload.datasets import SyntheticDataset
+from tests.knapsack_reference import KnapsackItem, solve_knapsack
 from tests.strategies import DETERMINISM, QUICK
 from tests.test_core_table_properties import (
     RefExample,
     _apply,
     _assert_state_matches,
     _reference_keep,
+    _restored,
 )
 
 
@@ -234,9 +227,7 @@ def _scrambled_pool(sizes, ops, overwrite, restore):
         _apply(cache, manager, clock, reference, op, example_id, arg)
     _apply(cache, manager, clock, reference, "overwrite", *overwrite)
     if restore:
-        state = _decode(json.loads(json.dumps(_encode(cache_state(cache)))))
-        cache = ExampleCache(dim=64)
-        restore_cache_state(cache, state)
+        cache = _restored(cache)
         manager = ExampleManager(cache, config, clock=clock)
     return cache, manager, reference
 
