@@ -13,7 +13,10 @@ harness keeps only what that benchmark cannot give:
   (``floor``; the call count is exact per interpreter minor version, and the
   recorded one is 3.11's), and the journal's share of a churned request —
   calls issued while ``WriteAheadLog.record`` runs, frames and bytes
-  appended (``journal``);
+  appended (``journal``), and what the gateway's transport spends on one
+  loopback ``POST /serve`` — event-loop iterations, futures, timer handles,
+  socket sends, calls issued from ``src/repro/gateway/`` and ``asyncio/``
+  (``gateway``);
 * **in-run ratios against a reference** — both sides timed in the same
   process, so box speed cancels: vectorized :meth:`IVFIndex.search` over the
   per-key loop (``tests/search_reference.py``), ``KMeans.fit`` over the
@@ -81,6 +84,8 @@ FLOOR_BANK = 3_000
 #: ``lifecycle_churn``.
 JOURNAL_BANK = 1_500
 JOURNAL_COMPACT_AFTER_BYTES = 2_000_000
+#: Bank of the ``gateway`` section: ``bench_e2e``'s ``gateway_serve`` bank.
+GATEWAY_BANK = 1_000
 
 
 def _best_of(fn, rounds: int = 3) -> float:
@@ -573,6 +578,103 @@ def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
     return result
 
 
+def bench_gateway(bank_size: int = GATEWAY_BANK, warmup: int = 200,
+                  counted: int = 400) -> dict:
+    """What the transport spends on one loopback ``POST /serve``, as counts.
+
+    ``bench_e2e``'s ``gateway_serve`` rebuilt here — one ``GatewayClient``
+    on one connection, client and server on one event loop, every request a
+    re-ask of a banked one — and ``counted`` requests after ``warmup`` under
+    a ``sys.setprofile`` hook that counts event-loop iterations
+    (``_run_once``), futures made (``create_future``), timer handles armed
+    (``call_at``, which ``call_later`` goes through), ``socket.send`` calls,
+    and, by :func:`bench_floor`'s definition, the calls issued from frames
+    under ``src/repro/gateway/`` or the standard library's ``asyncio/``.
+    """
+    import asyncio
+    import socket
+    from asyncio.base_events import BaseEventLoop
+
+    from repro import ICCacheConfig, ICCacheService
+    from repro.core.config import ManagerConfig
+    from repro.gateway import (
+        AsyncGateway,
+        GatewayClient,
+        GatewaySession,
+        request_to_payload,
+    )
+    from repro.serving.cluster import ClusterConfig, ModelDeployment
+    from repro.workload import SyntheticDataset
+
+    dataset = SyntheticDataset("ms_marco", scale=bank_size / 808_731, seed=0)
+    bank = dataset.example_bank_requests()[:bank_size]
+    stream = _floor_stream(dataset, bank, warmup + counted, reask_share=1.0)
+    service = ICCacheService(ICCacheConfig(
+        seed=0, manager=ManagerConfig(sanitize=True)))
+    service.seed_cache(bank)
+
+    transport = (os.path.join(_package_root(), "gateway") + os.sep,
+                 os.path.dirname(asyncio.__file__) + os.sep)
+    by_code = {BaseEventLoop._run_once.__code__: "iterations",
+               BaseEventLoop.create_future.__code__: "futures",
+               BaseEventLoop.call_at.__code__: "timers"}
+    counts = {"iterations": 0, "futures": 0, "timers": 0, "sends": 0,
+              "calls": 0}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            name = by_code.get(frame.f_code)
+            if name is not None:
+                counts[name] += 1
+            caller = frame.f_back
+            if caller is not None and \
+                    caller.f_code.co_filename.startswith(transport):
+                counts["calls"] += 1
+        elif event == "c_call":
+            if getattr(arg, "__name__", "") == "send" and \
+                    isinstance(getattr(arg, "__self__", None), socket.socket):
+                counts["sends"] += 1
+            if frame.f_code.co_filename.startswith(transport):
+                counts["calls"] += 1
+
+    async def drive() -> None:
+        models = service.models
+        session = GatewaySession(service, ClusterConfig(deployments=[
+            ModelDeployment(models[service.small_name], replicas=2),
+            ModelDeployment(models[service.large_name], replicas=1),
+        ]))
+        gateway = AsyncGateway(session)
+        await gateway.start()
+        try:
+            async with GatewayClient("127.0.0.1", gateway.port) as client:
+                for request in stream[:warmup]:
+                    await client.post("/serve", request_to_payload(request))
+                trainings = service.cache._index.trainings
+                sys.setprofile(hook)
+                try:
+                    for request in stream[warmup:]:
+                        reply = await client.post(
+                            "/serve", request_to_payload(request))
+                        assert reply.status == 200, reply.payload
+                finally:
+                    sys.setprofile(None)
+                assert service.cache._index.trainings == trainings, \
+                    "an index retrain landed in the counted window"
+        finally:
+            await gateway.shutdown()
+
+    asyncio.run(drive())
+    return {
+        "n": bank_size,
+        "requests": counted,
+        "loop_iterations_per_request": counts["iterations"] / counted,
+        "futures_per_request": counts["futures"] / counted,
+        "timer_handles_per_request": counts["timers"] / counted,
+        "socket_sends_per_request": counts["sends"] / counted,
+        "gateway_calls_per_request": counts["calls"] / counted,
+    }
+
+
 def bench_scale(n: int = 1_000_000, seed: int = 0, n_queries: int = 200,
                 recall_queries: int = 50, maintenance_ticks: int = 5) -> dict:
     """The N=1M story: build, search, retrain amortization, memory.
@@ -663,6 +765,7 @@ def run(sizes: list[int], out_path: str | Path | None = None,
         "lifecycle": {str(n): bench_lifecycle(n) for n in lifecycle_sizes},
         "floor": {str(FLOOR_BANK): bench_floor(FLOOR_BANK)},
         "journal": {str(JOURNAL_BANK): bench_journal(JOURNAL_BANK)},
+        "gateway": {str(GATEWAY_BANK): bench_gateway(GATEWAY_BANK)},
     }
     for n in sizes:
         # One build (and one K-Means train) per size, shared by both
@@ -691,6 +794,9 @@ GATED_COUNTERS = {
               "proxy_solves_per_request"),
     "journal": ("journal_calls_per_request", "wal_frames_per_request",
                 "wal_bytes_per_request"),
+    "gateway": ("loop_iterations_per_request", "futures_per_request",
+                "timer_handles_per_request", "socket_sends_per_request",
+                "gateway_calls_per_request"),
 }
 
 
@@ -794,6 +900,14 @@ def main(argv: list[str] | None = None) -> int:
               f"calls from src/repro inside WriteAheadLog.record per churned "
               f"serve, {row['wal_frames_per_request']:.3f} frames, "
               f"{row['wal_bytes_per_request']:.1f} bytes "
+              f"(over {row['requests']} requests)")
+    for n, row in results["gateway"].items():
+        print(f"gateway N={n:>6}: {row['loop_iterations_per_request']:g} loop "
+              f"iterations, {row['futures_per_request']:g} futures, "
+              f"{row['timer_handles_per_request']:g} timer handles, "
+              f"{row['socket_sends_per_request']:g} socket sends, "
+              f"{row['gateway_calls_per_request']:.2f} calls from "
+              f"src/repro/gateway + asyncio per loopback POST /serve "
               f"(over {row['requests']} requests)")
     scale = results.get("scale")
     if scale:

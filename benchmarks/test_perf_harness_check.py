@@ -2,8 +2,8 @@
 
 ``run_baseline_gate`` is driven with hand-built results/baseline dicts so
 the tests exercise the gate logic itself — the missing-baseline warning
-(which must be loud, not a silent pass), the pass path, each of the nine
-exact work counters failing in both directions, and sections one side did
+(which must be loud, not a silent pass), the pass path, each of the
+fourteen exact work counters failing in both directions, and sections one side did
 not run being skipped — in milliseconds.  One more guard: the harness must
 import with numpy and ``repro`` alone, because that is all CI's perf jobs
 install.
@@ -24,7 +24,10 @@ def _results(iterations: int = 9, distance_columns: int = 305,
              rows_ranked: float = 4.0, fit_ms: float = 50.0,
              calls: float = 502.7175, minted: float = 5.0625,
              solves: float = 0.8075, journal_calls: float = 63.58,
-             frames: float = 4.6575, wal_bytes: float = 1904.0075) -> dict:
+             frames: float = 4.6575, wal_bytes: float = 1904.0075,
+             iterations_per_request: float = 3.0, futures: float = 1.0,
+             timers: float = 0.0, sends: float = 2.0,
+             gateway_calls: float = 172.0) -> dict:
     return {
         "search": {"1000": {"qps": 50_000.0}},
         "kmeans": {"3000": {"kmeans_fit_ms": fit_ms,
@@ -40,6 +43,13 @@ def _results(iterations: int = 9, distance_columns: int = 305,
                              "journal_calls_per_request": journal_calls,
                              "wal_frames_per_request": frames,
                              "wal_bytes_per_request": wal_bytes}},
+        "gateway": {"1000": {"requests": 400,
+                             "loop_iterations_per_request":
+                                 iterations_per_request,
+                             "futures_per_request": futures,
+                             "timer_handles_per_request": timers,
+                             "socket_sends_per_request": sends,
+                             "gateway_calls_per_request": gateway_calls}},
     }
 
 
@@ -155,6 +165,28 @@ class TestPresentBaseline:
                 assert f"journal {key} at N=1500 changed: {moved}" \
                     in capsys.readouterr().out
 
+    def test_gateway_counters_gate_exactly_in_both_directions(
+            self, tmp_path, capsys):
+        """The moved values are the old stream-and-task transport's (6
+        iterations, 4 futures, 1 timer handle, 372 calls) and a step the
+        other way: a count that fell without the baseline being regenerated
+        is as much a finding as one that rose."""
+        baseline = _baseline(tmp_path)
+        for argument, key, moves in (
+                ("iterations_per_request", "loop_iterations_per_request",
+                 (2.0, 6.0)),
+                ("futures", "futures_per_request", (0.0, 4.0)),
+                ("timers", "timer_handles_per_request", (0.0025, 1.0)),
+                ("sends", "socket_sends_per_request", (1.0, 2.0025)),
+                ("gateway_calls", "gateway_calls_per_request",
+                 (171.0, 372.0))):
+            for moved in moves:
+                code = perf_harness.run_baseline_gate(
+                    _results(**{argument: moved}), baseline)
+                assert code == 1
+                assert f"gateway {key} at N=1000 changed: {moved}" \
+                    in capsys.readouterr().out
+
     def test_lifecycle_rows_skipped_when_absent(self, tmp_path):
         """A section (or pool size) only one side ran is not compared:
         a smoke run without lifecycle/kmeans, and a baseline without."""
@@ -163,6 +195,7 @@ class TestPresentBaseline:
         del smoke["kmeans"]
         del smoke["floor"]
         del smoke["journal"]
+        del smoke["gateway"]
         assert perf_harness.run_baseline_gate(
             smoke, _baseline(tmp_path)) == 0
         old = _results()

@@ -34,6 +34,13 @@ job.  Asserted here:
   ``json.dumps``) and 2 500 bytes (2 957), for exactly the baseline's frames
   per request — nothing coalesced, nothing dropped.  Upper bounds again: the
   exact call count is ``perf-smoke``'s;
+* one loopback ``POST /serve`` (``bench_e2e``'s ``gateway_serve`` inputs)
+  costs at most 3 event-loop iterations, 1 future, no timer handle and 2
+  socket sends (6 / 4 / 1 / 2 when a stream reader, a handler task and a
+  writer queue carried it), and at most 220 calls from
+  ``src/repro/gateway/`` and ``asyncio/`` (372).  Upper bounds: event-loop
+  internals differ between interpreter versions, ``perf-smoke`` pins the
+  exact values;
 * the full result set is written to
   ``benchmarks/BENCH_serve_hotpath.json`` — the artifact CI uploads — and
   its other work counters equal the checked-in baseline exactly.
@@ -122,10 +129,24 @@ def test_perf_serve_hotpath(benchmark):
     assert journal["wal_bytes_per_request"] <= 2_500, \
         f"{journal['wal_bytes_per_request']:.0f} journal bytes per serve"
 
+    # The transport's share of a loopback request: callbacks, not tasks.
+    gateway = results["gateway"]["1000"]
+    assert gateway["loop_iterations_per_request"] <= 3
+    assert gateway["futures_per_request"] <= 1
+    assert gateway["timer_handles_per_request"] == 0, \
+        "a request that arrives whole armed its 408 deadline"
+    assert gateway["socket_sends_per_request"] == 2
+    assert gateway["gateway_calls_per_request"] <= 220, \
+        f"one loopback POST /serve issues " \
+        f"{gateway['gateway_calls_per_request']:.1f} calls from " \
+        f"src/repro/gateway/ and asyncio/"
+
     # Counts repeat exactly on any box: a moved one is different work.  (The
-    # call counts repeat per interpreter version; perf-smoke gates them.)
+    # call counts and the event-loop counts repeat per interpreter version;
+    # perf-smoke gates them.)
     if BASELINE_PATH.is_file():
         baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
         failures = [f for f in check_against_baseline(results, baseline)
-                    if "calls_per_request" not in f]
+                    if "calls_per_request" not in f
+                    and not f.startswith("gateway ")]
         assert not failures, "; ".join(failures)

@@ -3,15 +3,21 @@
 One keep-alive HTTP/1.1 connection per client, requests issued strictly
 in order on it — which is exactly what the determinism-equivalence
 harness needs: a trace replayed by one ``GatewayClient`` reaches the
-gateway's single writer in trace order, so the loopback run *is* the
-batch run (``tests/test_gateway_equivalence.py``).  Concurrency tests
-open one client per simulated tenant instead.
+gateway in trace order, so the loopback run *is* the batch run
+(``tests/test_gateway_equivalence.py``).  Concurrency tests open one
+client per simulated tenant instead.
+
+The transport is an :class:`asyncio.Protocol` that frames each reply with
+the server's own :func:`~repro.gateway.api.frame_head` and settles the one
+future the request in flight awaits: one send and one future per request.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+
+from repro.gateway.api import frame_head
 
 
 class GatewayResponse:
@@ -31,29 +37,63 @@ class GatewayResponse:
         return f"GatewayResponse({self.status}, {self.payload!r})"
 
 
+class _ReplyReader(asyncio.Protocol):
+    """Frames each reply off the connection and settles ``waiter`` with it."""
+
+    def __init__(self) -> None:
+        self.buffer = bytearray()
+        self.waiter: asyncio.Future | None = None
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        buffer += data
+        try:
+            framed = frame_head(buffer)
+            if framed is None or len(buffer) < framed[2] + framed[3]:
+                return
+            (_version, status, _reason), _headers, offset, length = framed
+            body = buffer[offset:offset + length]
+            reply = GatewayResponse(int(status),
+                                    json.loads(body) if body else {})
+        except ValueError as exc:       # not a reply this client can read
+            return self._settle(exc)
+        del buffer[:offset + length]
+        self._settle(reply)
+
+    def connection_lost(self, exc) -> None:
+        self.closed.set_result(None)
+        self._settle(ConnectionError("gateway closed the connection"))
+
+    def _settle(self, outcome) -> None:
+        waiter, self.waiter = self.waiter, None
+        if waiter is not None and not waiter.done():
+            if isinstance(outcome, Exception):
+                waiter.set_exception(outcome)
+            else:
+                waiter.set_result(outcome)
+
+
 class GatewayClient:
     """Sequential JSON-over-HTTP client on one persistent connection."""
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._transport: asyncio.Transport | None = None
+        self._reader: _ReplyReader | None = None
 
     async def connect(self) -> "GatewayClient":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
+        loop = asyncio.get_running_loop()
+        self._transport, self._reader = await loop.create_connection(
+            _ReplyReader, self.host, self.port)
         return self
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._reader = self._writer = None
+        if self._transport is not None:
+            self._transport.close()
+            await self._reader.closed
+            self._transport = self._reader = None
 
     async def __aenter__(self) -> "GatewayClient":
         return await self.connect()
@@ -74,8 +114,10 @@ class GatewayClient:
 
     async def _request(self, method: str, path: str,
                        payload: dict | None) -> GatewayResponse:
-        if self._writer is None or self._reader is None:
+        if self._transport is None:
             raise RuntimeError("client is not connected; call connect()")
+        if self._transport.is_closing():
+            raise ConnectionError("gateway closed the connection")
         body = b"" if payload is None else json.dumps(payload).encode("utf-8")
         head = (
             f"{method} {path} HTTP/1.1\r\n"
@@ -83,23 +125,7 @@ class GatewayClient:
             "content-type: application/json\r\n"
             f"content-length: {len(body)}\r\n\r\n"
         ).encode("ascii")
-        self._writer.write(head + body)
-        await self._writer.drain()
-        return await self._read_response()
-
-    async def _read_response(self) -> GatewayResponse:
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("gateway closed the connection")
-        parts = status_line.decode("ascii").split(" ", 2)
-        status = int(parts[1])
-        length = 0
-        while True:
-            raw = await self._reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        body = await self._reader.readexactly(length) if length else b""
-        return GatewayResponse(status, json.loads(body) if body else {})
+        waiter = asyncio.get_running_loop().create_future()
+        self._reader.waiter = waiter
+        self._transport.write(head + body)
+        return await waiter

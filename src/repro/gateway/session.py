@@ -18,13 +18,14 @@ decisions and cache state to the same trace run through
 Time here is logical, never wall-clock (DET002): arrivals carry their own
 timestamps; unstamped arrivals land on the session watermark.  The session
 is intentionally synchronous and single-threaded — concurrency safety is
-the caller's job, and :class:`repro.gateway.app.AsyncGateway` provides it
-by funnelling every session call through one writer task.
+the caller's job: :class:`repro.gateway.app.AsyncGateway` calls it only
+from event-loop callbacks, which run one at a time to completion.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+import math
+from typing import TYPE_CHECKING, Sequence
 
 from repro.gateway.limits import TenantRateLimiter
 from repro.serving.cluster import ClusterConfig, ClusterSimulator
@@ -49,21 +50,17 @@ class GatewaySession:
     sizes the replica pool, queue-depth shedding included;
     ``rate_limiter`` applies per-tenant token buckets *before* routing, so
     a 429 consumes no pipeline state; ``checkpointer`` (optional) makes
-    :meth:`drain` durable.  ``on_record`` fires for every completion, in
-    completion order — the gateway resolves response futures with it.
+    :meth:`drain` durable.
     """
 
     def __init__(self, service: "ICCacheService",
                  cluster_config: ClusterConfig,
                  rate_limiter: TenantRateLimiter | None = None,
-                 checkpointer: "Checkpointer | None" = None,
-                 on_record: Callable[["Request", ServedRequest], None] | None = None,
-                 ) -> None:
+                 checkpointer: "Checkpointer | None" = None) -> None:
         self.service = service
         self.sim = ClusterSimulator(cluster_config)
         self.rate_limiter = rate_limiter
         self.checkpointer = checkpointer
-        self.on_record = on_record
         self._route = service.cluster_router()
         self._route_batch = service.pipeline.cluster_batch_router()
         self._loop = self.sim.start_sources([], on_complete=self._completed)
@@ -121,11 +118,14 @@ class GatewaySession:
 
         Clamping (instead of erroring) keeps a mixed live workload moving;
         the ``late_arrivals`` counter records every clamp so determinism
-        tests can assert their trace replay never needed one.
+        tests can assert their trace replay never needed one.  A stamp
+        that is not finite is refused: it would park or poison the clock.
         """
         if arrival_time is None:
             return self.sim.now
         t = float(arrival_time)
+        if not math.isfinite(t):
+            raise ValueError(f"arrival stamp must be finite, got {t!r}")
         if t < self.sim.now:
             self.late_arrivals += 1
             return self.sim.now
@@ -179,6 +179,9 @@ class GatewaySession:
                     f"{len(arrival_times)} arrival times for "
                     f"{len(requests)} requests"
                 )
+            # Checked up front: a refused batch must not have counted clamps.
+            if not all(t is None or math.isfinite(t) for t in arrival_times):
+                raise ValueError("arrival stamps must be finite")
             times = [self._resolve_arrival(t) for t in arrival_times]
         if not requests:
             return []
@@ -238,7 +241,7 @@ class GatewaySession:
         """Graceful drain: finish in-flight work, snapshot, seal the session.
 
         Runs the event loop to idle so every accepted request completes
-        (their ``on_record`` callbacks fire), then — when a checkpointer
+        (their records land), then — when a checkpointer
         is configured — takes a full :meth:`Checkpointer.checkpoint`, so a
         warm-restarted gateway resumes from exactly the drained state
         (pinned by ``tests/test_gateway_drain.py``).  Further submissions
@@ -268,8 +271,6 @@ class GatewaySession:
         return False
 
     def _completed(self, request: "Request", record: ServedRequest) -> None:
-        """The simulator's completion callback: learn, record, notify."""
+        """The simulator's completion callback: learn, record."""
         self.service.on_complete(request, record)
         self.records[record.request_id] = record
-        if self.on_record is not None:
-            self.on_record(request, record)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +41,19 @@ def make_request(request_id: str = "req-0", difficulty: float = 0.5,
         prompt_tokens=0,
         target_output_tokens=50,
     )
+
+
+def session_fingerprint(session) -> tuple:
+    """What a refused gateway request must leave where it was: the logical
+    clock, the admission counters, ``/stats`` (as text: an empty report
+    holds NaNs, which are unequal) and the snapshot digest, which covers
+    every RNG stream and every cached array."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = session.service.save(Path(tmp) / "state.json")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return (session.now, session.accepted, session.late_arrivals,
+            len(session.records),
+            json.dumps(session.stats_payload(), sort_keys=True), digest)
 
 
 @pytest.fixture

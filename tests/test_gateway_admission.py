@@ -10,6 +10,8 @@ the HTTP status mapping through a live loopback gateway.
 from __future__ import annotations
 
 import asyncio
+import json
+import math
 
 import pytest
 
@@ -30,7 +32,7 @@ from repro.gateway import (
 from repro.serving.cluster import ClusterConfig, ModelDeployment
 from repro.workload import SyntheticDataset
 
-from tests.conftest import make_request
+from tests.conftest import make_request, session_fingerprint
 
 SEED = 23
 
@@ -52,6 +54,19 @@ def cluster_config(service: ICCacheService,
                         replicas=replicas_small),
         ModelDeployment(service.models[service.large_name], replicas=1),
     ], max_queue_depth=max_queue_depth)
+
+
+def stamped(stamp: str, batch: bool = False) -> bytes:
+    """A valid request body whose ``gateway_arrival_s`` is the JSON text
+    ``stamp`` (``Infinity`` and ``NaN`` are tokens Python's parser takes)."""
+    text = json.dumps(request_to_payload(make_request("poison"), 7.0)) \
+        .replace('"gateway_arrival_s": 7.0', f'"gateway_arrival_s": {stamp}')
+    return ('{"requests": [%s]}' % text if batch else text).encode("utf-8")
+
+
+def latent_as_list() -> bytes:
+    payload = request_to_payload(make_request("poison"), 7.0)
+    return json.dumps({**payload, "latent": [1.0] + [0.0] * 63}).encode()
 
 
 class TestTokenBucket:
@@ -173,6 +188,23 @@ class TestSessionAdmission:
         assert limited._rng.uniform() == control._rng.uniform()
 
 
+    def test_non_finite_stamp_is_refused_before_anything_moves(self):
+        service = build_service()
+        session = GatewaySession(service, cluster_config(service))
+        assert session.submit(make_request("a"), 5.0) == ACCEPTED
+        before = session_fingerprint(session)
+        for stamp in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                session.submit(make_request("b"), stamp)
+            # The first member is late (a clamp the counter would record),
+            # the second refused: the batch as a whole moves nothing.
+            with pytest.raises(ValueError, match="finite"):
+                session.submit_batch(
+                    [make_request("c"), make_request("d")], [1.0, stamp])
+        assert session_fingerprint(session) == before
+        assert session.submit(make_request("e"), 6.0) == ACCEPTED
+
+
 class TestGatewayHttpStatuses:
     def _run(self, coro):
         return asyncio.run(coro)
@@ -231,8 +263,7 @@ class TestGatewayHttpStatuses:
          b"bad content-length"),
         (b"POST /serve HTTP/1.1\r\ncontent-length: 1e3\r\n\r\n",
          b"bad content-length"),
-        # Lines past the StreamReader limit (64 KiB): readline raises
-        # ValueError, which used to escape the connection handler.
+        # Lines past the 64 KiB limit, whole or still arriving.
         (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", b"line too long"),
         (b"GET /health HTTP/1.1\r\nx-junk: " + b"a" * 70_000 + b"\r\n\r\n",
          b"line too long"),
@@ -245,9 +276,9 @@ class TestGatewayHttpStatuses:
     def test_lost_framing_is_400_and_gateway_survives(self, sent, complaint):
         """A content-length that is not a non-negative integer, a line
         longer than the reader will buffer, or more header lines than the
-        parser will read loses the request framing: the gateway answers 400
-        and closes *that* connection; the writer task and the session
-        behind it carry on."""
+        parser will read loses the request framing: the gateway answers 400,
+        says ``connection: close`` and closes *that* connection; the session
+        behind it carries on and counts exactly the accepted requests."""
         async def scenario():
             service = build_service()
             gateway = AsyncGateway(
@@ -265,22 +296,88 @@ class TestGatewayHttpStatuses:
                     raw = await asyncio.wait_for(reader.read(), timeout=10)
                     writer.close()
                     await writer.wait_closed()
-                    writer_alive = not gateway._writer_task.done()
                     after = await client.post(
                         "/serve", request_to_payload(make_request("b"), 1.0))
                     stats = await client.get("/stats")
-                    return raw, before, after, stats, writer_alive
+                    return raw, before, after, stats
             finally:
                 await gateway.shutdown()
 
-        raw, before, after, stats, writer_alive = self._run(scenario())
+        raw, before, after, stats = self._run(scenario())
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"\r\nconnection: close" in head
         assert complaint in body
-        assert writer_alive
         assert (before.status, after.status) == (200, 200)
         assert stats.payload["gateway"]["accepted"] == 2
         assert stats.payload["gateway"]["completed"] == 2
+
+    @pytest.mark.parametrize("path,body,error,complaint", [
+        ("/serve", stamped("Infinity"), "bad payload", "gateway_arrival_s"),
+        ("/submit", stamped("-Infinity"), "bad payload", "gateway_arrival_s"),
+        ("/serve", stamped("NaN"), "bad payload", "gateway_arrival_s"),
+        ("/serve", stamped('"soon"'), "bad payload", "gateway_arrival_s"),
+        ("/submit", stamped("true"), "bad payload", "gateway_arrival_s"),
+        ("/serve_batch", stamped("Infinity", batch=True), "bad payload",
+         "gateway_arrival_s"),
+        ("/serve", b"\xff\xfe{}", "bad json", "decode"),
+        ("/serve_batch", b"\xff", "bad json", "decode"),
+        ("/serve_batch", b"[1, 2]", "bad payload", "'requests' list"),
+        ("/serve_batch", b'"text"', "bad payload", "'requests' list"),
+        ("/serve_batch", b"12", "bad payload", "'requests' list"),
+        ("/serve_batch", b"null", "bad payload", "'requests' list"),
+        ("/serve", b"[1, 2]", "bad payload", "bad request payload"),
+        ("/serve", latent_as_list(), "bad payload", "'latent'"),
+    ], ids=["stamp-inf", "stamp-neg-inf", "stamp-nan", "stamp-string",
+            "stamp-bool", "batch-stamp-inf", "serve-not-utf8",
+            "batch-not-utf8", "batch-list", "batch-string", "batch-number",
+            "batch-null", "serve-list", "latent-json-list"])
+    def test_poisonous_payload_is_400_and_session_untouched(
+            self, path, body, error, complaint):
+        """A stamp that is not a finite number would park (``inf``) or
+        poison (``nan``) the logical clock; a body that is not UTF-8, a
+        batch that is not an object and a latent that is not packed bytes
+        used to be 500s.  Each is a 400 at the edge: nothing reaches the
+        session, the connection stays open, ``/health`` stays JSON."""
+        async def scenario():
+            service = build_service()
+            session = GatewaySession(service, cluster_config(service))
+            gateway = AsyncGateway(session)
+            await gateway.start()
+            try:
+                async with GatewayClient("127.0.0.1", gateway.port) as client:
+                    await client.post(
+                        "/serve", request_to_payload(make_request("a"), 5.0))
+                    before = session_fingerprint(session)
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", gateway.port)
+                    writer.write(
+                        f"POST {path} HTTP/1.1\r\ncontent-length: "
+                        f"{len(body)}\r\n\r\n".encode("ascii") + body
+                        + b"GET /health HTTP/1.1\r\nconnection: close\r\n\r\n")
+                    raw = await asyncio.wait_for(reader.read(), timeout=10)
+                    writer.close()
+                    await writer.wait_closed()
+                    after = session_fingerprint(session)
+                    served = await client.post(
+                        "/serve", request_to_payload(make_request("b"), 6.0))
+                    return raw, before, after, served
+            finally:
+                await gateway.shutdown()
+
+        raw, before, after, served = self._run(scenario())
+        refusal, _, health = raw.partition(b"HTTP/1.1 200 OK")
+        head, _, reply = refusal.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"\r\nconnection: keep-alive" in head
+        reply = json.loads(reply)
+        assert reply["error"] == error and complaint in reply["detail"]
+        # parse_constant: a clock parked at Infinity is not JSON.
+        health = json.loads(health.partition(b"\r\n\r\n")[2],
+                            parse_constant=pytest.fail)
+        assert health["now"] == before[0] and math.isfinite(before[0])
+        assert after == before
+        assert served.status == 200
 
     @pytest.mark.parametrize("sent", [
         b"POST /serve HTTP/1.1\r\ncontent-length: 10\r\n",
@@ -288,9 +385,9 @@ class TestGatewayHttpStatuses:
     ], ids=["stalled-head", "stalled-body"])
     def test_stalled_request_is_408_and_gateway_survives(self, sent,
                                                          monkeypatch):
-        """Once a request line has arrived, the rest of the head and the
-        body have a deadline: a client that stalls gets 408 and a close of
-        *its* connection.  Connections that are merely idle between
+        """A request a segment left incomplete has a deadline: a client
+        that stalls gets 408, ``connection: close`` and a close of *its*
+        connection.  Connections that are merely idle between
         requests — one that never sent a byte, one with a served request
         behind it — are not timed, and nothing reaches the session."""
         monkeypatch.setattr(gateway_app, "_REQUEST_READ_TIMEOUT_S", 0.05)
@@ -317,7 +414,6 @@ class TestGatewayHttpStatuses:
                     # Both idle connections have now sat out several
                     # deadlines; each must still be served.
                     await asyncio.sleep(0.15)
-                    writer_alive = not gateway._writer_task.done()
                     idle_writer.write(b"GET /health HTTP/1.1\r\n\r\n")
                     await idle_writer.drain()
                     idle_status = await asyncio.wait_for(
@@ -327,16 +423,15 @@ class TestGatewayHttpStatuses:
                     after = await client.post(
                         "/serve", request_to_payload(make_request("b"), 1.0))
                     stats = await client.get("/stats")
-                    return raw, before, after, stats, writer_alive, idle_status
+                    return raw, before, after, stats, idle_status
             finally:
                 await gateway.shutdown()
 
-        raw, before, after, stats, writer_alive, idle_status = \
-            self._run(scenario())
+        raw, before, after, stats, idle_status = self._run(scenario())
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 408 Request Timeout")
+        assert b"\r\nconnection: close" in head
         assert b"request timeout" in body
-        assert writer_alive
         assert idle_status.startswith(b"HTTP/1.1 200 OK")
         assert (before.status, after.status) == (200, 200)
         assert stats.payload["gateway"]["accepted"] == 2
