@@ -11,7 +11,10 @@ harness keeps only what that benchmark cannot give:
   ``rows_ranked_per_pass``, and the per-request floor — calls one ``serve``
   issues from ``src/repro/``, generators it mints, proxy solves it pays
   (``floor``; the call count is exact per interpreter minor version, and the
-  recorded one is 3.11's), and the journal's share of a churned request —
+  recorded one is 3.11's), the same floor for a request served through
+  ``serve_batch`` in 16s plus what its stage 1 materialises and how many of
+  its dedupe probes score blocks again (``batch``), the journal's share of
+  a churned request —
   calls issued while ``WriteAheadLog.record`` runs, frames and bytes
   appended (``journal``), and what the gateway's transport spends on one
   loopback ``POST /serve`` — event-loop iterations, futures, timer handles,
@@ -415,12 +418,39 @@ def _floor_stream(dataset, bank: list, n: int, seed: int = 0,
     ]
 
 
+def _seeded_service(bank_size: int, n_requests: int):
+    """``bench_e2e``'s ``serve_repeat`` / ``serve_batch16`` set-up at seed 0:
+    the service over its seeded bank, and ``n_requests`` of the mix."""
+    from repro import ICCacheConfig, ICCacheService
+    from repro.core.config import ManagerConfig
+    from repro.workload import SyntheticDataset
+
+    dataset = SyntheticDataset("ms_marco", scale=bank_size / 808_731, seed=0)
+    bank = dataset.example_bank_requests()[:bank_size]
+    stream = _floor_stream(dataset, bank, n_requests)
+    service = ICCacheService(ICCacheConfig(
+        seed=0, manager=ManagerConfig(sanitize=True)))
+    service.seed_cache(bank)
+    return service, stream
+
+
 def _package_root() -> str:
     """``.../src/repro/`` — the prefix of every file the call counters
     attribute a call to."""
     import repro
 
     return str(Path(repro.__file__).resolve().parent) + os.sep
+
+
+def _issued_by(package: str, frame, event: str) -> bool:
+    """Whether a profile event is a call issued from code under ``package``:
+    a ``call`` whose *caller's* frame, or a ``c_call`` whose own frame, is
+    there — whatever the callee then does inside numpy or the library."""
+    if event == "call":
+        frame = frame.f_back
+    elif event != "c_call":
+        return False
+    return frame is not None and frame.f_code.co_filename.startswith(package)
 
 
 def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
@@ -434,47 +464,35 @@ def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
     ``c_call`` event whose own frame, is code under ``src/repro/`` — calls
     the package issues, whatever the callee then does inside numpy or the
     standard library.  Two of those calls are also counted by name:
-    generators minted (``make_rng`` / ``spawn_rng``, the simulator's fixed
-    per-request cost) and ``solve`` calls issued by the helpfulness proxy.
+    generators minted (``make_rng``, which ``spawn_rng`` mints through: the
+    simulator's fixed per-request cost) and ``solve`` calls issued by the
+    helpfulness proxy.
     No index retrain may land in the counted window (asserted): a K-Means
     fit is thousands of calls that belong to no request.
     """
-    from repro import ICCacheConfig, ICCacheService
     from repro.core import proxy as proxy_module
-    from repro.core.config import ManagerConfig
     from repro.utils import rng as rng_module
-    from repro.workload import SyntheticDataset
 
-    dataset = SyntheticDataset("ms_marco", scale=bank_size / 808_731, seed=0)
-    bank = dataset.example_bank_requests()[:bank_size]
-    stream = _floor_stream(dataset, bank, warmup + counted)
-    service = ICCacheService(ICCacheConfig(
-        seed=0, manager=ManagerConfig(sanitize=True)))
-    service.seed_cache(bank)
+    service, stream = _seeded_service(bank_size, warmup + counted)
     for request in stream[:warmup]:
         service.serve(request)
 
     package = _package_root()
     proxy_file = proxy_module.__file__
-    minting = (rng_module.make_rng.__code__, rng_module.spawn_rng.__code__)
+    minting = (rng_module.make_rng.__code__,)
     counts = {"calls": 0, "minted": 0, "solves": 0}
 
     def hook(frame, event, arg):
+        if not _issued_by(package, frame, event):
+            return
+        counts["calls"] += 1
         if event == "call":
-            caller = frame.f_back
-            if caller is None or \
-                    not caller.f_code.co_filename.startswith(package):
-                return
-            counts["calls"] += 1
             code = frame.f_code
             if code in minting:
                 counts["minted"] += 1
             elif code.co_name == "solve" and \
-                    caller.f_code.co_filename == proxy_file:
+                    frame.f_back.f_code.co_filename == proxy_file:
                 counts["solves"] += 1
-        elif event == "c_call" and \
-                frame.f_code.co_filename.startswith(package):
-            counts["calls"] += 1
 
     index = service.cache._index
     trainings = index.trainings
@@ -493,6 +511,67 @@ def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
         "calls_per_request": counts["calls"] / counted,
         "generators_minted_per_request": counts["minted"] / counted,
         "proxy_solves_per_request": counts["solves"] / counted,
+    }
+
+
+def bench_batch(bank_size: int = FLOOR_BANK, warmup: int = 208,
+                counted: int = 400, batch: int = 16) -> dict:
+    """Work one request costs when served by ``serve_batch``, as exact counts.
+
+    ``bench_e2e``'s ``serve_batch16`` rebuilt here — :func:`bench_floor`'s
+    bank, config and stream, served ``batch`` at a time — and ``counted``
+    requests after ``warmup`` under the same ``sys.setprofile`` hook
+    definition of a call.  Two more counts say what batched stage 1 and the
+    dedupe probe behind it do: ``results_materialised_per_request`` is the
+    ``SearchResult``s the shared finish builds (its return values' lengths:
+    ``pre_k`` per stage-1 query, one per rescored probe — the tail it
+    replaced built ``nprobe x pre_k`` and sorted them), and
+    ``rescored_probes_per_request`` is the ``search(q, 1)`` calls that reach
+    the finish, i.e. found no standing receipt and scored their blocks again
+    (1.0 when the batched kernel filed none).  No index retrain may land in
+    the counted window (asserted).
+    """
+    from repro.vectorstore.flat import finish
+
+    assert warmup % batch == 0 and counted % batch == 0
+    service, stream = _seeded_service(bank_size, warmup + counted)
+    for start in range(0, warmup, batch):
+        service.serve_batch(stream[start:start + batch])
+
+    package = _package_root()
+    finish_code = finish.__code__
+    search_code = IVFIndex.search.__code__
+    counts = {"calls": 0, "results": 0, "rescored": 0}
+
+    def hook(frame, event, arg):
+        if _issued_by(package, frame, event):
+            counts["calls"] += 1
+            caller = frame.f_back
+            if event == "call" and frame.f_code is finish_code and \
+                    caller.f_code is search_code and caller.f_locals["k"] == 1:
+                counts["rescored"] += 1
+        elif event == "return" and frame.f_code is finish_code \
+                and arg is not None:
+            counts["results"] += len(arg)
+
+    index = service.cache._index
+    trainings = index.trainings
+    serve_batch = service.serve_batch
+    sys.setprofile(hook)
+    try:
+        for start in range(warmup, warmup + counted, batch):
+            serve_batch(stream[start:start + batch])
+    finally:
+        sys.setprofile(None)
+    assert index.trainings == trainings, \
+        "an index retrain landed in the counted window"
+    return {
+        "n": bank_size,
+        "requests": counted,
+        "batch": batch,
+        "calls_per_request": counts["calls"] / counted,
+        "results_materialised_per_request": counts["results"] / counted,
+        "rescored_probes_per_request": counts["rescored"] / counted,
     }
 
 
@@ -764,6 +843,7 @@ def run(sizes: list[int], out_path: str | Path | None = None,
         "kmeans": {str(n): bench_kmeans(n) for n in KMEANS_SIZES},
         "lifecycle": {str(n): bench_lifecycle(n) for n in lifecycle_sizes},
         "floor": {str(FLOOR_BANK): bench_floor(FLOOR_BANK)},
+        "batch": {str(FLOOR_BANK): bench_batch(FLOOR_BANK)},
         "journal": {str(JOURNAL_BANK): bench_journal(JOURNAL_BANK)},
         "gateway": {str(GATEWAY_BANK): bench_gateway(GATEWAY_BANK)},
     }
@@ -792,6 +872,8 @@ GATED_COUNTERS = {
     "lifecycle": ("rows_ranked_per_pass",),
     "floor": ("calls_per_request", "generators_minted_per_request",
               "proxy_solves_per_request"),
+    "batch": ("calls_per_request", "results_materialised_per_request",
+              "rescored_probes_per_request"),
     "journal": ("journal_calls_per_request", "wal_frames_per_request",
                 "wal_bytes_per_request"),
     "gateway": ("loop_iterations_per_request", "futures_per_request",
@@ -895,6 +977,12 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['generators_minted_per_request']:.2f} generators "
               f"minted, {row['proxy_solves_per_request']:.2f} proxy solves "
               f"(over {row['requests']} requests)")
+    for n, row in results["batch"].items():
+        print(f"batch   N={n:>6}: {row['calls_per_request']:.2f} calls from "
+              f"src/repro per request served in {row['batch']}s, "
+              f"{row['results_materialised_per_request']:.2f} search results "
+              f"materialised, {row['rescored_probes_per_request']:.4f} dedupe "
+              f"probes rescored (over {row['requests']} requests)")
     for n, row in results["journal"].items():
         print(f"journal N={n:>6}: {row['journal_calls_per_request']:.2f} "
               f"calls from src/repro inside WriteAheadLog.record per churned "

@@ -3,8 +3,8 @@
 ``run_baseline_gate`` is driven with hand-built results/baseline dicts so
 the tests exercise the gate logic itself — the missing-baseline warning
 (which must be loud, not a silent pass), the pass path, each of the
-fourteen exact work counters failing in both directions, and sections one side did
-not run being skipped — in milliseconds.  One more guard: the harness must
+seventeen exact work counters failing in both directions, and sections one
+side did not run being skipped — in milliseconds.  One more guard: the harness must
 import with numpy and ``repro`` alone, because that is all CI's perf jobs
 install.
 """
@@ -23,7 +23,9 @@ import repro
 def _results(iterations: int = 9, distance_columns: int = 305,
              rows_ranked: float = 4.0, fit_ms: float = 50.0,
              calls: float = 502.7175, minted: float = 5.0625,
-             solves: float = 0.8075, journal_calls: float = 63.58,
+             solves: float = 0.8075, batch_calls: float = 461.5,
+             materialised: float = 20.06, rescored: float = 0.06,
+             journal_calls: float = 63.58,
              frames: float = 4.6575, wal_bytes: float = 1904.0075,
              iterations_per_request: float = 3.0, futures: float = 1.0,
              timers: float = 0.0, sends: float = 2.0,
@@ -39,6 +41,10 @@ def _results(iterations: int = 9, distance_columns: int = 305,
                            "calls_per_request": calls,
                            "generators_minted_per_request": minted,
                            "proxy_solves_per_request": solves}},
+        "batch": {"3000": {"requests": 400, "batch": 16,
+                           "calls_per_request": batch_calls,
+                           "results_materialised_per_request": materialised,
+                           "rescored_probes_per_request": rescored}},
         "journal": {"1500": {"requests": 400,
                              "journal_calls_per_request": journal_calls,
                              "wal_frames_per_request": frames,
@@ -150,6 +156,24 @@ class TestPresentBaseline:
                 assert f"floor {key} at N=3000 changed: {moved}" \
                     in capsys.readouterr().out
 
+    def test_batch_counters_gate_exactly_in_both_directions(
+            self, tmp_path, capsys):
+        """The moved values are the per-candidate tail's (40 results per
+        stage-1 query, plus one per probe) and a batched kernel that files
+        no receipt (every probe rescored), and a step the other way."""
+        baseline = _baseline(tmp_path)
+        for argument, key, moves in (
+                ("batch_calls", "calls_per_request", (461.4975, 461.5025)),
+                ("materialised", "results_materialised_per_request",
+                 (20.0575, 41.0)),
+                ("rescored", "rescored_probes_per_request", (0.0575, 1.0))):
+            for moved in moves:
+                code = perf_harness.run_baseline_gate(
+                    _results(**{argument: moved}), baseline)
+                assert code == 1
+                assert f"batch {key} at N=3000 changed: {moved}" \
+                    in capsys.readouterr().out
+
     def test_journal_counters_gate_exactly_in_both_directions(
             self, tmp_path, capsys):
         baseline = _baseline(tmp_path)
@@ -194,6 +218,7 @@ class TestPresentBaseline:
         del smoke["lifecycle"]
         del smoke["kmeans"]
         del smoke["floor"]
+        del smoke["batch"]
         del smoke["journal"]
         del smoke["gateway"]
         assert perf_harness.run_baseline_gate(

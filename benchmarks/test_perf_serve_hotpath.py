@@ -28,6 +28,13 @@ job.  Asserted here:
   it repeats exactly per interpreter minor version (3.12 inlines
   comprehensions and counts fewer), so its exact gate is CI's
   ``perf-smoke`` job, which pins 3.11;
+* one request served through ``serve_batch`` in 16s (``bench_e2e``'s
+  ``serve_batch16`` mix) issues at most 520 calls from ``src/repro/``, its
+  stage 1 materialises at most 21 ``SearchResult``s (the per-candidate tail
+  built ``nprobe x pre_k`` = 40 and sorted them in Python) and at most half
+  of the dedupe probes score blocks again (all of them did while the batched
+  kernel filed no receipt; it reads 0.06).  Upper bounds: ``perf-smoke``
+  gates all three exactly;
 * the journal's share of one churned ``serve`` (``bench_e2e``'s
   ``lifecycle_churn`` inputs) is at most 130 calls from ``src/repro/``
   inside ``WriteAheadLog.record`` (502.5 when every record went through
@@ -120,6 +127,19 @@ def test_perf_serve_hotpath(benchmark):
     assert floor["proxy_solves_per_request"] < 1.0, \
         f"{floor['proxy_solves_per_request']:.2f} proxy solves per serve: " \
         f"update() is solving eagerly again"
+
+    # The batched request: stage 1 finished in arrays, the dedupe probe
+    # answered from the receipt stage 1 filed unless a probed block moved.
+    batch = results["batch"]["3000"]
+    assert batch["calls_per_request"] <= 520, \
+        f"one batched request issues {batch['calls_per_request']:.1f} " \
+        f"calls from src/repro/"
+    assert batch["results_materialised_per_request"] <= 21, \
+        f"{batch['results_materialised_per_request']:.2f} search results " \
+        f"materialised per batched request: candidates, not winners"
+    assert batch["rescored_probes_per_request"] <= 0.5, \
+        f"{batch['rescored_probes_per_request']:.2f} of the dedupe probes " \
+        f"behind a batched stage 1 rescored their blocks"
 
     # The journal's share of a churned request: framed, not json.dumps'ed.
     journal = results["journal"]["1500"]

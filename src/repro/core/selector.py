@@ -40,8 +40,8 @@ class ExampleSelector:
     """Selects an example combination for each request (section 4.1).
 
     Single-request path: :meth:`select`.  Batched path: :meth:`select_batch`
-    amortizes stage-1 retrieval across a micro-batch for the serving engine
-    while making identical per-request decisions.
+    amortizes stage-1 retrieval across a micro-batch for the serving engine;
+    stages 2 and 3 are the same code per request.
     """
 
     def __init__(self, cache: ExampleCache, proxy: HelpfulnessProxy,
@@ -67,10 +67,10 @@ class ExampleSelector:
                      ) -> list[list[ScoredExample]]:
         """Example combinations for a micro-batch of requests.
 
-        Stage 1 runs as one batched index query (a single vectorized matmul
-        per probed cluster instead of a per-request Python loop); stages 2
-        and 3 are inherently per-request and run exactly as in
-        :meth:`select`, so selections match the looped equivalent.
+        Stage 1 runs as one batched index query (one sgemm per probed
+        cluster, where :meth:`select` scores by einsum: same candidates by
+        test, scores equal up to the last float32 ulp); stages 2 and 3 run
+        per request exactly as in :meth:`select`, identical by construction.
         """
         embeddings = np.atleast_2d(np.asarray(request_embeddings, dtype=float))
         stage1 = self.cache.search_batch(embeddings, self.config.pre_k)

@@ -24,8 +24,8 @@ class ICRetrieval:
     """The two-stage Example Selector (section 4.1) as a RetrievalPolicy.
 
     A batch of one takes the single-request ``select`` path; larger batches
-    take the vectorized ``select_batch`` path (decision-identical, one
-    index pass for the whole batch).
+    take ``select_batch`` (one index pass; stages 2-3 identical by
+    construction, stage 1 by test up to sgemm-vs-einsum last-ulp ties).
     """
 
     def __init__(self, selector: ExampleSelector, enabled: bool = True) -> None:

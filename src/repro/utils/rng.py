@@ -36,8 +36,7 @@ def spawn_rng(rng: np.random.Generator, *labels: object) -> np.random.Generator:
     spawned from the same parent state.
     """
     base = int(rng.integers(0, 2**63 - 1))
-    mixed = stable_hash(base, *labels)
-    return np.random.default_rng(mixed)
+    return make_rng(stable_hash(base, *labels))
 
 
 def stable_hash(*parts: object) -> int:

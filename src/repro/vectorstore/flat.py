@@ -12,6 +12,7 @@ identical stored vectors still tie exactly (same bits in, same bits out).
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +29,48 @@ class SearchResult(NamedTuple):
 
     key: object
     score: float
+
+
+#: ``SearchResult(*pair)`` with no Python frame per hit.
+_hit = functools.partial(tuple.__new__, SearchResult)
+
+
+def unit_rows(queries: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 unit rows of a ``(batch, dim)`` query block, and which rows
+    can be searched at all: a norm below ``_EPS`` has no direction, and every
+    entry point (single or batched, flat or IVF) answers it with no hits."""
+    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if q.shape[1] != dim:
+        raise ValueError(f"query dim {q.shape[1]} != index dim {dim}")
+    norms = np.linalg.norm(q, axis=1)
+    return q / np.maximum(norms, _EPS)[:, None], norms >= _EPS
+
+
+def finish(k: int, chunks: list[np.ndarray], tables: list,
+           rows: list[np.ndarray] | None = None) -> list[SearchResult]:
+    """The tail every search shares: the top ``k`` of its candidates.
+
+    ``chunks[p]`` holds the float32 scores of part ``p`` (a probed block, a
+    shard's hits); its candidate ``j`` is ``tables[p][j]``, or
+    ``tables[p][rows[p][j]]`` when the part arrives pre-selected.  One
+    *stable* descending argsort over the concatenation, so exact ties
+    resolve in part-then-candidate order, as a per-key loop or
+    ``list.sort(reverse=True)`` would; at ``k == 1`` argmax, which is that
+    same first winner unsorted.  Keys and ``SearchResult``s are built for
+    the winners only; ``tolist`` widens a float32 exactly as ``float()``.
+    """
+    if not chunks:
+        return []
+    scores = np.concatenate(chunks)
+    top = scores.argmax()[None] if k == 1 \
+        else (-scores).argsort(kind="stable")[:k]
+    sizes = np.array([chunk.shape[0] for chunk in chunks], dtype=np.intp)
+    ends = sizes.cumsum()
+    owners = ends.searchsorted(top, side="right")
+    local = top - (ends - sizes)[owners] if rows is None \
+        else np.concatenate(rows)[top]
+    keys = [tables[p][i] for p, i in zip(owners.tolist(), local.tolist())]
+    return [*map(_hit, zip(keys, scores[top].tolist()))]
 
 
 class FlatIndex:
@@ -180,38 +223,21 @@ class FlatIndex:
         # matrix would silently upcast-copy the whole matrix per call.
         scores = self.matrix @ (q / qnorm).astype(STORAGE_DTYPE)
         k = min(k, len(self._keys))
-        top = np.argpartition(-scores, k - 1)[:k]
-        top = top[np.argsort(-scores[top])]
-        return [SearchResult(self._keys[i], float(scores[i])) for i in top]
+        top = (-scores).argpartition(k - 1)[:k]
+        return finish(k, [scores[top]], [self._keys], [top])
 
     def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchResult]]:
         """Exact top-``k`` for a batch of queries in one matmul.
 
-        ``queries`` is (batch, dim); returns one descending result list per
-        query.  Zero-norm queries get an empty list, matching :meth:`search`.
+        One descending list per row of ``queries``; none for a zero-norm row.
         """
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if q.shape[1] != self.dim:
-            raise ValueError(f"query dim {q.shape[1]} != index dim {self.dim}")
-        n_queries = q.shape[0]
+        q, valid = unit_rows(queries, self.dim)
         if k == 0 or not self._keys:
-            return [[] for _ in range(n_queries)]
-        norms = np.linalg.norm(q, axis=1)
-        valid = norms >= _EPS
-        q = (q / np.maximum(norms, _EPS)[:, None]).astype(STORAGE_DTYPE)
-
-        scores = q @ self.matrix.T  # (batch, n): the one vectorized matmul
+            return [[] for _ in valid]
+        scores = q.astype(STORAGE_DTYPE) @ self.matrix.T  # the one matmul
         k = min(k, len(self._keys))
-        top = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-        results: list[list[SearchResult]] = []
-        for i in range(n_queries):
-            if not valid[i]:
-                results.append([])
-                continue
-            order = top[i][np.argsort(-scores[i, top[i]])]
-            results.append(
-                [SearchResult(self._keys[j], float(scores[i, j])) for j in order]
-            )
-        return results
+        top = (-scores).argpartition(k - 1, axis=1)[:, :k]
+        return [finish(k, [scores[i, top[i]]], [self._keys], [top[i]])
+                if ok else [] for i, ok in enumerate(valid.tolist())]

@@ -29,20 +29,14 @@ bit-identically.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections import defaultdict
 
 import numpy as np
 
 from repro.utils.rng import make_rng, stable_hash
-from repro.vectorstore.flat import STORAGE_DTYPE, FlatIndex, SearchResult
+from repro.vectorstore.flat import (_EPS, STORAGE_DTYPE, FlatIndex,
+                                    SearchResult, finish, unit_rows)
 from repro.vectorstore.kmeans import KMeans
-
-_EPS = 1e-12
-
-#: ``SearchResult(*pair)`` with no Python frame per hit.
-_hit = functools.partial(tuple.__new__, SearchResult)
 
 #: Above this pool size a global retrain fits K-Means on a seeded uniform
 #: subsample of this many rows and assigns the rest by nearest centroid.
@@ -91,13 +85,17 @@ class _ClusterBlock:
     next retrain to stay bit-identical to the uninterrupted control.  Fresh
     blocks compute the sum with the same pairwise reduction ``mean`` uses,
     so construction bits never drift.
+
+    ``version`` counts ``append`` / ``remove`` calls, the only ways the rows
+    or their order move; search receipts are stamped with it.  Not journaled.
     """
 
-    __slots__ = ("keys", "_pos", "_vectors", "_sum")
+    __slots__ = ("keys", "_pos", "_vectors", "_sum", "version")
 
     def __init__(self, dim: int, keys: list[object] | None = None,
                  vectors: np.ndarray | None = None,
                  running_sum: np.ndarray | None = None) -> None:
+        self.version = 0
         if keys is None:
             self.keys: list[object] = []
             self._pos: dict[object, int] = {}
@@ -142,8 +140,10 @@ class _ClusterBlock:
         self._sum += self._vectors[row]  # the stored (float32-cast) row
         self._pos[key] = row
         self.keys.append(key)
+        self.version += 1
 
     def remove(self, key: object) -> None:
+        self.version += 1
         row = self._pos.pop(key)
         self._sum -= self._vectors[row]
         last = len(self.keys) - 1
@@ -198,9 +198,7 @@ class IVFIndex:
         self._key_to_cluster: dict[object, int] = {}
         self._churn = 0  # churn events (insert/remove/overwrite) since last train
         self.trainings = 0  # exposed for tests/benchmarks
-        # (question, top hit) of the last trained search; see
-        # :meth:`search`.
-        self._answered: tuple[tuple | None, SearchResult | None] = (None, None)
+        self._receipts: dict[tuple, tuple] = {}  # see search(); never saved
 
     def __len__(self) -> int:
         return len(self._flat)
@@ -258,71 +256,55 @@ class IVFIndex:
     def search(self, query: np.ndarray, k: int) -> list[SearchResult]:
         """Approximate top-k; exact while untrained or small.
 
-        Trained path: score the probed clusters with one ``block @ q``
-        matrix-vector product each, then take the top k with a *stable*
-        argsort so exact ties resolve in cluster-probe-then-row order —
-        the same order a per-key Python loop over the posting lists yields.
+        Trained path: one ``block @ q`` matrix-vector product per probed
+        cluster, then :func:`~repro.vectorstore.flat.finish`.
+
+        Admission's dedupe probe asks, at ``k == 1``, the query stage 1 just
+        ran at ``pre_k``.  So every trained stage-1 call (this one at
+        ``k != 1``, :meth:`search_batch`) drops the previous call's receipts
+        and files one per query, ``(trainings, [(probed cluster, its
+        version)...], top hit)``, and ``k == 1`` answers from it while all of
+        those stand — the answer is a function of nothing else
+        (``docs/PERFORMANCE.md``, "The dedupe probe rides on stage 1").
         """
         self._maybe_train()
         if self._centroids is None:
             return self._flat.search(query, k)
 
-        # Admission's dedupe probe asks, at k=1, the query stage 1 just ran
-        # at k=pre_k.  Every mutation moves ``(trainings, _churn)``, so an
-        # equal question against an equal stamp scores the same blocks: its
-        # argmax is the first hit of that stable argsort, already computed.
         raw = np.asarray(query)
-        question = (raw.dtype.char, raw.tobytes(), self.nprobe,
-                    self.trainings, self._churn)
-        if k == 1 and question == self._answered[0]:
-            return [self._answered[1]]
+        question = (raw.dtype.char, raw.tobytes(), self.nprobe)
+        every = self._blocks
+        if k != 1:
+            self._receipts = {}
+        else:
+            trainings, probed, hit = self._receipts.get(question, (None, (), None))
+            if trainings == self.trainings:
+                for cluster, version in probed:
+                    if every[cluster].version != version:
+                        break
+                else:
+                    return [hit]
 
         q = np.asarray(query, dtype=np.float64).reshape(-1)
         qnorm = math.sqrt(q.dot(q))     # np.linalg.norm's own 1-D path
-        if qnorm <= 0 or k <= 0:
+        if qnorm < _EPS or k <= 0:
             return []
         q = q / qnorm
-        probe = np.argsort(-(self._centroids @ q))[:self.nprobe]
+        probe = (-(self._centroids @ q)).argsort()[:self.nprobe].tolist()
         # Block scoring happens in storage precision: a float64 query would
         # silently upcast every probed block per call.
         q32 = q.astype(STORAGE_DTYPE)
-
-        every = self._blocks
-        blocks = [every[c] for c in probe.tolist() if every[c].keys]
-        if not blocks:
-            return []
-
+        blocks = [every[c] for c in probe if every[c].keys]
         # One vectorized product per probed cluster.  einsum, not BLAS
         # gemv: its per-row accumulation is a pure function of row
         # content, so identical vectors score identically wherever they
         # sit in the block — BLAS kernels can differ in the last ulp by
         # row position, which would break exact ties nondeterministically.
-        chunks = [np.einsum("ij,j->i", block.view(), q32) for block in blocks]
-        scores = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if k == 1:
-            # argmax returns the FIRST index attaining the max — exactly the
-            # stable-argsort winner — and skips sorting the other few
-            # hundred probed rows (the admission dedupe check hits this
-            # path on every served request).
-            top = np.argmax(scores)[None]
-        else:
-            top = np.argsort(-scores, kind="stable")[:k]
-        # Materialize keys for the k winners only (probed clusters hold
-        # hundreds of keys; extending a Python list with all of them per
-        # query costs more than the scoring matmuls), and leave numpy once:
-        # ``tolist`` widens each float32 score exactly as ``float()`` does.
-        if len(blocks) == 1:
-            keys0 = blocks[0].keys
-            keys = [keys0[i] for i in top.tolist()]
-        else:
-            offsets = np.zeros(len(blocks) + 1, dtype=np.intp)
-            offsets[1:] = np.cumsum([len(b.keys) for b in blocks])
-            owners = np.searchsorted(offsets, top, side="right") - 1
-            keys = [blocks[b].keys[i]
-                    for b, i in zip(owners.tolist(),
-                                    (top - offsets[owners]).tolist())]
-        hits = list(map(_hit, zip(keys, scores[top].tolist())))
-        self._answered = (question, hits[0])
+        hits = finish(k, [np.einsum("ij,j->i", block.view(), q32)
+                          for block in blocks], [b.keys for b in blocks])
+        if k != 1 and hits:
+            self._receipts[question] = (self.trainings, [
+                (c, every[c].version) for c in probe], hits[0])
         return hits
 
     def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchResult]]:
@@ -333,51 +315,46 @@ class IVFIndex:
         multiplied once per querying subset (``Q_sub @ block.T``) — no
         per-call row gathering, which is the amortization that makes batched
         serving pay off (section 7's throughput experiments assume this).
+        Every query files a receipt (:meth:`search`) for its sgemm-scored top.
         """
         self._maybe_train()
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if self._centroids is None:
-            return self._flat.search_batch(q, k)
-        if q.shape[1] != self.dim:
-            raise ValueError(f"query dim {q.shape[1]} != index dim {self.dim}")
-        n_queries = q.shape[0]
+            return self._flat.search_batch(queries, k)
+        q, valid = unit_rows(queries, self.dim)
         if k <= 0:
-            return [[] for _ in range(n_queries)]
-        norms = np.linalg.norm(q, axis=1)
-        valid = norms > 0
-        q = q / np.maximum(norms, _EPS)[:, None]
-
+            return [[] for _ in valid]
         nprobe = min(self.nprobe, self.n_clusters)
-        centroid_scores = q @ self._centroids.T  # (batch, K)
-        probes = np.argpartition(-centroid_scores, nprobe - 1, axis=1)[:, :nprobe]
+        probes = (-(q @ self._centroids.T)).argpartition(    # (batch, K)
+            nprobe - 1, axis=1)[:, :nprobe].tolist()
         q32 = q.astype(STORAGE_DTYPE)
 
-        # Invert to cluster -> querying rows so each cluster's block is
-        # multiplied once per batch, not once per query.
-        by_cluster: dict[int, list[int]] = defaultdict(list)
-        for qi in np.flatnonzero(valid):
+        by_cluster: dict[int, list[int]] = {}
+        for qi in valid.nonzero()[0].tolist():
             for cluster in probes[qi]:
-                by_cluster[int(cluster)].append(int(qi))
+                by_cluster.setdefault(cluster, []).append(qi)
 
-        candidates: list[list[SearchResult]] = [[] for _ in range(n_queries)]
+        every = self._blocks
+        found = [[] for _ in probes]     # per query: (chunk, key list, rows)
         for cluster, rows in by_cluster.items():
-            block = self._blocks[cluster]
-            members = block.keys
-            if not members:
-                continue
-            scores = q32[rows] @ block.view().T             # (rows, m)
+            members = every[cluster].keys
             m = len(members)
+            if not m:
+                continue
+            scores = q32[rows] @ every[cluster].view().T    # (rows, m)
             keep = min(k, m)
-            for row, qi in enumerate(rows):
-                s = scores[row]
-                top = np.argpartition(-s, keep - 1)[:keep] if m > keep \
+            for s, qi in zip(scores, rows):
+                top = (-s).argpartition(keep - 1)[:keep] if m > keep \
                     else np.arange(m)
-                candidates[qi].extend(
-                    SearchResult(members[i], float(s[i])) for i in top
-                )
-        for bucket in candidates:
-            bucket.sort(key=lambda r: r.score, reverse=True)
-        return [bucket[:k] for bucket in candidates]
+                found[qi].append((s[top], members, top))
+        results = [finish(k, *zip(*parts)) if parts else []
+                   for parts in found]
+        raw = np.asarray(queries).reshape(len(probes), -1)
+        self._receipts = {
+            (raw.dtype.char, raw[qi].tobytes(), self.nprobe): (
+                self.trainings, [(c, every[c].version) for c in probes[qi]],
+                hits[0])
+            for qi, hits in enumerate(results) if hits}
+        return results
 
     def to_state(self) -> dict:
         """Serializable state capturing the full training-relevant history.

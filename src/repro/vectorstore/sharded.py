@@ -22,8 +22,16 @@ from typing import Callable
 import numpy as np
 
 from repro.utils.rng import stable_hash
-from repro.vectorstore.flat import SearchResult
+from repro.vectorstore.flat import STORAGE_DTYPE, SearchResult, finish
 from repro.vectorstore.ivf import IVFIndex
+
+
+def _merge(per_shard: list | tuple, k: int) -> list[SearchResult]:
+    """Per-shard top-k lists to the fan-out top-k, through the tail every
+    search shares, a shard a part: ties resolve in shard-then-rank order."""
+    parts = [tuple(zip(*hits)) for hits in per_shard if hits]
+    return finish(k, [np.array(scores, dtype=STORAGE_DTYPE)
+                      for _, scores in parts], [keys for keys, _ in parts])
 
 
 class ShardedIndex:
@@ -153,22 +161,12 @@ class ShardedIndex:
 
     def search(self, query: np.ndarray, k: int) -> list[SearchResult]:
         """Fan out to every shard; merge the per-shard top-k by score."""
-        merged: list[SearchResult] = []
-        for shard in self._shards:
-            merged.extend(shard.search(query, k))
-        merged.sort(key=lambda r: r.score, reverse=True)
-        return merged[:k]
+        return _merge([shard.search(query, k) for shard in self._shards], k)
 
     def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchResult]]:
         """Batched fan-out: each shard scores the whole batch at once."""
-        q = np.atleast_2d(np.asarray(queries, dtype=float))
-        per_shard = [shard.search_batch(q, k) for shard in self._shards]
-        results: list[list[SearchResult]] = []
-        for qi in range(q.shape[0]):
-            merged = [hit for shard_hits in per_shard for hit in shard_hits[qi]]
-            merged.sort(key=lambda r: r.score, reverse=True)
-            results.append(merged[:k])
-        return results
+        per_shard = [shard.search_batch(queries, k) for shard in self._shards]
+        return [_merge(hits, k) for hits in zip(*per_shard)]
 
     def matching_cost(self) -> float:
         """Expected comparisons per fan-out query: sum of per-shard costs."""

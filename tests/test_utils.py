@@ -48,6 +48,26 @@ class TestRng:
         b = spawn_rng(parent, "y")
         assert a.integers(0, 10**12) != b.integers(0, 10**12)
 
+    def test_spawned_child_is_the_default_rng_of_its_mixed_seed(self):
+        """``spawn_rng`` mints through ``make_rng`` (``Generator(PCG64(s))``),
+        not ``default_rng(s)``: the same PCG64 state, so every decode stream
+        — first draws of each kind, and the full state dict — is unchanged."""
+        import numpy as np
+
+        for seed in range(1_000):
+            parent = make_rng(seed)
+            state = parent.bit_generator.state
+            child = spawn_rng(parent, "decode", seed)
+            parent.bit_generator.state = state
+            base = int(parent.integers(0, 2**63 - 1))
+            old = np.random.default_rng(stable_hash(base, "decode", seed))
+            assert child.bit_generator.state == old.bit_generator.state
+            assert child.random() == old.random()
+            assert child.normal() == old.normal()
+            assert child.integers(0, 2**63 - 1) == old.integers(0, 2**63 - 1)
+            # and the parent was advanced by exactly the one word
+            assert parent.bit_generator.state != state
+
 
 class TestSimClock:
     def test_starts_at_zero(self):
