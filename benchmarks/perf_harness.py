@@ -15,8 +15,10 @@ harness keeps only what that benchmark cannot give:
   ``serve_batch`` in 16s plus what its stage 1 materialises and how many of
   its dedupe probes score blocks again (``batch``), the journal's share of
   a churned request —
-  calls issued while ``WriteAheadLog.record`` runs, frames and bytes
-  appended (``journal``), and what the gateway's transport spends on one
+  calls issued while ``WriteAheadLog.record`` or ``flush`` runs, ``write``s
+  issued, frames and bytes appended (``journal``), the generators one
+  sample of a maintenance tick's replay pass mints (``replay``), and what
+  the gateway's transport spends on one
   loopback ``POST /serve`` — event-loop iterations, futures, timer handles,
   socket sends, calls issued from ``src/repro/gateway/`` and ``asyncio/``
   (``gateway``);
@@ -575,38 +577,59 @@ def bench_batch(bank_size: int = FLOOR_BANK, warmup: int = 208,
     }
 
 
-def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
-                  counted: int = 400) -> dict:
-    """Work the journal does for one churned request, as exact counts.
-
-    ``bench_e2e``'s ``lifecycle_churn`` seed-0 inputs rebuilt here — all-fresh
-    requests, ``sanitize=True``, capacity = the seeded bank's bytes, the timed
-    service a recovered one behind a size-compacting ``Checkpointer`` — and
-    ``counted`` serves after ``warmup``, with no maintenance tick and no
-    compaction in the window (asserted).  ``journal_calls_per_request``
-    counts, by :func:`bench_floor`'s definition (``call`` events whose
-    caller's frame, ``c_call`` events whose own frame, lies under
-    ``src/repro/``), the calls issued while ``WriteAheadLog.record`` is on
-    the stack; frames and bytes are what those records appended.
-    """
-    import tempfile
-
+def _churn_service(bank_size: int, n_requests: int):
+    """``bench_e2e``'s ``lifecycle_churn`` seed-0 inputs: all-fresh requests,
+    ``sanitize=True``, capacity = the seeded bank's bytes."""
     from repro import ICCacheConfig, ICCacheService
     from repro.core.config import ManagerConfig
-    from repro.persistence import Checkpointer, WriteAheadLog
     from repro.workload import SyntheticDataset
 
     dataset = SyntheticDataset("ms_marco", scale=bank_size / 808_731, seed=0)
     bank = dataset.example_bank_requests()[:bank_size]
-    stream = _floor_stream(dataset, bank, warmup + counted, reask_share=0.0)
+    stream = _floor_stream(dataset, bank, n_requests, reask_share=0.0)
     built = ICCacheService(ICCacheConfig(
         seed=0, manager=ManagerConfig(sanitize=True)))
     built.seed_cache(bank)
     built.manager.config.capacity_bytes = built.cache.total_bytes
+    return built, stream
+
+
+def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
+                  counted: int = 400) -> dict:
+    """Work the journal does for one churned request, as exact counts.
+
+    ``bench_e2e``'s ``lifecycle_churn`` seed-0 inputs rebuilt here
+    (:func:`_churn_service`), the timed service a recovered one behind a
+    size-compacting ``Checkpointer`` — and ``counted`` serves after
+    ``warmup``, with no maintenance tick and no compaction in the window
+    (asserted).  ``journal_calls_per_request`` counts, by
+    :func:`bench_floor`'s definition (``call`` events whose caller's frame,
+    ``c_call`` events whose own frame, lies under ``src/repro/``), the
+    calls issued while ``WriteAheadLog.record`` or ``WriteAheadLog.flush``
+    is on the stack; ``journal_writes_per_request`` the ``write``s
+    ``persistence/wal.py`` issued on a raw file while
+    ``ExampleManager.admit`` was on the stack (every request of the window
+    is admitted — asserted — so it is writes per admission; a ``retrain``
+    marker a retrieval search journals is its own operation and write, and
+    ``journal_writes_outside_admission`` counts those); frames and bytes
+    are what all records of the window appended.
+    """
+    import io
+    import tempfile
+
+    from repro.core.manager import ExampleManager
+    from repro.persistence import Checkpointer, WriteAheadLog
+    from repro.persistence import wal as wal_module
+
+    built, stream = _churn_service(bank_size, warmup + counted)
 
     package = _package_root()
-    record_code = WriteAheadLog.record.__code__
-    state = {"depth": 0, "calls": 0}
+    wal_file = wal_module.__file__
+    journal_codes = (WriteAheadLog.record.__code__,
+                     WriteAheadLog.flush.__code__)
+    admit_code = ExampleManager.admit.__code__
+    state = {"depth": 0, "calls": 0, "admitting": 0, "writes": 0,
+             "writes_outside": 0}
 
     def hook(frame, event, arg):
         if event == "call":
@@ -614,14 +637,24 @@ def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
             if state["depth"] and caller is not None and \
                     caller.f_code.co_filename.startswith(package):
                 state["calls"] += 1
-            if frame.f_code is record_code:    # itself not counted
+            if frame.f_code in journal_codes:   # itself not counted
                 state["depth"] += 1
+            elif frame.f_code is admit_code:
+                state["admitting"] += 1
         elif event == "return":
-            if frame.f_code is record_code:
+            if frame.f_code in journal_codes:
                 state["depth"] -= 1
-        elif event == "c_call" and state["depth"] and \
-                frame.f_code.co_filename.startswith(package):
-            state["calls"] += 1
+            elif frame.f_code is admit_code:
+                state["admitting"] -= 1
+        elif event == "c_call":
+            if state["depth"] and \
+                    frame.f_code.co_filename.startswith(package):
+                state["calls"] += 1
+            if arg.__name__ == "write" and isinstance(
+                    arg.__self__, io.FileIO) and \
+                    frame.f_code.co_filename == wal_file:
+                state["writes" if state["admitting"]
+                      else "writes_outside"] += 1
 
     with tempfile.TemporaryDirectory() as directory:
         first = Checkpointer(built, directory)
@@ -646,15 +679,65 @@ def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
             sys.setprofile(None)
         assert checkpointer.checkpoints == checkpoints, \
             "a compaction landed in the counted window"
+        assert service.manager.admitted == built.manager.admitted \
+            + warmup + counted, "a request of the window was not admitted"
         result = {
             "n": bank_size,
             "requests": counted,
             "journal_calls_per_request": state["calls"] / counted,
+            "journal_writes_per_request": state["writes"] / counted,
+            "journal_writes_outside_admission": state["writes_outside"],
             "wal_frames_per_request": (len(wal) - frames) / counted,
             "wal_bytes_per_request": (wal.size_bytes - size) / counted,
         }
         checkpointer.detach()
     return result
+
+
+def bench_replay(bank_size: int = JOURNAL_BANK, served: int = 350) -> dict:
+    """Generators one sample of a replay pass mints, as an exact count.
+
+    :func:`_churn_service`, ``served`` requests (``lifecycle_churn``'s
+    warm-up plus one ``tick_every``), 30 minutes on the clock, then one
+    ``run_maintenance(replay=True)`` under a ``sys.setprofile`` hook that
+    counts ``make_rng`` calls and ``SimulatedLLM.generate`` calls — every
+    generation in a maintenance tick is a replay sample.  A sample needs
+    one generator, its decode stream; the per-(model, request) word that
+    stream is derived from costs a second only when the teacher has not
+    decoded that request before (an example admitted from a small-model
+    response, on its first sample).
+    """
+    from repro.llm.model import SimulatedLLM
+    from repro.utils import rng as rng_module
+
+    service, stream = _churn_service(bank_size, served)
+    for request in stream:
+        service.serve(request)
+    service.clock.advance(1800.0)
+    make_rng_code = rng_module.make_rng.__code__
+    generate_code = SimulatedLLM.generate.__code__
+    counts = {"minted": 0, "samples": 0}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            if frame.f_code is make_rng_code:
+                counts["minted"] += 1
+            elif frame.f_code is generate_code:
+                counts["samples"] += 1
+
+    sys.setprofile(hook)
+    try:
+        summary = service.run_maintenance(replay=True)
+    finally:
+        sys.setprofile(None)
+    assert summary["replayed"] > 0, "the tick replayed nothing"
+    return {
+        "n": bank_size,
+        "replayed": summary["replayed"],
+        "samples": counts["samples"],
+        "generators_minted_per_replay_sample":
+            counts["minted"] / counts["samples"],
+    }
 
 
 def bench_gateway(bank_size: int = GATEWAY_BANK, warmup: int = 200,
@@ -845,6 +928,7 @@ def run(sizes: list[int], out_path: str | Path | None = None,
         "floor": {str(FLOOR_BANK): bench_floor(FLOOR_BANK)},
         "batch": {str(FLOOR_BANK): bench_batch(FLOOR_BANK)},
         "journal": {str(JOURNAL_BANK): bench_journal(JOURNAL_BANK)},
+        "replay": {str(JOURNAL_BANK): bench_replay(JOURNAL_BANK)},
         "gateway": {str(GATEWAY_BANK): bench_gateway(GATEWAY_BANK)},
     }
     for n in sizes:
@@ -874,8 +958,9 @@ GATED_COUNTERS = {
               "proxy_solves_per_request"),
     "batch": ("calls_per_request", "results_materialised_per_request",
               "rescored_probes_per_request"),
-    "journal": ("journal_calls_per_request", "wal_frames_per_request",
-                "wal_bytes_per_request"),
+    "journal": ("journal_calls_per_request", "journal_writes_per_request",
+                "wal_frames_per_request", "wal_bytes_per_request"),
+    "replay": ("generators_minted_per_replay_sample",),
     "gateway": ("loop_iterations_per_request", "futures_per_request",
                 "timer_handles_per_request", "socket_sends_per_request",
                 "gateway_calls_per_request"),
@@ -985,10 +1070,18 @@ def main(argv: list[str] | None = None) -> int:
               f"probes rescored (over {row['requests']} requests)")
     for n, row in results["journal"].items():
         print(f"journal N={n:>6}: {row['journal_calls_per_request']:.2f} "
-              f"calls from src/repro inside WriteAheadLog.record per churned "
-              f"serve, {row['wal_frames_per_request']:.3f} frames, "
+              f"calls from src/repro inside WriteAheadLog.record / flush per "
+              f"churned serve, {row['journal_writes_per_request']:g} writes "
+              f"per admission "
+              f"(+{row['journal_writes_outside_admission']} outside one), "
+              f"{row['wal_frames_per_request']:.3f} frames, "
               f"{row['wal_bytes_per_request']:.1f} bytes "
               f"(over {row['requests']} requests)")
+    for n, row in results["replay"].items():
+        print(f"replay  N={n:>6}: "
+              f"{row['generators_minted_per_replay_sample']:.4f} generators "
+              f"minted per replay sample ({row['samples']} samples, "
+              f"{row['replayed']} examples replayed in one tick)")
     for n, row in results["gateway"].items():
         print(f"gateway N={n:>6}: {row['loop_iterations_per_request']:g} loop "
               f"iterations, {row['futures_per_request']:g} futures, "

@@ -3,7 +3,7 @@
 ``run_baseline_gate`` is driven with hand-built results/baseline dicts so
 the tests exercise the gate logic itself — the missing-baseline warning
 (which must be loud, not a silent pass), the pass path, each of the
-seventeen exact work counters failing in both directions, and sections one
+nineteen exact work counters failing in both directions, and sections one
 side did not run being skipped — in milliseconds.  One more guard: the harness must
 import with numpy and ``repro`` alone, because that is all CI's perf jobs
 install.
@@ -25,8 +25,9 @@ def _results(iterations: int = 9, distance_columns: int = 305,
              calls: float = 502.7175, minted: float = 5.0625,
              solves: float = 0.8075, batch_calls: float = 461.5,
              materialised: float = 20.06, rescored: float = 0.06,
-             journal_calls: float = 63.58,
-             frames: float = 4.6575, wal_bytes: float = 1904.0075,
+             journal_calls: float = 53.975, writes: float = 1.0,
+             frames: float = 2.83, wal_bytes: float = 1807.15,
+             replay_minted: float = 2840 / 2550,
              iterations_per_request: float = 3.0, futures: float = 1.0,
              timers: float = 0.0, sends: float = 2.0,
              gateway_calls: float = 172.0) -> dict:
@@ -47,8 +48,12 @@ def _results(iterations: int = 9, distance_columns: int = 305,
                            "rescored_probes_per_request": rescored}},
         "journal": {"1500": {"requests": 400,
                              "journal_calls_per_request": journal_calls,
+                             "journal_writes_per_request": writes,
                              "wal_frames_per_request": frames,
                              "wal_bytes_per_request": wal_bytes}},
+        "replay": {"1500": {"samples": 2550,
+                            "generators_minted_per_replay_sample":
+                                replay_minted}},
         "gateway": {"1000": {"requests": 400,
                              "loop_iterations_per_request":
                                  iterations_per_request,
@@ -176,18 +181,37 @@ class TestPresentBaseline:
 
     def test_journal_counters_gate_exactly_in_both_directions(
             self, tmp_path, capsys):
+        """The moved values are the ungrouped journal's (three
+        ``manager_counters`` per admission, one ``write`` per frame: 63.58
+        calls, 4.6575 writes and frames, 1904.0075 bytes) and a step the
+        other way."""
         baseline = _baseline(tmp_path)
         for argument, key, moves in (
                 ("journal_calls", "journal_calls_per_request",
-                 (63.5775, 502.525)),
-                ("frames", "wal_frames_per_request", (4.655, 4.66)),
-                ("wal_bytes", "wal_bytes_per_request", (1904.005, 2956.565))):
+                 (53.9725, 63.58)),
+                ("writes", "journal_writes_per_request", (0.9975, 4.6575)),
+                ("frames", "wal_frames_per_request", (2.8275, 4.6575)),
+                ("wal_bytes", "wal_bytes_per_request",
+                 (1807.1475, 1904.0075))):
             for moved in moves:
                 code = perf_harness.run_baseline_gate(
                     _results(**{argument: moved}), baseline)
                 assert code == 1
                 assert f"journal {key} at N=1500 changed: {moved}" \
                     in capsys.readouterr().out
+
+    def test_replay_counter_gates_exactly_in_both_directions(
+            self, tmp_path, capsys):
+        """2.0 is a ``generate`` that re-derives the per-(model, request)
+        word on every sample; 1.0 would be a memo that no longer misses
+        where it must (a teacher's first decode of a request)."""
+        baseline = _baseline(tmp_path)
+        for moved in (1.0, 2.0):
+            code = perf_harness.run_baseline_gate(
+                _results(replay_minted=moved), baseline)
+            assert code == 1
+            assert ("replay generators_minted_per_replay_sample at N=1500 "
+                    f"changed: {moved}") in capsys.readouterr().out
 
     def test_gateway_counters_gate_exactly_in_both_directions(
             self, tmp_path, capsys):
@@ -220,6 +244,7 @@ class TestPresentBaseline:
         del smoke["floor"]
         del smoke["batch"]
         del smoke["journal"]
+        del smoke["replay"]
         del smoke["gateway"]
         assert perf_harness.run_baseline_gate(
             smoke, _baseline(tmp_path)) == 0

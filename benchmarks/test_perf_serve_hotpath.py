@@ -37,10 +37,15 @@ job.  Asserted here:
   gates all three exactly;
 * the journal's share of one churned ``serve`` (``bench_e2e``'s
   ``lifecycle_churn`` inputs) is at most 130 calls from ``src/repro/``
-  inside ``WriteAheadLog.record`` (502.5 when every record went through
-  ``json.dumps``) and 2 500 bytes (2 957), for exactly the baseline's frames
-  per request — nothing coalesced, nothing dropped.  Upper bounds again: the
-  exact call count is ``perf-smoke``'s;
+  inside ``WriteAheadLog.record`` / ``flush`` (502.5 when every record went
+  through ``json.dumps``), at most 3 frames (4.66 while an admission
+  journaled ``manager_counters`` three times) and 2 500 bytes (2 957), in
+  exactly one ``write`` per admitted request (one per frame before
+  groups).  Upper bounds, the write count aside: the exact call count is
+  ``perf-smoke``'s;
+* one sample of a maintenance tick's replay pass mints at most 1.34
+  generators (2.0 while ``generate`` re-derived the per-(model, request)
+  word each time; 4/3 is a pass whose every example is new to the teacher);
 * one loopback ``POST /serve`` (``bench_e2e``'s ``gateway_serve`` inputs)
   costs at most 3 event-loop iterations, 1 future, no timer handle and 2
   socket sends (6 / 4 / 1 / 2 when a stream reader, a handler task and a
@@ -148,6 +153,19 @@ def test_perf_serve_hotpath(benchmark):
         f"{journal['journal_calls_per_request']:.1f} calls from src/repro/"
     assert journal["wal_bytes_per_request"] <= 2_500, \
         f"{journal['wal_bytes_per_request']:.0f} journal bytes per serve"
+    assert journal["wal_frames_per_request"] <= 3, \
+        f"{journal['wal_frames_per_request']:.2f} frames per churned serve: " \
+        f"manager_counters is journaled more than once per operation"
+    assert journal["journal_writes_per_request"] == 1, \
+        f"{journal['journal_writes_per_request']:g} journal writes per " \
+        f"admitted request: an admission is one group, one write"
+
+    # The replay pass: one decode generator per sample, the request's word
+    # derived once.
+    replay = results["replay"]["1500"]
+    assert replay["generators_minted_per_replay_sample"] <= 1.34, \
+        f"{replay['generators_minted_per_replay_sample']:.2f} generators " \
+        f"minted per replay sample"
 
     # The transport's share of a loopback request: callbacks, not tasks.
     gateway = results["gateway"]["1000"]

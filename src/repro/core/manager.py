@@ -14,6 +14,8 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro.analysis.knapsack import knapsack_keep_mask
@@ -26,6 +28,47 @@ from repro.llm.model import GenerationResult
 from repro.privacy.sanitizer import sanitize_text
 from repro.utils.clock import SimClock
 from repro.workload.request import Request
+
+
+class _Journaled:
+    """``with`` block around one manager operation that journals.
+
+    The cache journal sees mutations, not who made them, so id minting and
+    the admission / rejection / eviction tallies would drift across a WAL
+    recovery without ``manager_counters`` (a physical redo record: recovery
+    applies the latest values).  The outermost block — ``admit`` runs
+    ``enforce_capacity`` inside its own — journals it once, last, if a
+    counter moved (on the way out of an exception too: the mutations before
+    it happened), within the journal's ``group()`` when the journal offers
+    one (a plain callable does not), so the operation is one write.
+    """
+
+    def __init__(self, manager: "ExampleManager") -> None:
+        self.manager = manager
+        self.depth = 0
+        self.group = self.before = None
+
+    def __enter__(self) -> None:
+        self.depth += 1
+        if self.depth == 1:
+            journal = self.manager.cache.journal
+            if journal is not None:
+                self.before = self.manager.counters()
+                self.group = getattr(journal, "group", nullcontext)()
+                self.group.__enter__()
+
+    def __exit__(self, *exc_info) -> None:
+        self.depth -= 1
+        if self.depth or self.before is None:
+            return
+        before, self.before = self.before, None
+        try:
+            journal = self.manager.cache.journal
+            counters = self.manager.counters()
+            if journal is not None and counters != before:
+                journal("manager_counters", counters)
+        finally:
+            self.group.__exit__(*exc_info)
 
 
 class ExampleManager:
@@ -50,6 +93,20 @@ class ExampleManager:
         self.admitted = 0
         self.rejected_duplicates = 0
         self.evictions = 0
+        self._journaled = _Journaled(self)
+
+    def counters(self) -> dict:
+        """The running counters, as a ``manager_counters`` payload."""
+        return {"next_id": self._next_id, "admitted": self.admitted,
+                "rejected_duplicates": self.rejected_duplicates,
+                "evictions": self.evictions}
+
+    def restore_counters(self, data: dict) -> None:
+        """Inverse of :meth:`counters` (snapshot restore, WAL redo)."""
+        self._next_id = int(data["next_id"])
+        self.admitted = int(data["admitted"])
+        self.rejected_duplicates = int(data["rejected_duplicates"])
+        self.evictions = int(data["evictions"])
 
     # -- admission ----------------------------------------------------------
 
@@ -61,50 +118,31 @@ class ExampleManager:
         ``source_cost`` is the normalized cost of the model that produced the
         response; it feeds both proxy features and the G(e) formula.
         """
-        if self.cache.nearest_similarity(embedding) >= self.config.admission_dedupe_sim:
-            self.rejected_duplicates += 1
-            self._journal_counters()
-            return None
-        response_text = result.text
-        if self.config.sanitize:
-            response_text = sanitize_text(response_text)
-            request.text = sanitize_text(request.text)
-        example_number = self._next_id
-        self._next_id += 1
-        self._journal_counters()
-        example = Example(
-            example_id=f"ex-{example_number}-{request.request_id}",
-            request=request,
-            response_text=response_text,
-            embedding=embedding,
-            quality=result.quality,
-            source_model=result.model_name,
-            source_cost=source_cost,
-            created_at=self.clock.now,
-        )
-        self.cache.add(example)
-        self.admitted += 1
-        self._journal_counters()
-        self.enforce_capacity()
-        return example
-
-    def _journal_counters(self) -> None:
-        """Journal the manager's running counters (physical redo record).
-
-        The cache journal sees mutations, not who made them — so id
-        minting, admission/rejection tallies, and eviction counts would
-        drift across a WAL recovery without this record.  Emitted whenever
-        a counter moves while a journal is attached; recovery applies the
-        latest values (see :mod:`repro.persistence.wal`).
-        """
-        journal = self.cache.journal
-        if journal is not None:
-            journal("manager_counters", {
-                "next_id": self._next_id,
-                "admitted": self.admitted,
-                "rejected_duplicates": self.rejected_duplicates,
-                "evictions": self.evictions,
-            })
+        with self._journaled:
+            if self.cache.nearest_similarity(embedding) \
+                    >= self.config.admission_dedupe_sim:
+                self.rejected_duplicates += 1
+                return None
+            response_text = result.text
+            if self.config.sanitize:
+                response_text = sanitize_text(response_text)
+                request.text = sanitize_text(request.text)
+            example_number = self._next_id
+            self._next_id += 1
+            example = Example(
+                example_id=f"ex-{example_number}-{request.request_id}",
+                request=request,
+                response_text=response_text,
+                embedding=embedding,
+                quality=result.quality,
+                source_model=result.model_name,
+                source_cost=source_cost,
+                created_at=self.clock.now,
+            )
+            self.cache.add(example)
+            self.admitted += 1
+            self.enforce_capacity()
+            return example
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -186,11 +224,10 @@ class ExampleManager:
         rows = (~keep).nonzero()[0]
         evicted = [table.owner(row).example_id
                    for row in rows[np.argsort(rank[rows])].tolist()]
-        for example_id in evicted:
-            self.cache.remove(example_id)
-        self.evictions += len(evicted)
-        if evicted:
-            self._journal_counters()
+        with self._journaled:
+            for example_id in evicted:
+                self.cache.remove(example_id)
+                self.evictions += 1
         return len(evicted)
 
     # -- replay ----------------------------------------------------------
@@ -215,13 +252,14 @@ class ExampleManager:
             teacher = self.replay_engine.teacher
             # Records go out in cache-insertion order, not replay order.
             rank = table.col(INSERTION_RANK)[attached_rows(replayed)[1]]
-            for position in np.argsort(rank).tolist():
-                example = replayed[position]
-                request_id = example.request.request_id
-                journal("replay_rewrite", {
-                    "example": example,
-                    "teacher_decode_counts": {
-                        request_id: teacher.decode_count(request_id)
-                    },
-                })
+            with self._journaled:
+                for position in np.argsort(rank).tolist():
+                    example = replayed[position]
+                    request_id = example.request.request_id
+                    journal("replay_rewrite", {
+                        "example": example,
+                        "teacher_decode_counts": {
+                            request_id: teacher.decode_count(request_id)
+                        },
+                    })
         return outcome

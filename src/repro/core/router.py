@@ -73,9 +73,6 @@ class _LinearTSArm:
             self._posterior_memo = (mean, cov, np.linalg.cholesky(cov))
         return self._posterior_memo
 
-    def mean_weights(self) -> np.ndarray:
-        return self._posterior()[0].copy()
-
     def mean_score(self, x: np.ndarray) -> float:
         return float(x @ self._posterior()[0])
 

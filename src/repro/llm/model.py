@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.llm.icl import ExampleView, ICLBoostModel
 from repro.llm.quality import APTITUDE_STD, QualityModel, clip_unit
-from repro.utils.rng import make_rng, spawn_rng, stable_hash
+from repro.utils.rng import make_rng, stable_hash
 from repro.workload.request import Request
 
 
@@ -81,6 +81,8 @@ class GenerationResult:
 
 # Prepending an example adds its request+response tokens plus template glue.
 EXAMPLE_TEMPLATE_OVERHEAD_TOKENS = 12
+# Entries a per-request memo of a pure function may hold before it is cleared.
+_MEMO_BOUND = 8192
 # Guided by high-quality examples, responses come out slightly tighter
 # (Fig. 18: 3% lower zero-load latency for 2B + IC via shorter decodes).
 ICL_DECODE_SHRINK = 0.93
@@ -108,6 +110,9 @@ class SimulatedLLM:
         # learning); memoize the float, bounded so a long-lived service
         # cannot grow it without limit.
         self._base_quality_memo: dict[tuple[str, float], float] = {}
+        # Likewise the word every decode stream of a request derives from
+        # (replay asks once per sample).  Same bound; not snapshot state.
+        self._decode_seed_memo: dict[str, int] = {}
 
     @property
     def name(self) -> str:
@@ -142,7 +147,7 @@ class SimulatedLLM:
         )
         base += float(aptitude_rng.normal(0.0, APTITUDE_STD))
         result = clip_unit(base)
-        if len(self._base_quality_memo) >= 8192:
+        if len(self._base_quality_memo) >= _MEMO_BOUND:
             self._base_quality_memo.clear()
         self._base_quality_memo[memo_key] = result
         return result
@@ -160,10 +165,17 @@ class SimulatedLLM:
         examples = examples or []
         count = self._decode_counts.get(request.request_id, 0)
         self._decode_counts[request.request_id] = count + 1
-        rng = spawn_rng(
-            make_rng(stable_hash("gen", self.spec.name, request.request_id)),
-            "decode", count,
-        )
+        # spawn_rng(<the "gen" generator>, "decode", count), the one word
+        # it draws from its parent memoized.
+        try:
+            word = self._decode_seed_memo[request.request_id]
+        except KeyError:
+            if len(self._decode_seed_memo) >= _MEMO_BOUND:
+                self._decode_seed_memo.clear()
+            word = self._decode_seed_memo[request.request_id] = int(make_rng(
+                stable_hash("gen", self.spec.name, request.request_id)
+            ).integers(0, 2**63 - 1))
+        rng = make_rng(stable_hash(word, "decode", count))
 
         base = self.base_quality(request)
         boost = self.icl_model.boost(request.latent, examples, base)

@@ -553,10 +553,7 @@ def service_state(service: "ICCacheService", wal_epoch: int = 0) -> dict:
         },
         "manager": {
             "last_decay": service.manager._last_decay,
-            "next_id": service.manager._next_id,
-            "admitted": service.manager.admitted,
-            "rejected_duplicates": service.manager.rejected_duplicates,
-            "evictions": service.manager.evictions,
+            **service.manager.counters(),
         },
         "service": {
             "rng": rng_state(service._rng),
@@ -705,10 +702,7 @@ def restore_service(snapshot: dict, config: ICCacheConfig | None = None,
 
     manager = snapshot["manager"]
     service.manager._last_decay = float(manager["last_decay"])
-    service.manager._next_id = int(manager["next_id"])
-    service.manager.admitted = int(manager["admitted"])
-    service.manager.rejected_duplicates = int(manager["rejected_duplicates"])
-    service.manager.evictions = int(manager["evictions"])
+    service.manager.restore_counters(manager)
 
     svc = snapshot["service"]
     set_rng_state(service._rng, svc["rng"])

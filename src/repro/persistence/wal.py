@@ -307,17 +307,38 @@ def read_journal(path: str | Path) -> tuple[list[dict], list[int], int]:
             len(buf) - valid_end)
 
 
+class _Group:
+    """:meth:`WriteAheadLog.group`'s ``with`` block."""
+
+    def __init__(self, wal: "WriteAheadLog", closed) -> None:
+        self.wal = wal
+        self.closed = closed
+
+    def __enter__(self) -> None:
+        self.wal._depth += 1
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        wal = self.wal
+        wal._depth -= 1
+        if not wal._depth:
+            wal.flush()
+            if self.closed is not None and exc_type is None:
+                self.closed()
+
+
 class WriteAheadLog:
     """Append-only journal of cache mutation records.
 
     Low-level: callers attach its :meth:`record` as ``cache.journal`` (or
     go through :class:`Checkpointer`, which also owns compaction).  One
-    unbuffered append handle stays open across records; each record is one
-    ``write`` of one whole frame, handed to the OS before :meth:`record`
-    returns, so by the time a mutation's effects can be observed, its
-    record survives a *process* crash (power-loss durability would
-    additionally need an fsync per record — out of scope for the
-    simulation substrate, and noted in ``docs/PERSISTENCE.md``).
+    unbuffered append handle stays open across records; a record is one
+    ``write`` of one whole frame, the records of a :meth:`group` (one
+    admission, eviction pass or replay pass) one ``write`` of all their
+    frames, handed to the OS before the operation returns, so by the time
+    an operation's effects can be observed, its records survive a
+    *process* crash (power-loss durability would additionally need an
+    fsync per write — out of scope for the simulation substrate, and
+    noted in ``docs/PERSISTENCE.md``).
 
     ``epoch`` stamps every record with the journal generation it belongs
     to (bumped by :meth:`reset`); recovery uses it to ignore records a
@@ -337,6 +358,8 @@ class WriteAheadLog:
         # record.
         self._seq = 0
         self._bytes = 0
+        self._depth = 0                   # open groups (they nest)
+        self._pending: list[bytes] = []   # encoded frames not yet written
         if self.path.exists() and self.path.stat().st_size:
             with self.path.open("rb") as fh, mmap.mmap(
                     fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
@@ -351,7 +374,8 @@ class WriteAheadLog:
 
     @property
     def size_bytes(self) -> int:
-        """Current journal size (drives size-triggered compaction).
+        """Current journal size, frames of an open group included
+        (drives size-triggered compaction).
 
         A running in-process counter — this log owns the only write
         handle, so counting bytes as they are written avoids a ``stat``
@@ -359,18 +383,21 @@ class WriteAheadLog:
         """
         return self._bytes
 
-    def _open(self):
-        self._fh = fh = self.path.open("ab", buffering=0)
-        if self._bytes == 0:
-            self._bytes = fh.write(MAGIC)
-        return fh
+    def group(self, closed=None) -> _Group:
+        """``with`` block whose records leave in one ``write`` at its end
+        (the outermost, when groups nest; out of an exception too — the
+        frames on hand describe mutations that happened), after which
+        ``closed()`` runs unless an exception is passing."""
+        return _Group(self, closed)
 
     def record(self, kind: str, payload) -> None:
-        """Encode and append one mutation record (the journal callback).
+        """Encode one mutation record (the journal callback) and append it,
+        now or with its group.
 
-        The frame is complete before its one ``write``: a payload that
-        cannot be encoded (an int outside i64, a latent that is no float
-        vector) raises with the file untouched.
+        The payload is read here and the frame is complete before it can
+        reach a ``write``: a payload that cannot be encoded (an int outside
+        i64, a latent that is no float vector) raises with the file, and
+        the group's earlier frames, untouched.
         """
         try:
             code, encode, _ = _CODECS[kind]
@@ -378,14 +405,33 @@ class WriteAheadLog:
             raise ValueError(f"unknown WAL record kind {kind!r}") from None
         rest = _HEAD.pack(code, self.epoch, self._seq) + encode(payload)
         frame = _PREFIX.pack(len(rest), zlib.crc32(rest)) + rest
-        fh = self._fh if self._fh is not None else self._open()
-        written = fh.write(frame)
-        if written != len(frame):   # disk full: take the fragment back
+        if not self._bytes:    # the magic opens a journal, in the same write
+            frame = MAGIC + frame
+        self._pending.append(frame)
+        self._seq += 1
+        self._bytes += len(frame)
+        if not self._depth:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand the pending frames to the OS in one ``write``.  A short
+        write — disk full — is truncated back and raises: none of them
+        landed, and ``seq`` and the size return to where they stood before
+        the first."""
+        if not self._pending:
+            return
+        frames = len(self._pending)
+        data = b"".join(self._pending)
+        self._pending.clear()
+        if self._fh is None:
+            self._fh = self.path.open("ab", buffering=0)
+        written = self._fh.write(data)
+        if written != len(data):
+            self._seq -= frames
+            self._bytes -= len(data)
             os.truncate(self.path, self._bytes)
             raise OSError(f"{self.path}: short journal write "
-                          f"({written} of {len(frame)} bytes)")
-        self._bytes += written
-        self._seq += 1
+                          f"({written} of {len(data)} bytes)")
 
     def reset(self, epoch: int | None = None) -> None:
         """Truncate the journal (called right after a fresh snapshot).
@@ -401,7 +447,9 @@ class WriteAheadLog:
             self.epoch = int(epoch)
 
     def close(self) -> None:
-        """Release the append handle (reopened lazily on the next record)."""
+        """Write what an open group holds and release the append handle
+        (reopened lazily)."""
+        self.flush()
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -483,11 +531,7 @@ def apply_wal(service: "ICCacheService", records: list[dict]) -> int:
         elif kind == "clock":
             service.clock.advance_to(float(data["now"]))
         elif kind == "manager_counters":
-            manager = service.manager
-            manager._next_id = int(data["next_id"])
-            manager.admitted = int(data["admitted"])
-            manager.rejected_duplicates = int(data["rejected_duplicates"])
-            manager.evictions = int(data["evictions"])
+            service.manager.restore_counters(data)
         elif kind == "replay_rewrite":
             _apply_replay_rewrite(service, data)
         else:
@@ -560,11 +604,14 @@ class Checkpointer:
     """Snapshot + WAL under one directory, with size-triggered compaction.
 
     ``directory/snapshot.json`` is the latest full snapshot;
-    ``directory/wal.bin`` journals cache mutations since.  When the WAL
-    grows past ``compact_after_bytes``, the next record triggers a fresh
-    snapshot and truncates the journal — compaction is just "checkpoint
-    now".  :meth:`recover` inverts the whole arrangement.  A directory
-    still holding an older tree's ``wal.jsonl`` is refused, not half-read.
+    ``directory/wal.bin`` journals cache mutations since: the instance is
+    the journal it attaches (call it to record, :meth:`group` brackets one
+    operation).  When the WAL has grown past ``compact_after_bytes`` at
+    the end of an operation — a group, or a record outside one — a fresh
+    snapshot is taken and the journal truncated: compaction is just
+    "checkpoint now".  :meth:`recover` inverts the whole arrangement.  A
+    directory still holding an older tree's ``wal.jsonl`` is refused, not
+    half-read.
     """
 
     SNAPSHOT_NAME = "snapshot.json"
@@ -591,10 +638,6 @@ class Checkpointer:
         self.wal = WriteAheadLog(self.wal_path, epoch=self._epoch)
         self.checkpoints = 0
         self.compactions = 0
-        # Bound once: ``self._record`` would mint a fresh bound-method
-        # object per attribute access, so identity checks against the
-        # attached journal need a stable callable.
-        self._journal_callback = self._record
         self._checkpointing = False
         if attach:
             self.attach()
@@ -609,7 +652,7 @@ class Checkpointer:
 
     def attach(self) -> None:
         """Start journaling the service's cache mutations."""
-        self.service.cache.journal = self._journal_callback
+        self.service.cache.journal = self
 
     def detach(self) -> None:
         self.service.cache.journal = None
@@ -639,7 +682,7 @@ class Checkpointer:
                                   wal_epoch=new_epoch)
             self._epoch = new_epoch
             self.wal.reset(epoch=new_epoch)
-            if self.service.cache.journal is self._journal_callback:
+            if self.service.cache.journal is self:
                 self.attach()   # reset the retrain-detection baseline
             self.checkpoints += 1
             self.service.pipeline.run_checkpoint(self.service)
@@ -647,15 +690,24 @@ class Checkpointer:
             self._checkpointing = False
         return path
 
-    def _record(self, kind: str, payload) -> None:
+    def __call__(self, kind: str, payload) -> None:
         self.wal.record(kind, payload)
+        if not self.wal._depth:
+            self._compact_if_due()
+
+    def group(self):
+        """:meth:`WriteAheadLog.group`, with compaction tested at its end:
+        a snapshot never holds half an admission."""
+        return self.wal.group(self._compact_if_due)
+
+    def _compact_if_due(self) -> None:
         if (self.compact_after_bytes is not None
                 and not self._checkpointing
                 and self.wal.size_bytes > self.compact_after_bytes):
-            # The triggering record's effect is already part of live state,
-            # so the fresh snapshot subsumes it; dropping the journal loses
-            # nothing.  ``_checkpointing`` guards against re-entry when an
-            # on_checkpoint hook itself mutates the cache.
+            # The operation's effects are already part of live state, so
+            # the fresh snapshot subsumes its records; dropping the journal
+            # loses nothing.  ``_checkpointing`` guards against re-entry
+            # when an on_checkpoint hook itself mutates the cache.
             self.checkpoint()
             self.compactions += 1
 

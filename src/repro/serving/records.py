@@ -154,9 +154,6 @@ class ServingReport:
             split.setdefault(record.model_name, ServingReport()).records.append(record)
         return split
 
-    def total_cost(self) -> float:
-        return sum(r.cost for r in self.records)
-
     @property
     def shed_rate(self) -> float:
         """Fraction of admitted-or-shed requests that were shed."""

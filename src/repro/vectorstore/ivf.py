@@ -215,11 +215,6 @@ class IVFIndex:
         return 0 if self._centroids is None else self._centroids.shape[0]
 
     @property
-    def cluster_sizes(self) -> list[int]:
-        """Members per cluster (empty while untrained); balance diagnostic."""
-        return [len(block) for block in self._blocks]
-
-    @property
     def nbytes(self) -> int:
         """Resident bytes of dense storage: flat matrix + cluster blocks."""
         return self._flat.nbytes + sum(b.nbytes for b in self._blocks)

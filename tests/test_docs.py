@@ -141,7 +141,7 @@ def test_doc_imports_resolve(path: Path, line: str):
 #: ``src/`` past it raises the number in its own diff and says in
 #: ``CHANGES.md`` which deletion pays the growth back; a PR that shrinks
 #: ``src/`` lowers it to its result rounded up to the next 50.
-SRC_LINE_CEILING = 14_900
+SRC_LINE_CEILING = 15_000
 
 
 def test_src_stays_under_its_line_ceiling():

@@ -14,6 +14,7 @@ from repro.llm.icl import (
 from repro.llm.model import ModelSpec
 from repro.llm.quality import QualityModel
 from repro.llm.zoo import MODEL_PAIRS, MODEL_SPECS, get_model, get_model_pair
+from repro.utils.rng import make_rng, spawn_rng, stable_hash
 
 from tests.conftest import make_request
 
@@ -227,6 +228,112 @@ class TestSimulatedLLM:
         plain = np.mean([model.generate(req).quality for _ in range(10)])
         boosted = np.mean([model.generate(req, examples).quality for _ in range(10)])
         assert boosted > plain + 0.1
+
+
+class TestDecodeStreams:
+    """``generate`` memoizes the per-(model, request) word its decode
+    streams derive from; the generator it draws from stays the one
+    ``spawn_rng(make_rng(stable_hash("gen", model, request)), "decode",
+    count)`` builds — whether the word came from the memo, from a memo that
+    was cleared in between, or from the empty memo of a restored service."""
+
+    @staticmethod
+    def _recorded(model) -> list[dict]:
+        """States of the generators ``model.generate`` hands on, at the
+        moment they are handed on (nothing drawn yet)."""
+        states: list[dict] = []
+        sample = model.quality_model.sample_quality
+
+        def recording(base, boost, rng):
+            states.append(rng.bit_generator.state)
+            return sample(base, boost, rng)
+
+        model.quality_model.sample_quality = recording
+        return states
+
+    @staticmethod
+    def _assert_stream(state: dict, model_name: str, request_id: str,
+                       count: int) -> None:
+        reference = spawn_rng(
+            make_rng(stable_hash("gen", model_name, request_id)),
+            "decode", count)
+        assert state == reference.bit_generator.state, (request_id, count)
+        drawn = make_rng(0)
+        drawn.bit_generator.state = state
+        assert drawn.normal() == reference.normal()
+        assert drawn.lognormal(0.0, 0.08) == reference.lognormal(0.0, 0.08)
+
+    def test_a_thousand_triples_draw_from_the_spawned_generator(self):
+        triples = 0
+        for name in ("gemma-2-2b", "gemma-2-27b"):
+            model = get_model(name)
+            states = self._recorded(model)
+            requests = [make_request(request_id=f"stream-{i}")
+                        for i in range(100)]
+            for count in range(5):          # request-major within a count:
+                for request in requests:    # every later count is a memo hit
+                    model.generate(request)
+                    self._assert_stream(states[-1], name,
+                                        request.request_id, count)
+                    triples += 1
+            assert len(model._decode_seed_memo) == 100
+        assert triples == 1000
+
+    def test_equality_holds_across_the_memo_clear(self):
+        model = get_model("gemma-2-2b")
+        states = self._recorded(model)
+        first = make_request(request_id="before-the-clear")
+        model.generate(first)
+        word = model._decode_seed_memo[first.request_id]
+        for i in range(8192):                # the bound: the 8193rd clears
+            model.generate(make_request(request_id=f"fill-{i}"))
+        assert first.request_id not in model._decode_seed_memo
+        assert len(model._decode_seed_memo) <= 8192
+        model.generate(first)
+        assert model._decode_seed_memo[first.request_id] == word
+        self._assert_stream(states[0], model.name, first.request_id, 0)
+        self._assert_stream(states[-1], model.name, first.request_id, 1)
+        self._assert_stream(states[4097], model.name, "fill-4096", 0)
+
+    def test_a_restored_service_resumes_every_stream(self, tmp_path,
+                                                     service,
+                                                     small_dataset):
+        """The memo is no snapshot state: a snapshot taken with it full is
+        byte for byte the one taken with it empty, and the restored
+        service (empty memo, restored decode counts) draws from the same
+        generators the live one does."""
+        from repro.persistence.snapshot import (
+            load_snapshot,
+            restore_service,
+            write_snapshot,
+        )
+
+        service.seed_cache(small_dataset.example_bank_requests()[:30])
+        requests = small_dataset.online_requests(12)
+        for request in requests:
+            service.serve(request, load=0.2)
+        full = write_snapshot(service, tmp_path / "full" / "snap.json")
+        assert any(m._decode_seed_memo for m in service.models.values())
+        for model in service.models.values():
+            model._decode_seed_memo.clear()
+        empty = write_snapshot(service, tmp_path / "empty" / "snap.json")
+        for a, b in zip(sorted(full.parent.iterdir()),
+                        sorted(empty.parent.iterdir()), strict=True):
+            assert a.name == b.name and a.read_bytes() == b.read_bytes()
+
+        restored = restore_service(load_snapshot(full),
+                                   config=service.config)
+        for name, model in restored.models.items():
+            assert not model._decode_seed_memo
+            states = self._recorded(model)
+            live = service.models[name]
+            for request in requests:
+                count = model.decode_count(request.request_id)
+                assert count == live.decode_count(request.request_id)
+                assert model.generate(request).quality == \
+                    live.generate(request).quality
+                self._assert_stream(states[-1], name, request.request_id,
+                                    count)
 
 
 class TestZoo:

@@ -13,6 +13,8 @@ CI runs this file as the persistence smoke job (small N on purpose).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,60 @@ class TestCompaction:
         recovered = Checkpointer.recover(tmp_path / "ckpt")
         assert sorted(ex.example_id for ex in recovered.cache) == \
             sorted(ex.example_id for ex in service.cache)
+
+    def test_size_triggered_snapshot_sits_on_an_operation_boundary(
+            self, tmp_path, monkeypatch):
+        """Compaction is tested when an operation's group closes, not after
+        each record.  Before, two of three size-triggered snapshots of a
+        ``lifecycle_churn`` run were taken *inside* an admission — after
+        the ``add``, before the eviction it forces and before ``admitted``
+        caught up with ``_next_id`` (seen: cache 450 725 bytes of 450 589,
+        ``admitted`` 3043 / ``next_id`` 3044).  Every snapshot ``serve`` or
+        ``seed_cache`` triggers must hold a cache within budget and
+        counters that agree with each other, and the service recovered
+        from it *alone* must pass ``bench_e2e``'s ``cache_invariants``.
+        (Maintenance is left out on purpose: a replay pass rebinds response
+        texts, so a snapshot it triggers may sit over the budget until the
+        next ``enforce_capacity`` settles it.)"""
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "bench_e2e"))
+        from workloads import cache_invariants
+
+        service = ICCacheService(ICCacheConfig(
+            seed=SEED, manager=ManagerConfig(sanitize=True)))
+        dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
+        bank = dataset.example_bank_requests()
+        service.seed_cache(bank[:BANK])
+        capacity = service.cache.total_bytes
+        service.manager.config.capacity_bytes = capacity
+        directory = tmp_path / "ckpt"
+        # ~3 admissions' frames: most records that cross it are mid-group
+        checkpointer = Checkpointer(service, directory,
+                                    compact_after_bytes=6_000)
+        checkpointer.checkpoint()
+        seen = []
+
+        class Inspect(ServeMiddleware):
+            def on_checkpoint(self, live) -> None:
+                # the journal was just truncated: this is the snapshot alone
+                recovered = Checkpointer.recover(directory,
+                                                 config=live.config)
+                manager = recovered.manager
+                seen.append((recovered.cache.total_bytes, manager._next_id,
+                             manager.admitted, manager.evictions,
+                             len(recovered.cache),
+                             cache_invariants(recovered)))
+
+        service.pipeline.middlewares.append(Inspect())
+        for request in dataset.online_requests(60):
+            service.serve(request, load=0.2)
+        service.seed_cache(bank[BANK:BANK + 20])
+        checkpointer.detach()
+        assert checkpointer.compactions == len(seen) >= 10
+        for held, next_id, admitted, evictions, size, problems in seen:
+            assert held <= capacity
+            assert next_id == admitted and size == admitted - evictions
+            assert problems == []
 
     def test_stale_epoch_records_skipped_not_double_applied(self, tmp_path):
         """Crash between snapshot write and WAL truncation is safe.

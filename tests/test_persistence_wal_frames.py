@@ -9,12 +9,18 @@ newlines, metadata carrying an array), and on a 310-operation serving run
 whose two journals must also *recover* to the same service.  The second
 half enumerates storage faults: every truncation offset and every single
 bit of a small journal lands on its documented rule
-(``docs/PERSISTENCE.md``): torn tail dropped, corruption refused.
+(``docs/PERSISTENCE.md``): torn tail dropped, corruption refused.  In
+between, groups: the frames of one operation leave in one ``write``, are
+byte for byte the frames the same records make one by one, and a group
+that fails part-way, is cut short by the disk, or is open at ``detach`` /
+``reset`` loses nothing that happened.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import shutil
 import struct
 import warnings
 
@@ -316,27 +322,181 @@ def test_a_short_write_is_taken_back(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal.bin")
     wal.record("clock", {"now": 1.0})
     before = wal.path.read_bytes()
-
-    class FullDisk:
-        def __init__(self, handle) -> None:
-            self.handle = handle
-
-        def write(self, data: bytes) -> int:
-            return self.handle.write(data[:len(data) // 2])
-
-        def close(self) -> None:
-            self.handle.close()
-
-    real, wal._fh = wal._fh, FullDisk(wal._fh)
+    real, wal._fh = wal._fh, _CountingHandle(wal.path, accept=0.5)
     with pytest.raises(OSError, match="short journal write"):
         wal.record("clock", {"now": 2.0})
     assert wal.path.read_bytes() == before
     assert len(wal) == 1 and wal.size_bytes == len(before)
+    wal._fh.close()
     wal._fh = real
     wal.record("clock", {"now": 3.0})
     wal.close()
     assert [r["data"]["now"] for r in WriteAheadLog.read(wal.path)] == \
         [1.0, 3.0]
+
+
+# -- groups: one operation, one write ----------------------------------------------
+
+class _CountingHandle:
+    """Stands in for the journal's append handle: counts ``write`` calls,
+    and with ``accept`` set takes only that share of each (a full disk)."""
+
+    def __init__(self, path, accept: float = 1.0) -> None:
+        self.handle = path.open("ab", buffering=0)
+        self.accept = accept
+        self.writes: list[int] = []
+
+    def write(self, data: bytes) -> int:
+        self.writes.append(len(data))
+        return self.handle.write(data[:int(len(data) * self.accept)])
+
+    def close(self) -> None:
+        self.handle.close()
+
+
+def _clocks(wal, *times: float) -> None:
+    for now in times:
+        wal.record("clock", {"now": now})
+
+
+def test_a_group_is_one_write_of_the_frames_the_records_make_alone(tmp_path):
+    """Nothing reaches the file before the group closes; what does is the
+    concatenation of the frames the same records make one write each."""
+    alone = WriteAheadLog(tmp_path / "alone.bin", epoch=2)
+    grouped = WriteAheadLog(tmp_path / "grouped.bin", epoch=2)
+    handle = grouped._fh = _CountingHandle(grouped.path)
+    cache = ExampleCache(dim=DIM)
+    example = _cached_example(cache, metadata={"k": "v"})
+    payloads = [("add", example), ("remove", "ex"),
+                ("manager_counters", {"next_id": 1, "admitted": 1,
+                                      "rejected_duplicates": 0,
+                                      "evictions": 1})]
+    for kind, payload in payloads:
+        alone.record(kind, payload)
+    alone.record("clock", {"now": 1.0})
+    with grouped.group():
+        for kind, payload in payloads:
+            grouped.record(kind, payload)
+            assert grouped.path.stat().st_size == 0 and not handle.writes
+        # seq and size count the frames on hand; 29 bytes: the clock frame
+        assert len(grouped) == 3
+        assert grouped.size_bytes == alone.size_bytes - 29
+    assert len(handle.writes) == 1
+    grouped.record("clock", {"now": 1.0})
+    assert len(handle.writes) == 2
+    alone.close()
+    grouped.close()
+    assert grouped.path.read_bytes() == alone.path.read_bytes()
+    assert [r["seq"] for r in WriteAheadLog.read(grouped.path)] == [0, 1, 2, 3]
+
+
+def test_groups_nest_and_the_outermost_writes(tmp_path):
+    wal = WriteAheadLog(tmp_path / "wal.bin")
+    closed = []
+    with wal.group(lambda: closed.append("outer")):
+        _clocks(wal, 1.0)
+        with wal.group(lambda: closed.append("inner")):
+            _clocks(wal, 2.0)
+        assert not wal.path.exists() and not closed
+    assert closed == ["outer"]
+    wal.close()
+    assert [r["data"]["now"] for r in WriteAheadLog.read(wal.path)] == \
+        [1.0, 2.0]
+
+
+def test_a_group_that_fails_part_way_keeps_the_frames_before_it(tmp_path):
+    """An unencodable payload mid-group: the frames already encoded describe
+    mutations that happened and are written as the exception leaves the
+    group; the failing record leaves no byte and takes no seq; ``closed``
+    does not run."""
+    wal = WriteAheadLog(tmp_path / "wal.bin")
+    closed = []
+    with pytest.raises(struct.error):
+        with wal.group(lambda: closed.append(True)):
+            _clocks(wal, 1.0, 2.0)
+            wal.record("decay", {"periods": 2**63})
+            _clocks(wal, 99.0)                    # never reached
+    assert not closed and len(wal) == 2
+    assert wal.size_bytes == wal.path.stat().st_size
+    _clocks(wal, 3.0)
+    wal.close()
+    records = WriteAheadLog.read(wal.path)
+    assert [r["seq"] for r in records] == [0, 1, 2]
+    assert [r["data"]["now"] for r in records] == [1.0, 2.0, 3.0]
+
+
+def test_a_refused_add_inside_an_admission_journals_what_happened(tmp_path):
+    """``cache.add`` refuses (a zero embedding) after the id was minted:
+    the admission's group closes on the way out of the exception with one
+    ``manager_counters`` frame holding the advanced ``next_id`` and no
+    ``add``, so a recovered manager never mints that id again."""
+    service = ICCacheService(ICCacheConfig(
+        seed=SEED, manager=ManagerConfig(sanitize=False)))
+    dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
+    service.seed_cache(dataset.example_bank_requests()[:10])
+    checkpointer = Checkpointer(service, tmp_path)
+    checkpointer.checkpoint()
+    request = dataset.online_requests(1)[0]
+    result = service.models[service.large_name].generate(request)
+    minted = service.manager._next_id
+    with pytest.raises(ValueError, match="zero vector"):
+        service.manager.admit(request, result,
+                              np.zeros(service.config.embedding_dim), 1.0)
+    assert service.manager._next_id == minted + 1
+    checkpointer.detach()
+    records = WriteAheadLog.read(checkpointer.wal_path)
+    assert [r["kind"] for r in records] == ["manager_counters"]
+    assert records[0]["data"]["next_id"] == minted + 1
+    recovered = Checkpointer.recover(tmp_path)
+    assert recovered.manager._next_id == minted + 1
+    assert _state(recovered)[:2] == _state(service)[:2]
+
+
+def test_a_short_write_of_a_group_takes_the_whole_group_back(tmp_path):
+    wal = WriteAheadLog(tmp_path / "wal.bin")
+    _clocks(wal, 1.0)
+    before = wal.path.read_bytes()
+    real, wal._fh = wal._fh, _CountingHandle(wal.path, accept=0.5)
+    with pytest.raises(OSError, match="short journal write"):
+        with wal.group():
+            _clocks(wal, 2.0, 3.0, 4.0)
+    assert wal.path.read_bytes() == before
+    assert len(wal) == 1 and wal.size_bytes == len(before)
+    wal._fh.close()
+    wal._fh = real
+    _clocks(wal, 5.0)
+    wal.close()
+    records = WriteAheadLog.read(wal.path)
+    assert [(r["seq"], r["data"]["now"]) for r in records] == \
+        [(0, 1.0), (1, 5.0)]
+
+
+def test_detach_and_reset_with_a_group_open_flush_first(tmp_path):
+    """``detach()`` mid-group writes the frames on hand.  ``checkpoint()``
+    mid-group (its ``reset``) writes them to the journal they were numbered
+    for before truncating it — the snapshot subsumes them — so the rest of
+    the group starts the new journal at ``seq`` 0 in the new epoch."""
+    service = ICCacheService(ICCacheConfig(
+        seed=SEED, manager=ManagerConfig(sanitize=False)))
+    dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
+    service.seed_cache(dataset.example_bank_requests()[:10])
+    checkpointer = Checkpointer(service, tmp_path)
+    checkpointer.checkpoint()
+    ids = [ex.example_id for ex in service.cache]
+    with checkpointer.group():
+        service.cache.remove(ids[0])
+        assert checkpointer.wal_path.stat().st_size == 0
+        checkpointer.checkpoint()                 # reset with a group open
+        assert len(checkpointer.wal) == 0
+        service.cache.remove(ids[1])
+        service.cache.remove(ids[2])
+        checkpointer.detach()                     # detach with a group open
+        assert checkpointer.wal_path.stat().st_size > 0
+    records = WriteAheadLog.read(checkpointer.wal_path)
+    assert [(r["seq"], r["epoch"], r["data"]["example_id"])
+            for r in records] == [(0, 2, ids[1]), (1, 2, ids[2])]
+    recovered = Checkpointer.recover(tmp_path)
+    assert [ex.example_id for ex in recovered.cache] == ids[3:]
 
 
 # -- the 310-operation scenario, journaled twice --------------------------------
@@ -388,6 +548,16 @@ def test_serving_run_journals_and_recovers_the_same_from_both_codecs(
 
     records = both.assert_equal()
     assert [r["kind"] for r in records] == recorded
+    # The logical content is the sequence the journal held before groups,
+    # minus the two intermediate ``manager_counters`` of each admission
+    # (after the id was minted, after the add): every operation ends in
+    # exactly one, with the final values — an admission (``add``, its
+    # evictions), a maintenance eviction pass, a rejected duplicate.
+    shape = "".join({"add": "A", "remove": "R", "manager_counters": "C"}
+                    .get(kind, ".") for kind in recorded)
+    assert re.fullmatch(r"(?:AR*C|R+C|C|\.)*", shape), shape
+    counters = [r["data"] for r in records if r["kind"] == "manager_counters"]
+    assert all(c["next_id"] == c["admitted"] for c in counters)
     kinds = set(recorded)
     assert {"add", "remove", "manager_counters", "replay_rewrite", "clock",
             "decay"} <= kinds and recorded.count("remove") >= 150
@@ -454,6 +624,84 @@ def test_every_truncation_of_the_last_frame_is_a_torn_tail(three_frames):
         again = WriteAheadLog.read(path)
         assert [r["seq"] for r in again] == [0, 1, 2], cut
         assert again[2]["data"] == {"now": float(cut)}, cut
+
+
+def _torn_group_service(directory):
+    """A service at capacity behind a ``Checkpointer``, its examples used
+    (so replay has candidates), its serving window closed by a checkpoint:
+    what follows is journaled cache lifecycle only."""
+    service = ICCacheService(ICCacheConfig(
+        seed=SEED, manager=ManagerConfig(sanitize=True)))
+    dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
+    service.seed_cache(dataset.example_bank_requests()[:40])
+    service.manager.config.capacity_bytes = service.cache.total_bytes
+    checkpointer = Checkpointer(service, directory)
+    requests = dataset.online_requests(31)
+    for request in requests[:30]:
+        service.serve(request, load=0.2)
+    checkpointer.checkpoint()
+    return service, checkpointer, requests[30]
+
+
+def _grouped_admission(service, checkpointer, request) -> None:
+    result = service.models[service.large_name].generate(request)
+    embedding = service.embedder.embed(request.text, request.latent)
+    assert service.manager.admit(request, result, embedding, 1.0) is not None
+
+
+def _grouped_replay(service, checkpointer, request) -> None:
+    service.clock.advance(1800.0)
+    assert service.manager.run_replay().replayed > 1
+
+
+@pytest.mark.parametrize("operation, kinds, journaled", [
+    # cache and counters; the admission's generate moved the teacher's
+    # decode position, which only a replay_rewrite carries
+    (_grouped_admission, r"add(,remove)+,manager_counters", 2),
+    (_grouped_replay, r"replay_rewrite(,replay_rewrite)+", 3),
+], ids=["at-capacity-admission", "replay-pass"])
+def test_every_truncation_of_a_group_is_a_torn_tail(tmp_path, operation,
+                                                    kinds, journaled):
+    """One operation's frames go down in one ``write``; a crash can cut that
+    write anywhere.  At every byte offset the journal reads as the whole
+    frames before the cut plus a torn tail — never corruption — and
+    recovery (run at each frame edge, one byte either side of it, and every
+    97th offset) lands on the snapshot plus exactly those frames."""
+    live = tmp_path / "live"
+    service, checkpointer, request = _torn_group_service(live)
+    assert checkpointer.wal.size_bytes == 0
+    operation(service, checkpointer, request)
+    checkpointer.detach()
+    whole = checkpointer.wal_path.read_bytes()
+    records, sizes, torn = read_journal(checkpointer.wal_path)
+    assert torn == 0 and re.fullmatch(
+        kinds, ",".join(r["kind"] for r in records)), records
+    edges = np.cumsum([len(MAGIC)] + sizes).tolist()
+    assert edges[-1] == len(whole)
+
+    crashed = tmp_path / "crashed"
+    shutil.copytree(live, crashed)
+    snapshot = load_snapshot(crashed / Checkpointer.SNAPSHOT_NAME)
+    states = {}
+    for cut in range(len(whole) + 1):
+        (crashed / Checkpointer.WAL_NAME).write_bytes(whole[:cut])
+        intact = sum(edge <= cut for edge in edges[1:])
+        prefix, _, dropped = read_journal(crashed / Checkpointer.WAL_NAME)
+        assert len(prefix) == intact, cut
+        assert dropped == (cut - edges[intact] if cut >= edges[0] else cut)
+        if cut % 97 and not any(abs(cut - edge) <= 1 for edge in edges):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # an admission in the tail
+            recovered = Checkpointer.recover(crashed)
+            if intact not in states:
+                expected = restore_service(snapshot)
+                apply_wal(expected, filter_stale_records(
+                    records[:intact], snapshot))
+                states[intact] = _state(expected)
+        assert _state(recovered) == states[intact], cut
+    assert len(states) == len(records) + 1
+    assert states[len(records)][:journaled] == _state(service)[:journaled]
 
 
 def test_a_journal_cut_inside_its_magic_is_empty(tmp_path):

@@ -2,12 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.embedding.similarity import cosine_similarity
 from repro.privacy.dp_synth import DPSynthesizer, gaussian_sigma
-from repro.privacy.sanitizer import sanitize_text
+from repro.privacy.sanitizer import PII_PATTERNS, sanitize_text
 
+from tests.sanitizer_reference import reference_sanitize_text
+from tests.strategies import STANDARD
 from tests.test_core_cache import make_example
+
+#: What the guards look at and what the patterns' edges turn on: ASCII and
+#: non-ASCII decimal digits (Arabic-Indic, Devanagari, fullwidth — ``\d``
+#: and ``\w`` match them), a superscript two (a digit to ``str.isdigit``,
+#: not to ``\d``), the separators the patterns name, letters, newlines.
+SANITIZER_ALPHABET = ("0123456789" "٠٣٩" "०५" "７" "²"
+                      " .-()+@:/" "abcxyzé_" "\n")
 
 
 class TestSanitizer:
@@ -38,6 +49,59 @@ class TestSanitizer:
     def test_idempotent(self):
         once = sanitize_text("mail bob@x.co")
         assert sanitize_text(once) == once
+
+
+class TestSanitizerAgainstTheSixPassLoop:
+    """A pattern runs only on a text that holds what any match of it must
+    hold; the output is the six-pass loop's, byte for byte."""
+
+    @settings(**STANDARD)
+    @given(text=st.text(alphabet=SANITIZER_ALPHABET, max_size=60))
+    def test_guarded_equals_reference(self, text):
+        assert sanitize_text(text) == reference_sanitize_text(text)
+
+    @settings(**STANDARD)
+    @given(parts=st.lists(st.sampled_from([
+        "415-555-1234", "(555) 123-4567", "+1 650.555.0000", "123-45-6789",
+        "4111 1111 1111 1111", "10.0.0.1", "bob@x.co", "://u:p@h", "٤١٥",
+        "@", " ", "\n", "x", "1", "12", ".", "-"]), max_size=8))
+    def test_guarded_equals_reference_on_near_matches(self, parts):
+        text = "".join(parts)
+        assert sanitize_text(text) == reference_sanitize_text(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        # a phone span overlapping an e-mail: EMAIL runs first and takes
+        # "123-4567@x.com"; what is left is 3 digits, no phone
+        ("(555) 123-4567@x.com", "(555) [EMAIL]"),
+        ("ip 1.2.3", "ip 1.2.3"),                            # 3 digits
+        ("ip 1.2.3.4", "ip [IP_ADDRESS]"),                   # 4
+        ("ssn 123-45-678", "ssn 123-45-678"),                # 8
+        ("ssn 123-45-6789", "ssn [SSN]"),                    # 9
+        ("call 555-123-4567", "call [PHONE]"),               # 10
+        ("card 4111 1111 1111", "card 4111 1111 1111"),      # 12
+        ("card 4111 1111 1111 1", "card [CREDIT_CARD]"),     # 13
+        # the only digits sit inside an e-mail that EMAIL removes first:
+        # the count taken up front (10) lets PHONE run, on nothing
+        ("write 4155551234@corp.io", "write [EMAIL]"),
+        ("٤١٥-٥٥٥-١٢٣٤ now", "[PHONE] now"),                 # \d is Unicode
+        ("x² + 1.2.3 = 4²", "x² + 1.2.3 = 4²"),              # ² is no \d
+    ])
+    def test_named_cases(self, text, expected):
+        assert sanitize_text(text) == expected
+        assert reference_sanitize_text(text) == expected
+
+    def test_each_guard_is_the_least_a_match_can_hold(self):
+        """The shortest match of each pattern holds exactly the ``@`` and
+        digits its entry asks for (one fewer and the guard would be loose,
+        one more and it would skip a real match)."""
+        shortest = {"EMAIL": "a@b.c", "CREDIT_CARD": "1234567890123",
+                    "SSN": "123-45-6789", "PHONE": "1234567890",
+                    "IP_ADDRESS": "1.2.3.4", "URL_CREDENTIAL": "://u:p@"}
+        for label, pattern, min_ats, min_digits in PII_PATTERNS:
+            match = shortest[label]
+            assert pattern.fullmatch(match), label
+            assert match.count("@") == min_ats, label
+            assert sum(c.isdecimal() for c in match) == min_digits, label
 
 
 class TestGaussianSigma:
