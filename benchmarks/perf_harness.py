@@ -859,8 +859,8 @@ def bench_scale(n: int = 1_000_000, seed: int = 0, n_queries: int = 200,
     * steady-state maintenance: ``maintenance_ticks`` forced retrains with
       1% churn between them — at this size every one takes the incremental
       split/merge path, and the mean is the amortized per-tick cost;
-    * resident index bytes per vector (flat matrix + cluster blocks, via
-      ``nbytes``: a float32 -> float64 upcast would double it).
+    * resident index bytes per vector (the cluster blocks, via ``nbytes``:
+      a float32 -> float64 upcast would double it).
     """
     index = IVFIndex(dim=DIM, nprobe=8, min_train_size=64, seed=seed,
                      incremental_min_n=10_000)
@@ -877,11 +877,7 @@ def bench_scale(n: int = 1_000_000, seed: int = 0, n_queries: int = 200,
 
     # Exact flat baseline for recall@5, on a subsample (flat search at N=1M
     # is ~100 ms/query; 50 queries keep the nightly run bounded).
-    flat = FlatIndex(DIM)
-    matrix = index._flat.matrix
-    flat._vectors = np.array(matrix, dtype=np.float32)
-    flat._keys = list(index._flat.keys)
-    flat._key_to_row = {key: row for row, key in enumerate(flat._keys)}
+    flat = FlatIndex(DIM, index._keys, index._pool())  # the retrain's gather
     hits = sum(
         len({r.key for r in index.search(q, TOP_K)}
             & {r.key for r in flat.search(q, TOP_K)})

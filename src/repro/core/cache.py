@@ -125,9 +125,8 @@ class ExampleCache:
                           {"trainings": trainings, "per_shard": per_shard})
 
     def _check_indexable(self, example: Example) -> None:
-        """Refuse what the index would refuse, before anything is mutated
-        (an index overwrite drops the old vector before it looks at the new
-        one), so a rejected add or overwrite leaves the cache as it was."""
+        """Refuse what the index would refuse, before the table is mutated,
+        so a rejected add or overwrite leaves the cache as it was."""
         if example.embedding.shape != (self._index.dim,):
             raise ValueError(
                 f"example {example.example_id!r}: embedding dim "

@@ -1,8 +1,8 @@
 """Struct-of-arrays storage for example bookkeeping (the columnar table).
 
 Every numeric bookkeeping field of :class:`repro.core.example.Example` lives
-here as one contiguous numpy column, mirroring the ``_ClusterBlock``
-discipline of :mod:`repro.vectorstore.ivf`: parallel arrays and O(1)
+here as one contiguous numpy column, mirroring the
+:class:`~repro.vectorstore.flat.FlatIndex` discipline: parallel arrays and O(1)
 swap-with-last removal.  ``Example`` stays the public API — its bookkeeping
 attributes are properties over its row's slots, in a cache's table or in a
 one-row table of its own — and the lifecycle hot paths do not pay
@@ -209,7 +209,7 @@ class ExampleTable:
     (:meth:`standalone`), ``attach`` moves that row into a cache's table
     and rebinds the example, ``detach`` moves it back out and swap-deletes.
     Rows are dense in [0, n): removal moves the last row into the hole and
-    rebinds that example's row index, exactly like ``_ClusterBlock`` does
+    rebinds that example's row index, exactly like ``FlatIndex`` does
     for index vectors.  Row order is therefore an artifact of mutation
     history and carries no meaning of its own; the table knows no ids (the
     cache's id map is the one there is, and an example carries its row).

@@ -98,12 +98,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         lines.append(f"  mat {name:<30} {arr.dtype.str:>5} "
                      f"{arr.nbytes:>10} bytes  shape {arr.shape}")
     if cache["sharded"]:
-        sizes = [len(s["flat"]["keys"]) for s in index["shards"]]
+        sizes = [len(s["keys"]) for s in index["shards"]]
         trains = [s["trainings"] for s in index["shards"]]
         lines.append(f"shards:        sizes={sizes} trainings={trains}")
     else:
         lines.append(
-            f"index:         {len(index['flat']['keys'])} rows, "
+            f"index:         {len(index['keys'])} rows, "
             f"{0 if index['centroids'] is None else index['centroids'].shape[0]}"
             f" clusters, {index['trainings']} trainings, "
             f"churn={index['churn']}"

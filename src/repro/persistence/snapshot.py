@@ -8,11 +8,12 @@ format must capture more than the obvious data:
 
 * **Examples** — full records including the per-example gain/feedback EMAs
   (section 4.3 bookkeeping); the byte total is the sum of a stored column.
-* **Index layout, not just membership** — the flat storage's row order is
-  the index's entire add/remove history (swap-delete moves the last row
-  into the hole) and is exactly what K-Means reads at retrain time, so it
-  is serialized as-is; the IVF cluster blocks, centroids, churn counter,
-  and training count ride along (see ``to_state`` on each index class).
+* **Index layout, not just membership** — the index's key order is its
+  entire add/remove history (swap-delete moves the last key into the hole)
+  and is the order K-Means reads the pool in at retrain time, so it is
+  serialized as-is; the IVF cluster blocks (the one stored copy of every
+  index vector), centroids, churn counter, and training count ride along
+  (see ``to_state`` on each index class).
 * **Learned state** — router posteriors, proxy regression state, selector
   threshold adaptation, and the live ablation flags.
 * **RNG stream positions** — the service, router, and feedback generators'
@@ -81,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.service import ICCacheService
 
 SNAPSHOT_FORMAT = "ic-cache-snapshot"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 #: Sidecar array offsets are padded to this alignment so every mapped view
 #: is at least cache-line aligned regardless of the preceding array's size.

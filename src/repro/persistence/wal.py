@@ -542,7 +542,7 @@ def apply_wal(service: "ICCacheService", records: list[dict]) -> int:
 def _apply_retrain(cache, data: dict) -> None:
     """Re-fire the lazy K-Means (re)trains the original search triggered.
 
-    The flat storage's row order at this point in the replay matches the
+    The index's key order at this point in the replay matches the
     original run's (adds/removes were replayed in order), so a forced
     retrain reproduces identical centroids and blocks.
     """

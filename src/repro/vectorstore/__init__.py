@@ -1,14 +1,16 @@
 """Similarity-search indexes (GPU FAISS, substituted — paper section 5).
 
-* :class:`FlatIndex` — exact cosine top-k by brute force; the correctness
-  oracle and the right choice for small pools.
+* :class:`FlatIndex` — exact cosine top-k by brute force, and the one
+  swap-delete vector store here: the right choice for small pools, and
+  every IVF cluster block.
 * :class:`KMeans` — Lloyd's algorithm with k-means++ seeding.
 * :class:`IVFIndex` — inverted-file index: cluster the pool into K groups
   offline, search the ``nprobe`` nearest clusters online.  Section 4.1
   derives the matching-cost-minimizing K = sqrt(N), which is the default.
-  Posting lists are contiguous cluster-major blocks (FAISS-style), so a
-  single-query probe is one matrix-vector product and removal is an O(1)
-  swap-delete — see ``docs/PERFORMANCE.md``.
+  Posting lists are contiguous cluster-major blocks (FAISS-style), each a
+  ``FlatIndex`` and the only copy of its vectors, so a single-query probe
+  is one matrix-vector product and removal is an O(1) swap-delete — see
+  ``docs/PERFORMANCE.md``.
 * :class:`ShardedIndex` — hash-partitioned IVF shards with fan-out search
   and top-k merge; the production-scale layout the ROADMAP targets.
 

@@ -20,7 +20,7 @@ import numpy as np
 _EPS = 1e-12
 
 #: The on-disk and in-RAM dtype of every dense vector block in the
-#: vectorstore (flat storage, IVF cluster blocks, snapshot sidecars).
+#: vectorstore (every FlatIndex, hence IVF cluster block, and sidecars).
 STORAGE_DTYPE = np.float32
 
 
@@ -73,50 +73,77 @@ def finish(k: int, chunks: list[np.ndarray], tables: list,
     return [*map(_hit, zip(keys, scores[top].tolist()))]
 
 
-class FlatIndex:
-    """Exact top-k cosine search over unit-normalized vectors.
+def unit_row(vector: np.ndarray, dim: int, key: object) -> np.ndarray:
+    """The stored form of ``vector``: normalized in float64, rounded once to
+    :data:`STORAGE_DTYPE`.  Refuses a vector that is not ``dim`` long, or
+    whose norm is zero or not finite, before any index has moved."""
+    vec = np.asarray(vector, dtype=np.float64).reshape(-1)
+    if vec.shape != (dim,):
+        raise ValueError(f"vector dim {vec.shape} != index dim ({dim},)")
+    norm = float(np.linalg.norm(vec))
+    if not _EPS <= norm < np.inf:     # a NaN norm fails the test too
+        raise ValueError(f"cannot index a zero vector (or a non-finite "
+                         f"one) for key {key!r}")
+    return (vec / norm).astype(STORAGE_DTYPE)
 
-    Supports dynamic add/remove (the example cache churns constantly).
-    Vectors are L2-normalized on insert so search is a single matrix-vector
-    product; :meth:`search_batch` turns a whole micro-batch of queries into
-    one matrix-matrix product.  Storage grows by doubling so inserts are
-    amortized O(1) rather than one full copy per add.
+
+class FlatIndex:
+    """Exact top-k cosine search over unit-normalized vectors; the one
+    swap-delete vector store here, and every IVF cluster block.
+
+    Vectors are L2-normalized on insert so search is one matrix-vector
+    product (:meth:`search_batch`: one matrix-matrix product per batch).
+    ``keys[i]`` labels row ``i`` (the live list: iterate, never mutate);
+    removal is an O(1) swap-with-last, and capacity doubles.
+    ``running_sum`` is the float64 sum of the live rows, kept on every
+    insert/remove so recentering a cluster is O(dim); its accumulation order
+    is not recoverable from the rows, so it is saved and a restore inherits
+    it (a fresh store takes the pairwise sum ``mean`` uses).  ``version``
+    counts mutations and stamps search receipts; not saved.  The
+    constructor's optional arguments are that restore state.
     """
 
-    def __init__(self, dim: int) -> None:
+    __slots__ = ("dim", "keys", "_key_to_row", "_vectors", "_view",
+                 "running_sum", "version")
+
+    def __init__(self, dim: int, keys: list[object] | None = None,
+                 vectors: np.ndarray | None = None,
+                 running_sum: np.ndarray | None = None) -> None:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self._keys: list[object] = []
-        self._key_to_row: dict[object, int] = {}
+        self.keys: list[object] = [] if keys is None else list(keys)
+        self._key_to_row = {key: row for row, key in enumerate(self.keys)}
         # capacity >= size
-        self._vectors = np.empty((0, dim), dtype=STORAGE_DTYPE)
+        self._vectors = np.empty((0, dim), dtype=STORAGE_DTYPE) \
+            if vectors is None \
+            else np.ascontiguousarray(vectors, dtype=STORAGE_DTYPE)
+        if self._vectors.shape != (len(self.keys), dim):
+            raise ValueError(f"vectors shape {self._vectors.shape} != "
+                             f"({len(self.keys)}, {dim})")
         self._view: np.ndarray | None = None  # cached read-only matrix view
+        self.running_sum = np.array(running_sum, dtype=np.float64) \
+            if running_sum is not None \
+            else self._vectors.sum(axis=0, dtype=np.float64)
+        self.version = 0
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self.keys)
 
     def __contains__(self, key: object) -> bool:
         return key in self._key_to_row
 
     @property
-    def keys(self) -> list[object]:
-        return list(self._keys)
-
-    @property
     def matrix(self) -> np.ndarray:
         """The (n, dim) float32 matrix of stored unit vectors, row i = key i.
 
-        A read-only view into index storage (no copy): callers such as
-        :class:`repro.vectorstore.ivf.IVFIndex` slice it for vectorized
-        per-cluster scoring, and K-Means retraining consumes it directly
-        (dtype-preserving, no float64 upcast copy).  Do not mutate.  The
-        view object is cached and reused until the index grows, shrinks, or
-        reallocates, so hot-path callers pay nothing per access.
+        A read-only view into the storage (no copy), cached until the store
+        grows, shrinks, or reallocates, so hot-path callers pay nothing per
+        access.  Do not mutate.
         """
         view = self._view
-        n = len(self._keys)
-        if view is None or view.shape[0] != n or view.base is not self._vectors:
+        n = len(self.keys)
+        if view is None or view.shape[0] != n:
             view = self._vectors[:n]
             view.flags.writeable = False
             self._view = view
@@ -128,75 +155,61 @@ class FlatIndex:
         return self._vectors.nbytes
 
     def to_state(self) -> dict:
-        """Serializable state: keys in *row order* plus the dense matrix.
-
-        Row order is the index's full add/remove history (swap-delete moves
-        the last row into the hole), and K-Means retraining reads rows in
-        exactly this order — so the state must preserve it, not just the
-        key->vector mapping, for a restored index to retrain identically
-        (see :mod:`repro.persistence.snapshot`).
-        """
+        """Keys in *row order* (the swap-delete history, which tie-breaking
+        and the IVF split schedule read), the dense rows, the running sum."""
         return {
-            "dim": self.dim,
-            "keys": list(self._keys),
+            "keys": list(self.keys),
             "vectors": np.array(self.matrix, dtype=STORAGE_DTYPE),
+            "sum": np.array(self.running_sum, dtype=np.float64),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "FlatIndex":
-        """Rebuild an index bit-identical to the one :meth:`to_state` saw.
-
-        A float32 sidecar slice passes through without a copy, which is
-        what makes mmap restores O(ms).
-        """
-        index = cls(int(state["dim"]))
-        keys = list(state["keys"])
-        vectors = np.ascontiguousarray(state["vectors"], dtype=STORAGE_DTYPE)
-        if vectors.shape != (len(keys), index.dim):
-            raise ValueError(
-                f"state vectors shape {vectors.shape} != "
-                f"({len(keys)}, {index.dim})"
-            )
-        index._keys = keys
-        index._key_to_row = {key: row for row, key in enumerate(keys)}
-        index._vectors = vectors
-        return index
+        """Rebuild a store bit-identical to the one :meth:`to_state` saw; a
+        float32 sidecar slice passes through without a copy."""
+        vectors = np.asarray(state["vectors"])
+        return cls(vectors.shape[-1], state["keys"], vectors, state["sum"])
 
     def add(self, key: object, vector: np.ndarray) -> None:
-        """Insert (or overwrite) ``key`` with its embedding."""
-        vec = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"vector dim {vec.shape} != index dim ({self.dim},)")
-        norm = float(np.linalg.norm(vec))
-        if not _EPS <= norm < np.inf:     # a NaN norm fails the test too
-            raise ValueError(f"cannot index a zero vector (or a non-finite "
-                             f"one) for key {key!r}")
-        # Normalize in float64, round once to storage precision.
-        vec = (vec / norm).astype(STORAGE_DTYPE)
-        if key in self._key_to_row:
-            self._vectors[self._key_to_row[key]] = vec
+        """Insert (or overwrite in place) ``key`` with its embedding."""
+        unit = unit_row(vector, self.dim, key)
+        row = self._key_to_row.get(key)
+        if row is None:
+            self.append(key, unit)
             return
-        row = len(self._keys)
+        self.version += 1
+        self.running_sum -= self._vectors[row]
+        self._vectors[row] = unit
+        self.running_sum += self._vectors[row]
+
+    def append(self, key: object, unit: np.ndarray) -> None:
+        """Insert a new ``key`` whose row is already a :func:`unit_row`."""
+        row = len(self.keys)
         if row == self._vectors.shape[0]:  # grow capacity by doubling
             grown = np.empty((max(8, 2 * row), self.dim), dtype=STORAGE_DTYPE)
             grown[:row] = self._vectors[:row]
             self._vectors = grown
+            self._view = None
+        self._vectors[row] = unit
+        self.running_sum += self._vectors[row]  # the stored (float32) row
         self._key_to_row[key] = row
-        self._keys.append(key)
-        self._vectors[row] = vec
+        self.keys.append(key)
+        self.version += 1
 
     def remove(self, key: object) -> None:
         """Delete ``key``; O(1) via swap-with-last."""
         row = self._key_to_row.pop(key, None)
         if row is None:
             raise KeyError(key)
-        last = len(self._keys) - 1
+        self.version += 1
+        self.running_sum -= self._vectors[row]
+        last = len(self.keys) - 1
         if row != last:
-            moved_key = self._keys[last]
-            self._keys[row] = moved_key
+            moved_key = self.keys[last]
+            self.keys[row] = moved_key
             self._vectors[row] = self._vectors[last]
             self._key_to_row[moved_key] = row
-        self._keys.pop()
+        self.keys.pop()
 
     def get_vector(self, key: object) -> np.ndarray:
         """The stored (normalized, float32) embedding for ``key``."""
@@ -206,7 +219,7 @@ class FlatIndex:
         """Top-``k`` entries by cosine similarity to ``query`` (descending)."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if k == 0 or not self._keys:
+        if k == 0 or not self.keys:
             return []
         q = np.asarray(query, dtype=np.float64).reshape(-1)
         if q.shape != (self.dim,):
@@ -217,9 +230,9 @@ class FlatIndex:
         # Score in storage precision: a float64 query against the float32
         # matrix would silently upcast-copy the whole matrix per call.
         scores = self.matrix @ (q / qnorm).astype(STORAGE_DTYPE)
-        k = min(k, len(self._keys))
+        k = min(k, len(self.keys))
         top = (-scores).argpartition(k - 1)[:k]
-        return finish(k, [scores[top]], [self._keys], [top])
+        return finish(k, [scores[top]], [self.keys], [top])
 
     def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchResult]]:
         """Exact top-``k`` for a batch of queries in one matmul.
@@ -229,10 +242,10 @@ class FlatIndex:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         q, valid = unit_rows(queries, self.dim)
-        if k == 0 or not self._keys:
+        if k == 0 or not self.keys:
             return [[] for _ in valid]
         scores = q.astype(STORAGE_DTYPE) @ self.matrix.T  # the one matmul
-        k = min(k, len(self._keys))
+        k = min(k, len(self.keys))
         top = (-scores).argpartition(k - 1, axis=1)[:, :k]
-        return [finish(k, [scores[i, top[i]]], [self._keys], [top[i]])
+        return [finish(k, [scores[i, top[i]]], [self.keys], [top[i]])
                 if ok else [] for i, ok in enumerate(valid.tolist())]

@@ -2,7 +2,7 @@
 
 Paper section 4.1 balances the per-request matching cost K + N/K and picks
 K = sqrt(N) clusters; :func:`optimal_cluster_count` implements exactly that.
-The index clusters lazily: entries accumulate in the exact flat index until
+The index clusters lazily: entries accumulate in one exact block until
 ``retrain_threshold`` inserts/removes have occurred, then the clustering is
 refreshed in the background (here: synchronously on the next search).  That
 search pays for the refit, so :class:`~repro.vectorstore.kmeans.KMeans` keeps
@@ -11,12 +11,13 @@ fit, whatever n and k, and each Lloyd iteration recomputes only what the
 previous update moved.
 
 Storage is cluster-major and contiguous, FAISS-style (the section 5
-deployment note): every cluster owns a dense ``(m, dim)`` float32 block plus
-a parallel key array, so a single-query probe is one ``block @ q``
-matrix-vector product instead of a Python loop over posting-list keys, and
-``remove`` is an O(1) swap-delete against the block's key->row map.  The
-batched path (:meth:`IVFIndex.search_batch`) reuses the same blocks, scoring
-each probed cluster for all of its querying rows in one matmul.
+deployment note): every cluster owns a :class:`FlatIndex`, a dense
+``(m, dim)`` float32 block plus a parallel key list and the one stored copy
+of its vectors, so a single-query probe is one ``block @ q`` product instead
+of a Python loop over posting-list keys, and ``remove`` is an O(1)
+swap-delete.  The batched path (:meth:`IVFIndex.search_batch`) reuses the
+same blocks, scoring each probed cluster for all of its querying rows in
+one matmul.
 
 **Incremental retrain** (``incremental_min_n``): above this pool size a
 staleness-triggered retrain stops re-running global K-Means and instead
@@ -35,7 +36,8 @@ import numpy as np
 
 from repro.utils.rng import make_rng, stable_hash
 from repro.vectorstore.flat import (_EPS, STORAGE_DTYPE, FlatIndex,
-                                    SearchResult, finish, unit_rows)
+                                    SearchResult, finish, unit_row,
+                                    unit_rows)
 from repro.vectorstore.kmeans import KMeans
 
 #: Above this pool size a global retrain fits K-Means on a seeded uniform
@@ -67,94 +69,6 @@ def optimal_cluster_count(n: int) -> int:
     return max(1, int(round(math.sqrt(n))))
 
 
-class _ClusterBlock:
-    """One posting list as contiguous storage: a dense vector block plus keys.
-
-    ``keys[i]`` labels row ``i`` of the block; ``_pos`` inverts that mapping
-    so removal is an O(1) swap-with-last (the same scheme
-    :class:`~repro.vectorstore.flat.FlatIndex` uses for its global storage).
-    Capacity grows by doubling, so appends are amortized O(1).  ``keys`` is
-    the live list — callers may iterate it but must not mutate it.
-
-    A float64 running sum of the member rows rides along (``running_sum``),
-    updated on every append/remove, so recentering a cluster during
-    incremental retrain is O(dim) instead of an O(members * dim) pass over
-    the block.  It is journaled state: the incremental updates accumulate
-    in a different order than a fresh pairwise reduction would, so a
-    restored index must inherit the exact sum (not recompute it) for its
-    next retrain to stay bit-identical to the uninterrupted control.  Fresh
-    blocks compute the sum with the same pairwise reduction ``mean`` uses,
-    so construction bits never drift.
-
-    ``version`` counts ``append`` / ``remove`` calls, the only ways the rows
-    or their order move; search receipts are stamped with it.  Not journaled.
-    """
-
-    __slots__ = ("keys", "_pos", "_vectors", "_sum", "version")
-
-    def __init__(self, dim: int, keys: list[object] | None = None,
-                 vectors: np.ndarray | None = None,
-                 running_sum: np.ndarray | None = None) -> None:
-        self.version = 0
-        if keys is None:
-            self.keys: list[object] = []
-            self._pos: dict[object, int] = {}
-            self._vectors = np.empty((0, dim), dtype=STORAGE_DTYPE)
-        else:
-            self.keys = list(keys)
-            self._pos = {key: row for row, key in enumerate(self.keys)}
-            self._vectors = np.ascontiguousarray(vectors, dtype=STORAGE_DTYPE)
-        if running_sum is not None:
-            self._sum = np.array(running_sum, dtype=np.float64)
-        else:
-            self._sum = self._vectors[: len(self.keys)].sum(
-                axis=0, dtype=np.float64) if self.keys \
-                else np.zeros(dim, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the float32 rows (capacity, not just live)."""
-        return self._vectors.nbytes
-
-    def view(self) -> np.ndarray:
-        """The live (m, dim) float32 block of member vectors (no copy)."""
-        return self._vectors[: len(self.keys)]
-
-    @property
-    def running_sum(self) -> np.ndarray:
-        """The maintained float64 sum of the live rows (journaled state)."""
-        return self._sum
-
-    def append(self, key: object, vector: np.ndarray) -> None:
-        row = len(self.keys)
-        if row == self._vectors.shape[0]:  # grow capacity by doubling
-            cap = max(8, 2 * row)
-            grown = np.empty((cap, self._vectors.shape[1]),
-                             dtype=STORAGE_DTYPE)
-            grown[:row] = self._vectors[:row]
-            self._vectors = grown
-        self._vectors[row] = vector
-        self._sum += self._vectors[row]  # the stored (float32-cast) row
-        self._pos[key] = row
-        self.keys.append(key)
-        self.version += 1
-
-    def remove(self, key: object) -> None:
-        self.version += 1
-        row = self._pos.pop(key)
-        self._sum -= self._vectors[row]
-        last = len(self.keys) - 1
-        if row != last:
-            moved = self.keys[last]
-            self.keys[row] = moved
-            self._vectors[row] = self._vectors[last]
-            self._pos[moved] = row
-        self.keys.pop()
-
-
 class IVFIndex:
     """Clustered approximate top-k cosine search with dynamic updates.
 
@@ -162,9 +76,10 @@ class IVFIndex:
     or right after heavy churn, mirroring how production ANN deployments keep
     a fresh segment alongside trained shards.
 
-    The flat index remains the single source of truth for *membership* and
-    the K-Means training data (its row order is what a global retrain
-    clusters); the per-cluster blocks are the serving layout derived from it.
+    ``_keys`` (inverted by ``_row``) is *membership* and the add/remove
+    swap-delete order a global retrain clusters in; the rows themselves
+    live only in the cluster blocks (the whole pool is ``_blocks[0]`` until
+    the first training), and a retrain gathers them in that order.
     Scores are identical to a per-key Python loop up to float32 accumulation
     order, and candidate ordering — including tie-breaking — matches a
     per-key loop over the same posting lists exactly (stable sort over
@@ -192,19 +107,20 @@ class IVFIndex:
         self.seed = seed
         self.incremental_min_n = incremental_min_n
 
-        self._flat = FlatIndex(dim)
+        self._keys: list[object] = []
+        self._row: dict[object, int] = {}
         self._centroids: np.ndarray | None = None
-        self._blocks: list[_ClusterBlock] = []
+        self._blocks = [FlatIndex(dim)]
         self._key_to_cluster: dict[object, int] = {}
         self._churn = 0  # churn events (insert/remove/overwrite) since last train
         self.trainings = 0  # exposed for tests/benchmarks
         self._receipts: dict[tuple, tuple] = {}  # see search(); never saved
 
     def __len__(self) -> int:
-        return len(self._flat)
+        return len(self._keys)
 
     def __contains__(self, key: object) -> bool:
-        return key in self._flat
+        return key in self._row
 
     @property
     def is_trained(self) -> bool:
@@ -216,23 +132,25 @@ class IVFIndex:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of dense storage: flat matrix + cluster blocks."""
-        return self._flat.nbytes + sum(b.nbytes for b in self._blocks)
+        """Resident bytes of dense storage: the cluster blocks."""
+        return sum(b.nbytes for b in self._blocks)
 
     def add(self, key: object, vector: np.ndarray) -> None:
         """Insert ``key``; an overwrite of an existing key is ONE churn event
         (not an internal remove plus an insert), so retrains keep the cadence
-        ``retrain_threshold`` promises."""
-        if key in self._flat:
+        ``retrain_threshold`` promises.  A refused vector leaves the index
+        as it was, overwrite or not."""
+        unit = unit_row(vector, self.dim, key)
+        if key in self._row:
             self._drop(key)
-        self._flat.add(key, vector)
+        self._row[key] = len(self._keys)
+        self._keys.append(key)
         self._churn += 1
-        if self._centroids is not None:
-            # Assign to nearest existing centroid without retraining.
-            vec = self._flat.get_vector(key)
-            cluster = int(np.argmax(self._centroids @ vec))
-            self._blocks[cluster].append(key, vec)
-            self._key_to_cluster[key] = cluster
+        # Trained: the nearest existing centroid, without retraining.
+        cluster = 0 if self._centroids is None \
+            else int(np.argmax(self._centroids @ unit))
+        self._blocks[cluster].append(key, unit)
+        self._key_to_cluster[key] = cluster
 
     def remove(self, key: object) -> None:
         self._drop(key)
@@ -240,13 +158,15 @@ class IVFIndex:
 
     def _drop(self, key: object) -> None:
         """Remove ``key`` from storage without counting a churn event."""
-        self._flat.remove(key)
-        cluster = self._key_to_cluster.pop(key, None)
-        if cluster is not None:
-            self._blocks[cluster].remove(key)
+        row = self._row.pop(key)
+        last = self._keys.pop()
+        if row < len(self._keys):       # swap-delete, as a block does
+            self._keys[row] = last
+            self._row[last] = row
+        self._blocks[self._key_to_cluster.pop(key)].remove(key)
 
     def get_vector(self, key: object) -> np.ndarray:
-        return self._flat.get_vector(key)
+        return self._blocks[self._key_to_cluster[key]].get_vector(key)
 
     def search(self, query: np.ndarray, k: int) -> list[SearchResult]:
         """Approximate top-k; exact while untrained or small.
@@ -264,7 +184,7 @@ class IVFIndex:
         """
         self._maybe_train()
         if self._centroids is None:
-            return self._flat.search(query, k)
+            return self._blocks[0].search(query, k)
 
         raw = np.asarray(query)
         question = (raw.dtype.char, raw.tobytes(), self.nprobe)
@@ -295,7 +215,7 @@ class IVFIndex:
         # content, so identical vectors score identically wherever they
         # sit in the block — BLAS kernels can differ in the last ulp by
         # row position, which would break exact ties nondeterministically.
-        hits = finish(k, [np.einsum("ij,j->i", block.view(), q32)
+        hits = finish(k, [np.einsum("ij,j->i", block.matrix, q32)
                           for block in blocks], [b.keys for b in blocks])
         if k != 1 and hits:
             self._receipts[question] = (self.trainings, [
@@ -314,7 +234,7 @@ class IVFIndex:
         """
         self._maybe_train()
         if self._centroids is None:
-            return self._flat.search_batch(queries, k)
+            return self._blocks[0].search_batch(queries, k)
         q, valid = unit_rows(queries, self.dim)
         if k <= 0:
             return [[] for _ in valid]
@@ -335,7 +255,7 @@ class IVFIndex:
             m = len(members)
             if not m:
                 continue
-            scores = q32[rows] @ every[cluster].view().T    # (rows, m)
+            scores = q32[rows] @ every[cluster].matrix.T    # (rows, m)
             keep = min(k, m)
             for s, qi in zip(scores, rows):
                 top = (-s).argpartition(keep - 1)[:keep] if m > keep \
@@ -354,15 +274,10 @@ class IVFIndex:
     def to_state(self) -> dict:
         """Serializable state capturing the full training-relevant history.
 
-        Beyond membership, four things must survive a round-trip for a
-        restored index to behave bit-identically: the flat storage's row
-        order (a global retrain reads it), the cluster-major blocks (probe
-        scoring iterates block rows for tie-breaking, and the incremental
-        split/merge schedule is a function of them), each block's running
-        sum (recentering reads it, and its incremental accumulation order
-        is not recoverable from the rows), and the churn counter (it
-        schedules the *next* retrain).  See
-        :mod:`repro.persistence.snapshot` for the on-disk encoding.
+        Beyond the settings: the key order (a global retrain gathers the
+        pool in it), the blocks with their running sums (the only copy of
+        the rows, scored in row order), and the churn counter (it schedules
+        the *next* retrain).  See :mod:`repro.persistence.snapshot`.
         """
         return {
             "dim": self.dim,
@@ -371,22 +286,18 @@ class IVFIndex:
             "retrain_threshold": self.retrain_threshold,
             "seed": self.seed,
             "incremental_min_n": self.incremental_min_n,
-            "flat": self._flat.to_state(),
+            "keys": list(self._keys),
             "centroids": None if self._centroids is None
             else np.array(self._centroids, dtype=np.float64),
-            "blocks": [
-                {"keys": list(block.keys),
-                 "vectors": np.array(block.view(), dtype=STORAGE_DTYPE),
-                 "sum": np.array(block.running_sum, dtype=np.float64)}
-                for block in self._blocks
-            ],
+            "blocks": [block.to_state() for block in self._blocks],
             "churn": self._churn,
             "trainings": self.trainings,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "IVFIndex":
-        """Rebuild an index bit-identical to the one :meth:`to_state` saw."""
+        """Rebuild an index bit-identical to the one :meth:`to_state` saw;
+        blocks that do not hold exactly the state's keys are refused."""
         index = cls(
             dim=int(state["dim"]),
             nprobe=int(state["nprobe"]),
@@ -395,21 +306,17 @@ class IVFIndex:
             seed=int(state["seed"]),
             incremental_min_n=int(state["incremental_min_n"]),
         )
-        index._flat = FlatIndex.from_state(state["flat"])
+        index._keys = list(state["keys"])
+        index._row = {key: row for row, key in enumerate(index._keys)}
         centroids = state["centroids"]
         index._centroids = None if centroids is None \
             else np.ascontiguousarray(centroids, dtype=np.float64)
-        index._blocks = [
-            _ClusterBlock(index.dim, keys=block["keys"],
-                          vectors=block["vectors"],
-                          running_sum=block["sum"])
-            for block in state["blocks"]
-        ]
-        index._key_to_cluster = {
-            key: cluster
-            for cluster, block in enumerate(index._blocks)
-            for key in block.keys
-        }
+        index._blocks = [FlatIndex.from_state(b) for b in state["blocks"]]
+        index._map_keys()
+        if sum(map(len, index._blocks)) != len(index._keys) \
+                or index._key_to_cluster.keys() != index._row.keys() \
+                or len(index._blocks) != max(1, index.n_clusters):
+            raise ValueError("state blocks do not hold exactly its keys")
         index._churn = int(state["churn"])
         index.trainings = int(state["trainings"])
         return index
@@ -419,17 +326,17 @@ class IVFIndex:
 
         Used by WAL recovery (:mod:`repro.persistence.wal`) to replay a
         retrain that originally fired lazily inside a search: given the same
-        journaled state (flat row order, blocks, seed, trainings counter),
+        journaled state (key order, blocks, seed, trainings counter),
         the forced retrain reproduces identical centroids and blocks —
         whether the pool size selects the global K-Means path or the
         incremental split/merge path.  A pool below ``min_train_size`` never
         trains (matching the lazy path), so the call is a no-op there.
         """
-        if len(self._flat) < self.min_train_size:
+        if len(self._keys) < self.min_train_size:
             return False
         before = self.trainings
-        self._churn = max(self._churn,
-                          max(1, int(self.retrain_threshold * len(self._flat))))
+        self._churn = max(self._churn, max(
+            1, int(self.retrain_threshold * len(self._keys))))
         self._maybe_train()
         return self.trainings > before
 
@@ -442,7 +349,7 @@ class IVFIndex:
         return k + self.nprobe * n / k
 
     def _maybe_train(self) -> None:
-        n = len(self._flat)
+        n = len(self._keys)
         if n < self.min_train_size:
             return
         stale = self._centroids is None or self._churn >= max(
@@ -458,7 +365,7 @@ class IVFIndex:
         self.trainings += 1
 
     def _global_retrain(self) -> None:
-        """Full K-Means over the flat pool; rebuilds every block.
+        """Full K-Means over the pool in key order; rebuilds every block.
 
         Above ``TRAIN_SAMPLE_CAP`` rows the K-Means itself fits on a seeded
         uniform subsample (Lloyd's over the full pool is quadratic-ish in
@@ -467,8 +374,7 @@ class IVFIndex:
         At or below the cap — every golden scenario, by orders of magnitude —
         the fit consumes the full pool and behavior is unchanged.
         """
-        keys = self._flat.keys
-        matrix = self._flat.matrix  # rows align with ``keys``; no copy
+        keys, matrix = self._keys, self._pool()
         n = len(keys)
         k = optimal_cluster_count(n)
         if n > TRAIN_SAMPLE_CAP:
@@ -484,21 +390,26 @@ class IVFIndex:
             self._set_centroids(result.centroids)
             labels = result.labels
         # Rebuild the cluster-major blocks: one stable argsort groups the rows
-        # by label, members in flat row order (the order a per-key rebuild
+        # by label, members in key order (the order a per-key rebuild
         # would visit), then one contiguous gather per cluster.
         order = np.argsort(labels, kind="stable")
         stops = np.cumsum(np.bincount(labels,
                                       minlength=self._centroids.shape[0]))
         self._blocks = []
-        self._key_to_cluster = {}
         start = 0
-        for cluster, stop in enumerate(stops.tolist()):
+        for stop in stops.tolist():
             rows = order[start:stop]
-            block_keys = [keys[r] for r in rows.tolist()]
-            self._blocks.append(_ClusterBlock(
-                self.dim, keys=block_keys, vectors=matrix[rows]))
-            self._key_to_cluster.update(dict.fromkeys(block_keys, cluster))
+            self._blocks.append(FlatIndex(
+                self.dim, [keys[r] for r in rows.tolist()], matrix[rows]))
             start = stop
+        self._map_keys()
+
+    def _pool(self) -> np.ndarray:
+        """Every stored row in key order, gathered into a transient array."""
+        pool = np.empty((len(self._keys), self.dim), dtype=STORAGE_DTYPE)
+        for block in self._blocks:
+            pool[[self._row[key] for key in block.keys]] = block.matrix
+        return pool
 
     def _set_centroids(self, centroids: np.ndarray) -> None:
         """Store unit-normalized float64 centroids (scored against queries)."""
@@ -533,7 +444,7 @@ class IVFIndex:
         trainings), so a WAL-replayed retrain reproduces the same schedule
         and bit-identical blocks.
         """
-        n = len(self._flat)
+        n = len(self._keys)
         target = n / optimal_cluster_count(n)
         ceiling = max(2, int(2.0 * target))
         floor = max(1, int(target / 4.0))
@@ -547,21 +458,17 @@ class IVFIndex:
             if len(block) <= ceiling:
                 continue
             sub_seed = stable_hash("split", self.seed, self.trainings, ci)
-            result = KMeans(n_clusters=2, seed=sub_seed).fit(block.view())
+            result = KMeans(n_clusters=2, seed=sub_seed).fit(block.matrix)
             half = np.flatnonzero(result.labels == 1)
             if half.size == 0 or half.size == len(block):
                 continue  # degenerate split (identical rows): keep as-is
             keep = np.flatnonzero(result.labels == 0)
             moved_keys = [block.keys[i] for i in half]
-            moved_vecs = np.array(block.view()[half], dtype=STORAGE_DTYPE)
-            kept = _ClusterBlock(
-                self.dim, keys=[block.keys[i] for i in keep],
-                vectors=block.view()[keep],
-            )
+            kept = FlatIndex(self.dim, [block.keys[i] for i in keep],
+                             block.matrix[keep])
             self._blocks[ci] = kept
             centroids[ci] = self._recenter(kept)
-            new_block = _ClusterBlock(self.dim, keys=moved_keys,
-                                      vectors=moved_vecs)
+            new_block = FlatIndex(self.dim, moved_keys, block.matrix[half])
             self._blocks.append(new_block)
             centroids.append(self._recenter(new_block))
             new_ci = len(self._blocks) - 1
@@ -584,25 +491,25 @@ class IVFIndex:
             for ci, block in enumerate(self._blocks):
                 if ci in surv_set:
                     continue
-                for row in range(len(block)):
-                    vec = block.view()[row]
+                for key, vec in zip(block.keys, block.matrix):
                     dest = int(np.argmax(surv_centroids @ vec))
-                    surv_blocks[dest].append(block.keys[row], vec)
+                    surv_blocks[dest].append(key, vec)
             self._blocks = surv_blocks
             centroids = [self._recenter(b) for b in self._blocks]
             # Compaction renumbered every surviving cluster: this is the one
             # path that still pays a full O(n) key-map rebuild.  Recenter and
             # split maintain the map in place, so a retire-free tick (the
             # steady state the N=1M gate times) never touches all n entries.
-            self._key_to_cluster = {
-                key: cluster
-                for cluster, block in enumerate(self._blocks)
-                for key in block.keys
-            }
+            self._map_keys()
 
         self._centroids = np.stack(centroids)
 
-    def _recenter(self, block: _ClusterBlock) -> np.ndarray | None:
+    def _map_keys(self) -> None:
+        self._key_to_cluster = {key: cluster
+                                for cluster, block in enumerate(self._blocks)
+                                for key in block.keys}
+
+    def _recenter(self, block: FlatIndex) -> np.ndarray | None:
         """Unit-normalized float64 mean of a block's rows (None if empty).
 
         Reads the block's maintained running sum — O(dim), not a pass over

@@ -107,17 +107,14 @@ class ShardedIndex:
         return [shard.trainings for shard in self._shards]
 
     def to_state(self) -> dict:
-        """Serializable state: every shard's full state plus the memoized
-        key->shard assignment (``shard_fn`` itself is code, not state — a
-        custom one must be re-supplied to :meth:`from_state`)."""
+        """Serializable state: every shard's full state.  The memoized
+        key->shard assignment is the shards' membership, so it is rebuilt,
+        not saved (``shard_fn`` itself is code, not state — a custom one
+        must be re-supplied to :meth:`from_state`)."""
         return {
             "dim": self.dim,
             "n_shards": self.n_shards,
             "shards": [shard.to_state() for shard in self._shards],
-            # A list of pairs, not a dict: JSON object keys must be strings
-            # but index keys may be ints or other scalars.
-            "key_to_shard": [[key, shard]
-                             for key, shard in self._key_to_shard.items()],
         }
 
     @classmethod
@@ -136,8 +133,8 @@ class ShardedIndex:
                 f"state has {len(index._shards)} shards, expected "
                 f"{index.n_shards}"
             )
-        index._key_to_shard = {key: int(shard)
-                               for key, shard in state["key_to_shard"]}
+        index._key_to_shard = {key: s for s, shard in enumerate(index._shards)
+                               for key in shard._keys}
         return index
 
     def add(self, key: object, vector: np.ndarray) -> None:

@@ -517,7 +517,7 @@ def learn(self, ctx) -> None:
 def ivf_search(self, query: np.ndarray, k: int) -> list[SearchResult]:
     self._maybe_train()
     if self._centroids is None:
-        return self._flat.search(query, k)
+        return self._blocks[0].search(query, k)
 
     raw = np.asarray(query)
     question = (raw.dtype.char, raw.tobytes(), self.nprobe,
@@ -542,7 +542,7 @@ def ivf_search(self, query: np.ndarray, k: int) -> list[SearchResult]:
     if not blocks:
         return []
 
-    chunks = [np.einsum("ij,j->i", block.view(), q32) for block in blocks]
+    chunks = [np.einsum("ij,j->i", block.matrix, q32) for block in blocks]
     scores = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     if k == 1:
         top = (int(np.argmax(scores)),)

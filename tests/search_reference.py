@@ -10,7 +10,8 @@ with the same scores to the last bit, ties included
 (``tests/test_vectorstore_equivalence.py``,
 ``tests/test_vectorstore_float32.py``); ``benchmarks/perf_harness.py`` and
 ``benchmarks/test_perf_batched_retrieval.py`` time it as the in-run speedup
-denominator.
+denominator.  :class:`ShadowPool` is the flat copy of the pool the index
+used to keep, rebuilt beside it from the same mutations.
 """
 
 from __future__ import annotations
@@ -29,6 +30,22 @@ from repro.vectorstore.ivf import IVFIndex
 from repro.vectorstore.sharded import ShardedIndex
 
 
+class ShadowPool(FlatIndex):
+    """The flat copy :class:`IVFIndex` no longer keeps, as an oracle.
+
+    A plain :class:`FlatIndex` fed the same adds, removes and overwrites as
+    an index, except that an overwrite removes and re-appends the key, the
+    way the index's swap-delete key order treats one.  ``keys`` is then the
+    order a global retrain clusters in, and ``matrix`` is what it must train
+    on, bit for bit (``tests/test_vectorstore_float32.py``).
+    """
+
+    def add(self, key: object, vector: np.ndarray) -> None:
+        if key in self:
+            self.remove(key)
+        super().add(key, vector)
+
+
 def reference_search(index: IVFIndex, query: np.ndarray,
                      k: int) -> list[SearchResult]:
     assert index.is_trained
@@ -42,7 +59,7 @@ def reference_search(index: IVFIndex, query: np.ndarray,
     q32 = q.astype(STORAGE_DTYPE)
     candidates = [
         SearchResult(key, float(np.einsum(
-            "j,j->", index._blocks[cluster].view()[row], q32)))
+            "j,j->", index._blocks[cluster].matrix[row], q32)))
         for cluster in probe
         for row, key in enumerate(index._blocks[cluster].keys)
     ]
@@ -79,7 +96,7 @@ def reference_search_batch(index, queries: np.ndarray,
     q = q / np.maximum(norms, _EPS)[:, None]
     candidates: list[list[SearchResult]] = [[] for _ in range(n_queries)]
     flat = index if isinstance(index, FlatIndex) else \
-        None if index.is_trained else index._flat
+        None if index.is_trained else index._blocks[0]
     if flat is not None:
         if k <= 0 or not len(flat):
             return candidates
@@ -88,7 +105,7 @@ def reference_search_batch(index, queries: np.ndarray,
         top = np.argpartition(-scores, keep - 1, axis=1)[:, :keep]
         for qi in np.flatnonzero(valid):
             candidates[qi].extend(
-                SearchResult(flat._keys[j], float(scores[qi, j]))
+                SearchResult(flat.keys[j], float(scores[qi, j]))
                 for j in top[qi])
     elif k > 0:
         nprobe = min(index.nprobe, index.n_clusters)
@@ -105,7 +122,7 @@ def reference_search_batch(index, queries: np.ndarray,
             members = block.keys
             if not members:
                 continue
-            scores = q32[rows] @ block.view().T
+            scores = q32[rows] @ block.matrix.T
             m = len(members)
             keep = min(k, m)
             for row, qi in enumerate(rows):

@@ -56,6 +56,21 @@ class TestInspect:
         assert "examples" in out
         assert f"served={SERVE}" in out
         assert "monolithic index" in out
+        assert "format:        ic-cache-snapshot v6" in out
+        # The index line counts the state's key list (v6 has no flat copy).
+        n = int(out.split("cache:")[1].split()[0])
+        assert f"index:         {n} rows, 0 clusters, 0 trainings" in out
+
+    def test_sharded_inventory_line(self, tmp_path, capsys):
+        dataset = SyntheticDataset("ms_marco", scale=0.0002, seed=0)
+        service = ICCacheService(ICCacheConfig(seed=0, cache_shards=2))
+        service.seed_cache(dataset.example_bank_requests()[:BANK])
+        path = service.save(tmp_path / "sharded.json")
+        assert main(["inspect", str(path)]) == 0
+        line, = [row for row in capsys.readouterr().out.splitlines()
+                 if row.startswith("shards:")]
+        sizes = json.loads(line.split("sizes=")[1].split(" trainings")[0])
+        assert sizes == service.cache.shard_sizes and sum(sizes) == BANK
 
     def test_json_summary(self, snapshot_path, capsys):
         assert main(["inspect", str(snapshot_path), "--json"]) == 0

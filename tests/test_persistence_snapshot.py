@@ -136,14 +136,14 @@ class TestIVFIndexRoundtrip:
         for copy in (index, restored):
             for i, vec in enumerate(_vectors(40, seed=9)):
                 copy.add(("inc", i), vec)
-            assert len(copy._flat) >= copy.incremental_min_n
+            assert len(copy) >= copy.incremental_min_n
             assert copy.retrain()
         assert index.trainings == restored.trainings
         assert np.array_equal(index._centroids, restored._centroids)
         assert len(index._blocks) == len(restored._blocks)
         for a, b in zip(index._blocks, restored._blocks):
             assert a.keys == b.keys
-            assert np.array_equal(a.view(), b.view())
+            assert np.array_equal(a.matrix, b.matrix)
 
     def test_untrained_index_roundtrips(self):
         index = IVFIndex(dim=DIM, min_train_size=64)
@@ -159,6 +159,20 @@ class TestIVFIndexRoundtrip:
         index.add(0, _vectors(1)[0])
         assert index.retrain() is False
         assert index.trainings == 0
+
+    def test_blocks_must_hold_exactly_the_state_keys(self):
+        """The blocks are the only copy of the rows: a key list they do not
+        match (one missing, one stranger, or a block per cluster too many)
+        is refused, not restored into an index that cannot find a row."""
+        state = _churned_index(IVFIndex, nprobe=3, min_train_size=64,
+                               seed=4).to_state()
+        empty = FlatIndex(DIM).to_state()
+        for broken in (dict(state, keys=state["keys"][:-1]),
+                       dict(state, keys=[*state["keys"][:-1], "stranger"]),
+                       dict(state, blocks=[*state["blocks"], empty])):
+            with pytest.raises(ValueError, match="exactly its keys"):
+                IVFIndex.from_state(broken)
+        assert len(IVFIndex.from_state(state)) == len(state["keys"])
 
 
 class TestShardedIndexRoundtrip:
@@ -278,9 +292,12 @@ class TestServiceSnapshot:
         service, _ = _build_service(bank=40)
         path = service.save(tmp_path / "s.json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 5
+        assert doc["version"] == SNAPSHOT_VERSION == 6
         cache = doc["cache"]
         assert "examples" not in cache
+        # The index stores each vector once, in its cluster blocks.
+        assert "flat" not in cache["index"]
+        assert len(cache["index"]["keys"]) == len(service.cache)
         # The byte ledger is the bookkeeping column, stored once.
         assert "total_bytes" not in cache
         assert "recorded_bytes" not in cache["examples_columns"]

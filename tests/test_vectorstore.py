@@ -259,3 +259,23 @@ class TestIVFIndex:
             index.add(i, random_unit_vectors(1, 8, seed=i)[0])
         index.search(vecs[0], 1)
         assert index.trainings > first_trainings
+
+    @pytest.mark.parametrize("bad", [np.zeros(8), np.full(8, np.nan)],
+                             ids=["zero", "nan"])
+    @pytest.mark.parametrize("n", [10, 100], ids=["untrained", "trained"])
+    def test_refused_overwrite_leaves_the_index_unchanged(self, n, bad):
+        """An overwrite with a vector the index refuses keeps the old one:
+        the same keys, length, churn and saved state, trained or not."""
+        index = IVFIndex(dim=8, min_train_size=64)
+        vecs = random_unit_vectors(n, 8)
+        for i, vec in enumerate(vecs):
+            index.add(i, vec)
+        index.search(vecs[0], 1)
+        assert index.is_trained == (n >= 64)
+        before = index.to_state()
+        with pytest.raises(ValueError):
+            index.add(3, bad)
+        assert 3 in index and len(index) == n
+        np.testing.assert_equal(index.to_state(), before)  # keys, churn, rows
+        index.remove(3)
+        assert 3 not in index and len(index) == n - 1

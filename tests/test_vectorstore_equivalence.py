@@ -24,8 +24,8 @@ from hypothesis import given, settings
 from repro.core.config import SelectorConfig
 from repro.core.proxy import HelpfulnessProxy, proxy_features_matrix
 from repro.core.selector import ExampleSelector
-from repro.vectorstore.flat import SearchResult
-from repro.vectorstore.ivf import IVFIndex, _ClusterBlock
+from repro.vectorstore.flat import FlatIndex, SearchResult
+from repro.vectorstore.ivf import IVFIndex
 
 from tests.hotpath_reference import predict
 from tests.search_reference import reference_search
@@ -141,12 +141,12 @@ class TestRepeatedProbeReusesTopHit:
     def test_reused_hit_equals_a_real_probe(self, pool: VectorPool):
         index = self._trained(pool)
         scored = []
-        view = _ClusterBlock.view
+        matrix = FlatIndex.matrix.fget
         for query in pool.queries(6):
             first = index.search(query, 12)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(_ClusterBlock, "view",
-                              lambda block: scored.append(1) or view(block))
+                patch.setattr(FlatIndex, "matrix", property(
+                    lambda block: scored.append(1) or matrix(block)))
                 again = index.search(query, 1)
             assert again == first[:1] == self._fresh_probe(index, query)
         assert not scored, "the repeated probe scored blocks again"

@@ -15,24 +15,39 @@ vectors.py``) and covers what the float32 overhaul added:
   through append, remove and capacity growth;
 * incremental split/merge retrains hold recall@5 close to a global
   K-Means retrain under the maintenance-tick churn regime;
-* ``KMeans.fit`` consumes the index's cached storage view without copying.
+* the blocks are the pool's one copy: at every retrain, through churn,
+  overwrites and a restore, they hold exactly what a shadow flat copy fed
+  the same mutations holds, and a global retrain trains on those bytes.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from hypothesis import given, settings
+import json
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.persistence.snapshot import _decode, _encode
 from repro.vectorstore.flat import STORAGE_DTYPE, FlatIndex
-from repro.vectorstore.ivf import IVFIndex, _ClusterBlock
+from repro.vectorstore.ivf import IVFIndex, optimal_cluster_count
 from repro.vectorstore.kmeans import KMeans
+from repro.vectorstore.sharded import ShardedIndex
 
 from tests.clustered_pool import clustered_vectors
-from tests.search_reference import reference_search
+from tests.kmeans_reference import _reference_fit
+from tests.search_reference import (
+    ShadowPool,
+    reference_search,
+    reference_search_batch,
+)
 from tests.strategies import (
     DETERMINISM,
     STANDARD,
     VectorPool,
+    seeds,
     vector_pools,
 )
 
@@ -104,7 +119,7 @@ class TestClusterBlockBytes:
         it) sums this: capacity x dim x 4, with no second copy of the rows
         riding along."""
         rows = _clustered(40, seed=6).astype(STORAGE_DTYPE)
-        block = _ClusterBlock(DIM, keys=list(range(5)), vectors=rows[:5])
+        block = FlatIndex(DIM, keys=list(range(5)), vectors=rows[:5])
         assert block.nbytes == 5 * DIM * 4
         capacities = set()
         for key in range(5, 40):                    # append through growth
@@ -117,7 +132,7 @@ class TestClusterBlockBytes:
         for key in range(0, 40, 3):                 # swap-delete keeps capacity
             block.remove(key)
             assert block.nbytes == capacity * DIM * 4
-        assert block.view().nbytes == len(block) * DIM * 4
+        assert block.matrix.nbytes == len(block) * DIM * 4
 
 
 class TestIncrementalRetrainRecall:
@@ -146,7 +161,7 @@ class TestIncrementalRetrainRecall:
     @staticmethod
     def _recall_vs_flat(index: IVFIndex, queries: np.ndarray) -> float:
         flat = FlatIndex(index.dim)
-        for key in index._flat.keys:
+        for key in index._keys:
             flat.add(key, index.get_vector(key))
         hits = sum(
             len({r.key for r in index.search(q, 5)}
@@ -196,14 +211,14 @@ class TestIncrementalRetrainBookkeeping:
         }
         assert index._key_to_cluster == expected
         # ...and stays serviceable: every key removable through the map.
-        for key in list(index._flat.keys)[:50]:
+        for key in list(index._keys)[:50]:
             index.remove(key)
-        assert len(index._flat) == len(index._key_to_cluster)
+        assert len(index) == len(index._key_to_cluster)
 
     def test_running_sum_tracks_rows_through_churn(self):
         index = self._churned()
         for block in index._blocks:
-            fresh = block.view().sum(axis=0, dtype=np.float64)
+            fresh = block.matrix.sum(axis=0, dtype=np.float64)
             np.testing.assert_allclose(block.running_sum, fresh,
                                        rtol=1e-9, atol=1e-7)
 
@@ -219,30 +234,125 @@ class TestIncrementalRetrainBookkeeping:
             assert np.array_equal(a.running_sum, b.running_sum)
 
 
+@contextmanager
+def _held_to_shadows(shadows: dict[int, ShadowPool], paths: list[str]):
+    """Hold every index retrain, global or incremental, to the shadow pool
+    of the index (``shadows[id(index)]``): the key order and the gathered
+    rows before and after, and a global retrain's K-Means input and fit."""
+    fit = KMeans.fit
+    retrains = {"global": IVFIndex._global_retrain,
+                "incremental": IVFIndex._incremental_retrain}
+    fits = []
+
+    def same_pool(index: IVFIndex) -> ShadowPool:
+        shadow = shadows[id(index)]
+        assert index._keys == shadow.keys
+        gathered = np.stack([index.get_vector(key) for key in index._keys])
+        assert gathered.tobytes() == shadow.matrix.tobytes()
+        return shadow
+
+    def spy(model, data):
+        fits.append((data, fit(model, data)))
+        return fits[-1][1]
+
+    def watched(path):
+        def retrain(index):
+            shadow = same_pool(index)
+            fits.clear()
+            retrains[path](index)
+            paths.append(path)
+            if path == "global":
+                (trained_on, got), = fits
+                assert trained_on.tobytes() == shadow.matrix.tobytes()
+                want = _reference_fit(KMeans(
+                    n_clusters=optimal_cluster_count(len(shadow)),
+                    seed=index.seed), shadow.matrix)
+                assert got.centroids.tobytes() == want.centroids.tobytes()
+                assert np.array_equal(got.labels, want.labels)
+            same_pool(index)
+        return retrain
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KMeans, "fit", spy)
+        for path in retrains:
+            patch.setattr(IVFIndex, f"_{path}_retrain", watched(path))
+        yield
+
+
+class TestBlocksAreTheOneCopy:
+    """The index keeps no flat copy of its pool: the cluster blocks hold
+    each row once, and a :class:`ShadowPool` fed the same adds, removes and
+    overwrites is the oracle for what they hold and what a retrain reads."""
+
+    @given(seed=seeds(), n=st.integers(60, 160), sharded=st.booleans(),
+           incremental=st.booleans(), restore_at=st.integers(1, 4))
+    @settings(**DETERMINISM)
+    def test_every_retrain_reads_the_shadow_pool(self, seed, n, sharded,
+                                                 incremental, restore_at):
+        rng = np.random.default_rng(seed)
+        pool = clustered_vectors(2 * n, 8, n_topics=max(2, n // 15),
+                                 seed=seed)
+        # ``incremental_min_n`` low enough that split and retire run.
+        params = dict(dim=8, nprobe=2, min_train_size=32, seed=seed % 997,
+                      retrain_threshold=0.2,
+                      incremental_min_n=40 if incremental else 10**9)
+        index = ShardedIndex(n_shards=2, **params) if sharded \
+            else IVFIndex(**params)
+        pools = [ShadowPool(8) for _ in range(2 if sharded else 1)]
+        live, next_key, paths = [], 0, []
+
+        def members():
+            shards = index._shards if sharded else [index]
+            return shards, {id(s): p for s, p in zip(shards, pools)}
+
+        shards, shadows = members()
+        with _held_to_shadows(shadows, paths):
+            for step in range(6):
+                if step == restore_at:
+                    queries = pool[rng.integers(0, 2 * n, size=4)]
+                    before = index.search_batch(queries, 5)
+                    index = type(index).from_state(_decode(json.loads(
+                        json.dumps(_encode(index.to_state())))))
+                    shards, fresh = members()
+                    shadows.clear()
+                    shadows.update(fresh)
+                    assert index.search_batch(queries, 5) == before
+                for _ in range(n if step == 0 else n // 2):
+                    op = rng.random() if step else 0.0
+                    if op < 0.5 or not live:            # add
+                        key, next_key = next_key, next_key + 1
+                        live.append(key)
+                    elif op < 0.75:                     # remove
+                        key = live.pop(int(rng.integers(len(live))))
+                        pools[index.shard_of(key) if sharded else 0].remove(
+                            key)
+                        index.remove(key)
+                        continue
+                    else:                               # overwrite
+                        key = live[int(rng.integers(len(live)))]
+                    # A repeated pool row is a bit-exact duplicate.
+                    vector = pool[int(rng.integers(2 * n))]
+                    index.add(key, vector)
+                    pools[index.shard_of(key) if sharded else 0].add(
+                        key, vector)
+                queries = pool[rng.integers(0, 2 * n, size=4)] \
+                    + rng.normal(0.0, 0.05, size=(4, 8))
+                for shard, shadow in zip(shards, pools):
+                    for query in queries:
+                        for k in (5, 1):
+                            got = shard.search(query, k)
+                            assert got == (
+                                reference_search(shard, query, k)
+                                if shard.is_trained
+                                else shadow.search(query, k))
+                    if step % 2:
+                        shard.retrain()
+                assert index.search_batch(queries, 5) \
+                    == reference_search_batch(index, queries, 5)
+        assert "global" in paths
+
+
 class TestKMeansConsumesStorageView:
-    def test_global_retrain_fits_on_the_cached_view_no_copy(self, monkeypatch):
-        pool = _clustered(300, seed=5)
-        index = IVFIndex(dim=DIM, min_train_size=64, seed=0)
-        for row, vec in enumerate(pool):
-            index.add(row, vec)
-
-        seen: list[np.ndarray] = []
-        original_fit = KMeans.fit
-
-        def spy(self, data):
-            seen.append(data)
-            return original_fit(self, data)
-
-        monkeypatch.setattr(KMeans, "fit", spy)
-        assert index.retrain()
-        assert seen, "retrain must call KMeans.fit"
-        trained_on = seen[0]
-        # The exact cached storage view: float32, zero-copy into the flat
-        # matrix — not np.array(matrix) (which doubled peak memory).
-        assert trained_on.dtype == STORAGE_DTYPE
-        assert trained_on.base is index._flat._vectors
-        assert not trained_on.flags.owndata
-
     def test_fit_preserves_float32_without_upcast(self):
         data = np.random.default_rng(0).normal(
             size=(200, 8)).astype(np.float32)

@@ -208,7 +208,7 @@ def _epilogue(model: _Model, queries: np.ndarray) -> None:
         spare = [c for c in range(index.n_clusters)
                  if c not in probed and index._blocks[c].keys]
         if spare:           # a mutation elsewhere: the receipt stands
-            vector = index._blocks[spare[0]].view()[0].astype(np.float64)
+            vector = index._blocks[spare[0]].matrix[0].astype(np.float64)
             with model.touching("elsewhere"):
                 index.add("elsewhere", vector)
             if index._key_to_cluster["elsewhere"] not in probed:
@@ -282,7 +282,7 @@ def test_only_a_probed_block_or_a_retrain_costs_a_rescoring():
     probed = {cluster for cluster, _ in stamps}
     elsewhere = next(c for c in range(index.n_clusters)
                      if c not in probed and index._blocks[c].keys)
-    far = index._blocks[elsewhere].view()[0]
+    far = index._blocks[elsewhere].matrix[0]
 
     assert index.search(query, 1)[0] is top
     index.add("far", far)                               # unprobed cluster

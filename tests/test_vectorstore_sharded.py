@@ -153,6 +153,20 @@ class TestShardedIndex:
         assert len(sharded) == 1
         assert sharded.search([0, 1, 0, 0], 1)[0].score == pytest.approx(1.0)
 
+    def test_refused_overwrite_leaves_the_index_unchanged(self):
+        """A NaN overwrite is refused by the shard before anything moves, so
+        membership, length and saved state stay, and the key still goes."""
+        sharded = ShardedIndex(dim=8, n_shards=3)
+        for i, vec in enumerate(random_unit_vectors(10, 8)):
+            sharded.add(i, vec)
+        before = sharded.to_state()
+        with pytest.raises(ValueError):
+            sharded.add(3, np.full(8, np.nan))
+        assert 3 in sharded and len(sharded) == 10
+        np.testing.assert_equal(sharded.to_state(), before)
+        sharded.remove(3)
+        assert 3 not in sharded and len(sharded) == 9
+
     def test_get_vector_round_trip(self):
         sharded = ShardedIndex(dim=4, n_shards=2)
         sharded.add("a", [3.0, 0.0, 4.0, 0.0])
