@@ -17,7 +17,8 @@ harness keeps only what that benchmark cannot give:
   a churned request —
   calls issued while ``WriteAheadLog.record`` or ``flush`` runs, ``write``s
   issued, frames and bytes appended (``journal``), the generators one
-  sample of a maintenance tick's replay pass mints (``replay``), and what
+  sample of a maintenance tick's replay pass mints and the calls it issues
+  (``replay``), and what
   the gateway's transport spends on one
   loopback ``POST /serve`` — event-loop iterations, futures, timer handles,
   socket sends, calls issued from ``src/repro/gateway/`` and ``asyncio/``
@@ -284,9 +285,10 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
     * **evict one** — :meth:`ExampleManager.enforce_capacity` with the
       pool one byte over budget, the pass every admission pays on a full
       cache (``bench_e2e``'s ``lifecycle_churn``): one example goes, and
-      only the low-density tail it could come from is ranked.
+      the kernel proves it is the greedy's one rejection without ranking.
       ``rows_ranked_per_pass`` counts the rows handed to the ranking sort
-      (a work count: same pool, same number, on any box);
+      over the passes run (a work count: same pool, same number, on any
+      box; 0 while the proof holds);
       ``evict_one_speedup_vs_object`` is the same decision taken the
       per-object way in the same run — one ``KnapsackItem`` per example
       from its properties, ``solve_knapsack``, a kept-set scan — over
@@ -355,23 +357,27 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
         evictor.config.capacity_bytes = cache.total_bytes - 1
         return evictor.enforce_capacity()
 
-    # Rows ranked, counted where the ranking happens: the sort is the
-    # kernel's one super-linear step.
-    ranked_rows: list[int] = []
+    # Rows ranked, counted where the ranking happens (the sort is the
+    # kernel's one super-linear step), over the passes run.
+    counts = {"ranked_rows": 0, "passes": 0}
     rank = knapsack._rank
 
     def counting_rank(w, v):
-        ranked_rows.append(w.size)
+        counts["ranked_rows"] += w.size
         return rank(w, v)
+
+    def counted_evict_one():
+        counts["passes"] += 1
+        return evict_one()
 
     would_evict = object_pass()
     knapsack._rank = counting_rank
     try:
-        assert evict_one() == len(would_evict) >= 1
+        assert counted_evict_one() == len(would_evict) >= 1
         assert not any(ex_id in cache for ex_id in would_evict), \
             "array pass and per-object pass must evict the same examples"
         t_object = _best_of(object_pass)
-        t_evict_one = _best_of(evict_one)   # each round evicts once more
+        t_evict_one = _best_of(counted_evict_one)   # each evicts once more
     finally:
         knapsack._rank = rank
 
@@ -392,7 +398,7 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
         "restore_examples_per_s": n / t_restore,
         "evict_one_us": t_evict_one * 1e6,
         "evict_one_speedup_vs_object": t_object / t_evict_one,
-        "rows_ranked_per_pass": sum(ranked_rows) / len(ranked_rows),
+        "rows_ranked_per_pass": counts["ranked_rows"] / counts["passes"],
         "evicted": evicted,
         "evict_us_per_pass": evict_s * 1e6,
     }
@@ -706,17 +712,20 @@ def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
 
 
 def bench_replay(bank_size: int = JOURNAL_BANK, served: int = 350) -> dict:
-    """Generators one sample of a replay pass mints, as an exact count.
+    """Work one sample of a replay pass does, as exact counts.
 
     :func:`_churn_service`, ``served`` requests (``lifecycle_churn``'s
     warm-up plus one ``tick_every``), 30 minutes on the clock, then one
     ``run_maintenance(replay=True)`` under a ``sys.setprofile`` hook that
-    counts ``make_rng`` calls and ``SimulatedLLM.generate`` calls — every
-    generation in a maintenance tick is a replay sample.  A sample needs
-    one generator, its decode stream; the per-(model, request) word that
-    stream is derived from costs a second only when the teacher has not
-    decoded that request before (an example admitted from a small-model
-    response, on its first sample).
+    counts ``make_rng`` calls, calls of ``SimulatedLLM._draw`` — the draw
+    every generation and every replay sample takes, and in a maintenance
+    tick there are only replay samples — and, by :func:`bench_floor`'s
+    definition, every call issued from ``src/repro/`` (the whole tick's,
+    decay and the eviction check included).  A sample needs one generator,
+    its decode stream; the per-(model, request) word that stream is derived
+    from costs a second only when the teacher has not decoded that request
+    before (an example admitted from a small-model response, on its first
+    sample).
     """
     from repro.llm.model import SimulatedLLM
     from repro.utils import rng as rng_module
@@ -725,15 +734,19 @@ def bench_replay(bank_size: int = JOURNAL_BANK, served: int = 350) -> dict:
     for request in stream:
         service.serve(request)
     service.clock.advance(1800.0)
+    package = _package_root()
     make_rng_code = rng_module.make_rng.__code__
-    generate_code = SimulatedLLM.generate.__code__
-    counts = {"minted": 0, "samples": 0}
+    draw_code = SimulatedLLM._draw.__code__
+    counts = {"calls": 0, "minted": 0, "samples": 0}
 
     def hook(frame, event, arg):
+        if not _issued_by(package, frame, event):
+            return
+        counts["calls"] += 1
         if event == "call":
             if frame.f_code is make_rng_code:
                 counts["minted"] += 1
-            elif frame.f_code is generate_code:
+            elif frame.f_code is draw_code:
                 counts["samples"] += 1
 
     sys.setprofile(hook)
@@ -748,6 +761,7 @@ def bench_replay(bank_size: int = JOURNAL_BANK, served: int = 350) -> dict:
         "samples": counts["samples"],
         "generators_minted_per_replay_sample":
             counts["minted"] / counts["samples"],
+        "calls_per_replay_sample": counts["calls"] / counts["samples"],
     }
 
 
@@ -967,7 +981,8 @@ GATED_COUNTERS = {
               "rescored_probes_per_request", "score_batch_calls_per_request"),
     "journal": ("journal_calls_per_request", "journal_writes_per_request",
                 "wal_frames_per_request", "wal_bytes_per_request"),
-    "replay": ("generators_minted_per_replay_sample",),
+    "replay": ("generators_minted_per_replay_sample",
+               "calls_per_replay_sample"),
     "gateway": ("loop_iterations_per_request", "futures_per_request",
                 "timer_handles_per_request", "socket_sends_per_request",
                 "gateway_calls_per_request"),
@@ -1089,7 +1104,8 @@ def main(argv: list[str] | None = None) -> int:
     for n, row in results["replay"].items():
         print(f"replay  N={n:>6}: "
               f"{row['generators_minted_per_replay_sample']:.4f} generators "
-              f"minted per replay sample ({row['samples']} samples, "
+              f"minted, {row['calls_per_replay_sample']:.2f} calls from "
+              f"src/repro per replay sample ({row['samples']} samples, "
               f"{row['replayed']} examples replayed in one tick)")
     for n, row in results["gateway"].items():
         print(f"gateway N={n:>6}: {row['loop_iterations_per_request']:g} loop "

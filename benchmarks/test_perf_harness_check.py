@@ -3,7 +3,7 @@
 ``run_baseline_gate`` is driven with hand-built results/baseline dicts so
 the tests exercise the gate logic itself — the missing-baseline warning
 (which must be loud, not a silent pass), the pass path, each of the
-twenty-one exact work counters failing in both directions, and sections one
+twenty-two exact work counters failing in both directions, and sections one
 side did not run being skipped — in milliseconds.  One more guard: the harness must
 import with numpy and ``repro`` alone, because that is all CI's perf jobs
 install.
@@ -21,7 +21,7 @@ import repro
 
 
 def _results(iterations: int = 9, distance_columns: int = 305,
-             rows_ranked: float = 4.0, fit_ms: float = 50.0,
+             rows_ranked: float = 0.0, fit_ms: float = 50.0,
              calls: float = 502.7175, minted: float = 5.0625,
              solves: float = 0.8075, scored: float = 1.0,
              batch_calls: float = 461.5, batch_scored: float = 0.0625,
@@ -29,6 +29,7 @@ def _results(iterations: int = 9, distance_columns: int = 305,
              journal_calls: float = 53.975, writes: float = 1.0,
              frames: float = 2.83, wal_bytes: float = 1807.15,
              replay_minted: float = 2840 / 2550,
+             replay_calls: float = 93008 / 2550,
              iterations_per_request: float = 3.0, futures: float = 1.0,
              timers: float = 0.0, sends: float = 2.0,
              gateway_calls: float = 172.0) -> dict:
@@ -56,7 +57,8 @@ def _results(iterations: int = 9, distance_columns: int = 305,
                              "wal_bytes_per_request": wal_bytes}},
         "replay": {"1500": {"samples": 2550,
                             "generators_minted_per_replay_sample":
-                                replay_minted}},
+                                replay_minted,
+                            "calls_per_replay_sample": replay_calls}},
         "gateway": {"1000": {"requests": 400,
                              "loop_iterations_per_request":
                                  iterations_per_request,
@@ -142,8 +144,8 @@ class TestPresentBaseline:
 
     def test_evict_one_rows_ranked_gates_exactly_in_both_directions(
             self, tmp_path, capsys):
-        baseline = _baseline(tmp_path, rows_ranked=4.0)
-        for moved in (3.75, 10000.0):
+        baseline = _baseline(tmp_path, rows_ranked=0.0)
+        for moved in (4.0, 10000.0):
             code = perf_harness.run_baseline_gate(
                 _results(rows_ranked=moved), baseline)
             assert code == 1
@@ -209,16 +211,22 @@ class TestPresentBaseline:
 
     def test_replay_counter_gates_exactly_in_both_directions(
             self, tmp_path, capsys):
-        """2.0 is a ``generate`` that re-derives the per-(model, request)
+        """2.0 generators is a draw that re-derives the per-(model, request)
         word on every sample; 1.0 would be a memo that no longer misses
-        where it must (a teacher's first decode of a request)."""
+        where it must (a teacher's first decode of a request).  47.11 calls
+        is a sample that builds and renders a whole ``generate`` result."""
         baseline = _baseline(tmp_path)
-        for moved in (1.0, 2.0):
-            code = perf_harness.run_baseline_gate(
-                _results(replay_minted=moved), baseline)
-            assert code == 1
-            assert ("replay generators_minted_per_replay_sample at N=1500 "
-                    f"changed: {moved}") in capsys.readouterr().out
+        for argument, key, moves in (
+                ("replay_minted", "generators_minted_per_replay_sample",
+                 (1.0, 2.0)),
+                ("replay_calls", "calls_per_replay_sample",
+                 (93007 / 2550, 120128 / 2550))):
+            for moved in moves:
+                code = perf_harness.run_baseline_gate(
+                    _results(**{argument: moved}), baseline)
+                assert code == 1
+                assert (f"replay {key} at N=1500 changed: {moved}"
+                        in capsys.readouterr().out)
 
     def test_gateway_counters_gate_exactly_in_both_directions(
             self, tmp_path, capsys):

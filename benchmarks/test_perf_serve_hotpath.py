@@ -99,10 +99,10 @@ def test_perf_serve_hotpath(benchmark):
     assert speedup >= 6.0, \
         f"vectorized search only {speedup:.1f}x over the reference loop"
 
-    # The eviction pass a full cache runs on every admission ranks the
-    # tail an example could leave from, not the pool (a full sort is ~17x).
+    # The eviction pass a full cache runs on every admission proves its
+    # one victim and ranks nothing (a full sort is ~17x the pass).
     evict_one = results["lifecycle"]["10000"]
-    assert evict_one["rows_ranked_per_pass"] < 100, \
+    assert evict_one["rows_ranked_per_pass"] == 0, \
         f"evict-one pass ranked {evict_one['rows_ranked_per_pass']:g} " \
         f"rows of a 10k pool"
     assert evict_one["evict_one_speedup_vs_object"] >= 40.0, \
@@ -168,11 +168,14 @@ def test_perf_serve_hotpath(benchmark):
         f"admitted request: an admission is one group, one write"
 
     # The replay pass: one decode generator per sample, the request's word
-    # derived once.
+    # derived once, and no response built for a sample that loses.
     replay = results["replay"]["1500"]
     assert replay["generators_minted_per_replay_sample"] <= 1.34, \
         f"{replay['generators_minted_per_replay_sample']:.2f} generators " \
         f"minted per replay sample"
+    assert replay["calls_per_replay_sample"] <= 40, \
+        f"{replay['calls_per_replay_sample']:.1f} calls from src/repro " \
+        f"per replay sample"
 
     # The transport's share of a loopback request: callbacks, not tasks.
     gateway = results["gateway"]["1000"]

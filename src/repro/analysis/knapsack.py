@@ -10,19 +10,17 @@ fix-up, which gives the 1/2-approximation bound.
 * :func:`knapsack_keep_mask` — the array kernel the manager runs inline on
   every over-budget admission (section 5: the solver must not interfere
   with online serving), so it has no per-item Python step and, when the
-  pool is only a little over budget, ranks only the low-density tail an
-  item could be rejected from (:func:`_density_tail`) — the same answer
-  as ranking the pool, for a partition instead of a sort;
+  pool is one item over budget, ranks nothing: :func:`_one_victim` proves
+  which single item the greedy rejects;
 * ``tests/knapsack_reference.py`` — the same two solvers over
   ``KnapsackItem`` objects; the greedy one, ``_solve_greedy``, is the
   per-item reference the kernel is tested against.
 
-The kernel ranks every item, as the reference does, whenever the tail
-cannot be proven: the exact-DP branch, a pool within budget, an excess
-the widest tail tried does not cover (widths grow fourfold from an
-estimate and stop at a quarter of the pool), or a pool whose most
-valuable item sits in the tail with no equal above it (the one case the
-best-single fix-up could fire).
+The kernel ranks every item, as the reference does, whenever the proof
+does not hold: the exact-DP branch, a pool within budget, a last-ranked
+item lighter than the excess (more than one item must go), or a
+last-ranked item that holds the pool's unique maximum value (the one case
+the best-single fix-up could fire).
 """
 
 from __future__ import annotations
@@ -52,8 +50,9 @@ def knapsack_keep_mask(weights: np.ndarray, values: np.ndarray,
     if weights.ndim != 1 or values.shape != weights.shape:
         raise ValueError("weights/values must be parallel 1-D arrays")
     lightest = weights.min(initial=1)
-    if lightest < 0 or values.min(initial=0.0) < 0:
-        raise ValueError("negative knapsack weight or value")
+    # NaN propagates through min() and fails every comparison.
+    if lightest < 0 or not values.min(initial=0.0) >= 0:
+        raise ValueError("negative knapsack weight, or negative or NaN value")
     if tie_rank is not None:
         tie_rank = np.asarray(tie_rank)
         if tie_rank.shape != weights.shape:
@@ -75,7 +74,12 @@ def _solve(w: np.ndarray, v: np.ndarray, capacity: int, exact: bool,
            tie_rank: np.ndarray | None) -> np.ndarray:
     """Keep-mask over positive-weight items from the selected solver."""
     if not exact:
-        return _greedy_mask(w, v, capacity, tie_rank)
+        victim = _one_victim(w, v, capacity, tie_rank)
+        if victim is None:
+            return _greedy_mask(w, v, capacity, tie_rank)
+        keep = np.ones(w.size, dtype=bool)
+        keep[victim] = False
+        return keep
     if tie_rank is None:
         return _solve_dp(w, v, capacity)
     # The DP keeps the earlier of two interchangeable items: run it in
@@ -100,53 +104,33 @@ def _rank(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.argsort(np.negative(rank_key, out=rank_key), kind="stable")
 
 
-def _density_tail(w: np.ndarray, v: np.ndarray,
-                  capacity: int) -> tuple[np.ndarray, int] | None:
-    """The low-density end of the ranking that holds everything the greedy
-    can reject, as ``(positions, weight of the rest)`` — or ``None`` when
-    the whole pool has to be ranked.
+def _one_victim(w: np.ndarray, v: np.ndarray, capacity: int,
+                tie_rank: np.ndarray | None) -> int | None:
+    """The one item the greedy rejects, by position, when that is provable
+    without ranking the pool — or ``None``.
 
-    Every item whose density is at most some cut forms an exact suffix of
-    the ranking (density is its first key and all ties at the cut are in).
-    If the items *above* the cut weigh no more than ``capacity``, the item
-    loop takes each of them — its running weight never exceeds theirs —
-    and arrives at the suffix with ``used`` equal to their weight, so only
-    the suffix needs ranking.  The best-single fix-up cannot then fire if
-    an item of maximal fitting value lies above the cut: it is taken, and
-    a sequential float sum of non-negative values is never below one of
-    its addends, so no single value exceeds the greedy total.
-
-    The suffix is found with ``np.partition``, no sort.  Its first width
-    is four times the item count the excess is worth at the pool's mean
-    weight; while the suffix is too light to cover the excess it widens
-    fourfold, and past a quarter of the pool (a deep eviction, where the
-    partitions would cost what the sort does) the answer is ``None``.
+    The candidate is the last-ranked item: lowest density, then lowest
+    value, then the highest tie rank (highest position without one) —
+    the end of ``sorted(..., reverse=True)``'s stable order.  If it weighs
+    at least the excess, the items ranked before it weigh no more than
+    ``capacity``, so the item loop takes each of them and the candidate
+    misfits.  If some other item is worth at least as much, that item is
+    in the greedy total — a sequential float sum of non-negative values,
+    never below one of its addends — so the best-single fix-up cannot fire.
     """
-    n = w.size
-    total = int(w.sum())
-    excess = total - capacity
+    excess = int(w.sum()) - capacity
     if excess <= 0:
         return None
     density = v / w
-    width = 4 * (excess * n // total + 1)
-    while width <= n // 4:
-        cut = np.partition(density, width - 1)[width - 1]
-        tail = np.flatnonzero(density <= cut)
-        tail_w = w[tail]
-        head_weight = total - int(tail_w.sum())
-        if head_weight > capacity:
-            width *= 4
-            continue
-        best_in_tail = v[tail].max()
-        if best_in_tail >= v.max():
-            # The pool's best value is in the tail: the proof needs its
-            # equal above the cut.
-            head_v = v.copy()
-            head_v[tail] = -1.0
-            if head_v.max() < best_in_tail:
-                return None
-        return tail, head_weight
-    return None
+    lowest = np.flatnonzero(density == density.min())
+    victim = int(lowest[0])
+    if lowest.size > 1:
+        lowest = lowest[v[lowest] == v[lowest].min()]
+        victim = int(lowest[-1] if tie_rank is None
+                     else lowest[np.argmax(tie_rank[lowest])])
+    if w[victim] < excess or np.count_nonzero(v >= v[victim]) < 2:
+        return None
+    return victim
 
 
 def _greedy_mask(w: np.ndarray, v: np.ndarray, capacity: int,
@@ -154,19 +138,13 @@ def _greedy_mask(w: np.ndarray, v: np.ndarray, capacity: int,
     """The reference's ``_solve_greedy`` (density ranking, item loop,
     best-single fix-up) over positive-weight arrays, as a keep-mask.
 
-    Only the items :func:`_density_tail` cannot prove taken are ranked
-    (``members``, in tie order; everything when it proves nothing).
-    Between two misfits
-    the item loop takes a contiguous run of the ranking, so it is replayed
-    run by run: ``limit`` is the capacity left to the members plus the
-    weight of every misfit skipped so far, which makes "the run still
+    Between two misfits the item loop takes a contiguous run of the
+    ranking, so it is replayed run by run: ``limit`` is ``capacity`` plus
+    the weight of every misfit skipped so far, which makes "the run still
     fits" a ``searchsorted`` of ``limit`` in the ranked cumulative weights.
     """
-    n = w.size
-    tail = _density_tail(w, v, capacity)
-    members, head_weight = (np.arange(n), 0) if tail is None else tail
-    if tie_rank is not None:
-        members = members[np.argsort(tie_rank[members], kind="stable")]
+    members = (np.arange(w.size) if tie_rank is None
+               else np.argsort(tie_rank, kind="stable"))
     w, v = w[members], v[members]
     order = _rank(w, v)
     ranked_w = w[order]
@@ -176,7 +154,7 @@ def _greedy_mask(w: np.ndarray, v: np.ndarray, capacity: int,
     need = cum_w - ranked_w + np.minimum.accumulate(ranked_w[::-1])[::-1]
     m = order.size
     taken = np.zeros(m, dtype=bool)
-    pos, limit = 0, capacity - head_weight
+    pos, limit = 0, capacity
     while pos < m and limit >= need[pos]:
         misfit = int(np.searchsorted(cum_w, limit, side="right"))
         taken[pos:misfit] = True
@@ -184,17 +162,15 @@ def _greedy_mask(w: np.ndarray, v: np.ndarray, capacity: int,
             limit += int(ranked_w[misfit])
         pos = misfit + 1
 
-    chosen = np.full(n, tail is not None)   # above the cut: all taken
+    chosen = np.empty(m, dtype=bool)
     chosen[members[order]] = taken
-    if tail is None:
-        # Sequential accumulate, not a pairwise np.sum: the fix-up must
-        # compare the very float the item loop's running total reaches
-        # (+0.0 is exact).
-        greedy_value = np.cumsum(np.where(taken, v[order], 0.0))[-1]
-        best = int(np.argmax(np.where(w <= capacity, v, -1.0)))
-        if w[best] <= capacity and v[best] > greedy_value:
-            chosen[:] = False
-            chosen[members[best]] = True
+    # Sequential accumulate, not a pairwise np.sum: the fix-up must compare
+    # the very float the item loop's running total reaches (+0.0 is exact).
+    greedy_value = np.cumsum(np.where(taken, v[order], 0.0))[-1]
+    best = int(np.argmax(np.where(w <= capacity, v, -1.0)))
+    if w[best] <= capacity and v[best] > greedy_value:
+        chosen[:] = False
+        chosen[members[best]] = True
     return chosen
 
 

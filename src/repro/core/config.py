@@ -7,6 +7,7 @@ decay, <=5 replay iterations) and sensible values elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -71,6 +72,12 @@ class ManagerConfig:
             raise ValueError("decay_factor must be in (0, 1]")
         if self.replay_max_iterations < 0 or self.replay_samples < 1:
             raise ValueError("replay settings must be non-negative/positive")
+        if self.capacity_bytes is not None and self.capacity_bytes < 0:
+            raise ValueError("capacity_bytes must be None or non-negative")
+        if math.isnan(self.admission_dedupe_sim):
+            raise ValueError("admission_dedupe_sim must not be NaN")
+        if not self.decay_period_s > 0:
+            raise ValueError("decay_period_s must be positive")
 
 
 @dataclass

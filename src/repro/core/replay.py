@@ -91,17 +91,20 @@ class ReplayEngine:
         return sorted(eligible, key=lambda ex: ex.gain_ema.value, reverse=True)
 
     def replay_one(self, example: Example) -> float:
-        """Replay a single example; returns the quality improvement (>= 0)."""
+        """Replay a single example; returns the quality improvement (>= 0).
+
+        Only a sample that beats the example is rendered, and rebinds it.
+        """
         best_quality = example.quality
-        best_text = example.response_text
         for _ in range(self.config.replay_samples):
-            result = self.teacher.generate(example.request)
-            if result.quality > best_quality:
-                best_quality = result.quality
-                best_text = result.text
+            quality = self.teacher.sample_quality(example.request)
+            if quality > best_quality:
+                best_quality = quality
         improvement = best_quality - example.quality
-        example.quality = best_quality
-        example.response_text = best_text
+        if improvement > 0:
+            example.quality = best_quality
+            example.response_text = self.teacher.response_text(
+                example.request, best_quality)
         example.replay_count += 1
         # Refinement resets accumulated potential: the gain was realized.
         example.gain_ema.decay(0.0)
@@ -115,8 +118,10 @@ class ReplayEngine:
         times expected future reuse — exceeds the one-time replay cost.  The
         ranking guarantees the pass stops at the first unprofitable example.
         """
-        if expected_reuse <= 0:
-            raise ValueError(f"expected_reuse must be positive: {expected_reuse}")
+        # A NaN saving is never below the cost: every candidate would replay.
+        if not 0.0 < expected_reuse < float("inf"):
+            raise ValueError(
+                f"expected_reuse must be positive and finite: {expected_reuse}")
         improved = skipped = 0
         total_gain = 0.0
         replayed: list[Example] = []

@@ -159,10 +159,9 @@ class SimulatedLLM:
             tokens += example.tokens + EXAMPLE_TEMPLATE_OVERHEAD_TOKENS
         return min(tokens, self.spec.max_context_tokens)
 
-    def generate(self, request: Request,
-                 examples: list[ExampleView] | None = None) -> GenerationResult:
-        """Produce one response; repeated calls re-sample decode noise."""
-        examples = examples or []
+    def _draw(self, request: Request, examples: list[ExampleView]):
+        """One decode of ``request``: advance its decode position, mint the
+        decode generator, sample the quality; ``(quality, boost, rng)``."""
         count = self._decode_counts.get(request.request_id, 0)
         self._decode_counts[request.request_id] = count + 1
         # spawn_rng(<the "gen" generator>, "decode", count), the one word
@@ -176,33 +175,41 @@ class SimulatedLLM:
                 stable_hash("gen", self.spec.name, request.request_id)
             ).integers(0, 2**63 - 1))
         rng = make_rng(stable_hash(word, "decode", count))
-
         base = self.base_quality(request)
         boost = self.icl_model.boost(request.latent, examples, base)
-        quality = self.quality_model.sample_quality(base, boost, rng)
+        return self.quality_model.sample_quality(base, boost, rng), boost, rng
 
+    def sample_quality(self, request: Request) -> float:
+        """The quality the next example-free :meth:`generate` of ``request``
+        would draw, its decode position advanced alike, nothing rendered."""
+        return self._draw(request, [])[0]
+
+    def response_text(self, request: Request, quality: float) -> str:
+        """The response text of a generation of ``request`` at ``quality``."""
+        return (f"[{self.spec.name} q={quality:.3f}] response to "
+                f"{request.request_id}: " + request.text[:120])
+
+    def generate(self, request: Request,
+                 examples: list[ExampleView] | None = None) -> GenerationResult:
+        """Produce one response; repeated calls re-sample decode noise."""
+        examples = examples or []
+        quality, boost, rng = self._draw(request, examples)
         prompt_tokens = self.prompt_tokens_with_examples(request, examples)
         output_tokens = max(2, int(round(
             request.target_output_tokens * self.spec.verbosity
             * (ICL_DECODE_SHRINK if examples else 1.0)
             * float(rng.lognormal(0.0, 0.08))
         )))
-        ttft = self.spec.ttft(prompt_tokens)
-        decode = self.spec.decode_time(output_tokens)
         cost = (prompt_tokens + output_tokens) / 1000.0 * self.spec.cost_per_1k_tokens
-        text = (
-            f"[{self.spec.name} q={quality:.3f}] response to "
-            f"{request.request_id}: " + request.text[:120]
-        )
         return GenerationResult(
             model_name=self.spec.name,
             quality=quality,
             prompt_tokens=prompt_tokens,
             output_tokens=output_tokens,
-            ttft_s=ttft,
-            decode_s=decode,
+            ttft_s=self.spec.ttft(prompt_tokens),
+            decode_s=self.spec.decode_time(output_tokens),
             icl_boost=boost,
             n_examples=len(examples),
             cost=cost,
-            text=text,
+            text=self.response_text(request, quality),
         )

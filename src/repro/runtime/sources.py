@@ -311,6 +311,9 @@ class MaintenanceTickSource:
 
     def __init__(self, service, *, interval_s: float, horizon_s: float,
                  replay: bool = True, expected_reuse: float = 20.0) -> None:
+        if not 0.0 < expected_reuse < float("inf"):
+            raise ValueError(
+                f"expected_reuse must be positive and finite: {expected_reuse}")
         self.service = service
         self.interval_s = interval_s
         self.horizon_s = horizon_s

@@ -1,10 +1,12 @@
 """Unit and property tests for the cache-eviction knapsack solvers."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.knapsack import knapsack_keep_mask
 from tests.knapsack_reference import KnapsackItem, solve_knapsack
 
 
@@ -35,6 +37,14 @@ class TestKnapsackItem:
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
             KnapsackItem(key="a", weight=1, value=-0.5)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_nan_value_rejected_by_the_kernel(self, exact):
+        # NaN passed the negative-value guard (it compares False) and
+        # was silently evicted.
+        with pytest.raises(ValueError, match="NaN"):
+            knapsack_keep_mask([5, 5, 5], [math.nan, 1.0, 2.0], 10,
+                               exact=exact)
 
 
 class TestSolveKnapsack:

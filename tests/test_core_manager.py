@@ -41,6 +41,28 @@ class TestReplayGain:
             replay_gain(0.5, 1.5)
 
 
+class TestManagerConfigRefusals:
+    """Settings that would fail late or silently are refused up front."""
+
+    def test_negative_capacity_refused(self):
+        # It used to admit first and raise from enforce_capacity, leaving
+        # a half-applied admission behind.
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            ManagerConfig(capacity_bytes=-1)
+        ManagerConfig(capacity_bytes=0)
+
+    def test_nan_dedupe_similarity_refused(self):
+        # NaN compares False: every near-duplicate would be admitted.
+        with pytest.raises(ValueError, match="admission_dedupe_sim"):
+            ManagerConfig(admission_dedupe_sim=float("nan"))
+
+    @pytest.mark.parametrize("period", [0.0, -3600.0, float("nan")])
+    def test_non_positive_decay_period_refused(self, period):
+        # 0.0 divided by zero inside a served request; < 0 never decayed.
+        with pytest.raises(ValueError, match="decay_period_s"):
+            ManagerConfig(decay_period_s=period)
+
+
 class TestAdmission:
     def test_admit_and_retrieve(self):
         mgr, cache = manager_with()
@@ -175,6 +197,19 @@ class TestReplayEngine:
         outcome = engine.run([cheap_gain], expected_reuse=20.0)
         assert outcome.replayed == 0
         assert outcome.skipped_budget == 1
+
+    @pytest.mark.parametrize("reuse", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_run_refuses_a_reuse_the_cut_off_cannot_use(self, reuse):
+        # NaN (and inf on a zero gain: 0 * inf) made every saving compare
+        # False against the cost, so the cut-off replayed everything.
+        engine = ReplayEngine(get_model("gemma-2-27b"),
+                              ManagerConfig(sanitize=False))
+        example = make_example(example_id="zero-gain", direction=1)
+        example.gain_ema.update(0.0)
+        with pytest.raises(ValueError, match="expected_reuse"):
+            engine.run([example], expected_reuse=reuse)
+        assert example.replay_count == 0
 
     def test_run_replays_profitable_examples(self):
         teacher = get_model("gemma-2-27b")

@@ -1,23 +1,24 @@
-"""The tail-only retention pass against everything it must equal.
+"""The one-victim retention pass against everything it must equal.
 
-An over-budget admission ranks only a low-density suffix of the pool
-(:func:`repro.analysis.knapsack._density_tail`) and is handed raw table
-columns in *row* order with the insertion rank as tie-break.  Neither may
-change a single decision, so the properties here compare, item for item:
+An over-budget admission proves, without ranking the pool, which single
+item the greedy rejects (:func:`repro.analysis.knapsack._one_victim`), and
+the kernel is handed raw table columns in *row* order with the insertion
+rank as tie-break.  Neither may change a single decision, so the
+properties here compare, item for item:
 
 * the tie-ranked, row-order kernel against the per-item ``_solve_greedy``
   loop and against the same kernel fed insertion-order arrays — on pools
   built to tie (weights and values from small sets, the 1e-3 value floor),
   with the best-single fix-up firing, zero weights, and excesses from one
-  byte to deeper than the first tail;
+  byte to most of the pool;
 * :meth:`ExampleManager.enforce_capacity` on tables whose rows were
   scrambled by swap-deletes and an ``overwrite``, or restored through
   ``ExampleTable.adopt_columns``, against the per-object reference;
 * a journaled at-capacity serving run against the same run with the
-  shortcut disabled — byte-identical ``wal.bin`` and index state.
+  proof disabled — byte-identical ``wal.bin`` and index state.
 
-Deterministic cases beside them pin *when* the kernel ranks everything,
-so the properties cannot pass by never taking the shortcut.
+Deterministic cases beside them pin each rule of the proof, so the
+properties cannot pass by never taking the shortcut.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _values_for(family: str, weights: list[int], picks: list[int]):
 
 
 @st.composite
-def _tail_cases(draw):
+def _over_budget_cases(draw):
     n = draw(st.integers(16, 72))
     weights = draw(st.lists(st.sampled_from([1, 2, 3, 5, 8, 40]),
                             min_size=n, max_size=n))
@@ -88,7 +89,7 @@ def _tail_cases(draw):
     total = sum(weights)
     excess = draw(st.one_of(
         st.integers(1, 8),                        # one example over
-        st.integers(1, max(1, total // 8)),       # past the first tail
+        st.integers(1, max(1, total // 8)),       # a few items over
         st.integers(1, max(1, total)),            # deep: rank everything
     ))
     rows = draw(st.permutations(range(n)))        # row r holds item rows[r]
@@ -100,12 +101,12 @@ def _kept(mask) -> set[int]:
 
 
 @settings(**QUICK)
-@given(case=_tail_cases())
-# every value on the floor, every weight equal: the cut ties with the whole
-# pool, and the only maximal value there is sits in the tail as well
+@given(case=_over_budget_cases())
+# every value on the floor, every weight equal: the whole pool ties, so the
+# victim is the highest tie rank, and its maximal value has equals
 @example(case=([3] * 20, [1e-3] * 20, 58, list(range(19, -1, -1))))
-# one byte over, and the item the scan rejects — lowest density, last in
-# the tail — is worth more than all it kept: the fix-up keeps it alone
+# one byte over, and the last-ranked item is worth more than all the rest:
+# no proof, and the fix-up keeps it alone
 @example(case=([1] * 19 + [60], [2.0 - 0.01 * i for i in range(19)] + [45.0],
                78, list(range(0, 20, 2)) + list(range(1, 20, 2))))
 def test_row_order_kernel_matches_item_loop_and_insertion_order(case):
@@ -120,9 +121,9 @@ def test_row_order_kernel_matches_item_loop_and_insertion_order(case):
     w = np.array(weights, dtype=np.int64)
     v = np.array(values, dtype=np.float64)
     positive = w > 0
-    tail = (knapsack._density_tail(w[positive], v[positive], capacity)
-            if capacity else None)
-    event("ranked everything" if tail is None else "ranked a tail")
+    victim = (knapsack._one_victim(w[positive], v[positive], capacity, None)
+              if capacity else None)
+    event("ranked everything" if victim is None else "proved one victim")
     assert _kept(knapsack_keep_mask(w, v, capacity)) == expected
 
     rows = np.array(rows)
@@ -132,51 +133,59 @@ def test_row_order_kernel_matches_item_loop_and_insertion_order(case):
     assert {int(rows[r]) for r in _kept(by_row)} == expected
 
 
-def _distinct_pool(n: int, light_from: int | None = None):
-    """Weights 10 (1 from ``light_from`` on), values so that density falls
-    strictly with position."""
+def _distinct_pool(n: int):
+    """Weights 10, values so that density falls strictly with position."""
     w = np.full(n, 10, dtype=np.int64)
-    if light_from is not None:
-        w[light_from:] = 1
     v = np.arange(n, 0, -1, dtype=np.float64) * w
     return w, v
 
 
-class TestWhenTheKernelRanksEverything:
-    """``_density_tail`` proves a tail, widens, or gives up — by rule."""
+class TestTheOneVictimProof:
+    """``_one_victim`` names the last-ranked item, or ranks nothing and
+    leaves the pool to the full ranking — by rule."""
 
-    def test_one_item_over_ranks_the_first_width(self):
+    def test_the_proof_holds_one_byte_over(self, monkeypatch):
         w, v = _distinct_pool(64)
-        tail, head_weight = knapsack._density_tail(w, v, 640 - 1)
-        # excess 1 of 640 bytes over 64 items: width 4 * (0 + 1)
-        assert sorted(tail.tolist()) == [60, 61, 62, 63]
-        assert head_weight == 600
+        assert knapsack._one_victim(w, v, 640 - 1, None) == 63
+        monkeypatch.setattr(knapsack, "_rank", None)   # would raise if called
+        assert _kept(knapsack_keep_mask(w, v, 640 - 1)) == set(range(63))
 
-    def test_tail_too_light_widens_fourfold(self):
-        w, v = _distinct_pool(64, light_from=48)
-        total = int(w.sum())            # 480 + 16
-        tail, head_weight = knapsack._density_tail(w, v, total - 5)
-        # first width 4 weighs 4 < 5; the second, 16, covers it
-        assert sorted(tail.tolist()) == list(range(48, 64))
-        assert head_weight == 480
-
-    def test_deep_excess_is_not_attempted(self, monkeypatch):
+    def test_the_victim_lighter_than_the_excess_ranks_everything(self):
         w, v = _distinct_pool(64)
-        monkeypatch.setattr(np, "partition", None)   # would raise if called
-        assert knapsack._density_tail(w, v, 640 * 7 // 10) is None
+        w[63], v[63] = 4, 4.0            # still the lowest density
+        total = int(w.sum())
+        assert knapsack._one_victim(w, v, total - 4, None) == 63
+        assert knapsack._one_victim(w, v, total - 5, None) is None
+        assert _kept(knapsack_keep_mask(w, v, total - 5)) == \
+            set(range(62)) | {63}
 
-    def test_within_budget_has_no_tail(self):
+    def test_the_victim_holding_the_unique_maximum_ranks_everything(self):
         w, v = _distinct_pool(64)
-        assert knapsack._density_tail(w, v, 640) is None
-
-    def test_best_value_in_the_tail_ranks_everything(self):
-        w, v = _distinct_pool(64)
-        w[63], v[63] = 3000, 700.0      # lowest density, highest value
+        w[63], v[63] = 3000, 700.0       # lowest density, highest value
         capacity = int(w.sum()) - 1
-        assert knapsack._density_tail(w, v, capacity) is None
-        # ...and its equal above the cut restores the proof
+        assert knapsack._one_victim(w, v, capacity, None) is None
+        # ...and its equal anywhere else restores the proof
         v[0] = 700.0
-        assert knapsack._density_tail(w, v, capacity) is not None
+        assert knapsack._one_victim(w, v, capacity, None) == 63
+
+    def test_within_budget_there_is_no_victim(self):
+        w, v = _distinct_pool(64)
+        assert knapsack._one_victim(w, v, 640, None) is None
+        assert knapsack._one_victim(w, v, 641, None) is None
+
+    def test_exact_ties_evict_the_highest_tie_rank(self):
+        # Items 1, 3 and 4 tie in density (0.5) and value (1.0); item 2
+        # ties in density only, at a higher value.
+        w = np.array([1, 2, 4, 2, 2], dtype=np.int64)
+        v = np.array([5.0, 1.0, 2.0, 1.0, 1.0])
+        assert knapsack._one_victim(w, v, 10, None) == 4
+        tie_rank = np.array([0, 9, 5, 2, 1])
+        assert knapsack._one_victim(w, v, 10, tie_rank) == 1
+        assert _kept(knapsack_keep_mask(w, v, 10, tie_rank=tie_rank)) == \
+            {0, 2, 3, 4}
+        items = [KnapsackItem(key=i, weight=int(w[i]), value=float(v[i]))
+                 for i in np.argsort(tie_rank).tolist()]
+        assert solve_knapsack(items, 10) == {0, 2, 3, 4}
 
     def test_fix_up_still_fires_through_the_full_ranking(self):
         w = np.array([1] * 20 + [19], dtype=np.int64)
@@ -281,23 +290,23 @@ def test_eviction_over_scrambled_rows_matches_the_reference(
 
 
 def test_scrambled_restored_pool_takes_the_shortcut(monkeypatch):
-    """The property above is about the tail path: on such a pool, one
-    example over budget, the kernel does rank a proper tail."""
-    ranked = []
-    real = knapsack._density_tail
+    """The property above is about the proof's path: on such a pool, one
+    example over budget, the kernel names the victim and ranks nothing."""
+    victims = []
+    real = knapsack._one_victim
 
-    def recording(w, v, capacity):
-        tail = real(w, v, capacity)
-        ranked.append(w.size if tail is None else tail[0].size)
-        return tail
+    def recording(w, v, capacity, tie_rank):
+        victims.append(real(w, v, capacity, tie_rank))
+        return victims[-1]
 
-    monkeypatch.setattr(knapsack, "_density_tail", recording)
+    monkeypatch.setattr(knapsack, "_one_victim", recording)
+    monkeypatch.setattr(knapsack, "_rank", None)     # would raise if called
     ops = [("remove", f"ex-{i}", 0) for i in (3, 17, 0, 28)]
     cache, manager, _ = _scrambled_pool([1, 2, 5, 0] * 10, ops,
                                         ("ex-9", 5), restore=True)
     manager.config.capacity_bytes = cache.total_bytes - 1
-    assert manager.enforce_capacity() >= 1
-    assert len(ranked) == 1 and ranked[0] < len(cache) // 2
+    assert manager.enforce_capacity() == 1
+    assert len(victims) == 1 and victims[0] is not None
 
 
 # -- a journaled serving run, shortcut on and off ---------------------------
@@ -327,29 +336,29 @@ def _at_capacity_run(directory) -> tuple[bytes, str, int]:
             service.manager.evictions)
 
 
-def test_journal_and_index_identical_with_the_shortcut_disabled(
+def test_journal_and_index_identical_with_the_proof_disabled(
         tmp_path, monkeypatch):
-    """Every admission of the run evicts through the tail path; ranking
+    """Nearly every admission of the run evicts through the proof; ranking
     the whole pool instead must write the same journal, byte for byte,
     and leave the same index."""
     calls = []
-    real = knapsack._density_tail
+    real = knapsack._one_victim
 
-    def recording(w, v, capacity):
-        tail = real(w, v, capacity)
-        calls.append(tail is not None)
-        return tail
+    def recording(w, v, capacity, tie_rank):
+        victim = real(w, v, capacity, tie_rank)
+        calls.append(victim is not None)
+        return victim
 
-    monkeypatch.setattr(knapsack, "_density_tail", recording)
-    wal, index_state, evictions = _at_capacity_run(tmp_path / "tail")
+    monkeypatch.setattr(knapsack, "_one_victim", recording)
+    wal, index_state, evictions = _at_capacity_run(tmp_path / "proof")
     assert evictions >= 200 and sum(calls) >= 0.9 * len(calls)
 
-    monkeypatch.setattr(knapsack, "_density_tail", lambda w, v, c: None)
+    monkeypatch.setattr(knapsack, "_one_victim", lambda w, v, c, t: None)
     full_wal, full_index_state, full_evictions = _at_capacity_run(
         tmp_path / "full")
     assert full_evictions == evictions
     assert full_wal == wal
     assert full_index_state == index_state
     kinds = {record["kind"] for record in WriteAheadLog.read(
-        tmp_path / "tail" / Checkpointer.WAL_NAME)}
+        tmp_path / "proof" / Checkpointer.WAL_NAME)}
     assert {"replay_rewrite", "remove"} <= kinds

@@ -290,6 +290,15 @@ class TestMaintenanceTickSource:
         assert [h["time_s"] for h in maintenance.history] == [10.0, 20.0, 30.0]
         assert service.clock.now >= 30.0
 
+    @pytest.mark.parametrize("reuse", [0.0, -5.0, float("nan"),
+                                       float("inf")])
+    def test_a_reuse_the_cut_off_cannot_use_fails_at_construction(
+            self, reuse):
+        service, _ = self._service()
+        with pytest.raises(ValueError, match="expected_reuse"):
+            MaintenanceTickSource(service, interval_s=10.0, horizon_s=30.0,
+                                  expected_reuse=reuse)
+
     def test_replay_pass_touches_cache_online(self):
         service, dataset = self._service()
         # Repurpose some examples first so replay has gain estimates.
