@@ -6,11 +6,12 @@ iteration, import layering) from CONTRIBUTING prose into a checked pass:
 
 >>> python -m repro.analysis.lint src tests --format json
 
-Rule catalog, suppression syntax (``# repro: allow[CODE]``), and the
-baseline workflow are documented in ``docs/STATIC_ANALYSIS.md``.
+An inline ``# repro: allow[CODE]`` waiver on the flagged line is the one
+way to accept a finding; the run fails exactly when an unsuppressed one
+exists.  The rule catalog and the waiver syntax are documented in
+``docs/STATIC_ANALYSIS.md``.
 """
 
-from repro.analysis.lint.baseline import Baseline, apply_baseline
 from repro.analysis.lint.cli import main
 from repro.analysis.lint.engine import (
     Engine,
@@ -23,14 +24,12 @@ from repro.analysis.lint.engine import (
 from repro.analysis.lint.registry import Rule, all_rules, register, rule_classes
 
 __all__ = [
-    "Baseline",
     "Engine",
     "FileContext",
     "Finding",
     "LintReport",
     "Rule",
     "all_rules",
-    "apply_baseline",
     "iter_python_files",
     "main",
     "module_name_for",

@@ -1,8 +1,8 @@
 """reprolint CLI: ``python -m repro.analysis.lint [paths...]``.
 
-Exit codes: 0 = no new findings (baselined/suppressed ones are fine),
-1 = new findings (or stale baseline entries, so the file cannot rot),
-2 = bad invocation or unreadable input.  ``--format json`` emits the
+Exit codes: 0 = no unsuppressed findings (inline ``# repro: allow[CODE]``
+waivers are the one way to accept one), 1 = unsuppressed findings, 2 = bad
+invocation or unreadable input.  ``--format json`` emits the
 machine-readable report (schema documented in docs/STATIC_ANALYSIS.md);
 ``--out`` additionally writes that JSON to a file regardless of the
 terminal format, which is what the CI artifact upload consumes.
@@ -15,19 +15,10 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.lint.baseline import (
-    BASELINE_VERSION,
-    Baseline,
-    apply_baseline,
-)
 from repro.analysis.lint.engine import Engine, LintReport
 from repro.analysis.lint.registry import all_rules
 
-#: Consulted automatically when it exists and ``--baseline`` is absent —
-#: the committed gate file at the repo root.
-DEFAULT_BASELINE = "lint_baseline.json"
-
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,11 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="files or directories to lint (default: src)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format on stdout (default: text)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help=("baseline file of grandfathered findings "
-                              f"(default: {DEFAULT_BASELINE} if present)"))
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline and exit 0")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="also write the JSON report to FILE")
     parser.add_argument("--list-rules", action="store_true",
@@ -52,25 +38,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_report(report: LintReport, new, baselined, stale) -> dict:
+def _json_report(report: LintReport) -> dict:
     return {
         "schema_version": JSON_SCHEMA_VERSION,
-        "baseline_version": BASELINE_VERSION,
         "files_scanned": report.files_scanned,
         "rules": [rule.code for rule in all_rules()],
         "counts": {
-            "new": len(new),
-            "baselined": len(baselined),
+            "findings": len(report.findings),
             "suppressed": len(report.suppressed),
-            "stale_baseline": len(stale),
         },
         "by_code": report.by_code,
-        "findings": [
-            dict(finding.to_dict(), baselined=finding in set(baselined))
-            for finding in report.findings
-        ],
+        "findings": [f.to_dict() for f in report.findings],
         "suppressed": [f.to_dict() for f in report.suppressed],
-        "stale_baseline": stale,
     }
 
 
@@ -90,41 +69,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline) if args.baseline else Path(
-        DEFAULT_BASELINE)
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).save(baseline_path)
-        print(f"wrote {len(report.findings)} finding(s) to {baseline_path}")
-        return 0
-
-    if args.baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
-    else:
-        baseline = Baseline()
-    new, baselined, stale = apply_baseline(report.findings, baseline)
-
-    payload = _json_report(report, new, baselined, stale)
+    payload = _json_report(report)
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",
                                   encoding="utf-8")
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        for finding in new:
+        for finding in report.findings:
             print(finding.format())
-        for finding in baselined:
-            print(f"{finding.format()} [baselined]")
-        for key in stale:
-            print(f"stale baseline entry (fixed? run --write-baseline): {key}")
-        print(
-            f"{len(new)} new finding(s), {len(baselined)} baselined, "
-            f"{len(report.suppressed)} suppressed, {len(stale)} stale "
-            f"baseline entr(ies) across {report.files_scanned} file(s)"
-        )
-    return 1 if new or stale else 0
+        print(f"{len(report.findings)} finding(s), {len(report.suppressed)} "
+              f"suppressed across {report.files_scanned} file(s)")
+    return 1 if report.findings else 0

@@ -18,12 +18,11 @@ Design:
   cross-file artifacts (e.g. the WAL record vocabulary) on ``self``.
 * **Suppressions are inline and code-scoped.**  ``# repro: allow[CODE]``
   on the flagged line (comma-separated codes, or ``*``) drops the
-  finding; suppressed findings are still counted and reported so a
-  suppression sweep stays reviewable.
+  finding — the one way to accept one; suppressed findings are still
+  counted and reported so a suppression sweep stays reviewable.
 
 Findings are plain frozen dataclasses carrying ``path:line:col: CODE
-message``; baselines and output formatting live in
-:mod:`repro.analysis.lint.baseline` / :mod:`repro.analysis.lint.cli`.
+message``; output formatting lives in :mod:`repro.analysis.lint.cli`.
 """
 
 from __future__ import annotations
@@ -49,15 +48,6 @@ class Finding:
     col: int
     code: str
     message: str
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-insensitive identity used by the baseline file.
-
-        Excludes the line number on purpose: grandfathered findings must
-        survive unrelated edits above them in the file.
-        """
-        return f"{self.path}::{self.code}::{self.message}"
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"

@@ -6,7 +6,6 @@ import functools
 
 import numpy as np
 
-from repro.analysis.stats import EMA
 from repro.core.table import EMBEDDING, ColumnEMA, ExampleTable, ema_column
 from repro.llm.icl import ExampleView, latent_norm
 from repro.workload.request import Request
@@ -87,9 +86,7 @@ class Example:
     def __init__(self, example_id: str, request: Request, response_text: str,
                  embedding: np.ndarray, quality: float, source_model: str,
                  source_cost: float, created_at: float = 0.0,
-                 access_count: int = 0, replay_count: int = 0,
-                 gain_ema: EMA | None = None, offload_gain: EMA | None = None,
-                 feedback_quality: EMA | None = None) -> None:
+                 access_count: int = 0, replay_count: int = 0) -> None:
         if not 0.0 <= quality <= 1.0:
             raise ValueError(
                 f"example {example_id}: quality must be in [0, 1], "
@@ -115,13 +112,10 @@ class Example:
         cols["created_at"][0] = created_at
         cols["access_count"][0] = access_count
         cols["replay_count"][0] = replay_count
-        for stream, ema, alpha in (("gain_ema", gain_ema, 0.2),
-                                   ("offload_gain", offload_gain, 0.3),
-                                   ("feedback_quality", feedback_quality, 0.3)):
-            if ema is None:     # a fresh stream: the zeroed slots, its alpha
-                cols[ema_column(stream, "alpha")][0] = alpha
-            else:
-                table.write_ema(0, stream, ema)
+        # Fresh EMA streams: the zeroed slots, each stream's alpha.
+        for stream, alpha in (("gain_ema", 0.2), ("offload_gain", 0.3),
+                              ("feedback_quality", 0.3)):
+            cols[ema_column(stream, "alpha")][0] = alpha
 
     @classmethod
     def _attached_view(cls, table, row: int, example_id: str, request: Request,
@@ -192,23 +186,14 @@ class Example:
         A cached example is a row of its cache's columnar table, so it
         cannot be added to a second cache; offline tools and benchmarks
         that build secondary pools over live examples take copies instead.
-        Bookkeeping (EMA streams included) is copied by value.
+        Bookkeeping (EMA streams included) is copied by value: this row's
+        :meth:`journal_row`, written into the copy's.
         """
-        return Example(
-            example_id=self.example_id,
-            request=self.request,
-            response_text=self.response_text,
-            embedding=self.embedding,
-            quality=self.quality,
-            source_model=self.source_model,
-            source_cost=self.source_cost,
-            created_at=self.created_at,
-            access_count=self.access_count,
-            replay_count=self.replay_count,
-            gain_ema=self.gain_ema,
-            offload_gain=self.offload_gain,
-            feedback_quality=self.feedback_quality,
-        )
+        copy = Example(self.example_id, self.request, self.response_text,
+                       self.embedding, self.quality, self.source_model,
+                       self.source_cost)
+        copy.__dict__["_table"].write_journal_row(0, self.journal_row())
+        return copy
 
     def view(self) -> ExampleView:
         """The minimal view handed to the LLM's ICL model (the latent norm

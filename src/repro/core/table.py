@@ -287,6 +287,20 @@ class ExampleTable:
             flags |= bool(cols[initialized][row]) << bit
         return (*out, flags)
 
+    def write_journal_row(self, row: int, values) -> None:
+        """The inverse of :meth:`journal_row`: write such a tuple back into
+        ``row``, every slot as it lies (the texts, the embedding and the
+        columns derived from them are the example's own business)."""
+        cols = self._cols
+        (cols["quality"][row], cols["source_cost"][row],
+         cols["created_at"][row], cols["access_count"][row],
+         cols["replay_count"][row]) = values[:5]
+        for bit, stream in enumerate(EMA_STREAMS):
+            value, initialized, count, alpha = _EMA_KEYS[stream]
+            cols[alpha][row], cols[value][row], cols[count][row] = \
+                values[5 + 3 * bit:8 + 3 * bit]
+            cols[initialized][row] = bool(values[-1] >> bit & 1)
+
     def nbytes(self) -> int:
         """Resident bytes of the allocated column storage."""
         return sum(arr.nbytes for arr in self._cols.values())

@@ -4,16 +4,17 @@
 :class:`~repro.serving.cluster.ClusterSimulator` *the same system*.  It
 opens an incremental run on a real simulator
 (:meth:`~repro.serving.cluster.ClusterSimulator.start_sources`) and feeds
-network arrivals into it by hand, replicating — call for call — what
+network arrivals into it: advance the event loop strictly past earlier
+work, make the routing decision against live queue state with the
+pipeline's batch router, and hand the routed requests to
+:meth:`~repro.serving.cluster.ClusterSimulator.dispatch` — the one path
 :class:`~repro.runtime.sources.TraceArrivalSource` and
-:class:`~repro.runtime.sources.BatchFlushSource` do when the same trace
-runs in-process: advance the event loop strictly past earlier work, make
-the routing decision against live queue state, enqueue at the arrival
-timestamp (shedding on queue depth), and drain free slots.  Because every
-step is the simulator's own machinery on the *same pipeline object*, a
-trace replayed through the loopback gateway produces bit-identical
-decisions and cache state to the same trace run through
-``ClusterSimulator.run`` (pinned by ``tests/test_gateway_equivalence.py``).
+:class:`~repro.runtime.sources.BatchFlushSource` dispatch through when the
+same trace runs in-process.  Because every step is the simulator's own
+machinery on the *same pipeline object*, a trace replayed through the
+loopback gateway produces bit-identical decisions and cache state to the
+same trace run through ``ClusterSimulator.run`` (pinned by
+``tests/test_gateway_equivalence.py``).
 
 Time here is logical, never wall-clock (DET002): arrivals carry their own
 timestamps; unstamped arrivals land on the session watermark.  The session
@@ -36,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.persistence.wal import Checkpointer
     from repro.workload.request import Request
 
-#: Admission outcomes of :meth:`GatewaySession.submit`.
+#: Admission outcomes of :meth:`GatewaySession.submit_batch`.
 ACCEPTED = "accepted"
 SHED = "shed"
 RATE_LIMITED = "rate_limited"
@@ -61,7 +62,6 @@ class GatewaySession:
         self.sim = ClusterSimulator(cluster_config)
         self.rate_limiter = rate_limiter
         self.checkpointer = checkpointer
-        self._route = service.cluster_router()
         self._route_batch = service.pipeline.cluster_batch_router()
         self._loop = self.sim.start_sources([], on_complete=self._completed)
         self.records: dict[str, ServedRequest] = {}
@@ -118,43 +118,23 @@ class GatewaySession:
 
         Clamping (instead of erroring) keeps a mixed live workload moving;
         the ``late_arrivals`` counter records every clamp so determinism
-        tests can assert their trace replay never needed one.  A stamp
-        that is not finite is refused: it would park or poison the clock.
+        tests can assert their trace replay never needed one.
         """
         if arrival_time is None:
             return self.sim.now
-        t = float(arrival_time)
-        if not math.isfinite(t):
-            raise ValueError(f"arrival stamp must be finite, got {t!r}")
-        if t < self.sim.now:
+        if arrival_time < self.sim.now:
             self.late_arrivals += 1
             return self.sim.now
-        return t
+        return float(arrival_time)
 
     def submit(self, request: "Request",
                arrival_time: float | None = None) -> str:
-        """One per-request arrival; returns the admission outcome.
-
-        Mirrors ``TraceArrivalSource._on_event`` exactly: advance the loop
-        strictly past earlier completions, rate-limit (gateway-only, before
-        routing), route against live load, enqueue at the arrival stamp
-        (``None`` from the simulator = queue-depth shed, already recorded
-        as a :class:`~repro.serving.records.ShedEvent`), drain free slots.
-        The response itself completes later — when a subsequent arrival or
-        :meth:`run_pending` advances time past the finish event.
-        """
-        self._check_open()
-        t = self._resolve_arrival(arrival_time)
-        self.sim.advance_to(t)
-        if not self._admit_tenant(request, t):
-            return RATE_LIMITED
-        model_name, examples = self._route(request, self.sim)
-        queue = self.sim.enqueue(model_name, request, examples, t)
-        if queue is None:
-            return SHED
-        self.accepted += 1
-        self.sim.drain(queue)
-        return ACCEPTED
+        """One per-request arrival; returns the admission outcome: a
+        :meth:`submit_batch` of one.  The response itself completes later
+        — when a subsequent arrival or :meth:`run_pending` advances time
+        past the finish event."""
+        times = None if arrival_time is None else [arrival_time]
+        return self.submit_batch([request], times)[0]
 
     def submit_batch(self, requests: Sequence["Request"],
                      arrival_times: Sequence[float] | None = None,
@@ -166,55 +146,40 @@ class GatewaySession:
         batch are made together (one amortized retrieval pass via the
         pipeline's batch router), and each admitted request enqueues at
         its *own* arrival stamp so micro-batching delay is charged to
-        queue wait.  Rate limiting applies per member, before the batch is
-        routed, so limited members cost no pipeline state.
+        queue wait (a queue-depth shed is recorded by the simulator as a
+        :class:`~repro.serving.records.ShedEvent`).  Rate limiting applies
+        per member, before the batch is routed, so limited members cost no
+        pipeline state.  A stamp that is not finite refuses the batch
+        before anything moves: it would park or poison the clock.
         """
         self._check_open()
         requests = list(requests)
         if arrival_times is None:
-            times = [self._resolve_arrival(None)] * len(requests)
-        else:
-            if len(arrival_times) != len(requests):
-                raise ValueError(
-                    f"{len(arrival_times)} arrival times for "
-                    f"{len(requests)} requests"
-                )
-            # Checked up front: a refused batch must not have counted clamps.
-            if not all(t is None or math.isfinite(t) for t in arrival_times):
-                raise ValueError("arrival stamps must be finite")
-            times = [self._resolve_arrival(t) for t in arrival_times]
+            arrival_times = [None] * len(requests)
+        elif len(arrival_times) != len(requests):
+            raise ValueError(
+                f"{len(arrival_times)} arrival times for "
+                f"{len(requests)} requests"
+            )
+        # Checked up front: a refused batch must not have counted clamps.
+        elif not all(t is None or math.isfinite(t) for t in arrival_times):
+            raise ValueError("arrival stamps must be finite")
+        times = [self._resolve_arrival(t) for t in arrival_times]
         if not requests:
             return []
-        flush_t = max(times)
-        self.sim.advance_to(flush_t)
+        self.sim.advance_to(max(times))
 
-        statuses: list[str | None] = []
-        admitted: list[tuple["Request", float]] = []
-        for request, t in zip(requests, times):
-            if self._admit_tenant(request, t):
-                statuses.append(None)
-                admitted.append((request, t))
-            else:
-                statuses.append(RATE_LIMITED)
+        statuses = [None if self._admit_tenant(request, t) else RATE_LIMITED
+                    for request, t in zip(requests, times)]
+        admitted = [arrival for arrival, status
+                    in zip(zip(requests, times), statuses) if status is None]
         decisions = self._route_batch([r for r, _ in admitted], self.sim) \
             if admitted else []
-
-        touched = []
-        admitted_iter = iter(zip(admitted, decisions))
-        for position, status in enumerate(statuses):
-            if status is not None:
-                continue
-            (request, t), (model_name, examples) = next(admitted_iter)
-            queue = self.sim.enqueue(model_name, request, examples, t)
-            if queue is None:
-                statuses[position] = SHED
-            else:
-                statuses[position] = ACCEPTED
-                self.accepted += 1
-                touched.append(queue)
-        for queue in touched:
-            self.sim.drain(queue)
-        return statuses  # type: ignore[return-value]
+        accepted = iter(self.sim.dispatch(admitted, decisions))
+        statuses = [status or (ACCEPTED if next(accepted) else SHED)
+                    for status in statuses]
+        self.accepted += statuses.count(ACCEPTED)
+        return statuses
 
     # -- completion + drain ------------------------------------------------
 

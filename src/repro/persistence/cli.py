@@ -180,10 +180,11 @@ def cmd_wal(args: argparse.Namespace) -> int:
         raise FileNotFoundError(2, "no such journal", str(path))
     records, sizes, torn = read_journal(path)
     for record, nbytes in zip(records, sizes):
-        data = record["data"]
-        if "example" in data:    # carries an example: show whose, not all of it
-            data = {"example_id": data["example"]["example_id"],
-                    **{k: v for k, v in data.items() if k != "example"}}
+        # An example's state is shown by whose it is, not printed whole.
+        data = {k: v for k, v in record["data"].items()
+                if k not in ("response_text", "row")}
+        if "example" in data:
+            data = {"example_id": data["example"].example_id}
         row = {"seq": record["seq"], "epoch": record["epoch"],
                "kind": record["kind"], "bytes": nbytes, **data}
         if args.json:

@@ -281,13 +281,6 @@ def ema_record(ema: EMA) -> dict:
     return {"alpha": ema.alpha, "value": ema._value, "count": ema.count}
 
 
-def ema_from_record(record: dict) -> EMA:
-    ema = EMA(alpha=record["alpha"])
-    ema._value = record["value"]
-    ema.count = int(record["count"])
-    return ema
-
-
 def restore_ema(ema: EMA, record: dict) -> None:
     """Overwrite an existing EMA's state in place (alpha included)."""
     ema.alpha = record["alpha"]
@@ -307,40 +300,6 @@ def set_rng_state(rng: np.random.Generator, state: dict) -> None:
             f"built {rng.bit_generator.state['bit_generator']!r}"
         )
     rng.bit_generator.state = state
-
-
-def request_from_record(record: dict) -> Request:
-    return Request(
-        request_id=record["request_id"],
-        dataset=record["dataset"],
-        task=TaskType(record["task"]),
-        text=record["text"],
-        latent=np.asarray(record["latent"], dtype=float),
-        topic_id=int(record["topic_id"]),
-        difficulty=float(record["difficulty"]),
-        prompt_tokens=int(record["prompt_tokens"]),
-        target_output_tokens=int(record["target_output_tokens"]),
-        arrival_time=float(record["arrival_time"]),
-        metadata=dict(record["metadata"]),
-    )
-
-
-def example_from_record(record: dict) -> Example:
-    return Example(
-        example_id=record["example_id"],
-        request=request_from_record(record["request"]),
-        response_text=record["response_text"],
-        embedding=np.asarray(record["embedding"], dtype=float),
-        quality=float(record["quality"]),
-        source_model=record["source_model"],
-        source_cost=float(record["source_cost"]),
-        created_at=float(record["created_at"]),
-        access_count=int(record["access_count"]),
-        replay_count=int(record["replay_count"]),
-        gain_ema=ema_from_record(record["gain_ema"]),
-        offload_gain=ema_from_record(record["offload_gain"]),
-        feedback_quality=ema_from_record(record["feedback_quality"]),
-    )
 
 
 def examples_columns_state(cache) -> dict:

@@ -48,15 +48,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.example import Example
 from repro.core.table import EMA_STREAMS
 from repro.persistence.snapshot import (
-    example_from_record,
     load_snapshot,
     metadata_blob,
     metadata_from_blob,
-    restore_ema,
     restore_service,
 )
+from repro.workload.request import Request, TaskType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.config import ICCacheConfig
@@ -102,17 +102,6 @@ def _unpack_strings(body: bytes, offset: int,
     return strings, offset
 
 
-def _ema_records(fields: tuple) -> dict:
-    """The three ``ema_record`` dicts out of an ``_EMAS`` run; a stream
-    whose flag bit is clear has no value yet (``None``, whatever the slot
-    holds — presence is never a sentinel double)."""
-    flags = fields[-1]
-    return {stream: {"alpha": fields[3 * i],
-                     "value": fields[3 * i + 1] if flags >> i & 1 else None,
-                     "count": fields[3 * i + 2]}
-            for i, stream in enumerate(EMA_STREAMS)}
-
-
 def _encode_example(example) -> bytes:
     request = example.request
     embedding = np.asarray(example.embedding, dtype=_F8)
@@ -133,29 +122,25 @@ def _encode_example(example) -> bytes:
 
 
 def _decode_example(body: bytes) -> dict:
+    """``{"example": Example}``: a standalone example whose row is the
+    frame's ``journal_row``."""
     fields = _EXAMPLE.unpack_from(body)
     (example_id, response_text, source_model, request_id, dataset, task,
      text, metadata), offset = _unpack_strings(body, _EXAMPLE.size, 8)
     n_embedding, n_latent = fields[-2:]
-    return {"example": {
-        "example_id": example_id,
-        "request": {
-            "request_id": request_id, "dataset": dataset, "task": task,
-            "text": text,
-            "latent": np.frombuffer(body, _F8, n_latent,
-                                    offset + 8 * n_embedding).copy(),
-            "topic_id": fields[15], "difficulty": fields[16],
-            "prompt_tokens": fields[17], "target_output_tokens": fields[18],
-            "arrival_time": fields[19],
-            "metadata": metadata_from_blob(metadata),
-        },
-        "response_text": response_text,
-        "embedding": np.frombuffer(body, _F8, n_embedding, offset).copy(),
-        "quality": fields[0], "source_model": source_model,
-        "source_cost": fields[1], "created_at": fields[2],
-        "access_count": fields[3], "replay_count": fields[4],
-        **_ema_records(fields[5:15]),
-    }}
+    request = Request(
+        request_id=request_id, dataset=dataset, task=TaskType(task),
+        text=text,
+        latent=np.frombuffer(body, _F8, n_latent,
+                             offset + 8 * n_embedding).copy(),
+        topic_id=fields[15], difficulty=fields[16],
+        prompt_tokens=fields[17], target_output_tokens=fields[18],
+        arrival_time=fields[19], metadata=metadata_from_blob(metadata))
+    example = Example(example_id, request, response_text,
+                      np.frombuffer(body, _F8, n_embedding, offset),
+                      fields[0], source_model, fields[1])
+    example.__dict__["_table"].write_journal_row(0, fields[:15])
+    return {"example": example}
 
 
 def _encode_rewrite(payload: dict) -> bytes:
@@ -171,14 +156,15 @@ def _encode_rewrite(payload: dict) -> bytes:
 
 
 def _decode_rewrite(body: bytes) -> dict:
+    """The refined fields: ``row`` is the example's ``journal_row`` without
+    ``source_cost`` and ``created_at``, which replay never refines."""
     fields = _REWRITE.unpack_from(body)
     n_counts = fields[-1]
     (example_id, response_text, *request_ids), offset = _unpack_strings(
         body, _REWRITE.size, 2 + n_counts)
     return {
-        "example": {"example_id": example_id, "response_text": response_text,
-                    "quality": fields[0], "access_count": fields[1],
-                    "replay_count": fields[2], **_ema_records(fields[3:13])},
+        "example_id": example_id, "response_text": response_text,
+        "row": fields[:-1],
         "teacher_decode_counts": dict(zip(
             request_ids, struct.unpack_from(f"<{n_counts}q", body, offset))),
     }
@@ -288,7 +274,12 @@ def _scan(path: Path, buf, verify: bool) -> tuple[list[tuple], int]:
 def read_journal(path: str | Path) -> tuple[list[dict], list[int], int]:
     """Validate and decode a journal: ``(records, frame sizes in bytes,
     bytes of torn tail dropped)``; ``records`` is what
-    :meth:`WriteAheadLog.read` returns."""
+    :meth:`WriteAheadLog.read` returns.
+
+    An ``add`` / ``overwrite`` record's data is ``{"example": Example}``, a
+    standalone example :func:`apply_wal` adopts into the cache (so a record
+    list is applied once); a ``replay_rewrite`` record's is its row fields
+    (see :func:`_decode_rewrite`); every other kind's is a flat dict."""
     path = Path(path)
     if not path.exists():
         return [], [], 0
@@ -414,24 +405,29 @@ class WriteAheadLog:
             self.flush()
 
     def flush(self) -> None:
-        """Hand the pending frames to the OS in one ``write``.  A short
-        write — disk full — is truncated back and raises: none of them
-        landed, and ``seq`` and the size return to where they stood before
-        the first."""
+        """Hand the pending frames to the OS in one ``write``.  A write
+        that comes up short or raises — disk full, an I/O error, an append
+        handle that cannot open — is truncated back and raises: none of
+        them landed, and ``seq`` and the size return to where they stood
+        before the first."""
         if not self._pending:
             return
         frames = len(self._pending)
         data = b"".join(self._pending)
         self._pending.clear()
-        if self._fh is None:
-            self._fh = self.path.open("ab", buffering=0)
-        written = self._fh.write(data)
-        if written != len(data):
+        try:
+            if self._fh is None:
+                self._fh = self.path.open("ab", buffering=0)
+            written = self._fh.write(data)
+            if written != len(data):
+                raise OSError(f"{self.path}: short journal write "
+                              f"({written} of {len(data)} bytes)")
+        except BaseException:
             self._seq -= frames
             self._bytes -= len(data)
-            os.truncate(self.path, self._bytes)
-            raise OSError(f"{self.path}: short journal write "
-                          f"({written} of {len(data)} bytes)")
+            if self.path.exists():      # not when the open is what failed
+                os.truncate(self.path, self._bytes)
+            raise
 
     def reset(self, epoch: int | None = None) -> None:
         """Truncate the journal (called right after a fresh snapshot).
@@ -509,8 +505,8 @@ def apply_wal(service: "ICCacheService", records: list[dict]) -> int:
     """Replay journal records onto a freshly restored service.
 
     Physical redo in seq order.  The cache must have no journal attached
-    (recovery must not re-journal itself); returns the number of records
-    applied.
+    (recovery must not re-journal itself), and it adopts the records'
+    examples as they are; returns the number of records applied.
     """
     cache = service.cache
     if cache.journal is not None:
@@ -519,9 +515,9 @@ def apply_wal(service: "ICCacheService", records: list[dict]) -> int:
         kind = record["kind"]
         data = record["data"]
         if kind == "add":
-            cache.add(example_from_record(data["example"]))
+            cache.add(data["example"])
         elif kind == "overwrite":
-            cache.overwrite(example_from_record(data["example"]))
+            cache.overwrite(data["example"])
         elif kind == "remove":
             cache.remove(data["example_id"])
         elif kind == "retrain":
@@ -572,18 +568,16 @@ def _apply_decay(manager, periods: int) -> None:
 
 
 def _apply_replay_rewrite(service: "ICCacheService", data: dict) -> None:
-    """Redo one replay refinement: overwrite the example's refined fields
-    in place (the embedding is untouched — replay never re-embeds) and
-    advance the teacher's decode position for that request."""
-    record = data["example"]
-    example = service.cache.get(record["example_id"])
-    example.response_text = record["response_text"]
-    example.quality = float(record["quality"])
-    example.replay_count = int(record["replay_count"])
-    example.access_count = int(record["access_count"])
-    restore_ema(example.gain_ema, record["gain_ema"])
-    restore_ema(example.offload_gain, record["offload_gain"])
-    restore_ema(example.feedback_quality, record["feedback_quality"])
+    """Redo one replay refinement: rebind the response text and splice the
+    refined fields into the example's current ``journal_row`` (the
+    embedding is untouched — replay never re-embeds), then advance the
+    teacher's decode position for that request."""
+    example = service.cache.get(data["example_id"])
+    example.response_text = data["response_text"]
+    row = data["row"]
+    d = example.__dict__
+    d["_table"].write_journal_row(
+        d["_row"], (row[0], *example.journal_row()[1:3], *row[1:]))
     teacher = service.manager.replay_engine.teacher \
         if service.manager.replay_engine is not None else None
     if teacher is not None:

@@ -177,13 +177,10 @@ class ICCachePipeline:
     # -- cluster-simulator adapters ----------------------------------------
 
     def cluster_router(self):
-        """A per-request RouterFn for :class:`ClusterSimulator`."""
-
-        def route(request: Request, sim):
-            ctx = self.decide_batch([request], sim.total_load())[0]
-            return self._defer(ctx)
-
-        return route
+        """A per-request RouterFn for :class:`ClusterSimulator`: the batch
+        router over a batch of one."""
+        route_batch = self.cluster_batch_router()
+        return lambda request, sim: route_batch([request], sim)[0]
 
     def cluster_batch_router(self):
         """A batch RouterFn for :class:`BatchedRetrievalEngine`.

@@ -171,11 +171,8 @@ class TraceArrivalSource:
         if self.sink is not None:
             self.sink.add(request)
             return
-        model_name, examples = self.router(request, self._cluster)
-        queue = self._cluster.enqueue(model_name, request, examples,
-                                      self._loop.now)
-        if queue is not None:  # None = shed at admission (queue-depth cap)
-            self._cluster.drain(queue)
+        self._cluster.dispatch([(request, self._loop.now)],
+                               [self.router(request, self._cluster)])
 
 
 class BatchFlushSource:
@@ -220,16 +217,8 @@ class BatchFlushSource:
     def _dispatch(self, batch: list[tuple["Request", float]]) -> None:
         """Route a micro-batch; each request enqueues at its arrival time."""
         requests = [request for request, _ in batch]
-        decisions = self.engine.route_batch(requests, self._cluster)
-        touched = []
-        for (request, arrival_s), (model_name, examples) in zip(batch,
-                                                                decisions):
-            queue = self._cluster.enqueue(model_name, request, examples,
-                                          arrival_s)
-            if queue is not None:  # None = shed at admission
-                touched.append(queue)
-        for queue in touched:
-            self._cluster.drain(queue)
+        self._cluster.dispatch(
+            batch, self.engine.route_batch(requests, self._cluster))
 
 
 class AutoscalerTickSource:

@@ -273,9 +273,32 @@ class ClusterSimulator:
 
     # ----- host surface the event sources drive --------------------------
 
+    def dispatch(self, arrivals: Sequence[tuple[Request, float]],
+                 decisions: Sequence[RoutingDecision]) -> list[bool]:
+        """Hand routed requests to the cluster: the one dispatch path.
+
+        Each ``(request, arrival_s)`` enqueues on its decision's model at
+        its own arrival stamp (:meth:`enqueue`), then the queues they
+        joined drain (:meth:`drain`).  Returns which were accepted; the
+        rest were shed.  A per-request arrival dispatches as a batch of
+        one; a micro-batch flush and the serving gateway dispatch whole
+        batches.
+        """
+        accepted, touched = [], []
+        for (request, arrival_s), (model_name, examples) in zip(arrivals,
+                                                                decisions):
+            queue = self.enqueue(model_name, request, examples, arrival_s)
+            accepted.append(queue is not None)
+            if queue is not None:
+                touched.append(queue)
+        for queue in touched:
+            self.drain(queue)
+        return accepted
+
     def enqueue(self, model_name: str, request: Request,
                 examples: list[ExampleView], arrival_s: float) -> _ModelQueue | None:
-        """Queue a routed request; returns its queue (callers drain it).
+        """Queue a routed request; returns its queue (:meth:`dispatch`
+        drains it).
 
         ``arrival_s`` is the request's *original* arrival time, which may
         predate ``now`` on the batched path — micro-batching delay is

@@ -270,6 +270,63 @@ class TestGatewayHttpStatuses:
         assert bad.status == 400 and "error" in bad.payload
         assert missing.status == 404
 
+    def test_serve_is_serve_batch_of_one(self):
+        """Twin sessions over one script, one fed ``POST /serve``, the other
+        ``POST /serve_batch`` of one: a backlog of ``/submit`` acks makes
+        queue-depth sheds, a tenant runs out of tokens, a stamp lands
+        behind the watermark (clamped) and a non-finite one is refused.
+        Every outcome and the final session fingerprint are equal."""
+        dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
+        online = dataset.online_requests(50)
+        limited = [make_request(f"limited-{i}") for i in range(2)]
+        for request in limited:
+            request.metadata["tenant"] = "limited"
+        script = ([(r, 0.0) for r in online[40:44]]
+                  + [(limited[0], 0.5), (limited[1], 0.5),
+                     (online[44], 0.25), (online[45], math.inf),
+                     (online[46], None)])
+
+        async def run(batched: bool):
+            service = build_service()
+            limiter = TenantRateLimiter(capacity=50, refill_per_s=0.0,
+                                        overrides={"limited": (1.0, 0.0)})
+            session = GatewaySession(
+                service, cluster_config(service, max_queue_depth=1,
+                                        replicas_small=1),
+                rate_limiter=limiter)
+            gateway = AsyncGateway(session)
+            await gateway.start()
+            outcomes = []
+            try:
+                async with GatewayClient("127.0.0.1", gateway.port) as client:
+                    for request in online[:40]:
+                        await client.post("/submit",
+                                          request_to_payload(request, 0.0))
+                    for request, stamp in script:
+                        payload = request_to_payload(request, stamp)
+                        if batched:
+                            resp = await client.post(
+                                "/serve_batch", {"requests": [payload]})
+                            if resp.status == 200:
+                                resp.payload.update(
+                                    resp.payload["results"][0])
+                        else:
+                            resp = await client.post("/serve", payload)
+                        outcomes.append((resp.payload.get("status"),
+                                         resp.payload.get("record"),
+                                         resp.payload.get("error")))
+                return outcomes, session.late_arrivals, \
+                    session_fingerprint(session)
+            finally:
+                await gateway.shutdown()
+
+        served, late, fingerprint = asyncio.run(run(batched=False))
+        assert (served, late, fingerprint) == asyncio.run(run(batched=True))
+        statuses = [status for status, _, _ in served]
+        assert {ACCEPTED, SHED, RATE_LIMITED} <= set(statuses)
+        assert served[-2] == (None, None, "bad payload")     # the inf stamp
+        assert late >= 1
+
     @pytest.mark.parametrize("sent,complaint", [
         (b"POST /serve HTTP/1.1\r\ncontent-length: abc\r\n\r\n",
          b"bad content-length"),

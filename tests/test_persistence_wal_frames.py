@@ -18,7 +18,9 @@ that fails part-way, is cut short by the disk, or is open at ``detach`` /
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 import shutil
 import struct
@@ -34,6 +36,7 @@ from repro.core.cache import ExampleCache, ShardedExampleCache
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.example import Example
 from repro.core.service import ICCacheService
+from repro.core.table import EMA_STREAMS
 from repro.persistence.snapshot import (
     _encode,
     cache_state,
@@ -52,7 +55,7 @@ from repro.persistence.wal import (
 from repro.workload.datasets import SyntheticDataset
 from repro.workload.request import Request, TaskType
 from tests.strategies import DETERMINISM
-from tests.wal_reference import ReferenceWriteAheadLog
+from tests.wal_reference import ReferenceWriteAheadLog, example_record
 
 DIM = 6
 
@@ -82,6 +85,29 @@ def assert_same(ours, theirs, where="record") -> None:
         assert ours == theirs, (where, ours, theirs)
 
 
+def as_reference(record: dict) -> dict:
+    """A decoded record in the reference codec's shape: an ``add`` /
+    ``overwrite`` example through ``example_record``, a rewrite's row
+    fields back into the refined-field dict of EMA dicts (a stream whose
+    flag bit is clear has no value yet: ``None``)."""
+    data = record["data"]
+    if "example" in data:
+        data = {"example": example_record(data["example"])}
+    elif "row" in data:
+        quality, access_count, replay_count, *emas, flags = data["row"]
+        data = {"example": {
+            "example_id": data["example_id"],
+            "response_text": data["response_text"],
+            "quality": quality, "access_count": access_count,
+            "replay_count": replay_count,
+            **{stream: {"alpha": emas[3 * i],
+                        "value": emas[3 * i + 1] if flags >> i & 1 else None,
+                        "count": emas[3 * i + 2]}
+               for i, stream in enumerate(EMA_STREAMS)}},
+            "teacher_decode_counts": data["teacher_decode_counts"]}
+    return {**record, "data": data}
+
+
 class _Both:
     """One payload stream into both codecs, as a cache journal callback."""
 
@@ -96,9 +122,11 @@ class _Both:
         self.lines.record(kind, payload)
 
     def assert_equal(self) -> list[dict]:
+        """Both journals' records, equal field for field; returns ours in
+        the reference's shape."""
         self.frames.close()
         self.lines.close()
-        ours = WriteAheadLog.read(self.frames.path)
+        ours = [as_reference(r) for r in WriteAheadLog.read(self.frames.path)]
         theirs = ReferenceWriteAheadLog.read(self.lines.path)
         assert len(ours) == len(theirs) == len(self.frames)
         for a, b in zip(ours, theirs):
@@ -143,14 +171,16 @@ def examples(draw, example_id: str) -> Example:
         prompt_tokens=draw(st.integers(1, 2**63 - 1)),
         target_output_tokens=draw(i64), arrival_time=draw(any_float),
         metadata=draw(metadatas))
-    return Example(
+    example = Example(
         example_id=example_id, request=request, response_text=draw(texts),
         embedding=embedding,
         quality=draw(st.floats(0.0, 1.0) | st.just(-0.0)),
         source_model=draw(texts), source_cost=draw(any_float),
         created_at=draw(any_float), access_count=draw(i64),
-        replay_count=draw(i64), gain_ema=draw(emas()),
-        offload_gain=draw(emas()), feedback_quality=draw(emas()))
+        replay_count=draw(i64))
+    for stream in EMA_STREAMS:                    # through the setters
+        setattr(example, stream, draw(emas()))
+    return example
 
 
 # -- every kind, field for field ------------------------------------------------
@@ -201,7 +231,7 @@ def test_the_named_edges_round_trip(tmp_path):
     negative_zero._value, negative_zero.count = -0.0, 1
     for example_id, metadata in (("plain", {}), ("tagged", {
             "tenant": "ünï", "weights": np.arange(3, dtype=np.int32)})):
-        cache.add(Example(
+        example = Example(
             example_id=example_id,
             request=Request(
                 request_id="rid-" + example_id, dataset="d",
@@ -211,9 +241,11 @@ def test_the_named_edges_round_trip(tmp_path):
                 target_output_tokens=0, arrival_time=-0.0,
                 metadata=metadata),
             response_text="答え\n\n", embedding=np.arange(1.0, DIM + 1),
-            quality=1.0, source_model="模型", source_cost=-0.0,
-            gain_ema=EMA(alpha=0.2), offload_gain=nan,
-            feedback_quality=negative_zero))
+            quality=1.0, source_model="模型", source_cost=-0.0)
+        example.gain_ema = EMA(alpha=0.2)
+        example.offload_gain = nan
+        example.feedback_quality = negative_zero
+        cache.add(example)
     both("replay_rewrite", {"example": cache.get("tagged"),
                             "teacher_decode_counts": {}})
     first, second, rewrite = both.assert_equal()
@@ -228,6 +260,35 @@ def test_the_named_edges_round_trip(tmp_path):
     assert weights.dtype == np.int32 and weights.tolist() == [0, 1, 2]
     assert rewrite["data"]["example"]["gain_ema"]["value"] is None
     assert rewrite["data"]["teacher_decode_counts"] == {}
+
+
+#: ``ExampleTable.journal_row``'s wire layout: packing a row compares it
+#: bit for bit (NaN payloads and ``-0.0`` included).
+_ROW = struct.Struct("<3d2q" + "2dq" * len(EMA_STREAMS) + "B")
+
+
+@settings(**DETERMINISM)
+@given(data=st.data())
+def test_a_journal_row_written_back_is_the_row(data):
+    """``write_journal_row`` inverts ``journal_row``: written into a fresh
+    example's row — standalone, or a cached one's at row 1 — it reads back
+    bit for bit; ``detached_copy`` (which copies through it) has the same
+    row, embedding bytes and texts."""
+    example = data.draw(examples("ex"))
+    row = _ROW.pack(*example.journal_row())
+    cache = ExampleCache(dim=DIM)
+    for example_id in ("a", "b"):
+        cache.add(data.draw(examples(example_id)))
+    for fresh in (data.draw(examples("fresh")), cache.get("b")):
+        d = fresh.__dict__
+        d["_table"].write_journal_row(d["_row"], example.journal_row())
+        assert _ROW.pack(*fresh.journal_row()) == row
+    copy = example.detached_copy()
+    assert _ROW.pack(*copy.journal_row()) == row
+    assert copy.embedding.tobytes() == example.embedding.tobytes()
+    assert copy.request is example.request
+    assert (copy.example_id, copy.response_text, copy.source_model) == (
+        example.example_id, example.response_text, example.source_model)
 
 
 def test_sharded_cache_journals_a_per_shard_retrain(tmp_path):
@@ -312,7 +373,7 @@ def test_unencodable_example_raises_and_writes_nothing(tmp_path,
     assert wal.path.read_bytes() == before and len(wal) == 1
     # An evicted example took its row with it: the same record, bit for bit.
     wal.record("add", cache.remove("good"))
-    first, second = WriteAheadLog.read(wal.path)
+    first, second = map(as_reference, WriteAheadLog.read(wal.path))
     assert_same(second["data"], first["data"])
 
 
@@ -335,7 +396,46 @@ def test_a_short_write_is_taken_back(tmp_path):
         [1.0, 3.0]
 
 
+@pytest.mark.parametrize("records", [1, 3], ids=["one-record", "group-of-3"])
+@pytest.mark.parametrize("earlier", [0, 1], ids=["fresh", "after-one-frame"])
+def test_a_write_that_raises_is_taken_back(tmp_path, earlier, records):
+    """A ``write`` that raises — ENOSPC with nothing written, EIO — lands
+    nothing: the file stays as it stood, ``seq`` and the size go back, and
+    the next record is frame ``earlier`` (with the magic, on a fresh
+    journal), so the journal still reads whole."""
+    wal = WriteAheadLog(tmp_path / "wal.bin")
+    _clocks(wal, *range(earlier))
+    before = wal.path.read_bytes() if wal.path.exists() else b""
+    real, wal._fh = wal._fh, _RaisingHandle(wal.path)
+    with pytest.raises(OSError, match="No space"):
+        with wal.group():
+            _clocks(wal, *[10.0 + i for i in range(records)])
+    assert (wal.path.read_bytes() if wal.path.exists() else b"") == before
+    assert len(wal) == earlier and wal.size_bytes == len(before)
+    wal._fh.close()
+    wal._fh = real
+    _clocks(wal, 99.0)
+    wal.close()
+    assert [(r["seq"], r["data"]["now"]) for r in WriteAheadLog.read(
+        wal.path)] == [(i, float(i)) for i in range(earlier)] + [(earlier,
+                                                                 99.0)]
+
+
 # -- groups: one operation, one write ----------------------------------------------
+
+class _RaisingHandle:
+    """Stands in for the journal's append handle on a full disk: every
+    ``write`` raises ENOSPC having written nothing."""
+
+    def __init__(self, path) -> None:
+        self.path = path
+
+    def write(self, data: bytes) -> int:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self.path))
+
+    def close(self) -> None:
+        pass
+
 
 class _CountingHandle:
     """Stands in for the journal's append handle: counts ``write`` calls,
@@ -516,11 +616,12 @@ def _state(service) -> tuple:
             dict(teacher._decode_counts), service.clock.now)
 
 
-def test_serving_run_journals_and_recovers_the_same_from_both_codecs(
+def test_serving_run_journals_the_same_in_both_codecs_and_recovers(
         tmp_path):
     """300 ``serve`` + 10 ``serve_batch`` at capacity, ``sanitize=True``,
-    three maintenance ticks (PR 17/19's scenario): equal decoded record
-    lists, and the services recovered from either journal are equal."""
+    three maintenance ticks: equal decoded record lists, and the service
+    recovered from the frames holds the live one's membership and
+    counters."""
     service = ICCacheService(ICCacheConfig(
         seed=SEED, manager=ManagerConfig(sanitize=True)))
     dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
@@ -568,11 +669,6 @@ def test_serving_run_journals_and_recovers_the_same_from_both_codecs(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")      # admissions in the tail: warned
         from_frames = Checkpointer.recover(tmp_path)
-        snapshot = load_snapshot(checkpointer.snapshot_path)
-        from_lines = restore_service(snapshot)
-        apply_wal(from_lines, filter_stale_records(
-            ReferenceWriteAheadLog.read(both.lines.path), snapshot))
-    assert _state(from_frames) == _state(from_lines)
     # Against the live service: membership and counters (what serving did to
     # the used examples' bookkeeping is not a cache mutation, hence in no
     # journal — the reason serving windows are bounded by checkpoints).
@@ -609,13 +705,13 @@ def test_every_truncation_of_the_last_frame_is_a_torn_tail(three_frames):
     truncates the fragment and appends at ``seq`` 2."""
     path, offsets = three_frames
     whole = path.read_bytes()
-    intact = WriteAheadLog.read(path)
+    intact = [as_reference(r) for r in WriteAheadLog.read(path)]
     for cut in range(offsets[2], offsets[3]):
         path.write_bytes(whole[:cut])
         records, _, torn = read_journal(path)
         assert len(records) == 2 and torn == cut - offsets[2], cut
         for ours, theirs in zip(records, intact):
-            assert_same(ours, theirs)
+            assert_same(as_reference(ours), theirs)
         resumed = WriteAheadLog(path, epoch=3)
         assert len(resumed) == 2 and resumed.size_bytes == offsets[2], cut
         assert path.stat().st_size == offsets[2], cut
@@ -696,8 +792,7 @@ def test_every_truncation_of_a_group_is_a_torn_tail(tmp_path, operation,
             recovered = Checkpointer.recover(crashed)
             if intact not in states:
                 expected = restore_service(snapshot)
-                apply_wal(expected, filter_stale_records(
-                    records[:intact], snapshot))
+                apply_wal(expected, filter_stale_records(prefix, snapshot))
                 states[intact] = _state(expected)
         assert _state(recovered) == states[intact], cut
     assert len(states) == len(records) + 1

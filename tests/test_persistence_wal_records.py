@@ -11,14 +11,14 @@ from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.service import ICCacheService
 from repro.persistence.wal import Checkpointer, WriteAheadLog
 from repro.workload.datasets import SyntheticDataset
-from tests.wal_reference import example_record
 
 SEED = 11
 
 
 def _journaled_replay(directory):
     """A checkpointed service, 40 served requests, one replay pass; returns
-    the journal's records and, by seq, each rewrite's whole-example form."""
+    the journal's records and, by seq, each rewritten example's whole
+    ``journal_row`` and response text at the time."""
     service = ICCacheService(ICCacheConfig(
         seed=SEED, manager=ManagerConfig(sanitize=False)))
     dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
@@ -29,16 +29,14 @@ def _journaled_replay(directory):
         service.serve(request, load=0.2)
     checkpointer.checkpoint()       # bound the serving window
 
-    whole: dict[int, dict] = {}
+    whole: dict[int, tuple] = {}
     record = checkpointer.wal.record
 
     def tee(kind, payload):
         if kind == "replay_rewrite":
-            whole[len(checkpointer.wal)] = {
-                "example": example_record(payload["example"]),
-                "teacher_decode_counts":
-                    dict(payload["teacher_decode_counts"]),
-            }
+            example = payload["example"]
+            whole[len(checkpointer.wal)] = (example.journal_row(),
+                                            example.response_text)
         record(kind, payload)
 
     service.cache.journal = tee
@@ -53,11 +51,10 @@ def test_replay_rewrite_carries_only_the_refined_fields(tmp_path):
     rewrites = [r for r in records if r["kind"] == "replay_rewrite"]
     assert len(rewrites) == len(whole) > 0
     for record in rewrites:
-        assert set(record["data"]) == {"example", "teacher_decode_counts"}
-        assert set(record["data"]["example"]) == {
-            "example_id", "response_text", "quality", "access_count",
-            "replay_count", "gain_ema", "offload_gain", "feedback_quality"}
-        # the same values the whole-example form holds for those fields
-        fat = whole[record["seq"]]["example"]
-        assert all(record["data"]["example"][key] == fat[key]
-                   for key in record["data"]["example"])
+        data = record["data"]
+        assert set(data) == {"example_id", "response_text", "row",
+                             "teacher_decode_counts"}
+        # the whole row but source_cost and created_at (row[1:3])
+        row, response_text = whole[record["seq"]]
+        assert data["row"] == (row[0], *row[3:])
+        assert data["response_text"] == response_text

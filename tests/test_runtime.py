@@ -434,10 +434,7 @@ class TestIncrementalRun:
         sim_b.start_sources([], on_complete=service_b.on_complete)
         for t, request in arrivals_b:
             sim_b.advance_to(t)
-            model_name, examples = router(request, sim_b)
-            queue = sim_b.enqueue(model_name, request, examples, t)
-            if queue is not None:
-                sim_b.drain(queue)
+            sim_b.dispatch([(request, t)], [router(request, sim_b)])
         sim_b.run_pending()
 
         assert snap(sim_a.report) == snap(sim_b.report)
