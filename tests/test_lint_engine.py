@@ -145,6 +145,27 @@ class TestCli:
         assert main(["src"]) == 0
         assert "0 finding(s), 1 suppressed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--baseline", "b.json"],
+                                      ["--write-baseline"]],
+                             ids=["baseline", "write-baseline"])
+    def test_baseline_flags_are_usage_errors(self, dirty_tree, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["src", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not Path("b.json").exists()
+        assert not Path("lint_baseline.json").exists()
+
+    def test_a_baseline_file_accepts_nothing(self, dirty_tree, capsys):
+        """A ``lint_baseline.json`` in the working directory listing the
+        finding is not read: it still fails the gate."""
+        (finding,), _ = Engine().lint_file(Path("src/repro/core/x.py"))
+        key = f"{finding.path}::{finding.code}::{finding.message}"
+        Path("lint_baseline.json").write_text(
+            json.dumps({"version": 1, "entries": {key: 1}}), encoding="utf-8")
+        assert main(["src"]) == 1
+        assert "1 finding(s), 0 suppressed" in capsys.readouterr().out
+
     def test_missing_path_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["no/such/dir"]) == 2

@@ -471,6 +471,12 @@ class TestLiveTreeIsClean:
         report = Engine().lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"])
         assert report.findings == [], [f.format() for f in report.findings]
 
+    def test_no_baseline_is_committed_or_exported(self):
+        import repro.analysis.lint as lint
+        assert not (REPO_ROOT / "lint_baseline.json").exists()
+        assert not hasattr(lint, "Baseline")
+        assert not hasattr(lint, "apply_baseline")
+
 
 class TestDocsCatalog:
     """Meta-test: every registered rule is documented, by code."""
