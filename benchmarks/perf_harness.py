@@ -66,6 +66,7 @@ from repro.vectorstore.kmeans import KMeans
 # The references live with the tests that hold the fast paths to them
 # (numpy-only modules: the CI jobs that run this install no test extras).
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests import ema_reference  # noqa: E402
 from tests.kmeans_reference import _reference_fit  # noqa: E402
 from tests.knapsack_reference import (  # noqa: E402
     KnapsackItem,
@@ -225,7 +226,8 @@ def _synthetic_pool(n: int, seed: int = 0):
     Manager's own hot paths, so the pool is built straight against the
     cache (which attaches every example to its columnar table).  Gain and
     access statistics are seeded so decay and the eviction knapsack have
-    non-degenerate values to work over.
+    non-degenerate values to work over: one observation of each gain
+    stream, written into the row with ``ExampleTable.write_journal_row``.
     """
     from repro.core.cache import ExampleCache
     from repro.core.example import Example
@@ -263,10 +265,17 @@ def _synthetic_pool(n: int, seed: int = 0):
                 created_at=0.0,
                 access_count=int(accesses[i]),
             )
-            example.offload_gain.update(float(gains[i]))
-            example.gain_ema.update(float(gains[i]))
+            ema_reference.update(example, offload_gain=float(gains[i]),
+                                 gain_ema=float(gains[i]))
             cache.add(example)
     return cache
+
+
+def _offload_gain(example) -> float:
+    """An example's offload-gain value read from its row the way a scalar
+    property reads one: what the per-object eviction path pays for it."""
+    d = example.__dict__
+    return float(d["_table"]._cols["offload_gain__value"][d["_row"]])
 
 
 def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
@@ -347,7 +356,7 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
 
     def object_pass():
         items = [KnapsackItem(key=ex.example_id, weight=ex.plaintext_bytes,
-                              value=ex.offload_gain.value
+                              value=_offload_gain(ex)
                               * (1 + ex.access_count) + 1e-3)
                  for ex in cache]
         keep = solve_knapsack(items, cache.total_bytes - 1)

@@ -11,6 +11,7 @@ import numpy as np
 from harness import make_service, print_table, run_once
 from repro.baselines.naive_cache import NaiveCachePolicy
 from repro.core.cache import ExampleCache
+from repro.core.table import attached_rows
 
 FRACTIONS = (0.05, 0.1, 0.25, 0.5, 1.0)
 
@@ -93,14 +94,17 @@ def _utility_retention(all_examples, n_keep, seed):
     from repro.vectorstore.ivf import optimal_cluster_count
     from repro.vectorstore.kmeans import KMeans
 
-    def value(ex):
-        # Decayed offload gain weighted by access, with a small floor so
-        # not-yet-proven examples keep a uniform retention chance (the
-        # manager's knapsack uses the same floor).
-        return ex.offload_gain.value * (1 + ex.access_count) + 0.02
-
     if n_keep >= len(all_examples):
         return list(all_examples)
+    # Decayed offload gain weighted by access, with a small floor so
+    # not-yet-proven examples keep a uniform retention chance (the
+    # manager's knapsack uses the same floor).
+    table, rows = attached_rows(all_examples)
+    gains = dict(zip(all_examples, table.col("offload_gain__value")[rows]))
+
+    def value(ex):
+        return float(gains[ex]) * (1 + ex.access_count) + 0.02
+
     data = np.stack([ex.embedding for ex in all_examples])
     k = optimal_cluster_count(len(all_examples))
     labels = KMeans(n_clusters=k, seed=seed).fit(data).labels

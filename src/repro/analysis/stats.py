@@ -2,9 +2,8 @@
 
 These mirror the quantities the paper reports: latency percentiles (Fig. 18,
 Fig. 20), similarity CDFs (Fig. 3a, Fig. 10), the Pearson correlation between
-relevance and helpfulness (Fig. 7), and the exponential moving averages used
-by the request router (load tracking, section 4.2) and the example manager
-(gain tracking with hourly decay, section 4.3).
+relevance and helpfulness (Fig. 7), and the exponential moving average the
+request router tracks load with (section 4.2).
 """
 
 from __future__ import annotations
@@ -15,11 +14,9 @@ import numpy as np
 
 
 class EMA:
-    """Exponential moving average with optional time-based decay.
+    """Exponential moving average.
 
     The router tracks serving load as ``ema = alpha * x + (1 - alpha) * ema``.
-    The example manager additionally decays stored gains by a factor per
-    elapsed hour (0.9 in the paper) to discount stale usage patterns.
     """
 
     def __init__(self, alpha: float, initial: float | None = None) -> None:
@@ -45,12 +42,6 @@ class EMA:
             self._value = self.alpha * float(x) + (1.0 - self.alpha) * self._value
         self.count += 1
         return self._value
-
-    def decay(self, factor: float, periods: float = 1.0) -> float:
-        """Multiply the average by ``factor ** periods`` (stale-pattern discount)."""
-        if self._value is not None and periods > 0:
-            self._value *= factor**periods
-        return self.value
 
 
 def small_sum(values: list[float]) -> float:

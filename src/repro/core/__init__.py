@@ -12,7 +12,7 @@ from repro.core.config import (
     SelectorConfig,
 )
 from repro.core.example import Example
-from repro.core.table import ColumnEMA, ExampleTable
+from repro.core.table import ExampleTable
 from repro.core.cache import ExampleCache, ShardedExampleCache
 from repro.core.proxy import HelpfulnessProxy
 from repro.core.selector import ExampleSelector, ScoredExample
@@ -29,7 +29,6 @@ __all__ = [
     "SelectorConfig",
     "Example",
     "ExampleTable",
-    "ColumnEMA",
     "ExampleCache",
     "ShardedExampleCache",
     "HelpfulnessProxy",

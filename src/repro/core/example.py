@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from repro.core.table import EMBEDDING, ColumnEMA, ExampleTable, ema_column
+from repro.core.table import EMBEDDING, ExampleTable, ema_column
 from repro.llm.icl import ExampleView, latent_norm
 from repro.workload.request import Request
 
@@ -37,41 +37,18 @@ def _derived_scalar(column: str, cast, doc: str) -> property:
     return property(_table_scalar(column, cast).fget, doc=doc)
 
 
-def _table_ema(stream: str) -> property:
-    """An EMA bookkeeping stream: a :class:`~repro.core.table.ColumnEMA`
-    view over the table slots (the view object is cached per example, and
-    follows the example from table to table)."""
-    view_key = "_view_" + stream
-
-    def fget(self):
-        d = self.__dict__
-        view = d.get(view_key)
-        if view is None:
-            view = ColumnEMA(self, stream)
-            d[view_key] = view
-        return view
-
-    def fset(self, value):
-        d = self.__dict__
-        d["_table"].write_ema(d["_row"], stream, value)
-
-    return property(fget, fset)
-
-
 class Example:
     """One historical request-response pair stored in the example cache.
 
-    Bookkeeping fields drive the Example Manager (section 4.3):
+    Three EMA streams drive the Example Manager (section 4.3), each four
+    columns of the example's table row (``{stream}__value`` etc.), fed by
+    :meth:`record_use` and read as columns: ``gain_ema`` accumulates the
+    replay potential G(e), ``offload_gain`` counts successful offloadings
+    (the knapsack *value*, decayed hourly) and ``feedback_quality`` tracks
+    the response quality of the requests the example augmented.
 
-    * ``gain_ema`` accumulates the replay-potential G(e) each time the example
-      is repurposed;
-    * ``offload_gain`` counts successful offloadings (the knapsack *value*,
-      decayed hourly);
-    * ``feedback_quality`` tracks observed response quality of requests this
-      example augmented (the ``normalized_response_quality`` term of G(e)).
-
-    The constructor signature matches the original dataclass.  Bookkeeping
-    fields and the embedding are properties over one row of one
+    The constructor signature matches the original dataclass.  Scalar
+    bookkeeping fields and the embedding are properties over one row of one
     :class:`~repro.core.table.ExampleTable`: the owning cache's columnar
     table (which is what lets decay, eviction, stage-2 scoring and snapshot
     restore run over contiguous arrays), or a one-row table of the
@@ -140,10 +117,6 @@ class Example:
     access_count = _table_scalar("access_count", int)
     replay_count = _table_scalar("replay_count", int)
     source_cost = _table_scalar("source_cost", float)
-
-    gain_ema = _table_ema("gain_ema")
-    offload_gain = _table_ema("offload_gain")
-    feedback_quality = _table_ema("feedback_quality")
 
     def __setattr__(self, name: str, value: object) -> None:
         # The token count and plaintext size sit on the per-candidate serve

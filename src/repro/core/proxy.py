@@ -45,7 +45,7 @@ def stage2_columns(examples: list[Example], attached=None):
 def proxy_features(request_embedding: np.ndarray, example: Example) -> np.ndarray:
     """One (request, candidate) pair's features, from the example's row: the
     stored ``embedding_norm`` is ``sqrt(v.dot(v))``, ``np.linalg.norm``'s 1-D
-    path, bit for bit; feedback is its two columns, not a ColumnEMA."""
+    path, bit for bit."""
     d = example.__dict__
     cols, row = d["_table"]._cols, d["_row"]
     relevance = cosine_from_norms(

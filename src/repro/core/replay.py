@@ -64,31 +64,21 @@ class ReplayEngine:
         self.teacher = teacher
         self.config = config or ManagerConfig()
 
-    def candidates(self,
-                   examples: list[Example] | ExampleTable) -> list[Example]:
+    def candidates(self, table: ExampleTable) -> list[Example]:
         """Replay candidates ranked by accumulated G(e), highest first.
 
         Examples past the replay-iteration cap are excluded (section 5's
         outlier filter), as are examples never repurposed (gain unknown).
-        Equal gains keep the order given; for an :class:`ExampleTable` —
-        the whole pool, filtered and ranked from three columns with no
-        per-example Python — that is insertion order.
+        The whole pool is filtered and ranked from three columns; equal
+        gains keep insertion order.
         """
-        if isinstance(examples, ExampleTable):
-            table = examples
-            rows = np.flatnonzero(
-                (table.col("replay_count") < self.config.replay_max_iterations)
-                & table.col("gain_ema__initialized"))
-            rows = rows[np.argsort(table.col(INSERTION_RANK)[rows])]
-            ranked = rows[np.argsort(-table.col("gain_ema__value")[rows],
-                                     kind="stable")]
-            return [table.owner(row) for row in ranked.tolist()]
-        eligible = [
-            ex for ex in examples
-            if ex.replay_count < self.config.replay_max_iterations
-            and ex.gain_ema.initialized
-        ]
-        return sorted(eligible, key=lambda ex: ex.gain_ema.value, reverse=True)
+        rows = np.flatnonzero(
+            (table.col("replay_count") < self.config.replay_max_iterations)
+            & table.col("gain_ema__initialized"))
+        rows = rows[np.argsort(table.col(INSERTION_RANK)[rows])]
+        ranked = rows[np.argsort(-table.col("gain_ema__value")[rows],
+                                 kind="stable")]
+        return [table.owner(row) for row in ranked.tolist()]
 
     def replay_one(self, example: Example) -> float:
         """Replay a single example; returns the quality improvement (>= 0).
@@ -107,10 +97,11 @@ class ReplayEngine:
                 example.request, best_quality)
         example.replay_count += 1
         # Refinement resets accumulated potential: the gain was realized.
-        example.gain_ema.decay(0.0)
+        d = example.__dict__
+        d["_table"].reset_gain(d["_row"])
         return improvement
 
-    def run(self, examples: list[Example] | ExampleTable,
+    def run(self, table: ExampleTable,
             expected_reuse: float = 20.0) -> ReplayOutcome:
         """One offline replay pass with the cost-aware cut-off.
 
@@ -125,8 +116,9 @@ class ReplayEngine:
         improved = skipped = 0
         total_gain = 0.0
         replayed: list[Example] = []
-        for example in self.candidates(examples):
-            expected_saving = example.gain_ema.value * expected_reuse
+        for example in self.candidates(table):
+            expected_saving = float(table.col("gain_ema__value")[
+                example.__dict__["_row"]]) * expected_reuse
             if expected_saving <= self.config.replay_cost_per_example:
                 skipped += 1
                 break  # ranked descending: everything after is unprofitable

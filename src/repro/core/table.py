@@ -3,18 +3,17 @@
 Every numeric bookkeeping field of :class:`repro.core.example.Example` lives
 here as one contiguous numpy column, mirroring the
 :class:`~repro.vectorstore.flat.FlatIndex` discipline: parallel arrays and O(1)
-swap-with-last removal.  ``Example`` stays the public API — its bookkeeping
-attributes are properties over its row's slots, in a cache's table or in a
-one-row table of its own — and the lifecycle hot paths do not pay
-per-object Python cost:
+swap-with-last removal.  ``Example`` keeps its texts and ids; its scalar
+bookkeeping attributes are properties over its row's slots, in a cache's
+table or in a one-row table of its own.  Every lifecycle path reads and
+writes columns, with no per-object Python:
 
 * ``ExampleManager.apply_decay`` multiplies two value columns by one scalar
-  (``values *= factor ** periods``) instead of looping ``EMA.decay`` over
-  the pool — bit-identical, because the scalar elementwise multiply is the
-  exact IEEE operation the per-object loop performs;
+  (``values *= factor ** periods``);
 * ``ExampleManager.enforce_capacity`` hands the knapsack kernel live column
-  views in row order, with the ``INSERTION_RANK`` column as the tie-break,
-  instead of building a Python object per example;
+  views in row order, with the ``INSERTION_RANK`` column as the tie-break;
+* ``ReplayEngine`` ranks on the ``gain_ema`` columns and cuts off on its
+  value column;
 * ``proxy_features_matrix`` fills its feature columns from table gathers —
   embeddings too: the table owns the pool's one float64 ``(n, dim)`` matrix
   (rows swap-delete like any column; ``Example.embedding`` is a row view);
@@ -23,10 +22,10 @@ per-object Python cost:
   UTF-8 string blobs), so restore is array adoption plus cheap view
   construction instead of per-example JSON decoding.
 
-The EMA streams are stored as four columns each (value, initialized, count,
-alpha); :class:`ColumnEMA` is an :class:`repro.analysis.stats.EMA` over one
-stream's slot, doing that class's arithmetic in Python floats so every
-update/decay is bit-equal to a plain object's.
+The three EMA streams (G(e), offload gain, feedback quality) are four
+columns each (value, initialized, count, alpha), read as columns and
+written only by the methods here; an uninitialized stream's value slot
+holds 0.0.
 
 Mutation discipline: columns may only be written by this module and by
 ``Example``'s property setters — ``reprolint``'s WAL003 rule flags direct
@@ -40,7 +39,6 @@ import math
 
 import numpy as np
 
-from repro.analysis.stats import EMA
 from repro.utils.tokens import count_tokens
 
 #: Scalar bookkeeping columns (name -> dtype).  WAL003 parses this literal
@@ -62,7 +60,6 @@ BOOKKEEPING_COLUMNS = (
 EMA_STREAMS = ("gain_ema", "offload_gain", "feedback_quality")
 
 EMA_FIELDS = ("value", "initialized", "count", "alpha")
-_VALUE, _INITIALIZED, _COUNT, _ALPHA = range(len(EMA_FIELDS))
 
 #: The columns outside :data:`COLUMN_SCHEMA`.  ``INSERTION_RANK``: where each
 #: row's example sits in the cache's insertion order; derived state, rebuilt
@@ -133,72 +130,6 @@ def attached_rows(examples) -> "tuple[ExampleTable, np.ndarray] | None":
         if d["_table"] is not table:
             return None
     return table, np.array([d["_row"] for d in dicts], dtype=np.intp)
-
-
-class ColumnEMA(EMA):
-    """An :class:`repro.analysis.stats.EMA` whose state is one stream's
-    slot in an ExampleTable.
-
-    The three stored fields — ``alpha``, ``count``, ``_value`` — read and
-    write the example's current table row; ``value``/``initialized``/
-    ``update``/``decay`` are the base class's, so the arithmetic is the
-    plain EMA's, in Python floats on values round-tripped through float64
-    columns: bit-identical results.
-    """
-
-    __slots__ = ("_example", "_stream")     # no per-view ``__dict__``
-
-    def __init__(self, example, stream: str) -> None:
-        self._example = example
-        self._stream = stream
-
-    def _slot(self, field: int):
-        """(column, row) of one of the stream's ``EMA_FIELDS``, by position."""
-        d = self._example.__dict__
-        return d["_table"]._cols[_EMA_KEYS[self._stream][field]], d["_row"]
-
-    @property
-    def alpha(self) -> float:
-        col, row = self._slot(_ALPHA)
-        return float(col[row])
-
-    @alpha.setter
-    def alpha(self, value: float) -> None:
-        col, row = self._slot(_ALPHA)
-        col[row] = value
-
-    @property
-    def count(self) -> int:
-        col, row = self._slot(_COUNT)
-        return int(col[row])
-
-    @count.setter
-    def count(self, value: int) -> None:
-        col, row = self._slot(_COUNT)
-        col[row] = value
-
-    @property
-    def _value(self) -> float | None:
-        init, row = self._slot(_INITIALIZED)
-        if not init[row]:
-            return None
-        col, _ = self._slot(_VALUE)
-        return float(col[row])
-
-    @_value.setter
-    def _value(self, value: float | None) -> None:
-        init, row = self._slot(_INITIALIZED)
-        col, _ = self._slot(_VALUE)
-        if value is None:
-            init[row] = False
-            col[row] = 0.0
-        else:
-            init[row] = True
-            col[row] = float(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ColumnEMA({self._stream}, value={self._value!r}, "
-                f"alpha={self.alpha}, count={self.count})")
 
 
 class ExampleTable:
@@ -383,16 +314,6 @@ class ExampleTable:
         self._owners.pop()
         self._n = last
 
-    def write_ema(self, row: int, stream: str, ema) -> None:
-        """Overwrite one stream's slot from an EMA-like object's state."""
-        cols = self._cols
-        value, initialized, count, alpha = _EMA_KEYS[stream]
-        raw = ema._value
-        cols[value][row] = 0.0 if raw is None else raw
-        cols[initialized][row] = raw is not None
-        cols[count][row] = ema.count
-        cols[alpha][row] = ema.alpha
-
     # -- derived-column maintenance ----------------------------------------
 
     def refresh_text_stats(self, row: int, example) -> None:
@@ -416,9 +337,9 @@ class ExampleTable:
 
     def record_use(self, row: int, gain: float, quality: float,
                    offload: float) -> None:
-        """One repurposing of the example at ``row``: three
-        :meth:`ColumnEMA.update` s (same Python-float arithmetic) without
-        the per-field round trips."""
+        """One repurposing of the example at ``row``: an EMA update of each
+        stream, ``a * x + (1 - a) * value`` in Python floats (the first
+        observation is taken as is)."""
         cols = self._cols
         for stream, x in (("gain_ema", gain), ("feedback_quality", quality),
                           ("offload_gain", offload)):
@@ -438,17 +359,18 @@ class ExampleTable:
         for row in rows:
             counts[row] += 1
 
+    def reset_gain(self, row: int) -> None:
+        """Replay's reset of one row's accumulated G(e): ``value *= 0.0``
+        (NaN stays NaN, a negative gain becomes -0.0, an uninitialized
+        slot's 0.0 stays 0.0)."""
+        self._cols["gain_ema__value"][row] *= 0.0
+
     # -- vectorized lifecycle ------------------------------------------------
 
     def decay_gains(self, factor: float, periods: int) -> None:
-        """Decay the offload-gain and gain EMA streams over the whole pool.
-
-        Bit-identical to looping ``EMA.decay(factor, periods)`` per
-        example: the multiplier is the same scalar ``factor ** periods``
-        each of those calls computes, the elementwise float64 multiply is
-        the same IEEE operation, and uninitialized rows hold 0.0 (which
-        the multiply preserves) just as ``decay`` skips ``_value is None``.
-        """
+        """Decay the offload-gain and gain EMA streams over the whole pool:
+        one scalar ``factor ** periods`` times each value column
+        (uninitialized rows hold 0.0, which the multiply preserves)."""
         if periods <= 0 or self._n == 0:
             return
         mult = factor**periods

@@ -142,6 +142,9 @@ def cmd_restore(args: argparse.Namespace) -> int:
     from repro.workload.datasets import SyntheticDataset
 
     path = Path(args.path)
+    if path.is_dir() and args.wal:
+        raise ValueError("--wal replays a journal after a snapshot file; "
+                         f"{path} is a checkpoint directory with its own")
     if path.is_dir():
         service = Checkpointer.recover(path)
     else:

@@ -608,7 +608,8 @@ def restore_service(snapshot: dict, config: ICCacheConfig | None = None,
                     shard_fn=None) -> "ICCacheService":
     """Build a service and load ``snapshot`` into it.
 
-    ``config`` overrides the stored one (the cache layout must match);
+    ``config`` overrides the stored one (the cache layout and the
+    embedding dim must match);
     ``models`` re-supplies custom model objects when the original service
     was built with some (their RNG positions are restored either way);
     ``shard_fn`` re-supplies a custom shard-assignment function for
@@ -619,6 +620,10 @@ def restore_service(snapshot: dict, config: ICCacheConfig | None = None,
     cfg = config if config is not None else config_from_record(
         snapshot["config"]
     )
+    dim = int(snapshot["cache"]["index"]["dim"])
+    if dim != cfg.embedding_dim:
+        raise ValueError(f"snapshot index dim {dim} != configured "
+                         f"embedding_dim {cfg.embedding_dim}")
     service = ICCacheService(cfg, models=models)
 
     service.clock.reset(float(snapshot["clock_now"]))

@@ -4,13 +4,13 @@ per-request floor was flattened, kept verbatim as bit-equality oracles.
 Every function here is the body its namesake under ``src/repro/`` had at
 the commit before that rewrite: scalar numpy where the package now does the
 same IEEE operation in Python floats (``np.clip``, ``np.linalg.norm``,
-``np.mean``, ``.std()``, ``Generator.uniform()``), three ``ColumnEMA.update``
-round trips per used example, an eager ``np.linalg.solve`` per proxy
-update, ``np.stack`` over per-example embeddings with a fresh axis-1 norm,
-a ``ScoredExample`` per candidate, and one ``int()``/``float()`` round trip
-per search hit.  The rewritten forms must return the same values to the
-last bit and leave every generator in the same state
-(``tests/test_hotpath_exact.py``).
+``np.mean``, ``.std()``, ``Generator.uniform()``), three per-stream EMA
+updates per used example (``tests/ema_reference.py``), an eager
+``np.linalg.solve`` per proxy update, ``np.stack`` over per-example
+embeddings with a fresh axis-1 norm, a ``ScoredExample`` per candidate, and
+one ``int()``/``float()`` round trip per search hit.  The rewritten forms
+must return the same values to the last bit and leave every generator in
+the same state (``tests/test_hotpath_exact.py``).
 
 Functions that replace a method take the instance as ``self``, and
 :func:`install` monkeypatches the whole set back into the package, so a
@@ -41,6 +41,7 @@ from repro.llm.icl import (
     example_utility,
 )
 from repro.vectorstore.flat import STORAGE_DTYPE, SearchResult
+from tests.ema_reference import streams, write_streams
 
 N_FEATURES = 7
 _EPS = 1e-12
@@ -132,10 +133,8 @@ def boost(self, request_latent: np.ndarray, examples: list,
 def proxy_features(request_embedding: np.ndarray,
                    example: Example) -> np.ndarray:
     relevance = cosine_similarity(request_embedding, example.embedding)
-    feedback_q = (
-        example.feedback_quality.value if example.feedback_quality.initialized
-        else 0.5
-    )
+    feedback = streams(example)["feedback_quality"]
+    feedback_q = feedback.value if feedback.initialized else 0.5
     tokens_norm = min(1.0, example.tokens / 512.0)
     replayed = min(1.0, example.replay_count / 5.0)
     return np.array([
@@ -181,10 +180,8 @@ def proxy_features_matrix(request_embedding: np.ndarray,
         features[:, 6] = np.minimum(1.0, cols["replay_count"][rows] / 5.0)
         return features
 
-    features[:, 2] = [
-        ex.feedback_quality.value if ex.feedback_quality.initialized else 0.5
-        for ex in examples
-    ]
+    feedback = [streams(ex)["feedback_quality"] for ex in examples]
+    features[:, 2] = [f.value if f.initialized else 0.5 for f in feedback]
     features[:, 3] = relevance * features[:, 2]
     features[:, 4] = [ex.source_cost for ex in examples]
     features[:, 5] = [min(1.0, ex.tokens / 512.0) for ex in examples]
@@ -218,9 +215,11 @@ def proxy_update(self, request_embedding: np.ndarray, example: Example,
 
 def record_use(self, example: Example, response_quality: float,
                model_cost: float, offloaded: bool) -> None:
-    example.gain_ema.update(replay_gain(response_quality, model_cost))
-    example.feedback_quality.update(response_quality)
-    example.offload_gain.update(1.0 if offloaded else 0.0)
+    emas = streams(example)
+    emas["gain_ema"].update(replay_gain(response_quality, model_cost))
+    emas["feedback_quality"].update(response_quality)
+    emas["offload_gain"].update(1.0 if offloaded else 0.0)
+    write_streams(example, emas)
     self._maybe_decay()
 
 

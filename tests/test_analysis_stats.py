@@ -38,16 +38,6 @@ class TestEMA:
             with pytest.raises(ValueError):
                 EMA(alpha=alpha)
 
-    def test_decay(self):
-        ema = EMA(alpha=0.5, initial=8.0)
-        ema.decay(0.5, periods=3)
-        assert ema.value == pytest.approx(1.0)
-
-    def test_decay_before_init_is_noop(self):
-        ema = EMA(alpha=0.5)
-        ema.decay(0.5)
-        assert ema.value == 0.0
-
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50),
            st.floats(min_value=0.01, max_value=1.0))
     def test_value_bounded_by_input_range(self, xs, alpha):

@@ -11,6 +11,7 @@ from repro.llm.zoo import get_model
 from repro.utils.clock import SimClock
 
 from tests.conftest import make_request
+from tests.ema_reference import streams
 from tests.test_core_cache import make_example
 
 
@@ -95,9 +96,10 @@ class TestBookkeeping:
         mgr, cache = manager_with(n_examples=1)
         ex = cache.get("ex-0")
         mgr.record_use(ex, response_quality=0.3, model_cost=1.0, offloaded=True)
-        assert ex.gain_ema.value == pytest.approx(0.7)
-        assert ex.offload_gain.value == pytest.approx(1.0)
-        assert ex.feedback_quality.value == pytest.approx(0.3)
+        assert cache.table.col("gain_ema__value")[0] == pytest.approx(0.7)
+        assert cache.table.col("offload_gain__value")[0] == pytest.approx(1.0)
+        assert cache.table.col("feedback_quality__value")[0] == \
+            pytest.approx(0.3)
 
     def test_hourly_decay(self):
         clock = SimClock()
@@ -108,12 +110,12 @@ class TestBookkeeping:
         )
         ex = cache.get("ex-0")
         mgr.record_use(ex, 0.0, 1.0, offloaded=True)
-        assert ex.offload_gain.value == pytest.approx(1.0)
+        assert streams(ex)["offload_gain"].value == pytest.approx(1.0)
         clock.advance(2 * 3600.0)
         mgr.record_use(cache.get("ex-0"), 0.0, 1.0, offloaded=False)
         # Two decay periods passed: 1.0 -> 0.25, then the new observation
         # mixes in via the EMA.
-        assert ex.offload_gain.value < 0.5
+        assert streams(ex)["offload_gain"].value < 0.5
 
 
 class TestEviction:
@@ -171,30 +173,24 @@ class TestReplayEngine:
     def test_candidates_ranked_by_gain(self):
         teacher = get_model("gemma-2-27b")
         engine = ReplayEngine(teacher, ManagerConfig(sanitize=False))
-        low = make_example(example_id="low", direction=1)
-        high = make_example(example_id="high", direction=2)
-        low.gain_ema.update(0.1)
-        high.gain_ema.update(0.9)
-        ranked = engine.candidates([low, high])
+        cache = _pool(low=0.1, high=0.9)
+        ranked = engine.candidates(cache.table)
         assert [e.example_id for e in ranked] == ["high", "low"]
 
     def test_candidates_exclude_capped_and_unused(self):
         teacher = get_model("gemma-2-27b")
         engine = ReplayEngine(teacher, ManagerConfig(sanitize=False,
                                                      replay_max_iterations=2))
-        capped = make_example(example_id="capped", direction=1)
-        capped.gain_ema.update(0.9)
-        capped.replay_count = 2
-        unused = make_example(example_id="unused", direction=2)
-        assert engine.candidates([capped, unused]) == []
+        cache = _pool(capped=0.9, unused=None)
+        cache.get("capped").replay_count = 2
+        assert engine.candidates(cache.table) == []
 
     def test_run_respects_cost_cutoff(self):
         teacher = get_model("gemma-2-27b")
         config = ManagerConfig(sanitize=False, replay_cost_per_example=0.5)
         engine = ReplayEngine(teacher, config)
-        cheap_gain = make_example(example_id="cheap", direction=1)
-        cheap_gain.gain_ema.update(0.001)   # expected saving ~0.02 < 0.5
-        outcome = engine.run([cheap_gain], expected_reuse=20.0)
+        cache = _pool(cheap=0.001)          # expected saving ~0.02 < 0.5
+        outcome = engine.run(cache.table, expected_reuse=20.0)
         assert outcome.replayed == 0
         assert outcome.skipped_budget == 1
 
@@ -205,24 +201,33 @@ class TestReplayEngine:
         # False against the cost, so the cut-off replayed everything.
         engine = ReplayEngine(get_model("gemma-2-27b"),
                               ManagerConfig(sanitize=False))
-        example = make_example(example_id="zero-gain", direction=1)
-        example.gain_ema.update(0.0)
+        cache = _pool(**{"zero-gain": 0.0})
         with pytest.raises(ValueError, match="expected_reuse"):
-            engine.run([example], expected_reuse=reuse)
-        assert example.replay_count == 0
+            engine.run(cache.table, expected_reuse=reuse)
+        assert cache.get("zero-gain").replay_count == 0
 
     def test_run_replays_profitable_examples(self):
         teacher = get_model("gemma-2-27b")
         engine = ReplayEngine(teacher, ManagerConfig(sanitize=False))
-        examples = []
-        for i in range(4):
-            ex = make_example(example_id=f"ex-{i}", direction=i, quality=0.3)
-            ex.gain_ema.update(0.8)
-            examples.append(ex)
-        outcome = engine.run(examples, expected_reuse=50.0)
+        cache = _pool(**{f"ex-{i}": 0.8 for i in range(4)})
+        outcome = engine.run(cache.table, expected_reuse=50.0)
         assert outcome.replayed == 4
+        assert list(cache.table.col("gain_ema__value")) == [0.0] * 4
 
     def test_manager_run_replay_requires_engine(self):
         mgr, _ = manager_with()
         with pytest.raises(RuntimeError):
             mgr.run_replay()
+
+
+def _pool(**gains):
+    """A cache of quality-0.3 examples, in the order given, each used once
+    with the given G(e) (``None``: never used)."""
+    cache = ExampleCache(dim=64)
+    for i, (example_id, gain) in enumerate(gains.items()):
+        example = make_example(example_id=example_id, direction=i + 1,
+                               quality=0.3)
+        cache.add(example)
+        if gain is not None:
+            example.record_use(gain, 0.5, 0.0)
+    return cache

@@ -30,7 +30,7 @@ class TestProxyFeatures:
 
     def test_feedback_quality_used_once_initialized(self):
         ex = make_example()
-        ex.feedback_quality.update(0.9)
+        ex.record_use(gain=0.0, quality=0.9, offload=0.0)
         x = proxy_features(ex.embedding, ex)
         assert x[2] == pytest.approx(0.9)
 

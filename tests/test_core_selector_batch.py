@@ -61,7 +61,7 @@ def _twins(seed: int, n: int, duplicates: int, layout: str,
             examples.append(example)
         train = np.random.default_rng(seed + 1)
         for example in examples[::4]:
-            example.feedback_quality.update(float(train.random()))
+            example.record_use(0.0, float(train.random()), 0.0)
             example.replay_count = int(train.integers(0, 9))
         proxy = HelpfulnessProxy()
         for _ in range(30):

@@ -53,31 +53,12 @@ from repro.persistence.snapshot import (
 )
 from repro.utils.clock import SimClock
 from repro.utils.tokens import count_tokens
+from tests.ema_reference import RefEMA, streams
 from tests.knapsack_reference import KnapsackItem, solve_knapsack
 from tests.strategies import DETERMINISM, QUICK
 from tests.test_core_cache import make_example
 
 POOL = [f"ex-{i}" for i in range(6)]
-
-
-class RefEMA:
-    """The pre-refactor ``repro.analysis.stats.EMA`` semantics, verbatim."""
-
-    def __init__(self, alpha: float) -> None:
-        self.alpha = alpha
-        self.raw: float | None = None
-        self.count = 0
-
-    def update(self, x: float) -> None:
-        if self.raw is None:
-            self.raw = float(x)
-        else:
-            self.raw = self.alpha * float(x) + (1.0 - self.alpha) * self.raw
-        self.count += 1
-
-    def decay(self, factor: float, periods: int) -> None:
-        if self.raw is not None and periods > 0:
-            self.raw *= factor ** periods
 
 
 class RefExample:
@@ -186,12 +167,10 @@ def _apply(cache, manager, clock, reference, op, example_id, arg) -> None:
             ref.replay_count += 1
 
 
-def _assert_ema_matches(view, ref: RefEMA, label: str) -> None:
-    assert view.alpha == ref.alpha, label
-    assert view.count == ref.count, label
-    assert view.initialized == (ref.raw is not None), label
-    assert view._value == ref.raw, label
-    assert view.value == (0.0 if ref.raw is None else ref.raw), label
+def _assert_ema_matches(got: RefEMA, ref: RefEMA, label: str) -> None:
+    assert got.alpha == ref.alpha, label
+    assert got.count == ref.count, label
+    assert got.raw == ref.raw, label
 
 
 def _assert_state_matches(cache, reference) -> None:
@@ -217,12 +196,10 @@ def _assert_state_matches(cache, reference) -> None:
             example_id
         assert table.col(EMBEDDING_ROW_NORM)[row] == float(
             np.linalg.norm(ref.embedding[None, :], axis=1)[0]), example_id
-        _assert_ema_matches(example.gain_ema, ref.gain_ema,
-                            f"{example_id}.gain_ema")
-        _assert_ema_matches(example.offload_gain, ref.offload_gain,
-                            f"{example_id}.offload_gain")
-        _assert_ema_matches(example.feedback_quality, ref.feedback_quality,
-                            f"{example_id}.feedback_quality")
+        got = streams(example)
+        for stream in EMA_STREAMS:
+            _assert_ema_matches(got[stream], getattr(ref, stream),
+                                f"{example_id}.{stream}")
 
 
 @settings(**QUICK)
@@ -446,11 +423,6 @@ def _fingerprint(example) -> tuple:
     """Every table-backed field of an example, floats by their bits."""
     d = example.__dict__
     table, row = d["_table"], d["_row"]
-    streams = tuple(
-        (np.float64(stream.alpha).tobytes(), stream.count,
-         stream.initialized, stream._value,
-         np.float64(stream.value).tobytes())
-        for stream in (getattr(example, name) for name in EMA_STREAMS))
     return (example.example_id, example.request.text, example.response_text,
             example.source_model, np.float64(example.quality).tobytes(),
             np.float64(example.source_cost).tobytes(),
@@ -459,7 +431,8 @@ def _fingerprint(example) -> tuple:
             example.plaintext_bytes,
             np.float64(example.embedding_norm).tobytes(),
             np.float64(table.col(EMBEDDING_ROW_NORM)[row]).tobytes(),
-            example.embedding.tobytes(), example.journal_row(), streams)
+            example.embedding.tobytes(),
+            tuple(np.float64(x).tobytes() for x in example.journal_row()))
 
 
 def _assert_one_record(cache, order: list[str]) -> None:

@@ -128,6 +128,20 @@ class TestRestore:
         assert f"replayed 0 WAL records from {stale_wal}" in out
         assert "restored:" in out
 
+    def test_restore_directory_refuses_wal(self, tmp_path, capsys):
+        """A checkpoint directory replays its own journal: ``--wal`` beside
+        it is a usage error, not silently ignored."""
+        service = ICCacheService(ICCacheConfig(
+            seed=0, manager=ManagerConfig(sanitize=False)))
+        Checkpointer(service, tmp_path / "ckpt").checkpoint()
+        missing = tmp_path / "missing.bin"
+        assert main(["restore", str(tmp_path / "ckpt"),
+                     "--wal", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert "restored:" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --wal")
+
     def test_restore_checkpoint_directory(self, tmp_path, capsys):
         service = ICCacheService(ICCacheConfig(
             seed=0, manager=ManagerConfig(sanitize=False)))

@@ -24,6 +24,7 @@ from repro.persistence.snapshot import (
     _encode,
     load_snapshot,
 )
+from repro.persistence.wal import Checkpointer
 from repro.vectorstore.flat import FlatIndex
 from repro.vectorstore.ivf import IVFIndex
 from repro.vectorstore.sharded import ShardedIndex
@@ -277,6 +278,21 @@ class TestServiceSnapshot:
                 seed=11, cache_shards=1, manager=ManagerConfig(sanitize=False)
             ))
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_config_override_must_match_embedding_dim(self, shards, tmp_path):
+        """A 64-dim snapshot under a 32-dim config is refused by name, by
+        both restore paths, instead of failing inside the first serve."""
+        service, _ = _build_service(shards=shards, bank=40)
+        Checkpointer(service, tmp_path / "ckpt").checkpoint()
+        narrow = ICCacheConfig(seed=11, cache_shards=shards, embedding_dim=32,
+                               manager=ManagerConfig(sanitize=False))
+        refusal = "snapshot index dim 64 != configured embedding_dim 32"
+        with pytest.raises(ValueError, match=refusal):
+            ICCacheService.restore(service.save(tmp_path / "s.json"),
+                                   config=narrow)
+        with pytest.raises(ValueError, match=refusal):
+            Checkpointer.recover(tmp_path / "ckpt", config=narrow)
+
     def test_version_gate(self, tmp_path):
         service, _ = _build_service(bank=40)
         path = service.save(tmp_path / "s.json")
@@ -323,8 +339,7 @@ class TestServiceSnapshot:
             assert copy.quality == original.quality
             assert copy.tokens == original.tokens
             assert copy.plaintext_bytes == original.plaintext_bytes
-            assert copy.gain_ema._value == original.gain_ema._value
-            assert copy.offload_gain.count == original.offload_gain.count
+            assert copy.journal_row() == original.journal_row()
             assert copy.request.metadata == original.request.metadata
         assert restored.cache.total_bytes == service.cache.total_bytes \
             == sum(example.plaintext_bytes for example in restored.cache)

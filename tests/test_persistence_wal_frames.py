@@ -31,7 +31,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import EMA
 from repro.core.cache import ExampleCache, ShardedExampleCache
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.example import Example
@@ -54,6 +53,7 @@ from repro.persistence.wal import (
 )
 from repro.workload.datasets import SyntheticDataset
 from repro.workload.request import Request, TaskType
+from tests.ema_reference import RefEMA, write_streams
 from tests.strategies import DETERMINISM
 from tests.wal_reference import ReferenceWriteAheadLog, example_record
 
@@ -150,11 +150,9 @@ metadatas = st.just({}) | st.fixed_dictionaries({
 
 
 @st.composite
-def emas(draw) -> EMA:
-    ema = EMA(alpha=draw(st.floats(min_value=1e-9, max_value=1.0)))
-    ema._value = draw(st.none() | any_float)
-    ema.count = draw(counts)
-    return ema
+def emas(draw) -> RefEMA:
+    return RefEMA(alpha=draw(st.floats(min_value=1e-9, max_value=1.0)),
+                  raw=draw(st.none() | any_float), count=draw(counts))
 
 
 @st.composite
@@ -178,8 +176,7 @@ def examples(draw, example_id: str) -> Example:
         source_model=draw(texts), source_cost=draw(any_float),
         created_at=draw(any_float), access_count=draw(i64),
         replay_count=draw(i64))
-    for stream in EMA_STREAMS:                    # through the setters
-        setattr(example, stream, draw(emas()))
+    write_streams(example, {stream: draw(emas()) for stream in EMA_STREAMS})
     return example
 
 
@@ -199,7 +196,7 @@ def test_every_kind_decodes_to_what_the_reference_decodes(
     cache.overwrite(data.draw(examples(ids[0])))                 # overwrite
     rewritten = cache.get(ids[1])
     rewritten.response_text = data.draw(texts)
-    rewritten.gain_ema = data.draw(emas())
+    write_streams(rewritten, {"gain_ema": data.draw(emas())})
     both("replay_rewrite", {
         "example": rewritten,
         "teacher_decode_counts": data.draw(st.dictionaries(
@@ -225,10 +222,9 @@ def test_the_named_edges_round_trip(tmp_path):
     both = _Both(tmp_path)
     cache = ExampleCache(dim=DIM)
     cache.journal = both
-    nan = EMA(alpha=0.25)
-    nan._value, nan.count = float("nan"), 3
-    negative_zero = EMA(alpha=1.0)
-    negative_zero._value, negative_zero.count = -0.0, 1
+    states = {"gain_ema": RefEMA(alpha=0.2),
+              "offload_gain": RefEMA(alpha=0.25, raw=float("nan"), count=3),
+              "feedback_quality": RefEMA(alpha=1.0, raw=-0.0, count=1)}
     for example_id, metadata in (("plain", {}), ("tagged", {
             "tenant": "ünï", "weights": np.arange(3, dtype=np.int32)})):
         example = Example(
@@ -242,9 +238,7 @@ def test_the_named_edges_round_trip(tmp_path):
                 metadata=metadata),
             response_text="答え\n\n", embedding=np.arange(1.0, DIM + 1),
             quality=1.0, source_model="模型", source_cost=-0.0)
-        example.gain_ema = EMA(alpha=0.2)
-        example.offload_gain = nan
-        example.feedback_quality = negative_zero
+        write_streams(example, states)
         cache.add(example)
     both("replay_rewrite", {"example": cache.get("tagged"),
                             "teacher_decode_counts": {}})

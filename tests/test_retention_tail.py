@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +42,7 @@ from repro.persistence.snapshot import _encode
 from repro.persistence.wal import Checkpointer, WriteAheadLog
 from repro.utils.clock import SimClock
 from repro.workload.datasets import SyntheticDataset
+from tests import replay_reference
 from tests.knapsack_reference import KnapsackItem, solve_knapsack
 from tests.strategies import DETERMINISM, QUICK
 from tests.test_core_table_properties import (
@@ -262,7 +262,7 @@ def test_eviction_over_scrambled_rows_matches_the_reference(
     # Columnar replay ranking: same examples, same order, ties included.
     engine = ReplayEngine(get_model("gemma-2-27b"), manager.config)
     from_columns = engine.candidates(cache.table)
-    per_object = engine.candidates(cache.examples())
+    per_object = replay_reference.candidates(engine, cache.examples())
     assert len(from_columns) == len(per_object)
     assert all(a is b for a, b in zip(from_columns, per_object))
 

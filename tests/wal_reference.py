@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.example import Example
-from repro.persistence.snapshot import _decode, _encode, ema_record
+from repro.persistence.snapshot import _decode, _encode
 from repro.workload.request import Request
+from tests.ema_reference import streams
 
 
 def request_record(request: Request) -> dict:
@@ -53,9 +54,7 @@ def example_record(example: Example) -> dict:
         "created_at": example.created_at,
         "access_count": example.access_count,
         "replay_count": example.replay_count,
-        "gain_ema": ema_record(example.gain_ema),
-        "offload_gain": ema_record(example.offload_gain),
-        "feedback_quality": ema_record(example.feedback_quality),
+        **{stream: ema.record() for stream, ema in streams(example).items()},
     }
 
 
@@ -109,9 +108,8 @@ class ReferenceWriteAheadLog:
                     "quality": example.quality,
                     "access_count": example.access_count,
                     "replay_count": example.replay_count,
-                    "gain_ema": ema_record(example.gain_ema),
-                    "offload_gain": ema_record(example.offload_gain),
-                    "feedback_quality": ema_record(example.feedback_quality),
+                    **{stream: ema.record()
+                       for stream, ema in streams(example).items()},
                 },
                 "teacher_decode_counts": dict(payload["teacher_decode_counts"]),
             }
