@@ -59,6 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.utils import rng as rng_module
 from repro.vectorstore.flat import FlatIndex
 from repro.vectorstore.ivf import IVFIndex, optimal_cluster_count
 from repro.vectorstore.kmeans import KMeans
@@ -470,6 +471,16 @@ def _issued_by(package: str, frame, event: str) -> bool:
     return frame is not None and frame.f_code.co_filename.startswith(package)
 
 
+#: The two places a generator is built: per call, and from a seeding pass.
+_MINTING = (rng_module.make_rng.__code__, rng_module.rng_from_words.__code__)
+
+
+def _seeding_pass(frame, event: str, arg) -> bool:
+    """Whether a profile event ends a non-empty ``seed_words`` pass."""
+    return event == "return" and frame.f_code is rng_module.seed_words.__code__ \
+        and arg is not None and len(arg) > 0
+
+
 def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
                 counted: int = 400) -> dict:
     """Work one ``ICCacheService.serve`` issues, as exact counts.
@@ -481,7 +492,8 @@ def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
     ``c_call`` event whose own frame, is code under ``src/repro/`` — calls
     the package issues, whatever the callee then does inside numpy or the
     standard library.  Three of those calls are also counted by name:
-    generators minted (``make_rng``, which ``spawn_rng`` mints through: the
+    generators minted (``make_rng``, which ``spawn_rng`` mints through, and
+    ``rng_from_words``, which a batch's seeding pass mints through: the
     simulator's fixed per-request cost), ``solve`` calls issued by the
     helpfulness proxy, and ``HelpfulnessProxy.score_batch`` calls (stage 2:
     one per decision batch, and a ``serve`` is a batch of one).
@@ -489,7 +501,6 @@ def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
     fit is thousands of calls that belong to no request.
     """
     from repro.core import proxy as proxy_module
-    from repro.utils import rng as rng_module
 
     service, stream = _seeded_service(bank_size, warmup + counted)
     for request in stream[:warmup]:
@@ -497,7 +508,6 @@ def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
 
     package = _package_root()
     proxy_file = proxy_module.__file__
-    minting = (rng_module.make_rng.__code__,)
     scoring = proxy_module.HelpfulnessProxy.score_batch.__code__
     counts = {"calls": 0, "minted": 0, "solves": 0, "scored": 0}
 
@@ -507,7 +517,7 @@ def bench_floor(bank_size: int = FLOOR_BANK, warmup: int = 208,
         counts["calls"] += 1
         if event == "call":
             code = frame.f_code
-            if code in minting:
+            if code in _MINTING:
                 counts["minted"] += 1
             elif code is scoring:
                 counts["scored"] += 1
@@ -552,7 +562,10 @@ def bench_batch(bank_size: int = FLOOR_BANK, warmup: int = 208,
     ``rescored_probes_per_request`` is the ``search(q, 1)`` calls that reach
     the finish, i.e. found no standing receipt and scored their blocks again
     (1.0 when the batched kernel filed none).  No index retrain may land in
-    the counted window (asserted).
+    the counted window (asserted).  ``generators_minted_per_request``
+    counts :func:`bench_floor`'s two mint sites, and
+    ``seeding_passes_per_request`` the non-empty ``seed_words`` passes the
+    batches run to seed those generators ahead of their draws.
     """
     from repro.core.proxy import HelpfulnessProxy
     from repro.vectorstore.flat import finish
@@ -566,7 +579,8 @@ def bench_batch(bank_size: int = FLOOR_BANK, warmup: int = 208,
     finish_code = finish.__code__
     search_code = IVFIndex.search.__code__
     scoring = HelpfulnessProxy.score_batch.__code__
-    counts = {"calls": 0, "results": 0, "rescored": 0, "scored": 0}
+    counts = {"calls": 0, "results": 0, "rescored": 0, "scored": 0,
+              "minted": 0, "passes": 0}
 
     def hook(frame, event, arg):
         if _issued_by(package, frame, event):
@@ -577,9 +591,13 @@ def bench_batch(bank_size: int = FLOOR_BANK, warmup: int = 208,
                 counts["rescored"] += 1
             elif event == "call" and frame.f_code is scoring:
                 counts["scored"] += 1
+            elif event == "call" and frame.f_code in _MINTING:
+                counts["minted"] += 1
         elif event == "return" and frame.f_code is finish_code \
                 and arg is not None:
             counts["results"] += len(arg)
+        elif _seeding_pass(frame, event, arg):
+            counts["passes"] += 1
 
     index = service.cache._index
     trainings = index.trainings
@@ -600,6 +618,8 @@ def bench_batch(bank_size: int = FLOOR_BANK, warmup: int = 208,
         "results_materialised_per_request": counts["results"] / counted,
         "rescored_probes_per_request": counts["rescored"] / counted,
         "score_batch_calls_per_request": counts["scored"] / counted,
+        "generators_minted_per_request": counts["minted"] / counted,
+        "seeding_passes_per_request": counts["passes"] / counted,
     }
 
 
@@ -726,10 +746,12 @@ def bench_replay(bank_size: int = JOURNAL_BANK, served: int = 350) -> dict:
     :func:`_churn_service`, ``served`` requests (``lifecycle_churn``'s
     warm-up plus one ``tick_every``), 30 minutes on the clock, then one
     ``run_maintenance(replay=True)`` under a ``sys.setprofile`` hook that
-    counts ``make_rng`` calls, calls of ``SimulatedLLM._draw`` — the draw
-    every generation and every replay sample takes, and in a maintenance
-    tick there are only replay samples — and, by :func:`bench_floor`'s
-    definition, every call issued from ``src/repro/`` (the whole tick's,
+    counts generators minted (:func:`bench_floor`'s two sites), the
+    non-empty ``seed_words`` passes of the tick (the teacher seeds every
+    sample of the replayed prefix ahead), calls of ``SimulatedLLM._draw`` —
+    the draw every generation and every replay sample takes, and in a
+    maintenance tick there are only replay samples — and, by
+    :func:`bench_floor`'s definition, every call issued from ``src/repro/`` (the whole tick's,
     decay and the eviction check included).  A sample needs one generator,
     its decode stream; the per-(model, request) word that stream is derived
     from costs a second only when the teacher has not decoded that request
@@ -737,23 +759,23 @@ def bench_replay(bank_size: int = JOURNAL_BANK, served: int = 350) -> dict:
     sample).
     """
     from repro.llm.model import SimulatedLLM
-    from repro.utils import rng as rng_module
 
     service, stream = _churn_service(bank_size, served)
     for request in stream:
         service.serve(request)
     service.clock.advance(1800.0)
     package = _package_root()
-    make_rng_code = rng_module.make_rng.__code__
     draw_code = SimulatedLLM._draw.__code__
-    counts = {"calls": 0, "minted": 0, "samples": 0}
+    counts = {"calls": 0, "minted": 0, "samples": 0, "passes": 0}
 
     def hook(frame, event, arg):
+        if _seeding_pass(frame, event, arg):
+            counts["passes"] += 1
         if not _issued_by(package, frame, event):
             return
         counts["calls"] += 1
         if event == "call":
-            if frame.f_code is make_rng_code:
+            if frame.f_code in _MINTING:
                 counts["minted"] += 1
             elif frame.f_code is draw_code:
                 counts["samples"] += 1
@@ -771,6 +793,7 @@ def bench_replay(bank_size: int = JOURNAL_BANK, served: int = 350) -> dict:
         "generators_minted_per_replay_sample":
             counts["minted"] / counts["samples"],
         "calls_per_replay_sample": counts["calls"] / counts["samples"],
+        "seeding_passes_per_tick": counts["passes"],
     }
 
 
@@ -987,11 +1010,12 @@ GATED_COUNTERS = {
     "floor": ("calls_per_request", "generators_minted_per_request",
               "proxy_solves_per_request", "score_batch_calls_per_request"),
     "batch": ("calls_per_request", "results_materialised_per_request",
-              "rescored_probes_per_request", "score_batch_calls_per_request"),
+              "rescored_probes_per_request", "score_batch_calls_per_request",
+              "generators_minted_per_request", "seeding_passes_per_request"),
     "journal": ("journal_calls_per_request", "journal_writes_per_request",
                 "wal_frames_per_request", "wal_bytes_per_request"),
     "replay": ("generators_minted_per_replay_sample",
-               "calls_per_replay_sample"),
+               "calls_per_replay_sample", "seeding_passes_per_tick"),
     "gateway": ("loop_iterations_per_request", "futures_per_request",
                 "timer_handles_per_request", "socket_sends_per_request",
                 "gateway_calls_per_request"),
@@ -1100,7 +1124,9 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['results_materialised_per_request']:.2f} search results "
               f"materialised, {row['rescored_probes_per_request']:.4f} dedupe "
               f"probes rescored, {row['score_batch_calls_per_request']:g} "
-              f"stage-2 scorings (over {row['requests']} requests)")
+              f"stage-2 scorings, {row['generators_minted_per_request']:.4f} "
+              f"generators minted, {row['seeding_passes_per_request']:.4f} "
+              f"seeding passes (over {row['requests']} requests)")
     for n, row in results["journal"].items():
         print(f"journal N={n:>6}: {row['journal_calls_per_request']:.2f} "
               f"calls from src/repro inside WriteAheadLog.record / flush per "
@@ -1115,7 +1141,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['generators_minted_per_replay_sample']:.4f} generators "
               f"minted, {row['calls_per_replay_sample']:.2f} calls from "
               f"src/repro per replay sample ({row['samples']} samples, "
-              f"{row['replayed']} examples replayed in one tick)")
+              f"{row['replayed']} examples replayed in one tick, "
+              f"{row['seeding_passes_per_tick']} seeding passes)")
     for n, row in results["gateway"].items():
         print(f"gateway N={n:>6}: {row['loop_iterations_per_request']:g} loop "
               f"iterations, {row['futures_per_request']:g} futures, "

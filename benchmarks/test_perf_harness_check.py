@@ -3,7 +3,7 @@
 ``run_baseline_gate`` is driven with hand-built results/baseline dicts so
 the tests exercise the gate logic itself — the missing-baseline warning
 (which must be loud, not a silent pass), the pass path, each of the
-twenty-two exact work counters failing in both directions, and sections one
+twenty-five exact work counters failing in both directions, and sections one
 side did not run being skipped — in milliseconds.  One more guard: the harness must
 import with numpy and ``repro`` alone, because that is all CI's perf jobs
 install.
@@ -26,10 +26,11 @@ def _results(iterations: int = 9, distance_columns: int = 305,
              solves: float = 0.8075, scored: float = 1.0,
              batch_calls: float = 461.5, batch_scored: float = 0.0625,
              materialised: float = 20.06, rescored: float = 0.06,
+             batch_minted: float = 5.165, batch_passes: float = 0.26,
              journal_calls: float = 53.975, writes: float = 1.0,
              frames: float = 2.83, wal_bytes: float = 1807.15,
              replay_minted: float = 2840 / 2550,
-             replay_calls: float = 93008 / 2550,
+             replay_calls: float = 93008 / 2550, replay_passes: int = 2,
              iterations_per_request: float = 3.0, futures: float = 1.0,
              timers: float = 0.0, sends: float = 2.0,
              gateway_calls: float = 172.0) -> dict:
@@ -49,7 +50,9 @@ def _results(iterations: int = 9, distance_columns: int = 305,
                            "calls_per_request": batch_calls,
                            "results_materialised_per_request": materialised,
                            "rescored_probes_per_request": rescored,
-                           "score_batch_calls_per_request": batch_scored}},
+                           "score_batch_calls_per_request": batch_scored,
+                           "generators_minted_per_request": batch_minted,
+                           "seeding_passes_per_request": batch_passes}},
         "journal": {"1500": {"requests": 400,
                              "journal_calls_per_request": journal_calls,
                              "journal_writes_per_request": writes,
@@ -58,7 +61,8 @@ def _results(iterations: int = 9, distance_columns: int = 305,
         "replay": {"1500": {"samples": 2550,
                             "generators_minted_per_replay_sample":
                                 replay_minted,
-                            "calls_per_replay_sample": replay_calls}},
+                            "calls_per_replay_sample": replay_calls,
+                            "seeding_passes_per_tick": replay_passes}},
         "gateway": {"1000": {"requests": 400,
                              "loop_iterations_per_request":
                                  iterations_per_request,
@@ -172,7 +176,8 @@ class TestPresentBaseline:
         """The moved values are the per-candidate tail's (40 results per
         stage-1 query, plus one per probe), a batched kernel that files
         no receipt (every probe rescored) and stage 2 scored per request
-        (one ``score_batch`` each), and a step the other way."""
+        (one ``score_batch`` each), a batch that mints a generator more or
+        seeds per call (no pass), and a step the other way."""
         baseline = _baseline(tmp_path)
         for argument, key, moves in (
                 ("batch_calls", "calls_per_request", (461.4975, 461.5025)),
@@ -180,7 +185,10 @@ class TestPresentBaseline:
                  (20.0575, 41.0)),
                 ("rescored", "rescored_probes_per_request", (0.0575, 1.0)),
                 ("batch_scored", "score_batch_calls_per_request",
-                 (0.06, 1.0))):
+                 (0.06, 1.0)),
+                ("batch_minted", "generators_minted_per_request",
+                 (5.1625, 5.1675)),
+                ("batch_passes", "seeding_passes_per_request", (0.0, 0.2625))):
             for moved in moves:
                 code = perf_harness.run_baseline_gate(
                     _results(**{argument: moved}), baseline)
@@ -214,13 +222,15 @@ class TestPresentBaseline:
         """2.0 generators is a draw that re-derives the per-(model, request)
         word on every sample; 1.0 would be a memo that no longer misses
         where it must (a teacher's first decode of a request).  47.11 calls
-        is a sample that builds and renders a whole ``generate`` result."""
+        is a sample that builds and renders a whole ``generate`` result.  No
+        seeding pass is a tick that mints every sample per call."""
         baseline = _baseline(tmp_path)
         for argument, key, moves in (
                 ("replay_minted", "generators_minted_per_replay_sample",
                  (1.0, 2.0)),
                 ("replay_calls", "calls_per_replay_sample",
-                 (93007 / 2550, 120128 / 2550))):
+                 (93007 / 2550, 120128 / 2550)),
+                ("replay_passes", "seeding_passes_per_tick", (0, 3))):
             for moved in moves:
                 code = perf_harness.run_baseline_gate(
                     _results(**{argument: moved}), baseline)

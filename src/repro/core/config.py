@@ -29,6 +29,8 @@ class SelectorConfig:
             raise ValueError("pre_k must be >= 1 and max_examples >= 0")
         if self.max_examples > self.pre_k:
             raise ValueError("max_examples cannot exceed pre_k")
+        if not self.adapt_every >= 1:
+            raise ValueError(f"adapt_every must be >= 1, got {self.adapt_every}")
 
 
 @dataclass
@@ -47,8 +49,13 @@ class RouterConfig:
     exploration_floor: float = 0.02  # min probability of exploring an arm
 
     def __post_init__(self) -> None:
-        if self.ridge <= 0 or self.noise_var <= 0:
-            raise ValueError("ridge and noise_var must be positive")
+        for name in ("ridge", "noise_var", "uncertainty_temp"):
+            if not 0.0 < getattr(self, name) < math.inf:   # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        if not 0.0 <= self.exploration_floor <= 1.0:
+            raise ValueError("exploration_floor must be in [0, 1], "
+                             f"got {self.exploration_floor}")
         if not 0.0 < self.load_ema_alpha <= 1.0:
             raise ValueError("load_ema_alpha must be in (0, 1]")
 
@@ -123,3 +130,8 @@ class ICCacheConfig:
             raise ValueError("embedding_dim must be >= 8")
         if self.cache_shards < 1:
             raise ValueError("cache_shards must be >= 1")
+        if not self.seed >= 0:      # make_rng's contract (repro.utils.rng)
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.embedder_noise < math.inf:
+            raise ValueError("embedder_noise must be finite and >= 0, "
+                             f"got {self.embedder_noise}")

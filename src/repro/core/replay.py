@@ -23,6 +23,7 @@ from repro.core.config import ManagerConfig
 from repro.core.example import Example
 from repro.core.table import INSERTION_RANK, ExampleTable
 from repro.llm.model import SimulatedLLM
+from repro.utils.rng import SEED_AHEAD_FROM
 
 
 def replay_gain(response_quality: float, model_cost: float) -> float:
@@ -115,6 +116,8 @@ class ReplayEngine:
                 f"expected_reuse must be positive and finite: {expected_reuse}")
         improved = skipped = 0
         total_gain = 0.0
+        # The cut-off reads gains only a replayed example's own reset
+        # changes: the replayed prefix is known before its first sample.
         replayed: list[Example] = []
         for example in self.candidates(table):
             expected_saving = float(table.col("gain_ema__value")[
@@ -122,8 +125,12 @@ class ReplayEngine:
             if expected_saving <= self.config.replay_cost_per_example:
                 skipped += 1
                 break  # ranked descending: everything after is unprofitable
-            gain = self.replay_one(example)
             replayed.append(example)
+        if replayed[SEED_AHEAD_FROM - 1:]:
+            self.teacher.prime([example.request for example in replayed],
+                               draws=self.config.replay_samples)
+        for example in replayed:
+            gain = self.replay_one(example)
             if gain > 0:
                 improved += 1
                 total_gain += gain

@@ -38,7 +38,7 @@ from repro.llm.zoo import get_model
 from repro.pipeline.stats import ServiceStats
 from repro.serving.records import ServedRequest
 from repro.utils.clock import SimClock
-from repro.utils.rng import make_rng, stable_hash
+from repro.utils.rng import SEED_AHEAD_FROM, make_rng, stable_hash
 from repro.workload.feedback import FeedbackSimulator
 from repro.workload.request import Request
 
@@ -197,6 +197,9 @@ class ICCacheService:
         """
         source_name = source_model or self.large_name
         model = self.models[source_name]
+        if requests[SEED_AHEAD_FROM - 1:]:     # as decide_batch does
+            self.embedder.prime([r.text for r in requests])
+            model.prime(requests, draws=1)
         admitted = 0
         for request in requests:
             embedding = self.embedder.embed(request.text, request.latent)

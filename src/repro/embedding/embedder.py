@@ -11,7 +11,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.embedding.similarity import vector_norm
-from repro.utils.rng import make_rng, stable_hash
+from repro.utils.rng import make_rng, rng_from_words, seed_words, stable_hash
 
 _EPS = 1e-12
 
@@ -59,6 +59,8 @@ class LatentEmbedder:
         # it once here instead of per embed() call avoids regenerating its
         # (buckets, dim) projection matrix on every free-text request.
         self._fallback = HashingEmbedder(dim=dim)
+        # text -> noise seed words of the last :meth:`prime`, each taken once.
+        self._held: dict[str, np.ndarray] = {}
 
     def embed(self, text: str, latent: np.ndarray | None = None) -> np.ndarray:
         if latent is None:
@@ -69,9 +71,17 @@ class LatentEmbedder:
         if vec.shape != (self.dim,):
             raise ValueError(f"latent dim {vec.shape} != embedder dim ({self.dim},)")
         if self.noise_scale > 0:
-            noise_rng = make_rng(stable_hash("latent-noise", text))
+            words = self._held.pop(text, None) if self._held else None
+            noise_rng = rng_from_words(words) if words is not None else \
+                make_rng(stable_hash("latent-noise", text))
             vec = vec + noise_rng.normal(0.0, self.noise_scale, size=self.dim)
         return _unit(vec)
+
+    def prime(self, texts: list[str]) -> None:
+        """Seed the noise streams of ``texts`` in one pass, for embed."""
+        if self.noise_scale > 0:
+            self._held = dict(zip(texts, seed_words(
+                stable_hash("latent-noise", text) for text in texts)))
 
 
 class HashingEmbedder:

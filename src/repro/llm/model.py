@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.llm.icl import ExampleView, ICLBoostModel
 from repro.llm.quality import APTITUDE_STD, QualityModel, clip_unit
-from repro.utils.rng import make_rng, stable_hash
+from repro.utils.rng import make_rng, rng_from_words, seed_words, stable_hash
 from repro.workload.request import Request
 
 
@@ -113,6 +113,9 @@ class SimulatedLLM:
         # Likewise the word every decode stream of a request derives from
         # (replay asks once per sample).  Same bound; not snapshot state.
         self._decode_seed_memo: dict[str, int] = {}
+        # The last :meth:`prime`'s words, by (request id, decode position) or
+        # ("aptitude", request id), each taken once; not snapshot state.
+        self._held: dict[tuple, object] = {}
 
     @property
     def name(self) -> str:
@@ -142,15 +145,40 @@ class SimulatedLLM:
         base = self.quality_model.base_quality(
             self.spec.capability, request.difficulty
         )
-        aptitude_rng = make_rng(
-            stable_hash("aptitude", self.spec.name, request.request_id)
-        )
+        words = self._held.pop(("aptitude", request.request_id), None) \
+            if self._held else None
+        aptitude_rng = rng_from_words(words) if words is not None else \
+            make_rng(stable_hash("aptitude", self.spec.name, request.request_id))
         base += float(aptitude_rng.normal(0.0, APTITUDE_STD))
         result = clip_unit(base)
         if len(self._base_quality_memo) >= _MEMO_BOUND:
             self._base_quality_memo.clear()
         self._base_quality_memo[memo_key] = result
         return result
+
+    def prime(self, requests: list[Request], draws: int) -> None:
+        """Seed, in two passes, what the next ``draws`` decodes of each request
+        mint: missing aptitudes and words, then each decode position's."""
+        name, memo = self.spec.name, self._decode_seed_memo
+        if len(memo) >= _MEMO_BOUND:
+            memo.clear()
+        held = [("aptitude", r.request_id) for r in requests
+                if (r.request_id, r.difficulty) not in self._base_quality_memo]
+        fresh = list(dict.fromkeys(r.request_id for r in requests
+                                   if r.request_id not in memo))
+        rows = seed_words([stable_hash(key, name, rid) for key, rid in held]
+                          + [stable_hash("gen", name, rid) for rid in fresh])
+        self._held = dict(zip(held, rows))
+        for rid, row in zip(fresh, rows[len(held):]):   # _draw's word
+            memo[rid] = int(rng_from_words(row).integers(0, 2**63 - 1))
+        keys, ahead = [], {}
+        for request in requests:
+            rid = request.request_id
+            start = ahead.get(rid, self.decode_count(rid))
+            ahead[rid] = start + draws
+            keys.extend((rid, count) for count in range(start, start + draws))
+        self._held.update(zip(keys, seed_words(
+            stable_hash(memo[rid], "decode", count) for rid, count in keys)))
 
     def prompt_tokens_with_examples(self, request: Request,
                                     examples: list[ExampleView]) -> int:
@@ -164,17 +192,22 @@ class SimulatedLLM:
         decode generator, sample the quality; ``(quality, boost, rng)``."""
         count = self._decode_counts.get(request.request_id, 0)
         self._decode_counts[request.request_id] = count + 1
-        # spawn_rng(<the "gen" generator>, "decode", count), the one word
-        # it draws from its parent memoized.
-        try:
-            word = self._decode_seed_memo[request.request_id]
-        except KeyError:
-            if len(self._decode_seed_memo) >= _MEMO_BOUND:
-                self._decode_seed_memo.clear()
-            word = self._decode_seed_memo[request.request_id] = int(make_rng(
-                stable_hash("gen", self.spec.name, request.request_id)
-            ).integers(0, 2**63 - 1))
-        rng = make_rng(stable_hash(word, "decode", count))
+        words = self._held.pop((request.request_id, count), None) \
+            if self._held else None
+        if words is not None:
+            rng = rng_from_words(words)
+        else:
+            # spawn_rng(<the "gen" generator>, "decode", count), the one
+            # word it draws from its parent memoized.
+            try:
+                word = self._decode_seed_memo[request.request_id]
+            except KeyError:
+                if len(self._decode_seed_memo) >= _MEMO_BOUND:
+                    self._decode_seed_memo.clear()
+                word = self._decode_seed_memo[request.request_id] = int(make_rng(
+                    stable_hash("gen", self.spec.name, request.request_id)
+                ).integers(0, 2**63 - 1))
+            rng = make_rng(stable_hash(word, "decode", count))
         base = self.base_quality(request)
         boost = self.icl_model.boost(request.latent, examples, base)
         return self.quality_model.sample_quality(base, boost, rng), boost, rng

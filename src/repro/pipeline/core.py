@@ -39,7 +39,8 @@ from repro.pipeline.protocols import (
 from repro.pipeline.stats import ServiceStats
 from repro.serving.records import ServedRequest
 from repro.utils.clock import SimClock
-from repro.workload.request import Request
+from repro.utils.rng import SEED_AHEAD_FROM
+from repro.workload.request import Request, prime_difficulty
 
 
 class ICCachePipeline:
@@ -107,6 +108,11 @@ class ICCachePipeline:
         # Hooks are looked up on the middleware at every emission (never
         # bound ahead of time), so one patched on a live instance is honoured.
         middlewares = self.middlewares
+        # A large enough batch seeds its draws in one pass per owner.
+        if contexts[SEED_AHEAD_FROM - 1:]:
+            prime_difficulty([ctx.request for ctx in contexts])
+            getattr(self.embedder, "prime", lambda texts: None)(
+                [ctx.request.text for ctx in contexts])
         for ctx in contexts:
             ctx.embedding = self.embedder.embed(ctx.request.text,
                                                 ctx.request.latent)
@@ -152,6 +158,13 @@ class ICCachePipeline:
             # reason about the counterfactual.
             ctx.views = [s.example.view() for s in ctx.examples] \
                 if offloaded else []
+        if contexts[SEED_AHEAD_FROM - 1:]:
+            chosen: dict[str, list[Request]] = {}
+            for ctx in contexts:
+                chosen.setdefault(ctx.choice.model_name, []).append(ctx.request)
+            for name, batch in chosen.items():
+                if batch[SEED_AHEAD_FROM - 1:]:
+                    self.models[name].prime(batch, draws=1)
         return contexts
 
     # -- the completion half (generate -> learn -> admit) ------------------

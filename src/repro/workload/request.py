@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.rng import make_rng, stable_hash
+from repro.utils.rng import make_rng, rng_from_words, seed_words, stable_hash
 from repro.utils.tokens import count_tokens
 
 
@@ -60,19 +60,28 @@ class Request:
         this models that estimate as ground truth plus encoder-style noise
         that is a pure function of the request id.
         """
-        memo = self.__dict__.get("_difficulty_memo")
-        if memo is None:
-            memo = {}
-            self.__dict__["_difficulty_memo"] = memo
-        got = memo.get(noise)
-        if got is None:
-            rng = make_rng(stable_hash("difficulty-estimate", self.request_id))
-            est = self.difficulty + rng.normal(0.0, noise)
-            got = float(min(1.0, max(0.0, est)))
-            memo[noise] = got
+        memo = self.__dict__.setdefault("_difficulty_memo", {})
+        if noise in memo:
+            return memo[noise]
+        return self._estimate(noise, make_rng(
+            stable_hash("difficulty-estimate", self.request_id)))
+
+    def _estimate(self, noise: float, rng) -> float:
+        est = self.difficulty + rng.normal(0.0, noise)
+        got = self.__dict__["_difficulty_memo"][noise] = float(
+            min(1.0, max(0.0, est)))
         return got
 
     @property
     def plaintext_bytes(self) -> int:
         """Size of the request text, used in cache-capacity accounting."""
         return len(self.text.encode("utf-8"))
+
+
+def prime_difficulty(requests: list[Request]) -> None:
+    """Memoize the default-noise estimates of ``requests`` in one pass."""
+    todo = [r for r in requests
+            if 0.08 not in r.__dict__.setdefault("_difficulty_memo", {})]
+    for request, row in zip(todo, seed_words(
+            stable_hash("difficulty-estimate", r.request_id) for r in todo)):
+        request._estimate(0.08, rng_from_words(row))

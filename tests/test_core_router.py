@@ -174,3 +174,29 @@ class TestFeedbackSolicitation:
         router.route(make_request(), [], load=0.0)
         assert router.feedback_solicitations >= 0
         assert router.decisions == 1
+
+
+class TestRouterConfigRefusals:
+    """Settings that turned every request into a bypass (a division by
+    zero the fault bypass swallowed) or a silent misroute (NaN posteriors
+    pick the first arm) are refused up front, each naming its field."""
+
+    @pytest.mark.parametrize("temp", [0.0, -0.05, float("inf"), float("nan")])
+    def test_uncertainty_temp_must_be_positive_and_finite(self, temp):
+        with pytest.raises(ValueError, match="uncertainty_temp"):
+            RouterConfig(uncertainty_temp=temp)
+
+    def test_nan_ridge_refused(self):
+        with pytest.raises(ValueError, match="ridge"):
+            RouterConfig(ridge=float("nan"))
+
+    def test_nan_noise_var_refused(self):
+        with pytest.raises(ValueError, match="noise_var"):
+            RouterConfig(noise_var=float("nan"))
+
+    @pytest.mark.parametrize("floor", [-0.01, 1.5, float("nan")])
+    def test_exploration_floor_must_be_a_probability(self, floor):
+        with pytest.raises(ValueError, match="exploration_floor"):
+            RouterConfig(exploration_floor=floor)
+        RouterConfig(exploration_floor=0.0)
+        RouterConfig(exploration_floor=1.0)

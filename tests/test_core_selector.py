@@ -107,3 +107,13 @@ class TestSelectorConfigValidation:
     def test_nonpositive_pre_k_rejected(self):
         with pytest.raises(ValueError):
             SelectorConfig(pre_k=0)
+
+
+class TestSelectorConfigRefusals:
+    @pytest.mark.parametrize("every", [0, -5])
+    def test_adapt_every_below_one_refused(self, every):
+        # 0 made every selection an integer modulo by zero, which the
+        # fault bypass turned into a bypass of every request.
+        with pytest.raises(ValueError, match="adapt_every"):
+            SelectorConfig(adapt_every=every)
+        SelectorConfig(adapt_every=1)

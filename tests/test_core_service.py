@@ -404,3 +404,20 @@ class TestClient:
             assert client.service is not None
         with pytest.raises(RuntimeError):
             client.generate([])
+
+
+class TestICCacheConfigRefusals:
+    def test_negative_seed_refused(self):
+        # It built a service whose first lazy K-Means retrain raised
+        # numpy's "expected non-negative integer" from inside an admission.
+        with pytest.raises(ValueError, match="seed"):
+            ICCacheConfig(seed=-1)
+        ICCacheConfig(seed=0)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+    def test_non_finite_embedder_noise_refused(self, noise):
+        # NaN switched the noise off silently; inf failed every embed as
+        # "latent is not finite", blaming the latent.
+        with pytest.raises(ValueError, match="embedder_noise"):
+            ICCacheConfig(embedder_noise=noise)
+        ICCacheConfig(embedder_noise=0.0)
