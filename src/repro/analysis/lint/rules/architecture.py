@@ -57,13 +57,6 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
 
 _HOOK_NAME = re.compile(r"^(on|before|after)_")
 
-#: Fallback ServeMiddleware hook surface (live protocols.py wins).
-DEFAULT_MIDDLEWARE_HOOKS = frozenset({
-    "on_batch", "before_retrieve", "after_retrieve", "before_route",
-    "after_route", "on_failure", "after_complete", "on_maintenance",
-    "on_checkpoint",
-})
-
 
 def _is_type_checking_guard(test: ast.AST) -> bool:
     dotted = dotted_name(test)
@@ -154,25 +147,19 @@ class ProtocolSurfaceRule(Rule):
 
     def _middleware_hooks(self, ctx: FileContext) -> frozenset[str]:
         protocols = find_repo_file(ctx, "pipeline", "protocols.py")
-        key = protocols if protocols is not None else "<fallback>"
-        if key not in self._hook_cache:
-            hooks = None
-            if protocols is not None:
-                try:
-                    tree = ast.parse(protocols.read_text(encoding="utf-8"))
-                except (OSError, SyntaxError):
-                    tree = None
-                if tree is not None:
-                    for node in ast.walk(tree):
-                        if (isinstance(node, ast.ClassDef)
-                                and node.name == "ServeMiddleware"):
-                            hooks = frozenset(
-                                stmt.name for stmt in node.body
-                                if isinstance(stmt, ast.FunctionDef)
-                                and not stmt.name.startswith("_")
-                            )
-            self._hook_cache[key] = hooks or DEFAULT_MIDDLEWARE_HOOKS
-        return self._hook_cache[key]
+        if protocols not in self._hook_cache:
+            try:
+                tree = ast.parse(protocols.read_text(encoding="utf-8"))
+            except (OSError, SyntaxError):    # reported as that file's own
+                tree = ast.Module(body=[], type_ignores=[])
+            self._hook_cache[protocols] = frozenset(
+                stmt.name for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+                and node.name == "ServeMiddleware"
+                for stmt in node.body
+                if isinstance(stmt, ast.FunctionDef)
+                and not stmt.name.startswith("_"))
+        return self._hook_cache[protocols]
 
     @staticmethod
     def _base_names(cls: ast.ClassDef) -> set[str]:

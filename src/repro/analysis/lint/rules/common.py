@@ -4,10 +4,9 @@
 (``np.random.default_rng(...)`` -> ``numpy.random.default_rng``) using
 the file's own import statements, so the determinism rules key on what a
 name *is bound to*, not what it happens to be spelled as.  ``find_repo_file``
-locates sibling source files (``persistence/wal.py``,
-``pipeline/protocols.py``) from any file inside a ``repro`` package tree,
-which is how the durability/architecture rules derive their vocabularies
-structurally instead of hard-coding them.
+locates the vocabulary files (``persistence/wal.py``,
+``pipeline/protocols.py``, ``core/table.py``) the durability/architecture
+rules parse, so no rule hard-codes a second copy of them.
 """
 
 from __future__ import annotations
@@ -61,21 +60,22 @@ class ImportMap:
         return any(c == prefix or c.startswith(prefix + ".") for c in candidates)
 
 
-def find_repo_file(ctx: FileContext, *relative: str) -> Path | None:
-    """Locate ``repro/<relative...>`` from ``ctx``'s own path.
+#: The ``repro`` package this linter belongs to.
+_OWN_TREE = Path(__file__).resolve().parents[3]
 
-    Walks to the last ``repro`` component of the linted file's path and
-    resolves the requested file under it — so fixture trees carrying
-    their own ``wal.py``/``protocols.py`` are honored, and rules linting
-    the real tree read the real vocabulary files.
-    """
-    parts = list(ctx.path.parts)
-    if "repro" not in parts:
-        return None
-    anchor = len(parts) - 1 - parts[::-1].index("repro")
-    root = Path(*parts[: anchor + 1])
-    candidate = root.joinpath(*relative)
-    return candidate if candidate.is_file() else None
+
+def find_repo_file(ctx: FileContext, *relative: str) -> Path:
+    """``repro/<relative...>`` under the last ``repro`` component of the
+    linted file's path when that tree holds it (fixture trees carrying
+    their own ``wal.py`` are honored), else in the linter's own tree: a
+    file in no ``repro`` tree (``tests/``) is held to the live one."""
+    parts = ctx.path.parts
+    if "repro" in parts:
+        anchor = len(parts) - parts[::-1].index("repro")
+        candidate = Path(*parts[:anchor]).joinpath(*relative)
+        if candidate.is_file():
+            return candidate
+    return _OWN_TREE.joinpath(*relative)
 
 
 def call_name(node: ast.Call) -> str | None:

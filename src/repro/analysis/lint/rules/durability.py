@@ -18,30 +18,15 @@ from repro.analysis.lint.engine import FileContext, Finding, dotted_name
 from repro.analysis.lint.registry import Rule, register
 from repro.analysis.lint.rules.common import find_repo_file
 
-#: Fallback vocabulary when ``persistence/wal.py`` is not in the linted
-#: tree (e.g. rule fixtures); the live tree always wins.
-DEFAULT_RECORD_KINDS = frozenset({
-    "add", "overwrite", "remove", "retrain", "decay", "clock",
-    "manager_counters", "replay_rewrite",
-})
 
-
-def _kinds_from_wal(path) -> frozenset[str] | None:
-    """The record vocabulary, parsed from ``persistence/wal.py``.
-
-    Reads the module-level ``RECORD_KINDS`` tuple literal — the one
-    declaration the frame writer, the reader and the CLI go by.
-    """
-    return _string_literals(path, {"RECORD_KINDS"})
-
-
-def _string_literals(path, names: set[str]) -> frozenset[str] | None:
+def _string_literals(path, names: set[str]) -> frozenset[str]:
     """String elements of the module-level tuple/list literals assigned to
-    any of ``names`` in the file at ``path``."""
+    any of ``names`` in the file at ``path`` (none when it does not parse:
+    the engine reports that file itself)."""
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"))
     except (OSError, SyntaxError):
-        return None
+        return frozenset()
     found: set[str] = set()
     for node in tree.body:
         if not isinstance(node, ast.Assign):
@@ -53,7 +38,7 @@ def _string_literals(path, names: set[str]) -> frozenset[str] | None:
                 if isinstance(elt, ast.Constant) and isinstance(
                         elt.value, str):
                     found.add(elt.value)
-    return frozenset(found) if found else None
+    return frozenset(found)
 
 
 def _is_example_cache_class(cls: ast.ClassDef) -> bool:
@@ -81,12 +66,12 @@ class JournaledMutationRule(Rule):
         self._kind_cache: dict = {}
 
     def _record_kinds(self, ctx: FileContext) -> frozenset[str]:
+        # The ``RECORD_KINDS`` literal of ``persistence/wal.py``: the one
+        # declaration the frame writer, the reader and the CLI go by.
         wal = find_repo_file(ctx, "persistence", "wal.py")
-        key = wal if wal is not None else "<fallback>"
-        if key not in self._kind_cache:
-            kinds = _kinds_from_wal(wal) if wal is not None else None
-            self._kind_cache[key] = kinds or DEFAULT_RECORD_KINDS
-        return self._kind_cache[key]
+        if wal not in self._kind_cache:
+            self._kind_cache[wal] = _string_literals(wal, {"RECORD_KINDS"})
+        return self._kind_cache[wal]
 
     def _mutates_cache_state(self, method: ast.FunctionDef) -> ast.AST | None:
         """First node mutating ``self._examples`` or the index, if any."""
@@ -169,27 +154,9 @@ class JournaledMutationRule(Rule):
                     )
 
 
-#: Fallback table-backed field vocabulary when ``core/table.py`` is not in
-#: the linted tree (rule fixtures); the live schema literals always win.
-DEFAULT_TABLE_FIELDS = frozenset({
-    "quality", "created_at", "access_count", "replay_count", "source_cost",
-    "plaintext_bytes", "tokens", "embedding_norm",
-    "gain_ema", "offload_gain", "feedback_quality",
-})
-
 #: Only these modules may write table slots directly: the table itself and
 #: the Example property setters layered over it.
 _TABLE_WRITER_MODULES = ("repro.core.table", "repro.core.example")
-
-
-def _fields_from_table(path) -> frozenset[str] | None:
-    """The table-backed attribute names, parsed from ``core/table.py``.
-
-    Reads the module-level ``BOOKKEEPING_COLUMNS`` and ``EMA_STREAMS``
-    tuple literals, so the rule's vocabulary cannot drift from the schema
-    it polices.
-    """
-    return _string_literals(path, {"BOOKKEEPING_COLUMNS", "EMA_STREAMS"})
 
 
 @register
@@ -204,12 +171,13 @@ class TableBookkeepingBypassRule(Rule):
         self._field_cache: dict = {}
 
     def _table_fields(self, ctx: FileContext) -> frozenset[str]:
+        # The schema literals of ``core/table.py``, so the vocabulary cannot
+        # drift from the schema this rule polices.
         table = find_repo_file(ctx, "core", "table.py")
-        key = table if table is not None else "<fallback>"
-        if key not in self._field_cache:
-            fields = _fields_from_table(table) if table is not None else None
-            self._field_cache[key] = fields or DEFAULT_TABLE_FIELDS
-        return self._field_cache[key]
+        if table not in self._field_cache:
+            self._field_cache[table] = _string_literals(
+                table, {"BOOKKEEPING_COLUMNS", "EMA_STREAMS"})
+        return self._field_cache[table]
 
     @staticmethod
     def _is_table_field(name: object, fields: frozenset[str]) -> bool:

@@ -38,24 +38,20 @@ class ExampleCache:
     micro-batch in vectorized form (:meth:`search_batch`).
     """
 
-    def __init__(self, dim: int, nprobe: int = 2, seed: int = 0,
+    def __init__(self, dim: int, seed: int = 0,
                  index: IVFIndex | ShardedIndex | None = None,
-                 index_config: "IndexConfig | None" = None) -> None:
+                 index_config: IndexConfig | None = None) -> None:
         self._examples: dict[str, Example] = {}
         # Columnar bookkeeping: every cached example's numeric lifecycle
         # state lives in contiguous table columns (decay/eviction/snapshot
         # read them as arrays); the Example objects are views over rows.
         self._table = ExampleTable()
         # `is None` matters: a freshly built index is empty, hence falsy.
-        if index is not None:
-            self._index = index
-        elif index_config is not None:
-            self._index = IVFIndex(
-                dim=dim, nprobe=index_config.nprobe, seed=seed,
-                incremental_min_n=index_config.incremental_min_n,
-            )
-        else:
-            self._index = IVFIndex(dim=dim, nprobe=nprobe, seed=seed)
+        if index is None:
+            cfg = index_config or IndexConfig()
+            index = IVFIndex(dim=dim, nprobe=cfg.nprobe, seed=seed,
+                             incremental_min_n=cfg.incremental_min_n)
+        self._index = index
         # Optional mutation journal (the persistence WAL attaches here):
         # a callable ``fn(kind, payload)`` invoked on every add / overwrite
         # / remove, plus ``retrain`` markers when a search triggered a lazy
@@ -218,11 +214,10 @@ class ShardedExampleCache(ExampleCache):
     placement); the default is a stable hash.
     """
 
-    def __init__(self, dim: int, n_shards: int = 4, nprobe: int = 2,
-                 seed: int = 0,
+    def __init__(self, dim: int, n_shards: int = 4, seed: int = 0,
                  shard_fn: Callable[[object], int] | None = None,
                  index_config: IndexConfig | None = None) -> None:
-        cfg = index_config or IndexConfig(nprobe=nprobe)
+        cfg = index_config or IndexConfig()
         super().__init__(
             dim,
             index=ShardedIndex(dim=dim, n_shards=n_shards, nprobe=cfg.nprobe,

@@ -30,47 +30,6 @@ from repro.utils.clock import SimClock
 from repro.workload.request import Request
 
 
-class _Journaled:
-    """``with`` block around one manager operation that journals.
-
-    The cache journal sees mutations, not who made them, so id minting and
-    the admission / rejection / eviction tallies would drift across a WAL
-    recovery without ``manager_counters`` (a physical redo record: recovery
-    applies the latest values).  The outermost block — ``admit`` runs
-    ``enforce_capacity`` inside its own — journals it once, last, if a
-    counter moved (on the way out of an exception too: the mutations before
-    it happened), within the journal's ``group()`` when the journal offers
-    one (a plain callable does not), so the operation is one write.
-    """
-
-    def __init__(self, manager: "ExampleManager") -> None:
-        self.manager = manager
-        self.depth = 0
-        self.group = self.before = None
-
-    def __enter__(self) -> None:
-        self.depth += 1
-        if self.depth == 1:
-            journal = self.manager.cache.journal
-            if journal is not None:
-                self.before = self.manager.counters()
-                self.group = getattr(journal, "group", nullcontext)()
-                self.group.__enter__()
-
-    def __exit__(self, *exc_info) -> None:
-        self.depth -= 1
-        if self.depth or self.before is None:
-            return
-        before, self.before = self.before, None
-        try:
-            journal = self.manager.cache.journal
-            counters = self.manager.counters()
-            if journal is not None and counters != before:
-                journal("manager_counters", counters)
-        finally:
-            self.group.__exit__(*exc_info)
-
-
 class ExampleManager:
     """Curates the example cache over time (section 4.3).
 
@@ -87,26 +46,19 @@ class ExampleManager:
         self.replay_engine = replay_engine
         self._last_decay = self.clock.now
         # A plain int rather than itertools.count: the position is part of
-        # the manager's durable state (snapshots save and restore it so
-        # example ids never collide across a warm restart).
+        # the manager's durable state (snapshots save and restore it, and a
+        # Checkpointer journals it, so example ids never collide across a
+        # warm restart).
         self._next_id = 0
         self.admitted = 0
         self.rejected_duplicates = 0
         self.evictions = 0
-        self._journaled = _Journaled(self)
 
-    def counters(self) -> dict:
-        """The running counters, as a ``manager_counters`` payload."""
-        return {"next_id": self._next_id, "admitted": self.admitted,
-                "rejected_duplicates": self.rejected_duplicates,
-                "evictions": self.evictions}
-
-    def restore_counters(self, data: dict) -> None:
-        """Inverse of :meth:`counters` (snapshot restore, WAL redo)."""
-        self._next_id = int(data["next_id"])
-        self.admitted = int(data["admitted"])
-        self.rejected_duplicates = int(data["rejected_duplicates"])
-        self.evictions = int(data["evictions"])
+    def _group(self):
+        """The attached journal's ``group()``: one operation's records leave
+        in one write, which a ``Checkpointer`` closes with the counters if
+        they moved.  A bare callable takes the records one by one."""
+        return getattr(self.cache.journal, "group", nullcontext)()
 
     # -- admission ----------------------------------------------------------
 
@@ -118,7 +70,7 @@ class ExampleManager:
         ``source_cost`` is the normalized cost of the model that produced the
         response; it feeds both proxy features and the G(e) formula.
         """
-        with self._journaled:
+        with self._group():
             if self.cache.nearest_similarity(embedding) \
                     >= self.config.admission_dedupe_sim:
                 self.rejected_duplicates += 1
@@ -224,7 +176,7 @@ class ExampleManager:
         rows = (~keep).nonzero()[0]
         evicted = [table.owner(row).example_id
                    for row in rows[np.argsort(rank[rows])].tolist()]
-        with self._journaled:
+        with self._group():
             for example_id in evicted:
                 self.cache.remove(example_id)
                 self.evictions += 1
@@ -252,7 +204,7 @@ class ExampleManager:
             teacher = self.replay_engine.teacher
             # Records go out in cache-insertion order, not replay order.
             rank = table.col(INSERTION_RANK)[attached_rows(replayed)[1]]
-            with self._journaled:
+            with self._group():
                 for position in np.argsort(rank).tolist():
                     example = replayed[position]
                     request_id = example.request.request_id

@@ -133,12 +133,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_restore(args: argparse.Namespace) -> int:
     from repro.persistence.snapshot import load_snapshot, restore_service
-    from repro.persistence.wal import (
-        Checkpointer,
-        WriteAheadLog,
-        apply_wal,
-        filter_stale_records,
-    )
+    from repro.persistence.wal import Checkpointer, recover_service
     from repro.workload.datasets import SyntheticDataset
 
     path = Path(args.path)
@@ -147,18 +142,14 @@ def cmd_restore(args: argparse.Namespace) -> int:
                          f"{path} is a checkpoint directory with its own")
     if path.is_dir():
         service = Checkpointer.recover(path)
+    elif args.wal:
+        # Checkpointer.recover's body, stale-epoch filter included, so a
+        # journal stranded by a crash mid-checkpoint is not double-applied
+        # when the files are restored individually.
+        service, applied = recover_service(path, args.wal, source=args.wal)
+        print(f"replayed {applied} WAL records from {args.wal}")
     else:
-        snapshot = load_snapshot(path)
-        service = restore_service(snapshot)
-        if args.wal:
-            # Same stale-epoch filtering as Checkpointer.recover, so a
-            # journal stranded by a crash mid-checkpoint is not
-            # double-applied when the files are restored individually.
-            records = filter_stale_records(
-                WriteAheadLog.read(args.wal), snapshot, source=args.wal
-            )
-            applied = apply_wal(service, records)
-            print(f"replayed {applied} WAL records from {args.wal}")
+        service = restore_service(load_snapshot(path))
     print(f"restored: {len(service.cache)} examples, "
           f"{service.stats.served} served, clock={service.clock.now:.3f} s")
     if args.serve:

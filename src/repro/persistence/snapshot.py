@@ -302,6 +302,22 @@ def set_rng_state(rng: np.random.Generator, state: dict) -> None:
     rng.bit_generator.state = state
 
 
+def counters(manager) -> dict:
+    """The manager's running counters: the snapshot's ``manager`` section
+    and a ``manager_counters`` record carry them."""
+    return {"next_id": manager._next_id, "admitted": manager.admitted,
+            "rejected_duplicates": manager.rejected_duplicates,
+            "evictions": manager.evictions}
+
+
+def restore_counters(manager, data: dict) -> None:
+    """Inverse of :func:`counters` (snapshot restore, WAL redo)."""
+    manager._next_id = int(data["next_id"])
+    manager.admitted = int(data["admitted"])
+    manager.rejected_duplicates = int(data["rejected_duplicates"])
+    manager.evictions = int(data["evictions"])
+
+
 def examples_columns_state(cache) -> dict:
     """The example pool as bulk columns + string blobs.
 
@@ -513,7 +529,7 @@ def service_state(service: "ICCacheService", wal_epoch: int = 0) -> dict:
         },
         "manager": {
             "last_decay": service.manager._last_decay,
-            **service.manager.counters(),
+            **counters(service.manager),
         },
         "service": {
             "rng": rng_state(service._rng),
@@ -667,7 +683,7 @@ def restore_service(snapshot: dict, config: ICCacheConfig | None = None,
 
     manager = snapshot["manager"]
     service.manager._last_decay = float(manager["last_decay"])
-    service.manager.restore_counters(manager)
+    restore_counters(service.manager, manager)
 
     svc = snapshot["service"]
     set_rng_state(service._rng, svc["rng"])

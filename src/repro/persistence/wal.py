@@ -3,12 +3,16 @@
 The snapshot (:mod:`repro.persistence.snapshot`) is a full-state image; the
 WAL covers the tail since the last one.  It journals the cache *lifecycle*
 (the section-4.3 surface): ``add`` / ``overwrite`` / ``remove`` mutations,
-``replay_rewrite`` refinements, ``decay`` passes, ``clock`` marks and
-``manager_counters`` updates from the manager, and ``retrain`` markers when
-a search triggered a lazy K-Means (re)train.  Records are physical redo
-records — they carry the resulting state, not the inputs — so recovery
-replays them deterministically without re-running any stochastic
-computation.
+``replay_rewrite`` refinements, ``decay`` passes and ``clock`` marks from
+the manager, ``retrain`` markers when a search triggered a lazy K-Means
+(re)train, and ``manager_counters``.  Records are physical redo records —
+they carry the resulting state, not the inputs — so recovery replays them
+deterministically without re-running any stochastic computation.
+
+A bare callable set as ``cache.journal`` (a test lambda) gets every record
+but ``manager_counters``, one by one: :class:`Checkpointer` alone writes
+those, closing a group whose operation moved a counter.  A journal that
+recovery can restore the manager from is a ``Checkpointer``.
 
 Recovery contract (pinned by ``tests/test_persistence_recovery.py``): a
 service rebuilt from snapshot + WAL is bit-identical to the original at the
@@ -51,9 +55,11 @@ import numpy as np
 from repro.core.example import Example
 from repro.core.table import EMA_STREAMS
 from repro.persistence.snapshot import (
+    counters,
     load_snapshot,
     metadata_blob,
     metadata_from_blob,
+    restore_counters,
     restore_service,
 )
 from repro.workload.request import Request, TaskType
@@ -299,22 +305,29 @@ def read_journal(path: str | Path) -> tuple[list[dict], list[int], int]:
 
 
 class _Group:
-    """:meth:`WriteAheadLog.group`'s ``with`` block."""
+    """:meth:`WriteAheadLog.group`'s ``with`` block.  As the outermost one
+    closes, ``closing()`` runs first (what it records joins the write), and
+    ``closed()`` after the write unless an exception is passing."""
 
-    def __init__(self, wal: "WriteAheadLog", closed) -> None:
+    def __init__(self, wal: "WriteAheadLog", closed, closing=None) -> None:
         self.wal = wal
         self.closed = closed
+        self.closing = closing
 
     def __enter__(self) -> None:
         self.wal._depth += 1
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         wal = self.wal
-        wal._depth -= 1
-        if not wal._depth:
-            wal.flush()
-            if self.closed is not None and exc_type is None:
-                self.closed()
+        try:
+            if wal._depth == 1 and self.closing is not None:
+                self.closing()
+        finally:
+            wal._depth -= 1
+            if not wal._depth:
+                wal.flush()
+        if not wal._depth and self.closed is not None and exc_type is None:
+            self.closed()
 
 
 class WriteAheadLog:
@@ -527,7 +540,7 @@ def apply_wal(service: "ICCacheService", records: list[dict]) -> int:
         elif kind == "clock":
             service.clock.advance_to(float(data["now"]))
         elif kind == "manager_counters":
-            service.manager.restore_counters(data)
+            restore_counters(service.manager, data)
         elif kind == "replay_rewrite":
             _apply_replay_rewrite(service, data)
         else:
@@ -612,8 +625,7 @@ class Checkpointer:
     WAL_NAME = "wal.bin"
 
     def __init__(self, service: "ICCacheService", directory: str | Path,
-                 compact_after_bytes: int | None = None,
-                 attach: bool = True) -> None:
+                 compact_after_bytes: int | None = None) -> None:
         self.service = service
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -633,8 +645,7 @@ class Checkpointer:
         self.checkpoints = 0
         self.compactions = 0
         self._checkpointing = False
-        if attach:
-            self.attach()
+        self.attach()
 
     @property
     def snapshot_path(self) -> Path:
@@ -645,7 +656,9 @@ class Checkpointer:
         return self.directory / self.WAL_NAME
 
     def attach(self) -> None:
-        """Start journaling the service's cache mutations."""
+        """Start journaling the service's cache mutations, and the manager's
+        counters from the values they hold now."""
+        self._counters = counters(self.service.manager)
         self.service.cache.journal = self
 
     def detach(self) -> None:
@@ -664,8 +677,8 @@ class Checkpointer:
         re-armed *before* the ``on_checkpoint`` middleware hook fires, so
         a hook that mutates the cache journals into the fresh WAL — its
         mutation is recoverable even though it post-dates the snapshot.
-        Re-attaching also resets the retrain-detection baseline to the
-        just-snapshotted training count.
+        Re-attaching also resets the retrain-detection and counters
+        baselines to the just-snapshotted values.
         """
         from repro.persistence.snapshot import write_snapshot
 
@@ -677,7 +690,7 @@ class Checkpointer:
             self._epoch = new_epoch
             self.wal.reset(epoch=new_epoch)
             if self.service.cache.journal is self:
-                self.attach()   # reset the retrain-detection baseline
+                self.attach()   # reset the retrain and counters baselines
             self.checkpoints += 1
             self.service.pipeline.run_checkpoint(self.service)
         finally:
@@ -689,10 +702,19 @@ class Checkpointer:
         if not self.wal._depth:
             self._compact_if_due()
 
-    def group(self):
-        """:meth:`WriteAheadLog.group`, with compaction tested at its end:
-        a snapshot never holds half an admission."""
-        return self.wal.group(self._compact_if_due)
+    def group(self) -> _Group:
+        """:meth:`WriteAheadLog.group`, closed by the manager's counters
+        when they moved, with compaction tested after its write: a
+        snapshot never holds half an admission."""
+        return _Group(self.wal, self._compact_if_due, self._journal_counters)
+
+    def _journal_counters(self) -> None:
+        """A ``manager_counters`` frame, when the counters differ from the
+        last ones journaled (or seen at :meth:`attach`)."""
+        now = counters(self.service.manager)
+        if now != self._counters and self.service.cache.journal is self:
+            self.wal.record("manager_counters", now)
+            self._counters = now
 
     def _compact_if_due(self) -> None:
         if (self.compact_after_bytes is not None
@@ -720,10 +742,19 @@ class Checkpointer:
         """
         directory = Path(directory)
         _refuse_legacy_journal(directory)
-        snapshot = load_snapshot(directory / cls.SNAPSHOT_NAME)
-        service = restore_service(snapshot, config=config, models=models,
-                                  shard_fn=shard_fn)
-        records = WriteAheadLog.read(directory / cls.WAL_NAME)
-        apply_wal(service, filter_stale_records(records, snapshot,
-                                                source=str(directory)))
-        return service
+        return recover_service(
+            directory / cls.SNAPSHOT_NAME, directory / cls.WAL_NAME,
+            str(directory), config=config, models=models,
+            shard_fn=shard_fn)[0]
+
+
+def recover_service(snapshot_path: str | Path, wal_path: str | Path,
+                    source: str, **restore) -> tuple["ICCacheService", int]:
+    """The snapshot restored (``restore`` goes to :func:`restore_service`),
+    then the journal's records of its epoch replayed: ``(service, records
+    applied)``.  ``source`` names the journal in errors and warnings."""
+    snapshot = load_snapshot(snapshot_path)
+    service = restore_service(snapshot, **restore)
+    records = filter_stale_records(WriteAheadLog.read(wal_path), snapshot,
+                                   source=source)
+    return service, apply_wal(service, records)

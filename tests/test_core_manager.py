@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import knapsack
 from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
 from repro.core.manager import ExampleManager
@@ -231,3 +232,45 @@ def _pool(**gains):
         if gain is not None:
             example.record_use(gain, 0.5, 0.0)
     return cache
+
+
+class TestLargeBudget:
+    """A budget in the megabytes over a pool small enough for the exact
+    path: the DP's arrays scale with the budget in bytes, so it would take
+    ~500 MiB and a second per over-budget admission."""
+
+    @staticmethod
+    def _refuse_dp(monkeypatch):
+        def refuse(w, v, capacity):
+            raise AssertionError(
+                f"exact DP over {w.size} items and a {capacity}-byte budget")
+        monkeypatch.setattr(knapsack, "_solve_dp", refuse)
+
+    def test_admission_under_a_16_mib_budget_takes_the_greedy(
+            self, monkeypatch):
+        self._refuse_dp(monkeypatch)
+        mgr, cache = manager_with(config=ManagerConfig(
+            sanitize=False, capacity_bytes=16 << 20))
+        for i in range(9):
+            req = make_request(request_id=f"big-{i}",
+                               topic_latent=_unit_dir(i), text="x" * (2 << 20))
+            assert mgr.admit(req, served_result(), req.latent,
+                             source_cost=1.0) is not None
+        assert len(cache) <= mgr.config.knapsack_exact_below
+        assert mgr.evictions > 0
+        assert cache.total_bytes <= mgr.config.capacity_bytes
+
+    def test_the_dp_runs_up_to_its_byte_cap_and_the_greedy_past_it(
+            self, monkeypatch):
+        n = 9
+        fits = knapsack.DP_MAX_BYTES // (n + 24) - 1
+        weights = np.full(n, fits // 4 + 1, dtype=np.int64)
+        values = np.linspace(1.0, 2.0, n)
+        exact = knapsack.knapsack_keep_mask(weights, values, fits, exact=True)
+        assert exact.sum() == 3
+        self._refuse_dp(monkeypatch)
+        for capacity in (fits + 1, 32 << 20):
+            assert knapsack.knapsack_keep_mask(
+                weights, values, capacity, exact=True).tolist() == \
+                knapsack.knapsack_keep_mask(
+                    weights, values, capacity).tolist()

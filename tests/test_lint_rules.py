@@ -11,7 +11,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis.lint import Engine, all_rules, rule_classes
-from repro.analysis.lint.rules.durability import DEFAULT_RECORD_KINDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -257,15 +256,6 @@ class TestWAL001JournaledMutation:
         ))
         assert any(f.code == "WAL001" and "'add'" in f.message for f in found)
 
-    def test_default_kinds_match_live_wal_vocabulary(self):
-        """The fallback vocabulary cannot drift from persistence/wal.py:
-        the literal the rule parses is the one the codec runs on."""
-        from repro.analysis.lint.rules.durability import _kinds_from_wal
-        from repro.persistence.wal import RECORD_KINDS
-        live = _kinds_from_wal(REPO_ROOT / "src/repro/persistence/wal.py")
-        assert live == DEFAULT_RECORD_KINDS == frozenset(RECORD_KINDS)
-        assert len(RECORD_KINDS) == len(DEFAULT_RECORD_KINDS)
-
 
 class TestWAL002SnapshotPairing:
     def test_fires_on_written_but_never_read_field(self, tmp_path):
@@ -377,14 +367,55 @@ class TestWAL003TableBookkeepingBypass:
         assert not any(f.code == "WAL003" and "'quality'" in f.message
                        for f in found)
 
-    def test_default_fields_match_live_table_schema(self):
-        """The fallback vocabulary cannot drift from core/table.py."""
-        from repro.analysis.lint.rules.durability import (
-            DEFAULT_TABLE_FIELDS,
-            _fields_from_table,
-        )
-        live = _fields_from_table(REPO_ROOT / "src/repro/core/table.py")
-        assert live == DEFAULT_TABLE_FIELDS
+
+class TestLiveVocabularies:
+    def test_a_file_in_no_repro_tree_is_held_to_the_live_vocabularies(
+            self, tmp_path):
+        """reprolint keeps no copy of a vocabulary.  A file outside any
+        ``repro`` tree (as under ``tests/`` or ``examples/``) is linted
+        against the table fields and middleware hooks parsed from the
+        linter's own ``core/table.py`` and ``pipeline/protocols.py``; a
+        fixture tree lacking ``persistence/wal.py`` against the live record
+        kinds.  Every live name passes, and only those."""
+        from repro.core.table import BOOKKEEPING_COLUMNS, EMA_STREAMS
+        from repro.persistence.wal import RECORD_KINDS
+        from repro.pipeline.protocols import ServeMiddleware
+        fields = (*BOOKKEEPING_COLUMNS, *EMA_STREAMS)
+        hooks = [name for name in vars(ServeMiddleware)
+                 if not name.startswith("_")]
+        found = lint_source(tmp_path, "tests/test_x.py", "".join(
+            f"ex.__dict__[{name!r}] = 0\n" for name in (*fields, "label"))
+            + "class Tap(ServeMiddleware):\n" + "".join(
+                f"    def {name}(self): pass\n"
+                for name in (*hooks, "on_typo")))
+        assert [f.line for f in found if f.code == "WAL003"] == \
+            list(range(1, len(fields) + 1))
+        assert [f.message.split("'")[1] for f in found
+                if f.code == "ARCH002"] == ["on_typo"]
+        found = lint_source(tmp_path, "src/repro/core/x.py", "".join(
+            f"journal({kind!r}, None)\n"
+            for kind in (*RECORD_KINDS, "upsert")))
+        assert [f.line for f in found if f.code == "WAL001"] == \
+            [len(RECORD_KINDS) + 1]
+
+    def test_a_vocabulary_file_that_does_not_parse_is_reported(
+            self, tmp_path):
+        """A tree's own ``wal.py`` / ``table.py`` / ``protocols.py`` caught
+        mid-edit is a parse finding of its own, not a linter crash."""
+        for relpath in ("persistence/wal.py", "core/table.py",
+                        "pipeline/protocols.py"):
+            broken = tmp_path / "src/repro" / relpath
+            broken.parent.mkdir(parents=True, exist_ok=True)
+            broken.write_text("RECORD_KINDS = (\n", encoding="utf-8")
+        lint_source(tmp_path, "src/repro/core/x.py", (
+            "journal('add', None)\n"
+            "ex.__dict__['quality'] = 0\n"
+            "class Tap(ServeMiddleware):\n"
+            "    def on_batch(self): pass\n"))
+        report = Engine().lint_paths([tmp_path / "src"])
+        assert {f.path.rsplit("/", 2)[-1] for f in report.findings
+                if f.code == "PARSE"} >= {"wal.py", "table.py",
+                                          "protocols.py"}
 
 
 class TestARCH001ImportLayering:

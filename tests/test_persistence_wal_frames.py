@@ -623,14 +623,18 @@ def test_serving_run_journals_the_same_in_both_codecs_and_recovers(
     service.manager.config.capacity_bytes = service.cache.total_bytes
     checkpointer = Checkpointer(service, tmp_path)
     checkpointer.checkpoint()
+    # The Checkpointer stays attached (it alone journals the counters); its
+    # log's ``record`` is teed, as every frame goes through it.
     both = _Both(tmp_path, frames=checkpointer.wal)
+    record = checkpointer.wal.record
     recorded = []
 
     def tee(kind, payload):
         recorded.append(kind)
-        both(kind, payload)
+        record(kind, payload)
+        both.lines.record(kind, payload)
 
-    service.cache.journal = tee
+    checkpointer.wal.record = tee
     requests = dataset.online_requests(380)
     for done, request in enumerate(requests[:300]):
         if done and done % 100 == 0:
@@ -639,7 +643,7 @@ def test_serving_run_journals_the_same_in_both_codecs_and_recovers(
         service.serve(request, load=None if done % 3 else 0.9)
     for start in range(300, 380, 8):
         service.serve_batch(requests[start:start + 8], load=0.2)
-    service.cache.journal = None
+    checkpointer.detach()
 
     records = both.assert_equal()
     assert [r["kind"] for r in records] == recorded
