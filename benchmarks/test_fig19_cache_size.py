@@ -9,9 +9,9 @@ retention needs far more; IC-Cache dominates the naive curve at every size.
 import numpy as np
 
 from harness import make_service, print_table, run_once
-from repro.baselines.naive_cache import NaiveCachePolicy
 from repro.core.cache import ExampleCache
 from repro.core.table import attached_rows
+from repro.utils.rng import make_rng, stable_hash
 
 FRACTIONS = (0.05, 0.1, 0.25, 0.5, 1.0)
 
@@ -56,7 +56,7 @@ def _run(dataset_name: str, seed: int = 19, n: int = 150):
         service.serve(request, load=0.2)
     requests = dataset.online_requests(n)
     all_examples = service.cache.examples()
-    naive = NaiveCachePolicy(seed=seed)
+    naive_rng = make_rng(stable_hash("naive-cache", seed))
 
     # Accuracy bar anchored on the full-cache run (absolute quality is
     # latent; only relative movement across cache sizes is meaningful).
@@ -74,11 +74,17 @@ def _run(dataset_name: str, seed: int = 19, n: int = 150):
         curves["ic"].append(accuracy(
             _qualities_with_cache(service, requests,
                                   _subset_cache(service, ranked))))
-        kept = naive.retain(all_examples, fraction)
+        kept = _naive_retention(all_examples, n_keep, naive_rng)
         curves["naive"].append(accuracy(
             _qualities_with_cache(service, requests,
                                   _subset_cache(service, kept))))
     return curves
+
+
+def _naive_retention(all_examples, n_keep, rng):
+    """The naive baseline: a uniform-random ``n_keep`` of the examples."""
+    indices = rng.choice(len(all_examples), size=n_keep, replace=False)
+    return [all_examples[i] for i in sorted(indices)]
 
 
 def _utility_retention(all_examples, n_keep, seed):

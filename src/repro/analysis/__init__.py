@@ -7,7 +7,6 @@ the cache-eviction problem of section 4.3 (``knapsack.knapsack_keep_mask``).
 
 from repro.analysis.stats import (
     EMA,
-    cdf_points,
     pearson_correlation,
     percentile,
     summarize_latencies,
@@ -15,7 +14,6 @@ from repro.analysis.stats import (
 
 __all__ = [
     "EMA",
-    "cdf_points",
     "pearson_correlation",
     "percentile",
     "summarize_latencies",

@@ -67,15 +67,6 @@ def percentile(values, q: float) -> float:
     return float(np.percentile(arr, q))
 
 
-def cdf_points(values) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF as (sorted values, cumulative fraction) arrays."""
-    arr = np.sort(np.asarray(list(values), dtype=float))
-    if arr.size == 0:
-        return arr, arr
-    frac = np.arange(1, arr.size + 1, dtype=float) / arr.size
-    return arr, frac
-
-
 def pearson_correlation(x, y) -> float:
     """Pearson's r between two equal-length sequences; 0.0 when degenerate."""
     xa = np.asarray(list(x), dtype=float)

@@ -9,14 +9,15 @@
   append them to the prompt.
 * :class:`SFTModel` — supervised fine-tuning of the small model on large-model
   outputs: capability boost in-domain, regression out-of-domain (Table 3).
-* :class:`NaiveCachePolicy` — random example retention, the Fig. 19 baseline.
+
+Fig. 19's random-retention baseline is an admission policy:
+:class:`repro.pipeline.policies.RandomRetentionAdmission`.
 """
 
 from repro.baselines.routellm import RouteLLMRouter
 from repro.baselines.semantic_cache import CacheLookup, SemanticCache
 from repro.baselines.rag import Document, LongRAGRetriever, build_document_store
 from repro.baselines.sft import SFTModel
-from repro.baselines.naive_cache import NaiveCachePolicy
 
 __all__ = [
     "RouteLLMRouter",
@@ -26,5 +27,4 @@ __all__ = [
     "LongRAGRetriever",
     "build_document_store",
     "SFTModel",
-    "NaiveCachePolicy",
 ]

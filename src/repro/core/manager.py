@@ -130,14 +130,18 @@ class ExampleManager:
         """
         elapsed = self.clock.now - self._last_decay
         periods = elapsed / self.config.decay_period_s
-        if periods < 1.0:
-            return
-        whole = int(periods)
-        self.cache.table.decay_gains(self.config.decay_factor, whole)
-        self._last_decay += whole * self.config.decay_period_s
+        if periods >= 1.0:
+            self.decay_periods(int(periods))
+
+    def decay_periods(self, periods: int) -> None:
+        """Decay the gain statistics by ``periods`` whole periods and
+        journal it: the live pass and WAL redo (which runs with no
+        journal attached) share this one spelling."""
+        self.cache.table.decay_gains(self.config.decay_factor, periods)
+        self._last_decay += periods * self.config.decay_period_s
         journal = self.cache.journal
         if journal is not None:
-            journal("decay", {"periods": whole})
+            journal("decay", {"periods": periods})
 
     # -- eviction ----------------------------------------------------------
 

@@ -23,6 +23,7 @@ from repro.gateway.client import GatewayClient, GatewayResponse
 from repro.gateway.limits import TenantRateLimiter, TokenBucket
 from repro.gateway.session import (
     ACCEPTED,
+    DUPLICATE,
     RATE_LIMITED,
     SHED,
     GatewaySession,
@@ -30,6 +31,7 @@ from repro.gateway.session import (
 
 __all__ = [
     "ACCEPTED",
+    "DUPLICATE",
     "RATE_LIMITED",
     "SHED",
     "AsyncGateway",

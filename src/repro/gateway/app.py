@@ -18,8 +18,9 @@ out.  Endpoints:
 
 Admission maps to status codes: queue-depth shed → **503** (a
 :class:`~repro.serving.records.ShedEvent` lands in the SLO report),
-per-tenant token-bucket refusal → **429** (a ``RateLimitEvent``), requests
-arriving during a drain → **503 draining**, malformed payloads → **400**.
+per-tenant token-bucket refusal → **429** (a ``RateLimitEvent``), a request
+id the session already accepted → **409**, requests arriving during a drain
+→ **503 draining**, malformed payloads → **400**.
 Lost framing (:func:`~repro.gateway.api.frame_head`'s limits) is a **400**,
 a body over ``max_body_bytes`` a **413**, a request still incomplete
 ``_REQUEST_READ_TIMEOUT_S`` after a segment ended inside it a **408**; each
@@ -65,10 +66,11 @@ from repro.gateway.api import (
     record_to_payload,
     request_from_payload,
 )
-from repro.gateway.session import ACCEPTED, GatewaySession
+from repro.gateway.session import ACCEPTED, DUPLICATE, GatewaySession
 
 #: admission outcome -> HTTP status for the ack/response.
-_STATUS = {"accepted": 200, "shed": 503, "rate_limited": 429}
+_STATUS = {"accepted": 200, "shed": 503, "rate_limited": 429,
+           "duplicate": 409}
 
 #: Seconds a request may stay incomplete once a segment has ended inside it;
 #: a client that stalls longer is a 408 and a close, so it cannot park a
@@ -299,8 +301,7 @@ class AsyncGateway:
             record = self.session.run_until_complete(request.request_id)
             return 200, {"status": status,
                          "record": record_to_payload(record)}
-        return _STATUS[status], {"status": status,
-                                 "request_id": request.request_id}
+        return _STATUS[status], _ack(request, status)
 
     def _serve_batch(self, payload) -> tuple[int, dict]:
         if not isinstance(payload, dict) or \
@@ -315,9 +316,18 @@ class AsyncGateway:
         statuses = self.session.submit_batch(requests, times)
         results = []
         for request, status in zip(requests, statuses):
-            result = {"status": status, "request_id": request.request_id}
+            result = _ack(request, status)
             if status == ACCEPTED:
                 result["record"] = record_to_payload(
                     self.session.run_until_complete(request.request_id))
             results.append(result)
         return 200, {"results": results}
+
+
+def _ack(request, status: str) -> dict:
+    """The admission answer for a request not (yet) served."""
+    ack = {"status": status, "request_id": request.request_id}
+    if status == DUPLICATE:
+        ack["reason"] = ("request id already accepted; ids are single-use "
+                         "once accepted")
+    return ack

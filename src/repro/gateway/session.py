@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ACCEPTED = "accepted"
 SHED = "shed"
 RATE_LIMITED = "rate_limited"
+DUPLICATE = "duplicate"
 
 
 class GatewaySession:
@@ -65,6 +66,7 @@ class GatewaySession:
         self._route_batch = service.pipeline.cluster_batch_router()
         self._loop = self.sim.start_sources([], on_complete=self._completed)
         self.records: dict[str, ServedRequest] = {}
+        self._in_flight: set[str] = set()   # accepted ids not yet in records
         self.accepted = 0          # monotonic admission seq (see submit)
         self.late_arrivals = 0     # stamps clamped forward to the watermark
         self.drained = False
@@ -149,8 +151,12 @@ class GatewaySession:
         queue wait (a queue-depth shed is recorded by the simulator as a
         :class:`~repro.serving.records.ShedEvent`).  Rate limiting applies
         per member, before the batch is routed, so limited members cost no
-        pipeline state.  A stamp that is not finite refuses the batch
-        before anything moves: it would park or poison the clock.
+        pipeline state.  A request id is single-use once accepted, in
+        flight or completed: a reuse, or a second member of one batch
+        under an id, is :data:`DUPLICATE` before it takes a token or
+        moves the pipeline.  Shed and rate-limited ids may retry.  A stamp
+        that is not finite refuses the batch before anything moves: it
+        would park or poison the clock.
         """
         self._check_open()
         requests = list(requests)
@@ -164,20 +170,35 @@ class GatewaySession:
         # Checked up front: a refused batch must not have counted clamps.
         elif not all(t is None or math.isfinite(t) for t in arrival_times):
             raise ValueError("arrival stamps must be finite")
-        times = [self._resolve_arrival(t) for t in arrival_times]
-        if not requests:
-            return []
-        self.sim.advance_to(max(times))
+        # Screened first: a reused id moves nothing, not even the clock.
+        statuses, seen = [], set()
+        for request in requests:
+            taken = request.request_id in self.records \
+                or request.request_id in self._in_flight \
+                or request.request_id in seen
+            statuses.append(DUPLICATE if taken else None)
+            seen.add(request.request_id)
+        fresh = [i for i, status in enumerate(statuses) if status is None]
+        times = {i: self._resolve_arrival(arrival_times[i]) for i in fresh}
+        if not fresh:
+            return statuses
+        self.sim.advance_to(max(times.values()))
 
-        statuses = [None if self._admit_tenant(request, t) else RATE_LIMITED
-                    for request, t in zip(requests, times)]
-        admitted = [arrival for arrival, status
-                    in zip(zip(requests, times), statuses) if status is None]
-        decisions = self._route_batch([r for r, _ in admitted], self.sim) \
-            if admitted else []
-        accepted = iter(self.sim.dispatch(admitted, decisions))
-        statuses = [status or (ACCEPTED if next(accepted) else SHED)
-                    for status in statuses]
+        for i in fresh:
+            if not self._admit_tenant(requests[i], times[i]):
+                statuses[i] = RATE_LIMITED
+        admitted = [i for i in fresh if statuses[i] is None]
+        for i in admitted:
+            # A context parked under an id never accepted here was shed:
+            # its retry decides afresh.
+            self.service.pipeline.unpark(requests[i].request_id)
+        arrivals = [(requests[i], times[i]) for i in admitted]
+        decisions = self._route_batch([r for r, _ in arrivals], self.sim) \
+            if arrivals else []
+        for i, ok in zip(admitted, self.sim.dispatch(arrivals, decisions)):
+            statuses[i] = ACCEPTED if ok else SHED
+            if ok:
+                self._in_flight.add(requests[i].request_id)
         self.accepted += statuses.count(ACCEPTED)
         return statuses
 
@@ -239,3 +260,4 @@ class GatewaySession:
         """The simulator's completion callback: learn, record."""
         self.service.on_complete(request, record)
         self.records[record.request_id] = record
+        self._in_flight.discard(record.request_id)

@@ -536,7 +536,7 @@ def apply_wal(service: "ICCacheService", records: list[dict]) -> int:
         elif kind == "retrain":
             _apply_retrain(cache, data)
         elif kind == "decay":
-            _apply_decay(service.manager, int(data["periods"]))
+            service.manager.decay_periods(int(data["periods"]))
         elif kind == "clock":
             service.clock.advance_to(float(data["now"]))
         elif kind == "manager_counters":
@@ -570,14 +570,6 @@ def _apply_retrain(cache, data: dict) -> None:
                 raise RuntimeError(
                     "WAL retrain replay diverged: index refused to train"
                 )
-
-
-def _apply_decay(manager, periods: int) -> None:
-    """Redo one decay pass: same factor, same periods, same clock math —
-    the ``values *= factor ** periods`` over the cache's columnar table
-    that the live pass runs, so replay stays bit-identical."""
-    manager.cache.table.decay_gains(manager.config.decay_factor, periods)
-    manager._last_decay += periods * manager.config.decay_period_s
 
 
 def _apply_replay_rewrite(service: "ICCacheService", data: dict) -> None:

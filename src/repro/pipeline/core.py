@@ -211,9 +211,21 @@ class ICCachePipeline:
         return route_batch
 
     def _defer(self, ctx: ServeContext) -> tuple[str, list]:
-        """Park a decided context and shape it for the simulator."""
-        self._pending[ctx.request.request_id] = ctx
+        """Park a decided context and shape it for the simulator.
+
+        An id already parked would lose one of the two completions, so it
+        is refused.
+        """
+        request_id = ctx.request.request_id
+        if request_id in self._pending:
+            raise ValueError(f"request {request_id!r} is already in flight")
+        self._pending[request_id] = ctx
         return ctx.choice.model_name, ctx.views
+
+    def unpark(self, request_id: str) -> None:
+        """Drop the context parked for a request the cluster shed, so a
+        retry of its id decides afresh."""
+        self._pending.pop(request_id, None)
 
     def on_complete(self, request: Request, record: ServedRequest) -> None:
         """Completion callback for the cluster simulator: learn + admit."""

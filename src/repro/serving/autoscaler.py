@@ -84,8 +84,3 @@ class BiasAutoscaler:
             decision = ScalingDecision("hold", 0, bias_avg, util_avg)
         self.actions.append(decision)
         return decision
-
-    @property
-    def net_replicas_delta(self) -> int:
-        """Cumulative recommended change since construction."""
-        return sum(d.replicas_delta for d in self.actions)

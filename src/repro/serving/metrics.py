@@ -67,11 +67,6 @@ def offload_ratio_fn(small_models: set[str]) -> Callable[[list[ServedRequest]], 
     return fn
 
 
-def mean_latency_fn(records: list[ServedRequest]) -> float:
-    """Window aggregator: average end-to-end latency."""
-    return float(np.mean([r.e2e_latency_s for r in records]))
-
-
 def replica_series(report: ServingReport, model_name: str,
                    initial_replicas: int) -> WindowedSeries:
     """The replica-count step function of one model across a run.

@@ -8,7 +8,7 @@ replayed bit-for-bit.
 
 from repro.utils.rng import make_rng, spawn_rng, stable_hash
 from repro.utils.clock import SimClock
-from repro.utils.tokens import count_tokens, truncate_tokens
+from repro.utils.tokens import count_tokens
 
 __all__ = [
     "make_rng",
@@ -16,5 +16,4 @@ __all__ = [
     "stable_hash",
     "SimClock",
     "count_tokens",
-    "truncate_tokens",
 ]

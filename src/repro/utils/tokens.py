@@ -21,12 +21,3 @@ def count_tokens(text: str) -> int:
     words = len(text.split())
     return max(1, int(round(words * TOKENS_PER_WORD)))
 
-
-def truncate_tokens(text: str, max_tokens: int) -> str:
-    """Truncate ``text`` so that its approximate token count fits the budget."""
-    if max_tokens <= 0:
-        return ""
-    if count_tokens(text) <= max_tokens:
-        return text
-    max_words = max(1, int(max_tokens / TOKENS_PER_WORD))
-    return " ".join(text.split()[:max_words])

@@ -42,7 +42,6 @@ from repro.workload.adversarial import (
     topic_burst_trace,
 )
 from repro.workload.feedback import FeedbackSimulator, PreferenceFeedback
-from repro.workload.preprocess import deduplicate, filter_non_english, preprocess
 from repro.workload.drift import DriftingWorkload
 
 __all__ = [
@@ -69,8 +68,5 @@ __all__ = [
     "topic_burst_trace",
     "FeedbackSimulator",
     "PreferenceFeedback",
-    "deduplicate",
-    "filter_non_english",
-    "preprocess",
     "DriftingWorkload",
 ]

@@ -165,14 +165,6 @@ class TenantSkewTrace(ArrivalTrace):
     def n_tenants(self) -> int:
         return self.tenant_shares.shape[1]
 
-    def hot_tenant_share(self) -> np.ndarray:
-        """The largest single-tenant share per bucket (skew over time)."""
-        return self.tenant_shares.max(axis=1)
-
-    def tenant_rates(self) -> np.ndarray:
-        """Per-bucket, per-tenant RPS: ``rates[:, None] * shares``."""
-        return self.rates_per_second[:, None] * self.tenant_shares
-
 
 def tenant_skew_trace(duration_s: float, mean_rps: float,
                       n_tenants: int = 16, zipf_start: float = 1.05,

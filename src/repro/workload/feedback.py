@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.rng import make_rng, spawn_rng, stable_hash
+from repro.utils.rng import make_rng, stable_hash
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,3 @@ class FeedbackSimulator:
         preferred = 0 if self._rng.uniform() < p_a else 1
         confidence = float(max(p_a, 1.0 - p_a))
         return PreferenceFeedback(preferred=preferred, confidence=confidence)
-
-    def spawn(self, *labels: object) -> "FeedbackSimulator":
-        """An independent feedback stream (e.g. per benchmark repetition)."""
-        child = FeedbackSimulator(
-            rating_noise=self.rating_noise,
-            preference_noise=self.preference_noise,
-            thumbs_up_threshold=self.thumbs_up_threshold,
-        )
-        child._rng = spawn_rng(self._rng, *labels)
-        return child

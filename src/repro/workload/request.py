@@ -53,23 +53,24 @@ class Request:
         if self.prompt_tokens <= 0:
             self.prompt_tokens = max(1, count_tokens(self.text))
 
-    def observable_difficulty(self, noise: float = 0.08) -> float:
+    _difficulty_estimate = None   # set on first read, or by prime_difficulty
+
+    def observable_difficulty(self) -> float:
         """A deterministic noisy view of difficulty, as a router feature.
 
         Real routers estimate complexity from the text (length, phrasing);
         this models that estimate as ground truth plus encoder-style noise
-        that is a pure function of the request id.
+        (std 0.08) that is a pure function of the request id.
         """
-        memo = self.__dict__.setdefault("_difficulty_memo", {})
-        if noise in memo:
-            return memo[noise]
-        return self._estimate(noise, make_rng(
-            stable_hash("difficulty-estimate", self.request_id)))
+        estimate = self._difficulty_estimate
+        if estimate is None:
+            estimate = self._estimate(make_rng(
+                stable_hash("difficulty-estimate", self.request_id)))
+        return estimate
 
-    def _estimate(self, noise: float, rng) -> float:
-        est = self.difficulty + rng.normal(0.0, noise)
-        got = self.__dict__["_difficulty_memo"][noise] = float(
-            min(1.0, max(0.0, est)))
+    def _estimate(self, rng) -> float:
+        est = self.difficulty + rng.normal(0.0, 0.08)
+        got = self._difficulty_estimate = float(min(1.0, max(0.0, est)))
         return got
 
     @property
@@ -79,9 +80,8 @@ class Request:
 
 
 def prime_difficulty(requests: list[Request]) -> None:
-    """Memoize the default-noise estimates of ``requests`` in one pass."""
-    todo = [r for r in requests
-            if 0.08 not in r.__dict__.setdefault("_difficulty_memo", {})]
+    """Fill the difficulty estimates of ``requests`` in one seeding pass."""
+    todo = [r for r in requests if r._difficulty_estimate is None]
     for request, row in zip(todo, seed_words(
             stable_hash("difficulty-estimate", r.request_id) for r in todo)):
-        request._estimate(0.08, rng_from_words(row))
+        request._estimate(rng_from_words(row))

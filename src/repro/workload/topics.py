@@ -68,10 +68,6 @@ class TopicModel:
         """Draw a topic id according to Zipf popularity."""
         return int(rng.choice(self.n_topics, p=self.popularity))
 
-    def base_vector(self, topic_id: int) -> np.ndarray:
-        self._check_topic(topic_id)
-        return self._bases[topic_id].copy()
-
     def topic_difficulty(self, topic_id: int) -> float:
         self._check_topic(topic_id)
         return float(self._topic_difficulty[topic_id])

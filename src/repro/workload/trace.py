@@ -35,26 +35,12 @@ class ArrivalTrace:
     def duration_seconds(self) -> float:
         return self.bucket_seconds * len(self.rates_per_second)
 
-    @property
-    def total_expected_requests(self) -> float:
-        return float(self.rates_per_second.sum() * self.bucket_seconds)
-
     def peak_to_trough(self) -> float:
         """Max rate over min *positive* rate — the paper's 25x statistic."""
         positive = self.rates_per_second[self.rates_per_second > 0]
         if positive.size == 0:
             return 1.0
         return float(positive.max() / positive.min())
-
-    def scaled_to(self, mean_rps: float) -> "ArrivalTrace":
-        """Rescale so the average rate equals ``mean_rps`` (shape preserved)."""
-        if mean_rps < 0:
-            raise ValueError(f"mean_rps must be >= 0, got {mean_rps}")
-        current = float(self.rates_per_second.mean())
-        if current == 0:
-            return ArrivalTrace(self.bucket_seconds, self.rates_per_second.copy())
-        factor = mean_rps / current
-        return ArrivalTrace(self.bucket_seconds, self.rates_per_second * factor)
 
     def arrival_times(self, seed: int = 0) -> np.ndarray:
         """Expand the rate series into Poisson arrival timestamps (sorted)."""

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.stats import (
     EMA,
-    cdf_points,
     pearson_correlation,
     percentile,
     summarize_latencies,
@@ -53,16 +52,6 @@ class TestPercentileAndCdf:
 
     def test_median(self):
         assert percentile([1, 2, 3, 4, 5], 50) == 3.0
-
-    def test_cdf_monotonic_and_normalized(self):
-        values, fracs = cdf_points([3.0, 1.0, 2.0, 2.0])
-        assert (np.diff(values) >= 0).all()
-        assert fracs[-1] == pytest.approx(1.0)
-        assert (np.diff(fracs) > 0).all()
-
-    def test_cdf_empty(self):
-        values, fracs = cdf_points([])
-        assert len(values) == 0 and len(fracs) == 0
 
 
 class TestPearson:

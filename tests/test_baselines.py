@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines.naive_cache import NaiveCachePolicy
 from repro.baselines.rag import LongRAGRetriever, build_document_store
 from repro.baselines.routellm import RouteLLMRouter
 from repro.baselines.semantic_cache import SemanticCache, reused_quality
@@ -181,30 +180,3 @@ class TestSFT:
     def test_validation(self):
         with pytest.raises(ValueError):
             SFTModel(get_model("gemma-2-2b"), "nq", in_domain_lift=-0.1)
-
-
-class TestNaiveCache:
-    def test_fraction_retained(self):
-        policy = NaiveCachePolicy(seed=0)
-        examples = [make_example(example_id=f"ex-{i}", direction=i)
-                    for i in range(20)]
-        kept = policy.retain(examples, fraction=0.25)
-        assert len(kept) == 5
-
-    def test_zero_fraction(self):
-        policy = NaiveCachePolicy(seed=0)
-        assert policy.retain([make_example()], 0.0) == []
-
-    def test_full_fraction_keeps_all(self):
-        policy = NaiveCachePolicy(seed=0)
-        examples = [make_example(example_id=f"ex-{i}", direction=i)
-                    for i in range(7)]
-        assert len(policy.retain(examples, 1.0)) == 7
-
-    def test_at_least_one_kept(self):
-        policy = NaiveCachePolicy(seed=0)
-        assert len(policy.retain([make_example()], 0.01)) == 1
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            NaiveCachePolicy().retain([], 1.5)

@@ -118,6 +118,27 @@ class TestBookkeeping:
         # mixes in via the EMA.
         assert streams(ex)["offload_gain"].value < 0.5
 
+    def test_decay_periods_decays_advances_and_journals_once(self):
+        mgr, cache = manager_with(
+            config=ManagerConfig(sanitize=False, decay_factor=0.5,
+                                 decay_period_s=3600.0), n_examples=1)
+        mgr.record_use(cache.get("ex-0"), 0.0, 1.0, offloaded=True)
+        records = []
+        cache.journal = lambda kind, data: records.append((kind, data))
+        mgr.decay_periods(2)
+        assert cache.table.col("offload_gain__value")[0] == 0.25
+        assert mgr._last_decay == 2 * 3600.0
+        assert records == [("decay", {"periods": 2})]
+
+    def test_wal_redo_decays_through_the_manager(self, service,
+                                                  monkeypatch):
+        from repro.persistence.wal import apply_wal
+
+        calls = []
+        monkeypatch.setattr(service.manager, "decay_periods", calls.append)
+        apply_wal(service, [{"kind": "decay", "data": {"periods": 3}}])
+        assert calls == [3]
+
 
 class TestEviction:
     def test_unbounded_never_evicts(self):

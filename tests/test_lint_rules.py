@@ -333,7 +333,7 @@ class TestWAL003TableBookkeepingBypass:
             "def fine(ex, table, stats):\n"
             "    ex.quality = 0.9\n"
             "    ex.access_count += 1\n"
-            "    ex.__dict__['_difficulty_memo'] = {}\n"
+            "    ex.__dict__['_memo'] = {}\n"
             "    stats['quality'] = 1.0\n"
             "    values = table.col('quality')\n"
         ))

@@ -5,10 +5,15 @@ import pytest
 
 from repro.llm.zoo import get_model
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
-from repro.serving.metrics import mean_latency_fn, offload_ratio_fn, windowed_series
+from repro.serving.metrics import offload_ratio_fn, windowed_series
 from repro.serving.records import ServedRequest, ServingReport
 
 from tests.conftest import make_request
+
+
+def mean_latency_fn(records: list[ServedRequest]) -> float:
+    """Window aggregator: average end-to-end latency."""
+    return float(np.mean([r.e2e_latency_s for r in records]))
 
 
 def record(request_id="r", model="m", arrival=0.0, start=0.0, finish=1.0,

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.utils.clock import SimClock
 from repro.utils.rng import make_rng, spawn_rng, stable_hash
-from repro.utils.tokens import TOKENS_PER_WORD, count_tokens, truncate_tokens
+from repro.utils.tokens import TOKENS_PER_WORD, count_tokens
 
 
 class TestStableHash:
@@ -112,20 +112,3 @@ class TestTokens:
         long = count_tokens(" ".join(["word"] * 100))
         assert long > short
         assert long == pytest.approx(100 * TOKENS_PER_WORD, rel=0.05)
-
-    def test_truncate_noop_when_within_budget(self):
-        text = "a b c"
-        assert truncate_tokens(text, 100) == text
-
-    def test_truncate_respects_budget(self):
-        text = " ".join(["word"] * 200)
-        truncated = truncate_tokens(text, 50)
-        assert count_tokens(truncated) <= 50
-
-    def test_truncate_zero_budget(self):
-        assert truncate_tokens("anything here", 0) == ""
-
-    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=400))
-    def test_truncate_always_fits(self, budget, n_words):
-        text = " ".join(["tok"] * n_words)
-        assert count_tokens(truncate_tokens(text, budget)) <= budget
