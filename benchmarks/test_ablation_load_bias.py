@@ -36,8 +36,8 @@ def _run(bias_enabled: bool, seed: int = 31):
         ],
         gpu_budget=16,
     ))
-    report = sim.run(arrivals, service.cluster_router(),
-                     on_complete=service.on_complete)
+    report = sim.run(arrivals, service.pipeline.route_batch,
+                     on_complete=service.pipeline.on_complete)
     return {
         "offload": report.offload_ratio({SMALL}),
         "p99": report.latency_summary().p99,

@@ -40,8 +40,9 @@ def _storm_report(max_queue_depth):
     ], max_queue_depth=max_queue_depth))
     arrivals = TraceArrivalSource.from_trace(
         trace, dataset.online_requests(200),
-        router=service.cluster_router(), seed=4)
-    report = sim.run_sources([arrivals], on_complete=service.on_complete)
+        service.pipeline.route_batch, seed=4)
+    report = sim.run_sources([arrivals],
+                             on_complete=service.pipeline.on_complete)
     return report, arrivals.emitted
 
 

@@ -50,7 +50,7 @@ def _run_policy(policy: str, dataset_name: str, seed: int = 12):
 
     if policy in (SMALL, LARGE):
         sim = _cluster(seed=seed)
-        report = sim.run(arrivals, lambda req, s: (policy, []))
+        report = sim.run(arrivals, lambda rs, s: [(policy, []) for _ in rs])
     else:
         # Both learned systems come out of the policy registry and drive
         # the cluster through the same pipeline protocols.
@@ -61,7 +61,7 @@ def _run_policy(policy: str, dataset_name: str, seed: int = 12):
             history=history,
         )
         sim = _cluster(pipeline.models, seed=seed)
-        report = sim.run(arrivals, pipeline.cluster_router(),
+        report = sim.run(arrivals, pipeline.route_batch,
                          on_complete=pipeline.on_complete)
 
     requests = [r for _, r in arrivals]

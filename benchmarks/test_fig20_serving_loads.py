@@ -56,12 +56,12 @@ def _simulate(policy: str, qps: float, seed: int = 20):
         deployments=deployments(8, 1), gpu_budget=16,
     ))
     if policy == "ic":
-        report = sim.run(arrivals, service.cluster_router(),
-                         on_complete=service.on_complete)
+        report = sim.run(arrivals, service.pipeline.route_batch,
+                         on_complete=service.pipeline.on_complete)
     elif policy == "small":
-        report = sim.run(arrivals, lambda req, s: (SMALL, []))
+        report = sim.run(arrivals, lambda rs, s: [(SMALL, []) for _ in rs])
     else:
-        report = sim.run(arrivals, lambda req, s: (LARGE, []))
+        report = sim.run(arrivals, lambda rs, s: [(LARGE, []) for _ in rs])
     summary = report.latency_summary()
     return summary.p50, summary.p99
 
@@ -133,9 +133,9 @@ def test_fig20_live_autoscaling_diurnal(benchmark):
             SMALL, service.router.current_bias,
             interval_s=10.0, horizon_s=duration_s + 30.0,
         )
-        source = TraceArrivalSource(arrivals, router=service.cluster_router())
+        source = TraceArrivalSource(arrivals, service.pipeline.route_batch)
         report = sim.run_sources([source, ticks],
-                                 on_complete=service.on_complete)
+                                 on_complete=service.pipeline.on_complete)
         return len(arrivals), report, ticks.history
 
     n_arrivals, report, history = run_once(benchmark, experiment)

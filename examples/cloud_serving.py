@@ -72,14 +72,16 @@ def main() -> None:
         service, interval_s=300.0, horizon_s=trace.duration_seconds,
     )
     ic_report = sim.run_sources(
-        [TraceArrivalSource(arrivals, router=service.cluster_router()),
+        [TraceArrivalSource(arrivals, service.pipeline.route_batch),
          autoscale, maintenance],
-        on_complete=service.on_complete,
+        on_complete=service.pipeline.on_complete,
     )
 
     # --- static baselines ---------------------------------------------------
-    small_report = build_cluster(seed=3).run(arrivals, lambda r, s: (SMALL, []))
-    large_report = build_cluster(seed=3).run(arrivals, lambda r, s: (LARGE, []))
+    small_report = build_cluster(seed=3).run(
+        arrivals, lambda rs, s: [(SMALL, []) for _ in rs])
+    large_report = build_cluster(seed=3).run(
+        arrivals, lambda rs, s: [(LARGE, []) for _ in rs])
 
     print(f"\n{'policy':<14} {'offload':>8} {'mean lat (s)':>13} "
           f"{'p99 (s)':>9} {'mean quality':>13}")

@@ -74,7 +74,7 @@ def main() -> None:
     ))
     requests = dataset.online_requests(150)
     report = sim.run([(i * 0.2, r) for i, r in enumerate(requests)],
-                     pipeline.cluster_router(),
+                     pipeline.route_batch,
                      on_complete=pipeline.on_complete)
     print(f"cluster: {report.n} served, offload "
           f"{report.offload_ratio({small.name}):.2f}, "

@@ -79,8 +79,8 @@ def run_simulator() -> tuple[list, dict]:
     """The in-process control: the batch path every benchmark uses."""
     service, dataset = build_service()
     sim = ClusterSimulator(cluster_config(service))
-    report = sim.run(trace(dataset), service.cluster_router(),
-                     on_complete=service.on_complete)
+    report = sim.run(trace(dataset), service.pipeline.route_batch,
+                     on_complete=service.pipeline.on_complete)
     return decisions(report.records), report.slo_report()
 
 

@@ -3,11 +3,11 @@
 Since the pipeline redesign, ``ICCacheService`` owns the paper's learned
 components — selector (section 4.1), bandit router (section 4.2), example
 manager (section 4.3), feedback loops — and composes them into one
-:class:`repro.pipeline.core.ICCachePipeline`.  The four serving entry
-points (``serve``, ``serve_batch``, ``cluster_router``,
-``cluster_batch_router``) are thin facades over that single pipeline
-execution path: an inline request is a batch of one, the cluster paths are
-the same decision stages with completion deferred to the simulator's
+:class:`repro.pipeline.core.ICCachePipeline`.  The two serving entry
+points (``serve``, ``serve_batch``) are thin facades over that single
+pipeline execution path: an inline request is a batch of one, the cluster
+path (``pipeline.route_batch`` / ``pipeline.on_complete``) is the same
+decision stages with completion deferred to the simulator's
 ``on_complete`` callback, and the section-5 fault-tolerance bypass is a
 middleware (:class:`~repro.pipeline.middleware.FaultBypassMiddleware`)
 instead of per-path try/except.
@@ -36,7 +36,6 @@ from repro.llm.icl import example_utility
 from repro.llm.model import GenerationResult, SimulatedLLM
 from repro.llm.zoo import get_model
 from repro.pipeline.stats import ServiceStats
-from repro.serving.records import ServedRequest
 from repro.utils.clock import SimClock
 from repro.utils.rng import SEED_AHEAD_FROM, make_rng, stable_hash
 from repro.workload.feedback import FeedbackSimulator
@@ -77,8 +76,8 @@ class ICCacheService:
     and the manager of section 4.3 curates the plaintext cache — all
     executing on the shared serving pipeline (``self.pipeline``).  Requests
     flow through :meth:`serve` one at a time, or through :meth:`serve_batch`
-    /:meth:`cluster_batch_router` when the batched retrieval engine
-    amortizes embedding and stage-1 search across a micro-batch.
+    / ``pipeline.route_batch`` when micro-batching amortizes embedding and
+    stage-1 search across a batch.
     """
 
     def __init__(self, config: ICCacheConfig | None = None,
@@ -212,8 +211,8 @@ class ICCacheService:
         return admitted
 
     # -- serving facades over the pipeline -----------------------------------
-    # These four entry points predate the pipeline and stay as thin facades
-    # over it.  New code can drive self.pipeline directly.
+    # Two entry points stay as thin facades over the pipeline; the cluster
+    # drives self.pipeline directly.
 
     def serve(self, request: Request, load: float | None = None) -> ServeOutcome:
         """Serve one request end-to-end, including learning and admission."""
@@ -235,24 +234,6 @@ class ICCacheService:
         """
         return [self._outcome(ctx)
                 for ctx in self.pipeline.run_batch(requests, load)]
-
-    def cluster_router(self):
-        """A RouterFn for :class:`repro.serving.ClusterSimulator`."""
-        return self.pipeline.cluster_router()
-
-    def cluster_batch_router(self):
-        """A batch RouterFn for the batched serving engine.
-
-        Pass the returned callable to
-        :class:`repro.serving.engine.BatchedRetrievalEngine`; see
-        :meth:`ICCachePipeline.cluster_batch_router` for the load-sampling
-        semantics.
-        """
-        return self.pipeline.cluster_batch_router()
-
-    def on_complete(self, request: Request, record: ServedRequest) -> None:
-        """Completion callback for the cluster simulator: learn + admit."""
-        self.pipeline.on_complete(request, record)
 
     # -- online maintenance (section 4.3, run live by the runtime) -----------
 

@@ -6,14 +6,13 @@ opens an incremental run on a real simulator
 (:meth:`~repro.serving.cluster.ClusterSimulator.start_sources`) and feeds
 network arrivals into it: advance the event loop strictly past earlier
 work, make the routing decision against live queue state with the
-pipeline's batch router, and hand the routed requests to
-:meth:`~repro.serving.cluster.ClusterSimulator.dispatch` — the one path
-:class:`~repro.runtime.sources.TraceArrivalSource` and
-:class:`~repro.runtime.sources.BatchFlushSource` dispatch through when the
-same trace runs in-process.  Because every step is the simulator's own
-machinery on the *same pipeline object*, a trace replayed through the
-loopback gateway produces bit-identical decisions and cache state to the
-same trace run through ``ClusterSimulator.run`` (pinned by
+pipeline's batch router (``pipeline.route_batch``), and hand the routed
+requests to :meth:`~repro.serving.cluster.ClusterSimulator.dispatch` — the
+one path :class:`~repro.runtime.sources.TraceArrivalSource` dispatches
+through when the same trace runs in-process.  Because every step is the
+simulator's own machinery on the *same pipeline object*, a trace replayed
+through the loopback gateway produces bit-identical decisions and cache
+state to the same trace run through ``ClusterSimulator.run`` (pinned by
 ``tests/test_gateway_equivalence.py``).
 
 Time here is logical, never wall-clock (DET002): arrivals carry their own
@@ -63,7 +62,6 @@ class GatewaySession:
         self.sim = ClusterSimulator(cluster_config)
         self.rate_limiter = rate_limiter
         self.checkpointer = checkpointer
-        self._route_batch = service.pipeline.cluster_batch_router()
         self._loop = self.sim.start_sources([], on_complete=self._completed)
         self.records: dict[str, ServedRequest] = {}
         self._in_flight: set[str] = set()   # accepted ids not yet in records
@@ -143,7 +141,7 @@ class GatewaySession:
                      ) -> list[str]:
         """One micro-batch arrival; returns per-request admission outcomes.
 
-        Mirrors a size-triggered ``BatchFlushSource`` flush: the batch
+        Mirrors a size-triggered ``TraceArrivalSource`` flush: the batch
         dispatches at the latest member's arrival, decisions for the whole
         batch are made together (one amortized retrieval pass via the
         pipeline's batch router), and each admitted request enqueues at
@@ -193,8 +191,8 @@ class GatewaySession:
             # its retry decides afresh.
             self.service.pipeline.unpark(requests[i].request_id)
         arrivals = [(requests[i], times[i]) for i in admitted]
-        decisions = self._route_batch([r for r, _ in arrivals], self.sim) \
-            if arrivals else []
+        decisions = self.service.pipeline.route_batch(
+            [r for r, _ in arrivals], self.sim)
         for i, ok in zip(admitted, self.sim.dispatch(arrivals, decisions)):
             statuses[i] = ACCEPTED if ok else SHED
             if ok:
@@ -258,6 +256,6 @@ class GatewaySession:
 
     def _completed(self, request: "Request", record: ServedRequest) -> None:
         """The simulator's completion callback: learn, record."""
-        self.service.on_complete(request, record)
+        self.service.pipeline.on_complete(request, record)
         self.records[record.request_id] = record
         self._in_flight.discard(record.request_id)

@@ -13,7 +13,7 @@ Quickstart — any registered policy drops into the cluster simulator::
 
     pipeline = registry.build_policy("semantic-cache", dataset=dataset,
                                      history=history)
-    report = sim.run(arrivals, pipeline.cluster_router(),
+    report = sim.run(arrivals, pipeline.route_batch,
                      on_complete=pipeline.on_complete)
 """
 

@@ -5,8 +5,8 @@ naive cache retention.  Here each becomes a first-class citizen of the one
 serve loop: stage policies implementing the protocols of
 :mod:`repro.pipeline.protocols`, plus registered ``policy`` builders that
 assemble a complete :class:`~repro.pipeline.core.ICCachePipeline` — so any
-baseline drops into :class:`ClusterSimulator` or
-:class:`BatchedRetrievalEngine` exactly where IC-Cache does.
+baseline drops into :class:`ClusterSimulator`, micro-batched or not,
+exactly where IC-Cache does.
 
 Modeling notes for the shared generation path:
 

@@ -1,10 +1,10 @@
 """The one serve loop: ``ICCachePipeline``.
 
 Every way of serving a request in this repo — ``ICCacheService.serve``,
-``serve_batch``, the cluster simulator's per-request and batched routers,
-and all four baselines — executes this pipeline.  The flow is Algorithm 1
-generalized to protocol-typed stages over a micro-batch (a single inline
-request is a batch of one):
+``serve_batch``, the cluster simulator's batch router, and all four
+baselines — executes this pipeline.  The flow is Algorithm 1 generalized
+to protocol-typed stages over a micro-batch (a single inline request is a
+batch of one):
 
     embed -> retrieve (RetrievalPolicy, batch) -> route (RoutingPolicy,
     per request) -> generate -> after_complete middleware (learning) ->
@@ -18,10 +18,9 @@ retrieval failure bypasses the whole micro-batch, a routing failure just
 that request.
 
 Cluster serving splits the same flow around the simulator's event clock:
-``cluster_router``/``cluster_batch_router`` run the decision half
-(embed/retrieve/route) and park the context; ``on_complete`` finishes it
-(learning + admission) when the simulated request completes, so online
-learning sees real serving delay.
+``route_batch`` runs the decision half (embed/retrieve/route) and parks the
+context; ``on_complete`` finishes it (learning + admission) when the
+simulated request completes, so online learning sees real serving delay.
 """
 
 from __future__ import annotations
@@ -189,38 +188,26 @@ class ICCachePipeline:
 
     # -- cluster-simulator adapters ----------------------------------------
 
-    def cluster_router(self):
-        """A per-request RouterFn for :class:`ClusterSimulator`: the batch
-        router over a batch of one."""
-        route_batch = self.cluster_batch_router()
-        return lambda request, sim: route_batch([request], sim)[0]
-
-    def cluster_batch_router(self):
-        """A batch RouterFn for :class:`BatchedRetrievalEngine`.
+    def route_batch(self, requests: Sequence[Request],
+                    sim) -> list[tuple[str, list]]:
+        """The batch router for :class:`ClusterSimulator`: decide, then park
+        each context for :meth:`on_complete`.
 
         The cluster load is sampled once per micro-batch: the simulator
         enqueues nothing until the whole batch is routed, so per-request
         sampling would read the same stale value anyway — micro-batching
-        coarsens the router's load signal to batch granularity.
+        coarsens the router's load signal to batch granularity.  An id
+        already parked would lose one of its two completions, so it is
+        refused.
         """
-
-        def route_batch(requests: Sequence[Request], sim):
-            contexts = self.decide_batch(requests, sim.total_load())
-            return [self._defer(ctx) for ctx in contexts]
-
-        return route_batch
-
-    def _defer(self, ctx: ServeContext) -> tuple[str, list]:
-        """Park a decided context and shape it for the simulator.
-
-        An id already parked would lose one of the two completions, so it
-        is refused.
-        """
-        request_id = ctx.request.request_id
-        if request_id in self._pending:
-            raise ValueError(f"request {request_id!r} is already in flight")
-        self._pending[request_id] = ctx
-        return ctx.choice.model_name, ctx.views
+        decisions = []
+        for ctx in self.decide_batch(requests, sim.total_load()):
+            request_id = ctx.request.request_id
+            if request_id in self._pending:
+                raise ValueError(f"request {request_id!r} is already in flight")
+            self._pending[request_id] = ctx
+            decisions.append((ctx.choice.model_name, ctx.views))
+        return decisions
 
     def unpark(self, request_id: str) -> None:
         """Drop the context parked for a request the cluster shed, so a

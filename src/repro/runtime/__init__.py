@@ -35,7 +35,6 @@ from repro.runtime.sources import (
     FLUSH,
     MAINTENANCE_TICK,
     AutoscalerTickSource,
-    BatchFlushSource,
     CheckpointTickSource,
     EventSource,
     MaintenanceTickSource,
@@ -48,7 +47,6 @@ __all__ = [
     "EventLoop",
     "EventSource",
     "TraceArrivalSource",
-    "BatchFlushSource",
     "AutoscalerTickSource",
     "MaintenanceTickSource",
     "CheckpointTickSource",

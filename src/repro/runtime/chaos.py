@@ -23,8 +23,8 @@ harnesses:
 
 Because a crash replaces the service object mid-run, routing callbacks must
 not capture the service at attach time.  :class:`ServiceHolder` is the
-indirection: sources and simulators hold the *holder*, whose ``route`` /
-``on_complete`` delegate to whichever service generation is currently
+indirection: sources and simulators hold the *holder*, whose
+``route_batch`` / ``on_complete`` delegate to whichever service generation is currently
 adopted.
 
 Determinism: every source here schedules plain events on the shared loop
@@ -64,10 +64,10 @@ class ServiceHolder:
     """Mutable indirection over the live service instance.
 
     A crash-recovery event replaces the service object mid-run; anything
-    that captured ``service.cluster_router()`` directly would keep routing
-    against the dead instance.  The holder re-derives the router on every
-    :meth:`adopt` and delegates ``route``/``on_complete`` to the current
-    generation, so arrival sources and the simulator's completion callback
+    that captured ``service.pipeline.route_batch`` directly would keep
+    routing against the dead instance.  The holder's ``route_batch`` /
+    ``on_complete`` delegate to the current generation's pipeline at call
+    time, so arrival sources and the simulator's completion callback
     survive the swap untouched.  ``on_adopt`` hooks re-apply per-service
     setup (e.g. re-installing injected middleware) after each swap.
     """
@@ -78,9 +78,8 @@ class ServiceHolder:
         self.adopt(service)
 
     def adopt(self, service: "ICCacheService") -> None:
-        """Make ``service`` the live generation (rebuilding the router)."""
+        """Make ``service`` the live generation."""
         self.service = service
-        self._route = service.cluster_router()
         self.generation += 1
         for hook in self._adopt_hooks:
             hook(service)
@@ -90,9 +89,10 @@ class ServiceHolder:
         self._adopt_hooks.append(hook)
         hook(self.service)
 
-    # RouterFn surface (drop-in for ``service.cluster_router()``).
-    def route(self, request: "Request", cluster: "ClusterSimulator"):
-        return self._route(request, cluster)
+    def route_batch(self, requests: Sequence["Request"],
+                    cluster: "ClusterSimulator") -> list:
+        """Route a micro-batch on the live generation's pipeline."""
+        return self.service.pipeline.route_batch(requests, cluster)
 
     def on_complete(self, request: "Request",
                     record: "ServedRequest") -> None:
@@ -103,7 +103,7 @@ class ServiceHolder:
         request_id and ignores it — the in-flight-lost-on-crash semantics
         ``docs/PERSISTENCE.md`` specifies.
         """
-        self.service.on_complete(request, record)
+        self.service.pipeline.on_complete(request, record)
 
 
 class ReplicaKillSource:
@@ -138,7 +138,7 @@ class ReplicaKillSource:
         self._cluster = cluster
         _register_dispatch(loop, REPLICA_CHAOS)
         for at_s, n in self.kills:
-            loop.schedule(at_s, REPLICA_CHAOS, (self, ("kill", n)))
+            loop.schedule(at_s, REPLICA_CHAOS, (self._on_event, ("kill", n)))
 
     def _on_event(self, data: tuple[str, int]) -> None:
         action, n = data
@@ -153,7 +153,7 @@ class ReplicaKillSource:
         })
         if action == "kill" and applied != 0 and self.restore_after_s is not None:
             self._loop.schedule(self._loop.now + self.restore_after_s,
-                                REPLICA_CHAOS, (self, ("restore", -applied)))
+                                REPLICA_CHAOS, (self._on_event, ("restore", -applied)))
 
 
 class SlowShardSource:
@@ -280,7 +280,7 @@ class CrashRecoverySource:
         self._loop = loop
         self._cluster = cluster
         _register_dispatch(loop, CRASH_RECOVERY)
-        loop.schedule(self.at_s, CRASH_RECOVERY, (self, None))
+        loop.schedule(self.at_s, CRASH_RECOVERY, (self._on_event, None))
 
     def _on_event(self, _: None) -> None:
         from repro.persistence.wal import Checkpointer

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -42,7 +43,8 @@ class EventLoop:
     * :meth:`on` registers exactly one handler per event kind (duplicate
       registration is an error — silent override would make composition
       order-dependent in a way no test could pin).
-    * :meth:`schedule` enqueues an event at a simulated time >= ``now``.
+    * :meth:`schedule` enqueues an event at a finite simulated time >=
+      ``now``.
     * :meth:`run` pops events in ``(time, seq)`` order until the heap is
       empty, advancing :attr:`now` monotonically.
 
@@ -69,18 +71,17 @@ class EventLoop:
             raise ValueError(f"handler for event kind {kind!r} already registered")
         self._handlers[kind] = handler
 
-    def handles(self, kind: str) -> bool:
-        return kind in self._handlers
-
     def handler(self, kind: str) -> Callable[[Event], None] | None:
         """The registered handler for ``kind``, or ``None``."""
         return self._handlers.get(kind)
 
     def schedule(self, time: float, kind: str, payload: Any = None) -> Event:
-        """Enqueue an event; scheduling into the past is an error."""
-        if time < self.now:
+        """Enqueue an event; a time before ``now``, infinite or NaN is an
+        error (a NaN stamp would run ``now`` backwards)."""
+        if not self.now <= time < math.inf:
             raise ValueError(
-                f"cannot schedule {kind!r} at {time} before now={self.now}"
+                f"cannot schedule {kind!r} at {time}: need a finite time "
+                f">= now={self.now}"
             )
         event = Event(float(time), kind, payload)
         heapq.heappush(self._heap, (event.time, next(self._seq), event))

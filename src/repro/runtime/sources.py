@@ -5,11 +5,9 @@ others on a shared :class:`~repro.runtime.loop.EventLoop`:
 
 * :class:`TraceArrivalSource` — replays a timestamped arrival sequence
   (closed-loop trace replay or the open-loop Poisson/diurnal processes of
-  :mod:`repro.workload.trace`), routing each request per-request or handing
-  it to a :class:`BatchFlushSource`.
-* :class:`BatchFlushSource` — drives a
-  :class:`~repro.serving.engine.RequestBatcher` with the event clock: size
-  flushes happen inline, timeout flushes are scheduled events carrying a
+  :mod:`repro.workload.trace`) as routed micro-batches: it drives a
+  :class:`~repro.serving.engine.RequestBatcher` with the event clock, size
+  flushes inline and timeout flushes as ``flush`` events carrying a
   generation stamp so stale timers no-op.
 * :class:`AutoscalerTickSource` — the paper's section-4.2 control loop made
   live: on a fixed cadence it feeds the router's bias signal and the
@@ -40,7 +38,7 @@ from repro.runtime.loop import Event, EventLoop
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> runtime)
     from repro.serving.autoscaler import BiasAutoscaler, ScalingDecision
     from repro.serving.cluster import ClusterSimulator
-    from repro.serving.engine import BatchedRetrievalEngine
+    from repro.serving.engine import BatchPolicy
     from repro.workload.request import Request
 
 # Event kinds the standard sources schedule.  Kinds are plain strings so
@@ -68,15 +66,16 @@ class EventSource(Protocol):
 
 
 def _dispatch_to_source(event: Event) -> None:
-    """Shared handler for source-owned kinds: payload is (source, data)."""
-    source, data = event.payload
-    source._on_event(data)
+    """Shared handler for source-owned kinds: payload is (handler, data),
+    the handler a bound method of the source that scheduled the event."""
+    handler, data = event.payload
+    handler(data)
 
 
 def _register_dispatch(loop: EventLoop, kind: str) -> None:
     """Idempotently register the per-source dispatcher for ``kind``.
 
-    The standard sources schedule their events with a ``(source, data)``
+    The standard sources schedule their events with a ``(handler, data)``
     payload and share one dispatcher per kind, so several sources of the
     same class compose on one loop (two arrival traces, autoscalers on two
     tiers, ...) without fighting over the one-handler-per-kind rule.  A
@@ -111,36 +110,42 @@ def _periodic(loop: EventLoop, source, kind: str, interval_s: float,
     if horizon_s < 0:
         raise ValueError(f"horizon_s must be >= 0, got {horizon_s}")
     ticks = int(horizon_s / interval_s + 1e-9)
+    tick = source._on_event
     for i in range(1, ticks + 1):
-        loop.schedule(i * interval_s, kind, (source, None))
+        loop.schedule(i * interval_s, kind, (tick, None))
     return ticks
 
 
 class TraceArrivalSource:
-    """Replays ``[(timestamp, request)]`` arrivals through the loop.
+    """Replays ``[(timestamp, request)]`` arrivals as routed micro-batches.
 
-    Exactly one of ``router`` (a per-request callable ``(request, cluster)
-    -> (model_name, examples)``) or ``sink`` (a :class:`BatchFlushSource`)
-    consumes the arrivals.  Use :meth:`from_trace` to expand an
+    Arrivals park in a :class:`~repro.serving.engine.RequestBatcher` under
+    ``policy``; the default ``BatchPolicy()`` is the batch of one, which
+    dispatches each arrival as it fires and arms no timer.  A batch
+    dispatches inline the moment it reaches ``max_batch``; otherwise its
+    first item arms a ``flush`` event at the batcher's deadline, stamped
+    with the batcher's generation so a timer armed for a batch that already
+    size-flushed falls through as a no-op.  ``route_batch(requests,
+    cluster)`` returns one ``(model_name, examples)`` decision per request.
+    Use :meth:`from_trace` to expand an
     :class:`~repro.workload.trace.ArrivalTrace` — including the open-loop
     ``poisson_trace``/``diurnal_trace`` processes — into arrivals.
     """
 
     def __init__(self, arrivals: Iterable[tuple[float, "Request"]],
-                 router: Callable | None = None,
-                 sink: "BatchFlushSource | None" = None) -> None:
-        if (router is None) == (sink is None):
-            raise ValueError("provide exactly one of router= or sink=")
+                 route_batch: Callable,
+                 policy: "BatchPolicy | None" = None) -> None:
+        from repro.serving.engine import RequestBatcher
+
         self.arrivals = list(arrivals)
-        self.router = router
-        self.sink = sink
+        self.route_batch = route_batch
+        self.batcher = RequestBatcher(policy)
         self.emitted = 0
 
     @classmethod
-    def from_trace(cls, trace, requests: Iterable["Request"], *,
-                   router: Callable | None = None,
-                   sink: "BatchFlushSource | None" = None,
-                   seed: int = 0) -> "TraceArrivalSource":
+    def from_trace(cls, trace, requests: Iterable["Request"],
+                   route_batch: Callable, policy: "BatchPolicy | None" = None,
+                   *, seed: int = 0) -> "TraceArrivalSource":
         """Expand ``trace`` into Poisson arrival times over ``requests``.
 
         The request list is truncated or the times are (whichever is
@@ -150,53 +155,26 @@ class TraceArrivalSource:
         times = trace.arrival_times(seed=seed)
         requests = list(requests)
         n = min(len(times), len(requests))
-        return cls(list(zip(times[:n], requests[:n])), router=router, sink=sink)
+        return cls(list(zip(times[:n], requests[:n])), route_batch, policy)
 
     def attach(self, loop: EventLoop, cluster: "ClusterSimulator") -> None:
         self._loop = loop
         self._cluster = cluster
         _register_dispatch(loop, ARRIVAL)
+        _register_dispatch(loop, FLUSH)
+        arrive = self._arrive
         for timestamp, request in self.arrivals:
-            loop.schedule(timestamp, ARRIVAL, (self, request))
+            loop.schedule(timestamp, ARRIVAL, (arrive, request))
 
-    def _on_event(self, request: "Request") -> None:
-        """One arrival fired: route-and-enqueue now, or park in the batcher.
+    def _arrive(self, request: "Request") -> None:
+        """One arrival fired: park it, then dispatch or arm the timeout.
 
-        The per-request mode is the paper's inline serving path (Algorithm
-        1 invoked at arrival time, section 6's closed-loop evaluation);
-        the sink mode defers routing to the micro-batching engine, which
-        is how the section-7 throughput experiments amortize retrieval.
+        Under the batch of one this is the paper's inline serving path
+        (Algorithm 1 invoked at arrival time, section 6's closed-loop
+        evaluation); a larger batch is how the section-7 throughput
+        experiments amortize retrieval.
         """
         self.emitted += 1
-        if self.sink is not None:
-            self.sink.add(request)
-            return
-        self._cluster.dispatch([(request, self._loop.now)],
-                               [self.router(request, self._cluster)])
-
-
-class BatchFlushSource:
-    """Micro-batching over the event clock.
-
-    Wraps a :class:`~repro.serving.engine.RequestBatcher` built from the
-    engine's :class:`~repro.serving.engine.BatchPolicy`: a batch dispatches
-    inline the moment it reaches ``max_batch``, and the first item of every
-    batch arms a ``flush`` event at the batcher's deadline.  The event
-    carries the batcher's generation stamp, so a timer armed for a batch
-    that already size-flushed falls through as a no-op.
-    """
-
-    def __init__(self, engine: "BatchedRetrievalEngine") -> None:
-        self.engine = engine
-        self.batcher = engine.make_batcher()
-
-    def attach(self, loop: EventLoop, cluster: "ClusterSimulator") -> None:
-        self._loop = loop
-        self._cluster = cluster
-        _register_dispatch(loop, FLUSH)
-
-    def add(self, request: "Request") -> None:
-        """Park one arrival; dispatches or arms the timeout as needed."""
         now = self._loop.now
         opened = len(self.batcher) == 0
         full = self.batcher.add((request, now), now)
@@ -204,21 +182,18 @@ class BatchFlushSource:
             self._dispatch(full)
         elif opened:
             self._loop.schedule(self.batcher.deadline, FLUSH,
-                                (self, self.batcher.generation))
+                                (self._flush, self.batcher.generation))
 
-    def _on_event(self, generation: int) -> None:
+    def _flush(self, generation: int) -> None:
         """A timeout flush fired for the batch stamped ``generation``."""
-        if self.batcher.generation != generation:
-            return  # stale timer: that batch already dispatched on size
-        batch = self.batcher.flush()
-        if batch:
-            self._dispatch(batch)
+        if self.batcher.generation == generation:  # else it size-flushed
+            self._dispatch(self.batcher.flush())
 
     def _dispatch(self, batch: list[tuple["Request", float]]) -> None:
         """Route a micro-batch; each request enqueues at its arrival time."""
         requests = [request for request, _ in batch]
-        self._cluster.dispatch(
-            batch, self.engine.route_batch(requests, self._cluster))
+        self._cluster.dispatch(batch,
+                               self.route_batch(requests, self._cluster))
 
 
 class AutoscalerTickSource:

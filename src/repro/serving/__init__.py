@@ -12,11 +12,7 @@ all compose as event sources on one loop.
 """
 
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
-from repro.serving.engine import (
-    BatchedRetrievalEngine,
-    BatchPolicy,
-    RequestBatcher,
-)
+from repro.serving.engine import BatchPolicy, RequestBatcher
 from repro.serving.records import (
     RateLimitEvent,
     ScalingEvent,
@@ -31,7 +27,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterSimulator",
     "ModelDeployment",
-    "BatchedRetrievalEngine",
     "BatchPolicy",
     "RequestBatcher",
     "RateLimitEvent",

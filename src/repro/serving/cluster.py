@@ -6,7 +6,9 @@ plus pluggable event sources — and :class:`ClusterSimulator` is a thin
 composition over it: the simulator owns cluster *state* (per-model FIFO
 queues, continuous-batching slot accounting, the run report) and the event
 *handlers* that mutate it, while arrivals, batch flushes, autoscaler ticks,
-and maintenance ticks are produced by the sources attached to a run.
+and maintenance ticks are produced by the sources attached to a run.  Every
+router is a batch router, ``route_batch(requests, sim) -> [(model_name,
+examples)]``; a request routed alone is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Callable, Sequence
 from repro.llm.icl import ExampleView
 from repro.llm.model import SimulatedLLM
 from repro.runtime.loop import Event, EventLoop
-from repro.runtime.sources import FINISH, BatchFlushSource, TraceArrivalSource
-from repro.serving.engine import BatchedRetrievalEngine
+from repro.runtime.sources import FINISH, TraceArrivalSource
+from repro.serving.engine import BatchPolicy
 from repro.serving.records import (
     ScalingEvent,
     ServedRequest,
@@ -30,7 +32,6 @@ from repro.workload.request import Request
 
 # A routing decision: which model serves the request, with which examples.
 RoutingDecision = tuple[str, list[ExampleView]]
-RouterFn = Callable[[Request, "ClusterSimulator"], RoutingDecision]
 
 
 @dataclass
@@ -133,8 +134,8 @@ class ClusterSimulator:
     paper's Request Router (section 4.2) biases on, and via
     :meth:`apply_scaling` the same signal resizes deployments live.
 
-    :meth:`run` keeps the pre-runtime signature (arrivals + router) and
-    composes the standard sources; :meth:`run_sources` accepts any
+    :meth:`run` replays arrivals through one batch router;
+    :meth:`run_sources` accepts any
     :class:`~repro.runtime.sources.EventSource` composition for richer
     scenarios (open-loop load, live autoscaling, online maintenance).
     """
@@ -186,24 +187,21 @@ class ClusterSimulator:
     # ----- simulation ---------------------------------------------------
 
     def run(self, arrivals: list[tuple[float, Request]],
-            router: RouterFn | BatchedRetrievalEngine,
+            route_batch: Callable[[Sequence[Request], "ClusterSimulator"],
+                                  list[RoutingDecision]],
             on_complete: Callable[[Request, ServedRequest], None] | None = None,
-            ) -> ServingReport:
+            policy: BatchPolicy | None = None) -> ServingReport:
         """Simulate the full arrival sequence; returns the completed report.
 
-        ``router`` is either a per-request callable or a
-        :class:`~repro.serving.engine.BatchedRetrievalEngine`, in which case
-        arrivals are micro-batched (size/timeout policy) before routing and
-        the batching delay is charged to each request's queue wait.
-        ``on_complete`` fires as each request finishes (simulation order), so
-        online-learning policies can ingest feedback with realistic delay.
+        Arrivals are micro-batched under ``policy`` (default: the batch of
+        one) and routed by ``route_batch``; the batching delay is charged to
+        each request's queue wait.  ``on_complete`` fires as each request
+        finishes (simulation order), so online-learning policies can ingest
+        feedback with realistic delay.
         """
-        if hasattr(router, "route_batch"):
-            sink = BatchFlushSource(router)
-            sources = [TraceArrivalSource(arrivals, sink=sink), sink]
-        else:
-            sources = [TraceArrivalSource(arrivals, router=router)]
-        return self.run_sources(sources, on_complete=on_complete)
+        return self.run_sources([TraceArrivalSource(arrivals, route_batch,
+                                                    policy)],
+                                on_complete=on_complete)
 
     def run_sources(self, sources: Sequence,
                     on_complete: Callable[[Request, ServedRequest], None] | None = None,
@@ -280,10 +278,13 @@ class ClusterSimulator:
         Each ``(request, arrival_s)`` enqueues on its decision's model at
         its own arrival stamp (:meth:`enqueue`), then the queues they
         joined drain (:meth:`drain`).  Returns which were accepted; the
-        rest were shed.  A per-request arrival dispatches as a batch of
-        one; a micro-batch flush and the serving gateway dispatch whole
-        batches.
+        rest were shed.  One decision per arrival, or ``ValueError``
+        before anything moves: a short list would drop requests unserved
+        and unshed.
         """
+        if len(decisions) != len(arrivals):
+            raise ValueError(f"{len(decisions)} routing decisions for "
+                             f"{len(arrivals)} arrivals")
         accepted, touched = [], []
         for (request, arrival_s), (model_name, examples) in zip(arrivals,
                                                                 decisions):

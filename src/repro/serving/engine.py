@@ -1,4 +1,4 @@
-"""The batched retrieval engine: micro-batching policy for the serve loop.
+"""Micro-batching policy for the serve loop.
 
 The paper's serving stack (section 5) pays retrieval cost per request; at
 production scale the standard fix is micro-batching — hold arrivals for at
@@ -10,20 +10,18 @@ updates online) and the cluster simulator schedules them individually.
 
 Components:
 
-* :class:`BatchPolicy` — the size/timeout knobs.
+* :class:`BatchPolicy` — the size/timeout knobs; the default is the batch
+  of one, so a request routed alone is not a special case.
 * :class:`RequestBatcher` — the accumulation state machine; pure policy, no
-  clock of its own, so both the discrete-event simulator and a wall-clock
+  clock of its own, so both the discrete-event simulator
+  (:class:`repro.runtime.sources.TraceArrivalSource`) and a wall-clock
   server can drive it.
-* :class:`BatchedRetrievalEngine` — binds a batch-routing callable (e.g.
-  :meth:`repro.core.service.ICCacheService.cluster_batch_router`) to a
-  policy; :class:`repro.serving.cluster.ClusterSimulator` accepts it in
-  place of a per-request router.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -33,17 +31,20 @@ class BatchPolicy:
     A batch is dispatched as soon as it holds ``max_batch`` items, or
     ``max_wait_s`` after its first item arrived, whichever comes first —
     the classic bounded-staleness batching rule (latency cost is at most
-    ``max_wait_s`` of extra queueing per request).
+    ``max_wait_s`` of extra queueing per request).  The default,
+    ``max_batch=1``, dispatches every item as it arrives.  A wait that is
+    not finite is refused: its tail batch would flush at ``now = inf``.
     """
 
-    max_batch: int = 8
-    max_wait_s: float = 0.05
+    max_batch: int = 1
+    max_wait_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
+        if not 0 <= self.max_wait_s < math.inf:
+            raise ValueError(
+                f"max_wait_s must be finite and >= 0, got {self.max_wait_s}")
 
 
 class RequestBatcher:
@@ -59,9 +60,7 @@ class RequestBatcher:
         self.policy = policy or BatchPolicy()
         self._pending: list = []
         self.deadline: float | None = None   # when the open batch expires
-        self.generation = 0                   # flushes so far
-        self.batches_dispatched = 0
-        self.items_enqueued = 0
+        self.generation = 0                   # batches flushed so far
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -75,7 +74,6 @@ class RequestBatcher:
         if not self._pending:
             self.deadline = now + self.policy.max_wait_s
         self._pending.append(item)
-        self.items_enqueued += 1
         if len(self._pending) >= self.policy.max_batch:
             return self.flush()
         return None
@@ -86,41 +84,4 @@ class RequestBatcher:
         self.deadline = None
         if batch:
             self.generation += 1
-            self.batches_dispatched += 1
         return batch
-
-
-# One routing decision per request, same shape as the per-request RouterFn
-# in repro.serving.cluster: (model_name, example views).
-BatchRouterFn = Callable[[Sequence, object], list]
-
-
-class BatchedRetrievalEngine:
-    """A drop-in replacement for a per-request router in the simulator.
-
-    ``route_batch(requests, sim)`` must return one ``(model_name, examples)``
-    decision per request; :meth:`ICCacheService.cluster_batch_router
-    <repro.core.service.ICCacheService.cluster_batch_router>` produces
-    exactly that, with embedding + stage-1 retrieval amortized across the
-    batch.  :class:`repro.serving.cluster.ClusterSimulator` detects this
-    object (via ``route_batch``) and drives a :class:`RequestBatcher` with
-    its event clock, so batching delay shows up in queue-wait metrics.
-    """
-
-    def __init__(self, route_batch: BatchRouterFn,
-                 policy: BatchPolicy | None = None) -> None:
-        self.policy = policy or BatchPolicy()
-        self._route_batch = route_batch
-
-    def route_batch(self, requests: Sequence, sim) -> list:
-        decisions = self._route_batch(requests, sim)
-        if len(decisions) != len(requests):
-            raise ValueError(
-                f"batch router returned {len(decisions)} decisions "
-                f"for {len(requests)} requests"
-            )
-        return decisions
-
-    def make_batcher(self) -> RequestBatcher:
-        """A fresh batcher bound to this engine's policy."""
-        return RequestBatcher(self.policy)

@@ -19,8 +19,8 @@ class ServedRequest:
 
     The latency decomposition follows the paper's serving model (section 6):
     end-to-end latency = queue wait + TTFT + decode.  ``queue_wait_s``
-    includes any retrieval micro-batching delay introduced by
-    :class:`repro.serving.engine.BatchedRetrievalEngine`, so batching
+    includes any retrieval micro-batching delay a
+    :class:`repro.serving.engine.BatchPolicy` introduces, so batching
     policies are charged honestly in the Fig. 12 latency panels.
     """
 

@@ -221,7 +221,7 @@ def test_twin_services_agree_byte_for_byte(tmp_path, monkeypatch):
 
 
 def test_gateway_serve_batch_through_the_cluster_path(monkeypatch):
-    """``POST /serve_batch`` decides through ``cluster_batch_router``: the
+    """``POST /serve_batch`` decides through ``pipeline.route_batch``: the
     primed and unprimed sessions return the same records."""
     dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
     bank = dataset.example_bank_requests()[:60]

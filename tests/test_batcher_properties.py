@@ -8,7 +8,9 @@ and the discrete-event simulator feeding its event clock.  Locked here:
 * flush order preserves arrival order (concatenating dispatched batches
   reproduces the add sequence exactly);
 * ``max_wait_s=0`` dispatches immediately — the deadline equals the add
-  time, so no request ever waits on batching.
+  time, so no request ever waits on batching;
+* the default policy, the batch of one, costs no event: a trace of n
+  requests schedules exactly n arrivals and n finishes, no ``flush``.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 
 from repro.llm.zoo import get_model
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
-from repro.serving.engine import BatchedRetrievalEngine, BatchPolicy, RequestBatcher
+from repro.serving.engine import BatchPolicy, RequestBatcher
 
 from tests.conftest import make_request
 
@@ -69,25 +71,44 @@ class TestManualDrive:
         batcher = RequestBatcher(BatchPolicy(max_batch=1, max_wait_s=9.0))
         for i, now in enumerate([0.0, 0.1, 0.2]):
             assert batcher.add(i, now) == [i]
-        assert batcher.batches_dispatched == 3
+        assert batcher.generation == 3
 
 
 class TestSimulatorDrive:
-    def _run(self, arrivals, policy):
+    def _run(self, arrivals, policy=None, sim=None):
         seen_batches = []
 
         def route_batch(requests, sim):
             seen_batches.append([r.request_id for r in requests])
             return [("gemma-2-2b", []) for _ in requests]
 
-        sim = ClusterSimulator(ClusterConfig(
+        sim = sim or ClusterSimulator(ClusterConfig(
             deployments=[
                 ModelDeployment(get_model("gemma-2-2b"), replicas=8),
             ],
             gpu_budget=None,
         ))
-        report = sim.run(arrivals, BatchedRetrievalEngine(route_batch, policy))
+        report = sim.run(arrivals, route_batch, policy=policy)
         return report, seen_batches
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_policy_costs_no_extra_event(self, seed):
+        # Under BatchPolicy() every arrival is its own batch, dispatched
+        # inline: n arrivals + n finishes, and no flush timer is ever armed.
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(1, 60))
+        times = np.cumsum(rng.exponential(0.02, size=n))
+        times[rng.random(n) < 0.3] = times[0]   # some same-instant arrivals
+        arrivals = [(float(t), make_request(request_id=f"o{i:03d}"))
+                    for i, t in enumerate(np.sort(times))]
+        sim = ClusterSimulator(ClusterConfig(
+            deployments=[ModelDeployment(get_model("gemma-2-2b"), replicas=1)],
+            gpu_budget=None,
+        ))
+        report, batches = self._run(arrivals, sim=sim)
+        assert report.n == n
+        assert [len(b) for b in batches] == [1] * n
+        assert sim.events_processed == 2 * n
 
     @pytest.mark.parametrize("seed", range(3))
     def test_invariants_under_simulator_clock(self, seed):

@@ -34,6 +34,7 @@ from repro.runtime import (
     TraceArrivalSource,
 )
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
+from repro.serving.engine import BatchPolicy
 from repro.workload import SyntheticDataset
 from repro.workload.adversarial import FlashCrowd, flash_crowd_trace
 
@@ -59,7 +60,8 @@ def _sim(service: ICCacheService,
 
 
 def _storm_arrivals(dataset: SyntheticDataset, n: int = 150,
-                    router=None, seed: int = 7) -> TraceArrivalSource:
+                    route_batch=None, seed: int = 7,
+                    policy: BatchPolicy | None = None) -> TraceArrivalSource:
     trace = flash_crowd_trace(
         60, 1.0,
         [FlashCrowd(at_s=15, ramp_s=5, hold_s=10, decay_s=10,
@@ -67,18 +69,19 @@ def _storm_arrivals(dataset: SyntheticDataset, n: int = 150,
         seed=3,
     )
     return TraceArrivalSource.from_trace(
-        trace, dataset.online_requests(n), router=router, seed=seed)
+        trace, dataset.online_requests(n), route_batch, policy, seed=seed)
 
 
 class TestReplicaKill:
     def test_kill_and_restore_land_in_scaling_timeline(self):
         service, dataset = _build()
         sim = _sim(service)
-        arrivals = _storm_arrivals(dataset, router=service.cluster_router())
+        arrivals = _storm_arrivals(dataset,
+                                   route_batch=service.pipeline.route_batch)
         kill = ReplicaKillSource(service.small_name, kills=[(18.0, 2)],
                                  restore_after_s=15.0)
         report = sim.run_sources([arrivals, kill],
-                                 on_complete=service.on_complete)
+                                 on_complete=service.pipeline.on_complete)
         deltas = [(e.time_s, e.applied_delta) for e in report.scaling
                   if e.model_name == service.small_name]
         assert (18.0, -2) in deltas
@@ -90,9 +93,10 @@ class TestReplicaKill:
         service, dataset = _build()
         sim = _sim(service)
         arrivals = _storm_arrivals(dataset, n=20,
-                                   router=service.cluster_router())
+                                   route_batch=service.pipeline.route_batch)
         kill = ReplicaKillSource(service.small_name, kills=[(5.0, 99)])
-        sim.run_sources([arrivals, kill], on_complete=service.on_complete)
+        sim.run_sources([arrivals, kill],
+                        on_complete=service.pipeline.on_complete)
         assert sim.deployment(service.small_name).replicas == 1
         assert kill.history[0]["applied_delta"] == -3
 
@@ -109,9 +113,10 @@ class TestSlowShard:
             service, dataset = _build()
             sim = _sim(service)
             arrivals = _storm_arrivals(dataset,
-                                       router=service.cluster_router())
+                                       route_batch=service.pipeline.route_batch)
             sources = [arrivals] + ([slow_source] if slow_source else [])
-            return sim.run_sources(sources, on_complete=service.on_complete)
+            return sim.run_sources(sources,
+                                   on_complete=service.pipeline.on_complete)
 
         healthy = run(None)
         slow = SlowShardSource([(0.0, 1e9)], penalty_s=1.0)
@@ -126,11 +131,12 @@ class TestSlowShard:
     def test_window_and_model_filters(self):
         service, dataset = _build()
         sim = _sim(service)
-        arrivals = _storm_arrivals(dataset, router=service.cluster_router())
+        arrivals = _storm_arrivals(dataset,
+                                   route_batch=service.pipeline.route_batch)
         slow = SlowShardSource([(100.0, 200.0)], penalty_s=5.0,
                                model_names=[service.large_name])
         report = sim.run_sources([arrivals, slow],
-                                 on_complete=service.on_complete)
+                                 on_complete=service.pipeline.on_complete)
         assert slow.injected == 0  # window never overlaps the run
         assert report.n > 0
 
@@ -140,7 +146,7 @@ class TestSlowShard:
         a = SlowShardSource([(0.0, 1.0)], penalty_s=0.1)
         b = SlowShardSource([(0.0, 1.0)], penalty_s=0.1)
         arrivals = _storm_arrivals(dataset, n=5,
-                                   router=service.cluster_router())
+                                   route_batch=service.pipeline.route_batch)
         with pytest.raises(ValueError, match="already installed"):
             sim.run_sources([arrivals, a, b])
 
@@ -158,7 +164,7 @@ class TestFaultSchedule:
         holder = ServiceHolder(service)
         faults = FaultScheduleSource(holder,
                                      retrieval_windows=[(20.0, 30.0)])
-        arrivals = _storm_arrivals(dataset, router=holder.route)
+        arrivals = _storm_arrivals(dataset, route_batch=holder.route_batch)
         report = sim.run_sources([arrivals, faults],
                                  on_complete=holder.on_complete)
         assert report.n > 0
@@ -192,9 +198,10 @@ class TestShedding:
     def test_flash_crowd_sheds_at_queue_depth(self):
         service, dataset = _build()
         sim = _sim(service, max_queue_depth=4)
-        arrivals = _storm_arrivals(dataset, router=service.cluster_router())
+        arrivals = _storm_arrivals(dataset,
+                                   route_batch=service.pipeline.route_batch)
         report = sim.run_sources([arrivals],
-                                 on_complete=service.on_complete)
+                                 on_complete=service.pipeline.on_complete)
         assert len(report.shed) > 0
         assert 0 < report.shed_rate < 1
         assert report.n + len(report.shed) == arrivals.emitted
@@ -207,9 +214,10 @@ class TestShedding:
     def test_unbounded_queue_never_sheds(self):
         service, dataset = _build()
         sim = _sim(service, max_queue_depth=None)
-        arrivals = _storm_arrivals(dataset, router=service.cluster_router())
+        arrivals = _storm_arrivals(dataset,
+                                   route_batch=service.pipeline.route_batch)
         report = sim.run_sources([arrivals],
-                                 on_complete=service.on_complete)
+                                 on_complete=service.pipeline.on_complete)
         assert report.shed == []
         assert report.shed_rate == 0.0
         assert report.n == arrivals.emitted
@@ -228,7 +236,7 @@ def _chaos_storm_run(tmp_path, seed: int = SEED):
     checkpointer = Checkpointer(service, tmp_path)
     checkpointer.checkpoint()
     sim = _sim(service, max_queue_depth=6)
-    arrivals = _storm_arrivals(dataset, router=holder.route)
+    arrivals = _storm_arrivals(dataset, route_batch=holder.route_batch)
     kill = ReplicaKillSource(service.small_name, kills=[(18.0, 2)],
                              restore_after_s=15.0)
     slow = SlowShardSource([(25.0, 40.0)], penalty_s=0.5,
@@ -288,3 +296,30 @@ class TestChaosDeterminism:
         report_a, _, _ = _chaos_storm_run(tmp_path / "a", seed=SEED)
         report_b, _, _ = _chaos_storm_run(tmp_path / "b", seed=SEED + 1)
         assert _full_snapshot(report_a) != _full_snapshot(report_b)
+
+    def test_crash_recovery_inside_a_micro_batched_run(self, tmp_path):
+        """Micro-batches routed through the holder survive a crash swap:
+        batches parked across the crash route on the recovered generation,
+        and two same-seed runs agree bit for bit."""
+
+        def run(directory):
+            service, dataset = _build()
+            holder = ServiceHolder(service)
+            checkpointer = Checkpointer(service, directory)
+            checkpointer.checkpoint()
+            arrivals = _storm_arrivals(
+                dataset, route_batch=holder.route_batch,
+                policy=BatchPolicy(max_batch=8, max_wait_s=0.25))
+            crash = CrashRecoverySource(holder, checkpointer, at_s=22.0)
+            report = _sim(service).run_sources(
+                [arrivals, crash], on_complete=holder.on_complete)
+            return report, holder
+
+        report_a, holder_a = run(tmp_path / "a")
+        report_b, holder_b = run(tmp_path / "b")
+        assert holder_a.generation == holder_b.generation == 1
+        assert report_a.slo_report() == report_b.slo_report()
+        assert _full_snapshot(report_a) == _full_snapshot(report_b)
+        assert holder_a.service.stats.served == holder_b.service.stats.served
+        assert holder_a.service.stats.served > 0
+        assert any(r.arrival_s > 22.0 for r in report_a.records)

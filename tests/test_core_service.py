@@ -63,9 +63,9 @@ class TestPublicSurface:
 
 
 class TestFacadeCallSites:
-    """``serve`` / ``serve_batch`` / ``cluster_router`` / ``on_complete``
-    are thin facades over the pipeline; benchmarks and examples call them
-    exactly like this."""
+    """``serve`` / ``serve_batch`` are thin facades over the pipeline, and
+    the cluster drives ``pipeline.route_batch`` / ``pipeline.on_complete``;
+    benchmarks and examples call them exactly like this."""
 
     def test_serve_returns_serve_outcome(self):
         service, dataset = _small_service(seed=71)
@@ -85,9 +85,9 @@ class TestFacadeCallSites:
         assert len(outcomes) == 4
         assert all(isinstance(o, ServeOutcome) for o in outcomes)
 
-    def test_cluster_router_contract(self):
-        # The returned callable has the RouterFn shape and pairs with
-        # service.on_complete.
+    def test_pipeline_route_batch_contract(self):
+        # The batch router pairs with pipeline.on_complete; routed alone,
+        # each request is a batch of one.
         service, dataset = _small_service(seed=74)
         sim = ClusterSimulator(ClusterConfig(
             deployments=[
@@ -98,8 +98,8 @@ class TestFacadeCallSites:
         ))
         requests = dataset.online_requests(20)
         arrivals = [(i * 0.4, r) for i, r in enumerate(requests)]
-        report = sim.run(arrivals, service.cluster_router(),
-                         on_complete=service.on_complete)
+        report = sim.run(arrivals, service.pipeline.route_batch,
+                         on_complete=service.pipeline.on_complete)
         assert report.n == 20
         assert service.stats.served == 20
 
@@ -342,8 +342,8 @@ class TestClusterIntegration:
         ))
         requests = dataset.online_requests(120)
         arrivals = [(i * 0.5, r) for i, r in enumerate(requests)]
-        report = sim.run(arrivals, service.cluster_router(),
-                         on_complete=service.on_complete)
+        report = sim.run(arrivals, service.pipeline.route_batch,
+                         on_complete=service.pipeline.on_complete)
         assert report.n == 120
         assert service.stats.served == 120
         assert report.offload_ratio({service.small_name}) > 0.0
@@ -351,7 +351,7 @@ class TestClusterIntegration:
 
 class TestClusterBatchedIntegration:
     def test_service_drives_batched_cluster_simulation(self):
-        from repro.serving.engine import BatchedRetrievalEngine, BatchPolicy
+        from repro.serving.engine import BatchPolicy
 
         config = ICCacheConfig(seed=26, cache_shards=2,
                                manager=ManagerConfig(sanitize=False))
@@ -365,13 +365,11 @@ class TestClusterBatchedIntegration:
             ],
             gpu_budget=16,
         ))
-        engine = BatchedRetrievalEngine(
-            service.cluster_batch_router(),
-            BatchPolicy(max_batch=8, max_wait_s=0.25),
-        )
         requests = dataset.online_requests(96)
         arrivals = [(i * 0.05, r) for i, r in enumerate(requests)]
-        report = sim.run(arrivals, engine, on_complete=service.on_complete)
+        report = sim.run(arrivals, service.pipeline.route_batch,
+                         on_complete=service.pipeline.on_complete,
+                         policy=BatchPolicy(max_batch=8, max_wait_s=0.25))
         assert report.n == 96
         assert service.stats.served == 96
         assert report.offload_ratio({service.small_name}) > 0.0

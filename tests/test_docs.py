@@ -142,7 +142,7 @@ def test_doc_imports_resolve(path: Path, line: str):
 #: ``src/`` past it raises the number in its own diff and says in
 #: ``CHANGES.md`` which deletion pays the growth back; a PR that shrinks
 #: ``src/`` lowers it to its result.
-SRC_LINE_CEILING = 14_455
+SRC_LINE_CEILING = 14_352
 
 
 def test_src_stays_under_its_line_ceiling():
@@ -158,7 +158,9 @@ def test_src_stays_under_its_line_ceiling():
 #: Code no entry point reached (the service, the gateway, the persistence
 #: CLI, ``benchmarks/``, ``bench_e2e/``, ``examples/``) that was deleted
 #: from ``src/``: modules, helpers only tests called, and their package
-#: re-exports.  A test that needs one keeps a local copy.
+#: re-exports.  A test that needs one keeps a local copy.  Also the second
+#: router shape: every cluster router is ``route_batch(requests, sim)``,
+#: and a request routed alone is a batch of one.
 DELETED_FROM_SRC = [
     "repro.llm.prompts",
     "repro.workload.preprocess",
@@ -178,6 +180,19 @@ DELETED_FROM_SRC = [
     "repro.serving.autoscaler.BiasAutoscaler.net_replicas_delta",
     "repro.serving.metrics.mean_latency_fn",
     "repro.workload.topics.TopicModel.base_vector",
+    "repro.serving.BatchedRetrievalEngine",
+    "repro.serving.engine.BatchedRetrievalEngine",
+    "repro.serving.engine.BatchRouterFn",
+    "repro.serving.cluster.RouterFn",
+    "repro.runtime.BatchFlushSource",
+    "repro.runtime.sources.BatchFlushSource",
+    "repro.pipeline.core.ICCachePipeline.cluster_router",
+    "repro.pipeline.core.ICCachePipeline.cluster_batch_router",
+    "repro.core.service.ICCacheService.cluster_router",
+    "repro.core.service.ICCacheService.cluster_batch_router",
+    "repro.core.service.ICCacheService.on_complete",
+    "repro.runtime.chaos.ServiceHolder.route",
+    "repro.runtime.loop.EventLoop.handles",
 ]
 
 

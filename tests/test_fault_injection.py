@@ -108,6 +108,6 @@ class TestClusterUnderFailures:
         ))
         requests = dataset.online_requests(80)
         arrivals = [(i * 0.3, r) for i, r in enumerate(requests)]
-        report = sim.run(arrivals, service.cluster_router(),
-                         on_complete=service.on_complete)
+        report = sim.run(arrivals, service.pipeline.route_batch,
+                         on_complete=service.pipeline.on_complete)
         assert report.n == 80  # no request lost despite injected failures

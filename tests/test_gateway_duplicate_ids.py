@@ -104,23 +104,25 @@ class TestSessionRefusesReusedIds:
 
 def test_the_pipeline_refuses_to_park_an_id_twice():
     service = build_service()
-    route = service.pipeline.cluster_batch_router()
+    route_batch = service.pipeline.route_batch
     sim = ClusterSimulator(cluster_config(service))
-    route([make_request("a")], sim)
+    route_batch([make_request("a")], sim)
     with pytest.raises(ValueError, match="'a' is already in flight"):
-        route([make_request("a")], sim)
+        route_batch([make_request("a")], sim)
 
 
 def test_an_in_process_trace_may_reuse_only_a_completed_id():
     service = build_service()
     sim = ClusterSimulator(cluster_config(service))
     report = sim.run([(0.0, make_request("a")), (100.0, make_request("a"))],
-                     service.cluster_router(), on_complete=service.on_complete)
+                     service.pipeline.route_batch,
+                     on_complete=service.pipeline.on_complete)
     assert [r.request_id for r in report.records] == ["a", "a"]
     assert service.stats.served == 2
     with pytest.raises(ValueError, match="'a' is already in flight"):
         sim.run([(200.0, make_request("a")), (200.0, make_request("a"))],
-                service.cluster_router(), on_complete=service.on_complete)
+                service.pipeline.route_batch,
+                on_complete=service.pipeline.on_complete)
 
 
 def test_http_reuse_is_409_and_a_duplicate_batch_member():

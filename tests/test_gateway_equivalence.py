@@ -109,8 +109,8 @@ def run_simulator() -> tuple[list, dict, dict]:
     """The in-process batch run: decisions, SLO report, state document."""
     service, dataset = _build()
     sim = ClusterSimulator(_cluster_config(service))
-    report = sim.run(_trace(dataset), service.cluster_router(),
-                     on_complete=service.on_complete)
+    report = sim.run(_trace(dataset), service.pipeline.route_batch,
+                     on_complete=service.pipeline.on_complete)
     return _decisions(report.records), report.slo_report(), _state_doc(service)
 
 

@@ -1,7 +1,8 @@
-"""Golden seeded-output pins for the four serving entry points.
+"""Golden seeded-output pins for the four serve paths.
 
-The serve paths (``serve``, ``serve_batch``, ``cluster_router``,
-``cluster_batch_router``) are re-run on a small seeded scenario and compared
+The serve paths (``serve``, ``serve_batch``, and the cluster run of
+``pipeline.route_batch`` as a batch of one and micro-batched) are re-run on
+a small seeded scenario and compared
 field-by-field against ``tests/golden/serve_paths.json``.  The golden file
 was captured before the contiguous-array IVF refactor, so these tests prove
 that vectorized retrieval and stage-2 scoring preserve every routing choice,
@@ -24,7 +25,7 @@ import pytest
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.service import ICCacheService
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
-from repro.serving.engine import BatchedRetrievalEngine, BatchPolicy
+from repro.serving.engine import BatchPolicy
 from repro.workload.datasets import SyntheticDataset
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "serve_paths.json"
@@ -80,17 +81,16 @@ def capture() -> dict:
     requests = dataset.online_requests(N_CLUSTER)
     report = _cluster_sim(service).run(
         [(i * 0.3, r) for i, r in enumerate(requests)],
-        service.cluster_router(), on_complete=service.on_complete,
+        service.pipeline.route_batch, on_complete=service.pipeline.on_complete,
     )
     out["cluster"] = _snap_records(report)
 
     service, dataset = _build()
     requests = dataset.online_requests(N_CLUSTER)
-    engine = BatchedRetrievalEngine(service.cluster_batch_router(),
-                                    BatchPolicy(max_batch=8, max_wait_s=0.25))
     report = _cluster_sim(service).run(
         [(i * 0.05, r) for i, r in enumerate(requests)],
-        engine, on_complete=service.on_complete,
+        service.pipeline.route_batch, on_complete=service.pipeline.on_complete,
+        policy=BatchPolicy(max_batch=8, max_wait_s=0.25),
     )
     out["cluster_batched"] = _snap_records(report)
     return out

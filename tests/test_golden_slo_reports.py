@@ -88,8 +88,9 @@ def _scenario_flash_crowd_shed() -> dict:
     )
     arrivals = TraceArrivalSource.from_trace(
         trace, dataset.online_requests(150),
-        router=service.cluster_router(), seed=7)
-    report = sim.run_sources([arrivals], on_complete=service.on_complete)
+        service.pipeline.route_batch, seed=7)
+    report = sim.run_sources([arrivals],
+                             on_complete=service.pipeline.on_complete)
     return report.slo_report()
 
 
@@ -101,13 +102,13 @@ def _scenario_tenant_skew_autoscale() -> dict:
                               seed=5)
     arrivals = TraceArrivalSource.from_trace(
         trace, dataset.online_requests(300),
-        router=service.cluster_router(), seed=9)
+        service.pipeline.route_batch, seed=9)
     autoscaler = AutoscalerTickSource(
         BiasAutoscaler(cooldown_steps=2, ema_alpha=0.3),
         service.small_name, bias_fn=service.router.current_bias,
         interval_s=5.0, horizon_s=120.0)
     report = sim.run_sources([arrivals, autoscaler],
-                             on_complete=service.on_complete)
+                             on_complete=service.pipeline.on_complete)
     return report.slo_report()
 
 
@@ -125,7 +126,7 @@ def _scenario_chaos_storm() -> dict:
             seed=3,
         )
         arrivals = TraceArrivalSource.from_trace(
-            trace, dataset.online_requests(150), router=holder.route, seed=7)
+            trace, dataset.online_requests(150), holder.route_batch, seed=7)
         kill = ReplicaKillSource(service.small_name, kills=[(18.0, 2)],
                                  restore_after_s=15.0)
         slow = SlowShardSource([(25.0, 40.0)], penalty_s=0.5,

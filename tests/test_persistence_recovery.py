@@ -448,9 +448,9 @@ class TestCheckpointTickSource:
         source = CheckpointTickSource(checkpointer, interval_s=3.0,
                                       horizon_s=9.0)
         sim.run_sources(
-            [TraceArrivalSource(arrivals, router=service.cluster_router()),
+            [TraceArrivalSource(arrivals, service.pipeline.route_batch),
              source],
-            on_complete=service.on_complete,
+            on_complete=service.pipeline.on_complete,
         )
         assert len(source.history) == 3          # bounded tick train
         assert observer.checkpoints == 3          # on_checkpoint hook fired

@@ -54,7 +54,7 @@ class TestRegistrySweep:
         sim = _cluster(pipeline)
         requests = dataset.online_requests(40)
         arrivals = [(i * 0.3, r) for i, r in enumerate(requests)]
-        report = sim.run(arrivals, pipeline.cluster_router(),
+        report = sim.run(arrivals, pipeline.route_batch,
                          on_complete=pipeline.on_complete)
 
         # A valid ServingReport: every request served, sane observables.
@@ -69,8 +69,8 @@ class TestRegistrySweep:
         assert 0.0 < pipeline.stats.mean_quality <= 1.0
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_policy_drives_batched_engine(self, policy):
-        from repro.serving.engine import BatchedRetrievalEngine, BatchPolicy
+    def test_policy_drives_micro_batched_run(self, policy):
+        from repro.serving.engine import BatchPolicy
 
         seed = 33
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
@@ -80,9 +80,9 @@ class TestRegistrySweep:
         sim = _cluster(pipeline)
         requests = dataset.online_requests(24)
         arrivals = [(i * 0.05, r) for i, r in enumerate(requests)]
-        engine = BatchedRetrievalEngine(pipeline.cluster_batch_router(),
-                                        BatchPolicy(max_batch=8, max_wait_s=0.25))
-        report = sim.run(arrivals, engine, on_complete=pipeline.on_complete)
+        report = sim.run(arrivals, pipeline.route_batch,
+                         on_complete=pipeline.on_complete,
+                         policy=BatchPolicy(max_batch=8, max_wait_s=0.25))
         assert report.n == len(requests)
         assert pipeline.stats.served == len(requests)
 

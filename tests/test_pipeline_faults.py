@@ -13,7 +13,7 @@ from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.service import ICCacheService
 from repro.pipeline import FaultInjectionMiddleware
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
-from repro.serving.engine import BatchedRetrievalEngine, BatchPolicy
+from repro.serving.engine import BatchPolicy
 from repro.workload.datasets import SyntheticDataset
 
 
@@ -105,14 +105,12 @@ class TestClusterBatchedPathUnderFailures:
         fail_first = FailFirstBatch()
         chaos = inject(service, FaultInjectionMiddleware(
             fail_retrieval=fail_first))
-        engine = BatchedRetrievalEngine(
-            service.cluster_batch_router(),
-            BatchPolicy(max_batch=8, max_wait_s=0.25),
-        )
         requests = dataset.online_requests(32)
         arrivals = [(i * 0.05, r) for i, r in enumerate(requests)]
-        report = self._sim(service).run(arrivals, engine,
-                                        on_complete=service.on_complete)
+        report = self._sim(service).run(
+            arrivals, service.pipeline.route_batch,
+            on_complete=service.pipeline.on_complete,
+            policy=BatchPolicy(max_batch=8, max_wait_s=0.25))
         assert report.n == 32                  # no request lost
         assert chaos.retrieval_failures == 1
         # Exactly the first micro-batch was bypassed, whatever size the
@@ -128,13 +126,11 @@ class TestClusterBatchedPathUnderFailures:
         doomed = {requests[i].request_id for i in (1, 9, 17)}
         chaos = inject(service, FaultInjectionMiddleware(
             fail_route=lambda ctx: ctx.request.request_id in doomed))
-        engine = BatchedRetrievalEngine(
-            service.cluster_batch_router(),
-            BatchPolicy(max_batch=8, max_wait_s=0.25),
-        )
         arrivals = [(i * 0.05, r) for i, r in enumerate(requests)]
-        report = self._sim(service).run(arrivals, engine,
-                                        on_complete=service.on_complete)
+        report = self._sim(service).run(
+            arrivals, service.pipeline.route_batch,
+            on_complete=service.pipeline.on_complete,
+            policy=BatchPolicy(max_batch=8, max_wait_s=0.25))
         assert report.n == 24
         assert chaos.route_failures == 3
         assert service.stats.bypasses == 3

@@ -30,9 +30,7 @@ def small_cluster(replicas_small=2, replicas_large=1, budget=None):
 
 
 def always(model_name):
-    def router(request, sim):
-        return model_name, []
-    return router
+    return lambda requests, sim: [(model_name, []) for _ in requests]
 
 
 class TestEventLoop:
@@ -91,6 +89,22 @@ class TestEventLoop:
         with pytest.raises(ValueError):
             loop.schedule(1.0, "e")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, bad):
+        # A NaN stamp used to be accepted and scrambled the heap: events at
+        # [2.0, nan, 1.0, 0.5, 3.0] dispatched as 1.0, 2.0, 0.5, nan, 3.0,
+        # running ``now`` backwards.  Infinity parked the clock for good.
+        loop = EventLoop()
+        seen = []
+        loop.on("e", lambda ev: seen.append(loop.now))
+        for t in (2.0, 1.0, 0.5, 3.0):
+            loop.schedule(t, "e")
+        with pytest.raises(ValueError, match="finite"):
+            loop.schedule(bad, "e")
+        assert loop.scheduled == 4
+        loop.run()
+        assert seen == [0.5, 1.0, 2.0, 3.0]
+
     def test_counters(self):
         loop = EventLoop()
         loop.on("e", lambda ev: None)
@@ -113,11 +127,13 @@ class TestEventLoop:
 
 
 class TestTraceArrivalSource:
-    def test_requires_exactly_one_consumer(self):
-        with pytest.raises(ValueError):
-            TraceArrivalSource([], router=None, sink=None)
-        with pytest.raises(ValueError):
-            TraceArrivalSource([], router=always("m"), sink=object())
+    def test_one_router_shape(self):
+        # The per-request router= and the sink= consumer are gone: a source
+        # takes one batch router and an optional policy.
+        with pytest.raises(TypeError):
+            TraceArrivalSource([], router=always("m"))
+        with pytest.raises(TypeError):
+            TraceArrivalSource([], always("m"), sink=object())
 
     def test_run_sources_matches_run(self):
         # run() is now a thin composition over run_sources(); both must
@@ -127,7 +143,7 @@ class TestTraceArrivalSource:
         via_run = small_cluster().run(arrivals, always("gemma-2-2b"))
         sim = small_cluster()
         via_sources = sim.run_sources(
-            [TraceArrivalSource(arrivals, router=always("gemma-2-2b"))]
+            [TraceArrivalSource(arrivals, always("gemma-2-2b"))]
         )
         snap = lambda rep: [(r.request_id, r.start_s, r.finish_s)  # noqa: E731
                             for r in rep.records]
@@ -142,10 +158,10 @@ class TestTraceArrivalSource:
         first = [(i * 0.1, make_request(request_id=f"a{i}")) for i in range(5)]
         second = [(i * 0.1, make_request(request_id=f"b{i}"))
                   for i in range(3)]
-        sim.run_sources([TraceArrivalSource(first, router=always("gemma-2-2b"))])
+        sim.run_sources([TraceArrivalSource(first, always("gemma-2-2b"))])
         assert sim.report.n == 5 and sim.events_processed == 10
         sim.run_sources([TraceArrivalSource(second,
-                                            router=always("gemma-2-2b"))])
+                                            always("gemma-2-2b"))])
         assert sim.report.n == 8 and sim.events_processed == 16
 
     def test_two_arrival_sources_compose_on_one_loop(self):
@@ -155,8 +171,8 @@ class TestTraceArrivalSource:
         bg = [(0.1 + i * 0.5, make_request(request_id=f"bg{i}"))
               for i in range(4)]
         sim = small_cluster()
-        fg_source = TraceArrivalSource(fg, router=always("gemma-2-2b"))
-        bg_source = TraceArrivalSource(bg, router=always("gemma-2-27b"))
+        fg_source = TraceArrivalSource(fg, always("gemma-2-2b"))
+        bg_source = TraceArrivalSource(bg, always("gemma-2-27b"))
         report = sim.run_sources([fg_source, bg_source])
         assert report.n == 14
         assert fg_source.emitted == 10 and bg_source.emitted == 4
@@ -173,7 +189,7 @@ class TestTraceArrivalSource:
                 loop.on("arrival", lambda event: None)
 
         arrivals = [(0.0, make_request())]
-        source = TraceArrivalSource(arrivals, router=always("gemma-2-2b"))
+        source = TraceArrivalSource(arrivals, always("gemma-2-2b"))
         with pytest.raises(ValueError, match="per-source dispatcher"):
             small_cluster().run_sources([Rogue(), source])
 
@@ -184,7 +200,7 @@ class TestTraceArrivalSource:
         trace = poisson_trace(duration_s=60.0, rate_rps=1.0)
         requests = dataset.online_requests(200)
         source = TraceArrivalSource.from_trace(
-            trace, requests, router=always("gemma-2-2b"), seed=4
+            trace, requests, always("gemma-2-2b"), seed=4
         )
         times = [t for t, _ in source.arrivals]
         assert times == sorted(times)
@@ -282,9 +298,9 @@ class TestMaintenanceTickSource:
         maintenance = MaintenanceTickSource(service, interval_s=10.0,
                                             horizon_s=30.0, replay=False)
         report = sim.run_sources(
-            [TraceArrivalSource(arrivals, router=service.cluster_router()),
+            [TraceArrivalSource(arrivals, service.pipeline.route_batch),
              maintenance],
-            on_complete=service.on_complete,
+            on_complete=service.pipeline.on_complete,
         )
         assert report.n == 30
         assert [h["time_s"] for h in maintenance.history] == [10.0, 20.0, 30.0]
@@ -347,7 +363,7 @@ class TestComposedDeterminism:
                 ModelDeployment(service.models[service.large_name], replicas=1),
             ], gpu_budget=16))
             sources = [
-                TraceArrivalSource(arrivals, router=service.cluster_router()),
+                TraceArrivalSource(arrivals, service.pipeline.route_batch),
                 AutoscalerTickSource(
                     BiasAutoscaler(cooldown_steps=1), service.small_name,
                     service.router.current_bias,
@@ -356,7 +372,8 @@ class TestComposedDeterminism:
                 MaintenanceTickSource(service, interval_s=8.0, horizon_s=25.0,
                                       replay=True),
             ]
-            report = sim.run_sources(sources, on_complete=service.on_complete)
+            report = sim.run_sources(sources,
+                                     on_complete=service.pipeline.on_complete)
             return ([(r.request_id, r.model_name, r.quality, r.finish_s)
                      for r in report.records],
                     [(e.time_s, e.applied_delta, e.replicas)
@@ -426,15 +443,15 @@ class TestIncrementalRun:
                     for r in report.records]
 
         service_a, sim_a, arrivals_a = build()
-        sim_a.run(arrivals_a, service_a.cluster_router(),
-                  on_complete=service_a.on_complete)
+        sim_a.run(arrivals_a, service_a.pipeline.route_batch,
+                  on_complete=service_a.pipeline.on_complete)
 
         service_b, sim_b, arrivals_b = build()
-        router = service_b.cluster_router()
-        sim_b.start_sources([], on_complete=service_b.on_complete)
+        route_batch = service_b.pipeline.route_batch
+        sim_b.start_sources([], on_complete=service_b.pipeline.on_complete)
         for t, request in arrivals_b:
             sim_b.advance_to(t)
-            sim_b.dispatch([(request, t)], [router(request, sim_b)])
+            sim_b.dispatch([(request, t)], route_batch([request], sim_b))
         sim_b.run_pending()
 
         assert snap(sim_a.report) == snap(sim_b.report)

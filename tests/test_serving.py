@@ -36,9 +36,7 @@ def small_cluster(replicas_small=2, replicas_large=1, budget=None):
 
 
 def always(model_name):
-    def router(request, sim):
-        return model_name, []
-    return router
+    return lambda requests, sim: [(model_name, []) for _ in requests]
 
 
 class TestServedRequest:
@@ -138,9 +136,9 @@ class TestClusterSimulator:
         sim = small_cluster(replicas_small=1)
         seen_loads = []
 
-        def router(request, s):
+        def router(requests, s):
             seen_loads.append(s.total_load())
-            return "gemma-2-2b", []
+            return [("gemma-2-2b", [])]
 
         arrivals = [(0.0, make_request(request_id=f"r{i}")) for i in range(40)]
         sim.run(arrivals, router)
@@ -206,7 +204,6 @@ class TestRequestBatcher:
         assert batcher.add("c", now=0.2) == ["a", "b", "c"]
         assert len(batcher) == 0
         assert batcher.generation == 1
-        assert batcher.batches_dispatched == 1
 
     def test_deadline_set_on_first_item_and_cleared_on_flush(self):
         from repro.serving.engine import BatchPolicy, RequestBatcher
@@ -235,17 +232,44 @@ class TestRequestBatcher:
         with pytest.raises(ValueError):
             BatchPolicy(max_wait_s=-1.0)
 
+    @pytest.mark.parametrize("wait", [float("inf"), float("nan")])
+    def test_non_finite_wait_rejected(self, wait):
+        # An infinite wait used to be accepted: the tail batch flushed at
+        # now = inf, its records read start_s = finish_s = inf and the SLO
+        # report's p50 latency read nan.
+        from repro.serving.engine import BatchPolicy
 
-class TestBatchedRetrievalEngine:
-    def test_engine_decision_count_checked(self):
-        from repro.serving.engine import BatchedRetrievalEngine
+        with pytest.raises(ValueError, match="finite"):
+            BatchPolicy(max_batch=4, max_wait_s=wait)
 
-        engine = BatchedRetrievalEngine(lambda requests, sim: [])
-        with pytest.raises(ValueError):
-            engine.route_batch([make_request()], sim=None)
+    def test_default_policy_is_the_batch_of_one(self):
+        from repro.serving.engine import BatchPolicy, RequestBatcher
+
+        assert BatchPolicy() == BatchPolicy(max_batch=1, max_wait_s=0.0)
+        batcher = RequestBatcher()
+        assert batcher.add("a", now=3.0) == ["a"]
+        assert batcher.deadline is None and batcher.generation == 1
+
+
+class TestMicroBatchedRun:
+    def test_dispatch_refuses_a_decision_count_mismatch(self):
+        # zip() used to pair 3 arrivals with 1 decision: [True], one record,
+        # no shed event, and two requests neither served nor shed.
+        sim = small_cluster()
+        sim.start_sources([])
+        arrivals = [(make_request(request_id=f"d{i}"), 0.0) for i in range(3)]
+        with pytest.raises(ValueError, match="1 routing decisions for 3"):
+            sim.dispatch(arrivals, [("gemma-2-2b", [])])
+        sim.run_pending()
+        assert sim.report.n == 0 and not sim.report.shed
+
+    def test_short_router_fails_the_run(self):
+        with pytest.raises(ValueError, match="routing decisions"):
+            small_cluster().run([(0.0, make_request())],
+                                lambda requests, sim: [])
 
     def test_simulator_batches_and_serves_everything(self):
-        from repro.serving.engine import BatchedRetrievalEngine, BatchPolicy
+        from repro.serving.engine import BatchPolicy
 
         seen_batches = []
 
@@ -253,28 +277,24 @@ class TestBatchedRetrievalEngine:
             seen_batches.append(len(requests))
             return [("gemma-2-2b", []) for _ in requests]
 
-        engine = BatchedRetrievalEngine(
-            route_batch, BatchPolicy(max_batch=4, max_wait_s=0.5))
         sim = small_cluster()
         arrivals = [(i * 0.01, make_request(request_id=f"q{i}"))
                     for i in range(10)]
-        report = sim.run(arrivals, engine)
+        report = sim.run(arrivals, route_batch,
+                         policy=BatchPolicy(max_batch=4, max_wait_s=0.5))
         assert report.n == 10
         # 10 arrivals in 0.09s with max_batch=4: two size flushes plus a
         # timeout flush for the tail.
         assert seen_batches == [4, 4, 2]
 
     def test_timeout_flush_preserves_arrival_times(self):
-        from repro.serving.engine import BatchedRetrievalEngine, BatchPolicy
+        from repro.serving.engine import BatchPolicy
 
-        engine = BatchedRetrievalEngine(
-            lambda requests, sim: [("gemma-2-2b", []) for _ in requests],
-            BatchPolicy(max_batch=100, max_wait_s=0.5),
-        )
         sim = small_cluster()
         arrivals = [(0.0, make_request(request_id="a")),
                     (0.2, make_request(request_id="b"))]
-        report = sim.run(arrivals, engine)
+        report = sim.run(arrivals, always("gemma-2-2b"),
+                         policy=BatchPolicy(max_batch=100, max_wait_s=0.5))
         assert report.n == 2
         by_id = {r.request_id: r for r in report.records}
         # The batch dispatches at t=0.5; each request's wait reflects its
@@ -282,7 +302,7 @@ class TestBatchedRetrievalEngine:
         assert by_id["a"].queue_wait_s == pytest.approx(0.5)
         assert by_id["b"].queue_wait_s == pytest.approx(0.3)
 
-    def test_per_request_router_path_unchanged(self):
+    def test_batch_of_one_charges_no_wait(self):
         sim = small_cluster()
         arrivals = [(i * 0.1, make_request(request_id=f"p{i}"))
                     for i in range(5)]
