@@ -13,6 +13,8 @@ from repro.baselines.semantic_cache import SemanticCache
 from repro.embedding.embedder import LatentEmbedder
 from repro.embedding.similarity import cosine_similarity_matrix
 from repro.llm.zoo import get_model
+from repro.pipeline import ServeContext
+from repro.utils.tokens import count_tokens
 from repro.workload.datasets import SyntheticDataset
 
 DATASETS = ["ms_marco", "natural_questions", "lmsys_chat"]
@@ -38,17 +40,22 @@ def _semantic_cache_curve(dataset_name: str):
 
     points = []
     for threshold in (0.98, 0.92, 0.88, 0.84, 0.78):
-        cache = SemanticCache(dim=64, similarity_threshold=threshold)
+        cache = SemanticCache("gemma-2-2b", model.name, dim=64,
+                              similarity_threshold=threshold)
         for request in history:
             result = model.generate(request)
             cache.put(request, embedder.embed(request.text, request.latent),
-                      result.quality)
+                      result.quality,
+                      request.prompt_tokens + count_tokens(result.text))
         served, fresh = [], []
         for request in online:
-            lookup = cache.lookup(request,
-                                  embedder.embed(request.text, request.latent))
+            [hit] = cache.retrieve_batch([ServeContext(
+                request,
+                embedding=embedder.embed(request.text, request.latent))])
             fresh_quality = model.generate(request).quality
-            served.append(lookup.response_quality if lookup.hit else fresh_quality)
+            # A hit returns the cached response verbatim.
+            served.append(hit[0].example.reused_quality(request) if hit
+                          else fresh_quality)
             fresh.append(fresh_quality)
         report = judged(served, fresh, seed=3)
         points.append((cache.hit_rate, report.win_rate))

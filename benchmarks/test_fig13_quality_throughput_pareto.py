@@ -12,6 +12,7 @@ import numpy as np
 from harness import judged, make_service, print_table, run_once
 from repro.baselines.routellm import RouteLLMRouter
 from repro.llm.zoo import get_model, get_model_pair
+from repro.pipeline import ServeContext
 
 SMALL, LARGE = "gemma-2-2b", "gemma-2-27b"
 # Normalized throughput model (paper Fig. 13's x-axis): serving a request on
@@ -62,7 +63,7 @@ def _sweep_routellm(dataset_name: str, seed: int = 13):
         router = RouteLLMRouter(SMALL, LARGE, threshold=threshold, seed=seed)
         qualities, offloads = [], []
         for request, ref in zip(requests, reference):
-            choice = router.route(request)
+            choice = router.route(ServeContext(request)).model_name
             model = small if choice == SMALL else large
             qualities.append(model.generate(request).quality)
             offloads.append(choice == SMALL)

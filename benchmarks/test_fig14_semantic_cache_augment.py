@@ -14,9 +14,7 @@ matching the figure's setup.  The "w/o IC" arm replays each hit verbatim
 """
 
 from harness import judged, print_table, run_once
-from repro.baselines.semantic_cache import reused_quality
 from repro.core.config import ICCacheConfig
-from repro.embedding.similarity import cosine_similarity
 from repro.llm.zoo import get_model_pair
 from repro.pipeline import NullAdmission, registry
 from repro.workload.datasets import SyntheticDataset
@@ -43,7 +41,7 @@ def _run(dataset_name: str, seed: int = 14):
         # Fig. 14 evaluates a fixed, offline-warmed cache: online requests
         # must not be inserted, so swap admission out (one-line policy
         # change through the pipeline API).
-        adapter = pipeline.retrieval
+        cache = pipeline.retrieval
         pipeline.admission = NullAdmission()
 
         without_ic, with_ic, fresh = [], [], []
@@ -56,17 +54,15 @@ def _run(dataset_name: str, seed: int = 14):
                 with_ic.append(ctx.result.quality)
                 # w/o IC: return the cached response verbatim; quality
                 # degrades with the latent distance to the source request.
-                source, cached_quality = adapter.cache.entry(
-                    ctx.examples[0].example.example_id)
-                latent_sim = cosine_similarity(request.latent, source.latent)
-                without_ic.append(reused_quality(cached_quality, latent_sim))
+                without_ic.append(
+                    ctx.examples[0].example.reused_quality(request))
             else:
                 # Miss: both arms generate fresh with the large model.
                 without_ic.append(ctx.result.quality)
                 with_ic.append(ctx.result.quality)
 
         curves.append((
-            adapter.cache.hit_rate,
+            cache.hit_rate,
             judged(without_ic, fresh, seed=seed).win_rate,
             judged(with_ic, fresh, seed=seed).win_rate,
         ))

@@ -17,6 +17,7 @@ from harness import (
 from repro.baselines.rag import LongRAGRetriever, build_document_store
 from repro.baselines.sft import SFTModel
 from repro.llm.zoo import get_model_pair
+from repro.pipeline import ServeContext
 from repro.workload.datasets import SyntheticDataset
 
 
@@ -53,8 +54,8 @@ def _rag_column(seed: int = 15, n: int = 200):
     plain = [small.generate(r).quality for r in requests]
     rag, rag_ic = [], []
     for request in requests:
-        docs = retriever.retrieve(request.latent)
-        doc_boost = retriever.boost(request.latent, docs)
+        [docs] = retriever.retrieve_batch([ServeContext(request)])
+        doc_boost = retriever.boost(docs)
         rag.append(float(np.clip(
             small.generate(request).quality + doc_boost, 0, 1
         )))

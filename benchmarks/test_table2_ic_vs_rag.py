@@ -16,6 +16,7 @@ from harness import (
 )
 from repro.baselines.rag import LongRAGRetriever, build_document_store
 from repro.llm.zoo import get_model_pair
+from repro.pipeline import ServeContext
 from repro.workload.datasets import SyntheticDataset
 
 
@@ -32,8 +33,8 @@ def test_table2_ic_vs_rag(benchmark):
 
         plain, rag, ic, ic_rag = [], [], [], []
         for request in requests:
-            docs = retriever.retrieve(request.latent)
-            doc_boost = retriever.boost(request.latent, docs)
+            [docs] = retriever.retrieve_batch([ServeContext(request)])
+            doc_boost = retriever.boost(docs)
             plain.append(small.generate(request).quality)
             rag.append(float(np.clip(
                 small.generate(request).quality + doc_boost, 0, 1)))

@@ -10,6 +10,17 @@ just like random examples.
 
 The document store is synthesized from the same topic model as the workload,
 mimicking an external corpus covering the request domain.
+
+In the ``rag`` serving policy the documents ride the context-view mechanism
+(:meth:`LongRAGRetriever.retrieve_batch`), and the simulator's ICL model
+gates their lift by relevance and headroom.  The one documented exception
+is :meth:`LongRAGRetriever.boost`: RAG's own lift — grounding that grows
+with document relevance and quality, saturates below ICL's ceiling and
+pays a distraction cost per off-topic document — added to a quality
+*after* generation.  Table 2 and Fig. 15 keep it because their "+IC+RAG"
+rows add the document lift on top of an IC-augmented generation, which the
+pipeline's one context list per request cannot express without changing
+both tables.
 """
 
 from __future__ import annotations
@@ -18,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.selector import ScoredExample
 from repro.embedding.similarity import cosine_similarity
+from repro.llm.icl import ExampleView
 from repro.utils.rng import make_rng, spawn_rng, stable_hash
 from repro.vectorstore.flat import FlatIndex
 from repro.workload.topics import TopicModel
@@ -39,6 +52,14 @@ class Document:
     latent: np.ndarray
     tokens: int
     quality: float   # how authoritative/clean the document is, in [0, 1]
+
+    @property
+    def example_id(self) -> str:
+        return self.doc_id
+
+    def view(self) -> ExampleView:
+        return ExampleView(latent=self.latent, quality=self.quality,
+                           tokens=self.tokens)
 
 
 def build_document_store(topics: TopicModel, docs_per_topic: int = 3,
@@ -66,7 +87,7 @@ def build_document_store(topics: TopicModel, docs_per_topic: int = 3,
 
 
 class LongRAGRetriever:
-    """Top-k document retrieval plus the RAG quality-boost model."""
+    """Top-k document retrieval (a ``RetrievalPolicy``) plus the boost."""
 
     def __init__(self, documents: list[Document], index: FlatIndex,
                  top_k: int = 5) -> None:
@@ -76,26 +97,29 @@ class LongRAGRetriever:
         self._index = index
         self.top_k = top_k
 
-    def retrieve(self, request_latent: np.ndarray) -> list[Document]:
-        hits = self._index.search(request_latent, self.top_k)
-        return [self._documents[h.key] for h in hits]
+    def retrieve_batch(self, contexts) -> list[list[ScoredExample]]:
+        """Each request's top-k documents as its context; relevance is the
+        latent cosine similarity :meth:`boost` gates on."""
+        combos = []
+        for ctx in contexts:
+            latent = ctx.request.latent
+            hits = self._index.search(latent, self.top_k)
+            combos.append([
+                ScoredExample(example=doc,
+                              relevance=cosine_similarity(latent, doc.latent),
+                              utility=doc.quality)
+                for doc in (self._documents[h.key] for h in hits)
+            ])
+        return combos
 
-    def boost(self, request_latent: np.ndarray,
-              documents: list[Document]) -> float:
-        """Quality delta from appending the retrieved documents."""
-        if not documents:
-            return 0.0
+    def boost(self, combo: list[ScoredExample]) -> float:
+        """Quality delta from appending one request's retrieved documents."""
         grounding = 0.0
         distraction = 0.0
-        for doc in documents:
-            relevance = cosine_similarity(request_latent, doc.latent)
-            if relevance < RAG_REL_GATE:
+        for scored in combo:
+            if scored.relevance < RAG_REL_GATE:
                 distraction += RAG_DISTRACTION
             else:
-                grounding += (relevance - RAG_REL_GATE) * doc.quality
+                grounding += (scored.relevance - RAG_REL_GATE) * scored.utility
         gain = RAG_MAX_BOOST * (1.0 - np.exp(-grounding / RAG_SATURATION))
         return float(gain - distraction)
-
-    def prompt_tokens(self, documents: list[Document]) -> int:
-        """Extra prompt length from the appended documents."""
-        return sum(d.tokens for d in documents)

@@ -15,20 +15,26 @@ same data a real RouteLLM deployment would use).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.core.router import RoutingChoice, plain_choice
 from repro.utils.rng import make_rng, stable_hash
 from repro.workload.request import Request
 
 
 class RouteLLMRouter:
-    """Difficulty-threshold binary router."""
+    """Difficulty-threshold binary router, a ``RoutingPolicy``."""
 
     def __init__(self, small_model: str, large_model: str,
                  threshold: float = 0.5, classifier_noise: float = 0.05,
                  seed: int = 0) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+        if not 0.0 <= classifier_noise < math.inf:
+            raise ValueError("classifier_noise must be finite and >= 0, "
+                             f"got {classifier_noise}")
         self.small_model = small_model
         self.large_model = large_model
         self.threshold = threshold
@@ -47,8 +53,12 @@ class RouteLLMRouter:
             score += self._rng.normal(0.0, self.classifier_noise)
         return float(np.clip(score, 0.0, 1.0))
 
-    def route(self, request: Request, load: float | None = None) -> str:
-        """Pick a model.  ``load`` is accepted and ignored (load-oblivious)."""
-        if self.win_probability(request) >= self.threshold:
-            return self.small_model
-        return self.large_model
+    def route(self, ctx) -> RoutingChoice:
+        """Pick a model from the bare request.
+
+        Load-oblivious and context-blind by construction (section 6.2):
+        ``ctx.load`` and ``ctx.examples`` never reach the classifier.
+        """
+        small = self.win_probability(ctx.request) >= self.threshold
+        return plain_choice(self.small_model if small else self.large_model,
+                            ctx.request, [])

@@ -15,6 +15,8 @@ quality per request according to the request's dataset.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.llm.model import GenerationResult, SimulatedLLM
@@ -30,8 +32,11 @@ class SFTModel:
     def __init__(self, base: SimulatedLLM, tuned_dataset: str,
                  in_domain_lift: float = IN_DOMAIN_LIFT,
                  out_of_domain_penalty: float = OUT_OF_DOMAIN_PENALTY) -> None:
-        if in_domain_lift < 0 or out_of_domain_penalty < 0:
-            raise ValueError("lift and penalty must be non-negative")
+        for name, value in (("in_domain_lift", in_domain_lift),
+                            ("out_of_domain_penalty", out_of_domain_penalty)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value}")
         self.base = base
         self.tuned_dataset = tuned_dataset
         self.in_domain_lift = in_domain_lift
@@ -58,16 +63,13 @@ class SFTModel:
     def generate(self, request: Request, examples=None) -> GenerationResult:
         """Generate with the fine-tuned weights (examples still allowed).
 
-        The quality shift applies to the base; the ICL boost on top is
-        computed against the shifted base, so SFT + IC compose the way
-        Fig. 15 reports.
+        The base model generates — its ICL boost computed against its own,
+        unshifted base quality — and the fine-tuning shift is added to the
+        sampled quality, so SFT + IC compose the way Fig. 15 reports.
+        ``icl_boost`` is the boost that quality used.
         """
-        examples = examples or []
-        shift = self._shift(request)
-        base = self.base_quality(request)
-        boost = self.base.icl_model.boost(request.latent, examples, base)
         result = self.base.generate(request, examples)
         result.model_name = self.name
-        result.icl_boost = boost
-        result.quality = float(np.clip(result.quality + shift, 0.0, 1.0))
+        result.quality = float(np.clip(
+            result.quality + self._shift(request), 0.0, 1.0))
         return result

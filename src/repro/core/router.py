@@ -129,6 +129,23 @@ class RoutingChoice:
     metadata: dict = field(default_factory=dict)
 
 
+def plain_choice(model_name: str, request: Request,
+                 examples: list[ScoredExample]) -> RoutingChoice:
+    """A RoutingChoice carrying no bandit state.
+
+    The one construction every non-bandit decision shares: fixed routing,
+    RouteLLM, semantic-cache hit routing and the section-5 bypass all route
+    *somewhere* without arm posteriors, so their choices differ only in the
+    model name and the context the features describe.
+    """
+    return RoutingChoice(
+        model_name=model_name,
+        features=routing_features(request, examples),
+        mean_scores={}, biased_scores={},
+        solicit_feedback=False,
+    )
+
+
 class BanditRouter:
     """Contextual Thompson-sampling router with tanh load biasing.
 

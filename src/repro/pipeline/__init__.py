@@ -42,7 +42,6 @@ from repro.pipeline.policies import (
     NullRetrieval,
     RandomRetentionAdmission,
 )
-from repro.pipeline import baselines  # registers the baseline policies
 from repro.pipeline import registry
 
 __all__ = [
@@ -63,6 +62,5 @@ __all__ = [
     "FixedModelRouting",
     "NullAdmission",
     "RandomRetentionAdmission",
-    "baselines",
     "registry",
 ]

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.core.router import plain_choice
 from repro.pipeline.context import ServeContext
-from repro.pipeline.policies import plain_choice
 from repro.pipeline.protocols import ServeMiddleware
 from repro.pipeline.stats import ServiceStats
 
@@ -39,7 +39,7 @@ class FaultBypassMiddleware(ServeMiddleware):
     def on_failure(self, ctx: ServeContext, stage: str,
                    exc: Exception) -> bool:
         ctx.examples = []
-        ctx.choice = plain_choice(ctx, self.fallback_model)
+        ctx.choice = plain_choice(self.fallback_model, ctx.request, [])
         ctx.bypassed = True
         if self.stats is not None:
             self.stats.bypasses += 1

@@ -1,23 +1,35 @@
-"""IC-Cache's own stage policies, plus generic null/fixed building blocks.
+"""IC-Cache's own stage policies, generic null/fixed building blocks, and
+the ``policy`` builders of every serving system the paper compares.
 
-These adapt the paper's components (sections 4.1-4.3) to the stage
-protocols of :mod:`repro.pipeline.protocols`; :class:`ICCacheService`
+The IC policies adapt the paper's components (sections 4.1-4.3) to the
+stage protocols of :mod:`repro.pipeline.protocols`; :class:`ICCacheService`
 composes them into its pipeline.  The null/fixed policies are the degenerate
-cases every other serving system is built from (RouteLLM has no retrieval,
-RAG has fixed routing, ...), and :class:`RandomRetentionAdmission` turns
-the Fig. 19 naive-retention baseline into a drop-in admission policy.
+cases other serving systems are built from (RouteLLM has no retrieval, RAG
+has fixed routing, ...), and :class:`RandomRetentionAdmission` turns the
+Fig. 19 naive-retention baseline into a drop-in admission policy.  The
+baselines of :mod:`repro.baselines` implement the protocols themselves, so
+the builders plug them into a service-free pipeline unwrapped.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.rag import LongRAGRetriever, build_document_store
+from repro.baselines.routellm import RouteLLMRouter
+from repro.baselines.semantic_cache import SemanticCache
+from repro.core.config import ICCacheConfig
 from repro.core.manager import ExampleManager
-from repro.core.router import BanditRouter, RoutingChoice, routing_features
+from repro.core.router import BanditRouter, RoutingChoice, plain_choice
 from repro.core.selector import ExampleSelector, ScoredExample
+from repro.embedding.embedder import LatentEmbedder
+from repro.llm.zoo import get_model
 from repro.pipeline.context import ServeContext
-from repro.pipeline.registry import register
+from repro.pipeline.core import ICCachePipeline
+from repro.pipeline.middleware import FaultBypassMiddleware
+from repro.pipeline.registry import create, register
 from repro.utils.rng import make_rng, stable_hash
+from repro.utils.tokens import count_tokens
 
 
 class ICRetrieval:
@@ -58,7 +70,7 @@ class ICRouting:
 
     def route(self, ctx: ServeContext) -> RoutingChoice:
         if not self.enabled:
-            return plain_choice(ctx, self.small_name)
+            return plain_choice(self.small_name, ctx.request, ctx.examples)
         return self.router.route(ctx.request, ctx.examples, ctx.load)
 
 
@@ -94,7 +106,7 @@ class FixedModelRouting:
         self.model_name = model_name
 
     def route(self, ctx: ServeContext) -> RoutingChoice:
-        return plain_choice(ctx, self.model_name)
+        return plain_choice(self.model_name, ctx.request, ctx.examples)
 
 
 class NullAdmission:
@@ -124,21 +136,6 @@ class RandomRetentionAdmission:
         if self._rng.uniform() >= self.fraction:
             return None
         return self.inner.admit(ctx)
-
-
-def plain_choice(ctx: ServeContext, model_name: str) -> RoutingChoice:
-    """A RoutingChoice carrying no bandit state.
-
-    The one construction every non-bandit decision shares: fixed routing,
-    hit-aware routing, and the section-5 bypass all route *somewhere*
-    without arm posteriors, so their choices differ only in the model name.
-    """
-    return RoutingChoice(
-        model_name=model_name,
-        features=routing_features(ctx.request, ctx.examples),
-        mean_scores={}, biased_scores={},
-        solicit_feedback=False,
-    )
 
 
 # -- registry entries (component granularity) -----------------------------
@@ -188,4 +185,115 @@ def _naive_admission(service, fraction: float = 0.5, **kwargs):
     return RandomRetentionAdmission(
         ICAdmission(service.manager, service.arm_costs),
         fraction=fraction, seed=service.config.seed,
+    )
+
+
+@register("routing", "routellm")
+def _routellm_routing(service, threshold: float = 0.5, **kwargs):
+    """RouteLLM routing as a swappable component for an IC-backed pipeline."""
+    return RouteLLMRouter(service.small_name, service.large_name,
+                          threshold=threshold, seed=service.config.seed)
+
+
+# -- policy builders (full pipelines) --------------------------------------
+
+def _resolve(config, models, seed):
+    config = config or ICCacheConfig(seed=seed if seed is not None else 0)
+    seed = config.seed if seed is None else seed
+    if models is None:
+        small = get_model(config.small_model, seed=seed)
+        large = get_model(config.large_model, seed=seed)
+        models = {small.name: small, large.name: large}
+    return config, models, seed
+
+
+def _bare_pipeline(config, models, retrieval, routing, admission):
+    """A service-free pipeline: embedder + stages + the section-5 bypass."""
+    pipeline = ICCachePipeline(
+        embedder=LatentEmbedder(dim=config.embedding_dim,
+                                noise_scale=config.embedder_noise),
+        models=models,
+        reference_model=config.large_model,
+        retrieval=retrieval,
+        routing=routing,
+        admission=admission,
+    )
+    pipeline.middlewares.append(
+        FaultBypassMiddleware(config.large_model, pipeline.stats))
+    return pipeline
+
+
+@register("policy", "ic-cache")
+def build_ic_cache(config=None, models=None, dataset=None, history=None,
+                   seed=None, **kwargs) -> ICCachePipeline:
+    """The full IC-Cache system; ``history`` seeds the example bank."""
+    from repro.core.service import ICCacheService
+    config, models, seed = _resolve(config, models, seed)
+    service = ICCacheService(config, models=models)
+    if history:
+        service.seed_cache(history)
+    return service.pipeline
+
+
+@register("policy", "naive-cache")
+def build_naive_cache(config=None, models=None, dataset=None, history=None,
+                      seed=None, fraction: float = 0.5,
+                      **kwargs) -> ICCachePipeline:
+    """IC-Cache with Fig. 19's random-retention admission policy."""
+    pipeline = build_ic_cache(config, models, history=history, seed=seed)
+    pipeline.admission = create("admission", "naive-random",
+                                service=pipeline.service, fraction=fraction)
+    return pipeline
+
+
+@register("policy", "semantic-cache")
+def build_semantic_cache(config=None, models=None, dataset=None, history=None,
+                         seed=None, similarity_threshold: float = 0.92,
+                         **kwargs) -> ICCachePipeline:
+    """GPTCache-style semantic caching, hits repurposed as IC examples;
+    ``history`` is the offline warm-up of Fig. 14."""
+    config, models, seed = _resolve(config, models, seed)
+    cache = SemanticCache(config.small_model, config.large_model,
+                          dim=config.embedding_dim,
+                          similarity_threshold=similarity_threshold)
+    pipeline = _bare_pipeline(config, models, retrieval=cache, routing=cache,
+                              admission=cache)
+    for request in history or []:
+        result = models[config.large_model].generate(request)
+        embedding = pipeline.embedder.embed(request.text, request.latent)
+        cache.put(request, embedding, result.quality,
+                  request.prompt_tokens + count_tokens(result.text))
+    return pipeline
+
+
+@register("policy", "rag")
+def build_rag(config=None, models=None, dataset=None, history=None,
+              seed=None, docs_per_topic: int = 3, top_k: int = 5,
+              **kwargs) -> ICCachePipeline:
+    """LongRAG over a document corpus synthesized from the workload topics."""
+    if dataset is None:
+        raise ValueError("the 'rag' policy needs dataset= for its corpus topics")
+    config, models, seed = _resolve(config, models, seed)
+    documents, index = build_document_store(
+        dataset.topics, docs_per_topic=docs_per_topic, seed=seed)
+    return _bare_pipeline(
+        config, models,
+        retrieval=LongRAGRetriever(documents, index, top_k=top_k),
+        routing=FixedModelRouting(config.small_model),
+        admission=NullAdmission(),
+    )
+
+
+@register("policy", "routellm")
+def build_routellm(config=None, models=None, dataset=None, history=None,
+                   seed=None, threshold: float = 0.5,
+                   **kwargs) -> ICCachePipeline:
+    """RouteLLM: classifier routing, no context, no cache."""
+    config, models, seed = _resolve(config, models, seed)
+    return _bare_pipeline(
+        config, models,
+        retrieval=NullRetrieval(),
+        routing=RouteLLMRouter(config.small_model, config.large_model,
+                               threshold=threshold, seed=seed),
+        admission=NullAdmission(),
     )

@@ -577,7 +577,6 @@ def install(monkeypatch) -> None:
     import repro.llm.icl
     import repro.llm.model
     import repro.llm.quality
-    import repro.pipeline.policies
     from repro.core.manager import ExampleManager
     from repro.core.proxy import HelpfulnessProxy
     from repro.core.router import BanditRouter, _LinearTSArm
@@ -600,8 +599,8 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr(ExampleManager, "record_use", record_use)
     monkeypatch.setattr(ExampleSelector, "select", select)
     monkeypatch.setattr(ExampleSelector, "select_batch", select_batch)
-    for module in (repro.core.router, repro.pipeline.policies):
-        monkeypatch.setattr(module, "routing_features", routing_features)
+    # plain_choice (fixed routing, the bypass) lives beside it in router.
+    monkeypatch.setattr(repro.core.router, "routing_features", routing_features)
     monkeypatch.setattr(BanditRouter, "route", route)
     monkeypatch.setattr(BanditRouter, "_load_bias", _load_bias)
     monkeypatch.setattr(_LinearTSArm, "update", arm_update)

@@ -1,5 +1,7 @@
 """Unit tests for the baseline systems."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,20 @@ from repro.baselines.rag import LongRAGRetriever, build_document_store
 from repro.baselines.routellm import RouteLLMRouter
 from repro.baselines.semantic_cache import SemanticCache, reused_quality
 from repro.baselines.sft import SFTModel
+from repro.core.selector import ScoredExample
+from repro.embedding.similarity import cosine_similarity
+from repro.llm.icl import ExampleView
+from repro.llm.model import GenerationResult
 from repro.llm.zoo import get_model
+from repro.pipeline import ServeContext
 from repro.workload.topics import TopicModel
 
 from tests.conftest import make_request
 from tests.test_core_cache import make_example
+
+
+def _route(router, request, **ctx_fields):
+    return router.route(ServeContext(request, **ctx_fields)).model_name
 
 
 class TestRouteLLM:
@@ -19,7 +30,7 @@ class TestRouteLLM:
         router = RouteLLMRouter("small", "large", threshold=0.5,
                                 classifier_noise=0.0)
         choices = [
-            router.route(make_request(request_id=f"e{i}", difficulty=0.1))
+            _route(router, make_request(request_id=f"e{i}", difficulty=0.1))
             for i in range(30)
         ]
         assert choices.count("small") > 25
@@ -28,7 +39,7 @@ class TestRouteLLM:
         router = RouteLLMRouter("small", "large", threshold=0.5,
                                 classifier_noise=0.0)
         choices = [
-            router.route(make_request(request_id=f"h{i}", difficulty=0.9))
+            _route(router, make_request(request_id=f"h{i}", difficulty=0.9))
             for i in range(30)
         ]
         assert choices.count("large") > 25
@@ -38,44 +49,89 @@ class TestRouteLLM:
         strict = RouteLLMRouter("s", "l", threshold=0.9, seed=1)
         reqs = [make_request(request_id=f"r{i}", difficulty=0.5)
                 for i in range(100)]
-        frac_permissive = sum(permissive.route(r) == "s" for r in reqs) / 100
-        frac_strict = sum(strict.route(r) == "s" for r in reqs) / 100
+        frac_permissive = sum(_route(permissive, r) == "s" for r in reqs) / 100
+        frac_strict = sum(_route(strict, r) == "s" for r in reqs) / 100
         assert frac_permissive > frac_strict
 
     def test_load_is_ignored(self):
         router = RouteLLMRouter("s", "l", classifier_noise=0.0)
         req = make_request(difficulty=0.1)
-        assert router.route(req, load=0.0) == router.route(req, load=100.0)
+        assert _route(router, req, load=0.0) == _route(router, req, load=100.0)
+
+    def test_choice_is_context_blind_and_carries_no_bandit_state(self):
+        router = RouteLLMRouter("s", "l", classifier_noise=0.0)
+        req = make_request(difficulty=0.1)
+        scored = ScoredExample(example=make_example(), relevance=0.9,
+                               utility=0.4)
+        bare = router.route(ServeContext(req))
+        with_context = router.route(ServeContext(req, examples=[scored]))
+        assert with_context.model_name == bare.model_name == "s"
+        np.testing.assert_array_equal(with_context.features, bare.features)
+        assert bare.mean_scores == bare.biased_scores == {}
+        assert not bare.solicit_feedback
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             RouteLLMRouter("s", "l", threshold=1.5)
 
+    @pytest.mark.parametrize("noise", [-0.2, math.nan, math.inf])
+    def test_invalid_classifier_noise(self, noise):
+        # A negative or NaN noise would skip the `> 0` draw: noiseless.
+        with pytest.raises(ValueError, match="classifier_noise"):
+            RouteLLMRouter("s", "l", classifier_noise=noise)
+
+
+def _cache(threshold=0.92):
+    return SemanticCache("small", "large", dim=64,
+                         similarity_threshold=threshold)
+
+
+def _probe(cache, request, embedding):
+    """The one combination ``retrieve_batch`` returns for ``request``."""
+    [combo] = cache.retrieve_batch([ServeContext(request,
+                                                 embedding=embedding)])
+    return combo
+
 
 class TestSemanticCache:
     def test_miss_on_empty(self):
-        cache = SemanticCache(dim=64)
-        lookup = cache.lookup(make_request(), np.eye(64)[0])
-        assert not lookup.hit
+        cache = _cache()
+        assert _probe(cache, make_request(), np.eye(64)[0]) == []
         assert cache.hit_rate == 0.0
 
     def test_hit_on_similar_request(self):
-        cache = SemanticCache(dim=64, similarity_threshold=0.9)
+        cache = _cache(threshold=0.9)
         req = make_request(request_id="orig")
         emb = req.latent
-        cache.put(req, emb, response_quality=0.8)
-        lookup = cache.lookup(make_request(request_id="new"), emb)
-        assert lookup.hit
-        assert lookup.source_request_id == "orig"
+        cache.put(req, emb, response_quality=0.8, tokens=70)
+        [hit] = _probe(cache, make_request(request_id="new"), emb)
+        assert hit.example.example_id == "orig"
+        assert hit.relevance == pytest.approx(1.0)
+        assert hit.utility == 0.8
+        view = hit.example.view()
+        assert isinstance(view, ExampleView)
+        assert view.quality == 0.8 and view.tokens == 70
+        np.testing.assert_array_equal(view.latent, req.latent)
 
     def test_threshold_gates_hits(self):
-        cache = SemanticCache(dim=64, similarity_threshold=0.99)
+        cache = _cache(threshold=0.99)
         req = make_request()
-        cache.put(req, req.latent, 0.8)
+        cache.put(req, req.latent, 0.8, tokens=70)
         near = req.latent + 0.3 * np.eye(64)[1]
         near = near / np.linalg.norm(near)
-        lookup = cache.lookup(make_request(request_id="x"), near)
-        assert not lookup.hit
+        assert _probe(cache, make_request(request_id="x"), near) == []
+
+    def test_verbatim_reuse_degrades_with_latent_distance(self):
+        cache = _cache(threshold=0.0)
+        req = make_request(request_id="orig")
+        cache.put(req, req.latent, 0.8, tokens=70)
+        [hit] = _probe(cache, req, req.latent)
+        assert hit.example.reused_quality(req) == pytest.approx(0.8)
+        other = make_request(request_id="other",
+                             topic_latent=np.eye(64)[0] + np.eye(64)[1])
+        expected = reused_quality(
+            0.8, cosine_similarity(other.latent, req.latent))
+        assert hit.example.reused_quality(other) == expected < 0.8
 
     def test_reused_quality_degrades_with_distance(self):
         assert reused_quality(0.8, 1.0) == pytest.approx(0.8)
@@ -87,20 +143,50 @@ class TestSemanticCache:
             reused_quality(1.2, 0.9)
 
     def test_put_idempotent_per_request(self):
-        cache = SemanticCache(dim=64)
+        cache = _cache()
         req = make_request()
-        cache.put(req, req.latent, 0.8)
-        cache.put(req, req.latent, 0.9)
+        cache.put(req, req.latent, 0.8, tokens=70)
+        cache.put(req, req.latent, 0.9, tokens=90)
         assert len(cache) == 1
+        [hit] = _probe(cache, req, req.latent)
+        assert (hit.utility, hit.example.tokens) == (0.8, 70)
 
     def test_hit_rate_accounting(self):
-        cache = SemanticCache(dim=64, similarity_threshold=0.9)
+        cache = _cache(threshold=0.9)
         req = make_request()
-        cache.put(req, req.latent, 0.8)
-        cache.lookup(make_request(request_id="a"), req.latent)      # hit
+        cache.put(req, req.latent, 0.8, tokens=70)
+        _probe(cache, make_request(request_id="a"), req.latent)     # hit
         orthogonal = np.eye(64)[5]
-        cache.lookup(make_request(request_id="b"), orthogonal)      # miss
+        _probe(cache, make_request(request_id="b"), orthogonal)     # miss
         assert cache.hit_rate == pytest.approx(0.5)
+
+    def test_route_hit_to_small_miss_to_large(self):
+        cache = _cache()
+        req = make_request()
+        scored = ScoredExample(example=make_example(), relevance=0.95,
+                               utility=0.8)
+        hit = cache.route(ServeContext(req, examples=[scored]))
+        miss = cache.route(ServeContext(req))
+        assert (hit.model_name, miss.model_name) == ("small", "large")
+        assert hit.mean_scores == {} and not hit.solicit_feedback
+
+    def test_admit_inserts_misses_with_simulated_length(self):
+        cache = _cache(threshold=0.9)
+        req = make_request(request_id="m")
+        req.prompt_tokens = 30
+        result = GenerationResult(
+            model_name="large", quality=0.7, prompt_tokens=30,
+            output_tokens=45, ttft_s=0.0, decode_s=0.0, icl_boost=0.0,
+            n_examples=0, cost=0.0, text="short placeholder")
+        miss = ServeContext(req, embedding=req.latent, result=result)
+        assert cache.admit(miss) is None
+        [entry] = _probe(cache, req, req.latent)
+        assert entry.example.tokens == 30 + 45
+        # A hit was served from an entry; it is not inserted again.
+        other = make_request(request_id="h")
+        cache.admit(ServeContext(other, embedding=np.eye(64)[3],
+                                 examples=[entry], result=result))
+        assert len(cache) == 1
 
 
 class TestLongRAG:
@@ -109,18 +195,22 @@ class TestLongRAG:
         docs, index = build_document_store(self.topics, docs_per_topic=3, seed=3)
         self.retriever = LongRAGRetriever(docs, index, top_k=5)
 
+    def _retrieve(self, latent):
+        [combo] = self.retriever.retrieve_batch(
+            [ServeContext(make_request(topic_latent=latent))])
+        return combo
+
     def test_retrieves_on_topic_documents(self):
         rng = np.random.default_rng(0)
         latent = self.topics.sample_latent(4, rng)
-        docs = self.retriever.retrieve(latent)
-        assert len(docs) == 5
-        assert any(d.topic_id == 4 for d in docs)
+        combo = self._retrieve(latent)
+        assert len(combo) == 5
+        assert any(s.example.topic_id == 4 for s in combo)
 
     def test_relevant_documents_boost(self):
         rng = np.random.default_rng(1)
         latent = self.topics.sample_latent(2, rng)
-        docs = self.retriever.retrieve(latent)
-        assert self.retriever.boost(latent, docs) > 0.0
+        assert self.retriever.boost(self._retrieve(latent)) > 0.0
 
     def test_rag_boost_below_icl_ceiling(self):
         # Table 2's ordering requires RAG's ceiling < ICL's transfer ceiling.
@@ -131,16 +221,38 @@ class TestLongRAG:
     def test_irrelevant_documents_distract(self):
         rng = np.random.default_rng(2)
         latent = self.topics.sample_latent(1, rng)
-        off_topic = [d for d in self.retriever.retrieve(-latent)]
-        assert self.retriever.boost(latent, off_topic) <= 0.0
+        off_topic = [
+            ScoredExample(example=s.example,
+                          relevance=cosine_similarity(latent,
+                                                      s.example.latent),
+                          utility=s.utility)
+            for s in self._retrieve(-latent)
+        ]
+        assert self.retriever.boost(off_topic) <= 0.0
 
     def test_no_documents_no_boost(self):
-        assert self.retriever.boost(np.ones(64), []) == 0.0
+        assert self.retriever.boost([]) == 0.0
 
-    def test_prompt_tokens_sum(self):
+    def test_retrieve_batch_scores_documents_as_context(self):
         rng = np.random.default_rng(3)
-        docs = self.retriever.retrieve(self.topics.sample_latent(0, rng))
-        assert self.retriever.prompt_tokens(docs) == sum(d.tokens for d in docs)
+        latents = [self.topics.sample_latent(t, rng) for t in (0, 5)]
+        requests = [make_request(request_id=f"r{i}", topic_latent=latent)
+                    for i, latent in enumerate(latents)]
+        combos = self.retriever.retrieve_batch(
+            [ServeContext(r) for r in requests])
+        assert len(combos) == 2
+        for latent, combo in zip(latents, combos):
+            assert combo == self._retrieve(latent)   # one request at a time
+            for scored in combo:
+                doc = scored.example
+                assert doc.example_id == doc.doc_id
+                assert scored.relevance == cosine_similarity(latent,
+                                                             doc.latent)
+                assert scored.utility == doc.quality
+                view = doc.view()
+                assert (view.quality, view.tokens) == (doc.quality,
+                                                       doc.tokens)
+                assert view.latent is doc.latent
 
 
 class TestSFT:
@@ -177,6 +289,28 @@ class TestSFT:
         assert "sft" in sft.name
         assert sft.spec is base.spec
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SFTModel(get_model("gemma-2-2b"), "nq", in_domain_lift=-0.1)
+    def test_generate_reports_the_boost_its_quality_used(self):
+        # The quality is the base model's draw plus the fine-tuning shift,
+        # so the boost it used is the base model's.
+        base = get_model("gemma-2-2b", seed=7)
+        sft = SFTModel(get_model("gemma-2-2b", seed=7),
+                       tuned_dataset="unit_test")
+        req = make_request(dataset="unit_test", difficulty=0.3)
+        views = [ExampleView(latent=req.latent, quality=0.7, tokens=40)]
+        plain = base.generate(req, views)
+        tuned = sft.generate(req, views)
+        assert plain.icl_boost > 0.0
+        assert tuned.icl_boost == plain.icl_boost
+        assert tuned.quality == pytest.approx(
+            min(1.0, plain.quality + sft.in_domain_lift))
+
+    @pytest.mark.parametrize("knob, value", [
+        ("in_domain_lift", -0.1),
+        # A NaN passes a `< 0` check and makes every quality NaN.
+        ("in_domain_lift", math.nan),
+        ("in_domain_lift", math.inf),
+        ("out_of_domain_penalty", math.nan),
+    ])
+    def test_validation(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            SFTModel(get_model("gemma-2-2b"), "nq", **{knob: value})

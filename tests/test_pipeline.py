@@ -9,16 +9,19 @@ batched / cluster entry points share one pipeline implementation.
 import numpy as np
 import pytest
 
+from repro.baselines import RouteLLMRouter, SemanticCache
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.service import ICCacheService
 from repro.pipeline import (
+    AdmissionPolicy,
     ICCachePipeline,
     NullAdmission,
     RandomRetentionAdmission,
+    RetrievalPolicy,
+    RoutingPolicy,
     ServeMiddleware,
     registry,
 )
-from repro.pipeline.baselines import RouteLLMRouting, SemanticCacheAdapter
 from repro.pipeline.policies import ICAdmission
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
 from repro.serving.records import ServingReport
@@ -50,6 +53,11 @@ class TestRegistrySweep:
         pipeline = registry.build_policy(
             policy, config=_config(seed), dataset=dataset, history=history)
         assert isinstance(pipeline, ICCachePipeline)
+        # Every stage object conforms to its protocol, baselines included:
+        # each comparison system plugs in as itself, unwrapped.
+        assert isinstance(pipeline.retrieval, RetrievalPolicy)
+        assert isinstance(pipeline.routing, RoutingPolicy)
+        assert isinstance(pipeline.admission, AdmissionPolicy)
 
         sim = _cluster(pipeline)
         requests = dataset.online_requests(40)
@@ -188,7 +196,7 @@ class TestFromConfig:
     def test_component_swap_by_registry_key(self):
         pipeline = ICCachePipeline.from_config(
             _config(51), routing="routellm", learning=False)
-        assert isinstance(pipeline.routing, RouteLLMRouting)
+        assert isinstance(pipeline.routing, RouteLLMRouter)
         assert pipeline.service is not None
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=51)
         ctxs = pipeline.run_batch(dataset.online_requests(10), load=0.1)
@@ -255,7 +263,7 @@ class TestStatsRunningMean:
         assert service.stats.quality_count == 8
 
 
-class TestSemanticCacheAdapter:
+class TestSemanticCachePolicy:
     def test_hits_become_in_context_examples(self):
         seed = 55
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
@@ -263,7 +271,9 @@ class TestSemanticCacheAdapter:
             "semantic-cache", config=_config(seed),
             history=dataset.example_bank_requests()[:120],
             similarity_threshold=0.85)
-        assert isinstance(pipeline.retrieval, SemanticCacheAdapter)
+        # One object serves all three stages.
+        assert isinstance(pipeline.retrieval, SemanticCache)
+        assert pipeline.routing is pipeline.retrieval is pipeline.admission
         ctxs = pipeline.run_batch(dataset.online_requests(40))
         hits = [c for c in ctxs if c.examples]
         misses = [c for c in ctxs if not c.examples]
@@ -278,10 +288,10 @@ class TestSemanticCacheAdapter:
         seed = 56
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
         pipeline = registry.build_policy("semantic-cache", config=_config(seed))
-        adapter = pipeline.retrieval
-        assert len(adapter.cache) == 0
+        cache = pipeline.retrieval
+        assert len(cache) == 0
         pipeline.run_batch(dataset.online_requests(5))
-        assert len(adapter.cache) == 5
+        assert len(cache) == 5
 
     def test_hits_are_not_reinserted(self):
         # Only misses (fresh large-model responses) enter the cache; a hit
@@ -292,12 +302,12 @@ class TestSemanticCacheAdapter:
             "semantic-cache", config=_config(seed),
             history=dataset.example_bank_requests()[:120],
             similarity_threshold=0.85)
-        adapter = pipeline.retrieval
-        warm = len(adapter.cache)
+        cache = pipeline.retrieval
+        warm = len(cache)
         ctxs = pipeline.run_batch(dataset.online_requests(40))
         misses = sum(1 for c in ctxs if not c.examples)
         assert misses < len(ctxs)   # the scenario really produced hits
-        assert len(adapter.cache) == warm + misses
+        assert len(cache) == warm + misses
 
 
 class TestICAdmissionParity:
