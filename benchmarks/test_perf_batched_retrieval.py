@@ -1,4 +1,4 @@
-"""Perf — batched sharded retrieval vs per-request search.
+"""Perf — batched retrieval vs per-request search.
 
 Not a paper figure: this bench guards the batched retrieval engine's reason
 to exist.  At production pool sizes the serve loop must not pay a Python
@@ -17,9 +17,7 @@ a few vectorized matmuls (one per probed cluster).  Asserted here:
   rows (by this very measurement it took 1.07x while it built a
   ``SearchResult`` per candidate and sorted them in Python; it reads
   0.86-0.89x).  Both sides are timed interleaved, batch by batch, and
-  compared by their fastest pass, so a busy box slows both or neither;
-* ``ShardedExampleCache``-style fan-out (``ShardedIndex``) keeps recall@5
-  >= 0.9 against exact flat search on topic-clustered vectors.
+  compared by their fastest pass, so a busy box slows both or neither.
 """
 
 from harness import print_table, run_once
@@ -29,7 +27,7 @@ from perf_harness import (
     clustered_vectors,
     reference_search,
 )
-from repro.vectorstore import FlatIndex, IVFIndex, ShardedIndex
+from repro.vectorstore import FlatIndex, IVFIndex
 
 N, DIM, BATCH, K = 10_000, 64, 64, 5
 #: The service's operating point: ``bench_e2e``'s bank, ``serve_batch16``'s
@@ -43,15 +41,10 @@ def test_perf_batched_retrieval(benchmark):
 
     flat = FlatIndex(DIM)
     ivf = IVFIndex(dim=DIM, nprobe=4, min_train_size=64, seed=0)
-    # Shards are 1/4 the pool, so probing more of each shard's (smaller)
-    # cluster set is the realistic fan-out configuration.
-    sharded = ShardedIndex(dim=DIM, n_shards=4, nprobe=10, seed=0)
     for i, vec in enumerate(vectors):
         flat.add(i, vec)
         ivf.add(i, vec)
-        sharded.add(i, vec)
     ivf.search(queries[0], K)          # force training outside the timers
-    sharded.search(queries[0], K)
 
     def timings():
         return {
@@ -61,7 +54,6 @@ def test_perf_batched_retrieval(benchmark):
             "ivf loop": _best_of(lambda: [ivf.search(q, K) for q in queries]),
             "ivf batch": _best_of(lambda: ivf.search_batch(queries, K)),
             "flat batch": _best_of(lambda: flat.search_batch(queries, K)),
-            "sharded batch": _best_of(lambda: sharded.search_batch(queries, K)),
         }
 
     times = run_once(benchmark, timings)
@@ -79,17 +71,6 @@ def test_perf_batched_retrieval(benchmark):
     # And it must never cost throughput versus looped vectorized search.
     slowdown = times["ivf batch"] / times["ivf loop"]
     assert slowdown <= 2.0, f"search_batch {slowdown:.1f}x slower than looping"
-
-    # Sharded fan-out stays faithful to exact search on clustered data.
-    truth = flat.search_batch(queries, K)
-    approx = sharded.search_batch(queries, K)
-    hits = sum(
-        len({r.key for r in t} & {r.key for r in a})
-        for t, a in zip(truth, approx)
-    )
-    recall = hits / (BATCH * K)
-    print(f"   sharded fan-out recall@{K} vs exact: {recall:.3f}")
-    assert recall >= 0.9, f"sharded recall@{K} = {recall:.2f} < 0.9"
 
     # Batch results must match the looped path (same index, same queries).
     looped = [ivf.search(q, K) for q in queries]

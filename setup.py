@@ -6,7 +6,7 @@ setup(
     description=(
         "Reproduction of IC-Cache (conf_sosp_YuGSTSZK0LC25): efficient LLM "
         "serving via in-context caching — example selection, learned "
-        "routing, cache management, and a batched sharded retrieval engine "
+        "routing, cache management, and a batched retrieval engine "
         "over a discrete-event serving simulator."
     ),
     author="paper-repo-growth",

@@ -13,7 +13,7 @@ from repro.core.config import (
 )
 from repro.core.example import Example
 from repro.core.table import ExampleTable
-from repro.core.cache import ExampleCache, ShardedExampleCache
+from repro.core.cache import ExampleCache
 from repro.core.proxy import HelpfulnessProxy
 from repro.core.selector import ExampleSelector, ScoredExample
 from repro.core.router import BanditRouter, RouterArm, RoutingChoice
@@ -30,7 +30,6 @@ __all__ = [
     "Example",
     "ExampleTable",
     "ExampleCache",
-    "ShardedExampleCache",
     "HelpfulnessProxy",
     "ExampleSelector",
     "ScoredExample",

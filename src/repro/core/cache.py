@@ -4,20 +4,9 @@ Stage 1 of the selector searches this cache through an IVF index with
 K = sqrt(N) clusters (section 4.1).  The cache itself is model-agnostic plain
 text (section 4.3: "plaintext caching offers low memory consumption ... and
 facilitates broader reuse across different models").
-
-Two layouts are provided:
-
-* :class:`ExampleCache` — one monolithic IVF index; right for a single
-  retriever replica and small-to-medium pools.
-* :class:`ShardedExampleCache` — examples hash-partitioned across S IVF
-  shards with fan-out search (the production layout of section 5's FAISS
-  deployment note); pair it with the batched serving engine in
-  :mod:`repro.serving.engine`.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -26,7 +15,6 @@ from repro.core.example import Example
 from repro.core.table import ExampleTable
 from repro.vectorstore.flat import _EPS
 from repro.vectorstore.ivf import IVFIndex
-from repro.vectorstore.sharded import ShardedIndex
 
 
 class ExampleCache:
@@ -39,19 +27,15 @@ class ExampleCache:
     """
 
     def __init__(self, dim: int, seed: int = 0,
-                 index: IVFIndex | ShardedIndex | None = None,
                  index_config: IndexConfig | None = None) -> None:
         self._examples: dict[str, Example] = {}
         # Columnar bookkeeping: every cached example's numeric lifecycle
         # state lives in contiguous table columns (decay/eviction/snapshot
         # read them as arrays); the Example objects are views over rows.
         self._table = ExampleTable()
-        # `is None` matters: a freshly built index is empty, hence falsy.
-        if index is None:
-            cfg = index_config or IndexConfig()
-            index = IVFIndex(dim=dim, nprobe=cfg.nprobe, seed=seed,
-                             incremental_min_n=cfg.incremental_min_n)
-        self._index = index
+        cfg = index_config or IndexConfig()
+        self._index = IVFIndex(dim=dim, nprobe=cfg.nprobe, seed=seed,
+                               incremental_min_n=cfg.incremental_min_n)
         # Optional mutation journal (the persistence WAL attaches here):
         # a callable ``fn(kind, payload)`` invoked on every add / overwrite
         # / remove, plus ``retrain`` markers when a search triggered a lazy
@@ -116,9 +100,7 @@ class ExampleCache:
         trainings = self._index.trainings
         if trainings != self._journal_trainings:
             self._journal_trainings = trainings
-            per_shard = getattr(self._index, "per_shard_trainings", None)
-            self._journal("retrain",
-                          {"trainings": trainings, "per_shard": per_shard})
+            self._journal("retrain", {"trainings": trainings})
 
     def _check_indexable(self, example: Example) -> None:
         """Refuse what the index would refuse, before the table is mutated,
@@ -203,29 +185,3 @@ class ExampleCache:
     def examples(self) -> list[Example]:
         return list(self._examples.values())
 
-
-class ShardedExampleCache(ExampleCache):
-    """Example cache partitioned across ``n_shards`` IVF shards.
-
-    Same interface as :class:`ExampleCache`; retrieval fans out to every
-    shard and merges per-shard top-k by score, so results match the
-    monolithic cache up to each shard's own IVF approximation.  ``shard_fn``
-    optionally keys shard assignment off the example id (e.g. topic-keyed
-    placement); the default is a stable hash.
-    """
-
-    def __init__(self, dim: int, n_shards: int = 4, seed: int = 0,
-                 shard_fn: Callable[[object], int] | None = None,
-                 index_config: IndexConfig | None = None) -> None:
-        cfg = index_config or IndexConfig()
-        super().__init__(
-            dim,
-            index=ShardedIndex(dim=dim, n_shards=n_shards, nprobe=cfg.nprobe,
-                               seed=seed, shard_fn=shard_fn,
-                               incremental_min_n=cfg.incremental_min_n),
-        )
-
-    @property
-    def shard_sizes(self) -> list[int]:
-        """Examples per shard (balance diagnostic)."""
-        return self._index.shard_sizes

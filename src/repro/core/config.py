@@ -116,7 +116,6 @@ class ICCacheConfig:
     embedder_noise: float = 0.05
     feedback_sample_rate: float = 0.3   # fraction of responses with feedback
     feedback_noise: float = 0.1         # noise on sampled helpfulness labels
-    cache_shards: int = 1               # >1 = ShardedExampleCache fan-out
     seed: int = 0
     selector: SelectorConfig = field(default_factory=SelectorConfig)
     router: RouterConfig = field(default_factory=RouterConfig)
@@ -128,8 +127,6 @@ class ICCacheConfig:
             raise ValueError("feedback_sample_rate must be in [0, 1]")
         if self.embedding_dim < 8:
             raise ValueError("embedding_dim must be >= 8")
-        if self.cache_shards < 1:
-            raise ValueError("cache_shards must be >= 1")
         if not self.seed >= 0:      # make_rng's contract (repro.utils.rng)
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.embedder_noise < math.inf:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.cache import ExampleCache, ShardedExampleCache
+from repro.core.cache import ExampleCache
 from repro.core.config import ICCacheConfig
 from repro.core.example import Example
 from repro.core.manager import ExampleManager
@@ -103,15 +103,8 @@ class ICCacheService:
         self.embedder = LatentEmbedder(
             dim=self.config.embedding_dim, noise_scale=self.config.embedder_noise
         )
-        if self.config.cache_shards > 1:
-            self.cache = ShardedExampleCache(
-                dim=self.config.embedding_dim,
-                n_shards=self.config.cache_shards, seed=seed,
-                index_config=self.config.index,
-            )
-        else:
-            self.cache = ExampleCache(dim=self.config.embedding_dim, seed=seed,
-                                      index_config=self.config.index)
+        self.cache = ExampleCache(dim=self.config.embedding_dim, seed=seed,
+                                  index_config=self.config.index)
         self.proxy = HelpfulnessProxy()
         self.selector = ExampleSelector(self.cache, self.proxy, self.config.selector)
 
@@ -288,22 +281,22 @@ class ICCacheService:
 
     @classmethod
     def restore(cls, path, config: ICCacheConfig | None = None,
-                models: dict[str, SimulatedLLM] | None = None,
-                shard_fn=None) -> "ICCacheService":
+                models: dict[str, SimulatedLLM] | None = None
+                ) -> "ICCacheService":
         """Rebuild a service from a :meth:`save` snapshot.
 
-        ``config`` overrides the stored configuration (cache layout and
-        router arms must stay compatible); ``models`` and ``shard_fn``
-        re-supply custom model objects / shard assignment if the original
-        service was built with them (code is not state).  The restored
-        service serves bit-identically to the one that was saved (pinned
-        by ``tests/test_persistence_recovery.py``); to also replay a WAL
-        tail, use :meth:`repro.persistence.wal.Checkpointer.recover`.
+        ``config`` overrides the stored configuration (the embedding dim and
+        router arms must stay compatible); ``models`` re-supplies custom
+        model objects if the original service was built with them (code is
+        not state).  The restored service serves bit-identically to the one
+        that was saved (pinned by ``tests/test_persistence_recovery.py``);
+        to also replay a WAL tail, use
+        :meth:`repro.persistence.wal.Checkpointer.recover`.
         """
         from repro.persistence.snapshot import load_snapshot, restore_service
 
         return restore_service(load_snapshot(path), config=config,
-                               models=models, shard_fn=shard_fn)
+                               models=models)
 
     # -- the learning loops (pipeline after_complete hook) -------------------
 

@@ -9,7 +9,18 @@ deterministic serving surface, not a wall-clock side channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def _check_rates(capacity: float, refill_per_s: float) -> None:
+    """Refuse a bucket shape no admission could honour: ``0 < capacity <
+    inf`` and ``0 <= refill_per_s < inf``, which NaN fails both of."""
+    if not 0 < capacity < math.inf:
+        raise ValueError(f"capacity must be finite and > 0, got {capacity}")
+    if not 0 <= refill_per_s < math.inf:
+        raise ValueError(
+            f"refill_per_s must be finite and >= 0, got {refill_per_s}")
 
 
 @dataclass
@@ -30,12 +41,7 @@ class TokenBucket:
     updated_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if self.refill_per_s < 0:
-            raise ValueError(
-                f"refill_per_s must be >= 0, got {self.refill_per_s}"
-            )
+        _check_rates(self.capacity, self.refill_per_s)
         if self.tokens < 0:
             self.tokens = float(self.capacity)
 
@@ -56,9 +62,11 @@ class TenantRateLimiter:
 
     ``capacity``/``refill_per_s`` are the defaults for every tenant;
     ``overrides`` maps tenant name to a ``(capacity, refill_per_s)`` pair
-    for tiered plans.  Buckets are gateway-process state, deliberately
-    *not* snapshotted: a restarted gateway grants every tenant a full
-    bucket, which errs toward admitting (``docs/GATEWAY.md``).
+    for tiered plans; the defaults and every override are checked here, as
+    :class:`TokenBucket` checks them, not on a request's path.  Buckets are
+    gateway-process state, deliberately *not* snapshotted: a restarted
+    gateway grants every tenant a full bucket, which errs toward admitting
+    (``docs/GATEWAY.md``).
     """
 
     def __init__(self, capacity: float, refill_per_s: float,
@@ -67,6 +75,12 @@ class TenantRateLimiter:
         self.capacity = float(capacity)
         self.refill_per_s = float(refill_per_s)
         self.overrides = dict(overrides or {})
+        _check_rates(self.capacity, self.refill_per_s)
+        for tenant, (cap, refill) in self.overrides.items():
+            try:
+                _check_rates(cap, refill)
+            except ValueError as exc:
+                raise ValueError(f"override for {tenant!r}: {exc}") from None
         self._buckets: dict[str, TokenBucket] = {}
 
     def bucket(self, tenant: str) -> TokenBucket:

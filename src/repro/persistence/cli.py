@@ -22,14 +22,21 @@ import sys
 from pathlib import Path
 
 
-def _build_demo_service(seed: int, bank: int, serve: int, shards: int):
+def _count(text: str) -> int:
+    """An argparse type: a count of zero or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _build_demo_service(seed: int, bank: int, serve: int):
     """A seeded service with learned state, like the recovery tests use."""
     from repro.core.config import ICCacheConfig, ManagerConfig
     from repro.core.service import ICCacheService
     from repro.workload.datasets import SyntheticDataset
 
-    config = ICCacheConfig(seed=seed, cache_shards=shards,
-                           manager=ManagerConfig(sanitize=False))
+    config = ICCacheConfig(seed=seed, manager=ManagerConfig(sanitize=False))
     service = ICCacheService(config)
     dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
     # Bank first, online second: SyntheticDataset generation is
@@ -41,8 +48,7 @@ def _build_demo_service(seed: int, bank: int, serve: int, shards: int):
 
 
 def cmd_snapshot(args: argparse.Namespace) -> int:
-    service = _build_demo_service(args.seed, args.bank, args.serve,
-                                  args.shards)
+    service = _build_demo_service(args.seed, args.bank, args.serve)
     path = service.save(args.out)
     print(f"wrote {path} ({path.stat().st_size} bytes): "
           f"{len(service.cache)} examples, {service.stats.served} served")
@@ -72,9 +78,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         f"sidecar:       {sidecar} ({sidecar_bytes} bytes, mmap)",
         f"clock:         {snapshot['clock_now']:.3f} s",
         f"cache:         {n_examples} examples, "
-        f"{total_bytes} plaintext bytes, "
-        f"{'sharded' if cache['sharded'] else 'monolithic'} index, "
-        "columnar pool",
+        f"{total_bytes} plaintext bytes, columnar pool",
     ]
     # The pool: one line per bookkeeping column, then the string blobs
     # and the dense matrices.
@@ -97,18 +101,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         arr = np.asarray(arr)
         lines.append(f"  mat {name:<30} {arr.dtype.str:>5} "
                      f"{arr.nbytes:>10} bytes  shape {arr.shape}")
-    if cache["sharded"]:
-        sizes = [len(s["keys"]) for s in index["shards"]]
-        trains = [s["trainings"] for s in index["shards"]]
-        lines.append(f"shards:        sizes={sizes} trainings={trains}")
-    else:
-        lines.append(
-            f"index:         {len(index['keys'])} rows, "
-            f"{0 if index['centroids'] is None else index['centroids'].shape[0]}"
-            f" clusters, {index['trainings']} trainings, "
-            f"churn={index['churn']}"
-        )
     lines += [
+        f"index:         {len(index['keys'])} rows, "
+        f"{0 if index['centroids'] is None else index['centroids'].shape[0]}"
+        f" clusters, {index['trainings']} trainings, "
+        f"churn={index['churn']}",
         f"stats:         served={stats['served']} "
         f"offloaded={stats['offloaded']} bypasses={stats['bypasses']}",
         f"learning:      router_updates={stats['router_updates']} "
@@ -206,12 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     snap.add_argument("--out", default="snapshot.json",
                       help="output snapshot path")
     snap.add_argument("--seed", type=int, default=0)
-    snap.add_argument("--bank", type=int, default=120,
+    snap.add_argument("--bank", type=_count, default=120,
                       help="example-bank requests to seed")
-    snap.add_argument("--serve", type=int, default=20,
+    snap.add_argument("--serve", type=_count, default=20,
                       help="online requests to serve before snapshotting")
-    snap.add_argument("--shards", type=int, default=1,
-                      help="cache shards (>1 = ShardedExampleCache)")
     snap.set_defaults(fn=cmd_snapshot)
 
     ins = sub.add_parser("inspect",
@@ -229,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
                           "containing snapshot.json + wal.bin")
     res.add_argument("--wal",
                      help="journal (wal.bin) to replay after the snapshot")
-    res.add_argument("--serve", type=int, default=0,
+    res.add_argument("--serve", type=_count, default=0,
                      help="serve this many demo requests after restoring")
     res.set_defaults(fn=cmd_restore)
 

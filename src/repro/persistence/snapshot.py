@@ -13,7 +13,7 @@ format must capture more than the obvious data:
   and is the order K-Means reads the pool in at retrain time, so it is
   serialized as-is; the IVF cluster blocks (the one stored copy of every
   index vector), centroids, churn counter, and training count ride along
-  (see ``to_state`` on each index class).
+  (see :meth:`~repro.vectorstore.ivf.IVFIndex.to_state`).
 * **Learned state** — router posteriors, proxy regression state, selector
   threshold adaptation, and the live ablation flags.
 * **RNG stream positions** — the service, router, and feedback generators'
@@ -46,8 +46,8 @@ There is one format: :func:`load_snapshot` accepts exactly the ``version``
 Not captured (by design): in-flight requests parked in the pipeline
 (``pipeline._pending``) — a crash loses them, like any serving system;
 their ids are recorded under ``in_flight`` for operator visibility.
-Custom ``models=`` or ``shard_fn=`` objects are code, not state, and must
-be re-supplied to :func:`restore_service`.
+Custom ``models=`` objects are code, not state, and must be re-supplied to
+:func:`restore_service`.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.analysis.stats import EMA
-from repro.core.cache import ShardedExampleCache
 from repro.core.config import (
     ICCacheConfig,
     IndexConfig,
@@ -75,14 +74,13 @@ from repro.core.config import (
 from repro.core.example import Example
 from repro.core.table import COLUMN_SCHEMA, EMBEDDING, ExampleTable, attached_rows
 from repro.vectorstore.ivf import IVFIndex
-from repro.vectorstore.sharded import ShardedIndex
 from repro.workload.request import Request, TaskType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.service import ICCacheService
 
 SNAPSHOT_FORMAT = "ic-cache-snapshot"
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 
 #: Sidecar array offsets are padded to this alignment so every mapped view
 #: is at least cache-line aligned regardless of the preceding array's size.
@@ -443,40 +441,26 @@ def snapshot_example_count(cache_state_doc: dict) -> int:
 
 
 def cache_state(cache) -> dict:
-    """Serializable state of an ExampleCache / ShardedExampleCache."""
+    """Serializable state of an :class:`~repro.core.cache.ExampleCache`."""
     return {
-        "sharded": isinstance(cache, ShardedExampleCache),
         "index": cache._index.to_state(),
         "examples_columns": examples_columns_state(cache),
     }
 
 
-def restore_cache_state(cache, state: dict, shard_fn=None) -> None:
+def restore_cache_state(cache, state: dict) -> None:
     """Rebuild a cache's contents in place from :func:`cache_state` output.
 
     In place because the selector, manager, and pipeline policies all hold
     references to the live cache object — swapping internals under them is
-    exactly what a warm restart needs.  ``shard_fn`` re-supplies a custom
-    shard-assignment function (code, not state) for sharded layouts;
-    existing keys keep their memoized assignments either way, but new adds
-    would silently fall back to hash placement without it.
+    exactly what a warm restart needs.
 
     The columnar table is rebuilt along with the pool by bulk array
     adoption of the ``examples_columns`` section.
     """
-    sharded = bool(state["sharded"])
-    if sharded != isinstance(cache, ShardedExampleCache):
-        raise ValueError(
-            "snapshot cache layout does not match the configured one "
-            f"(snapshot sharded={sharded}); check config.cache_shards"
-        )
     cache._examples, cache._table = _restore_examples_columns(
         state["examples_columns"])
-    if sharded:
-        cache._index = ShardedIndex.from_state(state["index"],
-                                               shard_fn=shard_fn)
-    else:
-        cache._index = IVFIndex.from_state(state["index"])
+    cache._index = IVFIndex.from_state(state["index"])
     cache._journal = None
     cache._journal_trainings = 0
 
@@ -620,16 +604,12 @@ def config_from_record(record: dict) -> ICCacheConfig:
 
 
 def restore_service(snapshot: dict, config: ICCacheConfig | None = None,
-                    models: dict | None = None,
-                    shard_fn=None) -> "ICCacheService":
+                    models: dict | None = None) -> "ICCacheService":
     """Build a service and load ``snapshot`` into it.
 
-    ``config`` overrides the stored one (the cache layout and the
-    embedding dim must match);
+    ``config`` overrides the stored one (the embedding dim must match);
     ``models`` re-supplies custom model objects when the original service
-    was built with some (their RNG positions are restored either way);
-    ``shard_fn`` re-supplies a custom shard-assignment function for
-    sharded caches.
+    was built with some (their RNG positions are restored either way).
     """
     from repro.core.service import ICCacheService
 
@@ -645,8 +625,7 @@ def restore_service(snapshot: dict, config: ICCacheConfig | None = None,
     service.clock.reset(float(snapshot["clock_now"]))
     service.selector_enabled = bool(snapshot["selector_enabled"])
     service.router_enabled = bool(snapshot["router_enabled"])
-    restore_cache_state(service.cache, snapshot["cache"],
-                        shard_fn=shard_fn)
+    restore_cache_state(service.cache, snapshot["cache"])
 
     sel = snapshot["selector"]
     service.selector.utility_threshold = sel["utility_threshold"]

@@ -75,8 +75,10 @@ RECORD_KINDS = ("add", "overwrite", "remove", "retrain", "decay", "clock",
                 "manager_counters", "replay_rewrite")
 
 #: First bytes of every journal; a file that starts otherwise (a JSON-lines
-#: journal from an older tree, say) is refused by name, never parsed.
-MAGIC = b"ICWAL\x00\x01\n"
+#: journal from an older tree, or a framed one of another format version)
+#: is refused by name, never parsed.  The byte before the newline is the
+#: format version.
+MAGIC = b"ICWAL\x00\x02\n"
 
 _PREFIX = struct.Struct("<II")        # len, crc32 of the ``len`` bytes after it
 _HEAD = struct.Struct("<BIQ")         # kind, epoch, seq
@@ -85,7 +87,6 @@ _EMAS = "2dq" * len(EMA_STREAMS) + "B"     # alpha, value, count each; flags
 _EXAMPLE = struct.Struct("<3d2q" + _EMAS + "qd2qd2I")
 #: quality, access_count, replay_count, the EMAs, decode-count entries.
 _REWRITE = struct.Struct("<d2q" + _EMAS + "I")
-_RETRAIN = struct.Struct("<q?I")      # trainings, sharded?, shard count
 _F8 = np.dtype("<f8")
 
 
@@ -176,21 +177,6 @@ def _decode_rewrite(body: bytes) -> dict:
     }
 
 
-def _encode_retrain(payload: dict) -> bytes:
-    per_shard = payload.get("per_shard")
-    shards = per_shard or ()
-    return (_RETRAIN.pack(payload["trainings"], per_shard is not None,
-                          len(shards))
-            + struct.pack(f"<{len(shards)}q", *shards))
-
-
-def _decode_retrain(body: bytes) -> dict:
-    trainings, sharded, n_shards = _RETRAIN.unpack_from(body)
-    per_shard = struct.unpack_from(f"<{n_shards}q", body, _RETRAIN.size)
-    return {"trainings": trainings,
-            "per_shard": list(per_shard) if sharded else None}
-
-
 def _flat(fmt: str, *names: str) -> tuple:
     """The codec of a record that is one flat dict of numbers."""
     packer = struct.Struct(fmt)
@@ -207,7 +193,7 @@ _CODECS = {
         (_encode_example, _decode_example),         # overwrite
         (_pack_strings,                             # remove: the id
          lambda body: {"example_id": _unpack_strings(body, 0, 1)[0][0]}),
-        (_encode_retrain, _decode_retrain),
+        _flat("<q", "trainings"),                   # retrain
         _flat("<q", "periods"),                     # decay
         _flat("<d", "now"),                         # clock
         _flat("<4q", "next_id", "admitted", "rejected_duplicates",
@@ -241,12 +227,17 @@ def _scan(path: Path, buf, verify: bool) -> tuple[list[tuple], int]:
     ``verify``), an impossible or damaged length, and a gap in ``seq`` are
     corruption and raise ``ValueError`` naming path, frame and offset; a
     file that does not start with :data:`MAGIC` is not a journal of this
-    format and is refused.
+    format and is refused, naming the format version it found if any.
     """
     size = len(buf)
     if buf[:len(MAGIC)] != MAGIC:
         if MAGIC.startswith(buf[:size]):
             return [], 0    # empty, or torn while the magic was written
+        head = bytes(buf[:len(MAGIC)])
+        if head[:6] == MAGIC[:6] and head[7:] == b"\n":
+            raise ValueError(
+                f"{path} is a version-{head[6]} IC-Cache journal, magic "
+                f"{head!r} (this reader speaks version {MAGIC[6]} only)")
         raise ValueError(
             f"{path} is not a framed IC-Cache journal (a JSON-lines journal "
             "from an older tree replays only on the tree that wrote it)")
@@ -556,20 +547,10 @@ def _apply_retrain(cache, data: dict) -> None:
     retrain reproduces identical centroids and blocks.
     """
     index = cache._index
-    per_shard = data.get("per_shard")
-    if per_shard is not None:
-        for shard, target in zip(index._shards, per_shard):
-            while shard.trainings < int(target):
-                if not shard.retrain():
-                    raise RuntimeError(
-                        "WAL retrain replay diverged: shard refused to train"
-                    )
-    else:
-        while index.trainings < int(data["trainings"]):
-            if not index.retrain():
-                raise RuntimeError(
-                    "WAL retrain replay diverged: index refused to train"
-                )
+    while index.trainings < int(data["trainings"]):
+        if not index.retrain():
+            raise RuntimeError(
+                "WAL retrain replay diverged: index refused to train")
 
 
 def _apply_replay_rewrite(service: "ICCacheService", data: dict) -> None:
@@ -722,8 +703,7 @@ class Checkpointer:
     @classmethod
     def recover(cls, directory: str | Path,
                 config: "ICCacheConfig | None" = None,
-                models: dict | None = None,
-                shard_fn=None) -> "ICCacheService":
+                models: dict | None = None) -> "ICCacheService":
         """Rebuild a service from ``directory``: snapshot, then WAL replay.
 
         Returns the recovered service with no journal attached.  To resume
@@ -736,8 +716,7 @@ class Checkpointer:
         _refuse_legacy_journal(directory)
         return recover_service(
             directory / cls.SNAPSHOT_NAME, directory / cls.WAL_NAME,
-            str(directory), config=config, models=models,
-            shard_fn=shard_fn)[0]
+            str(directory), config=config, models=models)[0]
 
 
 def recover_service(snapshot_path: str | Path, wal_path: str | Path,

@@ -11,8 +11,6 @@
   ``FlatIndex`` and the only copy of its vectors, so a single-query probe
   is one matrix-vector product and removal is an O(1) swap-delete — see
   ``docs/PERFORMANCE.md``.
-* :class:`ShardedIndex` — hash-partitioned IVF shards with fan-out search
-  and top-k merge; the production-scale layout the ROADMAP targets.
 
 All indexes expose both ``search`` (one query, vectorized per probed
 cluster block) and ``search_batch`` (the same blocks multiplied once per
@@ -22,7 +20,6 @@ querying subset for a whole micro-batch).
 from repro.vectorstore.flat import FlatIndex, SearchResult
 from repro.vectorstore.kmeans import KMeans, KMeansResult
 from repro.vectorstore.ivf import IVFIndex, optimal_cluster_count
-from repro.vectorstore.sharded import ShardedIndex
 
 __all__ = [
     "FlatIndex",
@@ -31,5 +28,4 @@ __all__ = [
     "KMeansResult",
     "IVFIndex",
     "optimal_cluster_count",
-    "ShardedIndex",
 ]

@@ -50,8 +50,8 @@ def finish(k: int, chunks: list[np.ndarray], tables: list,
            rows: list[np.ndarray] | None = None) -> list[SearchResult]:
     """The tail every search shares: the top ``k`` of its candidates.
 
-    ``chunks[p]`` holds the float32 scores of part ``p`` (a probed block, a
-    shard's hits); its candidate ``j`` is ``tables[p][j]``, or
+    ``chunks[p]`` holds the float32 scores of part ``p`` (a probed block);
+    its candidate ``j`` is ``tables[p][j]``, or
     ``tables[p][rows[p][j]]`` when the part arrives pre-selected.  One
     *stable* descending argsort over the concatenation, so exact ties
     resolve in part-then-candidate order, as a per-key loop or

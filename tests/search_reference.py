@@ -27,7 +27,6 @@ from repro.vectorstore.flat import (
     SearchResult,
 )
 from repro.vectorstore.ivf import IVFIndex
-from repro.vectorstore.sharded import ShardedIndex
 
 
 class ShadowPool(FlatIndex):
@@ -74,21 +73,11 @@ def reference_search_batch(index, queries: np.ndarray,
     The batched kernel verbatim — one centroid matmul, ``argpartition``
     probes, one sgemm per ``(cluster, querying rows)``, one ``argpartition``
     per row — then one ``SearchResult`` per *candidate* and a Python
-    ``sort(reverse=True)`` per query.  A :class:`ShardedIndex` is its shards'
-    reference lists merged by the same Python sort; an untrained index (or a
-    bare :class:`FlatIndex`) is the flat batch with its candidates sorted
-    the same way, in ``argpartition`` order.  ``finish`` must return the
+    ``sort(reverse=True)`` per query.  An untrained index (or a bare
+    :class:`FlatIndex`) is the flat batch with its candidates sorted the
+    same way, in ``argpartition`` order.  ``finish`` must return the
     same keys, scores and order, ties included.
     """
-    if isinstance(index, ShardedIndex):
-        per_shard = [reference_search_batch(shard, queries, k)
-                     for shard in index._shards]
-        results = []
-        for shard_hits in zip(*per_shard):
-            merged = [hit for hits in shard_hits for hit in hits]
-            merged.sort(key=lambda r: r.score, reverse=True)
-            results.append(merged[:k])
-        return results
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n_queries = q.shape[0]
     norms = np.linalg.norm(q, axis=1)

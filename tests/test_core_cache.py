@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.cache import ExampleCache, ShardedExampleCache
+from repro.core.cache import ExampleCache
 from repro.core.example import Example
 from repro.persistence.snapshot import _encode
 
@@ -137,28 +137,39 @@ class TestExampleCache:
             == int(cache.table.col("plaintext_bytes").sum())
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize("trained", [False, True])
     @pytest.mark.parametrize(
         "embedding", [np.zeros(8), np.ones(9), np.full(8, np.nan),
                       np.r_[np.inf, np.ones(7)], np.full(8, 1e200)],
         ids=["zero-vector", "wrong-dim", "nan-vector", "inf-component",
              "norm-overflows"])
     def test_rejected_add_or_overwrite_changes_nothing(self, embedding,
-                                                       sharded):
+                                                       trained):
         """An embedding the index refuses is refused before the first
         mutation: id map, byte total, iteration, table and index are as
         they were, and the cache keeps working.  A norm that is NaN or
         infinite is refused like a zero one (``norm < eps`` alone let a NaN
-        embedding in, and k-means++ seeding failed on it later)."""
-        cache = (ShardedExampleCache(dim=8, n_shards=2) if sharded
-                 else ExampleCache(dim=8))
+        embedding in, and k-means++ seeding failed on it later).  The rule
+        holds for the flat block of an untrained index and for the cluster
+        blocks of a trained one."""
+        cache = ExampleCache(dim=8)
         for i in range(3):
             cache.add(make_example(example_id=f"ex-{i}", dim=8, direction=i))
+        if trained:
+            rng = np.random.default_rng(8)
+            for i in range(64):
+                cache.add(Example(f"fill-{i}", make_request(dim=8), "filler",
+                                  rng.normal(size=8), quality=0.8,
+                                  source_model="gemma-2-27b",
+                                  source_cost=1.0))
+            cache.search(np.ones(8), k=1)       # the lazy first training
+        assert cache._index.is_trained == trained
 
         def state():
             return (len(cache), cache.total_bytes, len(cache.table),
                     [e.example_id for e in cache],
-                    [cache.table.owner(r).example_id for r in range(3)],
+                    [cache.table.owner(r).example_id
+                     for r in range(len(cache.table))],
                     json.dumps(_encode(cache._index.to_state())))
 
         before = state()

@@ -262,16 +262,6 @@ class TestServeBatch:
         assert all(o.choice.model_name == service.large_name for o in outcomes)
         assert service.stats.bypasses == 3
 
-    def test_serve_batch_with_sharded_cache(self):
-        config = ICCacheConfig(seed=25, cache_shards=4,
-                               manager=ManagerConfig(sanitize=False))
-        service = ICCacheService(config)
-        dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=25)
-        service.seed_cache(dataset.example_bank_requests()[:120])
-        assert sum(service.cache.shard_sizes) == len(service.cache)
-        outcomes = service.serve_batch(dataset.online_requests(16), load=0.2)
-        assert len(outcomes) == 16
-
 
 class TestRouterDisabled:
     def test_router_disabled_always_offloads(self):
@@ -353,8 +343,7 @@ class TestClusterBatchedIntegration:
     def test_service_drives_batched_cluster_simulation(self):
         from repro.serving.engine import BatchPolicy
 
-        config = ICCacheConfig(seed=26, cache_shards=2,
-                               manager=ManagerConfig(sanitize=False))
+        config = ICCacheConfig(seed=26, manager=ManagerConfig(sanitize=False))
         service = ICCacheService(config)
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=26)
         service.seed_cache(dataset.example_bank_requests()[:150])

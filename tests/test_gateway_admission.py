@@ -115,8 +115,32 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(capacity=1, refill_per_s=-1.0)
 
+    @pytest.mark.parametrize("capacity, refill", [
+        (math.nan, 1.0), (math.inf, 1.0), (5.0, math.nan), (5.0, math.inf)])
+    def test_rejects_nan_and_infinite_shapes(self, capacity, refill):
+        # NaN compares false both ways, so only a range check refuses it:
+        # a NaN capacity would refuse every request and a NaN refill admit
+        # past the capacity.
+        with pytest.raises(ValueError, match="finite"):
+            TokenBucket(capacity=capacity, refill_per_s=refill)
+
 
 class TestTenantRateLimiter:
+    @pytest.mark.parametrize("capacity, refill, overrides", [
+        (0, 1.0, None),
+        (math.nan, 1.0, None),
+        (5, math.nan, None),
+        (5, 1.0, {"gold": (-1, 1.0)}),
+        (5, 1.0, {"gold": (10, math.inf)}),
+    ])
+    def test_refuses_bad_shapes_at_construction(self, capacity, refill,
+                                                overrides):
+        # Refused when the gateway is configured, not inside the first
+        # admit() on a request's path.
+        with pytest.raises(ValueError, match="override for 'gold'"
+                           if overrides else "must be finite"):
+            TenantRateLimiter(capacity, refill, overrides=overrides)
+
     def test_buckets_are_per_tenant(self):
         limiter = TenantRateLimiter(capacity=1, refill_per_s=0.0)
         assert limiter.admit("a", 0.0)

@@ -55,22 +55,27 @@ class TestInspect:
         assert "format:" in out
         assert "examples" in out
         assert f"served={SERVE}" in out
-        assert "monolithic index" in out
-        assert "format:        ic-cache-snapshot v6" in out
-        # The index line counts the state's key list (v6 has no flat copy).
+        assert "format:        ic-cache-snapshot v7" in out
+        # The index line counts the state's key list (no flat copy).
         n = int(out.split("cache:")[1].split()[0])
         assert f"index:         {n} rows, 0 clusters, 0 trainings" in out
 
-    def test_sharded_inventory_line(self, tmp_path, capsys):
-        dataset = SyntheticDataset("ms_marco", scale=0.0002, seed=0)
-        service = ICCacheService(ICCacheConfig(seed=0, cache_shards=2))
-        service.seed_cache(dataset.example_bank_requests()[:BANK])
-        path = service.save(tmp_path / "sharded.json")
+    def test_trained_index_inventory_line(self, tmp_path, capsys):
+        """A trained index reports its clusters and trainings as the live
+        cache holds them."""
+        dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=0)
+        service = ICCacheService(ICCacheConfig(seed=0))
+        service.seed_cache(dataset.example_bank_requests()[:80])
+        index = service.cache._index
+        index.retrain()
+        assert index.is_trained
+        path = service.save(tmp_path / "trained.json")
         assert main(["inspect", str(path)]) == 0
         line, = [row for row in capsys.readouterr().out.splitlines()
-                 if row.startswith("shards:")]
-        sizes = json.loads(line.split("sizes=")[1].split(" trainings")[0])
-        assert sizes == service.cache.shard_sizes and sum(sizes) == BANK
+                 if row.startswith("index:")]
+        assert line.startswith(
+            f"index:         {len(index)} rows, {index.n_clusters} clusters,"
+            f" {index.trainings} trainings, ")
 
     def test_json_summary(self, snapshot_path, capsys):
         assert main(["inspect", str(snapshot_path), "--json"]) == 0
@@ -239,6 +244,24 @@ class TestWal:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv", [
+        ["snapshot", "--bank", "-100"],
+        ["snapshot", "--serve", "-1"],
+        ["restore", "snapshot.json", "--serve", "-2"],
+    ], ids=["snapshot-bank", "snapshot-serve", "restore-serve"])
+    def test_negative_counts_are_usage_errors(self, argv, tmp_path,
+                                              monkeypatch, capsys):
+        """A negative count is a usage error before any work: as a slice
+        bound it would quietly take the bank, or the served tail, from the
+        wrong end."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "must be >= 0" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_inspect_missing_path_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "does-not-exist.json"
         assert main(["inspect", str(missing)]) == 2

@@ -5,8 +5,8 @@ recovery through snapshot + WAL; this one pins the *encoding* overhaul —
 array bytes in a content-hash-named raw sidecar next to the JSON
 manifest, restored as copy-on-write ``np.memmap`` views.  Covered here:
 
-* warm-restart determinism through the sidecar, mono and sharded — the
-  restored service finishes a request stream bit-identically;
+* warm-restart determinism through the sidecar — the restored service
+  finishes a request stream bit-identically;
 * one format: a manifest of any version but the one ``write_snapshot``
   writes is refused, by number;
 * crash-safety bookkeeping: content-hash naming, stale-sidecar cleanup,
@@ -34,10 +34,9 @@ N_BEFORE = 12
 N_AFTER = 12
 
 
-def _build(shards: int = 1):
+def _build():
     service = ICCacheService(ICCacheConfig(
-        seed=SEED, cache_shards=shards,
-        manager=ManagerConfig(sanitize=False),
+        seed=SEED, manager=ManagerConfig(sanitize=False),
     ))
     dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
     service.seed_cache(dataset.example_bank_requests()[:BANK])
@@ -60,7 +59,7 @@ class TestSidecarFormat:
         service.save(path)
 
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 6
+        assert doc["version"] == SNAPSHOT_VERSION == 7
         bins = _bin_files(path)
         assert len(bins) == 1
         assert doc["sidecar"] == bins[0].name
@@ -107,14 +106,17 @@ class TestSidecarFormat:
 
     def test_unknown_version_rejected(self, tmp_path):
         """Every version but the written one is refused — the previous one
-        (v5 carried a second, flat copy of every index vector), v4 (the byte
-        ledger twice) and the three older ones this reader used to accept
-        included — naming both numbers."""
+        (v6 named the cache layout in ``cache.sharded`` and
+        ``config.cache_shards``), v5 (a second, flat copy of every index
+        vector), v4 (the byte ledger twice) and the three older ones this
+        reader used to accept included — naming both numbers."""
         service, _ = _build()
         path = tmp_path / "snap.json"
         service.save(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2, 3, 4, 5, 99):
+        doc["cache"]["sharded"] = False         # v6's own fields, too
+        doc["config"]["cache_shards"] = 1
+        for version in (1, 2, 3, 4, 5, 6, 99):
             doc["version"] = version
             path.write_text(json.dumps(doc), encoding="utf-8")
             with pytest.raises(ValueError) as refused:
@@ -150,11 +152,9 @@ class TestSidecarFormat:
 
 
 class TestWarmRestartDeterminism:
-    @pytest.mark.parametrize("shards", [1, 3],
-                             ids=["mono", "sharded"])
     def test_restored_service_finishes_stream_bit_identically(
-            self, tmp_path, shards):
-        service, dataset = _build(shards)
+            self, tmp_path):
+        service, dataset = _build()
         requests = dataset.online_requests(N_BEFORE + N_AFTER)
         for request in requests[:N_BEFORE]:
             service.serve(request, load=0.2)

@@ -27,7 +27,6 @@ from repro.persistence.snapshot import (
 from repro.persistence.wal import Checkpointer
 from repro.vectorstore.flat import FlatIndex
 from repro.vectorstore.ivf import IVFIndex
-from repro.vectorstore.sharded import ShardedIndex
 from repro.workload.datasets import SyntheticDataset
 
 DIM = 16
@@ -176,43 +175,10 @@ class TestIVFIndexRoundtrip:
         assert len(IVFIndex.from_state(state)) == len(state["keys"])
 
 
-class TestShardedIndexRoundtrip:
-    def test_search_and_trainings_identical(self):
-        index = _churned_index(ShardedIndex, n_shards=3, nprobe=2,
-                               min_train_size=16, seed=4)
-        restored = ShardedIndex.from_state(_json_roundtrip(index.to_state()))
-        assert restored.per_shard_trainings == index.per_shard_trainings
-        assert restored.shard_sizes == index.shard_sizes
-        queries = _vectors(20, seed=2)
-        for query in queries:
-            assert _hits(restored.search(query, 5)) == _hits(index.search(query, 5))
-        assert _batch_hits(restored.search_batch(queries, 5)) == \
-            _batch_hits(index.search_batch(queries, 5))
-
-    def test_retrain_identical_after_restore(self):
-        index = _churned_index(ShardedIndex, n_shards=3, nprobe=2,
-                               min_train_size=16, seed=4)
-        restored = ShardedIndex.from_state(_json_roundtrip(index.to_state()))
-        spare = _vectors(60, seed=8)
-        for copy in (index, restored):
-            for i, vec in enumerate(spare):
-                copy.add(("spare", i), vec)
-        query = spare[0]
-        assert _hits(index.search(query, 5)) == _hits(restored.search(query, 5))
-        assert index.per_shard_trainings == restored.per_shard_trainings
-
-    def test_shard_count_mismatch_rejected(self):
-        index = ShardedIndex(dim=DIM, n_shards=2)
-        state = index.to_state()
-        state["n_shards"] = 3
-        with pytest.raises(ValueError, match="shards"):
-            ShardedIndex.from_state(state)
-
-
-def _build_service(shards: int = 1, seed: int = 11,
+def _build_service(seed: int = 11,
                    bank: int = 120) -> tuple[ICCacheService, SyntheticDataset]:
     service = ICCacheService(ICCacheConfig(
-        seed=seed, cache_shards=shards, manager=ManagerConfig(sanitize=False)
+        seed=seed, manager=ManagerConfig(sanitize=False)
     ))
     dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
     service.seed_cache(dataset.example_bank_requests()[:bank])
@@ -225,17 +191,16 @@ def _snap(outcomes) -> list[tuple]:
 
 
 class TestServiceSnapshot:
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_warm_restart_serves_bit_identically(self, shards, tmp_path):
+    def test_warm_restart_serves_bit_identically(self, tmp_path):
         """The headline invariant: restored == never-stopped, bit for bit."""
-        s1, d1 = _build_service(shards)
+        s1, d1 = _build_service()
         requests = d1.online_requests(30)
         first = _snap([s1.serve(r, load=0.2) for r in requests[:15]])
         rest_uninterrupted = _snap(
             [s1.serve(r, load=0.2) for r in requests[15:]]
         )
 
-        s2, d2 = _build_service(shards)
+        s2, d2 = _build_service()
         requests2 = d2.online_requests(30)
         assert _snap([s2.serve(r, load=0.2) for r in requests2[:15]]) == first
         path = s2.save(tmp_path / "snap.json")
@@ -270,28 +235,22 @@ class TestServiceSnapshot:
         assert restored.selector_enabled is False
         assert restored.router_enabled is False
 
-    def test_config_override_must_match_layout(self, tmp_path):
-        service, _ = _build_service(shards=4, bank=40)
-        path = service.save(tmp_path / "s.json")
-        with pytest.raises(ValueError, match="cache_shards|layout"):
-            ICCacheService.restore(path, config=ICCacheConfig(
-                seed=11, cache_shards=1, manager=ManagerConfig(sanitize=False)
-            ))
-
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_config_override_must_match_embedding_dim(self, shards, tmp_path):
+    @pytest.mark.parametrize("path", ["restore", "recover"])
+    def test_config_override_must_match_embedding_dim(self, path, tmp_path):
         """A 64-dim snapshot under a 32-dim config is refused by name, by
-        both restore paths, instead of failing inside the first serve."""
-        service, _ = _build_service(shards=shards, bank=40)
-        Checkpointer(service, tmp_path / "ckpt").checkpoint()
-        narrow = ICCacheConfig(seed=11, cache_shards=shards, embedding_dim=32,
+        either restore path, instead of failing inside the first serve."""
+        service, _ = _build_service(bank=40)
+        narrow = ICCacheConfig(seed=11, embedding_dim=32,
                                manager=ManagerConfig(sanitize=False))
         refusal = "snapshot index dim 64 != configured embedding_dim 32"
-        with pytest.raises(ValueError, match=refusal):
-            ICCacheService.restore(service.save(tmp_path / "s.json"),
-                                   config=narrow)
-        with pytest.raises(ValueError, match=refusal):
-            Checkpointer.recover(tmp_path / "ckpt", config=narrow)
+        if path == "restore":
+            snapshot = service.save(tmp_path / "s.json")
+            with pytest.raises(ValueError, match=refusal):
+                ICCacheService.restore(snapshot, config=narrow)
+        else:
+            Checkpointer(service, tmp_path / "ckpt").checkpoint()
+            with pytest.raises(ValueError, match=refusal):
+                Checkpointer.recover(tmp_path / "ckpt", config=narrow)
 
     def test_version_gate(self, tmp_path):
         service, _ = _build_service(bank=40)
@@ -308,9 +267,11 @@ class TestServiceSnapshot:
         service, _ = _build_service(bank=40)
         path = service.save(tmp_path / "s.json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 6
+        assert doc["version"] == SNAPSHOT_VERSION == 7
         cache = doc["cache"]
         assert "examples" not in cache
+        # One index layout: v7 names none.
+        assert "sharded" not in cache and "cache_shards" not in doc["config"]
         # The index stores each vector once, in its cluster blocks.
         assert "flat" not in cache["index"]
         assert len(cache["index"]["keys"]) == len(service.cache)

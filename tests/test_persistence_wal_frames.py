@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import ExampleCache, ShardedExampleCache
+from repro.core.cache import ExampleCache
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.example import Example
 from repro.core.service import ICCacheService
@@ -207,9 +207,7 @@ def test_every_kind_decodes_to_what_the_reference_decodes(
         "rejected_duplicates": data.draw(i64), "evictions": data.draw(i64)})
     both("clock", {"now": data.draw(any_float)})
     both("decay", {"periods": data.draw(i64)})
-    both("retrain", {"trainings": data.draw(i64), "per_shard": None})
-    both("retrain", {"trainings": data.draw(i64),
-                     "per_shard": data.draw(st.lists(i64, max_size=5))})
+    both("retrain", {"trainings": data.draw(i64)})
     records = both.assert_equal()
     assert {r["kind"] for r in records} == set(RECORD_KINDS)
     assert all(r["epoch"] == epoch for r in records)
@@ -285,29 +283,28 @@ def test_a_journal_row_written_back_is_the_row(data):
         example.example_id, example.response_text, example.source_model)
 
 
-def test_sharded_cache_journals_a_per_shard_retrain(tmp_path):
-    """The lazy retrain of a sharded index journals ``per_shard``; the
-    monolithic one journals ``None``.  Both decode as the reference's."""
-    for cache in (ExampleCache(dim=DIM),
-                  ShardedExampleCache(dim=DIM, n_shards=2)):
-        directory = tmp_path / type(cache).__name__
-        directory.mkdir()
-        both = _Both(directory)
-        cache.journal = both
-        rng = np.random.default_rng(5)
-        for i in range(200):
-            cache.add(Example(
-                example_id=f"ex-{i}",
-                request=Request(f"r{i}", "d", TaskType.CONVERSATION, "t",
-                                rng.normal(size=DIM), 0, 0.5, 3, 4),
-                response_text="r", embedding=rng.normal(size=DIM),
-                quality=0.5, source_model="m", source_cost=1.0))
-            cache.nearest_similarity(rng.normal(size=DIM))
-        retrains = [r["data"] for r in both.assert_equal()
-                    if r["kind"] == "retrain"]
-        assert retrains
-        sharded = isinstance(cache, ShardedExampleCache)
-        assert all((r["per_shard"] is not None) == sharded for r in retrains)
+def test_a_lazy_retrain_journals_its_training_count(tmp_path):
+    """The lazy retrain a search fires journals the index's training count,
+    in a 29-byte frame, and decodes as the reference's."""
+    cache = ExampleCache(dim=DIM)
+    both = _Both(tmp_path)
+    cache.journal = both
+    rng = np.random.default_rng(5)
+    for i in range(200):
+        cache.add(Example(
+            example_id=f"ex-{i}",
+            request=Request(f"r{i}", "d", TaskType.CONVERSATION, "t",
+                            rng.normal(size=DIM), 0, 0.5, 3, 4),
+            response_text="r", embedding=rng.normal(size=DIM),
+            quality=0.5, source_model="m", source_cost=1.0))
+        cache.nearest_similarity(rng.normal(size=DIM))
+    retrains = [r["data"] for r in both.assert_equal()
+                if r["kind"] == "retrain"]
+    assert retrains == [{"trainings": n}
+                        for n in range(1, cache._index.trainings + 1)]
+    records, sizes, _ = read_journal(both.frames.path)
+    assert {size for record, size in zip(records, sizes)
+            if record["kind"] == "retrain"} == {29}
 
 
 # -- a record that cannot be encoded -------------------------------------------
@@ -328,7 +325,7 @@ def _cached_example(cache, example_id="ex", **request_fields) -> Example:
     ("manager_counters", {"next_id": 2**63, "admitted": 0,
                           "rejected_duplicates": 0, "evictions": 0}),
     ("decay", {"periods": -2**63 - 1}),
-    ("retrain", {"trainings": 1, "per_shard": [0, 2**64]}),
+    ("retrain", {"trainings": 2**63}),
     ("remove", 17),
     ("clock", {"now": "noon"}),
     ("upsert", {}),
@@ -829,14 +826,23 @@ def test_every_single_bit_flip_is_refused(three_frames):
                 in message, (position, bit, message)
 
 
-def test_a_flipped_bit_in_the_magic_is_refused(three_frames):
+@pytest.mark.parametrize("position, mask, refusal", [
+    (2, 0x04, "not a framed"),
+    # ``ICWAL\0\x01\n``: the format whose retrain frame carried a shard
+    # list, refused by the version it names, never misdecoded.
+    (6, 0x03, re.escape(r"a version-1 IC-Cache journal, magic "
+                        r"b'ICWAL\x00\x01\n' (this reader speaks "
+                        r"version 2 only)")),
+], ids=["magic", "version-1"])
+def test_a_flipped_bit_in_the_magic_is_refused(three_frames, position, mask,
+                                               refusal):
     path, _ = three_frames
     damaged = bytearray(path.read_bytes())
-    damaged[2] ^= 0x04
+    damaged[position] ^= mask
     path.write_bytes(bytes(damaged))
-    with pytest.raises(ValueError, match="not a framed"):
+    with pytest.raises(ValueError, match=refusal):
         WriteAheadLog.read(path)
-    with pytest.raises(ValueError, match="not a framed"):
+    with pytest.raises(ValueError, match=refusal):
         WriteAheadLog(path)
 
 

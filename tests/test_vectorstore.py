@@ -279,3 +279,85 @@ class TestIVFIndex:
         np.testing.assert_equal(index.to_state(), before)  # keys, churn, rows
         index.remove(3)
         assert 3 not in index and len(index) == n - 1
+
+
+def keys_of(results):
+    return [r.key for r in results]
+
+
+class TestFlatSearchBatch:
+    def test_batch_matches_looped_singles(self):
+        index = FlatIndex(dim=8)
+        for i, vec in enumerate(random_unit_vectors(50, 8)):
+            index.add(i, vec)
+        queries = random_unit_vectors(7, 8, seed=9)
+        batch = index.search_batch(queries, k=5)
+        for q, hits in zip(queries, batch):
+            single = index.search(q, k=5)
+            assert keys_of(hits) == keys_of(single)
+            assert [h.score for h in hits] == pytest.approx(
+                [s.score for s in single])
+
+    def test_zero_query_row_gets_empty_list(self):
+        index = FlatIndex(dim=4)
+        index.add("a", [1, 0, 0, 0])
+        queries = np.array([[1.0, 0, 0, 0], [0.0, 0, 0, 0]])
+        results = index.search_batch(queries, k=1)
+        assert keys_of(results[0]) == ["a"]
+        assert results[1] == []
+
+    def test_empty_index_and_k_zero(self):
+        index = FlatIndex(dim=4)
+        assert index.search_batch(np.eye(4), k=3) == [[], [], [], []]
+        index.add("a", [1, 0, 0, 0])
+        assert index.search_batch(np.eye(4), k=0) == [[], [], [], []]
+
+    def test_dim_mismatch_raises(self):
+        index = FlatIndex(dim=4)
+        with pytest.raises(ValueError):
+            index.search_batch(np.ones((2, 5)), k=1)
+
+    def test_matrix_rows_align_with_keys(self):
+        index = FlatIndex(dim=4)
+        for i, vec in enumerate(random_unit_vectors(10, 4)):
+            index.add(i, vec)
+        index.remove(3)  # swap-with-last compaction
+        rows = [index._key_to_row[key] for key in index.keys]
+        assert np.allclose(
+            index.matrix[rows],
+            np.stack([index.get_vector(k) for k in index.keys]),
+        )
+
+    def test_matrix_is_read_only(self):
+        index = FlatIndex(dim=4)
+        index.add("a", [1, 0, 0, 0])
+        with pytest.raises(ValueError):
+            index.matrix[0, 0] = 5.0
+
+
+class TestIVFSearchBatch:
+    def test_batch_matches_looped_singles_trained(self):
+        index = IVFIndex(dim=8, nprobe=3, min_train_size=32, seed=1)
+        for i, vec in enumerate(random_unit_vectors(128, 8, seed=2)):
+            index.add(i, vec)
+        queries = random_unit_vectors(9, 8, seed=3)
+        batch = index.search_batch(queries, k=4)
+        assert index.is_trained
+        for q, hits in zip(queries, batch):
+            assert keys_of(hits) == keys_of(index.search(q, k=4))
+
+    def test_batch_exact_while_untrained(self):
+        index = IVFIndex(dim=8, min_train_size=1000)
+        vecs = random_unit_vectors(20, 8)
+        for i, vec in enumerate(vecs):
+            index.add(i, vec)
+        results = index.search_batch(vecs[:3], k=1)
+        assert not index.is_trained
+        assert [keys_of(r) for r in results] == [[0], [1], [2]]
+
+    def test_batch_triggers_training(self):
+        index = IVFIndex(dim=8, min_train_size=32)
+        for i, vec in enumerate(random_unit_vectors(64, 8)):
+            index.add(i, vec)
+        index.search_batch(random_unit_vectors(2, 8, seed=5), k=1)
+        assert index.is_trained

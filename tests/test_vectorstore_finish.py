@@ -1,8 +1,7 @@
 """The shared stage-1 tail (``vectorstore.flat.finish``) against its oracle.
 
 Every search entry point — :meth:`IVFIndex.search`, :meth:`IVFIndex.search_batch`,
-both :class:`ShardedIndex` merges, :meth:`FlatIndex.search` /
-:meth:`FlatIndex.search_batch` — ends in one routine: candidate score chunks
+:meth:`FlatIndex.search` / :meth:`FlatIndex.search_batch` — ends in one routine: candidate score chunks
 in, one stable descending argsort, keys and ``SearchResult``s for the winners
 only.  These tests hold it to the tail it replaced
 (``tests/search_reference.py::reference_search_batch``: one ``SearchResult``
@@ -17,11 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.vectorstore import FlatIndex, IVFIndex, ShardedIndex
+from repro.vectorstore import FlatIndex, IVFIndex
 from repro.vectorstore.flat import _EPS
 
 from tests.clustered_pool import clustered_vectors
-from tests.search_reference import reference_search_batch
+from tests.search_reference import reference_search, reference_search_batch
 
 DIM = 16
 TOPICS = 10
@@ -73,16 +72,24 @@ def _indexes(seed: int) -> dict[str, object]:
         # order then differs from flat row order, as it does under churn.
         for key in range(12):
             index.add(f"late-{key}", vectors[key % 4])
+    # Removals swap-delete inside their blocks and empty one block outright:
+    # the tail then meets rows out of add order and a probe with no rows.
+    removed = _filled(IVFIndex(dim=DIM, nprobe=4, seed=seed), vectors)
+    assert removed.retrain()
+    emptied = list(removed._blocks[0].keys)
+    for key in [*emptied, *(key for key in range(0, N, 10)
+                            if key not in emptied)]:
+        removed.remove(key)
+    assert not removed._blocks[0].keys and removed.is_trained
+    built["ivf-removed"] = removed
     built["ivf-untrained"] = _filled(IVFIndex(dim=DIM, seed=seed),
                                      _pool(seed, n=48))
     built["flat"] = _filled(FlatIndex(DIM), vectors)
-    built["sharded"] = _filled(
-        ShardedIndex(dim=DIM, n_shards=3, nprobe=2, seed=seed), vectors)
-    # Training is lazy (it fires inside the next search) and the oracle never
-    # trains: settle it now, so both sides score the same clustering.
-    built["sharded"].search(vectors[0], 1)
-    assert all(shard.is_trained for shard in built["sharded"]._shards)
     return built
+
+
+KINDS = ["ivf-nprobe1", "ivf-nprobe2", "ivf-nprobe4", "ivf-removed",
+         "ivf-untrained", "flat"]
 
 
 @pytest.fixture(scope="module", params=range(3))
@@ -92,13 +99,14 @@ def seeded(request):
 
 
 @pytest.mark.parametrize("k", KS)
-@pytest.mark.parametrize("kind", ["ivf-nprobe1", "ivf-nprobe2", "ivf-nprobe4",
-                                  "ivf-untrained", "flat", "sharded"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_search_batch_equals_the_per_candidate_tail(seeded, kind, k):
     indexes, queries = seeded
     index = indexes[kind]
+    trainings = getattr(index, "trainings", 0)
     want = reference_search_batch(index, queries, k)
     got = index.search_batch(queries, k)
+    assert getattr(index, "trainings", 0) == trainings
     assert got == want          # keys, float scores and order, exactly
     assert all(type(hit.score) is float for hits in got for hit in hits)
     norms = np.linalg.norm(queries, axis=1)
@@ -106,6 +114,27 @@ def test_search_batch_equals_the_per_candidate_tail(seeded, kind, k):
     if k > 1:
         assert any(len({hit.score for hit in hits}) < len(hits)
                    for hits in got), "no exact tie exercised"
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("seed", range(3))
+def test_single_search_equals_the_per_candidate_tail(seed, k):
+    """The one-query entry point ends in the same tail, bit for bit: a
+    trained index answers as the per-key oracle does, an untrained one or a
+    flat index as the oracle's batch of one, and a query below ``_EPS`` has
+    no hits.  The indexes are fresh, so no receipt a batch filed answers a
+    ``k == 1`` probe here."""
+    indexes, queries = _indexes(seed), _queries(_pool(seed), seed)
+    for kind in KINDS:
+        index = indexes[kind]
+        for query in queries:
+            if np.linalg.norm(query) < _EPS:
+                want = []
+            elif getattr(index, "is_trained", False):
+                want = reference_search(index, query, k)
+            else:
+                want = reference_search_batch(index, query[None], k)[0]
+            assert index.search(query, k) == want, kind
 
 
 def test_several_queries_share_a_probed_cluster(seeded):
@@ -117,17 +146,6 @@ def test_several_queries_share_a_probed_cluster(seeded):
     probed = [cluster for _, clusters, _ in index._receipts.values()
               for cluster, _ in clusters]
     assert len(set(probed)) < len(probed)
-
-
-@pytest.mark.parametrize("k", KS)
-def test_sharded_single_merge_equals_a_python_sort(seeded, k):
-    indexes, queries = seeded
-    index = indexes["sharded"]
-    for query in queries:
-        merged = [hit for shard in index._shards
-                  for hit in shard.search(query, k)]
-        merged.sort(key=lambda hit: hit.score, reverse=True)
-        assert index.search(query, k) == merged[:k]
 
 
 # -- one rule for a query without a direction --------------------------------

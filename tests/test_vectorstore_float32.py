@@ -34,7 +34,6 @@ from repro.persistence.snapshot import _decode, _encode
 from repro.vectorstore.flat import STORAGE_DTYPE, FlatIndex
 from repro.vectorstore.ivf import IVFIndex, optimal_cluster_count
 from repro.vectorstore.kmeans import KMeans
-from repro.vectorstore.sharded import ShardedIndex
 
 from tests.clustered_pool import clustered_vectors
 from tests.kmeans_reference import _reference_fit
@@ -284,38 +283,31 @@ class TestBlocksAreTheOneCopy:
     each row once, and a :class:`ShadowPool` fed the same adds, removes and
     overwrites is the oracle for what they hold and what a retrain reads."""
 
-    @given(seed=seeds(), n=st.integers(60, 160), sharded=st.booleans(),
+    @given(seed=seeds(), n=st.integers(60, 160),
            incremental=st.booleans(), restore_at=st.integers(1, 4))
     @settings(**DETERMINISM)
-    def test_every_retrain_reads_the_shadow_pool(self, seed, n, sharded,
+    def test_every_retrain_reads_the_shadow_pool(self, seed, n,
                                                  incremental, restore_at):
         rng = np.random.default_rng(seed)
         pool = clustered_vectors(2 * n, 8, n_topics=max(2, n // 15),
                                  seed=seed)
         # ``incremental_min_n`` low enough that split and retire run.
-        params = dict(dim=8, nprobe=2, min_train_size=32, seed=seed % 997,
-                      retrain_threshold=0.2,
-                      incremental_min_n=40 if incremental else 10**9)
-        index = ShardedIndex(n_shards=2, **params) if sharded \
-            else IVFIndex(**params)
-        pools = [ShadowPool(8) for _ in range(2 if sharded else 1)]
+        index = IVFIndex(dim=8, nprobe=2, min_train_size=32, seed=seed % 997,
+                         retrain_threshold=0.2,
+                         incremental_min_n=40 if incremental else 10**9)
+        shadow = ShadowPool(8)
+        shadows = {id(index): shadow}
         live, next_key, paths = [], 0, []
 
-        def members():
-            shards = index._shards if sharded else [index]
-            return shards, {id(s): p for s, p in zip(shards, pools)}
-
-        shards, shadows = members()
         with _held_to_shadows(shadows, paths):
             for step in range(6):
                 if step == restore_at:
                     queries = pool[rng.integers(0, 2 * n, size=4)]
                     before = index.search_batch(queries, 5)
-                    index = type(index).from_state(_decode(json.loads(
+                    index = IVFIndex.from_state(_decode(json.loads(
                         json.dumps(_encode(index.to_state())))))
-                    shards, fresh = members()
                     shadows.clear()
-                    shadows.update(fresh)
+                    shadows[id(index)] = shadow
                     assert index.search_batch(queries, 5) == before
                 for _ in range(n if step == 0 else n // 2):
                     op = rng.random() if step else 0.0
@@ -324,8 +316,7 @@ class TestBlocksAreTheOneCopy:
                         live.append(key)
                     elif op < 0.75:                     # remove
                         key = live.pop(int(rng.integers(len(live))))
-                        pools[index.shard_of(key) if sharded else 0].remove(
-                            key)
+                        shadow.remove(key)
                         index.remove(key)
                         continue
                     else:                               # overwrite
@@ -333,20 +324,18 @@ class TestBlocksAreTheOneCopy:
                     # A repeated pool row is a bit-exact duplicate.
                     vector = pool[int(rng.integers(2 * n))]
                     index.add(key, vector)
-                    pools[index.shard_of(key) if sharded else 0].add(
-                        key, vector)
+                    shadow.add(key, vector)
                 queries = pool[rng.integers(0, 2 * n, size=4)] \
                     + rng.normal(0.0, 0.05, size=(4, 8))
-                for shard, shadow in zip(shards, pools):
-                    for query in queries:
-                        for k in (5, 1):
-                            got = shard.search(query, k)
-                            assert got == (
-                                reference_search(shard, query, k)
-                                if shard.is_trained
-                                else shadow.search(query, k))
-                    if step % 2:
-                        shard.retrain()
+                for query in queries:
+                    for k in (5, 1):
+                        got = index.search(query, k)
+                        assert got == (
+                            reference_search(index, query, k)
+                            if index.is_trained
+                            else shadow.search(query, k))
+                if step % 2:
+                    index.retrain()
                 assert index.search_batch(queries, 5) \
                     == reference_search_batch(index, queries, 5)
         assert "global" in paths

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.persistence.snapshot import _encode
-from repro.vectorstore import IVFIndex, ShardedIndex
+from repro.vectorstore import IVFIndex
 
 from tests.strategies import DETERMINISM, VectorPool, vector_pools
 
@@ -140,9 +140,10 @@ class _Model:
         return got
 
 
-def _drive(index, models: list[_Model], model_of, pool: VectorPool, ops):
-    """Run ``ops`` through ``index``'s public API, keeping each shard's model
-    in step; ``model_of(key)`` names the model a key's mutations land on."""
+def _drive(model: _Model, pool: VectorPool, ops):
+    """Run ``ops`` through the model's index's public API, keeping the
+    model in step."""
+    index = model.index
     queries = pool.queries(N_QUERIES)
     rng = np.random.default_rng(pool.seed + 5)
     for op in ops:
@@ -151,38 +152,27 @@ def _drive(index, models: list[_Model], model_of, pool: VectorPool, ops):
             near = pool.vectors[op[2] % pool.n] if op[0] == "add" \
                 else queries[op[2]]
             vector = near + rng.normal(0, 0.05, pool.dim)
-            with model_of(key).touching(key):
+            with model.touching(key):
                 index.add(key, vector)
         elif op[0] == "remove":
             key = f"k{op[1]}"
             if key in index:
-                with model_of(key).touching(key):
+                with model.touching(key):
                     index.remove(key)
         elif op[0] == "retrain":
-            for model in models:
-                model.index.retrain()
+            index.retrain()
         elif op[0] == "search":
             query = queries[op[1]]
             index.search(query, op[2])
-            for model in models:
-                model.filed_by("search", query, op[2])
+            model.filed_by("search", query, op[2])
         elif op[0] == "search_batch":
             batch = [queries[i] for i in op[1]]
             index.search_batch(np.stack(batch), op[2])
-            for model in models:
-                model.filed_by("batch", batch, op[2])
+            model.filed_by("batch", batch, op[2])
         else:
-            query = queries[op[1]]
-            per_model = [model.probe(query) for model in models]
-            if len(models) > 1:     # then the fan-out merge of those answers
-                best = max((hits[0] for hits in per_model if hits),
-                           key=lambda hit: hit.score, default=None)
-                merged = index.search(query, 1)
-                assert merged == ([best] if best else [])
-        for model in models:
-            model.check_bound()
-    for model in models:
-        _epilogue(model, queries)
+            model.probe(queries[op[1]])
+        model.check_bound()
+    _epilogue(model, queries)
 
 
 def _epilogue(model: _Model, queries: np.ndarray) -> None:
@@ -246,20 +236,7 @@ def test_receipts_on_an_ivf_index(pool, ops, nprobe):
                      seed=pool.seed % 97)
     for row, vector in enumerate(pool.vectors):
         index.add(row, vector)
-    model = _Model(index)
-    _drive(index, [model], lambda key: model, pool, ops)
-
-
-@settings(**DETERMINISM)
-@given(pool=vector_pools(min_duplicates=2), ops=operations)
-def test_receipts_on_a_sharded_index(pool, ops):
-    index = ShardedIndex(dim=pool.dim, n_shards=2, nprobe=2,
-                         min_train_size=24, retrain_threshold=0.1,
-                         seed=pool.seed % 97)
-    for row, vector in enumerate(pool.vectors):
-        index.add(row, vector)
-    models = [_Model(shard) for shard in index._shards]
-    _drive(index, models, lambda key: models[index.shard_of(key)], pool, ops)
+    _drive(_Model(index), pool, ops)
 
 
 # -- the rule, once, in plain sight ------------------------------------------
