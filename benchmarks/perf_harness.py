@@ -312,7 +312,7 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
     from repro.analysis import knapsack
     from repro.core.cache import ExampleCache
     from repro.core.config import ManagerConfig
-    from repro.core.manager import ExampleManager
+    from repro.core.manager import DECAY_PERIOD_S, ExampleManager
     from repro.persistence.snapshot import (
         SidecarBuilder,
         SidecarReader,
@@ -330,7 +330,7 @@ def bench_lifecycle(n: int, seed: int = 0, decay_ticks: int = 10) -> dict:
 
     start = time.perf_counter()
     for _ in range(decay_ticks):
-        clock.advance(manager.config.decay_period_s)
+        clock.advance(DECAY_PERIOD_S)
         manager.apply_decay()
     decay_s = time.perf_counter() - start
 

@@ -36,7 +36,7 @@ def _qualities_with_cache(service, requests, cache) -> list[float]:
 def _subset_cache(service, examples) -> ExampleCache:
     # Detached copies: live examples are bound to the service cache's
     # columnar table and cannot join a second cache directly.
-    cache = ExampleCache(dim=service.config.embedding_dim)
+    cache = ExampleCache(dim=service.embedder.dim)
     for example in examples:
         cache.add(example.detached_copy())
     return cache

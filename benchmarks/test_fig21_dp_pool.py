@@ -36,7 +36,7 @@ def _run(dataset_name: str, seed: int = 21, n: int = 200):
     # epsilon=4 noise (sigma~1.2 on unit latents) would destroy topical
     # structure entirely rather than "slightly decrease" quality (Fig. 21).
     synth = DPSynthesizer(epsilon=8.0, seed=seed)
-    dp_cache = ExampleCache(dim=service.config.embedding_dim)
+    dp_cache = ExampleCache(dim=service.embedder.dim)
     for example in synth.synthesize(service.cache.examples()):
         dp_cache.add(example)
     service.selector.cache = dp_cache

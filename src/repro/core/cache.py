@@ -8,6 +8,8 @@ facilitates broader reuse across different models").
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
+
 import numpy as np
 
 from repro.core.config import IndexConfig
@@ -15,6 +17,20 @@ from repro.core.example import Example
 from repro.core.table import ExampleTable
 from repro.vectorstore.flat import _EPS
 from repro.vectorstore.ivf import IVFIndex
+
+
+@contextmanager
+def _journaled(journal, kind: str, example: Example):
+    """Journal ``kind`` *before* the ``with`` body mutates the cache: a
+    record that cannot be encoded raises with the cache and the journal as
+    they were, and the journal's group holds the record's write (and any
+    compaction it triggers) until the mutation is done."""
+    if journal is None:
+        yield
+        return
+    with getattr(journal, "group", nullcontext)():
+        journal(kind, example)
+        yield
 
 
 class ExampleCache:
@@ -102,9 +118,14 @@ class ExampleCache:
             self._journal_trainings = trainings
             self._journal("retrain", {"trainings": trainings})
 
-    def _check_indexable(self, example: Example) -> None:
-        """Refuse what the index would refuse, before the table is mutated,
-        so a rejected add or overwrite leaves the cache as it was."""
+    def _check_insertable(self, example: Example, previous=None) -> None:
+        """Refuse what the table or the index would refuse, before the
+        journal records and before the table is mutated, so a rejected add
+        or overwrite leaves the cache and its journal as they were."""
+        if example is not previous and \
+                example.__dict__["_table"]._owners is not None:
+            raise ValueError(
+                f"example {example.example_id!r} is already attached")
         if example.embedding.shape != (self._index.dim,):
             raise ValueError(
                 f"example {example.example_id!r}: embedding dim "
@@ -116,12 +137,11 @@ class ExampleCache:
     def add(self, example: Example) -> None:
         if example.example_id in self._examples:
             raise KeyError(f"duplicate example id {example.example_id!r}")
-        self._check_indexable(example)
-        self._table.attach(example)     # refuses, first, a cached example
-        self._index.add(example.example_id, example.embedding)
-        self._examples[example.example_id] = example
-        if self._journal is not None:
-            self._journal("add", example)
+        self._check_insertable(example)
+        with _journaled(self._journal, "add", example):
+            self._table.attach(example)
+            self._index.add(example.example_id, example.embedding)
+            self._examples[example.example_id] = example
 
     def overwrite(self, example: Example) -> None:
         """Replace the stored example with the same id in place.
@@ -133,13 +153,12 @@ class ExampleCache:
         """
         example_id = example.example_id
         previous = self._examples[example_id]
-        self._check_indexable(example)
-        if previous is not example:
-            self._table.replace(previous, example)
-            self._examples[example_id] = example
-        self._index.add(example_id, example.embedding)
-        if self._journal is not None:
-            self._journal("overwrite", example)
+        self._check_insertable(example, previous)
+        with _journaled(self._journal, "overwrite", example):
+            if previous is not example:
+                self._table.replace(previous, example)
+                self._examples[example_id] = example
+            self._index.add(example_id, example.embedding)
 
     def remove(self, example_id: str) -> Example:
         example = self._examples.pop(example_id)

@@ -29,6 +29,11 @@ from repro.privacy.sanitizer import sanitize_text
 from repro.utils.clock import SimClock
 from repro.workload.request import Request
 
+DECAY_FACTOR = 0.9            # section 4.3: gains decay by 0.9 ...
+DECAY_PERIOD_S = 3600.0       # ... per hour
+ADMISSION_DEDUPE_SIM = 0.99   # skip admission above this similarity
+KNAPSACK_EXACT_BELOW = 64     # exact DP up to this pool size, greedy above
+
 
 class ExampleManager:
     """Curates the example cache over time (section 4.3).
@@ -72,7 +77,7 @@ class ExampleManager:
         """
         with self._group():
             if self.cache.nearest_similarity(embedding) \
-                    >= self.config.admission_dedupe_sim:
+                    >= ADMISSION_DEDUPE_SIM:
                 self.rejected_duplicates += 1
                 return None
             response_text = result.text
@@ -129,7 +134,7 @@ class ExampleManager:
         the equivalence).
         """
         elapsed = self.clock.now - self._last_decay
-        periods = elapsed / self.config.decay_period_s
+        periods = elapsed / DECAY_PERIOD_S
         if periods >= 1.0:
             self.decay_periods(int(periods))
 
@@ -137,8 +142,8 @@ class ExampleManager:
         """Decay the gain statistics by ``periods`` whole periods and
         journal it: the live pass and WAL redo (which runs with no
         journal attached) share this one spelling."""
-        self.cache.table.decay_gains(self.config.decay_factor, periods)
-        self._last_decay += periods * self.config.decay_period_s
+        self.cache.table.decay_gains(DECAY_FACTOR, periods)
+        self._last_decay += periods * DECAY_PERIOD_S
         journal = self.cache.journal
         if journal is not None:
             journal("decay", {"periods": periods})
@@ -171,7 +176,7 @@ class ExampleManager:
         values += 1e-3
         keep = knapsack_keep_mask(
             table.col("plaintext_bytes"), values, capacity,
-            exact=len(table) <= self.config.knapsack_exact_below,
+            exact=len(table) <= KNAPSACK_EXACT_BELOW,
             tie_rank=rank,
         )
         # One journaled remove at a time, oldest first: recovery replays

@@ -19,11 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import ManagerConfig
 from repro.core.example import Example
 from repro.core.table import INSERTION_RANK, ExampleTable
 from repro.llm.model import SimulatedLLM
 from repro.utils.rng import SEED_AHEAD_FROM
+
+REPLAY_MAX_ITERATIONS = 5         # section 5: filter after five replays
+REPLAY_SAMPLES = 3                # teacher samples per replay, best kept
+REPLAY_COST_PER_EXAMPLE = 0.15    # normalized one-time replay cost
 
 
 def replay_gain(response_quality: float, model_cost: float) -> float:
@@ -55,15 +58,13 @@ class ReplayEngine:
     """Selects and replays high-gain examples on the teacher model.
 
     Section 4.3's off-peak refinement loop: examples with high accumulated
-    G(e) are re-generated on the large model (best-of-``replay_samples``),
+    G(e) are re-generated on the large model (best-of-``REPLAY_SAMPLES``),
     subject to the cost-aware cut-off and the <=5-iteration filter of
     section 5.
     """
 
-    def __init__(self, teacher: SimulatedLLM,
-                 config: ManagerConfig | None = None) -> None:
+    def __init__(self, teacher: SimulatedLLM) -> None:
         self.teacher = teacher
-        self.config = config or ManagerConfig()
 
     def candidates(self, table: ExampleTable) -> list[Example]:
         """Replay candidates ranked by accumulated G(e), highest first.
@@ -74,7 +75,7 @@ class ReplayEngine:
         gains keep insertion order.
         """
         rows = np.flatnonzero(
-            (table.col("replay_count") < self.config.replay_max_iterations)
+            (table.col("replay_count") < REPLAY_MAX_ITERATIONS)
             & table.col("gain_ema__initialized"))
         rows = rows[np.argsort(table.col(INSERTION_RANK)[rows])]
         ranked = rows[np.argsort(-table.col("gain_ema__value")[rows],
@@ -87,7 +88,7 @@ class ReplayEngine:
         Only a sample that beats the example is rendered, and rebinds it.
         """
         best_quality = example.quality
-        for _ in range(self.config.replay_samples):
+        for _ in range(REPLAY_SAMPLES):
             quality = self.teacher.sample_quality(example.request)
             if quality > best_quality:
                 best_quality = quality
@@ -122,13 +123,13 @@ class ReplayEngine:
         for example in self.candidates(table):
             expected_saving = float(table.col("gain_ema__value")[
                 example.__dict__["_row"]]) * expected_reuse
-            if expected_saving <= self.config.replay_cost_per_example:
+            if expected_saving <= REPLAY_COST_PER_EXAMPLE:
                 skipped += 1
                 break  # ranked descending: everything after is unprofitable
             replayed.append(example)
         if replayed[SEED_AHEAD_FROM - 1:]:
             self.teacher.prime([example.request for example in replayed],
-                               draws=self.config.replay_samples)
+                               draws=REPLAY_SAMPLES)
         for example in replayed:
             gain = self.replay_one(example)
             if gain > 0:

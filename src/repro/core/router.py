@@ -30,6 +30,15 @@ from repro.workload.request import Request
 
 N_ROUTER_FEATURES = 7
 
+RIDGE = 1.0                   # prior precision of each arm's posterior
+NOISE_VAR = 0.05              # assumed reward noise of the Thompson draws
+LOAD_THRESHOLD = 0.7          # EMA load above which the cost bias engages
+BIAS_GAMMA = 3.0              # theorem 4's gamma: how fast the bias saturates
+LOAD_EMA_ALPHA = 0.1          # EMA smoothing of the observed load
+UNCERTAINTY_STD_GATE = 0.1    # solicit feedback below this softmax std ...
+UNCERTAINTY_TEMP = 0.05       # ... over arm means at this temperature
+EXPLORATION_FLOOR = 0.02      # probability of routing to a random arm
+
 
 def routing_features(request: Request,
                      examples: list[ScoredExample]) -> np.ndarray:
@@ -54,10 +63,9 @@ def routing_features(request: Request,
 class _LinearTSArm:
     """Bayesian linear regression posterior for one arm (one model)."""
 
-    def __init__(self, dim: int, ridge: float, noise_var: float) -> None:
-        self._precision = ridge * np.eye(dim)
-        self._moment = np.zeros(dim)
-        self._noise_var = noise_var
+    def __init__(self) -> None:
+        self._precision = RIDGE * np.eye(N_ROUTER_FEATURES)
+        self._moment = np.zeros(N_ROUTER_FEATURES)
         self.pulls = 0
         # Posterior mean/covariance only change on ``update``, yet every
         # routing decision needs both (mean score + Thompson sample).  Cache
@@ -69,7 +77,7 @@ class _LinearTSArm:
     def _posterior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._posterior_memo is None:
             mean = np.linalg.solve(self._precision, self._moment)
-            cov = self._noise_var * np.linalg.inv(self._precision)
+            cov = NOISE_VAR * np.linalg.inv(self._precision)
             self._posterior_memo = (mean, cov, np.linalg.cholesky(cov))
         return self._posterior_memo
 
@@ -164,14 +172,9 @@ class BanditRouter:
             raise ValueError(f"duplicate arm names: {names}")
         self.arms = list(arms)
         self.config = config or RouterConfig()
-        self._posteriors = {
-            arm.model_name: _LinearTSArm(
-                N_ROUTER_FEATURES, self.config.ridge, self.config.noise_var
-            )
-            for arm in arms
-        }
+        self._posteriors = {arm.model_name: _LinearTSArm() for arm in arms}
         self._rng = make_rng(stable_hash("router", seed))
-        self.load_ema = EMA(alpha=self.config.load_ema_alpha)
+        self.load_ema = EMA(alpha=LOAD_EMA_ALPHA)
         self.decisions = 0
         self.feedback_solicitations = 0
 
@@ -183,8 +186,8 @@ class BanditRouter:
 
     def _load_bias(self, load: float) -> float:
         """The tanh feedback-controller bias, active only above threshold."""
-        overload = max(0.0, load - self.config.load_threshold)
-        scaled = self.config.bias_gamma * overload
+        overload = max(0.0, load - LOAD_THRESHOLD)
+        scaled = BIAS_GAMMA * overload
         # tanh(+-0.0) is +-0.0 in every libm; only a loaded system pays the
         # numpy call (numpy's tanh, not math's: they may differ by an ulp).
         return self.config.bias_lambda * (
@@ -221,7 +224,7 @@ class BanditRouter:
 
         # Occasional forced exploration keeps every arm identifiable even
         # after the posterior becomes confident (model upgrades, section 8).
-        if rng.random() < self.config.exploration_floor:
+        if rng.random() < EXPLORATION_FLOOR:
             chosen = self.arms[int(rng.integers(0, len(self.arms)))].model_name
         else:
             chosen = max(biased_scores, key=biased_scores.get)
@@ -247,22 +250,20 @@ class BanditRouter:
         """Solicit preference feedback only on uncertain decisions.
 
         Uncertainty gate: the softmax over arm mean scores is near-uniform
-        (std below the configured gate).  The top-ranked arm is always
+        (std below ``UNCERTAINTY_STD_GATE``).  The top-ranked arm is always
         included; the challenger is the Thompson-sampled best of the rest
         (``sampled_scores`` is in arm order).
         """
         # The softmax and its std, as the scalar operations numpy's array
         # forms perform (``exp`` stays numpy's: libm's may differ by an ulp).
-        temp = self.config.uncertainty_temp
-        scores = [score / temp for score in mean_scores.values()]
+        scores = [score / UNCERTAINTY_TEMP for score in mean_scores.values()]
         top = max(scores)
         exps = np.exp(np.array([score - top for score in scores])).tolist()
         total = small_sum(exps)
         probs = [e / total for e in exps]
         mean = small_sum(probs) / len(probs)
         squares = [(p - mean) * (p - mean) for p in probs]
-        if math.sqrt(small_sum(squares) / len(probs)) \
-                >= self.config.uncertainty_std_gate:
+        if math.sqrt(small_sum(squares) / len(probs)) >= UNCERTAINTY_STD_GATE:
             return False, None
         challenger = best = None
         for arm, sampled in zip(self.arms, sampled_scores):

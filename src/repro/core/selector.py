@@ -22,6 +22,12 @@ from repro.core.proxy import HelpfulnessProxy, stage2_columns
 from repro.core.table import EMBEDDING, attached_rows
 from repro.embedding.similarity import cosine_from_norms
 
+INITIAL_UTILITY_THRESHOLD = 0.02      # before the first adaptation
+THRESHOLD_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)  # what adaptation picks
+ADAPT_EVERY = 200                     # requests between adaptations
+DIVERSITY_WEIGHT = 0.3                # redundancy penalty in a combination
+TOKEN_COST_WEIGHT = 5e-5              # utility per prompt token, to adapt
+
 
 @dataclass
 class ScoredExample:
@@ -49,7 +55,7 @@ class ExampleSelector:
         self.cache = cache
         self.proxy = proxy
         self.config = config or SelectorConfig()
-        self.utility_threshold = self.config.utility_threshold
+        self.utility_threshold = INITIAL_UTILITY_THRESHOLD
         self._requests_seen = 0
         # Rolling sample of (utility, tokens) pairs used by threshold
         # adaptation; bounded so memory stays constant.
@@ -101,7 +107,7 @@ class ExampleSelector:
         for candidates, count in zip(stage1, counts):
             start, end = end, end + count
             self._requests_seen += 1
-            if self._requests_seen % self.config.adapt_every == 0:
+            if self._requests_seen % ADAPT_EVERY == 0:
                 self._adapt_threshold()
             self._recent_scored.extend(zip(utilities[start:end],
                                            token_counts[start:end]))
@@ -152,7 +158,7 @@ class ExampleSelector:
                     redundancy = similarity
             effective = utilities[i]
             if redundancy > 0.9:
-                effective -= config.diversity_weight * (redundancy - 0.9)
+                effective -= DIVERSITY_WEIGHT * (redundancy - 0.9)
             if effective < threshold:
                 continue
             chosen.append(i)
@@ -176,11 +182,11 @@ class ExampleSelector:
         best_net = float("-inf")
         # Evaluate high thresholds first so ties resolve toward admitting
         # fewer examples (same net utility at lower prompt cost).
-        for threshold in sorted(self.config.threshold_grid, reverse=True):
+        for threshold in sorted(THRESHOLD_GRID, reverse=True):
             # Builtin sum on purpose: this figure has always been one, and
             # its algorithm is the interpreter's (compensated from 3.12).
             net = sum([
-                utility - self.config.token_cost_weight * tokens
+                utility - TOKEN_COST_WEIGHT * tokens
                 for utility, tokens in self._recent_scored
                 if utility >= threshold
             ])

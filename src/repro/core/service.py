@@ -31,7 +31,7 @@ from repro.core.proxy import HelpfulnessProxy
 from repro.core.replay import ReplayEngine
 from repro.core.router import BanditRouter, RouterArm, RoutingChoice
 from repro.core.selector import ExampleSelector, ScoredExample
-from repro.embedding.embedder import LatentEmbedder
+from repro.embedding.embedder import EMBEDDING_DIM, LatentEmbedder
 from repro.llm.icl import example_utility
 from repro.llm.model import GenerationResult, SimulatedLLM
 from repro.llm.zoo import get_model
@@ -42,6 +42,9 @@ from repro.workload.feedback import FeedbackSimulator
 from repro.workload.request import Request
 
 __all__ = ["ICCacheService", "ServeOutcome"]
+
+FEEDBACK_SAMPLE_RATE = 0.3    # share of responses with a feedback label
+FEEDBACK_NOISE = 0.1          # label noise (half on a helpfulness label)
 
 
 @dataclass
@@ -100,10 +103,8 @@ class ICCacheService:
             if name not in self.models:
                 raise ValueError(f"model {name!r} missing from models dict")
 
-        self.embedder = LatentEmbedder(
-            dim=self.config.embedding_dim, noise_scale=self.config.embedder_noise
-        )
-        self.cache = ExampleCache(dim=self.config.embedding_dim, seed=seed,
+        self.embedder = LatentEmbedder()
+        self.cache = ExampleCache(dim=EMBEDDING_DIM, seed=seed,
                                   index_config=self.config.index)
         self.proxy = HelpfulnessProxy()
         self.selector = ExampleSelector(self.cache, self.proxy, self.config.selector)
@@ -121,11 +122,10 @@ class ICCacheService:
             self.cache,
             config=self.config.manager,
             clock=self.clock,
-            replay_engine=ReplayEngine(self.models[self.large_name],
-                                       self.config.manager),
+            replay_engine=ReplayEngine(self.models[self.large_name]),
         )
         self.feedback = FeedbackSimulator(
-            rating_noise=self.config.feedback_noise,
+            rating_noise=FEEDBACK_NOISE,
             seed=stable_hash("service-feedback", seed),
         )
         self.stats = ServiceStats()
@@ -305,12 +305,11 @@ class ICCacheService:
         choice = ctx.choice
         quality = ctx.result.quality
         rng = self._rng
-        sample_rate = self.config.feedback_sample_rate
 
         if self.router_enabled and choice.mean_scores:
             if choice.solicit_feedback and choice.challenger is not None:
                 self._solicited_update(ctx)
-            elif rng.random() < sample_rate:
+            elif rng.random() < FEEDBACK_SAMPLE_RATE:
                 rating = self.feedback.rating(quality)
                 self.router.update(choice.model_name, choice.features, rating)
                 self.stats.router_updates += 1
@@ -328,15 +327,13 @@ class ICCacheService:
                     model_cost=model_cost,
                     offloaded=True,
                 )
-            if rng.random() < sample_rate:
+            if rng.random() < FEEDBACK_SAMPLE_RATE:
                 true_utility = example_utility(
                     ctx.request.latent,
                     scored.example.view(),
                     self.models[self.small_name].base_quality(ctx.request),
                 )
-                observed = true_utility + rng.normal(
-                    0.0, self.config.feedback_noise * 0.5
-                )
+                observed = true_utility + rng.normal(0.0, FEEDBACK_NOISE * 0.5)
                 self.proxy.update(ctx.embedding, scored.example, observed)
                 self.stats.proxy_updates += 1
 

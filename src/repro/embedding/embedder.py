@@ -15,6 +15,9 @@ from repro.utils.rng import make_rng, rng_from_words, seed_words, stable_hash
 
 _EPS = 1e-12
 
+EMBEDDING_DIM = 64        # the service's width, and the workloads' latents'
+EMBEDDER_NOISE = 0.05     # std of LatentEmbedder's encoder noise
+
 
 class Embedder(Protocol):
     """Anything that maps text (plus optional latent) to a dense vector."""
@@ -42,19 +45,16 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 class LatentEmbedder:
     """Recovers a request's ground-truth latent vector with encoder noise.
 
-    ``noise_scale`` models the imperfection of a real text encoder: 0.0 means
-    the embedding *is* the latent semantics, larger values blur topical
-    structure.  The noise is a deterministic function of the text so repeated
-    embeddings of the same request agree (real encoders are deterministic).
+    ``EMBEDDER_NOISE`` models the imperfection of a real text encoder: the
+    latent semantics blurred by Gaussian noise of that std.  The noise is a
+    deterministic function of the text so repeated embeddings of the same
+    request agree (real encoders are deterministic).
     """
 
-    def __init__(self, dim: int = 64, noise_scale: float = 0.05) -> None:
+    def __init__(self, dim: int = EMBEDDING_DIM) -> None:
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
-        if noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
         self.dim = dim
-        self.noise_scale = noise_scale
         # The latent-free fallback is stateless given (dim, seed); building
         # it once here instead of per embed() call avoids regenerating its
         # (buckets, dim) projection matrix on every free-text request.
@@ -70,18 +70,15 @@ class LatentEmbedder:
         vec = np.asarray(latent, dtype=float)
         if vec.shape != (self.dim,):
             raise ValueError(f"latent dim {vec.shape} != embedder dim ({self.dim},)")
-        if self.noise_scale > 0:
-            words = self._held.pop(text, None) if self._held else None
-            noise_rng = rng_from_words(words) if words is not None else \
-                make_rng(stable_hash("latent-noise", text))
-            vec = vec + noise_rng.normal(0.0, self.noise_scale, size=self.dim)
-        return _unit(vec)
+        words = self._held.pop(text, None) if self._held else None
+        noise_rng = rng_from_words(words) if words is not None else \
+            make_rng(stable_hash("latent-noise", text))
+        return _unit(vec + noise_rng.normal(0.0, EMBEDDER_NOISE, size=self.dim))
 
     def prime(self, texts: list[str]) -> None:
         """Seed the noise streams of ``texts`` in one pass, for embed."""
-        if self.noise_scale > 0:
-            self._held = dict(zip(texts, seed_words(
-                stable_hash("latent-noise", text) for text in texts)))
+        self._held = dict(zip(texts, seed_words(
+            stable_hash("latent-noise", text) for text in texts)))
 
 
 class HashingEmbedder:

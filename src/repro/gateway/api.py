@@ -20,6 +20,7 @@ observables (decision, quality, latency decomposition); errors are
 from __future__ import annotations
 
 import base64
+import json
 import math
 import re
 
@@ -33,6 +34,8 @@ from repro.workload.request import Request, TaskType
 MAX_LINE_BYTES = 64 * 1024
 MAX_HEADERS = 100
 _F8 = np.dtype("<f8")       # the latent on the wire: little-endian float64
+#: What no UTF-8 encoder takes: JSON's ``\\ud800`` escape decodes to one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 #: The blank line, from the newline before it (a literal first: a memchr).
 _HEAD_END = re.compile(rb"\n\r?\n")
@@ -119,21 +122,39 @@ def request_from_payload(payload: dict) -> Request:
                                _F8).copy()
         if not latent @ latent < math.inf:  # a NaN, an inf, a norm overflow
             raise ValueError("'latent' must be finite, with a finite norm")
+        texts = {"request_id": str(payload["request_id"]),
+                 "dataset": str(payload.get("dataset", "gateway")),
+                 "text": str(payload["text"])}
+        counts = {"topic_id": int(payload.get("topic_id", 0)),
+                  "prompt_tokens": int(payload.get("prompt_tokens", 0)),
+                  "target_output_tokens": int(
+                      payload.get("target_output_tokens", 64))}
+        metadata = dict(payload.get("metadata", {}))
+        _check_journalable(texts, counts, metadata)
         return Request(
-            request_id=str(payload["request_id"]),
-            dataset=str(payload.get("dataset", "gateway")),
             task=TaskType(payload["task"]),
-            text=str(payload["text"]),
             latent=latent,
-            topic_id=int(payload.get("topic_id", 0)),
             difficulty=float(payload.get("difficulty", 0.5)),
-            prompt_tokens=int(payload.get("prompt_tokens", 0)),
-            target_output_tokens=int(payload.get("target_output_tokens", 64)),
             arrival_time=float(payload.get("arrival_time", 0.0)),
-            metadata=dict(payload.get("metadata", {})),
+            metadata=metadata,
+            **texts, **counts,
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise PayloadError(f"bad request payload: {exc}") from exc
+
+
+def _check_journalable(texts: dict, counts: dict, metadata: dict) -> None:
+    """Refuse, naming the field, what the cache could not hash or journal:
+    an integer outside int64, or a string that is not UTF-8 text."""
+    for name, value in counts.items():
+        if not -2 ** 63 <= value < 2 ** 63:
+            raise ValueError(f"'{name}' must fit in int64, not {value}")
+    if metadata:
+        texts = {**texts, "metadata": json.dumps(metadata, ensure_ascii=False)}
+    for name, value in texts.items():
+        if _SURROGATE.search(value):
+            raise ValueError(f"'{name}' is not UTF-8 text: it holds a "
+                             "surrogate code point")
 
 
 def arrival_from_payload(payload: dict) -> float | None:

@@ -80,7 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.service import ICCacheService
 
 SNAPSHOT_FORMAT = "ic-cache-snapshot"
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 
 #: Sidecar array offsets are padded to this alignment so every mapped view
 #: is at least cache-line aligned regardless of the preceding array's size.
@@ -592,10 +592,8 @@ def load_snapshot(path: str | Path) -> dict:
 def config_from_record(record: dict) -> ICCacheConfig:
     """Rebuild the nested config dataclasses from their asdict form."""
     record = dict(record)
-    selector = dict(record.pop("selector"))
-    selector["threshold_grid"] = tuple(selector["threshold_grid"])
     return ICCacheConfig(
-        selector=SelectorConfig(**selector),
+        selector=SelectorConfig(**record.pop("selector")),
         router=RouterConfig(**record.pop("router")),
         manager=ManagerConfig(**record.pop("manager")),
         index=IndexConfig(**record.pop("index")),
@@ -607,19 +605,21 @@ def restore_service(snapshot: dict, config: ICCacheConfig | None = None,
                     models: dict | None = None) -> "ICCacheService":
     """Build a service and load ``snapshot`` into it.
 
-    ``config`` overrides the stored one (the embedding dim must match);
+    ``config`` overrides the stored one; a snapshot whose index is not
+    :data:`~repro.embedding.embedder.EMBEDDING_DIM` wide is refused;
     ``models`` re-supplies custom model objects when the original service
     was built with some (their RNG positions are restored either way).
     """
     from repro.core.service import ICCacheService
+    from repro.embedding.embedder import EMBEDDING_DIM
 
     cfg = config if config is not None else config_from_record(
         snapshot["config"]
     )
     dim = int(snapshot["cache"]["index"]["dim"])
-    if dim != cfg.embedding_dim:
-        raise ValueError(f"snapshot index dim {dim} != configured "
-                         f"embedding_dim {cfg.embedding_dim}")
+    if dim != EMBEDDING_DIM:
+        raise ValueError(f"snapshot index dim {dim} != the service's "
+                         f"embedding dim {EMBEDDING_DIM}")
     service = ICCacheService(cfg, models=models)
 
     service.clock.reset(float(snapshot["clock_now"]))

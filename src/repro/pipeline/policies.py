@@ -22,7 +22,7 @@ from repro.core.config import ICCacheConfig
 from repro.core.manager import ExampleManager
 from repro.core.router import BanditRouter, RoutingChoice, plain_choice
 from repro.core.selector import ExampleSelector, ScoredExample
-from repro.embedding.embedder import LatentEmbedder
+from repro.embedding.embedder import EMBEDDING_DIM, LatentEmbedder
 from repro.llm.zoo import get_model
 from repro.pipeline.context import ServeContext
 from repro.pipeline.core import ICCachePipeline
@@ -210,8 +210,7 @@ def _resolve(config, models, seed):
 def _bare_pipeline(config, models, retrieval, routing, admission):
     """A service-free pipeline: embedder + stages + the section-5 bypass."""
     pipeline = ICCachePipeline(
-        embedder=LatentEmbedder(dim=config.embedding_dim,
-                                noise_scale=config.embedder_noise),
+        embedder=LatentEmbedder(),
         models=models,
         reference_model=config.large_model,
         retrieval=retrieval,
@@ -254,7 +253,7 @@ def build_semantic_cache(config=None, models=None, dataset=None, history=None,
     ``history`` is the offline warm-up of Fig. 14."""
     config, models, seed = _resolve(config, models, seed)
     cache = SemanticCache(config.small_model, config.large_model,
-                          dim=config.embedding_dim,
+                          dim=EMBEDDING_DIM,
                           similarity_threshold=similarity_threshold)
     pipeline = _bare_pipeline(config, models, retrieval=cache, routing=cache,
                               admission=cache)

@@ -26,6 +26,9 @@ import hashlib
 
 import numpy as np
 
+from repro.core import router as router_module
+from repro.core import selector as selector_module
+from repro.core import service as service_module
 from repro.core.example import Example
 from repro.core.replay import replay_gain
 from repro.core.router import RoutingChoice
@@ -235,7 +238,7 @@ def _pair_similarity(a: Example, b: Example) -> float:
 
 def select(self, request_embedding: np.ndarray) -> list[ScoredExample]:
     self._requests_seen += 1
-    if self._requests_seen % self.config.adapt_every == 0:
+    if self._requests_seen % selector_module.ADAPT_EVERY == 0:
         self._adapt_threshold()
 
     candidates = self.cache.search(request_embedding, self.config.pre_k)
@@ -250,7 +253,7 @@ def select_batch(self, request_embeddings: np.ndarray
     combinations: list[list[ScoredExample]] = []
     for embedding, candidates in zip(embeddings, stage1):
         self._requests_seen += 1
-        if self._requests_seen % self.config.adapt_every == 0:
+        if self._requests_seen % selector_module.ADAPT_EVERY == 0:
             self._adapt_threshold()
         scored = _stage2(self, embedding, candidates)
         combinations.append(_combine(self, scored))
@@ -294,7 +297,7 @@ def _combine(self, scored: list[ScoredExample]) -> list[ScoredExample]:
              for c in chosen),
             default=0.0,
         )
-        effective = candidate.utility - self.config.diversity_weight * max(
+        effective = candidate.utility - selector_module.DIVERSITY_WEIGHT * max(
             0.0, redundancy - 0.9
         )
         if effective < self.utility_threshold:
@@ -366,7 +369,7 @@ def _choose_combine(self, examples: list[Example], utilities: list[float],
                 redundancy = similarity
         effective = utilities[i]
         if redundancy > 0.9:
-            effective -= config.diversity_weight * (redundancy - 0.9)
+            effective -= selector_module.DIVERSITY_WEIGHT * (redundancy - 0.9)
         if effective < threshold:
             continue
         chosen.append(i)
@@ -403,9 +406,9 @@ def _sampled_score(posterior, x: np.ndarray,
 
 
 def _load_bias(self, load: float) -> float:
-    overload = max(0.0, load - self.config.load_threshold)
+    overload = max(0.0, load - router_module.LOAD_THRESHOLD)
     return self.config.bias_lambda * float(
-        np.tanh(self.config.bias_gamma * overload))
+        np.tanh(router_module.BIAS_GAMMA * overload))
 
 
 def route(self, request, examples: list[ScoredExample],
@@ -428,7 +431,7 @@ def route(self, request, examples: list[ScoredExample],
         sampled_scores[arm.model_name] = sampled
         biased_scores[arm.model_name] = sampled - bias * arm.cost
 
-    if self._rng.uniform() < self.config.exploration_floor:
+    if self._rng.uniform() < router_module.EXPLORATION_FLOOR:
         chosen = self.arms[int(self._rng.integers(0, len(self.arms)))].model_name
     else:
         chosen = max(biased_scores, key=biased_scores.get)
@@ -454,10 +457,11 @@ def feedback_decision(self, chosen: str, mean_scores: dict[str, float],
     if not isinstance(sampled_scores, dict):    # today's shape: arm order
         sampled_scores = dict(zip((arm.model_name for arm in self.arms),
                                   sampled_scores))
-    scores = np.array(list(mean_scores.values())) / self.config.uncertainty_temp
+    scores = np.array(list(mean_scores.values())) \
+        / router_module.UNCERTAINTY_TEMP
     probs = np.exp(scores - scores.max())
     probs /= probs.sum()
-    if float(probs.std()) >= self.config.uncertainty_std_gate:
+    if float(probs.std()) >= router_module.UNCERTAINTY_STD_GATE:
         return False, None
     others = {
         name: score for name, score in sampled_scores.items() if name != chosen
@@ -484,7 +488,7 @@ def learn(self, ctx) -> None:
     if self.router_enabled and choice.mean_scores:
         if choice.solicit_feedback and choice.challenger is not None:
             self._solicited_update(ctx)
-        elif self._rng.uniform() < self.config.feedback_sample_rate:
+        elif self._rng.uniform() < service_module.FEEDBACK_SAMPLE_RATE:
             rating = self.feedback.rating(quality)
             self.router.update(choice.model_name, choice.features, rating)
             self.stats.router_updates += 1
@@ -498,14 +502,14 @@ def learn(self, ctx) -> None:
                 model_cost=self.arm_costs[choice.model_name],
                 offloaded=True,
             )
-        if self._rng.uniform() < self.config.feedback_sample_rate:
+        if self._rng.uniform() < service_module.FEEDBACK_SAMPLE_RATE:
             true_utility = example_utility(
                 ctx.request.latent,
                 scored.example.view(),
                 small.base_quality(ctx.request),
             )
             observed = true_utility + self._rng.normal(
-                0.0, self.config.feedback_noise * 0.5
+                0.0, service_module.FEEDBACK_NOISE * 0.5
             )
             self.proxy.update(ctx.embedding, scored.example, observed)
             self.stats.proxy_updates += 1

@@ -21,6 +21,7 @@ arithmetic, the gain reset included, is :mod:`tests.ema_reference`'s.
 
 from __future__ import annotations
 
+from repro.core import replay as replay_module
 from repro.core.example import Example
 from repro.core.replay import ReplayOutcome
 from tests.ema_reference import streams, write_streams
@@ -30,7 +31,7 @@ def replay_one(self, example: Example) -> float:
     """Replay a single example; returns the quality improvement (>= 0)."""
     best_quality = example.quality
     best_text = example.response_text
-    for _ in range(self.config.replay_samples):
+    for _ in range(replay_module.REPLAY_SAMPLES):
         result = self.teacher.generate(example.request)
         if result.quality > best_quality:
             best_quality = result.quality
@@ -51,7 +52,7 @@ def candidates(self, examples: list[Example]) -> list[Example]:
     gains keep the order given."""
     eligible = [
         ex for ex in examples
-        if ex.replay_count < self.config.replay_max_iterations
+        if ex.replay_count < replay_module.REPLAY_MAX_ITERATIONS
         and streams(ex)["gain_ema"].initialized
     ]
     return sorted(eligible, key=lambda ex: streams(ex)["gain_ema"].value,
@@ -66,7 +67,7 @@ def run(self, examples: list[Example],
     replayed: list[Example] = []
     for example in candidates(self, examples):
         expected_saving = streams(example)["gain_ema"].value * expected_reuse
-        if expected_saving <= self.config.replay_cost_per_example:
+        if expected_saving <= replay_module.REPLAY_COST_PER_EXAMPLE:
             skipped += 1
             break  # ranked descending: everything after is unprofitable
         gain = replay_one(self, example)

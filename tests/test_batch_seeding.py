@@ -112,14 +112,14 @@ def test_primed_embeddings_and_difficulties_are_the_per_call_ones(
         monkeypatch):
     requests = [make_request(request_id=f"d{i}", text=f"question {i}",
                              difficulty=i / 8) for i in range(8)]
-    embedder = LatentEmbedder(dim=64, noise_scale=0.05)
+    embedder = LatentEmbedder()
     embedder.prime([r.text for r in requests])
     prime_difficulty(requests)
     _refuse_per_call_mints(monkeypatch)
     vectors = [embedder.embed(r.text, r.latent) for r in requests]
     estimates = [r.observable_difficulty() for r in requests]
     monkeypatch.undo()
-    again = LatentEmbedder(dim=64, noise_scale=0.05)
+    again = LatentEmbedder()
     for request, vector, estimate in zip(requests, vectors, estimates):
         twin = dataclasses.replace(request, metadata={})
         assert again.embed(twin.text, twin.latent).tobytes() == \

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import knapsack
+from repro.core import manager as manager_module
 from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
-from repro.core.manager import ExampleManager
-from repro.core.replay import ReplayEngine, replay_gain
+from repro.core.manager import KNAPSACK_EXACT_BELOW, ExampleManager
+from repro.core.replay import REPLAY_MAX_ITERATIONS, ReplayEngine, replay_gain
 from repro.llm.zoo import get_model
 from repro.utils.clock import SimClock
 
@@ -53,17 +54,6 @@ class TestManagerConfigRefusals:
             ManagerConfig(capacity_bytes=-1)
         ManagerConfig(capacity_bytes=0)
 
-    def test_nan_dedupe_similarity_refused(self):
-        # NaN compares False: every near-duplicate would be admitted.
-        with pytest.raises(ValueError, match="admission_dedupe_sim"):
-            ManagerConfig(admission_dedupe_sim=float("nan"))
-
-    @pytest.mark.parametrize("period", [0.0, -3600.0, float("nan")])
-    def test_non_positive_decay_period_refused(self, period):
-        # 0.0 divided by zero inside a served request; < 0 never decayed.
-        with pytest.raises(ValueError, match="decay_period_s"):
-            ManagerConfig(decay_period_s=period)
-
 
 class TestAdmission:
     def test_admit_and_retrieve(self):
@@ -102,13 +92,10 @@ class TestBookkeeping:
         assert cache.table.col("feedback_quality__value")[0] == \
             pytest.approx(0.3)
 
-    def test_hourly_decay(self):
+    def test_hourly_decay(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "DECAY_FACTOR", 0.5)
         clock = SimClock()
-        mgr, cache = manager_with(
-            config=ManagerConfig(sanitize=False, decay_factor=0.5,
-                                 decay_period_s=3600.0),
-            clock=clock, n_examples=1,
-        )
+        mgr, cache = manager_with(clock=clock, n_examples=1)
         ex = cache.get("ex-0")
         mgr.record_use(ex, 0.0, 1.0, offloaded=True)
         assert streams(ex)["offload_gain"].value == pytest.approx(1.0)
@@ -118,10 +105,10 @@ class TestBookkeeping:
         # mixes in via the EMA.
         assert streams(ex)["offload_gain"].value < 0.5
 
-    def test_decay_periods_decays_advances_and_journals_once(self):
-        mgr, cache = manager_with(
-            config=ManagerConfig(sanitize=False, decay_factor=0.5,
-                                 decay_period_s=3600.0), n_examples=1)
+    def test_decay_periods_decays_advances_and_journals_once(
+            self, monkeypatch):
+        monkeypatch.setattr(manager_module, "DECAY_FACTOR", 0.5)
+        mgr, cache = manager_with(n_examples=1)
         mgr.record_use(cache.get("ex-0"), 0.0, 1.0, offloaded=True)
         records = []
         cache.journal = lambda kind, data: records.append((kind, data))
@@ -184,7 +171,7 @@ def _unit_dir(i, dim=64):
 class TestReplayEngine:
     def test_replay_improves_or_preserves_quality(self):
         teacher = get_model("gemma-2-27b")
-        engine = ReplayEngine(teacher, ManagerConfig(sanitize=False))
+        engine = ReplayEngine(teacher)
         ex = make_example(quality=0.2)
         before = ex.quality
         gain = engine.replay_one(ex)
@@ -194,24 +181,22 @@ class TestReplayEngine:
 
     def test_candidates_ranked_by_gain(self):
         teacher = get_model("gemma-2-27b")
-        engine = ReplayEngine(teacher, ManagerConfig(sanitize=False))
+        engine = ReplayEngine(teacher)
         cache = _pool(low=0.1, high=0.9)
         ranked = engine.candidates(cache.table)
         assert [e.example_id for e in ranked] == ["high", "low"]
 
     def test_candidates_exclude_capped_and_unused(self):
         teacher = get_model("gemma-2-27b")
-        engine = ReplayEngine(teacher, ManagerConfig(sanitize=False,
-                                                     replay_max_iterations=2))
+        engine = ReplayEngine(teacher)
         cache = _pool(capped=0.9, unused=None)
-        cache.get("capped").replay_count = 2
+        cache.get("capped").replay_count = REPLAY_MAX_ITERATIONS
         assert engine.candidates(cache.table) == []
 
     def test_run_respects_cost_cutoff(self):
         teacher = get_model("gemma-2-27b")
-        config = ManagerConfig(sanitize=False, replay_cost_per_example=0.5)
-        engine = ReplayEngine(teacher, config)
-        cache = _pool(cheap=0.001)          # expected saving ~0.02 < 0.5
+        engine = ReplayEngine(teacher)
+        cache = _pool(cheap=0.001)          # expected saving ~0.02 < 0.15
         outcome = engine.run(cache.table, expected_reuse=20.0)
         assert outcome.replayed == 0
         assert outcome.skipped_budget == 1
@@ -221,8 +206,7 @@ class TestReplayEngine:
     def test_run_refuses_a_reuse_the_cut_off_cannot_use(self, reuse):
         # NaN (and inf on a zero gain: 0 * inf) made every saving compare
         # False against the cost, so the cut-off replayed everything.
-        engine = ReplayEngine(get_model("gemma-2-27b"),
-                              ManagerConfig(sanitize=False))
+        engine = ReplayEngine(get_model("gemma-2-27b"))
         cache = _pool(**{"zero-gain": 0.0})
         with pytest.raises(ValueError, match="expected_reuse"):
             engine.run(cache.table, expected_reuse=reuse)
@@ -230,7 +214,7 @@ class TestReplayEngine:
 
     def test_run_replays_profitable_examples(self):
         teacher = get_model("gemma-2-27b")
-        engine = ReplayEngine(teacher, ManagerConfig(sanitize=False))
+        engine = ReplayEngine(teacher)
         cache = _pool(**{f"ex-{i}": 0.8 for i in range(4)})
         outcome = engine.run(cache.table, expected_reuse=50.0)
         assert outcome.replayed == 4
@@ -277,7 +261,7 @@ class TestLargeBudget:
                                topic_latent=_unit_dir(i), text="x" * (2 << 20))
             assert mgr.admit(req, served_result(), req.latent,
                              source_cost=1.0) is not None
-        assert len(cache) <= mgr.config.knapsack_exact_below
+        assert len(cache) <= KNAPSACK_EXACT_BELOW
         assert mgr.evictions > 0
         assert cache.total_bytes <= mgr.config.capacity_bytes
 

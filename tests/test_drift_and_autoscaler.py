@@ -178,13 +178,9 @@ class TestScalingApplication:
 
 class TestRouterBiasSignal:
     def test_current_bias_tracks_overload(self):
-        from repro.core.config import RouterConfig
         from repro.core.router import BanditRouter, RouterArm
 
-        router = BanditRouter(
-            arms=[RouterArm("s", 0.1), RouterArm("l", 1.0)],
-            config=RouterConfig(load_threshold=0.7),
-        )
+        router = BanditRouter(arms=[RouterArm("s", 0.1), RouterArm("l", 1.0)])
         for _ in range(20):
             router.observe_load(0.2)
         assert router.current_bias() == 0.0

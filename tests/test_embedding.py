@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.embedding import embedder as embedder_module
 from repro.embedding.embedder import HashingEmbedder, LatentEmbedder
 from repro.embedding.similarity import cosine_similarity, cosine_similarity_matrix
 
@@ -56,27 +57,28 @@ class TestCosineSimilarity:
 
 class TestLatentEmbedder:
     def test_unit_norm(self):
-        emb = LatentEmbedder(dim=16, noise_scale=0.1)
+        emb = LatentEmbedder(dim=16)
         latent = np.random.default_rng(0).normal(size=16)
         out = emb.embed("hello", latent)
         assert np.linalg.norm(out) == pytest.approx(1.0)
 
     def test_deterministic_per_text(self):
-        emb = LatentEmbedder(dim=16, noise_scale=0.1)
+        emb = LatentEmbedder(dim=16)
         latent = np.ones(16)
         a = emb.embed("same text", latent)
         b = emb.embed("same text", latent)
         assert np.allclose(a, b)
 
     def test_noise_varies_with_text(self):
-        emb = LatentEmbedder(dim=16, noise_scale=0.2)
+        emb = LatentEmbedder(dim=16)
         latent = np.ones(16)
         a = emb.embed("text one", latent)
         b = emb.embed("text two", latent)
         assert not np.allclose(a, b)
 
-    def test_zero_noise_recovers_latent_direction(self):
-        emb = LatentEmbedder(dim=8, noise_scale=0.0)
+    def test_zero_noise_recovers_latent_direction(self, monkeypatch):
+        monkeypatch.setattr(embedder_module, "EMBEDDER_NOISE", 0.0)
+        emb = LatentEmbedder(dim=8)
         latent = np.arange(1.0, 9.0)
         out = emb.embed("x", latent)
         assert cosine_similarity(out, latent) == pytest.approx(1.0)
@@ -92,10 +94,11 @@ class TestLatentEmbedder:
                                         np.r_[-np.inf, np.ones(7)],
                                         np.full(8, 1e200)],
                              ids=["nan", "inf", "norm-overflows"])
-    def test_non_finite_latent_rejected(self, latent, noise):
+    def test_non_finite_latent_rejected(self, latent, noise, monkeypatch):
         """A NaN embedding used to come out (``vec / nan``) and be cached."""
+        monkeypatch.setattr(embedder_module, "EMBEDDER_NOISE", noise)
         with pytest.raises(ValueError, match="latent is not finite"):
-            LatentEmbedder(dim=8, noise_scale=noise).embed("x", latent)
+            LatentEmbedder(dim=8).embed("x", latent)
 
     def test_no_latent_falls_back_to_hashing(self):
         emb = LatentEmbedder(dim=16)
@@ -106,8 +109,6 @@ class TestLatentEmbedder:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             LatentEmbedder(dim=1)
-        with pytest.raises(ValueError):
-            LatentEmbedder(noise_scale=-0.1)
 
 
 class TestHashingEmbedder:

@@ -83,6 +83,19 @@ def bad_latent(latent, stamp: float = 7.0, batch: bool = False) -> bytes:
     return json.dumps(payload).encode()
 
 
+def unjournalable(field: str, value, batch: bool = False) -> bytes:
+    """A well-formed body whose ``field`` the cache could not hash or
+    journal: an integer outside int64, or a string holding a lone surrogate
+    (``json.dumps`` writes it as the ``\\ud800`` escape); in a batch,
+    behind a good member."""
+    payload = {**request_to_payload(make_request("poison"), 7.0),
+               field: value}
+    if batch:
+        payload = {"requests": [
+            request_to_payload(make_request("fine"), 7.0), payload]}
+    return json.dumps(payload).encode()
+
+
 class TestTokenBucket:
     def test_starts_full_and_depletes(self):
         bucket = TokenBucket(capacity=2, refill_per_s=0.0)
@@ -431,12 +444,32 @@ class TestGatewayHttpStatuses:
          "'latent'"),
         ("/serve_batch", bad_latent(np.full(64, np.nan), batch=True),
          "bad payload", "'latent'"),
+        ("/serve", unjournalable("topic_id", 2 ** 63), "bad payload",
+         "'topic_id'"),
+        ("/serve", unjournalable("prompt_tokens", -2 ** 63 - 1),
+         "bad payload", "'prompt_tokens'"),
+        ("/submit", unjournalable("target_output_tokens", 10 ** 30),
+         "bad payload", "'target_output_tokens'"),
+        ("/serve", unjournalable("text", "hello \ud800 world"),
+         "bad payload", "'text'"),
+        ("/serve", unjournalable("request_id", "id-\udfff"), "bad payload",
+         "'request_id'"),
+        ("/submit", unjournalable("dataset", "\udc80"), "bad payload",
+         "'dataset'"),
+        ("/serve", unjournalable("metadata", {"note": "\ud83d"}),
+         "bad payload", "'metadata'"),
+        ("/serve_batch", unjournalable("text", "\ud800", batch=True),
+         "bad payload", "'text'"),
     ], ids=["stamp-inf", "stamp-neg-inf", "stamp-nan", "stamp-string",
             "stamp-bool", "batch-stamp-inf", "serve-not-utf8",
             "batch-not-utf8", "batch-list", "batch-string", "batch-number",
             "batch-null", "serve-list", "latent-json-list", "latent-3-floats",
             "latent-3-floats-stamp-ahead", "latent-nan", "submit-latent-inf",
-            "batch-one-nan-latent"])
+            "batch-one-nan-latent", "topic-past-int64",
+            "prompt-tokens-below-int64", "submit-output-tokens-past-int64",
+            "text-lone-surrogate", "request-id-lone-surrogate",
+            "submit-dataset-lone-surrogate", "metadata-lone-surrogate",
+            "batch-one-lone-surrogate"])
     def test_poisonous_payload_is_400_and_session_untouched(
             self, path, body, error, complaint):
         """A stamp that is not a finite number would park (``inf``) or
@@ -444,7 +477,8 @@ class TestGatewayHttpStatuses:
         batch that is not an object and a latent that is not packed bytes
         used to be 500s; a latent of the wrong length was a 500 after it
         had moved the watermark to its stamp, and a NaN one was served and
-        cached.  Each is a 400 at the edge (one bad member refuses its whole
+        cached; an integer past int64 was a 500 from the journal after the
+        cache took the example, a lone surrogate a 500 from the embedder.  Each is a 400 at the edge (one bad member refuses its whole
         batch): nothing reaches the session, the connection stays open,
         ``/health`` stays JSON."""
         async def scenario():

@@ -22,6 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import small_sum
+from repro.core import router as router_module
+from repro.core import selector as selector_module
 from repro.core.cache import ExampleCache
 from repro.core.config import (
     ICCacheConfig,
@@ -191,11 +193,10 @@ def test_routing_features_equal_reference(seed, n, edge):
         reference.routing_features(request, examples).tobytes()
 
 
-def _router(n_arms: int, seed: int, gate: float = 0.08) -> BanditRouter:
+def _router(n_arms: int, seed: int) -> BanditRouter:
     arms = [RouterArm(f"m{i}", cost=i / max(1, n_arms - 1))
             for i in range(n_arms)]
-    return BanditRouter(arms, RouterConfig(uncertainty_std_gate=gate),
-                        seed=seed)
+    return BanditRouter(arms, RouterConfig(), seed=seed)
 
 
 @settings(**DETERMINISM)
@@ -219,15 +220,16 @@ def test_one_arm_pair_exactly_at_the_gate():
     """The gate is ``std >= gate``: a pair whose std *is* the gate must not
     solicit, and one ulp below it must, on both arithmetics."""
     means = {"m0": 0.4, "m1": 0.55}
-    scores = np.array(list(means.values())) / RouterConfig().uncertainty_temp
+    scores = np.array(list(means.values())) / router_module.UNCERTAINTY_TEMP
     probs = np.exp(scores - scores.max())
     probs /= probs.sum()
     std = float(probs.std())
+    router = _router(2, seed=0)
     for gate, solicits in ((std, False), (math.nextafter(std, 1.0), True)):
-        router = _router(2, seed=0, gate=gate)
-        got = router._feedback_decision("m0", means, [0.1, 0.2])
-        assert got == reference.feedback_decision(
-            router, "m0", means, {"m0": 0.1, "m1": 0.2})
+        with mock.patch.object(router_module, "UNCERTAINTY_STD_GATE", gate):
+            got = router._feedback_decision("m0", means, [0.1, 0.2])
+            assert got == reference.feedback_decision(
+                router, "m0", means, {"m0": 0.1, "m1": 0.2})
         assert got == ((True, "m1") if solicits else (False, None))
 
 
@@ -588,23 +590,24 @@ def _twin_selectors(seed: int, n: int, config: SelectorConfig):
 def test_select_and_select_batch_equal_reference(seed, n, budget, diversity):
     """Chosen ids, relevance, utility and order; access counts; the rolling
     threshold sample and the threshold it adapts to."""
-    config = SelectorConfig(pre_k=12, max_examples=4, adapt_every=5,
-                            context_budget_tokens=budget,
-                            diversity_weight=diversity,
-                            utility_threshold=0.0)
+    config = SelectorConfig(pre_k=12, max_examples=4,
+                            context_budget_tokens=budget)
     (ours, theirs), rows = _twin_selectors(seed, n, config)
+    ours.utility_threshold = theirs.utility_threshold = 0.0
     rng = np.random.default_rng(seed + 2)
 
     def flat(chosen):
         return [(s.example.example_id, s.relevance, s.utility) for s in chosen]
 
-    for _ in range(12):
-        query = rows[int(rng.integers(0, n))] + 0.05 * rng.normal(size=DIM)
-        assert flat(ours.select(query)) == \
-            flat(reference.select(theirs, query))
-    batch = np.stack([rows[int(i)] for i in rng.integers(0, n, size=5)])
-    assert [flat(c) for c in ours.select_batch(batch)] == \
-        [flat(c) for c in reference.select_batch(theirs, batch)]
+    with mock.patch.multiple(selector_module, ADAPT_EVERY=5,
+                             DIVERSITY_WEIGHT=diversity):
+        for _ in range(12):
+            query = rows[int(rng.integers(0, n))] + 0.05 * rng.normal(size=DIM)
+            assert flat(ours.select(query)) == \
+                flat(reference.select(theirs, query))
+        batch = np.stack([rows[int(i)] for i in rng.integers(0, n, size=5)])
+        assert [flat(c) for c in ours.select_batch(batch)] == \
+            [flat(c) for c in reference.select_batch(theirs, batch)]
     assert ours._recent_scored == theirs._recent_scored
     assert ours.utility_threshold == theirs.utility_threshold
     assert [ex.access_count for ex in ours.cache] == \
@@ -621,8 +624,8 @@ def test_selector_falls_back_on_detached_candidates():
     query = rng.normal(size=DIM)
     picks = []
     for pool, batched in zip(pools, (True, False)):
-        selector = ExampleSelector(ExampleCache(dim=DIM), HelpfulnessProxy(),
-                                   SelectorConfig(utility_threshold=-1.0))
+        selector = ExampleSelector(ExampleCache(dim=DIM), HelpfulnessProxy())
+        selector.utility_threshold = -1.0
         candidates = [(ex, float(query @ ex.embedding)) for ex in pool]
         if batched:
             chosen = selector._decide(query, [candidates])[0]

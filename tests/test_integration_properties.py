@@ -6,18 +6,19 @@ tuning: every request gets a response, capacity bounds are never violated,
 bookkeeping is consistent, and the simulation is replay-deterministic.
 """
 
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import service as service_module
 from repro.core.config import ICCacheConfig, ManagerConfig, RouterConfig, SelectorConfig
 from repro.core.service import ICCacheService
 from repro.workload.datasets import SyntheticDataset
 
 
-def build_service(seed, max_examples, capacity_kb, cost_penalty,
-                  feedback_rate):
+def build_service(seed, max_examples, capacity_kb, cost_penalty):
     config = ICCacheConfig(
         seed=seed,
-        feedback_sample_rate=feedback_rate,
         selector=SelectorConfig(pre_k=max(8, max_examples),
                                 max_examples=max_examples),
         router=RouterConfig(cost_penalty=cost_penalty),
@@ -41,12 +42,13 @@ def build_service(seed, max_examples, capacity_kb, cost_penalty,
 def test_service_invariants_under_random_configs(seed, max_examples,
                                                  capacity_kb, cost_penalty,
                                                  feedback_rate):
-    service = build_service(seed, max_examples, capacity_kb, cost_penalty,
-                            feedback_rate)
+    service = build_service(seed, max_examples, capacity_kb, cost_penalty)
     dataset = SyntheticDataset("ms_marco", scale=0.0003, seed=seed)
     service.seed_cache(dataset.example_bank_requests()[:40])
     requests = dataset.online_requests(30)
-    outcomes = [service.serve(r, load=float(seed % 3)) for r in requests]
+    with mock.patch.object(service_module, "FEEDBACK_SAMPLE_RATE",
+                           feedback_rate):
+        outcomes = [service.serve(r, load=float(seed % 3)) for r in requests]
 
     # Every request is answered, by a deployed model, with a valid quality.
     assert len(outcomes) == len(requests)
@@ -67,7 +69,7 @@ def test_service_invariants_under_random_configs(seed, max_examples,
 
 
 def run_fixed_session(seed: int) -> list[tuple[str, float]]:
-    service = build_service(seed, 3, None, 0.05, 0.3)
+    service = build_service(seed, 3, None, 0.05)
     dataset = SyntheticDataset("alpaca", scale=0.002, seed=seed)
     service.seed_cache(dataset.example_bank_requests()[:60])
     outcomes = [service.serve(r, load=0.4)
@@ -87,7 +89,7 @@ class TestDeterminism:
 
 class TestCapacityChurn:
     def test_sustained_traffic_under_tight_budget(self):
-        service = build_service(5, 3, 8, 0.05, 0.3)   # 8 KiB budget
+        service = build_service(5, 3, 8, 0.05)   # 8 KiB budget
         dataset = SyntheticDataset("ms_marco", scale=0.0003, seed=5)
         service.seed_cache(dataset.example_bank_requests()[:50])
         for request in dataset.online_requests(80):

@@ -83,7 +83,7 @@ def _example(service, name: str) -> Example:
     request = Request(
         request_id=f"req-{name}", dataset="ms_marco", task=task,
         text=f"ingested request {name}",
-        latent=rng.normal(size=service.config.embedding_dim),
+        latent=rng.normal(size=service.embedder.dim),
         topic_id=0, difficulty=0.5, prompt_tokens=12, target_output_tokens=40)
     return Example(
         example_id=name, request=request, response_text=f"response {name}",

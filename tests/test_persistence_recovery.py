@@ -67,7 +67,7 @@ def _ingest(service: ICCacheService) -> None:
         request = Request(
             request_id=f"ingest-req-{i}", dataset="ms_marco", task=task,
             text=f"ingested request {i} with some plaintext body",
-            latent=rng.normal(size=service.config.embedding_dim),
+            latent=rng.normal(size=service.embedder.dim),
             topic_id=0, difficulty=0.5, prompt_tokens=12,
             target_output_tokens=40,
         )
@@ -263,7 +263,7 @@ class TestCompaction:
             request = Request(
                 request_id=f"bulk-{i}", dataset="ms_marco", task=task,
                 text=f"bulk ingested request {i} " + "x" * 64,
-                latent=rng.normal(size=service.config.embedding_dim),
+                latent=rng.normal(size=service.embedder.dim),
                 topic_id=0, difficulty=0.5, prompt_tokens=24,
                 target_output_tokens=40,
             )

@@ -59,7 +59,7 @@ class TestSidecarFormat:
         service.save(path)
 
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 7
+        assert doc["version"] == SNAPSHOT_VERSION == 8
         bins = _bin_files(path)
         assert len(bins) == 1
         assert doc["sidecar"] == bins[0].name
@@ -106,7 +106,8 @@ class TestSidecarFormat:
 
     def test_unknown_version_rejected(self, tmp_path):
         """Every version but the written one is refused — the previous one
-        (v6 named the cache layout in ``cache.sharded`` and
+        (v7's ``config`` record held 24 more values, now module constants),
+        v6 (it named the cache layout in ``cache.sharded`` and
         ``config.cache_shards``), v5 (a second, flat copy of every index
         vector), v4 (the byte ledger twice) and the three older ones this
         reader used to accept included — naming both numbers."""
@@ -114,9 +115,11 @@ class TestSidecarFormat:
         path = tmp_path / "snap.json"
         service.save(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["cache"]["sharded"] = False         # v6's own fields, too
+        doc["config"]["embedding_dim"] = 64     # v7's own fields, too
+        doc["config"]["router"]["ridge"] = 1.0
+        doc["cache"]["sharded"] = False         # and v6's
         doc["config"]["cache_shards"] = 1
-        for version in (1, 2, 3, 4, 5, 6, 99):
+        for version in (1, 2, 3, 4, 5, 6, 7, 99):
             doc["version"] = version
             path.write_text(json.dumps(doc), encoding="utf-8")
             with pytest.raises(ValueError) as refused:

@@ -236,21 +236,24 @@ class TestServiceSnapshot:
         assert restored.router_enabled is False
 
     @pytest.mark.parametrize("path", ["restore", "recover"])
-    def test_config_override_must_match_embedding_dim(self, path, tmp_path):
-        """A 64-dim snapshot under a 32-dim config is refused by name, by
-        either restore path, instead of failing inside the first serve."""
+    def test_an_index_of_another_dim_is_refused(self, path, tmp_path):
+        """A manifest whose index is not the service's embedding dim wide
+        is refused by name, by either restore path, instead of failing
+        inside the first serve."""
         service, _ = _build_service(bank=40)
-        narrow = ICCacheConfig(seed=11, embedding_dim=32,
-                               manager=ManagerConfig(sanitize=False))
-        refusal = "snapshot index dim 64 != configured embedding_dim 32"
         if path == "restore":
-            snapshot = service.save(tmp_path / "s.json")
-            with pytest.raises(ValueError, match=refusal):
-                ICCacheService.restore(snapshot, config=narrow)
+            manifest = service.save(tmp_path / "s.json")
         else:
-            Checkpointer(service, tmp_path / "ckpt").checkpoint()
-            with pytest.raises(ValueError, match=refusal):
-                Checkpointer.recover(tmp_path / "ckpt", config=narrow)
+            manifest = Checkpointer(service, tmp_path / "ckpt").checkpoint()
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["cache"]["index"]["dim"] = 32
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        refusal = "snapshot index dim 32 != the service's embedding dim 64"
+        with pytest.raises(ValueError, match=refusal):
+            if path == "restore":
+                ICCacheService.restore(manifest)
+            else:
+                Checkpointer.recover(tmp_path / "ckpt")
 
     def test_version_gate(self, tmp_path):
         service, _ = _build_service(bank=40)
@@ -267,10 +270,10 @@ class TestServiceSnapshot:
         service, _ = _build_service(bank=40)
         path = service.save(tmp_path / "s.json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 7
+        assert doc["version"] == SNAPSHOT_VERSION == 8
         cache = doc["cache"]
         assert "examples" not in cache
-        # One index layout: v7 names none.
+        # One index layout: the manifest names none.
         assert "sharded" not in cache and "cache_shards" not in doc["config"]
         # The index stores each vector once, in its cluster blocks.
         assert "flat" not in cache["index"]

@@ -532,7 +532,7 @@ def test_a_refused_add_inside_an_admission_journals_what_happened(tmp_path):
     minted = service.manager._next_id
     with pytest.raises(ValueError, match="zero vector"):
         service.manager.admit(request, result,
-                              np.zeros(service.config.embedding_dim), 1.0)
+                              np.zeros(service.embedder.dim), 1.0)
     assert service.manager._next_id == minted + 1
     checkpointer.detach()
     records = WriteAheadLog.read(checkpointer.wal_path)

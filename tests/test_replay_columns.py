@@ -21,7 +21,6 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import ExampleCache
-from repro.core.config import ManagerConfig
 from repro.core.example import Example
 from repro.core.replay import ReplayEngine
 from repro.llm.zoo import get_model
@@ -57,10 +56,9 @@ def _state(cache, engine) -> dict:
 def _assert_replay_matches_reference(build, reuse: float) -> None:
     """Build twin pools, replay one on the columns and the other by the
     per-object reference, and compare everything replay touches."""
-    config = ManagerConfig(sanitize=False)
     ours, theirs = build(), build()
-    engine = ReplayEngine(get_model("gemma-2-27b"), config)
-    reference = ReplayEngine(get_model("gemma-2-27b"), config)
+    engine = ReplayEngine(get_model("gemma-2-27b"))
+    reference = ReplayEngine(get_model("gemma-2-27b"))
     assert _state(ours, engine) == _state(theirs, reference)
 
     ranked = engine.candidates(ours.table)

@@ -24,6 +24,7 @@ properties cannot pass by never taking the shortcut.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import event, example, given, settings
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import knapsack
 from repro.analysis.knapsack import knapsack_keep_mask
+from repro.core import manager as manager_module
 from repro.core.cache import ExampleCache
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.manager import ExampleManager
@@ -224,10 +226,12 @@ def _insertion_order(table) -> list[str]:
 
 def _scrambled_pool(sizes, ops, overwrite, restore):
     """A 40-id pool after swap-deletes and one overwrite, plus its
-    per-object reference; optionally round-tripped through a snapshot."""
+    per-object reference; optionally round-tripped through a snapshot.
+    Its evictions take the greedy (:func:`_greedy_only`): 40 is an exact
+    DP's pool size."""
     cache = ExampleCache(dim=64)
     clock = SimClock()
-    config = ManagerConfig(sanitize=False, knapsack_exact_below=0)
+    config = ManagerConfig(sanitize=False)
     manager = ExampleManager(cache, config, clock=clock)
     reference: dict[str, RefExample] = {}
     for example_id, size in zip(BIG_POOL, sizes):
@@ -239,6 +243,11 @@ def _scrambled_pool(sizes, ops, overwrite, restore):
         cache = _restored(cache)
         manager = ExampleManager(cache, config, clock=clock)
     return cache, manager, reference
+
+
+def _greedy_only():
+    """The manager's retention on the greedy path at any pool size."""
+    return mock.patch.object(manager_module, "KNAPSACK_EXACT_BELOW", 0)
 
 
 @settings(**DETERMINISM)
@@ -260,7 +269,7 @@ def test_eviction_over_scrambled_rows_matches_the_reference(
     assert [ex.example_id for ex in cache] == list(reference)
 
     # Columnar replay ranking: same examples, same order, ties included.
-    engine = ReplayEngine(get_model("gemma-2-27b"), manager.config)
+    engine = ReplayEngine(get_model("gemma-2-27b"))
     from_columns = engine.candidates(cache.table)
     per_object = replay_reference.candidates(engine, cache.examples())
     assert len(from_columns) == len(per_object)
@@ -280,7 +289,8 @@ def test_eviction_over_scrambled_rows_matches_the_reference(
 
     journaled: list[tuple[str, object]] = []
     cache.journal = lambda kind, payload: journaled.append((kind, payload))
-    assert manager.enforce_capacity() == len(expected)
+    with _greedy_only():
+        assert manager.enforce_capacity() == len(expected)
     assert [payload for kind, payload in journaled
             if kind == "remove"] == expected
     for example_id in expected:
@@ -305,7 +315,8 @@ def test_scrambled_restored_pool_takes_the_shortcut(monkeypatch):
     cache, manager, _ = _scrambled_pool([1, 2, 5, 0] * 10, ops,
                                         ("ex-9", 5), restore=True)
     manager.config.capacity_bytes = cache.total_bytes - 1
-    assert manager.enforce_capacity() == 1
+    with _greedy_only():
+        assert manager.enforce_capacity() == 1
     assert len(victims) == 1 and victims[0] is not None
 
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core import selector as selector_module
 from repro.core.config import SelectorConfig
 from repro.core.proxy import HelpfulnessProxy, proxy_features_matrix
 from repro.core.selector import ExampleSelector
@@ -229,8 +230,9 @@ class TestSelectorMatchesLoopedStage2:
         proxy.score_batch = looped
         return selector
 
-    def test_select_identical_to_looped_scoring(self):
-        config = SelectorConfig(pre_k=10, max_examples=4, adapt_every=10)
+    def test_select_identical_to_looped_scoring(self, monkeypatch):
+        monkeypatch.setattr(selector_module, "ADAPT_EVERY", 10)
+        config = SelectorConfig(pre_k=10, max_examples=4)
         fast, _ = build_selector(config=config)
         slow = self._looped(build_selector(config=config)[0])
 
