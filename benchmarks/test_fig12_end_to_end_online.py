@@ -11,8 +11,9 @@ import numpy as np
 
 from harness import judged, print_table, run_once
 from repro.core.config import ICCacheConfig, ManagerConfig
+from repro.core.service import ICCacheService
 from repro.llm.zoo import get_model
-from repro.pipeline import registry
+from repro.pipeline.policies import build_routellm
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
 from repro.serving.metrics import offload_ratio_fn, windowed_series
 from repro.workload.datasets import SyntheticDataset
@@ -52,14 +53,15 @@ def _run_policy(policy: str, dataset_name: str, seed: int = 12):
         sim = _cluster(seed=seed)
         report = sim.run(arrivals, lambda rs, s: [(policy, []) for _ in rs])
     else:
-        # Both learned systems come out of the policy registry and drive
-        # the cluster through the same pipeline protocols.
-        pipeline = registry.build_policy(
-            policy,
-            config=ICCacheConfig(seed=seed, manager=ManagerConfig(sanitize=False)),
-            dataset=dataset,
-            history=history,
-        )
+        # Both learned systems drive the cluster through the same pipeline
+        # protocols.
+        config = ICCacheConfig(seed=seed, manager=ManagerConfig(sanitize=False))
+        if policy == "ic-cache":
+            service = ICCacheService(config)
+            service.seed_cache(history)
+            pipeline = service.pipeline
+        else:
+            pipeline = build_routellm(config)
         sim = _cluster(pipeline.models, seed=seed)
         report = sim.run(arrivals, pipeline.route_batch,
                          on_complete=pipeline.on_complete)

@@ -6,7 +6,7 @@ in-context examples (instead of returning them verbatim) recovers up to 28%
 quality, i.e. the "Semantic w/ IC" curve sits far above "Semantic w/o IC"
 at every hit rate.
 
-The "w/ IC" arm is the registry's ``semantic-cache`` serving policy — the
+The "w/ IC" arm is the ``build_semantic_cache`` serving pipeline — the
 same pipeline that drives the cluster in the end-to-end benchmarks — with
 admission swapped out so the cache stays fixed after its offline warm-up,
 matching the figure's setup.  The "w/o IC" arm replays each hit verbatim
@@ -16,7 +16,8 @@ matching the figure's setup.  The "w/o IC" arm replays each hit verbatim
 from harness import judged, print_table, run_once
 from repro.core.config import ICCacheConfig
 from repro.llm.zoo import get_model_pair
-from repro.pipeline import NullAdmission, registry
+from repro.pipeline import NullAdmission
+from repro.pipeline.policies import build_semantic_cache
 from repro.workload.datasets import SyntheticDataset
 
 THRESHOLDS = (0.98, 0.9, 0.84, 0.78)
@@ -31,8 +32,7 @@ def _run(dataset_name: str, seed: int = 14):
 
     curves = []
     for threshold in THRESHOLDS:
-        pipeline = registry.build_policy(
-            "semantic-cache",
+        pipeline = build_semantic_cache(
             config=ICCacheConfig(seed=seed),
             models={small.name: small, large.name: large},
             history=history,

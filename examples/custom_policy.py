@@ -1,17 +1,18 @@
-"""Define, register, and serve a custom routing policy in ~30 lines.
+"""Define and serve a custom routing policy in ~30 lines.
 
-The pipeline redesign makes every serving policy a plug-in: implement a
-stage protocol (here ``RoutingPolicy``), register it under a string key,
-and any entry point — inline serving, the batched engine, the cluster
-simulator — runs it through the same serve loop as IC-Cache itself.  Run:
+The pipeline makes every serving policy a plug-in: implement a stage
+protocol (here ``RoutingPolicy``), assign an instance to the pipeline's
+``routing`` attribute, and any entry point — inline serving, micro-batches,
+the cluster simulator — runs it through the same serve loop as IC-Cache
+itself.  Run:
 
     python examples/custom_policy.py
 """
 
-from repro import ICCacheConfig
+from repro import ICCacheConfig, ICCacheService
 from repro.core.config import ManagerConfig
 from repro.core.router import RoutingChoice, routing_features
-from repro.pipeline import ICCachePipeline, registry
+from repro.pipeline.policies import build_routellm
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
 from repro.workload import SyntheticDataset
 
@@ -41,22 +42,16 @@ class GoodExampleRouting:
         )
 
 
-# Register under a string key so configs / sweeps can name it.
-@registry.register("routing", "good-example")
-def _build_good_example(service, min_utility: float = 0.05, **kwargs):
-    return GoodExampleRouting(service.small_name, service.large_name,
-                              min_utility=min_utility)
-
-
 def main() -> None:
     dataset = SyntheticDataset("ms_marco", scale=0.001, seed=9)
 
-    # IC-Cache's retrieval + admission, with routing swapped by key.
-    pipeline = ICCachePipeline.from_config(
-        ICCacheConfig(seed=9, manager=ManagerConfig(sanitize=False)),
-        routing="good-example",
-    )
-    pipeline.service.seed_cache(dataset.example_bank_requests()[:300])
+    # IC-Cache's retrieval + admission, with routing swapped by assignment.
+    service = ICCacheService(
+        ICCacheConfig(seed=9, manager=ManagerConfig(sanitize=False)))
+    pipeline = service.pipeline
+    pipeline.routing = GoodExampleRouting(service.small_name,
+                                          service.large_name)
+    service.seed_cache(dataset.example_bank_requests()[:300])
 
     # Inline serving (batch-of-1 and micro-batches share one path).
     contexts = pipeline.run_batch(dataset.online_requests(200), load=0.2)
@@ -65,8 +60,8 @@ def main() -> None:
           f"{stats.offload_ratio:.2f}, mean quality {stats.mean_quality:.3f}")
 
     # The same pipeline drives the cluster simulator unchanged.
-    small = pipeline.models[pipeline.service.small_name]
-    large = pipeline.models[pipeline.service.large_name]
+    small = pipeline.models[service.small_name]
+    large = pipeline.models[service.large_name]
     sim = ClusterSimulator(ClusterConfig(
         deployments=[ModelDeployment(small, replicas=8),
                      ModelDeployment(large, replicas=1)],
@@ -80,10 +75,8 @@ def main() -> None:
           f"{report.offload_ratio({small.name}):.2f}, "
           f"mean latency {report.latency_summary().mean:.2f}s")
 
-    # Registered baselines come from the same registry.
-    print(f"registered policies: {', '.join(registry.available('policy'))}")
-    routellm = registry.build_policy(
-        "routellm", config=ICCacheConfig(seed=9), threshold=0.5)
+    # A comparison system is one builder call away.
+    routellm = build_routellm(ICCacheConfig(seed=9))
     routellm.run_batch(dataset.online_requests(100), load=0.2)
     print(f"routellm (for comparison): offload ratio "
           f"{routellm.stats.offload_ratio:.2f}, mean quality "

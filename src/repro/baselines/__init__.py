@@ -1,8 +1,9 @@
 """The baselines of section 6.1 and the comparison systems of section 6.4.
 
 Each serving system is one class implementing the stage protocols of
-:mod:`repro.pipeline.protocols` it serves; :mod:`repro.pipeline.policies`
-registers the ``policy`` builders that plug them in unwrapped.
+:mod:`repro.pipeline.protocols` it serves; the builders in
+:mod:`repro.pipeline.policies` plug the semantic cache and RouteLLM into a
+pipeline unwrapped.
 
 * :class:`RouteLLMRouter` — RouteLLM: a binary difficulty classifier that
   picks small vs large per request, oblivious to serving load (routing).
@@ -14,8 +15,7 @@ registers the ``policy`` builders that plug them in unwrapped.
 * :class:`SFTModel` — supervised fine-tuning of the small model on large-model
   outputs: capability boost in-domain, regression out-of-domain (Table 3).
 
-Fig. 19's random-retention baseline is an admission policy:
-:class:`repro.pipeline.policies.RandomRetentionAdmission`.
+Fig. 19 draws its random-retention baseline inside the benchmark.
 """
 
 from repro.baselines.routellm import RouteLLMRouter

@@ -11,7 +11,7 @@ just like random examples.
 The document store is synthesized from the same topic model as the workload,
 mimicking an external corpus covering the request domain.
 
-In the ``rag`` serving policy the documents ride the context-view mechanism
+As a ``RetrievalPolicy`` the documents ride the context-view mechanism
 (:meth:`LongRAGRetriever.retrieve_batch`), and the simulator's ICL model
 gates their lift by relevance and headroom.  The one documented exception
 is :meth:`LongRAGRetriever.boost`: RAG's own lift — grounding that grows

@@ -93,12 +93,19 @@ class SemanticCache:
 
     def put(self, request: Request, embedding: np.ndarray,
             response_quality: float, tokens: int) -> None:
-        """Cache a served request's response (keyed by request id)."""
+        """Cache a served request's response (keyed by request id).
+
+        The vector is indexed before the entry is registered, so a vector
+        the index refuses leaves the request uncached, not half-inserted.
+        """
+        if not 0.0 <= response_quality <= 1.0:
+            raise ValueError(
+                f"response_quality out of [0, 1]: {response_quality}")
         if request.request_id in self._entries:
             return
+        self._index.add(request.request_id, embedding)
         self._entries[request.request_id] = CachedResponse(
             request, response_quality, tokens)
-        self._index.add(request.request_id, embedding)
 
     def retrieve_batch(self, contexts) -> list[list[ScoredExample]]:
         """A hit (top-1 at or above the threshold) is its cached pair as

@@ -14,9 +14,14 @@ The paper's integration example:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.config import ICCacheConfig
-from repro.core.service import ICCacheService, ServeOutcome
+from repro.core.service import ICCacheService
 from repro.workload.request import Request
+
+if TYPE_CHECKING:
+    from repro.pipeline.context import ServeContext
 
 
 class ICCacheClient:
@@ -32,13 +37,13 @@ class ICCacheClient:
         return self._service
 
     def generate(self, requests: list[Request],
-                 load: float | None = None) -> list[ServeOutcome]:
+                 load: float | None = None) -> list[ServeContext]:
         """Serve a batch of requests through IC-Cache."""
         self._check_open()
         return [self._service.serve(request, load=load) for request in requests]
 
     def update_cache(self, requests: list[Request],
-                     outcomes: list[ServeOutcome]) -> int:
+                     outcomes: list[ServeContext]) -> int:
         """Explicitly (re-)register request-response pairs in the cache.
 
         ``generate`` already admits pairs automatically; this mirrors the

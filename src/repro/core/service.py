@@ -20,20 +20,20 @@ sampled helpfulness observations train the proxy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core.cache import ExampleCache
 from repro.core.config import ICCacheConfig
-from repro.core.example import Example
 from repro.core.manager import ExampleManager
 from repro.core.proxy import HelpfulnessProxy
 from repro.core.replay import ReplayEngine
-from repro.core.router import BanditRouter, RouterArm, RoutingChoice
-from repro.core.selector import ExampleSelector, ScoredExample
+from repro.core.router import BanditRouter, RouterArm
+from repro.core.selector import ExampleSelector
 from repro.embedding.embedder import EMBEDDING_DIM, LatentEmbedder
 from repro.llm.icl import example_utility
-from repro.llm.model import GenerationResult, SimulatedLLM
+from repro.llm.model import SimulatedLLM
 from repro.llm.zoo import get_model
 from repro.pipeline.stats import ServiceStats
 from repro.utils.clock import SimClock
@@ -41,34 +41,13 @@ from repro.utils.rng import SEED_AHEAD_FROM, make_rng, stable_hash
 from repro.workload.feedback import FeedbackSimulator
 from repro.workload.request import Request
 
-__all__ = ["ICCacheService", "ServeOutcome"]
+if TYPE_CHECKING:
+    from repro.pipeline.context import ServeContext
+
+__all__ = ["ICCacheService"]
 
 FEEDBACK_SAMPLE_RATE = 0.3    # share of responses with a feedback label
 FEEDBACK_NOISE = 0.1          # label noise (half on a helpfulness label)
-
-
-@dataclass
-class ServeOutcome:
-    """Everything the caller learns about one served request.
-
-    The per-request observables of Algorithm 1: the routing choice
-    (section 4.2), the selected example combination (section 4.1), whether
-    the section-5 fault-tolerance bypass fired, and the example (if any) the
-    manager admitted from this pair (section 4.3).  This is the stable
-    public result type; the pipeline's richer
-    :class:`~repro.pipeline.context.ServeContext` converts down to it.
-    """
-
-    request: Request
-    result: GenerationResult
-    choice: RoutingChoice
-    examples: list[ScoredExample]
-    admitted_example: Example | None = None
-    bypassed: bool = False
-
-    @property
-    def offloaded(self) -> bool:
-        return bool(self.choice.metadata.get("offloaded", False))
 
 
 class ICCacheService:
@@ -84,12 +63,9 @@ class ICCacheService:
     """
 
     def __init__(self, config: ICCacheConfig | None = None,
-                 models: dict[str, SimulatedLLM] | None = None,
-                 clock: SimClock | None = None,
-                 selector_enabled: bool = True,
-                 router_enabled: bool = True) -> None:
+                 models: dict[str, SimulatedLLM] | None = None) -> None:
         self.config = config or ICCacheConfig()
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         seed = self.config.seed
 
         if models is None:
@@ -137,9 +113,8 @@ class ICCacheService:
         from repro.pipeline.middleware import FaultBypassMiddleware, LearningHook
         from repro.pipeline.policies import ICAdmission, ICRetrieval, ICRouting
 
-        self._ic_retrieval = ICRetrieval(self.selector, enabled=selector_enabled)
-        self._ic_routing = ICRouting(self.router, self.small_name,
-                                     enabled=router_enabled)
+        self._ic_retrieval = ICRetrieval(self.selector)
+        self._ic_routing = ICRouting(self.router, self.small_name)
         self.pipeline = ICCachePipeline(
             embedder=self.embedder,
             models=self.models,
@@ -154,7 +129,6 @@ class ICCacheService:
             stats=self.stats,
             clock=self.clock,
         )
-        self.pipeline.service = self
 
     # -- ablation switches ---------------------------------------------------
     # Live flags (old call sites toggle them mid-run, e.g. the Fig. 16/20
@@ -207,12 +181,19 @@ class ICCacheService:
     # Two entry points stay as thin facades over the pipeline; the cluster
     # drives self.pipeline directly.
 
-    def serve(self, request: Request, load: float | None = None) -> ServeOutcome:
-        """Serve one request end-to-end, including learning and admission."""
-        return self._outcome(self.pipeline.run_batch([request], load)[0])
+    def serve(self, request: Request, load: float | None = None) -> ServeContext:
+        """Serve one request end-to-end, including learning and admission.
+
+        The returned context carries the per-request observables of
+        Algorithm 1: the routing ``choice`` (section 4.2), the selected
+        ``examples`` (section 4.1), the ``result``, whether the section-5
+        bypass fired (``bypassed``) and the ``admitted_example`` (section
+        4.3).  ``load`` must lie in ``[0, inf)``.
+        """
+        return self.pipeline.run_batch([request], load)[0]
 
     def serve_batch(self, requests: list[Request],
-                    load: float | None = None) -> list[ServeOutcome]:
+                    load: float | None = None) -> list[ServeContext]:
         """Serve a micro-batch end-to-end through the batched retrieval path.
 
         Embedding and stage-1 retrieval are amortized across the batch (one
@@ -225,8 +206,7 @@ class ICCacheService:
         bypasses the whole micro-batch, a per-request routing failure
         bypasses just that request.
         """
-        return [self._outcome(ctx)
-                for ctx in self.pipeline.run_batch(requests, load)]
+        return self.pipeline.run_batch(requests, load)
 
     # -- online maintenance (section 4.3, run live by the runtime) -----------
 
@@ -240,8 +220,12 @@ class ICCacheService:
         true elapsed time).  After the manager's work, the pipeline's
         ``on_maintenance`` middleware hook fires, preserving
         :class:`~repro.pipeline.middleware.LearningHook` ordering for
-        lifecycle observers.  Returns a summary dict.
+        lifecycle observers.  Returns a summary dict.  An ``expected_reuse``
+        replay would refuse is refused before the decay moves anything.
         """
+        if not 0.0 < expected_reuse < math.inf:
+            raise ValueError(
+                f"expected_reuse must be positive and finite: {expected_reuse}")
         self.manager.apply_decay()
         evicted = self.manager.enforce_capacity()
         replay_outcome = None
@@ -356,13 +340,3 @@ class ICCacheService:
         self.router.update(choice.model_name, choice.features, rating_chosen)
         self.router.update(choice.challenger, choice.features, rating_challenger)
         self.stats.router_updates += 2
-
-    # -- internals ------------------------------------------------------------
-
-    @staticmethod
-    def _outcome(ctx) -> ServeOutcome:
-        return ServeOutcome(
-            request=ctx.request, result=ctx.result, choice=ctx.choice,
-            examples=ctx.examples, admitted_example=ctx.admitted_example,
-            bypassed=ctx.bypassed,
-        )

@@ -3,18 +3,20 @@
 One serve loop for every policy: typed stage protocols
 (:class:`RetrievalPolicy`, :class:`RoutingPolicy`,
 :class:`AdmissionPolicy`), middleware hooks (:class:`ServeMiddleware`),
-a string-keyed component/policy registry, and the
-:class:`ICCachePipeline` executor that ``ICCacheService``, the cluster
-simulator, and all four baselines run on.
+and the :class:`ICCachePipeline` executor that ``ICCacheService``, the
+cluster simulator, and the comparison systems of
+:mod:`repro.pipeline.policies` run on.
 
-Quickstart — any registered policy drops into the cluster simulator::
+Quickstart — a comparison system drops into the cluster simulator::
 
-    from repro.pipeline import registry
+    from repro.pipeline.policies import build_semantic_cache
 
-    pipeline = registry.build_policy("semantic-cache", dataset=dataset,
-                                     history=history)
+    pipeline = build_semantic_cache(history=history)
     report = sim.run(arrivals, pipeline.route_batch,
                      on_complete=pipeline.on_complete)
+
+IC-Cache itself is ``ICCacheService(config).pipeline``; a stage is swapped
+by assigning the attribute (``pipeline.routing = my_policy``).
 """
 
 # Import order matters: stats first (stdlib-only; the one module
@@ -34,15 +36,12 @@ from repro.pipeline.middleware import (
     LearningHook,
 )
 from repro.pipeline.policies import (
-    FixedModelRouting,
     ICAdmission,
     ICRetrieval,
     ICRouting,
     NullAdmission,
     NullRetrieval,
-    RandomRetentionAdmission,
 )
-from repro.pipeline import registry
 
 __all__ = [
     "ServiceStats",
@@ -59,8 +58,5 @@ __all__ = [
     "ICRouting",
     "ICAdmission",
     "NullRetrieval",
-    "FixedModelRouting",
     "NullAdmission",
-    "RandomRetentionAdmission",
-    "registry",
 ]

@@ -35,9 +35,6 @@ class ServeContext:
       views are non-empty only when the request was offloaded);
     * ``result`` — after generation (inline) or cluster completion;
     * ``admitted_example`` — after admission (``AdmissionPolicy``).
-
-    ``metadata`` is a free-form scratchpad for middleware and policies;
-    the pipeline core never reads it.
     """
 
     request: Request
@@ -51,21 +48,9 @@ class ServeContext:
     bypassed: bool = False
     failed_stage: str | None = None
     error: Exception | None = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def offloaded(self) -> bool:
         """True when routing diverted the request off the reference model."""
         return bool(self.choice is not None
                     and self.choice.metadata.get("offloaded", False))
-
-    @property
-    def tenant(self) -> str:
-        """The tenant this request bills to (``"default"`` when unstated).
-
-        The serving gateway stamps ``request.metadata["tenant"]`` at
-        admission (per-tenant rate limits key on it); threading it through
-        the context lets middleware and policies aggregate per tenant
-        without re-deriving the convention.
-        """
-        return str(self.request.metadata.get("tenant", "default"))

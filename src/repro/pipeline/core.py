@@ -1,10 +1,10 @@
 """The one serve loop: ``ICCachePipeline``.
 
 Every way of serving a request in this repo — ``ICCacheService.serve``,
-``serve_batch``, the cluster simulator's batch router, and all four
-baselines — executes this pipeline.  The flow is Algorithm 1 generalized
-to protocol-typed stages over a micro-batch (a single inline request is a
-batch of one):
+``serve_batch``, the cluster simulator's batch router, and the
+semantic-cache and RouteLLM comparison systems — executes this pipeline.
+The flow is Algorithm 1 generalized to protocol-typed stages over a
+micro-batch (a single inline request is a batch of one):
 
     embed -> retrieve (RetrievalPolicy, batch) -> route (RoutingPolicy,
     per request) -> generate -> after_complete middleware (learning) ->
@@ -25,6 +25,7 @@ simulated request completes, so online learning sees real serving delay.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.llm.model import GenerationResult, SimulatedLLM
@@ -76,9 +77,6 @@ class ICCachePipeline:
         self.clock = clock
         # request_id -> decided context, resolved by on_complete.
         self._pending: dict[str, ServeContext] = {}
-        # Optional back-reference set by ICCacheService so registry builders
-        # and from_config callers can reach seed_cache & friends.
-        self.service = None
 
     # -- inline serving ----------------------------------------------------
 
@@ -100,7 +98,13 @@ class ICCachePipeline:
 
     def decide_batch(self, requests: Sequence[Request],
                      load: float | None = None) -> list[ServeContext]:
-        """Run the decision stages; every returned context has a choice."""
+        """Run the decision stages; every returned context has a choice.
+
+        A ``load`` outside ``[0, inf)`` (NaN included) is refused before
+        anything moves: the router's load EMA would hold it for good.
+        """
+        if load is not None and not 0.0 <= load < math.inf:
+            raise ValueError(f"load must be in [0, inf), got {load!r}")
         contexts = [ServeContext(request=r, load=load) for r in requests]
         if not contexts:
             return contexts
@@ -238,18 +242,17 @@ class ICCachePipeline:
 
     # -- online maintenance ------------------------------------------------
 
-    def run_maintenance(self, service=None) -> None:
+    def run_maintenance(self, service) -> None:
         """Emit the ``on_maintenance`` middleware hook in registration order.
 
         Called by ``ICCacheService.run_maintenance`` after a cache
         maintenance pass (decay / eviction / replay) so middleware observes
         lifecycle events through the same ordered chain as request hooks.
         """
-        who = service if service is not None else self.service
         for mw in self.middlewares:
-            mw.on_maintenance(who)
+            mw.on_maintenance(service)
 
-    def run_checkpoint(self, service=None) -> None:
+    def run_checkpoint(self, service) -> None:
         """Emit the ``on_checkpoint`` middleware hook in registration order.
 
         Called by ``ICCacheService.save`` after a snapshot is written —
@@ -261,45 +264,8 @@ class ICCachePipeline:
         in-progress request counts as in-flight for that snapshot (see
         ``docs/PERSISTENCE.md``).
         """
-        who = service if service is not None else self.service
         for mw in self.middlewares:
-            mw.on_checkpoint(who)
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_config(cls, config=None, *, models=None, clock=None,
-                    retrieval=None, routing=None, admission=None,
-                    extra_middleware: Sequence[ServeMiddleware] = (),
-                    learning: bool = True, **component_kwargs
-                    ) -> "ICCachePipeline":
-        """Build an IC-Cache pipeline from config, with registry swaps.
-
-        ``retrieval``/``routing``/``admission`` accept a registry key (str)
-        or a ready policy instance; ``None`` keeps the IC-Cache default.
-        ``learning=False`` strips the service's feedback loops (for
-        stateless baselines built on IC components).  The returned
-        pipeline's ``.service`` is the backing :class:`ICCacheService`
-        (e.g. for ``pipeline.service.seed_cache(...)``).
-        """
-        from repro.core.service import ICCacheService
-        from repro.pipeline.middleware import LearningHook
-        from repro.pipeline.registry import create
-
-        service = ICCacheService(config, models=models, clock=clock)
-        pipeline = service.pipeline
-        if not learning:
-            pipeline.middlewares = [m for m in pipeline.middlewares
-                                    if not isinstance(m, LearningHook)]
-        for kind, spec in (("retrieval", retrieval), ("routing", routing),
-                           ("admission", admission)):
-            if spec is None:
-                continue
-            if isinstance(spec, str):
-                spec = create(kind, spec, service=service, **component_kwargs)
-            setattr(pipeline, kind, spec)
-        pipeline.middlewares.extend(extra_middleware)
-        return pipeline
+            mw.on_checkpoint(service)
 
     # -- internals ---------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 Any object implementing these protocols is a first-class citizen of the
 serve loop — IC-Cache's own selector/router/manager, the paper's baselines
-(semantic caching, RAG, RouteLLM, naive retention), or a user-defined
-policy registered via :mod:`repro.pipeline.registry`.  The pipeline core
+(semantic caching, RAG retrieval, RouteLLM), or a user-defined policy
+assigned to a pipeline's ``retrieval`` / ``routing`` / ``admission``
+attribute.  The pipeline core
 (:class:`repro.pipeline.core.ICCachePipeline`) is the only serve loop in
 the repo; everything else plugs into it through this surface.
 

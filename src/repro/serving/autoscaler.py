@@ -21,6 +21,7 @@ scale-ups to the cluster's GPU budget and scale-downs to one replica.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.analysis.stats import EMA
@@ -61,8 +62,10 @@ class BiasAutoscaler:
 
     def observe(self, bias: float, utilization: float) -> ScalingDecision:
         """Feed one control-period observation; returns the recommendation."""
-        if bias < 0 or utilization < 0:
-            raise ValueError("bias and utilization must be non-negative")
+        # NaN passes a bare ``< 0`` test and would pin its EMA for good.
+        if not (0.0 <= bias < math.inf and 0.0 <= utilization < math.inf):
+            raise ValueError("bias and utilization must be finite and "
+                             f"non-negative, got {bias!r} and {utilization!r}")
         bias_avg = self.bias_ema.update(bias)
         util_avg = self.utilization_ema.update(utilization)
 

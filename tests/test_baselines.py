@@ -151,6 +151,26 @@ class TestSemanticCache:
         [hit] = _probe(cache, req, req.latent)
         assert (hit.utility, hit.example.tokens) == (0.8, 70)
 
+    def test_refused_vector_leaves_no_half_entry(self):
+        # The index refuses a zero vector; the request must stay uncached
+        # so a retry with a good embedding is inserted and can hit.
+        cache = _cache()
+        req = make_request()
+        with pytest.raises(ValueError):
+            cache.put(req, np.zeros(64), 0.5, tokens=10)
+        assert len(cache) == 0 and len(cache._index) == 0
+        cache.put(req, req.latent, 0.5, tokens=10)
+        [hit] = _probe(cache, make_request(request_id="again"), req.latent)
+        assert hit.example.example_id == req.request_id
+
+    @pytest.mark.parametrize("quality", [math.nan, -0.1, 1.5])
+    def test_put_refuses_quality_outside_unit_interval(self, quality):
+        cache = _cache()
+        req = make_request()
+        with pytest.raises(ValueError, match="response_quality"):
+            cache.put(req, req.latent, quality, tokens=10)
+        assert len(cache) == 0 and len(cache._index) == 0
+
     def test_hit_rate_accounting(self):
         cache = _cache(threshold=0.9)
         req = make_request()

@@ -10,9 +10,10 @@ import pytest
 
 from repro.core.client import ICCacheClient
 from repro.core.config import ICCacheConfig, ManagerConfig
-from repro.core.service import ICCacheService, ServeOutcome
+from repro.core.service import ICCacheService
 from repro.judge import evaluate_pairwise
 from repro.llm.zoo import get_model
+from repro.pipeline.context import ServeContext
 from repro.pipeline.stats import ServiceStats
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
 from repro.workload.datasets import SyntheticDataset
@@ -42,16 +43,15 @@ class TestPublicSurface:
         import repro
         import repro.core as core
 
-        for name in ("ICCacheService", "ServeOutcome", "ICCacheClient",
-                     "ICCacheConfig"):
+        for name in ("ICCacheService", "ICCacheClient", "ICCacheConfig"):
             assert hasattr(core, name), name
         assert repro.ICCacheService is ICCacheService
 
-    def test_serve_outcome_fields(self):
-        fields = {f.name for f in ServeOutcome.__dataclass_fields__.values()}
+    def test_serve_context_fields(self):
+        fields = {f.name for f in ServeContext.__dataclass_fields__.values()}
         assert {"request", "result", "choice", "examples",
                 "admitted_example", "bypassed"} <= fields
-        assert isinstance(ServeOutcome.offloaded, property)
+        assert isinstance(ServeContext.offloaded, property)
 
     def test_stats_surface(self):
         stats = ServiceStats()
@@ -67,23 +67,23 @@ class TestFacadeCallSites:
     the cluster drives ``pipeline.route_batch`` / ``pipeline.on_complete``;
     benchmarks and examples call them exactly like this."""
 
-    def test_serve_returns_serve_outcome(self):
+    def test_serve_returns_serve_context(self):
         service, dataset = _small_service(seed=71)
         outcome = service.serve(dataset.online_requests(1)[0], load=0.2)
-        assert isinstance(outcome, ServeOutcome)
+        assert isinstance(outcome, ServeContext)
         assert outcome.result.model_name == outcome.choice.model_name
         assert isinstance(outcome.offloaded, bool)
 
     def test_serve_positional_load_still_accepted(self):
         service, dataset = _small_service(seed=72)
         outcome = service.serve(dataset.online_requests(1)[0], 0.2)
-        assert isinstance(outcome, ServeOutcome)
+        assert isinstance(outcome, ServeContext)
 
     def test_serve_batch_returns_outcome_list(self):
         service, dataset = _small_service(seed=73)
         outcomes = service.serve_batch(dataset.online_requests(4), load=0.2)
         assert len(outcomes) == 4
-        assert all(isinstance(o, ServeOutcome) for o in outcomes)
+        assert all(isinstance(o, ServeContext) for o in outcomes)
 
     def test_pipeline_route_batch_contract(self):
         # The batch router pairs with pipeline.on_complete; routed alone,
@@ -263,10 +263,41 @@ class TestServeBatch:
         assert service.stats.bypasses == 3
 
 
+class TestLoadRefusal:
+    """A ``load`` outside [0, inf) would pin the router's load EMA for the
+    rest of the run (an ``inf`` holds the bias at its ceiling, a NaN reads
+    as no bias); it is refused before anything moves."""
+
+    @pytest.mark.parametrize("load", [float("nan"), float("inf"),
+                                      float("-inf"), -0.5])
+    @pytest.mark.parametrize("entry", ["serve", "serve_batch"])
+    def test_bad_load_is_refused_before_anything_moves(self, entry, load):
+        service, dataset = _small_service(seed=3)
+        service.serve(dataset.online_requests(1)[0], load=0.1)
+        requests = dataset.online_requests(2)
+        ema_count = service.router.load_ema.count
+        ema_value = service.router.load_ema.value
+        served = service.stats.served
+        rng_state = service._rng.bit_generator.state
+        with pytest.raises(ValueError, match="load"):
+            if entry == "serve":
+                service.serve(requests[0], load=load)
+            else:
+                service.serve_batch(requests, load=load)
+        assert service.router.load_ema.count == ema_count
+        assert service.router.load_ema.value == ema_value
+        assert service.stats.served == served
+        assert service._rng.bit_generator.state == rng_state
+        # The next good load is averaged as if the bad call never came.
+        service.serve(requests[0], load=0.1)
+        assert service.router.load_ema.value == pytest.approx(0.1)
+
+
 class TestRouterDisabled:
     def test_router_disabled_always_offloads(self):
         config = ICCacheConfig(seed=6, manager=ManagerConfig(sanitize=False))
-        service = ICCacheService(config, router_enabled=False)
+        service = ICCacheService(config)
+        service.router_enabled = False
         dataset = SyntheticDataset("alpaca", scale=0.002, seed=6)
         service.seed_cache(dataset.example_bank_requests()[:50])
         outcomes = [service.serve(r) for r in dataset.online_requests(20)]
@@ -276,7 +307,8 @@ class TestRouterDisabled:
 class TestSelectorDisabled:
     def test_selector_disabled_serves_without_examples(self):
         config = ICCacheConfig(seed=7, manager=ManagerConfig(sanitize=False))
-        service = ICCacheService(config, selector_enabled=False)
+        service = ICCacheService(config)
+        service.selector_enabled = False
         dataset = SyntheticDataset("alpaca", scale=0.002, seed=7)
         service.seed_cache(dataset.example_bank_requests()[:50])
         outcomes = [service.serve(r) for r in dataset.online_requests(20)]

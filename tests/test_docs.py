@@ -144,7 +144,7 @@ def test_doc_imports_resolve(path: Path, line: str):
 #: ``src/`` past it raises the number in its own diff and says in
 #: ``CHANGES.md`` which deletion pays the growth back; a PR that shrinks
 #: ``src/`` lowers it to its result.
-SRC_LINE_CEILING = 13_964
+SRC_LINE_CEILING = 13_670
 
 
 def test_src_stays_under_its_line_ceiling():
@@ -168,6 +168,9 @@ def test_src_stays_under_its_line_ceiling():
 #: one ``ExampleCache`` over one ``IVFIndex``, and no sharded fan-out.  Also
 #: every config field no experiment set: each is a module constant beside
 #: the module that reads it (``OPTION_SURFACE`` lists what stays settable).
+#: Also the second way to assemble a system: no string-keyed registry, no
+#: ``from_config``, no policy no experiment runs, and no copy of the
+#: ``ServeContext`` a serve returns.
 DELETED_FROM_SRC = [
     "repro.llm.prompts",
     "repro.workload.preprocess",
@@ -234,6 +237,19 @@ DELETED_FROM_SRC = [
     *(f"repro.core.config.ICCacheConfig.{name}" for name in (
         "embedding_dim", "embedder_noise", "feedback_sample_rate",
         "feedback_noise")),
+    "repro.pipeline.registry",
+    "repro.pipeline.core.ICCachePipeline.from_config",
+    "repro.pipeline.FixedModelRouting",
+    "repro.pipeline.policies.FixedModelRouting",
+    "repro.pipeline.RandomRetentionAdmission",
+    "repro.pipeline.policies.RandomRetentionAdmission",
+    "repro.pipeline.policies.build_ic_cache",
+    "repro.pipeline.policies.build_naive_cache",
+    "repro.pipeline.policies.build_rag",
+    "repro.pipeline.context.ServeContext.tenant",
+    "repro.core.ServeOutcome",
+    "repro.core.service.ServeOutcome",
+    "repro.core.service.ICCacheService._outcome",
 ]
 
 #: Every value a caller can set, each with the caller that sets a second

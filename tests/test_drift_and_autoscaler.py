@@ -106,6 +106,20 @@ class TestBiasAutoscaler:
         with pytest.raises(ValueError):
             scaler.observe(bias=-1.0, utilization=0.5)
 
+    @pytest.mark.parametrize("bias, utilization", [
+        (float("nan"), 0.5), (float("inf"), 0.5),
+        (2.0, float("nan")), (2.0, float("inf")),
+    ])
+    def test_non_finite_observation_is_refused_before_the_emas_move(
+            self, bias, utilization):
+        # A NaN passes a bare ``< 0`` test and pins its EMA: the scaler
+        # would then hold on every tick of a saturated cluster.
+        scaler = BiasAutoscaler()
+        with pytest.raises(ValueError, match="finite"):
+            scaler.observe(bias=bias, utilization=utilization)
+        assert scaler.bias_ema.count == scaler.utilization_ema.count == 0
+        assert scaler.observe(bias=2.0, utilization=1.5).action == "scale_up"
+
 
 class TestScalingApplication:
     """Applying ScalingDecisions live, clamped to the GPU budget."""

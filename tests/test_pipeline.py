@@ -1,9 +1,10 @@
 """Tests for the pluggable serving-policy pipeline.
 
-The acceptance bar of the redesign: every registered policy — IC-Cache and
-all four baselines — drives :class:`ClusterSimulator` through the same
-protocols and produces a valid :class:`ServingReport`, and the inline /
-batched / cluster entry points share one pipeline implementation.
+The acceptance bar of the redesign: every serving system the cluster
+benchmarks compare — IC-Cache, semantic caching and RouteLLM — drives
+:class:`ClusterSimulator` through the same protocols and produces a valid
+:class:`ServingReport`, and the inline / batched / cluster entry points
+share one pipeline implementation.
 """
 
 import numpy as np
@@ -15,23 +16,37 @@ from repro.core.service import ICCacheService
 from repro.pipeline import (
     AdmissionPolicy,
     ICCachePipeline,
-    NullAdmission,
-    RandomRetentionAdmission,
     RetrievalPolicy,
     RoutingPolicy,
     ServeMiddleware,
-    registry,
 )
-from repro.pipeline.policies import ICAdmission
+from repro.pipeline.policies import (
+    ICAdmission,
+    build_routellm,
+    build_semantic_cache,
+)
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
 from repro.serving.records import ServingReport
 from repro.workload.datasets import SyntheticDataset
 
-ALL_POLICIES = ("ic-cache", "semantic-cache", "rag", "routellm", "naive-cache")
-
 
 def _config(seed):
     return ICCacheConfig(seed=seed, manager=ManagerConfig(sanitize=False))
+
+
+def _ic_cache(config, history):
+    service = ICCacheService(config)
+    service.seed_cache(history)
+    return service.pipeline
+
+
+#: Each system the cluster benchmarks compare, built from (config, history).
+SYSTEMS = {
+    "ic-cache": _ic_cache,
+    "semantic-cache": lambda config, history: build_semantic_cache(
+        config, history=history),
+    "routellm": lambda config, history: build_routellm(config),
+}
 
 
 def _cluster(pipeline):
@@ -44,14 +59,13 @@ def _cluster(pipeline):
                                           gpu_budget=16))
 
 
-class TestRegistrySweep:
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
+class TestSystemSweep:
+    @pytest.mark.parametrize("policy", SYSTEMS)
     def test_policy_drives_cluster_end_to_end(self, policy):
         seed = 31
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
         history = dataset.example_bank_requests()[:60]
-        pipeline = registry.build_policy(
-            policy, config=_config(seed), dataset=dataset, history=history)
+        pipeline = SYSTEMS[policy](_config(seed), history)
         assert isinstance(pipeline, ICCachePipeline)
         # Every stage object conforms to its protocol, baselines included:
         # each comparison system plugs in as itself, unwrapped.
@@ -76,15 +90,14 @@ class TestRegistrySweep:
             assert record.finish_s >= record.start_s >= record.arrival_s
         assert 0.0 < pipeline.stats.mean_quality <= 1.0
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("policy", SYSTEMS)
     def test_policy_drives_micro_batched_run(self, policy):
         from repro.serving.engine import BatchPolicy
 
         seed = 33
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
-        pipeline = registry.build_policy(
-            policy, config=_config(seed), dataset=dataset,
-            history=dataset.example_bank_requests()[:40])
+        pipeline = SYSTEMS[policy](
+            _config(seed), dataset.example_bank_requests()[:40])
         sim = _cluster(pipeline)
         requests = dataset.online_requests(24)
         arrivals = [(i * 0.05, r) for i, r in enumerate(requests)]
@@ -102,30 +115,13 @@ class TestRegistrySweep:
         history = dataset.example_bank_requests()[:80]
         online = dataset.online_requests(30)
 
-        ic = registry.build_policy("ic-cache", config=_config(seed),
-                                   history=history)
-        route = registry.build_policy("routellm", config=_config(seed))
+        ic = _ic_cache(_config(seed), history)
+        route = build_routellm(_config(seed))
         ic_ctxs = ic.run_batch(online, load=0.2)
         route_ctxs = route.run_batch(online, load=0.2)
         assert any(c.examples for c in ic_ctxs)
         assert all(not c.examples for c in route_ctxs)
         assert all(c.result.n_examples == 0 for c in route_ctxs)
-
-    def test_unknown_policy_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="ic-cache"):
-            registry.build_policy("no-such-policy")
-
-    def test_available_lists_builtins(self):
-        assert set(ALL_POLICIES) <= set(registry.available("policy"))
-        assert "ic-cache" in registry.available("retrieval")
-        assert "routellm" in registry.available("routing")
-        assert "naive-random" in registry.available("admission")
-        with pytest.raises(ValueError):
-            registry.available("bogus-kind")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("policy", "ic-cache")(lambda **kw: None)
 
 
 class TestOnePipelinePath:
@@ -192,53 +188,31 @@ class TestOnePipelinePath:
         assert outcome.bypassed   # funnelled through the section-5 bypass
 
 
-class TestFromConfig:
-    def test_component_swap_by_registry_key(self):
-        pipeline = ICCachePipeline.from_config(
-            _config(51), routing="routellm", learning=False)
-        assert isinstance(pipeline.routing, RouteLLMRouter)
-        assert pipeline.service is not None
+class TestStageSwap:
+    def test_assigned_routing_serves_and_flags_stay_live(self):
+        # A stage is swapped by assigning the attribute; the service's
+        # selector_enabled / router_enabled setters keep acting on its own
+        # stages (the Fig. 16/20 ablation pattern).
+        service = ICCacheService(_config(51))
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=51)
+        service.seed_cache(dataset.example_bank_requests()[:60])
+        pipeline = service.pipeline
+        pipeline.routing = RouteLLMRouter(service.small_name,
+                                          service.large_name, seed=51)
         ctxs = pipeline.run_batch(dataset.online_requests(10), load=0.1)
         assert len(ctxs) == 10
-        # RouteLLM never solicits bandit feedback; learning stripped.
+        assert {c.choice.model_name for c in ctxs} <= set(pipeline.models)
+        # RouteLLM never solicits bandit feedback.
         assert pipeline.stats.router_updates == 0
 
-    def test_component_swap_by_instance(self):
-        pipeline = ICCachePipeline.from_config(
-            _config(52), admission=NullAdmission())
-        before = len(pipeline.service.cache)
-        dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=52)
-        pipeline.run_batch(dataset.online_requests(5))
-        assert len(pipeline.service.cache) == before   # nothing admitted
-
-    def test_swap_keeps_live_ablation_flags(self):
-        # Swapping IC components by key must hand back the service's own
-        # policy objects, so the selector_enabled/router_enabled setters
-        # keep working (the Fig. 16/20 ablation pattern).
-        pipeline = ICCachePipeline.from_config(
-            _config(59), retrieval="ic-cache", routing="ic-cache")
-        service = pipeline.service
-        service.seed_cache(SyntheticDataset(
-            "ms_marco", scale=0.0005, seed=59).example_bank_requests()[:60])
+        pipeline.routing = service._ic_routing
         service.selector_enabled = False
         service.router_enabled = False
-        dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=59)
+        assert not service._ic_retrieval.enabled
+        assert not service._ic_routing.enabled
         ctxs = pipeline.run_batch(dataset.online_requests(8), load=0.2)
         assert all(not c.examples for c in ctxs)
         assert all(c.choice.model_name == service.small_name for c in ctxs)
-
-    def test_naive_cache_admits_fraction(self):
-        seed = 53
-        dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
-        full = registry.build_policy("ic-cache", config=_config(seed))
-        naive = registry.build_policy("naive-cache", config=_config(seed),
-                                      fraction=0.3)
-        assert isinstance(naive.admission, RandomRetentionAdmission)
-        requests = dataset.online_requests(60)
-        full.run_batch(requests, load=0.2)
-        naive.run_batch(requests, load=0.2)
-        assert 0 < len(naive.service.cache) < len(full.service.cache)
 
 
 class TestStatsRunningMean:
@@ -267,9 +241,8 @@ class TestSemanticCachePolicy:
     def test_hits_become_in_context_examples(self):
         seed = 55
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
-        pipeline = registry.build_policy(
-            "semantic-cache", config=_config(seed),
-            history=dataset.example_bank_requests()[:120],
+        pipeline = build_semantic_cache(
+            _config(seed), history=dataset.example_bank_requests()[:120],
             similarity_threshold=0.85)
         # One object serves all three stages.
         assert isinstance(pipeline.retrieval, SemanticCache)
@@ -287,7 +260,7 @@ class TestSemanticCachePolicy:
     def test_completed_requests_are_inserted(self):
         seed = 56
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
-        pipeline = registry.build_policy("semantic-cache", config=_config(seed))
+        pipeline = build_semantic_cache(_config(seed))
         cache = pipeline.retrieval
         assert len(cache) == 0
         pipeline.run_batch(dataset.online_requests(5))
@@ -298,9 +271,8 @@ class TestSemanticCachePolicy:
         # served by the small model must not ratchet cache quality down.
         seed = 58
         dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=seed)
-        pipeline = registry.build_policy(
-            "semantic-cache", config=_config(seed),
-            history=dataset.example_bank_requests()[:120],
+        pipeline = build_semantic_cache(
+            _config(seed), history=dataset.example_bank_requests()[:120],
             similarity_threshold=0.85)
         cache = pipeline.retrieval
         warm = len(cache)

@@ -1,5 +1,6 @@
 """Unit tests for the event runtime: loop determinism and the sources."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import ICCacheConfig, ManagerConfig
@@ -314,6 +315,24 @@ class TestMaintenanceTickSource:
         with pytest.raises(ValueError, match="expected_reuse"):
             MaintenanceTickSource(service, interval_s=10.0, horizon_s=30.0,
                                   expected_reuse=reuse)
+
+    @pytest.mark.parametrize("reuse", [0.0, float("nan"), float("inf")])
+    def test_a_refused_pass_has_run_no_part_of_itself(self, reuse):
+        service, dataset = self._service()
+        for request in dataset.online_requests(20):
+            service.serve(request, load=0.2)
+        service.clock.advance_to(7200.0)   # two decay periods due
+        columns = ("gain_ema__value", "offload_gain__value")
+        gains = [service.cache.table.col(c).copy() for c in columns]
+        size = len(service.cache)
+        last_decay = service.manager._last_decay
+        with pytest.raises(ValueError, match="expected_reuse"):
+            service.run_maintenance(replay=True, expected_reuse=reuse)
+        assert service.manager._last_decay == last_decay
+        assert len(service.cache) == size
+        for column, before in zip(columns, gains):
+            np.testing.assert_array_equal(
+                service.cache.table.col(column), before)
 
     def test_replay_pass_touches_cache_online(self):
         service, dataset = self._service()
