@@ -17,6 +17,7 @@ from repro.core.example import Example
 from repro.core.table import ExampleTable
 from repro.vectorstore.flat import _EPS
 from repro.vectorstore.ivf import IVFIndex
+from repro.workload.request import check_record
 
 
 @contextmanager
@@ -119,9 +120,10 @@ class ExampleCache:
             self._journal("retrain", {"trainings": trainings})
 
     def _check_insertable(self, example: Example, previous=None) -> None:
-        """Refuse what the table or the index would refuse, before the
-        journal records and before the table is mutated, so a rejected add
-        or overwrite leaves the cache and its journal as they were."""
+        """Refuse what the table, the index, the journal or the snapshot
+        would refuse, before the journal records and before the table is
+        mutated, journal or not, so a rejected add or overwrite leaves the
+        cache and its journal as they were."""
         if example is not previous and \
                 example.__dict__["_table"]._owners is not None:
             raise ValueError(
@@ -133,6 +135,17 @@ class ExampleCache:
         if not _EPS <= example.embedding_norm < np.inf:     # NaN fails too
             raise ValueError(f"cannot index a zero vector (or a non-finite "
                              f"one) for {example.example_id!r}")
+        check_record(example)
+        # A snapshot stores the pool's latents as one (n, dim) matrix.
+        for pool in self._examples.values():
+            if pool is not previous:
+                shape = np.shape(example.request.latent)
+                if shape != np.shape(pool.request.latent):
+                    raise ValueError(
+                        f"example {example.example_id!r}: 'latent' shape "
+                        f"{shape} is not the pool's, "
+                        f"{np.shape(pool.request.latent)}")
+                break
 
     def add(self, example: Example) -> None:
         if example.example_id in self._examples:

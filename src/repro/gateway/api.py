@@ -19,23 +19,16 @@ observables (decision, quality, latency decomposition); errors are
 
 from __future__ import annotations
 
-import base64
-import json
-import math
 import re
-
-import numpy as np
+import sys
 
 from repro.serving.records import ServedRequest
-from repro.workload.request import Request, TaskType
+from repro.workload.request import KINDS, REQUEST_RECORD, Request, check_record
 
 #: Bytes a start or header line may run to, and header lines a message may
 #: hold: past either the framing is lost, so no peer keeps the parser busy.
 MAX_LINE_BYTES = 64 * 1024
 MAX_HEADERS = 100
-_F8 = np.dtype("<f8")       # the latent on the wire: little-endian float64
-#: What no UTF-8 encoder takes: JSON's ``\\ud800`` escape decodes to one.
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 #: The blank line, from the newline before it (a literal first: a memchr).
 _HEAD_END = re.compile(rb"\n\r?\n")
@@ -80,9 +73,15 @@ def frame_head(buffer: bytearray,
     return start, headers, match.end(), length
 
 
+#: (field, kind, what the kind is, wire default) for each request field.
+_FIELDS = [(name, kind, KINDS[kind], default)
+           for name, kind, _, default in REQUEST_RECORD]
+
+
 def request_to_payload(request: Request,
                        arrival_time: float | None = None) -> dict:
-    """Serialize a request for the wire.
+    """Serialize a request for the wire: every field of
+    :data:`~repro.workload.request.REQUEST_RECORD`, by its kind.
 
     ``arrival_time`` is the *gateway scheduling* stamp — when this arrival
     happens on the gateway's logical clock.  It rides the envelope key
@@ -92,69 +91,36 @@ def request_to_payload(request: Request,
     compares bit-for-bit).  Omit it and the gateway schedules the arrival
     at its current watermark.
     """
-    payload = {
-        "request_id": request.request_id,
-        "dataset": request.dataset,
-        "task": request.task.value,
-        "text": request.text,
-        "latent": base64.b64encode(
-            np.asarray(request.latent, dtype=_F8).tobytes()).decode("ascii"),
-        "topic_id": int(request.topic_id),
-        "difficulty": float(request.difficulty),
-        "prompt_tokens": int(request.prompt_tokens),
-        "target_output_tokens": int(request.target_output_tokens),
-        "arrival_time": float(request.arrival_time),
-        "metadata": dict(request.metadata),
-    }
+    payload = {name: kind.to_wire(getattr(request, name))
+               for name, _, kind, _ in _FIELDS}
     if arrival_time is not None:
         payload["gateway_arrival_s"] = float(arrival_time)
     return payload
 
 
 def request_from_payload(payload: dict) -> Request:
-    """Rebuild a :class:`Request` from its wire form (validating shape)."""
+    """Rebuild a :class:`Request` from its wire form: each field parsed by
+    its kind (an absent one takes its wire default), then
+    :func:`~repro.workload.request.check_record`.  Anything refused is a
+    :class:`PayloadError` naming the field."""
+    if not isinstance(payload, dict):
+        raise PayloadError("bad request payload: not a JSON object")
+    fields = {}
+    for name, kind_name, kind, default in _FIELDS:
+        value = payload.get(name, default)
+        try:
+            if type(value) not in kind.wire:
+                raise TypeError("missing" if value is ...
+                                else f"got {value!r:.40}")
+            fields[name] = kind.from_wire(value)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise PayloadError(f"bad request payload: '{name}' is not a "
+                               f"wire {kind_name} ({exc})") from exc
     try:
-        latent = payload["latent"]
-        if not isinstance(latent, str):
-            raise TypeError("'latent' must be base64 of little-endian "
-                            f"float64 bytes, not {type(latent).__name__}")
-        latent = np.frombuffer(base64.b64decode(latent, validate=True),
-                               _F8).copy()
-        if not latent @ latent < math.inf:  # a NaN, an inf, a norm overflow
-            raise ValueError("'latent' must be finite, with a finite norm")
-        texts = {"request_id": str(payload["request_id"]),
-                 "dataset": str(payload.get("dataset", "gateway")),
-                 "text": str(payload["text"])}
-        counts = {"topic_id": int(payload.get("topic_id", 0)),
-                  "prompt_tokens": int(payload.get("prompt_tokens", 0)),
-                  "target_output_tokens": int(
-                      payload.get("target_output_tokens", 64))}
-        metadata = dict(payload.get("metadata", {}))
-        _check_journalable(texts, counts, metadata)
-        return Request(
-            task=TaskType(payload["task"]),
-            latent=latent,
-            difficulty=float(payload.get("difficulty", 0.5)),
-            arrival_time=float(payload.get("arrival_time", 0.0)),
-            metadata=metadata,
-            **texts, **counts,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        check_record(fields)
+        return Request(**fields)
+    except ValueError as exc:
         raise PayloadError(f"bad request payload: {exc}") from exc
-
-
-def _check_journalable(texts: dict, counts: dict, metadata: dict) -> None:
-    """Refuse, naming the field, what the cache could not hash or journal:
-    an integer outside int64, or a string that is not UTF-8 text."""
-    for name, value in counts.items():
-        if not -2 ** 63 <= value < 2 ** 63:
-            raise ValueError(f"'{name}' must fit in int64, not {value}")
-    if metadata:
-        texts = {**texts, "metadata": json.dumps(metadata, ensure_ascii=False)}
-    for name, value in texts.items():
-        if _SURROGATE.search(value):
-            raise ValueError(f"'{name}' is not UTF-8 text: it holds a "
-                             "surrogate code point")
 
 
 def arrival_from_payload(payload: dict) -> float | None:
@@ -162,11 +128,11 @@ def arrival_from_payload(payload: dict) -> float | None:
     number — ``inf`` would park the session's logical clock, ``nan`` poison
     it, so anything else is refused at the edge."""
     stamp = payload.get("gateway_arrival_s")
-    if stamp is not None and (isinstance(stamp, bool) or not isinstance(
-            stamp, (int, float)) or not math.isfinite(stamp)):
-        raise PayloadError("'gateway_arrival_s' must be absent or a finite "
-                           f"number, not {stamp!r}")
-    return stamp
+    if stamp is None or type(stamp) in (int, float) and \
+            abs(stamp) <= sys.float_info.max:
+        return stamp
+    raise PayloadError("'gateway_arrival_s' must be absent or a finite "
+                       f"number, not {stamp!r:.40}")
 
 
 def record_to_payload(record: ServedRequest) -> dict:

@@ -228,11 +228,13 @@ class SimulatedLLM:
         examples = examples or []
         quality, boost, rng = self._draw(request, examples)
         prompt_tokens = self.prompt_tokens_with_examples(request, examples)
-        output_tokens = max(2, int(round(
+        # Capped like the prompt: one request cannot hold a replica longer
+        # than a full context window takes to decode.
+        output_tokens = min(max(2, int(round(
             request.target_output_tokens * self.spec.verbosity
             * (ICL_DECODE_SHRINK if examples else 1.0)
             * float(rng.lognormal(0.0, 0.08))
-        )))
+        ))), self.spec.max_context_tokens)
         cost = (prompt_tokens + output_tokens) / 1000.0 * self.spec.cost_per_1k_tokens
         return GenerationResult(
             model_name=self.spec.name,

@@ -81,26 +81,20 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         f"{total_bytes} plaintext bytes, columnar pool",
     ]
     # The pool: one line per bookkeeping column, then the string blobs
-    # and the dense matrices.
+    # and the dense matrices, as the section stores them.
     for name, arr in columns["bookkeeping"].items():
         arr = np.asarray(arr)
         lines.append(f"  col {name:<30} {arr.dtype.str:>5} "
                      f"{arr.nbytes:>10} bytes")
-    blobs = [("ids", columns["ids"]),
-             ("response_texts", columns["response_texts"]),
-             ("source_models", columns["source_models"])] + [
-            (f"request.{key}", columns["request"][key])
-            for key in ("request_ids", "datasets", "tasks",
-                        "texts", "metadata")]
-    for name, blob in blobs:
-        data = np.asarray(blob["data"])
-        lines.append(f"  str {name:<30} utf-8 "
-                     f"{data.nbytes:>10} bytes")
-    for name, arr in (("embeddings", columns["embeddings"]),
-                      ("request.latents", columns["request"]["latents"])):
-        arr = np.asarray(arr)
-        lines.append(f"  mat {name:<30} {arr.dtype.str:>5} "
-                     f"{arr.nbytes:>10} bytes  shape {arr.shape}")
+    stored = [*columns.items(), *((f"request.{key}", value) for key, value
+                                  in columns["request"].items())]
+    lines += [f"  str {name:<30} utf-8 {np.asarray(blob['data']).nbytes:>10}"
+              " bytes" for name, blob in stored
+              if isinstance(blob, dict) and "offsets" in blob]
+    for name, arr in stored:
+        if np.ndim(arr) == 2:
+            lines.append(f"  mat {name:<30} {arr.dtype.str:>5} "
+                         f"{arr.nbytes:>10} bytes  shape {arr.shape}")
     lines += [
         f"index:         {len(index['keys'])} rows, "
         f"{0 if index['centroids'] is None else index['centroids'].shape[0]}"

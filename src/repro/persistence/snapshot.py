@@ -52,7 +52,6 @@ Custom ``models=`` objects are code, not state, and must be re-supplied to
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -74,7 +73,17 @@ from repro.core.config import (
 from repro.core.example import Example
 from repro.core.table import COLUMN_SCHEMA, EMBEDDING, ExampleTable, attached_rows
 from repro.vectorstore.ivf import IVFIndex
-from repro.workload.request import Request, TaskType
+from repro.workload.request import (
+    KINDS,
+    RECORD,
+    REQUEST_RECORD,
+    Kind,
+    Request,
+    decode_array,
+    encode_array,
+    record_fields,
+    record_getter,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.service import ICCacheService
@@ -87,28 +96,7 @@ SNAPSHOT_VERSION = 8
 SIDECAR_ALIGN = 64
 
 
-# -- JSON-safe encoding of numpy state ------------------------------------
-
-def encode_array(array: np.ndarray) -> dict:
-    """One ndarray as a JSON-safe record, bit-exact.
-
-    Raw bytes (base64) plus ``dtype.str`` — which includes byte order — and
-    shape.  Never textual floats: ``repr`` round-trips in Python but a raw
-    byte image is unambiguous across readers and obviously exact.
-    """
-    arr = np.ascontiguousarray(array)
-    return {
-        "__ndarray__": base64.b64encode(arr.tobytes()).decode("ascii"),
-        "dtype": arr.dtype.str,
-        "shape": list(arr.shape),
-    }
-
-
-def decode_array(record: dict) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(record["__ndarray__"]),
-                        dtype=np.dtype(record["dtype"]))
-    return arr.reshape(record["shape"]).copy()
-
+# -- columns and the sidecar -------------------------------------------
 
 def encode_str_column(strings: list[str]) -> dict:
     """A string column as one offset-indexed UTF-8 blob (two arrays).
@@ -216,8 +204,8 @@ def _encode(obj, sidecar: SidecarBuilder | None = None):
     """Recursively convert a state structure into JSON-serializable form.
 
     With a ``sidecar`` builder, array bytes go to the sidecar and the JSON
-    gets an ``__extarray__`` reference; without one (a request's metadata
-    blob, see :func:`metadata_blob`), arrays inline as base64.
+    gets an ``__extarray__`` reference; without one, arrays inline as
+    :func:`~repro.workload.request.encode_array` writes them.
     """
     if isinstance(obj, np.ndarray):
         return sidecar.add(obj) if sidecar is not None else encode_array(obj)
@@ -235,8 +223,8 @@ def _encode(obj, sidecar: SidecarBuilder | None = None):
 def _decode(obj, sidecar: SidecarReader | None = None):
     """Inverse of :func:`_encode` (arrays come back as ndarrays).
 
-    Inline base64 (request metadata) decodes to a fresh array,
-    ``__extarray__`` resolves to a copy-on-write view of the mapped sidecar.
+    Inline base64 decodes to a fresh array, ``__extarray__`` resolves to a
+    copy-on-write view of the mapped sidecar.
     """
     # Exact type checks: json.loads only ever yields dict/list/str/int/
     # float/bool/None, and this walk visits every node of a snapshot (tens
@@ -256,21 +244,6 @@ def _decode(obj, sidecar: SidecarReader | None = None):
     if t is list:
         return [_decode(value, sidecar) for value in obj]
     return obj
-
-
-def metadata_blob(metadata: dict) -> str:
-    """``request.metadata`` as one string: ``""`` for the common empty dict,
-    else JSON run through :func:`_encode` first, so embedded ndarrays keep a
-    bit-exact base64 encoding.  The snapshot's metadata column and the
-    journal's ``add`` frames both carry this form."""
-    if not metadata:
-        return ""
-    return json.dumps(_encode(metadata), separators=(",", ":"))
-
-
-def metadata_from_blob(blob: str) -> dict:
-    """Inverse of :func:`metadata_blob`."""
-    return _decode(json.loads(blob)) if blob else {}
 
 
 # -- component records ------------------------------------------------------
@@ -316,8 +289,48 @@ def restore_counters(manager, data: dict) -> None:
     manager.evictions = int(data["evictions"])
 
 
+#: The snapshot's groups: the example's strings at the top of the section,
+#: the request's strings, vectors and scalars under ``request``.
+_EXAMPLE_TEXTS = record_fields(RECORD[:-len(REQUEST_RECORD)], "s")
+_FIELDS = _EXAMPLE_TEXTS + tuple(f for codes in ("s", "v", "qd")
+                                 for f in record_fields(REQUEST_RECORD, codes))
+_field_values = record_getter(_FIELDS)
+
+
+def _column(examples: list, name: str, kind: Kind, values) -> object:
+    """One field of the pool as its stored column."""
+    if kind.code == "s":
+        return encode_str_column(values if kind.to_text is None
+                                 else list(map(kind.to_text, values)))
+    if kind.code != "v":
+        return np.fromiter(values, dtype="<" + kind.code, count=len(values))
+    if not examples:
+        return np.empty((0, 0))
+    vectors = [np.asarray(v, dtype=float) for v in values]
+    shape = vectors[0].shape
+    for example, vector in zip(examples, vectors):
+        if vector.ndim != 1 or vector.shape != shape:
+            raise ValueError(
+                f"example {example.example_id!r} has {name} shape "
+                f"{vector.shape}, the pool's is {shape}; a snapshot "
+                "stores one (n, dim) matrix per field")
+    return np.stack(vectors)
+
+
+def _read(kind: Kind, column) -> list:
+    """A stored column back as the pool's values, row by row."""
+    if kind.code == "s":
+        texts = decode_str_column(column)
+        return texts if kind.from_text is None \
+            else list(map(kind.from_text, texts))
+    if kind.code != "v":
+        return np.asarray(column).tolist()
+    return np.asarray(column, dtype=float)
+
+
 def examples_columns_state(cache) -> dict:
-    """The example pool as bulk columns + string blobs.
+    """The example pool as bulk columns + string blobs, one per field of
+    :data:`~repro.workload.request.RECORD` under its column key.
 
     Rows are emitted in cache-insertion order (dict order IS iteration
     order, and downstream passes — decay, replay ranking ties — iterate
@@ -325,58 +338,23 @@ def examples_columns_state(cache) -> dict:
     artifact and carry no meaning.  Embeddings are one gather of the
     table's matrix.  Raises ``ValueError`` naming the example when a latent
     does not share the pool's 1-D shape: such a pool has no ``(n, dim)``
-    latent matrix, and nothing is written (an embedding of another shape
-    never gets in: ``Example`` and the cache's ``add`` refuse it).
+    latent matrix, and nothing is written (``cache.add`` refuses such a
+    latent; a latent rebound in place afterwards meets this check).
     """
     examples = list(cache)
     n = len(examples)
-    ids = [ex.example_id for ex in examples]
-    requests = [ex.request for ex in examples]
-    latents = [np.asarray(r.latent, dtype=float) for r in requests]
-    if latents:
-        shape = latents[0].shape
-        for example, latent in zip(examples, latents):
-            if latent.ndim != 1 or latent.shape != shape:
-                raise ValueError(
-                    f"example {example.example_id!r} has latent shape "
-                    f"{latent.shape}, the pool's is {shape}; a snapshot "
-                    "stores one (n, dim) matrix per field"
-                )
-    table = cache.table
+    values = zip(*map(_field_values, examples)) if n else [()] * len(_FIELDS)
+    columns = {column: _column(examples, name, KINDS[kind], column_values)
+               for (name, kind, column, _), column_values in zip(_FIELDS, values)}
     rows = attached_rows(examples)[1] if n else np.empty(0, dtype=np.intp)
-    bookkeeping = table.gather(rows)
-    # The table owns the pool's one embedding matrix (and its one dim).
-    embeddings = table.col(EMBEDDING)[rows] if n else np.empty((0, 0))
     return {
         "n": n,
-        "ids": encode_str_column(ids),
-        "response_texts": encode_str_column(
-            [ex.response_text for ex in examples]),
-        "source_models": encode_str_column(
-            [ex.source_model for ex in examples]),
-        "embeddings": embeddings,
-        "bookkeeping": bookkeeping,
-        "request": {
-            "request_ids": encode_str_column(
-                [r.request_id for r in requests]),
-            "datasets": encode_str_column([r.dataset for r in requests]),
-            "tasks": encode_str_column([r.task.value for r in requests]),
-            "texts": encode_str_column([r.text for r in requests]),
-            "metadata": encode_str_column(
-                [metadata_blob(r.metadata) for r in requests]),
-            "latents": np.stack(latents) if n else np.empty((0, 0)),
-            "topic_ids": np.fromiter((r.topic_id for r in requests),
-                                     dtype=np.int64, count=n),
-            "difficulties": np.fromiter((r.difficulty for r in requests),
-                                        dtype=np.float64, count=n),
-            "prompt_tokens": np.fromiter((r.prompt_tokens for r in requests),
-                                         dtype=np.int64, count=n),
-            "target_output_tokens": np.fromiter(
-                (r.target_output_tokens for r in requests),
-                dtype=np.int64, count=n),
-            "arrival_times": np.fromiter((r.arrival_time for r in requests),
-                                         dtype=np.float64, count=n),
-        },
+        **{column: columns.pop(column) for _, _, column, _ in _EXAMPLE_TEXTS},
+        # The table owns the pool's one embedding matrix (and its one dim).
+        "embeddings": cache.table.col(EMBEDDING)[rows] if n
+        else np.empty((0, 0)),
+        "bookkeeping": cache.table.gather(rows),
+        "request": columns,
     }
 
 
@@ -394,44 +372,20 @@ def _restore_examples_columns(columns: dict) -> tuple[dict, ExampleTable]:
         n, {name: np.asarray(columns["bookkeeping"][name])
             for name, _ in COLUMN_SCHEMA},
         np.asarray(columns["embeddings"], dtype=float))
-    ids = decode_str_column(columns["ids"])
-    response_texts = decode_str_column(columns["response_texts"])
-    source_models = decode_str_column(columns["source_models"])
-    req = columns["request"]
-    request_ids = decode_str_column(req["request_ids"])
-    datasets = decode_str_column(req["datasets"])
-    tasks = decode_str_column(req["tasks"])
-    texts = decode_str_column(req["texts"])
-    metadata = decode_str_column(req["metadata"])
-    latents = np.asarray(req["latents"], dtype=float)
-    topic_ids = np.asarray(req["topic_ids"]).tolist()
-    difficulties = np.asarray(req["difficulties"]).tolist()
-    prompt_tokens = np.asarray(req["prompt_tokens"]).tolist()
-    target_output_tokens = np.asarray(req["target_output_tokens"]).tolist()
-    arrival_times = np.asarray(req["arrival_times"]).tolist()
-    task_by_value = {task.value: task for task in TaskType}
+    stored = {**columns, **columns["request"]}
+    split = len(_EXAMPLE_TEXTS)
+    own_names = [name for name, *_ in _FIELDS[:split]]
+    request_names = [name for name, *_ in _FIELDS[split:]]
     examples: dict[str, Example] = {}
-    for i in range(n):
-        # Bypass the dataclass constructor: __post_init__ validation ran
-        # when the record was first built, and serialized prompt_tokens are
-        # always the post-init (positive) values.
+    for i, row in enumerate(zip(*(_read(KINDS[kind], stored[column])
+                                  for _, kind, column, _ in _FIELDS))):
+        # Bypass the dataclass constructor: the fields come back as they
+        # were stored (``check_record`` took them into the cache).
         request = object.__new__(Request)
-        request.__dict__.update(
-            request_id=request_ids[i],
-            dataset=datasets[i],
-            task=task_by_value[tasks[i]],
-            text=texts[i],
-            latent=latents[i],
-            topic_id=topic_ids[i],
-            difficulty=difficulties[i],
-            prompt_tokens=prompt_tokens[i],
-            target_output_tokens=target_output_tokens[i],
-            arrival_time=arrival_times[i],
-            metadata=metadata_from_blob(metadata[i]),
-        )
-        examples[ids[i]] = Example._attached_view(
-            table, i, ids[i], request, response_texts[i], source_models[i],
-        )
+        request.__dict__.update(zip(request_names, row[split:]))
+        own = dict(zip(own_names, row[:split]))
+        examples[own["example_id"]] = Example._attached_view(
+            table, i, request=request, **own)
     return examples, table
 
 

@@ -57,12 +57,17 @@ from repro.core.table import EMA_STREAMS
 from repro.persistence.snapshot import (
     counters,
     load_snapshot,
-    metadata_blob,
-    metadata_from_blob,
     restore_counters,
     restore_service,
 )
-from repro.workload.request import Request, TaskType
+from repro.workload.request import (
+    KINDS,
+    RECORD,
+    REQUEST_RECORD,
+    Request,
+    record_fields,
+    record_getter,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.config import ICCacheConfig
@@ -83,8 +88,20 @@ MAGIC = b"ICWAL\x00\x02\n"
 _PREFIX = struct.Struct("<II")        # len, crc32 of the ``len`` bytes after it
 _HEAD = struct.Struct("<BIQ")         # kind, epoch, seq
 _EMAS = "2dq" * len(EMA_STREAMS) + "B"     # alpha, value, count each; flags
-#: ``ExampleTable.journal_row``, the request's scalars, both vector sizes.
-_EXAMPLE = struct.Struct("<3d2q" + _EMAS + "qd2qd2I")
+_ROW = 6 + 3 * len(EMA_STREAMS)       # the fields of ``journal_row``
+#: An ``add`` frame's groups, each in :data:`~repro.workload.request.RECORD`
+#: order: the request's scalars, every string, the request's vectors.
+_SCALARS = record_fields(REQUEST_RECORD, "qd")
+_TEXTS = record_fields(RECORD, "s")
+_VECTORS = record_fields(REQUEST_RECORD, "v")
+_scalars, _texts, _vectors = map(record_getter, (_SCALARS, _TEXTS, _VECTORS))
+_TO_TEXT, _FROM_TEXT = zip(*((KINDS[kind].to_text, KINDS[kind].from_text)
+                             for _, kind, *_ in _TEXTS))
+_NAMES = [name for name, *_ in _SCALARS + _TEXTS + _VECTORS]
+#: ``ExampleTable.journal_row``, the request's scalars, the embedding's and
+#: each vector's size.
+_EXAMPLE = struct.Struct("<3d2q" + _EMAS + "".join(
+    KINDS[kind].code for _, kind, *_ in _SCALARS) + "I" * (1 + len(_VECTORS)))
 #: quality, access_count, replay_count, the EMAs, decode-count entries.
 _REWRITE = struct.Struct("<d2q" + _EMAS + "I")
 _F8 = np.dtype("<f8")
@@ -110,43 +127,41 @@ def _unpack_strings(body: bytes, offset: int,
 
 
 def _encode_example(example) -> bytes:
-    request = example.request
-    embedding = np.asarray(example.embedding, dtype=_F8)
-    latent = np.asarray(request.latent, dtype=_F8)
-    if latent.ndim != 1:
-        raise ValueError(f"example {example.example_id!r}: latent shape "
-                         f"{latent.shape} is not 1-D")
-    return b"".join((
-        _EXAMPLE.pack(*example.journal_row(), request.topic_id,
-                      request.difficulty, request.prompt_tokens,
-                      request.target_output_tokens, request.arrival_time,
-                      embedding.size, latent.size),
-        _pack_strings(example.example_id, example.response_text,
-                      example.source_model, request.request_id,
-                      request.dataset, request.task.value, request.text,
-                      metadata_blob(request.metadata)),
-        embedding.tobytes(), latent.tobytes()))
+    vectors = [np.asarray(vector, dtype=_F8)
+               for vector in (example.embedding, *_vectors(example))]
+    if {vector.ndim for vector in vectors} != {1}:
+        raise ValueError(f"example {example.example_id!r}: vector shapes "
+                         f"{[vector.shape for vector in vectors]}, not 1-D")
+    return b"".join([
+        _EXAMPLE.pack(*example.journal_row(), *_scalars(example),
+                      *[vector.size for vector in vectors]),
+        _pack_strings(*[text if encode is None else encode(text)
+                        for encode, text in zip(_TO_TEXT, _texts(example))]),
+        *[vector.tobytes() for vector in vectors]])
 
 
 def _decode_example(body: bytes) -> dict:
     """``{"example": Example}``: a standalone example whose row is the
     frame's ``journal_row``."""
     fields = _EXAMPLE.unpack_from(body)
-    (example_id, response_text, source_model, request_id, dataset, task,
-     text, metadata), offset = _unpack_strings(body, _EXAMPLE.size, 8)
-    n_embedding, n_latent = fields[-2:]
-    request = Request(
-        request_id=request_id, dataset=dataset, task=TaskType(task),
-        text=text,
-        latent=np.frombuffer(body, _F8, n_latent,
-                             offset + 8 * n_embedding).copy(),
-        topic_id=fields[15], difficulty=fields[16],
-        prompt_tokens=fields[17], target_output_tokens=fields[18],
-        arrival_time=fields[19], metadata=metadata_from_blob(metadata))
-    example = Example(example_id, request, response_text,
-                      np.frombuffer(body, _F8, n_embedding, offset),
-                      fields[0], source_model, fields[1])
-    example.__dict__["_table"].write_journal_row(0, fields[:15])
+    texts, offset = _unpack_strings(body, _EXAMPLE.size, len(_TEXTS))
+    vectors = []
+    for size in fields[_ROW + len(_SCALARS):]:
+        vectors.append(np.frombuffer(body, _F8, size, offset))
+        offset += 8 * size
+    record = dict(zip(_NAMES, [
+        *fields[_ROW:_ROW + len(_SCALARS)],
+        *[text if decode is None else decode(text)
+          for decode, text in zip(_FROM_TEXT, texts)],
+        *[vector.copy() for vector in vectors[1:]]]))
+    # As the snapshot restores it: the fields as journaled, not re-checked
+    # by the constructor (``check_record`` took them into the cache).
+    request = object.__new__(Request)
+    request.__dict__.update({name: record.pop(name)
+                             for name, *_ in REQUEST_RECORD})
+    example = Example(request=request, embedding=vectors[0],
+                      quality=fields[0], source_cost=fields[1], **record)
+    example.__dict__["_table"].write_journal_row(0, fields[:_ROW])
     return {"example": example}
 
 

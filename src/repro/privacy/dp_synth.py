@@ -13,13 +13,13 @@ sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon per released vector.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from repro.core.example import Example
 from repro.utils.rng import make_rng, stable_hash
-from repro.workload.request import Request
 
 
 def gaussian_sigma(epsilon: float, delta: float, sensitivity: float = 1.0) -> float:
@@ -58,17 +58,12 @@ class DPSynthesizer:
         embedding = original.embedding + emb_noise
         embedding = embedding / max(1e-12, float(np.linalg.norm(embedding)))
 
-        request = Request(
+        # A fresh arrival and no metadata: the tenant is not synthesized.
+        request = dataclasses.replace(
+            original.request,
             request_id=f"dp-{index}-{original.request.request_id}",
-            dataset=original.request.dataset,
-            task=original.request.task,
-            text=f"[dp-synthetic] {original.request.text}",
-            latent=latent,
-            topic_id=original.request.topic_id,
-            difficulty=original.request.difficulty,
-            prompt_tokens=original.request.prompt_tokens,
-            target_output_tokens=original.request.target_output_tokens,
-        )
+            text=f"[dp-synthetic] {original.request.text}", latent=latent,
+            arrival_time=0.0, metadata={})
         quality = float(np.clip(
             original.quality - self._rng.uniform(0, 2 * self.quality_discount),
             0.0, 1.0,

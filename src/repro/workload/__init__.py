@@ -31,15 +31,9 @@ from repro.workload.trace import (
     poisson_trace,
 )
 from repro.workload.adversarial import (
-    CompositeTrace,
     FlashCrowd,
-    TenantSkewTrace,
-    TopicBurstTrace,
-    composite_trace,
     correlated_topic_requests,
     flash_crowd_trace,
-    tenant_skew_trace,
-    topic_burst_trace,
 )
 from repro.workload.feedback import FeedbackSimulator, PreferenceFeedback
 from repro.workload.drift import DriftingWorkload
@@ -57,15 +51,9 @@ __all__ = [
     "diurnal_trace",
     "evaluation_trace",
     "poisson_trace",
-    "CompositeTrace",
     "FlashCrowd",
-    "TenantSkewTrace",
-    "TopicBurstTrace",
-    "composite_trace",
     "correlated_topic_requests",
     "flash_crowd_trace",
-    "tenant_skew_trace",
-    "topic_burst_trace",
     "FeedbackSimulator",
     "PreferenceFeedback",
     "DriftingWorkload",

@@ -14,6 +14,8 @@ into the cache (decay + admission) as stale ones fade.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.utils.rng import make_rng, stable_hash
@@ -85,17 +87,10 @@ class DriftingWorkload:
         text = topics.render_text(topic_id, self._rng,
                                   n_words=max(3, len(request.text.split()) - 2),
                                   prefix=request.task.value)
-        return Request(
-            request_id=f"drift-{request.request_id}",
-            dataset=request.dataset,
-            task=request.task,
-            text=text,
-            latent=latent,
-            topic_id=topic_id,
-            difficulty=difficulty,
-            prompt_tokens=0,
-            target_output_tokens=request.target_output_tokens,
-        )
+        return dataclasses.replace(
+            request, request_id=f"drift-{request.request_id}", text=text,
+            latent=latent, topic_id=topic_id, difficulty=difficulty,
+            prompt_tokens=0)
 
     def historical_requests(self, n: int) -> list[Request]:
         """Phase-0 history used to seed the example bank."""

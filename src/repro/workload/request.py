@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import base64
 import enum
+import json
+import math
+import re
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +85,190 @@ class Request:
     def plaintext_bytes(self) -> int:
         """Size of the request text, used in cache-capacity accounting."""
         return len(self.text.encode("utf-8"))
+
+
+#: The cached record, declared once, as ``(field, kind, snapshot column,
+#: wire default)``: the example's own strings (not on the wire), then every
+#: :class:`Request` field in order, ``...`` marking one the gateway
+#: requires.  :data:`KINDS` says what each kind is in every format.  The
+#: gateway's wire form, the journal's ``add`` frame and the snapshot's
+#: columns are loops over it, each group (scalars, strings, vectors) in
+#: this order, and :func:`check_record` is the one check of what all three
+#: can store and give back.
+RECORD = (
+    ("example_id", "str", "ids", None),
+    ("response_text", "str", "response_texts", None),
+    ("source_model", "str", "source_models", None),
+    ("request_id", "str", "request_ids", ...),
+    ("dataset", "str", "datasets", "gateway"),
+    ("task", "task", "tasks", ...),
+    ("text", "str", "texts", ...),
+    ("latent", "vector", "latents", ...),
+    ("topic_id", "int", "topic_ids", 0),
+    ("difficulty", "float", "difficulties", 0.5),
+    ("prompt_tokens", "int", "prompt_tokens", 0),
+    ("target_output_tokens", "int", "target_output_tokens", 64),
+    ("arrival_time", "float", "arrival_times", 0.0),
+    ("metadata", "json", "metadata", {}),
+)
+#: The :class:`Request` part of :data:`RECORD`; the rest is the example's.
+REQUEST_RECORD = tuple(f for f in RECORD if f[0] in Request.__dataclass_fields__)
+#: A ``task`` by its value, the text every format stores it as.
+TASKS = {task.value: task for task in TaskType}
+#: The keys that mark an array record in the snapshot's JSON (inline, and
+#: a sidecar reference): refused in metadata at any depth, so no stored
+#: metadata reads back as an array, or fails to read back.
+ARRAY_KEYS = ("__ndarray__", "__extarray__")
+#: What no UTF-8 encoder takes: JSON's ``\\ud800`` escape decodes to one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_F8 = np.dtype("<f8")
+
+
+def _text(value) -> bool:
+    return isinstance(value, str) and (
+        value.isascii() or not _SURROGATE.search(value))
+
+
+def _json(value) -> bool:
+    """JSON :func:`metadata_from_blob` gives back as it was: objects keyed
+    by text with no key in :data:`ARRAY_KEYS`, lists, text, numbers,
+    ``null``, and numpy arrays and numbers (kept bit-exact)."""
+    if isinstance(value, dict):
+        return all([_text(key) and key not in ARRAY_KEYS and _json(item)
+                    for key, item in value.items()])
+    if isinstance(value, list):
+        return all(map(_json, value))
+    if isinstance(value, np.ndarray):
+        return not value.dtype.hasobject
+    return value is None or _text(value) or isinstance(
+        value, (int, float, np.integer, np.floating))
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """One ndarray as a JSON-safe record, bit-exact: base64 of its raw
+    bytes, its ``dtype.str`` (byte order included) and its shape."""
+    array = np.ascontiguousarray(array)
+    return {"__ndarray__": base64.b64encode(array.tobytes()).decode("ascii"),
+            "dtype": array.dtype.str, "shape": list(array.shape)}
+
+
+def decode_array(record: dict) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(record["__ndarray__"]), np.dtype(
+        record["dtype"])).reshape(record["shape"]).copy()
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return encode_array(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"{type(value).__name__} is not JSON")
+
+
+def metadata_blob(metadata: dict) -> str:
+    """``request.metadata`` as one string, as the snapshot's metadata column
+    and the journal's ``add`` frames carry it: ``""`` for the common empty
+    dict, else compact JSON, an array as :func:`encode_array` writes it."""
+    return json.dumps(metadata, separators=(",", ":"),
+                      default=_plain) if metadata else ""
+
+
+def metadata_from_blob(blob: str) -> dict:
+    """Inverse of :func:`metadata_blob`."""
+    return json.loads(blob, object_hook=lambda record: decode_array(record)
+                      if "__ndarray__" in record else record) if blob else {}
+
+
+def _finite(value) -> float:
+    # Python's json takes NaN and Infinity, and an int past a double's range.
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError("not finite")
+    return float(value)
+
+
+def _vector(value: str) -> np.ndarray:
+    vector = np.frombuffer(base64.b64decode(value, validate=True), _F8).copy()
+    if not vector @ vector < math.inf:  # a NaN, an inf, a norm overflow
+        raise ValueError("not finite, or its norm overflows")
+    return vector
+
+
+class Kind(NamedTuple):
+    """What one kind of :data:`RECORD` field is, in every format."""
+
+    check: Callable       # whether every format stores a value, as it is
+    rule: str             # what ``check`` asks, for its refusal
+    wire: tuple           # the JSON types the gateway parses it from
+    to_wire: Callable     # the value as the gateway's JSON ...
+    from_wire: Callable   # ... and back, raising for what is not one
+    #: How the journal and the snapshot store it: ``"s"`` as text, ``"v"``
+    #: as a float64 vector, else as this little-endian ``struct`` code.
+    code: str
+    to_text: Callable | None = None     # a text kind as stored, and
+    from_text: Callable | None = None   # back; ``None``: the text itself
+
+
+_TASK = (attrgetter("value"), TASKS.__getitem__)
+#: kind -> what it is: ``str`` UTF-8 text, ``task`` a :class:`TaskType`
+#: value, ``int`` int64, ``float`` float64, ``vector`` 1-D float64 (on the
+#: wire base64 of its little-endian bytes), ``json`` a JSON object.
+KINDS = {
+    "str": Kind(_text, "must be UTF-8 text, with no surrogate code point",
+                (str,), str, str, "s"),
+    "task": Kind(lambda v: isinstance(v, TaskType), "must be a TaskType",
+                 (str,), *_TASK, "s", *_TASK),
+    "int": Kind(lambda v: isinstance(v, (int, np.integer))
+                and -2 ** 63 <= v < 2 ** 63, "must fit in int64",
+                (int,), int, int, "q"),
+    "float": Kind(lambda v: isinstance(
+        v, (int, float, np.integer, np.floating)), "must be a number",
+        (int, float), float, _finite, "d"),
+    "vector": Kind(lambda v: np.ndim(v) == 1 and np.asarray(v).dtype.kind
+                   in "iuf", "must be a 1-D float vector", (str,),
+                   lambda v: base64.b64encode(np.asarray(
+                       v, dtype=_F8).tobytes()).decode(), _vector, "v"),
+    "json": Kind(lambda v: isinstance(v, dict) and (not v or _json(v)),
+                 "must be a JSON object keyed and written in UTF-8 text, "
+                 f"with no key in {ARRAY_KEYS}", (dict,), dict, dict, "s",
+                 metadata_blob, metadata_from_blob),
+}
+
+
+def record_fields(fields, codes: str) -> tuple:
+    """The entries of ``fields`` (of :data:`RECORD`) whose kind's ``code``
+    is one of the letters of ``codes``, in order."""
+    return tuple(f for f in fields if KINDS[f[1]].code in codes)
+
+
+def record_getter(fields) -> Callable:
+    """One call reading ``fields`` (entries of :data:`RECORD`) off a cached
+    example — a request field as ``example.request.<field>`` — as a tuple."""
+    getter = attrgetter(*(
+        name if name not in Request.__dataclass_fields__ else "request." + name
+        for name, *_ in fields))
+    return getter if len(fields) > 1 else lambda example: (getter(example),)
+
+
+_KIND_OF = {name: KINDS[kind] for name, kind, *_ in RECORD}
+_CHECKS = [(name, kind.check) for name, kind in _KIND_OF.items()]
+_values = record_getter(RECORD)
+
+
+def check_record(record) -> None:
+    """Refuse, with a ``ValueError`` naming the field, a value the gateway,
+    the journal and the snapshot could not all store and give back.
+    ``record`` is a cached example (every field of :data:`RECORD`), or a
+    dict of some of its fields by name."""
+    if isinstance(record, dict):
+        checks = [(name, _KIND_OF[name].check) for name in record]
+        values = record.values()
+    else:
+        checks, values = _CHECKS, _values(record)
+    for (name, check), value in zip(checks, values):
+        if not check(value):
+            raise ValueError(f"'{name}' {_KIND_OF[name].rule}: {value!r:.80}")
 
 
 def prime_difficulty(requests: list[Request]) -> None:

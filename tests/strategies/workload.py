@@ -15,17 +15,16 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.workload.adversarial import (
+from repro.workload.adversarial import FlashCrowd, flash_crowd_trace
+from repro.workload.trace import ArrivalTrace
+from tests.adversarial_traces import (
     CompositeTrace,
-    FlashCrowd,
     TenantSkewTrace,
     TopicBurstTrace,
     composite_trace,
-    flash_crowd_trace,
     tenant_skew_trace,
     topic_burst_trace,
 )
-from repro.workload.trace import ArrivalTrace
 
 __all__ = [
     "seeds",

@@ -23,13 +23,15 @@ from hypothesis import given, settings
 
 from repro.workload.adversarial import (
     FlashCrowd,
-    composite_trace,
     correlated_topic_requests,
     flash_crowd_trace,
+)
+from repro.workload.datasets import SyntheticDataset
+from tests.adversarial_traces import (
+    composite_trace,
     tenant_skew_trace,
     topic_burst_trace,
 )
-from repro.workload.datasets import SyntheticDataset
 from tests.strategies import (
     DETERMINISM,
     STANDARD,

@@ -144,7 +144,7 @@ def test_doc_imports_resolve(path: Path, line: str):
 #: ``src/`` past it raises the number in its own diff and says in
 #: ``CHANGES.md`` which deletion pays the growth back; a PR that shrinks
 #: ``src/`` lowers it to its result.
-SRC_LINE_CEILING = 13_670
+SRC_LINE_CEILING = 13_530
 
 
 def test_src_stays_under_its_line_ceiling():
@@ -170,7 +170,8 @@ def test_src_stays_under_its_line_ceiling():
 #: the module that reads it (``OPTION_SURFACE`` lists what stays settable).
 #: Also the second way to assemble a system: no string-keyed registry, no
 #: ``from_config``, no policy no experiment runs, and no copy of the
-#: ``ServeContext`` a serve returns.
+#: ``ServeContext`` a serve returns.  Also the second check of a record:
+#: ``check_record`` beside ``repro.workload.request.RECORD`` is the one.
 DELETED_FROM_SRC = [
     "repro.llm.prompts",
     "repro.workload.preprocess",
@@ -250,6 +251,10 @@ DELETED_FROM_SRC = [
     "repro.core.ServeOutcome",
     "repro.core.service.ServeOutcome",
     "repro.core.service.ICCacheService._outcome",
+    "repro.gateway.api._check_journalable",
+    *(f"repro.workload{module}.{name}" for module in ("", ".adversarial")
+      for name in ("TenantSkewTrace", "tenant_skew_trace", "TopicBurstTrace",
+                   "topic_burst_trace", "CompositeTrace", "composite_trace")),
 ]
 
 #: Every value a caller can set, each with the caller that sets a second

@@ -27,8 +27,10 @@ from repro.gateway import (
     AsyncGateway,
     GatewayClient,
     GatewaySession,
+    PayloadError,
     TenantRateLimiter,
     TokenBucket,
+    request_from_payload,
     request_to_payload,
 )
 from repro.serving.cluster import ClusterConfig, ModelDeployment
@@ -94,6 +96,27 @@ def unjournalable(field: str, value, batch: bool = False) -> bytes:
         payload = {"requests": [
             request_to_payload(make_request("fine"), 7.0), payload]}
     return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("request_id", None), ("text", ["a"]), ("dataset", 7), ("task", 1),
+    ("task", "poetry"), ("topic_id", 3.9), ("topic_id", "12"),
+    ("topic_id", True), ("prompt_tokens", None), ("difficulty", "0.5"),
+    ("difficulty", False), ("arrival_time", math.nan),
+    ("arrival_time", math.inf), ("arrival_time", 10 ** 400),
+    ("latent", "not base64!"), ("latent", "AAAA"), ("metadata", []),
+    ("metadata", {"a": {"__ndarray__": "", "dtype": "<f8", "shape": [0]}}),
+], ids=lambda v: repr(v)[:24])
+def test_a_field_of_another_json_type_is_refused_naming_it(field, value):
+    """Each kind's parse takes its own JSON type only: a string for text
+    and ``task``, an integer that is not a bool, a finite number that is
+    not a bool, base64 for a vector, an object for ``metadata`` — nothing
+    is coerced (``null`` used to be the text ``"None"``, ``3.9`` the topic
+    3, ``"0.5"`` a difficulty)."""
+    payload = {**request_to_payload(make_request("typed"), 1.0),
+               field: value}
+    with pytest.raises(PayloadError, match=f"'{field}'"):
+        request_from_payload(payload)
 
 
 class TestTokenBucket:
@@ -426,6 +449,8 @@ class TestGatewayHttpStatuses:
         ("/serve", stamped("NaN"), "bad payload", "gateway_arrival_s"),
         ("/serve", stamped('"soon"'), "bad payload", "gateway_arrival_s"),
         ("/submit", stamped("true"), "bad payload", "gateway_arrival_s"),
+        ("/serve", stamped("1" + "0" * 400), "bad payload",
+         "gateway_arrival_s"),
         ("/serve_batch", stamped("Infinity", batch=True), "bad payload",
          "gateway_arrival_s"),
         ("/serve", b"\xff\xfe{}", "bad json", "decode"),
@@ -460,8 +485,16 @@ class TestGatewayHttpStatuses:
          "bad payload", "'metadata'"),
         ("/serve_batch", unjournalable("text", "\ud800", batch=True),
          "bad payload", "'text'"),
+        ("/serve", unjournalable("topic_id", "12"), "bad payload",
+         "'topic_id'"),
+        ("/submit", unjournalable("arrival_time", math.nan), "bad payload",
+         "'arrival_time'"),
+        ("/serve", unjournalable("metadata", {"__extarray__": {
+            "offset": 0, "dtype": "<f8", "shape": [1]}}), "bad payload",
+         "'metadata'"),
     ], ids=["stamp-inf", "stamp-neg-inf", "stamp-nan", "stamp-string",
-            "stamp-bool", "batch-stamp-inf", "serve-not-utf8",
+            "stamp-bool", "stamp-int-past-double", "batch-stamp-inf",
+            "serve-not-utf8",
             "batch-not-utf8", "batch-list", "batch-string", "batch-number",
             "batch-null", "serve-list", "latent-json-list", "latent-3-floats",
             "latent-3-floats-stamp-ahead", "latent-nan", "submit-latent-inf",
@@ -469,7 +502,8 @@ class TestGatewayHttpStatuses:
             "prompt-tokens-below-int64", "submit-output-tokens-past-int64",
             "text-lone-surrogate", "request-id-lone-surrogate",
             "submit-dataset-lone-surrogate", "metadata-lone-surrogate",
-            "batch-one-lone-surrogate"])
+            "batch-one-lone-surrogate", "topic-as-string",
+            "submit-arrival-time-nan", "metadata-sidecar-reference"])
     def test_poisonous_payload_is_400_and_session_untouched(
             self, path, body, error, complaint):
         """A stamp that is not a finite number would park (``inf``) or

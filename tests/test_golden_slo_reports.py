@@ -46,11 +46,8 @@ from repro.runtime import (
 from repro.serving.autoscaler import BiasAutoscaler
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ModelDeployment
 from repro.workload import SyntheticDataset
-from repro.workload.adversarial import (
-    FlashCrowd,
-    flash_crowd_trace,
-    tenant_skew_trace,
-)
+from repro.workload.adversarial import FlashCrowd, flash_crowd_trace
+from tests.adversarial_traces import tenant_skew_trace
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "slo_reports.json"
 

@@ -1,5 +1,7 @@
 """Unit tests for the simulated LLM substrate (quality, ICL, model, zoo)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -220,6 +222,16 @@ class TestSimulatedLLM:
         examples = [view_for(req.latent, quality=0.9, tokens=2000)] * 5
         result = model.generate(req, examples)
         assert result.prompt_tokens <= model.spec.max_context_tokens
+
+    def test_context_window_caps_output(self):
+        """A request asking for 2**62 output tokens decodes one window's
+        worth: it used to hold a replica for ~4e16 simulated seconds."""
+        model = get_model("phi-3-mini")
+        req = dataclasses.replace(make_request(), target_output_tokens=2**62)
+        result = model.generate(req)
+        assert result.output_tokens == model.spec.max_context_tokens
+        assert result.decode_s == model.spec.decode_time(
+            model.spec.max_context_tokens)
 
     def test_good_examples_raise_quality_on_hard_requests(self):
         model = get_model("gemma-2-2b")

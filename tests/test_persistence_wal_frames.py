@@ -156,14 +156,17 @@ def emas(draw) -> RefEMA:
 
 
 @st.composite
-def examples(draw, example_id: str) -> Example:
+def examples(draw, example_id: str, width: int) -> Example:
+    """An example whose latent is ``width`` floats: a cache takes only
+    latents of its pool's shape, and any width, NaN and inf included."""
     embedding = np.array(draw(st.lists(
         st.floats(-1e3, 1e3) | st.just(-0.0), min_size=DIM, max_size=DIM)))
     embedding[0] = 1.0 + abs(embedding[0])        # the index refuses zeros
     request = Request(
         request_id=draw(texts), dataset=draw(texts),
         task=draw(st.sampled_from(list(TaskType))), text=draw(texts),
-        latent=np.array(draw(st.lists(any_float, max_size=DIM)), dtype=float),
+        latent=np.array(draw(st.lists(any_float, min_size=width,
+                                      max_size=width)), dtype=float),
         topic_id=draw(i64),
         difficulty=draw(st.floats(0.0, 1.0) | st.just(-0.0)),
         prompt_tokens=draw(st.integers(1, 2**63 - 1)),
@@ -191,9 +194,10 @@ def test_every_kind_decodes_to_what_the_reference_decodes(
     cache.journal = both
     ids = [data.draw(texts.filter(bool), label="id")]
     ids.append(ids[0] + "-b")
+    width = data.draw(st.integers(0, DIM), label="latent width")
     for example_id in ids:
-        cache.add(data.draw(examples(example_id)))               # add
-    cache.overwrite(data.draw(examples(ids[0])))                 # overwrite
+        cache.add(data.draw(examples(example_id, width)))        # add
+    cache.overwrite(data.draw(examples(ids[0], width)))          # overwrite
     rewritten = cache.get(ids[1])
     rewritten.response_text = data.draw(texts)
     write_streams(rewritten, {"gain_ema": data.draw(emas())})
@@ -266,12 +270,13 @@ def test_a_journal_row_written_back_is_the_row(data):
     example's row — standalone, or a cached one's at row 1 — it reads back
     bit for bit; ``detached_copy`` (which copies through it) has the same
     row, embedding bytes and texts."""
-    example = data.draw(examples("ex"))
+    width = data.draw(st.integers(0, DIM), label="latent width")
+    example = data.draw(examples("ex", width))
     row = _ROW.pack(*example.journal_row())
     cache = ExampleCache(dim=DIM)
     for example_id in ("a", "b"):
-        cache.add(data.draw(examples(example_id)))
-    for fresh in (data.draw(examples("fresh")), cache.get("b")):
+        cache.add(data.draw(examples(example_id, width)))
+    for fresh in (data.draw(examples("fresh", width)), cache.get("b")):
         d = fresh.__dict__
         d["_table"].write_journal_row(d["_row"], example.journal_row())
         assert _ROW.pack(*fresh.journal_row()) == row
@@ -309,14 +314,18 @@ def test_a_lazy_retrain_journals_its_training_count(tmp_path):
 
 # -- a record that cannot be encoded -------------------------------------------
 
-def _cached_example(cache, example_id="ex", **request_fields) -> Example:
+def _example(example_id="ex", **request_fields) -> Example:
     request = Request(**{**dict(
         request_id="r", dataset="d", task=TaskType.CONVERSATION, text="t",
         latent=np.ones(DIM), topic_id=0, difficulty=0.5, prompt_tokens=3,
         target_output_tokens=4), **request_fields})
-    example = Example(example_id=example_id, request=request,
-                      response_text="r", embedding=np.ones(DIM), quality=0.5,
-                      source_model="m", source_cost=1.0)
+    return Example(example_id=example_id, request=request,
+                   response_text="r", embedding=np.ones(DIM), quality=0.5,
+                   source_model="m", source_cost=1.0)
+
+
+def _cached_example(cache, example_id="ex", **request_fields) -> Example:
+    example = _example(example_id, **request_fields)
     cache.add(example)
     return example
 
@@ -355,7 +364,9 @@ def test_unencodable_example_raises_and_writes_nothing(tmp_path,
     wal = WriteAheadLog(tmp_path / "wal.bin")
     cache = ExampleCache(dim=DIM)
     good = _cached_example(cache, "good")
-    bad = _cached_example(cache, "bad", **request_fields)
+    bad = _example("bad", **request_fields)
+    with pytest.raises(ValueError):     # the cache refuses it before its
+        cache.add(bad)                  # journal; the encoder does alone
     wal.record("add", good)
     before = wal.path.read_bytes()
     for kind in ("add", "overwrite"):
