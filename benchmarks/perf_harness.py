@@ -60,6 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.utils import rng as rng_module
+from repro.vectorstore import ivf
 from repro.vectorstore.flat import FlatIndex
 from repro.vectorstore.ivf import IVFIndex, optimal_cluster_count
 from repro.vectorstore.kmeans import KMeans
@@ -108,7 +109,7 @@ def _best_of(fn, rounds: int = 3) -> float:
 def _built_index(n: int, seed: int = 0, nprobe: int = 4
                  ) -> tuple[IVFIndex, float]:
     vectors = clustered_vectors(n, DIM, N_TOPICS, seed=seed)
-    index = IVFIndex(dim=DIM, nprobe=nprobe, min_train_size=64, seed=seed)
+    index = IVFIndex(dim=DIM, nprobe=nprobe, seed=seed)
     start = time.perf_counter()
     for i, vec in enumerate(vectors):
         index.add(i, vec)
@@ -175,7 +176,7 @@ def bench_churn(n: int, seed: int = 0,
     churn_s = time.perf_counter() - start
 
     # Force exactly one retrain on the next search and time it.
-    index._churn = max(1, int(index.retrain_threshold * len(index)))
+    index._churn = max(1, int(ivf.RETRAIN_THRESHOLD * len(index)))
     start = time.perf_counter()
     index.search(spare[0], 1)
     retrain_s = time.perf_counter() - start
@@ -898,8 +899,9 @@ def bench_scale(n: int = 1_000_000, seed: int = 0, n_queries: int = 200,
                 recall_queries: int = 50, maintenance_ticks: int = 5) -> dict:
     """The N=1M story: build, search, retrain amortization, memory.
 
-    Builds one IVF index (incremental retrain size-gated exactly as the
-    service config would gate it), then measures:
+    Builds one IVF index (incremental retrain size-gated by
+    ``repro.vectorstore.ivf.INCREMENTAL_MIN_N``, as the service's is), then
+    measures:
 
     * single-query search latency and recall@5 against exact flat search;
     * steady-state maintenance: ``maintenance_ticks`` forced retrains with
@@ -908,8 +910,7 @@ def bench_scale(n: int = 1_000_000, seed: int = 0, n_queries: int = 200,
     * resident index bytes per vector (the cluster blocks, via ``nbytes``:
       a float32 -> float64 upcast would double it).
     """
-    index = IVFIndex(dim=DIM, nprobe=8, min_train_size=64, seed=seed,
-                     incremental_min_n=10_000)
+    index = IVFIndex(dim=DIM, nprobe=8, seed=seed)
     start = time.perf_counter()
     for base, chunk in clustered_chunks(n, DIM, N_TOPICS, seed=seed):
         chunk = chunk.astype(np.float32)

@@ -25,7 +25,7 @@ def test_ablation_ivf_vs_flat(benchmark):
         queries = dataset.online_requests(200)
 
         flat = FlatIndex(dim=64)
-        ivf = IVFIndex(dim=64, nprobe=3, min_train_size=64, seed=32)
+        ivf = IVFIndex(dim=64, nprobe=3, seed=32)
         for i, request in enumerate(pool):
             emb = embedder.embed(request.text, request.latent)
             flat.add(i, emb)

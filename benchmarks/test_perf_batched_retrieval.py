@@ -31,7 +31,7 @@ from repro.vectorstore import FlatIndex, IVFIndex
 
 N, DIM, BATCH, K = 10_000, 64, 64, 5
 #: The service's operating point: ``bench_e2e``'s bank, ``serve_batch16``'s
-#: batch, ``SelectorConfig.pre_k`` and ``IndexConfig.nprobe`` as shipped.
+#: batch, ``SelectorConfig.pre_k`` and the service index's ``nprobe``.
 SERVICE_N, SERVICE_BATCH, SERVICE_K, SERVICE_NPROBE = 3_000, 16, 20, 2
 
 
@@ -40,7 +40,7 @@ def test_perf_batched_retrieval(benchmark):
     queries = clustered_vectors(BATCH, DIM, N_TOPICS, seed=1)
 
     flat = FlatIndex(DIM)
-    ivf = IVFIndex(dim=DIM, nprobe=4, min_train_size=64, seed=0)
+    ivf = IVFIndex(dim=DIM, nprobe=4, seed=0)
     for i, vec in enumerate(vectors):
         flat.add(i, vec)
         ivf.add(i, vec)

@@ -12,7 +12,6 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from repro.core.config import IndexConfig
 from repro.core.example import Example
 from repro.core.table import ExampleTable
 from repro.vectorstore.flat import _EPS
@@ -43,19 +42,16 @@ class ExampleCache:
     micro-batch in vectorized form (:meth:`search_batch`).
     """
 
-    def __init__(self, dim: int, seed: int = 0,
-                 index_config: IndexConfig | None = None) -> None:
+    def __init__(self, dim: int, seed: int = 0) -> None:
         self._examples: dict[str, Example] = {}
         # Columnar bookkeeping: every cached example's numeric lifecycle
         # state lives in contiguous table columns (decay/eviction/snapshot
         # read them as arrays); the Example objects are views over rows.
         self._table = ExampleTable()
-        cfg = index_config or IndexConfig()
-        self._index = IVFIndex(dim=dim, nprobe=cfg.nprobe, seed=seed,
-                               incremental_min_n=cfg.incremental_min_n)
+        self._index = IVFIndex(dim=dim, seed=seed)
         # Optional mutation journal (the persistence WAL attaches here):
-        # a callable ``fn(kind, payload)`` invoked on every add / overwrite
-        # / remove, plus ``retrain`` markers when a search triggered a lazy
+        # a callable ``fn(kind, payload)`` invoked on every add / remove,
+        # plus ``retrain`` markers when a search triggered a lazy
         # K-Means (re)train.  ``None`` (the default) costs one branch per
         # mutation and nothing on the search hot path beyond that branch.
         self._journal = None
@@ -119,13 +115,12 @@ class ExampleCache:
             self._journal_trainings = trainings
             self._journal("retrain", {"trainings": trainings})
 
-    def _check_insertable(self, example: Example, previous=None) -> None:
+    def _check_insertable(self, example: Example) -> None:
         """Refuse what the table, the index, the journal or the snapshot
         would refuse, before the journal records and before the table is
-        mutated, journal or not, so a rejected add or overwrite leaves the
-        cache and its journal as they were."""
-        if example is not previous and \
-                example.__dict__["_table"]._owners is not None:
+        mutated, journal or not, so a rejected add leaves the cache and its
+        journal as they were."""
+        if example.__dict__["_table"]._owners is not None:
             raise ValueError(
                 f"example {example.example_id!r} is already attached")
         if example.embedding.shape != (self._index.dim,):
@@ -138,14 +133,13 @@ class ExampleCache:
         check_record(example)
         # A snapshot stores the pool's latents as one (n, dim) matrix.
         for pool in self._examples.values():
-            if pool is not previous:
-                shape = np.shape(example.request.latent)
-                if shape != np.shape(pool.request.latent):
-                    raise ValueError(
-                        f"example {example.example_id!r}: 'latent' shape "
-                        f"{shape} is not the pool's, "
-                        f"{np.shape(pool.request.latent)}")
-                break
+            shape = np.shape(example.request.latent)
+            if shape != np.shape(pool.request.latent):
+                raise ValueError(
+                    f"example {example.example_id!r}: 'latent' shape "
+                    f"{shape} is not the pool's, "
+                    f"{np.shape(pool.request.latent)}")
+            break
 
     def add(self, example: Example) -> None:
         if example.example_id in self._examples:
@@ -155,23 +149,6 @@ class ExampleCache:
             self._table.attach(example)
             self._index.add(example.example_id, example.embedding)
             self._examples[example.example_id] = example
-
-    def overwrite(self, example: Example) -> None:
-        """Replace the stored example with the same id in place.
-
-        The index sees ONE overwrite (one churn event, the invariant
-        :meth:`IVFIndex.add` promises), not a remove plus an insert — so
-        state-migration tools can rewrite entries without doubling the
-        retrain cadence.  The example must already be cached.
-        """
-        example_id = example.example_id
-        previous = self._examples[example_id]
-        self._check_insertable(example, previous)
-        with _journaled(self._journal, "overwrite", example):
-            if previous is not example:
-                self._table.replace(previous, example)
-                self._examples[example_id] = example
-            self._index.add(example_id, example.embedding)
 
     def remove(self, example_id: str) -> Example:
         example = self._examples.pop(example_id)

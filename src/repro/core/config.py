@@ -47,25 +47,6 @@ class ManagerConfig:
 
 
 @dataclass
-class IndexConfig:
-    """IVF index knobs.
-
-    Incremental retrain only engages above pools far larger than the golden
-    scenarios build (``incremental_min_n=10_000``) — below that, staleness
-    triggers a global K-Means.
-    """
-
-    nprobe: int = 2                   # clusters probed per query
-    incremental_min_n: int = 10_000   # split/merge retrain above this N
-
-    def __post_init__(self) -> None:
-        if self.nprobe < 1:
-            raise ValueError("nprobe must be >= 1")
-        if self.incremental_min_n < 1:
-            raise ValueError("incremental_min_n must be >= 1")
-
-
-@dataclass
 class ICCacheConfig:
     """Top-level configuration for :class:`repro.core.service.ICCacheService`."""
 
@@ -75,7 +56,6 @@ class ICCacheConfig:
     selector: SelectorConfig = field(default_factory=SelectorConfig)
     router: RouterConfig = field(default_factory=RouterConfig)
     manager: ManagerConfig = field(default_factory=ManagerConfig)
-    index: IndexConfig = field(default_factory=IndexConfig)
 
     def __post_init__(self) -> None:
         if not self.seed >= 0:      # make_rng's contract (repro.utils.rng)

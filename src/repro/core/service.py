@@ -80,8 +80,7 @@ class ICCacheService:
                 raise ValueError(f"model {name!r} missing from models dict")
 
         self.embedder = LatentEmbedder()
-        self.cache = ExampleCache(dim=EMBEDDING_DIM, seed=seed,
-                                  index_config=self.config.index)
+        self.cache = ExampleCache(dim=EMBEDDING_DIM, seed=seed)
         self.proxy = HelpfulnessProxy()
         self.selector = ExampleSelector(self.cache, self.proxy, self.config.selector)
 

@@ -279,19 +279,6 @@ class ExampleTable:
         self.total_bytes += int(cols["plaintext_bytes"][row])
         return row
 
-    def replace(self, previous, example) -> None:
-        """Swap ``example`` in for ``previous`` at the same insertion rank.
-
-        The cache's overwrite: the new object keeps the place in insertion
-        order its id already holds.  It is attached before ``previous``
-        leaves, so a refused example changes nothing, and the swap-delete
-        then moves it into the row ``previous`` held.
-        """
-        row = self.attach(example)      # may grow: read the column after
-        ranks = self._cols[INSERTION_RANK]
-        ranks[row] = ranks[previous.__dict__["_row"]]
-        self.detach(previous)
-
     def detach(self, example) -> None:
         """Move a row out into a standalone table and swap-delete it."""
         d = example.__dict__

@@ -10,7 +10,7 @@ recipe, specialized to IC-Cache's determinism contract:
   retrain depends on), learned posteriors, and every RNG stream position,
   so a restored service serves *bit-identically* to one that never stopped.
 * :mod:`repro.persistence.wal` — a write-ahead journal of cache mutations
-  (add / overwrite / remove / replay-rewrite / decay) between snapshots,
+  (add / remove / replay-rewrite / decay) between snapshots,
   one CRC-checked binary frame per record, with replay-on-recovery and
   size-triggered compaction into a fresh snapshot (:class:`Checkpointer`).
 * :mod:`repro.persistence.cli` — ``python -m repro.persistence.cli

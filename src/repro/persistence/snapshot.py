@@ -65,7 +65,6 @@ import numpy as np
 from repro.analysis.stats import EMA
 from repro.core.config import (
     ICCacheConfig,
-    IndexConfig,
     ManagerConfig,
     RouterConfig,
     SelectorConfig,
@@ -79,8 +78,6 @@ from repro.workload.request import (
     REQUEST_RECORD,
     Kind,
     Request,
-    decode_array,
-    encode_array,
     record_fields,
     record_getter,
 )
@@ -89,7 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.service import ICCacheService
 
 SNAPSHOT_FORMAT = "ic-cache-snapshot"
-SNAPSHOT_VERSION = 8
+SNAPSHOT_VERSION = 9
 
 #: Sidecar array offsets are padded to this alignment so every mapped view
 #: is at least cache-line aligned regardless of the preceding array's size.
@@ -200,15 +197,12 @@ class SidecarReader:
         return raw.view(dtype).reshape(shape)
 
 
-def _encode(obj, sidecar: SidecarBuilder | None = None):
-    """Recursively convert a state structure into JSON-serializable form.
-
-    With a ``sidecar`` builder, array bytes go to the sidecar and the JSON
-    gets an ``__extarray__`` reference; without one, arrays inline as
-    :func:`~repro.workload.request.encode_array` writes them.
-    """
+def _encode(obj, sidecar: SidecarBuilder):
+    """Recursively convert a state structure into JSON-serializable form:
+    array bytes go to the ``sidecar`` and the JSON gets an ``__extarray__``
+    reference."""
     if isinstance(obj, np.ndarray):
-        return sidecar.add(obj) if sidecar is not None else encode_array(obj)
+        return sidecar.add(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
@@ -220,25 +214,15 @@ def _encode(obj, sidecar: SidecarBuilder | None = None):
     return obj
 
 
-def _decode(obj, sidecar: SidecarReader | None = None):
-    """Inverse of :func:`_encode` (arrays come back as ndarrays).
-
-    Inline base64 decodes to a fresh array, ``__extarray__`` resolves to a
-    copy-on-write view of the mapped sidecar.
-    """
+def _decode(obj, sidecar: SidecarReader):
+    """Inverse of :func:`_encode`: an ``__extarray__`` reference resolves
+    to a copy-on-write view of the mapped sidecar."""
     # Exact type checks: json.loads only ever yields dict/list/str/int/
     # float/bool/None, and this walk visits every node of a snapshot (tens
     # of records per example), so isinstance dispatch is measurable.
     t = type(obj)
     if t is dict:
-        if "__ndarray__" in obj:
-            return decode_array(obj)
         if "__extarray__" in obj:
-            if sidecar is None:
-                raise ValueError(
-                    "snapshot contains sidecar array references but no "
-                    "sidecar file is associated with this document"
-                )
             return sidecar.resolve(obj["__extarray__"])
         return {key: _decode(value, sidecar) for key, value in obj.items()}
     if t is list:
@@ -550,7 +534,6 @@ def config_from_record(record: dict) -> ICCacheConfig:
         selector=SelectorConfig(**record.pop("selector")),
         router=RouterConfig(**record.pop("router")),
         manager=ManagerConfig(**record.pop("manager")),
-        index=IndexConfig(**record.pop("index")),
         **record,
     )
 

@@ -2,7 +2,7 @@
 
 The snapshot (:mod:`repro.persistence.snapshot`) is a full-state image; the
 WAL covers the tail since the last one.  It journals the cache *lifecycle*
-(the section-4.3 surface): ``add`` / ``overwrite`` / ``remove`` mutations,
+(the section-4.3 surface): ``add`` / ``remove`` mutations,
 ``replay_rewrite`` refinements, ``decay`` passes and ``clock`` marks from
 the manager, ``retrain`` markers when a search triggered a lazy K-Means
 (re)train, and ``manager_counters``.  Records are physical redo records —
@@ -18,7 +18,7 @@ Recovery contract (pinned by ``tests/test_persistence_recovery.py``): a
 service rebuilt from snapshot + WAL is bit-identical to the original at the
 moment of the crash **when the WAL window contains only cache-lifecycle
 operations** — maintenance ticks (decay / eviction / replay) and direct
-cache ingestion (``cache.add`` / ``overwrite`` / ``remove``).  Operations
+cache ingestion (``cache.add`` / ``remove``).  Operations
 that *generate responses* move state the cache journal cannot see: served
 requests touch router posteriors, proxy weights, and RNG positions, and
 response-generating admission (``seed_cache`` / ``manager.admit``) advances
@@ -73,11 +73,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> persistence)
     from repro.core.config import ICCacheConfig
     from repro.core.service import ICCacheService
 
-#: The record vocabulary, declared once: a frame's ``kind`` byte is the
-#: position here plus one, and the writer, the reader, the CLI and
-#: reprolint's WAL001 (which parses this literal) all go by it.
-RECORD_KINDS = ("add", "overwrite", "remove", "retrain", "decay", "clock",
+#: The record vocabulary, declared once: the writer, the reader, the CLI
+#: and reprolint's WAL001 (which parses this literal) all go by it.
+RECORD_KINDS = ("add", "remove", "retrain", "decay", "clock",
                 "manager_counters", "replay_rewrite")
+#: Each kind's wire code, a frame's ``kind`` byte, in :data:`RECORD_KINDS`
+#: order.  Code 2 belonged to a deleted ``overwrite`` kind and is never
+#: reused, so a code-2 frame is refused as an unknown kind.
+_WIRE_CODES = (1, 3, 4, 5, 6, 7, 8)
 
 #: First bytes of every journal; a file that starts otherwise (a JSON-lines
 #: journal from an older tree, or a framed one of another format version)
@@ -199,13 +202,11 @@ def _flat(fmt: str, *names: str) -> tuple:
             lambda body: dict(zip(names, packer.unpack(body))))
 
 
-#: kind -> (wire code, body encoder, body decoder); the code is the kind's
-#: position in RECORD_KINDS plus one.
+#: kind -> (wire code, body encoder, body decoder).
 _CODECS = {
-    kind: (RECORD_KINDS.index(kind) + 1, encode, decode)
-    for kind, (encode, decode) in zip(RECORD_KINDS, (
+    kind: (code, encode, decode)
+    for kind, code, (encode, decode) in zip(RECORD_KINDS, _WIRE_CODES, (
         (_encode_example, _decode_example),         # add
-        (_encode_example, _decode_example),         # overwrite
         (_pack_strings,                             # remove: the id
          lambda body: {"example_id": _unpack_strings(body, 0, 1)[0][0]}),
         _flat("<q", "trainings"),                   # retrain
@@ -215,6 +216,7 @@ _CODECS = {
               "evictions"),                         # manager_counters
         (_encode_rewrite, _decode_rewrite),         # replay_rewrite
     ), strict=True)}
+_KIND_OF_CODE = {code: kind for kind, (code, *_) in _CODECS.items()}
 
 
 def _holds_complete_frame(tail: bytes, crc: int) -> bool:
@@ -288,10 +290,10 @@ def read_journal(path: str | Path) -> tuple[list[dict], list[int], int]:
     bytes of torn tail dropped)``; ``records`` is what
     :meth:`WriteAheadLog.read` returns.
 
-    An ``add`` / ``overwrite`` record's data is ``{"example": Example}``, a
-    standalone example :func:`apply_wal` adopts into the cache (so a record
-    list is applied once); a ``replay_rewrite`` record's is its row fields
-    (see :func:`_decode_rewrite`); every other kind's is a flat dict."""
+    An ``add`` record's data is ``{"example": Example}``, a standalone
+    example :func:`apply_wal` adopts into the cache (so a record list is
+    applied once); a ``replay_rewrite`` record's is its row fields (see
+    :func:`_decode_rewrite`); every other kind's is a flat dict."""
     path = Path(path)
     if not path.exists():
         return [], [], 0
@@ -299,10 +301,10 @@ def read_journal(path: str | Path) -> tuple[list[dict], list[int], int]:
     frames, valid_end = _scan(path, buf, verify=True)
     records = []
     for offset, code, epoch, seq, end in frames:
-        if not 0 < code <= len(RECORD_KINDS):
+        kind = _KIND_OF_CODE.get(code)
+        if kind is None:
             raise ValueError(f"{path}: frame {seq} at byte offset {offset} "
                              f"has unknown kind code {code}")
-        kind = RECORD_KINDS[code - 1]
         body = buf[offset + _PREFIX.size + _HEAD.size:end]
         records.append({"seq": seq, "epoch": epoch, "kind": kind,
                         "data": _CODECS[kind][2](body)})
@@ -535,8 +537,6 @@ def apply_wal(service: "ICCacheService", records: list[dict]) -> int:
         data = record["data"]
         if kind == "add":
             cache.add(data["example"])
-        elif kind == "overwrite":
-            cache.overwrite(data["example"])
         elif kind == "remove":
             cache.remove(data["example_id"])
         elif kind == "retrain":

@@ -171,16 +171,11 @@ class FlatIndex:
         return cls(vectors.shape[-1], state["keys"], vectors, state["sum"])
 
     def add(self, key: object, vector: np.ndarray) -> None:
-        """Insert (or overwrite in place) ``key`` with its embedding."""
-        unit = unit_row(vector, self.dim, key)
-        row = self._key_to_row.get(key)
-        if row is None:
-            self.append(key, unit)
-            return
-        self.version += 1
-        self.running_sum -= self._vectors[row]
-        self._vectors[row] = unit
-        self.running_sum += self._vectors[row]
+        """Insert a new ``key`` with its embedding.  A key already held
+        (``KeyError``) or a refused vector leaves the store as it was."""
+        if key in self._key_to_row:
+            raise KeyError(f"duplicate key {key!r}")
+        self.append(key, unit_row(vector, self.dim, key))
 
     def append(self, key: object, unit: np.ndarray) -> None:
         """Insert a new ``key`` whose row is already a :func:`unit_row`."""

@@ -3,12 +3,12 @@
 Paper section 4.1 balances the per-request matching cost K + N/K and picks
 K = sqrt(N) clusters; :func:`optimal_cluster_count` implements exactly that.
 The index clusters lazily: entries accumulate in one exact block until
-``retrain_threshold`` inserts/removes have occurred, then the clustering is
-refreshed in the background (here: synchronously on the next search).  That
-search pays for the refit, so :class:`~repro.vectorstore.kmeans.KMeans` keeps
-it small: one (n, k) distance matrix plus one fixed-size scratch tile per
-fit, whatever n and k, and each Lloyd iteration recomputes only what the
-previous update moved.
+inserts/removes reach :data:`RETRAIN_THRESHOLD` of the pool, then the
+clustering is refreshed in the background (here: synchronously on the next
+search).  That search pays for the refit, so
+:class:`~repro.vectorstore.kmeans.KMeans` keeps it small: one (n, k) distance
+matrix plus one fixed-size scratch tile per fit, whatever n and k, and each
+Lloyd iteration recomputes only what the previous update moved.
 
 Storage is cluster-major and contiguous, FAISS-style (the section 5
 deployment note): every cluster owns a :class:`FlatIndex`, a dense
@@ -19,7 +19,7 @@ swap-delete.  The batched path (:meth:`IVFIndex.search_batch`) reuses the
 same blocks, scoring each probed cluster for all of its querying rows in
 one matmul.
 
-**Incremental retrain** (``incremental_min_n``): above this pool size a
+**Incremental retrain** (:data:`INCREMENTAL_MIN_N`): above this pool size a
 staleness-triggered retrain stops re-running global K-Means and instead
 recenters every cluster, splits oversized clusters with a seeded 2-means on
 their own rows, and retires undersized clusters into their nearest surviving
@@ -40,6 +40,14 @@ from repro.vectorstore.flat import (_EPS, STORAGE_DTYPE, FlatIndex,
                                     unit_rows)
 from repro.vectorstore.kmeans import KMeans
 
+#: Below this pool size the index searches exactly and never trains.
+MIN_TRAIN_SIZE = 64
+#: A retrain fires once the churn since the last one (inserts plus removes)
+#: reaches this share of the pool.
+RETRAIN_THRESHOLD = 0.3
+#: Above this pool size a staleness retrain is split/merge maintenance
+#: instead of a global K-Means; far above every golden scenario.
+INCREMENTAL_MIN_N = 10_000
 #: Above this pool size a global retrain fits K-Means on a seeded uniform
 #: subsample of this many rows and assigns the rest by nearest centroid.
 #: Far above every golden scenario, so behavior at test scales is unchanged.
@@ -72,9 +80,9 @@ def optimal_cluster_count(n: int) -> int:
 class IVFIndex:
     """Clustered approximate top-k cosine search with dynamic updates.
 
-    Falls back to exact search while the pool is small (< ``min_train_size``)
-    or right after heavy churn, mirroring how production ANN deployments keep
-    a fresh segment alongside trained shards.
+    Falls back to exact search below :data:`MIN_TRAIN_SIZE` rows or right
+    after heavy churn, mirroring how production ANN deployments keep a fresh
+    segment alongside trained shards.
 
     ``_keys`` (inverted by ``_row``) is *membership* and the add/remove
     swap-delete order a global retrain clusters in; the rows themselves
@@ -84,35 +92,21 @@ class IVFIndex:
     order, and candidate ordering — including tie-breaking — matches a
     per-key loop over the same posting lists exactly (stable sort over
     cluster-probe order, then block row order).
-
-    ``incremental_min_n`` gates split/merge maintenance; see the module
-    docstring.  Its default only engages above pools far larger than any
-    golden scenario builds.
     """
 
-    def __init__(self, dim: int, nprobe: int = 2, min_train_size: int = 64,
-                 retrain_threshold: float = 0.3, seed: int = 0,
-                 incremental_min_n: int = 10_000) -> None:
+    def __init__(self, dim: int, nprobe: int = 2, seed: int = 0) -> None:
         if nprobe < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
-        if not 0.0 < retrain_threshold <= 1.0:
-            raise ValueError(f"retrain_threshold must be in (0,1], got {retrain_threshold}")
-        if incremental_min_n < 1:
-            raise ValueError(
-                f"incremental_min_n must be >= 1, got {incremental_min_n}")
         self.dim = dim
         self.nprobe = nprobe
-        self.min_train_size = min_train_size
-        self.retrain_threshold = retrain_threshold
         self.seed = seed
-        self.incremental_min_n = incremental_min_n
 
         self._keys: list[object] = []
         self._row: dict[object, int] = {}
         self._centroids: np.ndarray | None = None
         self._blocks = [FlatIndex(dim)]
         self._key_to_cluster: dict[object, int] = {}
-        self._churn = 0  # churn events (insert/remove/overwrite) since last train
+        self._churn = 0  # inserts and removes since the last train
         self.trainings = 0  # exposed for tests/benchmarks
         self._receipts: dict[tuple, tuple] = {}  # see search(); never saved
 
@@ -136,13 +130,11 @@ class IVFIndex:
         return sum(b.nbytes for b in self._blocks)
 
     def add(self, key: object, vector: np.ndarray) -> None:
-        """Insert ``key``; an overwrite of an existing key is ONE churn event
-        (not an internal remove plus an insert), so retrains keep the cadence
-        ``retrain_threshold`` promises.  A refused vector leaves the index
-        as it was, overwrite or not."""
-        unit = unit_row(vector, self.dim, key)
+        """Insert a new ``key``.  A key already held (``KeyError``) or a
+        refused vector leaves the index as it was."""
         if key in self._row:
-            self._drop(key)
+            raise KeyError(f"duplicate key {key!r}")
+        unit = unit_row(vector, self.dim, key)
         self._row[key] = len(self._keys)
         self._keys.append(key)
         self._churn += 1
@@ -153,17 +145,13 @@ class IVFIndex:
         self._key_to_cluster[key] = cluster
 
     def remove(self, key: object) -> None:
-        self._drop(key)
-        self._churn += 1
-
-    def _drop(self, key: object) -> None:
-        """Remove ``key`` from storage without counting a churn event."""
         row = self._row.pop(key)
         last = self._keys.pop()
         if row < len(self._keys):       # swap-delete, as a block does
             self._keys[row] = last
             self._row[last] = row
         self._blocks[self._key_to_cluster.pop(key)].remove(key)
+        self._churn += 1
 
     def get_vector(self, key: object) -> np.ndarray:
         return self._blocks[self._key_to_cluster[key]].get_vector(key)
@@ -282,10 +270,7 @@ class IVFIndex:
         return {
             "dim": self.dim,
             "nprobe": self.nprobe,
-            "min_train_size": self.min_train_size,
-            "retrain_threshold": self.retrain_threshold,
             "seed": self.seed,
-            "incremental_min_n": self.incremental_min_n,
             "keys": list(self._keys),
             "centroids": None if self._centroids is None
             else np.array(self._centroids, dtype=np.float64),
@@ -298,14 +283,8 @@ class IVFIndex:
     def from_state(cls, state: dict) -> "IVFIndex":
         """Rebuild an index bit-identical to the one :meth:`to_state` saw;
         blocks that do not hold exactly the state's keys are refused."""
-        index = cls(
-            dim=int(state["dim"]),
-            nprobe=int(state["nprobe"]),
-            min_train_size=int(state["min_train_size"]),
-            retrain_threshold=float(state["retrain_threshold"]),
-            seed=int(state["seed"]),
-            incremental_min_n=int(state["incremental_min_n"]),
-        )
+        index = cls(dim=int(state["dim"]), nprobe=int(state["nprobe"]),
+                    seed=int(state["seed"]))
         index._keys = list(state["keys"])
         index._row = {key: row for row, key in enumerate(index._keys)}
         centroids = state["centroids"]
@@ -329,14 +308,14 @@ class IVFIndex:
         journaled state (key order, blocks, seed, trainings counter),
         the forced retrain reproduces identical centroids and blocks —
         whether the pool size selects the global K-Means path or the
-        incremental split/merge path.  A pool below ``min_train_size`` never
-        trains (matching the lazy path), so the call is a no-op there.
+        incremental split/merge path.  A pool below :data:`MIN_TRAIN_SIZE`
+        never trains (matching the lazy path), so the call is a no-op there.
         """
-        if len(self._keys) < self.min_train_size:
+        if len(self._keys) < MIN_TRAIN_SIZE:
             return False
         before = self.trainings
         self._churn = max(self._churn, max(
-            1, int(self.retrain_threshold * len(self._keys))))
+            1, int(RETRAIN_THRESHOLD * len(self._keys))))
         self._maybe_train()
         return self.trainings > before
 
@@ -350,14 +329,14 @@ class IVFIndex:
 
     def _maybe_train(self) -> None:
         n = len(self._keys)
-        if n < self.min_train_size:
+        if n < MIN_TRAIN_SIZE:
             return
         stale = self._centroids is None or self._churn >= max(
-            1, int(self.retrain_threshold * n)
+            1, int(RETRAIN_THRESHOLD * n)
         )
         if not stale:
             return
-        if self._centroids is not None and n >= self.incremental_min_n:
+        if self._centroids is not None and n >= INCREMENTAL_MIN_N:
             self._incremental_retrain()
         else:
             self._global_retrain()

@@ -29,6 +29,11 @@ import numpy as np
 
 from repro.utils.rng import make_rng
 
+#: Lloyd iterations a fit runs at most.
+MAX_ITER = 50
+#: A fit stops once the inertia or the centroids move by no more than this.
+TOL = 1e-6
+
 
 @dataclass
 class KMeansResult:
@@ -49,15 +54,10 @@ class KMeansResult:
 class KMeans:
     """Plain Lloyd's iteration; deterministic given the seed."""
 
-    def __init__(self, n_clusters: int, max_iter: int = 50, tol: float = 1e-6,
-                 seed: int = 0) -> None:
+    def __init__(self, n_clusters: int, seed: int = 0) -> None:
         if n_clusters < 1:
             raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         self.n_clusters = n_clusters
-        self.max_iter = max_iter
-        self.tol = tol
         self.seed = seed
 
     def fit(self, data: np.ndarray) -> KMeansResult:
@@ -85,7 +85,7 @@ class KMeans:
         previous = None
         inertia = float("inf")
         iterations = 0
-        for iterations in range(1, self.max_iter + 1):
+        for iterations in range(1, MAX_ITER + 1):
             _refresh_columns(x, centroids, moved, dists, scratch)
             distance_columns += moved.size
             labels = np.argmin(dists, axis=1)
@@ -122,7 +122,7 @@ class KMeans:
             moved = np.flatnonzero((new_centroids != centroids).any(axis=1))
             shift = float(np.linalg.norm(new_centroids - centroids))
             centroids = new_centroids
-            if abs(inertia - new_inertia) <= self.tol or shift <= self.tol:
+            if abs(inertia - new_inertia) <= TOL or shift <= TOL:
                 inertia = new_inertia
                 break
             inertia = new_inertia

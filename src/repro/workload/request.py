@@ -58,7 +58,7 @@ class Request:
                 f"difficulty must be in [0, 1], got {self.difficulty} "
                 f"for request {self.request_id}"
             )
-        if self.prompt_tokens <= 0:
+        if self.prompt_tokens == 0:     # the wire default: count the text
             self.prompt_tokens = max(1, count_tokens(self.text))
 
     _difficulty_estimate = None   # set on first read, or by prime_difficulty
@@ -106,8 +106,8 @@ RECORD = (
     ("latent", "vector", "latents", ...),
     ("topic_id", "int", "topic_ids", 0),
     ("difficulty", "float", "difficulties", 0.5),
-    ("prompt_tokens", "int", "prompt_tokens", 0),
-    ("target_output_tokens", "int", "target_output_tokens", 64),
+    ("prompt_tokens", "count", "prompt_tokens", 0),
+    ("target_output_tokens", "count", "target_output_tokens", 64),
     ("arrival_time", "float", "arrival_times", 0.0),
     ("metadata", "json", "metadata", {}),
 )
@@ -115,9 +115,10 @@ RECORD = (
 REQUEST_RECORD = tuple(f for f in RECORD if f[0] in Request.__dataclass_fields__)
 #: A ``task`` by its value, the text every format stores it as.
 TASKS = {task.value: task for task in TaskType}
-#: The keys that mark an array record in the snapshot's JSON (inline, and
-#: a sidecar reference): refused in metadata at any depth, so no stored
-#: metadata reads back as an array, or fails to read back.
+#: The keys that mark an array record (inline in a metadata blob, and a
+#: sidecar reference in the snapshot's JSON): refused in metadata at any
+#: depth, so no stored metadata reads back as an array, or fails to read
+#: back.
 ARRAY_KEYS = ("__ndarray__", "__extarray__")
 #: What no UTF-8 encoder takes: JSON's ``\\ud800`` escape decodes to one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -212,8 +213,9 @@ class Kind(NamedTuple):
 
 _TASK = (attrgetter("value"), TASKS.__getitem__)
 #: kind -> what it is: ``str`` UTF-8 text, ``task`` a :class:`TaskType`
-#: value, ``int`` int64, ``float`` float64, ``vector`` 1-D float64 (on the
-#: wire base64 of its little-endian bytes), ``json`` a JSON object.
+#: value, ``int`` int64, ``count`` a non-negative int64, ``float`` float64,
+#: ``vector`` 1-D float64 (on the wire base64 of its little-endian bytes),
+#: ``json`` a JSON object.
 KINDS = {
     "str": Kind(_text, "must be UTF-8 text, with no surrogate code point",
                 (str,), str, str, "s"),
@@ -222,6 +224,9 @@ KINDS = {
     "int": Kind(lambda v: isinstance(v, (int, np.integer))
                 and -2 ** 63 <= v < 2 ** 63, "must fit in int64",
                 (int,), int, int, "q"),
+    "count": Kind(lambda v: isinstance(v, (int, np.integer))
+                  and 0 <= v < 2 ** 63, "must be a non-negative int64",
+                  (int,), int, int, "q"),
     "float": Kind(lambda v: isinstance(
         v, (int, float, np.integer, np.floating)), "must be a number",
         (int, float), float, _finite, "d"),

@@ -9,7 +9,9 @@ centroids, labels, inertia and iteration count bit for bit
 times it as the in-run speedup denominator.
 
 It takes the ``KMeans`` instance as ``self`` so tests can monkeypatch it in
-as ``KMeans.fit``.
+as ``KMeans.fit``, and reads ``MAX_ITER`` and ``TOL`` from
+:mod:`repro.vectorstore.kmeans` when it runs, so a patched constant holds
+for both.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.rng import make_rng
+from repro.vectorstore import kmeans
 from repro.vectorstore.kmeans import KMeans, KMeansResult
 
 _CHUNK_ELEMS = 16_000_000
@@ -36,7 +39,7 @@ def _reference_fit(self: KMeans, data: np.ndarray) -> KMeansResult:
     labels = np.zeros(n, dtype=int)
     inertia = float("inf")
     iterations = 0
-    for iterations in range(1, self.max_iter + 1):
+    for iterations in range(1, kmeans.MAX_ITER + 1):
         dists = _sq_distances(x, centroids)
         labels = np.argmin(dists, axis=1)
         new_inertia = float(dists[np.arange(n), labels].sum())
@@ -51,7 +54,7 @@ def _reference_fit(self: KMeans, data: np.ndarray) -> KMeansResult:
                 new_centroids[c] = x[farthest]
         shift = float(np.linalg.norm(new_centroids - centroids))
         centroids = new_centroids
-        if abs(inertia - new_inertia) <= self.tol or shift <= self.tol:
+        if abs(inertia - new_inertia) <= kmeans.TOL or shift <= kmeans.TOL:
             inertia = new_inertia
             break
         inertia = new_inertia

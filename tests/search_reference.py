@@ -32,17 +32,11 @@ from repro.vectorstore.ivf import IVFIndex
 class ShadowPool(FlatIndex):
     """The flat copy :class:`IVFIndex` no longer keeps, as an oracle.
 
-    A plain :class:`FlatIndex` fed the same adds, removes and overwrites as
-    an index, except that an overwrite removes and re-appends the key, the
-    way the index's swap-delete key order treats one.  ``keys`` is then the
-    order a global retrain clusters in, and ``matrix`` is what it must train
-    on, bit for bit (``tests/test_vectorstore_float32.py``).
+    A plain :class:`FlatIndex` fed the same adds and removes as an index:
+    its swap-delete ``keys`` are then the order a global retrain clusters
+    in, and ``matrix`` is what it must train on, bit for bit
+    (``tests/test_vectorstore_float32.py``).
     """
-
-    def add(self, key: object, vector: np.ndarray) -> None:
-        if key in self:
-            self.remove(key)
-        super().add(key, vector)
 
 
 def reference_search(index: IVFIndex, query: np.ndarray,

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 __all__ = ["seeds", "vector_pools", "VectorPool", "kmeans_cases",
            "KMeansCase"]
 
-#: Pools stay above this so an IVFIndex(min_train_size=64) always trains.
+#: Pools stay above ``repro.vectorstore.ivf.MIN_TRAIN_SIZE`` (64), so an
+#: IVFIndex over one always trains.
 MIN_POOL = 70
 MAX_POOL = 160
 

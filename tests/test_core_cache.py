@@ -1,14 +1,11 @@
 """Unit tests for Example and ExampleCache."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.core.cache import ExampleCache
 from repro.core.example import Example
-from repro.persistence.snapshot import _encode
-
+from tests import state_json
 from tests.conftest import make_request
 
 
@@ -143,8 +140,7 @@ class TestExampleCache:
                       np.r_[np.inf, np.ones(7)], np.full(8, 1e200)],
         ids=["zero-vector", "wrong-dim", "nan-vector", "inf-component",
              "norm-overflows"])
-    def test_rejected_add_or_overwrite_changes_nothing(self, embedding,
-                                                       trained):
+    def test_rejected_add_changes_nothing(self, embedding, trained):
         """An embedding the index refuses is refused before the first
         mutation: id map, byte total, iteration, table and index are as
         they were, and the cache keeps working.  A norm that is NaN or
@@ -170,7 +166,7 @@ class TestExampleCache:
                     [e.example_id for e in cache],
                     [cache.table.owner(r).example_id
                      for r in range(len(cache.table))],
-                    json.dumps(_encode(cache._index.to_state())))
+                    state_json.dumps(cache._index.to_state()))
 
         before = state()
         bad = Example("bad", make_request(dim=8), "a response", embedding,
@@ -182,16 +178,13 @@ class TestExampleCache:
         with pytest.raises(KeyError):
             cache.remove("bad")
 
-        bad.example_id = "ex-1"
-        with pytest.raises(ValueError):
-            cache.overwrite(bad)
+        with pytest.raises(KeyError):       # a cached id is refused
+            cache.add(make_example(example_id="ex-1", dim=8, direction=5))
         assert state() == before
         elsewhere = ExampleCache(dim=8)     # another cache's row is refused
-        taken = make_example(example_id="ex-1", dim=8, direction=5)
+        taken = make_example(example_id="ex-9", dim=8, direction=5)
         elsewhere.add(taken)
         with pytest.raises(ValueError):
-            cache.overwrite(taken)
-        with pytest.raises(KeyError):
             cache.add(taken)
         assert state() == before and taken in list(elsewhere)
         query = np.zeros(8)

@@ -1,9 +1,9 @@
 """Property test: the cache's O(1) byte counter never drifts.
 
 ``total_bytes`` is the table's running sum of its ``plaintext_bytes``
-column, moved by ``add``/``overwrite``/``remove`` and by every text rebind
-(the WAL's replay-rewrite path).  This Hypothesis test drives arbitrary
-interleavings of all four mutation kinds against a fresh cache and asserts,
+column, moved by ``add``/``remove`` and by every text rebind (the WAL's
+replay-rewrite path).  This Hypothesis test drives arbitrary
+interleavings of all three mutation kinds against a fresh cache and asserts,
 after every operation, that the counter equals the recomputed ground truth
 — locking it against drift from any new mutation path.
 
@@ -26,8 +26,6 @@ _ops = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.sampled_from(POOL),
                   st.integers(0, 40)),
-        st.tuples(st.just("overwrite"), st.sampled_from(POOL),
-                  st.integers(0, 40)),
         st.tuples(st.just("remove"), st.sampled_from(POOL),
                   st.just(0)),
         st.tuples(st.just("rewrite"), st.sampled_from(POOL),
@@ -49,12 +47,6 @@ def _apply(cache: ExampleCache, op: str, example_id: str, size: int) -> None:
             return
         cache.add(make_example(example_id=example_id,
                                direction=hash(example_id) % 64, text=text))
-    elif op == "overwrite":
-        if not present:
-            return
-        cache.overwrite(make_example(example_id=example_id,
-                                     direction=hash(example_id) % 64,
-                                     text=text))
     elif op == "remove":
         if not present:
             return

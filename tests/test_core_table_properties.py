@@ -8,7 +8,7 @@ identity*: every decision input downstream (decay, eviction value, proxy
 features) must be the exact float the old per-object code produced.
 
 Hypothesis drives arbitrary interleavings of every lifecycle mutation —
-add, overwrite, remove (exercising swap-delete row reuse), record_use,
+add, remove (exercising swap-delete row reuse), record_use,
 whole-period decay (the vectorized ``*= factor ** periods`` broadcast),
 access bumps, and the WAL's replay-rewrite pattern (in-place text +
 bookkeeping overwrite) — against a pure-Python reference implementing the
@@ -25,15 +25,14 @@ order it evicts them in, to be the reference solvers' over the same pool.
 A fourth is about the record itself: an ``Example`` is one row of one table
 from construction on (its own one-row table, then the cache's, then its own
 again), the table's ``plaintext_bytes`` column is the only byte ledger and
-the cache's dict the only id map — so over add / overwrite / remove /
-re-add / text-rebind / snapshot-restore interleavings the three byte totals
+the cache's dict the only id map — so over add / remove / re-add /
+text-rebind / snapshot-restore interleavings the three byte totals
 agree after every step, every row's owner is its example, iteration is
 insertion order, and no move between tables changes a bit of an example.
 """
 
 from __future__ import annotations
 
-import json
 from unittest import mock
 
 import numpy as np
@@ -47,14 +46,10 @@ from repro.core.config import ManagerConfig
 from repro.core.manager import DECAY_FACTOR, DECAY_PERIOD_S, ExampleManager
 from repro.core.replay import replay_gain
 from repro.core.table import EMA_STREAMS, EMBEDDING_ROW_NORM, INSERTION_RANK
-from repro.persistence.snapshot import (
-    _decode,
-    _encode,
-    cache_state,
-    restore_cache_state,
-)
+from repro.persistence.snapshot import cache_state, restore_cache_state
 from repro.utils.clock import SimClock
 from repro.utils.tokens import count_tokens
+from tests import state_json
 from tests.ema_reference import RefEMA, streams
 from tests.knapsack_reference import KnapsackItem, solve_knapsack
 from tests.strategies import DETERMINISM, QUICK
@@ -94,8 +89,6 @@ class RefExample:
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.sampled_from(POOL), st.integers(0, 30)),
-        st.tuples(st.just("overwrite"), st.sampled_from(POOL),
-                  st.integers(0, 30)),
         st.tuples(st.just("remove"), st.sampled_from(POOL), st.just(0)),
         st.tuples(st.just("access"), st.sampled_from(POOL), st.just(0)),
         st.tuples(st.just("record_use"), st.sampled_from(POOL),
@@ -108,12 +101,11 @@ _ops = st.lists(
 )
 
 
-def _add(cache, reference, example_id: str, size: int,
-         overwrite: bool = False) -> None:
+def _add(cache, reference, example_id: str, size: int) -> None:
     text = "q " * size + "question"
     example = make_example(example_id=example_id,
                            direction=hash(example_id) % 64, text=text)
-    (cache.overwrite if overwrite else cache.add)(example)
+    cache.add(example)
     reference[example_id] = RefExample(
         request_text=example.request.text,
         response_text=example.response_text,
@@ -127,9 +119,6 @@ def _apply(cache, manager, clock, reference, op, example_id, arg) -> None:
     if op == "add":
         if not present:
             _add(cache, reference, example_id, arg)
-    elif op == "overwrite":
-        if present:
-            _add(cache, reference, example_id, arg, overwrite=True)
     elif op == "remove":
         if present:
             cache.remove(example_id)
@@ -395,10 +384,6 @@ def test_enforce_capacity_evicts_what_the_reference_solver_would(
 _record_ops = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.sampled_from(POOL), st.integers(0, 30)),
-        st.tuples(st.just("overwrite_new"), st.sampled_from(POOL),
-                  st.integers(0, 30)),
-        st.tuples(st.just("overwrite_same"), st.sampled_from(POOL),
-                  st.just(0)),
         st.tuples(st.just("remove"), st.sampled_from(POOL), st.just(0)),
         st.tuples(st.just("readd"), st.sampled_from(POOL), st.just(0)),
         st.tuples(st.just("rebind"), st.sampled_from(POOL),
@@ -413,7 +398,7 @@ _record_ops = st.lists(
 
 def _restored(cache) -> ExampleCache:
     """The cache's state through a snapshot's JSON form into a fresh cache."""
-    state = _decode(json.loads(json.dumps(_encode(cache_state(cache)))))
+    state = state_json.loads(state_json.dumps(cache_state(cache)))
     fresh = ExampleCache(dim=64)
     restore_cache_state(fresh, state)
     return fresh
@@ -452,10 +437,10 @@ def _assert_one_record(cache, order: list[str]) -> None:
 @settings(**DETERMINISM)
 @given(ops=_record_ops)
 # an evicted example goes back in after a rebind while it was out, then the
-# pool is restored and it is overwritten by itself
+# pool is restored and an older example leaves
 @example(ops=[("add", "ex-0", 3), ("add", "ex-1", 0), ("remove", "ex-0", 0),
               ("rebind", "ex-0", 9), ("readd", "ex-0", 0), ("restore", "", 0),
-              ("overwrite_same", "ex-0", 0), ("remove", "ex-1", 0)])
+              ("remove", "ex-1", 0)])
 def test_one_record_per_cached_example(ops):
     cache = ExampleCache(dim=64)
     manager = ExampleManager(cache, ManagerConfig(sanitize=False))
@@ -476,18 +461,6 @@ def test_one_record_per_cached_example(ops):
             moved_unchanged(fresh, lambda: cache.add(fresh))
             order.append(example_id)
             evicted.pop(example_id, None)
-        elif op == "overwrite_new" and cached:
-            fresh = make_example(example_id=example_id,
-                                 direction=hash(example_id) % 64,
-                                 text="w " * arg + "rewritten")
-            previous = cache.get(example_id)
-            before = _fingerprint(previous)
-            moved_unchanged(fresh, lambda: cache.overwrite(fresh))
-            assert cache.get(example_id) is fresh
-            assert _fingerprint(previous) == before     # out, and intact
-        elif op == "overwrite_same" and cached:
-            same = cache.get(example_id)
-            moved_unchanged(same, lambda: cache.overwrite(same))
         elif op == "remove" and cached:
             leaving = cache.get(example_id)
             moved_unchanged(leaving, lambda: cache.remove(example_id))

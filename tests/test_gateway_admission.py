@@ -475,6 +475,15 @@ class TestGatewayHttpStatuses:
          "bad payload", "'prompt_tokens'"),
         ("/submit", unjournalable("target_output_tokens", 10 ** 30),
          "bad payload", "'target_output_tokens'"),
+        ("/serve", unjournalable("prompt_tokens", -5), "bad payload",
+         "'prompt_tokens'"),
+        ("/submit", unjournalable("prompt_tokens", -2 ** 63), "bad payload",
+         "'prompt_tokens'"),
+        ("/serve", unjournalable("target_output_tokens", -5), "bad payload",
+         "'target_output_tokens'"),
+        ("/serve_batch", unjournalable("target_output_tokens", -1,
+                                       batch=True), "bad payload",
+         "'target_output_tokens'"),
         ("/serve", unjournalable("text", "hello \ud800 world"),
          "bad payload", "'text'"),
         ("/serve", unjournalable("request_id", "id-\udfff"), "bad payload",
@@ -500,6 +509,8 @@ class TestGatewayHttpStatuses:
             "latent-3-floats-stamp-ahead", "latent-nan", "submit-latent-inf",
             "batch-one-nan-latent", "topic-past-int64",
             "prompt-tokens-below-int64", "submit-output-tokens-past-int64",
+            "prompt-tokens-negative", "submit-prompt-tokens-int64-min",
+            "output-tokens-negative", "batch-one-negative-output-tokens",
             "text-lone-surrogate", "request-id-lone-surrogate",
             "submit-dataset-lone-surrogate", "metadata-lone-surrogate",
             "batch-one-lone-surrogate", "topic-as-string",
@@ -512,7 +523,9 @@ class TestGatewayHttpStatuses:
         used to be 500s; a latent of the wrong length was a 500 after it
         had moved the watermark to its stamp, and a NaN one was served and
         cached; an integer past int64 was a 500 from the journal after the
-        cache took the example, a lone surrogate a 500 from the embedder.  Each is a 400 at the edge (one bad member refuses its whole
+        cache took the example, a lone surrogate a 500 from the embedder; a
+        negative token count was stored, or recounted from the text.  Each
+        is a 400 at the edge (one bad member refuses its whole
         batch): nothing reaches the session, the connection stays open,
         ``/health`` stays JSON."""
         async def scenario():

@@ -12,7 +12,6 @@ for byte.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from unittest import mock
 
@@ -55,11 +54,11 @@ from repro.embedding.similarity import (
 from repro.llm.icl import ExampleView, ICLBoostModel, latent_norm
 from repro.llm.quality import clip_unit
 from repro.persistence import Checkpointer, WriteAheadLog
-from repro.persistence.snapshot import _encode
 from repro.utils.rng import make_rng, stable_hash
 from repro.vectorstore.ivf import IVFIndex
 from repro.workload import SyntheticDataset
 from tests import hotpath_reference as reference
+from tests import state_json
 from tests.conftest import make_request
 from tests.strategies import DETERMINISM, seeds, vector_pools
 
@@ -676,7 +675,7 @@ def _at_capacity_run(directory) -> dict[str, object]:
                        [s.example.example_id for s in o.examples])
                       for o in outcomes],
         "wal": checkpointer.wal_path.read_bytes(),
-        "index": json.dumps(_encode(service.cache._index.to_state())),
+        "index": state_json.dumps(service.cache._index.to_state()),
         "snapshot": files,
         "stats": service.stats,
         "evictions": service.manager.evictions,

@@ -55,7 +55,7 @@ class TestInspect:
         assert "format:" in out
         assert "examples" in out
         assert f"served={SERVE}" in out
-        assert "format:        ic-cache-snapshot v8" in out
+        assert "format:        ic-cache-snapshot v9" in out
         # The index line counts the state's key list (no flat copy).
         n = int(out.split("cache:")[1].split()[0])
         assert f"index:         {n} rows, 0 clusters, 0 trainings" in out

@@ -14,6 +14,7 @@ CI runs this file as the persistence smoke job (small N on purpose).
 from __future__ import annotations
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.persistence.wal import (
     read_journal,
 )
 from repro.pipeline.protocols import ServeMiddleware
+from repro.vectorstore import ivf
 from repro.workload.datasets import SyntheticDataset
 from repro.workload.request import Request
 
@@ -94,16 +96,12 @@ def _lifecycle_window(service: ICCacheService) -> dict:
     """
     _ingest(service)
     # Lazy K-Means retrain inside a search: drop the cadence so the
-    # window's churn is enough, search once, then restore the cadence —
-    # the recovered service resumes with the *snapshot's* threshold, so
-    # both runs must carry the same value into the post-crash chunk.
-    index = service.cache._index
-    original_threshold = index.retrain_threshold
-    index.retrain_threshold = 0.01
-    service.cache.nearest_similarity(
-        service.cache.examples()[0].embedding
-    )
-    index.retrain_threshold = original_threshold
+    # window's churn is enough, search once, then restore the cadence, so
+    # both runs carry the same value into the post-crash chunk.
+    with mock.patch.object(ivf, "RETRAIN_THRESHOLD", 0.01):
+        service.cache.nearest_similarity(
+            service.cache.examples()[0].embedding
+        )
     service.clock.advance(2 * 3600.0)
     return service.run_maintenance(replay=True)
 

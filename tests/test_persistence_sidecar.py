@@ -59,7 +59,7 @@ class TestSidecarFormat:
         service.save(path)
 
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 8
+        assert doc["version"] == SNAPSHOT_VERSION == 9
         bins = _bin_files(path)
         assert len(bins) == 1
         assert doc["sidecar"] == bins[0].name
@@ -106,7 +106,9 @@ class TestSidecarFormat:
 
     def test_unknown_version_rejected(self, tmp_path):
         """Every version but the written one is refused — the previous one
-        (v7's ``config`` record held 24 more values, now module constants),
+        (v8 stored ``config.index`` and the index's ``min_train_size``,
+        ``retrain_threshold`` and ``incremental_min_n``, now module
+        constants), v7 (its ``config`` record held 24 more values),
         v6 (it named the cache layout in ``cache.sharded`` and
         ``config.cache_shards``), v5 (a second, flat copy of every index
         vector), v4 (the byte ledger twice) and the three older ones this
@@ -119,7 +121,10 @@ class TestSidecarFormat:
         doc["config"]["router"]["ridge"] = 1.0
         doc["cache"]["sharded"] = False         # and v6's
         doc["config"]["cache_shards"] = 1
-        for version in (1, 2, 3, 4, 5, 6, 7, 99):
+        doc["config"]["index"] = {"nprobe": 2, "incremental_min_n": 10_000}
+        doc["cache"]["index"].update(min_train_size=64, retrain_threshold=0.3,
+                                     incremental_min_n=10_000)  # and v8's
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 99):
             doc["version"] = version
             path.write_text(json.dumps(doc), encoding="utf-8")
             with pytest.raises(ValueError) as refused:

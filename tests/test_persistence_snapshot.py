@@ -16,18 +16,14 @@ import numpy as np
 import pytest
 
 from repro.core.config import ICCacheConfig, ManagerConfig
-from repro.core.example import Example
 from repro.core.service import ICCacheService
-from repro.persistence.snapshot import (
-    SNAPSHOT_VERSION,
-    _decode,
-    _encode,
-    load_snapshot,
-)
+from repro.persistence.snapshot import SNAPSHOT_VERSION, load_snapshot
 from repro.persistence.wal import Checkpointer
+from repro.vectorstore import ivf
 from repro.vectorstore.flat import FlatIndex
 from repro.vectorstore.ivf import IVFIndex
 from repro.workload.datasets import SyntheticDataset
+from tests import state_json
 
 DIM = 16
 
@@ -40,7 +36,7 @@ def _vectors(n: int, seed: int = 0) -> np.ndarray:
 
 def _json_roundtrip(state: dict) -> dict:
     """State -> JSON text -> state, proving on-disk serializability."""
-    return _decode(json.loads(json.dumps(_encode(state))))
+    return state_json.loads(state_json.dumps(state))
 
 
 def _hits(results) -> list[tuple]:
@@ -100,7 +96,7 @@ class TestFlatIndexRoundtrip:
 
 class TestIVFIndexRoundtrip:
     def test_search_identical_after_removals(self):
-        index = _churned_index(IVFIndex, nprobe=3, min_train_size=64, seed=4)
+        index = _churned_index(IVFIndex, nprobe=3, seed=4)
         assert index.is_trained
         restored = IVFIndex.from_state(_json_roundtrip(index.to_state()))
         assert restored.trainings == index.trainings
@@ -113,7 +109,7 @@ class TestIVFIndexRoundtrip:
 
     def test_retrain_identical_after_restore(self):
         """The decisive history test: both copies retrain to the same state."""
-        index = _churned_index(IVFIndex, nprobe=3, min_train_size=64, seed=4)
+        index = _churned_index(IVFIndex, nprobe=3, seed=4)
         restored = IVFIndex.from_state(_json_roundtrip(index.to_state()))
         # Identical churn on both copies, enough to trigger a retrain.
         spare = _vectors(50, seed=8)
@@ -125,18 +121,18 @@ class TestIVFIndexRoundtrip:
         assert _hits(index.search(query, 5)) == _hits(restored.search(query, 5))
         assert index.trainings == restored.trainings > trainings_before
 
-    def test_incremental_retrain_identical_after_restore(self):
+    def test_incremental_retrain_identical_after_restore(self, monkeypatch):
         """The WAL-replay contract at scale: with the pool above
-        ``incremental_min_n``, a forced retrain takes the split/merge path,
+        ``INCREMENTAL_MIN_N``, a forced retrain takes the split/merge path,
         whose schedule must be a pure function of journaled state — so the
         restored copy must reproduce centroids and blocks bit-identically."""
-        index = _churned_index(IVFIndex, nprobe=3, min_train_size=64, seed=4,
-                               incremental_min_n=80)
+        monkeypatch.setattr(ivf, "INCREMENTAL_MIN_N", 80)
+        index = _churned_index(IVFIndex, nprobe=3, seed=4)
         restored = IVFIndex.from_state(_json_roundtrip(index.to_state()))
         for copy in (index, restored):
             for i, vec in enumerate(_vectors(40, seed=9)):
                 copy.add(("inc", i), vec)
-            assert len(copy) >= copy.incremental_min_n
+            assert len(copy) >= ivf.INCREMENTAL_MIN_N
             assert copy.retrain()
         assert index.trainings == restored.trainings
         assert np.array_equal(index._centroids, restored._centroids)
@@ -146,7 +142,7 @@ class TestIVFIndexRoundtrip:
             assert np.array_equal(a.matrix, b.matrix)
 
     def test_untrained_index_roundtrips(self):
-        index = IVFIndex(dim=DIM, min_train_size=64)
+        index = IVFIndex(dim=DIM)
         for i, vec in enumerate(_vectors(10)):
             index.add(i, vec)
         restored = IVFIndex.from_state(_json_roundtrip(index.to_state()))
@@ -155,7 +151,7 @@ class TestIVFIndexRoundtrip:
         assert _hits(restored.search(query, 3)) == _hits(index.search(query, 3))
 
     def test_forced_retrain_noop_below_min_size(self):
-        index = IVFIndex(dim=DIM, min_train_size=64)
+        index = IVFIndex(dim=DIM)
         index.add(0, _vectors(1)[0])
         assert index.retrain() is False
         assert index.trainings == 0
@@ -164,8 +160,7 @@ class TestIVFIndexRoundtrip:
         """The blocks are the only copy of the rows: a key list they do not
         match (one missing, one stranger, or a block per cluster too many)
         is refused, not restored into an index that cannot find a row."""
-        state = _churned_index(IVFIndex, nprobe=3, min_train_size=64,
-                               seed=4).to_state()
+        state = _churned_index(IVFIndex, nprobe=3, seed=4).to_state()
         empty = FlatIndex(DIM).to_state()
         for broken in (dict(state, keys=state["keys"][:-1]),
                        dict(state, keys=[*state["keys"][:-1], "stranger"]),
@@ -270,11 +265,17 @@ class TestServiceSnapshot:
         service, _ = _build_service(bank=40)
         path = service.save(tmp_path / "s.json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == SNAPSHOT_VERSION == 8
+        assert doc["version"] == SNAPSHOT_VERSION == 9
         cache = doc["cache"]
         assert "examples" not in cache
         # One index layout: the manifest names none.
         assert "sharded" not in cache and "cache_shards" not in doc["config"]
+        # The index's knobs are module constants: neither config nor the
+        # index state stores them.
+        assert "index" not in doc["config"]
+        assert set(cache["index"]) == {"dim", "nprobe", "seed", "keys",
+                                       "centroids", "blocks", "churn",
+                                       "trainings"}
         # The index stores each vector once, in its cluster blocks.
         assert "flat" not in cache["index"]
         assert len(cache["index"]["keys"]) == len(service.cache)
@@ -308,28 +309,3 @@ class TestServiceSnapshot:
         assert restored.cache.total_bytes == service.cache.total_bytes \
             == sum(example.plaintext_bytes for example in restored.cache)
 
-    def test_overwrite_keeps_bytes_and_counts_one_churn(self):
-        service, _ = _build_service(bank=80)
-        cache = service.cache
-        trainings = cache._index.trainings
-        original = cache.examples()[0]
-        replacement = Example(
-            example_id=original.example_id,
-            request=original.request,
-            response_text=original.response_text + " refined tail",
-            embedding=original.embedding,
-            quality=original.quality,
-            source_model=original.source_model,
-            source_cost=original.source_cost,
-        )
-        before_total = cache.total_bytes
-        cache.overwrite(replacement)
-        assert cache.get(original.example_id) is replacement
-        assert cache.total_bytes == before_total + len(b" refined tail")
-        assert cache._index.trainings == trainings  # no retrain from one churn
-        with pytest.raises(KeyError):
-            cache.overwrite(Example(
-                example_id="absent", request=original.request,
-                response_text="x", embedding=original.embedding,
-                quality=0.5, source_model="m", source_cost=0.5,
-            ))

@@ -19,12 +19,12 @@ that fails part-way, is cut short by the disk, or is open at ``detach`` /
 from __future__ import annotations
 
 import errno
-import json
 import os
 import re
 import shutil
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -36,8 +36,8 @@ from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.example import Example
 from repro.core.service import ICCacheService
 from repro.core.table import EMA_STREAMS
+from repro.persistence import wal as wal_module
 from repro.persistence.snapshot import (
-    _encode,
     cache_state,
     load_snapshot,
     restore_service,
@@ -53,6 +53,7 @@ from repro.persistence.wal import (
 )
 from repro.workload.datasets import SyntheticDataset
 from repro.workload.request import Request, TaskType
+from tests import state_json
 from tests.ema_reference import RefEMA, write_streams
 from tests.strategies import DETERMINISM
 from tests.wal_reference import ReferenceWriteAheadLog, example_record
@@ -86,8 +87,8 @@ def assert_same(ours, theirs, where="record") -> None:
 
 
 def as_reference(record: dict) -> dict:
-    """A decoded record in the reference codec's shape: an ``add`` /
-    ``overwrite`` example through ``example_record``, a rewrite's row
+    """A decoded record in the reference codec's shape: an ``add``
+    example through ``example_record``, a rewrite's row
     fields back into the refined-field dict of EMA dicts (a stream whose
     flag bit is clear has no value yet: ``None``)."""
     data = record["data"]
@@ -170,7 +171,7 @@ def examples(draw, example_id: str, width: int) -> Example:
         topic_id=draw(i64),
         difficulty=draw(st.floats(0.0, 1.0) | st.just(-0.0)),
         prompt_tokens=draw(st.integers(1, 2**63 - 1)),
-        target_output_tokens=draw(i64), arrival_time=draw(any_float),
+        target_output_tokens=draw(counts), arrival_time=draw(any_float),
         metadata=draw(metadatas))
     example = Example(
         example_id=example_id, request=request, response_text=draw(texts),
@@ -197,7 +198,6 @@ def test_every_kind_decodes_to_what_the_reference_decodes(
     width = data.draw(st.integers(0, DIM), label="latent width")
     for example_id in ids:
         cache.add(data.draw(examples(example_id, width)))        # add
-    cache.overwrite(data.draw(examples(ids[0], width)))          # overwrite
     rewritten = cache.get(ids[1])
     rewritten.response_text = data.draw(texts)
     write_streams(rewritten, {"gain_ema": data.draw(emas())})
@@ -369,9 +369,8 @@ def test_unencodable_example_raises_and_writes_nothing(tmp_path,
         cache.add(bad)                  # journal; the encoder does alone
     wal.record("add", good)
     before = wal.path.read_bytes()
-    for kind in ("add", "overwrite"):
-        with pytest.raises((ValueError, TypeError, struct.error)):
-            wal.record(kind, bad)
+    with pytest.raises((ValueError, TypeError, struct.error)):
+        wal.record("add", bad)
     assert wal.path.read_bytes() == before and len(wal) == 1
     # An evicted example took its row with it: the same record, bit for bit.
     wal.record("add", cache.remove("good"))
@@ -612,7 +611,7 @@ def _state(service) -> tuple:
     the teacher's decode positions, the clock."""
     teacher = service.manager.replay_engine.teacher
     manager = service.manager
-    return (json.dumps(_encode(cache_state(service.cache))),
+    return (state_json.dumps(cache_state(service.cache)),
             (manager._next_id, manager.admitted, manager.rejected_duplicates,
              manager.evictions, manager._last_decay),
             dict(teacher._decode_counts), service.clock.now)
@@ -872,6 +871,28 @@ def test_recovery_refuses_to_start_on_a_corrupt_journal(tmp_path):
     checkpointer.wal_path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="frame 2 .* fails its CRC"):
         Checkpointer.recover(tmp_path)
+
+
+def test_each_kind_keeps_its_wire_code_and_code_2_is_unknown(tmp_path):
+    """Code 2 belonged to the deleted ``overwrite`` kind: every other kind
+    keeps the code it always had, so journals written before read the
+    same, and a valid frame of code 2 is refused as an unknown kind."""
+    assert {kind: code for kind, (code, *_) in wal_module._CODECS.items()} \
+        == {"add": 1, "remove": 3, "retrain": 4, "decay": 5, "clock": 6,
+            "manager_counters": 7, "replay_rewrite": 8}
+    wal = WriteAheadLog(tmp_path / "wal.bin")
+    wal.record("clock", {"now": 1.0})
+    wal.close()
+    raw = bytearray(wal.path.read_bytes())
+    start = len(MAGIC) + wal_module._PREFIX.size
+    raw[start] = 2                          # the kind byte of frame 0
+    rest = bytes(raw[start:])
+    raw[len(MAGIC):start] = wal_module._PREFIX.pack(len(rest),
+                                                    zlib.crc32(rest))
+    wal.path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"frame 0 at byte offset "
+                       f"{len(MAGIC)} has unknown kind code 2"):
+        WriteAheadLog.read(wal.path)
 
 
 # -- files that are not this format ------------------------------------------------

@@ -31,6 +31,7 @@ from repro.gateway import PayloadError, request_from_payload
 from repro.persistence import Checkpointer
 from repro.workload.request import (
     ARRAY_KEYS,
+    KINDS,
     RECORD,
     REQUEST_RECORD,
     TASKS,
@@ -62,6 +63,10 @@ EDGES = {
             | st.integers(-2 ** 63, 2 ** 63 - 1),
             st.sampled_from([2 ** 63, -2 ** 63 - 1, 3.0, 3.9, "12", True,
                              None])),
+    "count": (st.sampled_from([0, 1, 2 ** 63 - 1])
+              | st.integers(0, 2 ** 63 - 1),
+              st.sampled_from([-1, -5, -2 ** 63, 2 ** 63, 3.0, "12", True,
+                               None])),
     "float": (st.sampled_from([0, 1, 0.0, -0.0, 5e-324, 0.5, 1.0])
               | st.floats(0.0, 1.0),
               st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400,
@@ -74,6 +79,12 @@ EDGES = {
                  lambda key: {"outer": [{key: {"offset": 0}}]})
              | st.sampled_from([[], "x", None, {"k": "\ud800"}])),
 }
+
+
+def test_every_kind_has_its_edges():
+    """The property below draws each field from its kind's edges: a kind
+    without them would go untested, and edges of no kind test nothing."""
+    assert set(EDGES) == set(KINDS)
 
 
 def _assert_same(ours: tuple, theirs: tuple) -> None:

@@ -6,8 +6,8 @@ column, and :meth:`ReplayEngine.replay_one` resets a replayed row's gain
 with :meth:`ExampleTable.reset_gain`.  The per-object pass those replaced
 is kept in ``tests/replay_reference.py``: every example's G(e) read on its
 own, a stable sort, the generate-based ``replay_one`` and the reference EMA
-arithmetic.  On twin pools — rows scrambled by swap-deletes, an overwrite
-and a snapshot restore, or topic-clustered — with gains drawn from a few
+arithmetic.  On twin pools — rows scrambled by swap-deletes, re-adds and
+a snapshot restore, or topic-clustered — with gains drawn from a few
 values (ties), replay counts at and past the cap and rows never used, both
 must pick the same examples in the same order, report the same outcome and
 leave equal table columns, texts and teacher decode positions.
@@ -29,7 +29,7 @@ from tests.clustered_pool import clustered_vectors
 from tests.conftest import make_request
 from tests.ema_reference import RefEMA, streams, write_streams
 from tests.strategies import DETERMINISM
-from tests.test_retention_tail import BIG_POOL, _scramble, _scrambled_pool
+from tests.test_retention_tail import _scramble, _scrambled_pool
 
 #: G(e) values that tie, straddle the default cut-off (0.15 over a reuse of
 #: 20 is a gain of 0.0075) and sit on it; None: never used.
@@ -86,23 +86,21 @@ def _assert_replay_matches_reference(build, reuse: float) -> None:
 @given(sizes=st.lists(st.sampled_from([0, 1, 2, 5]), min_size=40,
                       max_size=40),
        ops=_scramble,
-       overwrite=st.tuples(st.sampled_from(BIG_POOL),
-                           st.sampled_from([0, 1, 2, 5])),
        restore=st.booleans(),
        gains=st.lists(st.none() | _GAINS, min_size=40, max_size=40),
        replay_counts=st.lists(_REPLAY_COUNTS, min_size=40, max_size=40),
        reuse=_REUSES)
 # every gain tied and ex-39's row moved to the front: insertion order wins
-@example(sizes=[1] * 40, ops=[("remove", "ex-0", 0)], overwrite=("ex-3", 1),
-         restore=False, gains=[0.25] * 40, replay_counts=[0] * 40, reuse=1.0)
+@example(sizes=[1] * 40, ops=[("remove", "ex-0", 0)], restore=False,
+         gains=[0.25] * 40, replay_counts=[0] * 40, reuse=1.0)
 def test_replay_over_scrambled_rows_matches_the_reference(
-        sizes, ops, overwrite, restore, gains, replay_counts, reuse):
+        sizes, ops, restore, gains, replay_counts, reuse):
     """Rows in arbitrary order (the lifecycle's own record_use gains, some
     overwritten with tied ones): the ranking's ties fall in insertion
     order, exactly as the stable per-object sort leaves them."""
 
     def build():
-        cache, _, _ = _scrambled_pool(sizes, ops, overwrite, restore)
+        cache, _, _ = _scrambled_pool(sizes, ops, restore)
         for ex, gain, count in zip(cache.examples(), gains, replay_counts):
             if gain is not None:            # None here: keep the ops' gain
                 _set_gain(ex, gain)

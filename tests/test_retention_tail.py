@@ -12,7 +12,7 @@ properties here compare, item for item:
   with the best-single fix-up firing, zero weights, and excesses from one
   byte to most of the pool;
 * :meth:`ExampleManager.enforce_capacity` on tables whose rows were
-  scrambled by swap-deletes and an ``overwrite``, or restored through
+  scrambled by swap-deletes, or restored through
   ``ExampleTable.adopt_columns``, against the per-object reference;
 * a journaled at-capacity serving run against the same run with the
   proof disabled — byte-identical ``wal.bin`` and index state.
@@ -23,7 +23,6 @@ properties cannot pass by never taking the shortcut.
 
 from __future__ import annotations
 
-import json
 from unittest import mock
 
 import numpy as np
@@ -40,11 +39,11 @@ from repro.core.replay import ReplayEngine
 from repro.core.service import ICCacheService
 from repro.core.table import INSERTION_RANK
 from repro.llm.zoo import get_model
-from repro.persistence.snapshot import _encode
 from repro.persistence.wal import Checkpointer, WriteAheadLog
 from repro.utils.clock import SimClock
 from repro.workload.datasets import SyntheticDataset
 from tests import replay_reference
+from tests import state_json
 from tests.knapsack_reference import KnapsackItem, solve_knapsack
 from tests.strategies import DETERMINISM, QUICK
 from tests.test_core_table_properties import (
@@ -224,8 +223,8 @@ def _insertion_order(table) -> list[str]:
     return [table.owner(row).example_id for row in rows]
 
 
-def _scrambled_pool(sizes, ops, overwrite, restore):
-    """A 40-id pool after swap-deletes and one overwrite, plus its
+def _scrambled_pool(sizes, ops, restore):
+    """A 40-id pool after swap-deletes and re-adds, plus its
     per-object reference; optionally round-tripped through a snapshot.
     Its evictions take the greedy (:func:`_greedy_only`): 40 is an exact
     DP's pool size."""
@@ -238,7 +237,6 @@ def _scrambled_pool(sizes, ops, overwrite, restore):
         _apply(cache, manager, clock, reference, "add", example_id, size)
     for op, example_id, arg in ops:
         _apply(cache, manager, clock, reference, op, example_id, arg)
-    _apply(cache, manager, clock, reference, "overwrite", *overwrite)
     if restore:
         cache = _restored(cache)
         manager = ExampleManager(cache, config, clock=clock)
@@ -253,18 +251,14 @@ def _greedy_only():
 @settings(**DETERMINISM)
 @given(sizes=st.lists(st.sampled_from([0, 1, 2, 5]), min_size=40,
                       max_size=40),
-       ops=_scramble,
-       overwrite=st.tuples(st.sampled_from(BIG_POOL),
-                           st.sampled_from([0, 1, 2, 5])),
-       restore=st.booleans(), excess=st.integers(1, 400))
+       ops=_scramble, restore=st.booleans(), excess=st.integers(1, 400))
 def test_eviction_over_scrambled_rows_matches_the_reference(
-        sizes, ops, overwrite, restore, excess):
-    """Swap-deletes, an overwrite and an ``adopt_columns`` restore leave
+        sizes, ops, restore, excess):
+    """Swap-deletes, re-adds and an ``adopt_columns`` restore leave
     row order arbitrary; the insertion rank still says what the cache's
     dict order says, and one over-budget pass evicts what the per-item
     solver rejects over the insertion-order pool, oldest first."""
-    cache, manager, reference = _scrambled_pool(sizes, ops, overwrite,
-                                                restore)
+    cache, manager, reference = _scrambled_pool(sizes, ops, restore)
     assert _insertion_order(cache.table) == list(reference)
     assert [ex.example_id for ex in cache] == list(reference)
 
@@ -313,7 +307,7 @@ def test_scrambled_restored_pool_takes_the_shortcut(monkeypatch):
     monkeypatch.setattr(knapsack, "_rank", None)     # would raise if called
     ops = [("remove", f"ex-{i}", 0) for i in (3, 17, 0, 28)]
     cache, manager, _ = _scrambled_pool([1, 2, 5, 0] * 10, ops,
-                                        ("ex-9", 5), restore=True)
+                                        restore=True)
     manager.config.capacity_bytes = cache.total_bytes - 1
     with _greedy_only():
         assert manager.enforce_capacity() == 1
@@ -342,7 +336,7 @@ def _at_capacity_run(directory) -> tuple[bytes, str, int]:
             service.run_maintenance(replay=True)
         service.serve(request, load=0.2)
     checkpointer.detach()
-    index_state = json.dumps(_encode(service.cache._index.to_state()))
+    index_state = state_json.dumps(service.cache._index.to_state())
     return (checkpointer.wal_path.read_bytes(), index_state,
             service.manager.evictions)
 

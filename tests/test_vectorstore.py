@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.vectorstore import ivf as ivf_module
 from repro.vectorstore.flat import FlatIndex
 from repro.vectorstore.ivf import IVFIndex, optimal_cluster_count
 from repro.vectorstore.kmeans import KMeans
@@ -57,12 +58,14 @@ class TestFlatIndex:
         with pytest.raises(KeyError):
             FlatIndex(dim=2).remove("nope")
 
-    def test_overwrite_same_key(self):
+    def test_an_existing_key_is_refused(self):
         index = FlatIndex(dim=2)
         index.add("a", [1.0, 0.0])
-        index.add("a", [0.0, 1.0])
-        assert len(index) == 1
-        assert index.search([0.0, 1.0], 1)[0].score == pytest.approx(1.0)
+        before = index.to_state(), index.version
+        with pytest.raises(KeyError):
+            index.add("a", [0.0, 1.0])
+        np.testing.assert_equal((index.to_state(), index.version), before)
+        assert index.search([1.0, 0.0], 1)[0].score == pytest.approx(1.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -165,15 +168,16 @@ class TestOptimalClusterCount:
 
 class TestIVFIndex:
     def test_exact_while_small(self):
-        index = IVFIndex(dim=4, min_train_size=100)
+        index = IVFIndex(dim=4)
         for i, vec in enumerate(random_unit_vectors(20, 4)):
             index.add(i, vec)
         assert not index.is_trained
         query = index.get_vector(7)
         assert index.search(query, 1)[0].key == 7
 
-    def test_trains_after_threshold(self):
-        index = IVFIndex(dim=8, min_train_size=32)
+    def test_trains_after_threshold(self, monkeypatch):
+        monkeypatch.setattr(ivf_module, "MIN_TRAIN_SIZE", 32)
+        index = IVFIndex(dim=8)
         for i, vec in enumerate(random_unit_vectors(64, 8)):
             index.add(i, vec)
         index.search(random_unit_vectors(1, 8, seed=5)[0], 1)
@@ -184,7 +188,7 @@ class TestIVFIndex:
         dim = 16
         vectors = random_unit_vectors(400, dim, seed=11)
         flat = FlatIndex(dim)
-        ivf = IVFIndex(dim=dim, nprobe=4, min_train_size=64, seed=1)
+        ivf = IVFIndex(dim=dim, nprobe=4, seed=1)
         for i, vec in enumerate(vectors):
             flat.add(i, vec)
             ivf.add(i, vec)
@@ -207,7 +211,7 @@ class TestIVFIndex:
             v = c + rng.normal(0, 0.05, size=16)
             vectors.append(v / np.linalg.norm(v))
         flat = FlatIndex(16)
-        ivf = IVFIndex(dim=16, nprobe=2, min_train_size=64, seed=2)
+        ivf = IVFIndex(dim=16, nprobe=2, seed=2)
         for i, vec in enumerate(vectors):
             flat.add(i, vec)
             ivf.add(i, vec)
@@ -219,8 +223,9 @@ class TestIVFIndex:
             total += 5
         assert hits / total >= 0.9
 
-    def test_add_after_training_assigns_cluster(self):
-        index = IVFIndex(dim=8, min_train_size=32, nprobe=32)
+    def test_add_after_training_assigns_cluster(self, monkeypatch):
+        monkeypatch.setattr(ivf_module, "MIN_TRAIN_SIZE", 32)
+        index = IVFIndex(dim=8, nprobe=32)
         for i, vec in enumerate(random_unit_vectors(64, 8)):
             index.add(i, vec)
         index.search(random_unit_vectors(1, 8)[0], 1)  # trigger training
@@ -228,8 +233,9 @@ class TestIVFIndex:
         index.add("new", new_vec)
         assert index.search(new_vec, 1)[0].key == "new"
 
-    def test_remove_after_training(self):
-        index = IVFIndex(dim=8, min_train_size=16)
+    def test_remove_after_training(self, monkeypatch):
+        monkeypatch.setattr(ivf_module, "MIN_TRAIN_SIZE", 16)
+        index = IVFIndex(dim=8)
         vectors = random_unit_vectors(32, 8)
         for i, vec in enumerate(vectors):
             index.add(i, vec)
@@ -239,8 +245,9 @@ class TestIVFIndex:
         keys = {r.key for r in index.search(vectors[3], 32)}
         assert 3 not in keys
 
-    def test_matching_cost_reflects_sqrt_tradeoff(self):
-        index = IVFIndex(dim=8, min_train_size=16, nprobe=1)
+    def test_matching_cost_reflects_sqrt_tradeoff(self, monkeypatch):
+        monkeypatch.setattr(ivf_module, "MIN_TRAIN_SIZE", 16)
+        index = IVFIndex(dim=8, nprobe=1)
         for i, vec in enumerate(random_unit_vectors(256, 8)):
             index.add(i, vec)
         index.search(random_unit_vectors(1, 8)[0], 1)
@@ -248,8 +255,10 @@ class TestIVFIndex:
         assert index.matching_cost() == pytest.approx(32.0, rel=0.3)
         assert index.matching_cost() < 256
 
-    def test_retrains_after_churn(self):
-        index = IVFIndex(dim=8, min_train_size=16, retrain_threshold=0.25, seed=0)
+    def test_retrains_after_churn(self, monkeypatch):
+        monkeypatch.setattr(ivf_module, "MIN_TRAIN_SIZE", 16)
+        monkeypatch.setattr(ivf_module, "RETRAIN_THRESHOLD", 0.25)
+        index = IVFIndex(dim=8, seed=0)
         vecs = random_unit_vectors(40, 8)
         for i, vec in enumerate(vecs):
             index.add(i, vec)
@@ -263,19 +272,24 @@ class TestIVFIndex:
     @pytest.mark.parametrize("bad", [np.zeros(8), np.full(8, np.nan)],
                              ids=["zero", "nan"])
     @pytest.mark.parametrize("n", [10, 100], ids=["untrained", "trained"])
-    def test_refused_overwrite_leaves_the_index_unchanged(self, n, bad):
-        """An overwrite with a vector the index refuses keeps the old one:
-        the same keys, length, churn and saved state, trained or not."""
-        index = IVFIndex(dim=8, min_train_size=64)
+    def test_a_refused_add_leaves_the_index_unchanged(self, n, bad):
+        """A key already held (``KeyError``, whatever its vector) and a
+        vector the index refuses (``ValueError``) leave the same keys,
+        length, churn and saved state, trained or not."""
+        index = IVFIndex(dim=8)
         vecs = random_unit_vectors(n, 8)
         for i, vec in enumerate(vecs):
             index.add(i, vec)
         index.search(vecs[0], 1)
         assert index.is_trained == (n >= 64)
         before = index.to_state()
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyError):
+            index.add(3, vecs[4])
+        with pytest.raises(KeyError):
             index.add(3, bad)
-        assert 3 in index and len(index) == n
+        with pytest.raises(ValueError):
+            index.add("new", bad)
+        assert 3 in index and "new" not in index and len(index) == n
         np.testing.assert_equal(index.to_state(), before)  # keys, churn, rows
         index.remove(3)
         assert 3 not in index and len(index) == n - 1
@@ -336,8 +350,9 @@ class TestFlatSearchBatch:
 
 
 class TestIVFSearchBatch:
-    def test_batch_matches_looped_singles_trained(self):
-        index = IVFIndex(dim=8, nprobe=3, min_train_size=32, seed=1)
+    def test_batch_matches_looped_singles_trained(self, monkeypatch):
+        monkeypatch.setattr(ivf_module, "MIN_TRAIN_SIZE", 32)
+        index = IVFIndex(dim=8, nprobe=3, seed=1)
         for i, vec in enumerate(random_unit_vectors(128, 8, seed=2)):
             index.add(i, vec)
         queries = random_unit_vectors(9, 8, seed=3)
@@ -347,7 +362,7 @@ class TestIVFSearchBatch:
             assert keys_of(hits) == keys_of(index.search(q, k=4))
 
     def test_batch_exact_while_untrained(self):
-        index = IVFIndex(dim=8, min_train_size=1000)
+        index = IVFIndex(dim=8)
         vecs = random_unit_vectors(20, 8)
         for i, vec in enumerate(vecs):
             index.add(i, vec)
@@ -355,8 +370,9 @@ class TestIVFSearchBatch:
         assert not index.is_trained
         assert [keys_of(r) for r in results] == [[0], [1], [2]]
 
-    def test_batch_triggers_training(self):
-        index = IVFIndex(dim=8, min_train_size=32)
+    def test_batch_triggers_training(self, monkeypatch):
+        monkeypatch.setattr(ivf_module, "MIN_TRAIN_SIZE", 32)
+        index = IVFIndex(dim=8)
         for i, vec in enumerate(random_unit_vectors(64, 8)):
             index.add(i, vec)
         index.search_batch(random_unit_vectors(2, 8, seed=5), k=1)

@@ -6,13 +6,13 @@ that refactor safe:
 
 * :meth:`IVFIndex.search` returns the same keys, in the same order, with the
   same scores (to BLAS accumulation tolerance) as a pure-Python loop over
-  the posting lists — across randomized pools, removals, overwrites, and
+  the posting lists — across randomized pools, removals, re-adds, and
   exact ties (duplicate vectors), where ordering is decided purely by the
   stable tie-break;
 * :meth:`ExampleSelector.select` with vectorized stage-2 scoring picks the
   same example combinations as a per-candidate ``proxy.predict`` loop;
-* an overwrite ``add`` counts as ONE churn event, so retrains fire at the
-  cadence ``retrain_threshold`` promises (locked via ``trainings``).
+* every add and every remove counts as ONE churn event, so retrains fire at
+  the cadence ``RETRAIN_THRESHOLD`` promises (locked via ``trainings``).
 """
 
 from __future__ import annotations
@@ -54,23 +54,25 @@ def assert_same_results(got: list[SearchResult], want: list[SearchResult]):
 
 class TestSearchMatchesReference:
     @pytest.mark.parametrize("seed", range(5))
-    def test_randomized_pool_with_removals_and_overwrites(self, seed):
+    def test_randomized_pool_with_removals_and_re_adds(self, seed):
         rng = np.random.default_rng(seed)
         vecs = clustered(rng, 300)
-        index = IVFIndex(dim=DIM, nprobe=3, min_train_size=64, seed=seed)
+        index = IVFIndex(dim=DIM, nprobe=3, seed=seed)
         for i, vec in enumerate(vecs):
             index.add(i, vec)
         index.search(vecs[0], 1)  # force training
         assert index.is_trained
 
-        # Churn: removals and overwrites below the retrain threshold, so the
-        # swap-delete layout (not a fresh retrain) is what search runs over.
+        # Churn: removals and re-adds below the retrain threshold (70 of
+        # int(0.3 * 260) = 78), so the swap-delete layout (not a fresh
+        # retrain) is what search runs over.
         for key in rng.choice(300, size=40, replace=False):
             index.remove(int(key))
-        for key, vec in zip(rng.choice(list(index._key_to_cluster), size=20,
+        for key, vec in zip(rng.choice(list(index._key_to_cluster), size=15,
                                        replace=False),
-                            clustered(rng, 20)):
-            index.add(key, vec)  # overwrites
+                            clustered(rng, 15)):
+            index.remove(key)
+            index.add(key, vec)  # re-adds
         assert index.is_trained
 
         for query in clustered(rng, 25):
@@ -81,7 +83,7 @@ class TestSearchMatchesReference:
     def test_exact_ties_resolve_in_reference_order(self, seed):
         rng = np.random.default_rng(100 + seed)
         vecs = clustered(rng, 200)
-        index = IVFIndex(dim=DIM, nprobe=4, min_train_size=64, seed=seed)
+        index = IVFIndex(dim=DIM, nprobe=4, seed=seed)
         for i, vec in enumerate(vecs):
             index.add(i, vec)
         # Duplicate vectors under fresh keys: exact score ties whose relative
@@ -101,7 +103,7 @@ class TestSearchMatchesReference:
     def test_search_batch_agrees_with_search(self):
         rng = np.random.default_rng(7)
         vecs = clustered(rng, 400)
-        index = IVFIndex(dim=DIM, nprobe=3, min_train_size=64, seed=7)
+        index = IVFIndex(dim=DIM, nprobe=3, seed=7)
         for i, vec in enumerate(vecs):
             index.add(i, vec)
         queries = clustered(rng, 16)
@@ -126,7 +128,7 @@ class TestRepeatedProbeReusesTopHit:
 
     @staticmethod
     def _trained(pool: VectorPool) -> IVFIndex:
-        index = IVFIndex(dim=pool.dim, nprobe=3, min_train_size=64, seed=1)
+        index = IVFIndex(dim=pool.dim, nprobe=3, seed=1)
         for row, vec in enumerate(pool.vectors):
             index.add(row, vec)
         assert index.retrain()
@@ -164,7 +166,8 @@ class TestRepeatedProbeReusesTopHit:
         index.remove("twin")                           # remove
         assert index.search(query, 1) == [top]
         index.search(query, 12)
-        index.add(top.key, -query)                     # overwrite
+        index.remove(top.key)                          # re-add
+        index.add(top.key, -query)
         assert index.search(query, 1)[0].key != top.key
         index.search(query, 12)
         assert index.retrain()                         # retrain
@@ -183,28 +186,12 @@ class TestRepeatedProbeReusesTopHit:
 class TestChurnAccounting:
     def _trained(self, seed=0, n=64):
         rng = np.random.default_rng(seed)
-        index = IVFIndex(dim=DIM, nprobe=2, min_train_size=64,
-                         retrain_threshold=0.3, seed=seed)
+        index = IVFIndex(dim=DIM, nprobe=2, seed=seed)
         for i, vec in enumerate(clustered(rng, n)):
             index.add(i, vec)
         index.search(index.get_vector(0), 1)
         assert index.trainings == 1
         return index, rng
-
-    def test_overwrite_counts_one_churn_event(self):
-        # threshold = int(0.3 * 64) = 19 churn events per retrain.  Ten
-        # overwrites are 10 events; under the old double-count (internal
-        # remove + add) they were 20 and retrained a full threshold early.
-        index, rng = self._trained()
-        for i in range(10):
-            index.add(i, clustered(rng, 1)[0])
-        index.search(index.get_vector(0), 1)
-        assert index.trainings == 1, "overwrites double-counted toward retrain"
-
-        for i in range(9):  # reach exactly the promised 19-event cadence
-            index.add(10 + i, clustered(rng, 1)[0])
-        index.search(index.get_vector(0), 1)
-        assert index.trainings == 2
 
     def test_add_plus_remove_still_two_events(self):
         index, rng = self._trained()

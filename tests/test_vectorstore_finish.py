@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.vectorstore import FlatIndex, IVFIndex
+from repro.vectorstore import FlatIndex, IVFIndex, ivf
 from repro.vectorstore.flat import _EPS
 
 from tests.clustered_pool import clustered_vectors
@@ -181,10 +181,11 @@ def test_a_norm_below_eps_has_no_hits(entry):
 
 
 def test_a_tiny_query_behaves_the_same_either_side_of_min_train_size():
+    assert ivf.MIN_TRAIN_SIZE == 64
     vectors = _pool(9, n=64)
     tiny = vectors[2] * 1e-13
     for n in (63, 64):
-        index = _filled(IVFIndex(dim=DIM, min_train_size=64, seed=9),
+        index = _filled(IVFIndex(dim=DIM, seed=9),
                         vectors[:n])
         assert index.search(vectors[2], 3)
         assert index.is_trained == (n == 64)

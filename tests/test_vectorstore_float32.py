@@ -16,25 +16,25 @@ vectors.py``) and covers what the float32 overhaul added:
 * incremental split/merge retrains hold recall@5 close to a global
   K-Means retrain under the maintenance-tick churn regime;
 * the blocks are the pool's one copy: at every retrain, through churn,
-  overwrites and a restore, they hold exactly what a shadow flat copy fed
+  re-adds and a restore, they hold exactly what a shadow flat copy fed
   the same mutations holds, and a global retrain trains on those bytes.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.persistence.snapshot import _decode, _encode
+from repro.vectorstore import ivf
 from repro.vectorstore.flat import STORAGE_DTYPE, FlatIndex
 from repro.vectorstore.ivf import IVFIndex, optimal_cluster_count
 from repro.vectorstore.kmeans import KMeans
-
+from tests import state_json
 from tests.clustered_pool import clustered_vectors
 from tests.kmeans_reference import _reference_fit
 from tests.search_reference import (
@@ -54,8 +54,8 @@ DIM = 32
 
 
 def build_index(pool: VectorPool, **kwargs) -> IVFIndex:
-    index = IVFIndex(dim=pool.dim, nprobe=kwargs.pop("nprobe", 3),
-                     min_train_size=64, seed=0, **kwargs)
+    index = IVFIndex(dim=pool.dim, nprobe=kwargs.pop("nprobe", 3), seed=0,
+                     **kwargs)
     for row, vec in enumerate(pool.vectors):
         index.add(row, vec)
     index.search(pool.vectors[0], 1)  # settle the lazy train
@@ -139,22 +139,22 @@ class TestIncrementalRetrainRecall:
     TICKS = 5
 
     def _build(self, incremental_min_n: int) -> IVFIndex:
-        index = IVFIndex(dim=DIM, nprobe=8, min_train_size=64, seed=0,
-                         incremental_min_n=incremental_min_n)
+        index = IVFIndex(dim=DIM, nprobe=8, seed=0)
         base = _clustered(self.N, seed=2)
-        for row, vec in enumerate(base):
-            index.add(row, vec)
-        index.search(base[0], 1)  # first train is global either way
-        spare = _clustered(self.N, seed=3)
-        si = 0
-        for tick in range(self.TICKS):  # the bench's 1%-churn tick regime
-            m = self.N // 100
-            for i in range(m):
-                index.add(("churn", tick, i), spare[si])
-                si += 1
-            for i in range(0, m, 2):
-                index.remove(("churn", tick, i))
-            assert index.retrain()
+        with mock.patch.object(ivf, "INCREMENTAL_MIN_N", incremental_min_n):
+            for row, vec in enumerate(base):
+                index.add(row, vec)
+            index.search(base[0], 1)  # first train is global either way
+            spare = _clustered(self.N, seed=3)
+            si = 0
+            for tick in range(self.TICKS):  # the bench's 1%-churn ticks
+                m = self.N // 100
+                for i in range(m):
+                    index.add(("churn", tick, i), spare[si])
+                    si += 1
+                for i in range(0, m, 2):
+                    index.remove(("churn", tick, i))
+                assert index.retrain()
         return index
 
     @staticmethod
@@ -281,7 +281,7 @@ def _held_to_shadows(shadows: dict[int, ShadowPool], paths: list[str]):
 class TestBlocksAreTheOneCopy:
     """The index keeps no flat copy of its pool: the cluster blocks hold
     each row once, and a :class:`ShadowPool` fed the same adds, removes and
-    overwrites is the oracle for what they hold and what a retrain reads."""
+    re-adds is the oracle for what they hold and what a retrain reads."""
 
     @given(seed=seeds(), n=st.integers(60, 160),
            incremental=st.booleans(), restore_at=st.integers(1, 4))
@@ -291,21 +291,21 @@ class TestBlocksAreTheOneCopy:
         rng = np.random.default_rng(seed)
         pool = clustered_vectors(2 * n, 8, n_topics=max(2, n // 15),
                                  seed=seed)
-        # ``incremental_min_n`` low enough that split and retire run.
-        index = IVFIndex(dim=8, nprobe=2, min_train_size=32, seed=seed % 997,
-                         retrain_threshold=0.2,
-                         incremental_min_n=40 if incremental else 10**9)
+        index = IVFIndex(dim=8, nprobe=2, seed=seed % 997)
         shadow = ShadowPool(8)
         shadows = {id(index): shadow}
         live, next_key, paths = [], 0, []
 
-        with _held_to_shadows(shadows, paths):
+        # ``INCREMENTAL_MIN_N`` low enough that split and retire run.
+        with _held_to_shadows(shadows, paths), mock.patch.multiple(
+                ivf, MIN_TRAIN_SIZE=32, RETRAIN_THRESHOLD=0.2,
+                INCREMENTAL_MIN_N=40 if incremental else 10**9):
             for step in range(6):
                 if step == restore_at:
                     queries = pool[rng.integers(0, 2 * n, size=4)]
                     before = index.search_batch(queries, 5)
-                    index = IVFIndex.from_state(_decode(json.loads(
-                        json.dumps(_encode(index.to_state())))))
+                    index = IVFIndex.from_state(state_json.loads(
+                        state_json.dumps(index.to_state())))
                     shadows.clear()
                     shadows[id(index)] = shadow
                     assert index.search_batch(queries, 5) == before
@@ -319,8 +319,10 @@ class TestBlocksAreTheOneCopy:
                         shadow.remove(key)
                         index.remove(key)
                         continue
-                    else:                               # overwrite
+                    else:                               # re-add
                         key = live[int(rng.integers(len(live)))]
+                        shadow.remove(key)
+                        index.remove(key)
                     # A repeated pool row is a bit-exact duplicate.
                     vector = pool[int(rng.integers(2 * n))]
                     index.add(key, vector)

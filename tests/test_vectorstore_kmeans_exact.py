@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.vectorstore import kmeans
+from repro.vectorstore import ivf, kmeans
 from repro.vectorstore.ivf import IVFIndex
 from repro.vectorstore.kmeans import KMeans
 from tests.kmeans_reference import _reference_fit
@@ -22,11 +22,13 @@ from tests.strategies import DETERMINISM, KMeansCase, kmeans_cases
 
 
 def assert_same_fit(data: np.ndarray, k: int, seed: int = 0,
-                    tile: int = kmeans._TILE_ELEMS, max_iter: int = 50):
-    model = KMeans(n_clusters=k, seed=seed, max_iter=max_iter)
-    with mock.patch.object(kmeans, "_TILE_ELEMS", tile):
-        got = model.fit(data)
-    want = _reference_fit(model, data)
+                    tile: int = kmeans._TILE_ELEMS,
+                    max_iter: int = kmeans.MAX_ITER):
+    model = KMeans(n_clusters=k, seed=seed)
+    with mock.patch.object(kmeans, "MAX_ITER", max_iter):
+        with mock.patch.object(kmeans, "_TILE_ELEMS", tile):
+            got = model.fit(data)
+        want = _reference_fit(model, data)
     assert got.centroids.dtype == want.centroids.dtype
     assert got.centroids.tobytes() == want.centroids.tobytes()
     assert got.labels.dtype == want.labels.dtype
@@ -119,9 +121,9 @@ def _retrained_three_times(incremental_min_n: int) -> tuple[dict, list[int]]:
     pool = _clustered(400, 8, seed=9)
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
     rng = np.random.default_rng(10)
-    index = IVFIndex(dim=8, nprobe=3, min_train_size=64, seed=4,
-                     incremental_min_n=incremental_min_n)
-    with mock.patch.object(KMeans, "fit", spy):
+    index = IVFIndex(dim=8, nprobe=3, seed=4)
+    with mock.patch.object(KMeans, "fit", spy), \
+            mock.patch.object(ivf, "INCREMENTAL_MIN_N", incremental_min_n):
         for row, vec in enumerate(pool):
             index.add(row, vec)
         for round_ in range(3):

@@ -4,7 +4,7 @@ Every trained stage-1 call (:meth:`IVFIndex.search` at ``k != 1``,
 :meth:`IVFIndex.search_batch`) files one receipt per query — ``(trainings,
 [(probed cluster, its version)...], top hit)`` — and ``search(q, 1)``
 answers from it while ``trainings`` and every probed block's version stand.
-The properties, over arbitrary interleavings of add / overwrite / remove /
+The properties, over arbitrary interleavings of add / re-add / remove /
 forced retrain / ``search`` / ``search_batch`` / ``search(q, 1)``:
 
 * every ``k == 1`` answer equals the answer of a receipt-free clone
@@ -21,15 +21,14 @@ forced retrain / ``search`` / ``search_batch`` / ``search(q, 1)``:
 from __future__ import annotations
 
 import contextlib
-import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.persistence.snapshot import _encode
-from repro.vectorstore import IVFIndex
-
+from repro.vectorstore import IVFIndex, ivf
+from tests import state_json
 from tests.strategies import DETERMINISM, VectorPool, vector_pools
 
 N_QUERIES = 3
@@ -39,7 +38,7 @@ _row = st.integers(0, 10_000)
 _query = st.integers(0, N_QUERIES - 1)
 _probe = st.tuples(st.just("probe"), _query)
 operations = st.lists(st.one_of(
-    st.tuples(st.just("add"), _key, _row),          # a new key, or overwrite
+    st.tuples(st.just("add"), _key, _row),          # a new key, or re-add
     # ... beside a query, so it lands in a block that query probes
     st.tuples(st.just("add_near"), _key, _query),
     st.tuples(st.just("remove"), _key),
@@ -53,7 +52,7 @@ operations = st.lists(st.one_of(
 
 
 def _state_bytes(index) -> str:
-    return json.dumps(_encode(index.to_state()))
+    return state_json.dumps(index.to_state())
 
 
 def _question(index: IVFIndex, query: np.ndarray) -> tuple:
@@ -94,7 +93,7 @@ class _Model:
         the one that makes the next search retrain, and a retrain fells every
         receipt.  ``expect`` holds only while none is due."""
         index = self.index
-        due = index._churn >= max(1, int(index.retrain_threshold * len(index)))
+        due = index._churn >= max(1, int(ivf.RETRAIN_THRESHOLD * len(index)))
         return "stale" if due else expect
 
     def expected(self, query: np.ndarray):
@@ -153,6 +152,8 @@ def _drive(model: _Model, pool: VectorPool, ops):
                 else queries[op[2]]
             vector = near + rng.normal(0, 0.05, pool.dim)
             with model.touching(key):
+                if key in index:        # re-add: it leaves, then lands anew
+                    index.remove(key)
                 index.add(key, vector)
         elif op[0] == "remove":
             key = f"k{op[1]}"
@@ -232,11 +233,11 @@ def _epilogue(model: _Model, queries: np.ndarray) -> None:
 @given(pool=vector_pools(min_duplicates=2), ops=operations,
        nprobe=st.sampled_from([1, 2, 3]))
 def test_receipts_on_an_ivf_index(pool, ops, nprobe):
-    index = IVFIndex(dim=pool.dim, nprobe=nprobe, retrain_threshold=0.1,
-                     seed=pool.seed % 97)
-    for row, vector in enumerate(pool.vectors):
-        index.add(row, vector)
-    _drive(_Model(index), pool, ops)
+    with mock.patch.object(ivf, "RETRAIN_THRESHOLD", 0.1):
+        index = IVFIndex(dim=pool.dim, nprobe=nprobe, seed=pool.seed % 97)
+        for row, vector in enumerate(pool.vectors):
+            index.add(row, vector)
+        _drive(_Model(index), pool, ops)
 
 
 # -- the rule, once, in plain sight ------------------------------------------

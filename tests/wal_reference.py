@@ -2,9 +2,10 @@
 
 Before the journal became CRC-checked binary frames
 (:mod:`repro.persistence.wal`), every record was one ``json.dumps`` line:
-payload -> :func:`example_record` dict of dicts -> the snapshot module's
-recursive ``_encode`` walk (arrays as base64) -> a text-mode write and
-flush.  :class:`ReferenceWriteAheadLog` is that writer and reader, and
+payload -> :func:`example_record` dict of dicts -> JSON with every array
+inline as :func:`repro.workload.request.encode_array` writes it (base64,
+``tests/state_json.py``) -> a text-mode write and flush.
+:class:`ReferenceWriteAheadLog` is that writer and reader, and
 :func:`example_record` / :func:`request_record` the two record builders
 that existed only for it, each with the body it had at the commit before
 the rewrite.  ``WriteAheadLog.read`` over frames must return what
@@ -21,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.example import Example
-from repro.persistence.snapshot import _decode, _encode
 from repro.workload.request import Request
+from tests import state_json
 from tests.ema_reference import streams
 
 
@@ -92,7 +93,7 @@ class ReferenceWriteAheadLog:
 
     def record(self, kind: str, payload) -> None:
         """Serialize and append one mutation record (the journal callback)."""
-        if kind in ("add", "overwrite"):
+        if kind == "add":
             data = {"example": example_record(payload)}
         elif kind == "remove":
             data = {"example_id": payload}
@@ -117,9 +118,9 @@ class ReferenceWriteAheadLog:
             data = dict(payload)
         else:
             raise ValueError(f"unknown WAL record kind {kind!r}")
-        line = json.dumps(_encode({"seq": self._seq, "epoch": self.epoch,
-                                   "kind": kind, "data": data}),
-                          separators=(",", ":"))
+        line = state_json.dumps({"seq": self._seq, "epoch": self.epoch,
+                                 "kind": kind, "data": data},
+                                separators=(",", ":"))
         if self._fh is None:
             self._fh = self.path.open("a", encoding="utf-8")
         self._fh.write(line + "\n")
@@ -159,7 +160,7 @@ class ReferenceWriteAheadLog:
         records = []
         for position, line in enumerate(lines):
             try:
-                records.append(_decode(json.loads(line)))
+                records.append(state_json.loads(line))
             except json.JSONDecodeError:
                 if position == len(lines) - 1:
                     break   # torn tail: mid-append crash, drop it
