@@ -15,30 +15,25 @@ same data a real RouteLLM deployment would use).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.router import RoutingChoice, plain_choice
 from repro.utils.rng import make_rng, stable_hash
 from repro.workload.request import Request
 
+CLASSIFIER_NOISE = 0.05   # std of the classifier's error on its score
+
 
 class RouteLLMRouter:
     """Difficulty-threshold binary router, a ``RoutingPolicy``."""
 
     def __init__(self, small_model: str, large_model: str,
-                 threshold: float = 0.5, classifier_noise: float = 0.05,
-                 seed: int = 0) -> None:
+                 threshold: float = 0.5, seed: int = 0) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        if not 0.0 <= classifier_noise < math.inf:
-            raise ValueError("classifier_noise must be finite and >= 0, "
-                             f"got {classifier_noise}")
         self.small_model = small_model
         self.large_model = large_model
         self.threshold = threshold
-        self.classifier_noise = classifier_noise
         self._rng = make_rng(stable_hash("routellm", seed))
 
     def win_probability(self, request: Request) -> float:
@@ -49,8 +44,8 @@ class RouteLLMRouter:
         """
         difficulty = request.observable_difficulty()
         score = 1.0 / (1.0 + np.exp(6.0 * (difficulty - 0.5)))
-        if self.classifier_noise > 0:
-            score += self._rng.normal(0.0, self.classifier_noise)
+        if CLASSIFIER_NOISE > 0:
+            score += self._rng.normal(0.0, CLASSIFIER_NOISE)
         return float(np.clip(score, 0.0, 1.0))
 
     def route(self, ctx) -> RoutingChoice:

@@ -15,8 +15,6 @@ quality per request according to the request's dataset.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.llm.model import GenerationResult, SimulatedLLM
@@ -29,18 +27,9 @@ OUT_OF_DOMAIN_PENALTY = 0.10 # regression everywhere else
 class SFTModel:
     """A small model fine-tuned on large-model outputs for one dataset."""
 
-    def __init__(self, base: SimulatedLLM, tuned_dataset: str,
-                 in_domain_lift: float = IN_DOMAIN_LIFT,
-                 out_of_domain_penalty: float = OUT_OF_DOMAIN_PENALTY) -> None:
-        for name, value in (("in_domain_lift", in_domain_lift),
-                            ("out_of_domain_penalty", out_of_domain_penalty)):
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, "
-                                 f"got {value}")
+    def __init__(self, base: SimulatedLLM, tuned_dataset: str) -> None:
         self.base = base
         self.tuned_dataset = tuned_dataset
-        self.in_domain_lift = in_domain_lift
-        self.out_of_domain_penalty = out_of_domain_penalty
 
     @property
     def name(self) -> str:
@@ -52,8 +41,8 @@ class SFTModel:
 
     def _shift(self, request: Request) -> float:
         if request.dataset == self.tuned_dataset:
-            return self.in_domain_lift
-        return -self.out_of_domain_penalty
+            return IN_DOMAIN_LIFT
+        return -OUT_OF_DOMAIN_PENALTY
 
     def base_quality(self, request: Request) -> float:
         return float(np.clip(

@@ -19,6 +19,8 @@ Features (all observable to a real deployment):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.example import Example
@@ -26,6 +28,8 @@ from repro.core.table import EMBEDDING, EMBEDDING_ROW_NORM, attached_rows
 from repro.embedding.similarity import cosine_from_norms, vector_norm
 
 N_FEATURES = 7
+RIDGE = 1.0                    # prior precision of the regression
+PRIOR_RELEVANCE_WEIGHT = 0.1   # cold-start weight on relevance
 _STAGE2_COLUMNS = (EMBEDDING, EMBEDDING_ROW_NORM, "embedding_norm", "tokens",
                    "source_cost", "replay_count", "feedback_quality__value",
                    "feedback_quality__initialized")     # what stage 2 reads
@@ -105,18 +109,16 @@ class HelpfulnessProxy:
     sensibly.
     """
 
-    def __init__(self, ridge: float = 1.0, prior_relevance_weight: float = 0.1) -> None:
-        if ridge <= 0:
-            raise ValueError(f"ridge must be positive, got {ridge}")
-        self._precision = ridge * np.eye(N_FEATURES)
+    def __init__(self) -> None:
+        self._precision = RIDGE * np.eye(N_FEATURES)
         # Cold-start prior mean: helpfulness rises mildly with relevance.
-        # The prior must be folded into the moment vector (b = ridge * mu0)
+        # The prior must be folded into the moment vector (b = RIDGE * mu0)
         # so early noisy updates *shrink toward* the prior instead of
         # overwriting it — otherwise a single negative label zeroes out
         # relevance ranking and selection starves before it can learn.
         prior_mean = np.zeros(N_FEATURES)
-        prior_mean[1] = prior_relevance_weight
-        self._moment = ridge * prior_mean
+        prior_mean[1] = PRIOR_RELEVANCE_WEIGHT
+        self._moment = RIDGE * prior_mean
         self._weights = prior_mean.copy()
         # ``update`` only accumulates; the next read solves.  A solve is a
         # pure function of (precision, moment): readers see the same weights.
@@ -151,7 +153,12 @@ class HelpfulnessProxy:
 
     def update(self, request_embedding: np.ndarray, example: Example,
                observed_utility: float) -> None:
-        """Ingest one feedback observation (the next read re-solves)."""
+        """Ingest one feedback observation (the next read re-solves).  A
+        non-finite ``observed_utility`` is refused before anything moves: it
+        would make the moment, hence every later solve, non-finite."""
+        if not -math.inf < observed_utility < math.inf:
+            raise ValueError("observed utility must be finite, "
+                             f"got {observed_utility!r}")
         x = proxy_features(request_embedding, example)
         self._precision += x[:, None] * x     # np.outer(x, x)
         self._moment += observed_utility * x

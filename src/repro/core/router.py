@@ -278,8 +278,11 @@ class BanditRouter:
 
         Reward = observed response quality minus a small cost-shaping term
         (``cost_penalty``) so that at quality parity the router prefers the
-        cheaper model.
+        cheaper model.  A non-finite ``reward`` is refused before anything
+        moves: it would poison the arm's posterior for good.
         """
+        if not -math.inf < reward < math.inf:
+            raise ValueError(f"reward must be finite, got {reward!r}")
         arm = self._arm(model_name)
         shaped = reward - self.config.cost_penalty * arm.cost
         self._posteriors[model_name].update(np.asarray(features, dtype=float), shaped)

@@ -2,23 +2,17 @@
 
 The paper uses dense embeddings purely through cosine similarity between
 requests (section 2.3) and between a request and cached examples (section
-4.1).  Two embedders are provided:
-
-* :class:`LatentEmbedder` — for synthetic workloads whose requests carry a
-  ground-truth latent topic vector; it "recovers" the latent with
-  configurable encoder noise.  This preserves the similarity structure of the
-  real datasets (Fig. 3a) while keeping it controllable.
-* :class:`HashingEmbedder` — for raw strings with no latent: hashed character
-  n-grams followed by a fixed random projection, the classic
-  feature-hashing trick.
+4.1).  Every request carries a ground-truth latent topic vector
+(``Request.latent`` is required), and :class:`LatentEmbedder` "recovers" it
+with encoder noise.  This preserves the similarity structure of the real
+datasets (Fig. 3a) while keeping it controllable.
 """
 
-from repro.embedding.embedder import Embedder, HashingEmbedder, LatentEmbedder
+from repro.embedding.embedder import Embedder, LatentEmbedder
 from repro.embedding.similarity import cosine_similarity, cosine_similarity_matrix
 
 __all__ = [
     "Embedder",
-    "HashingEmbedder",
     "LatentEmbedder",
     "cosine_similarity",
     "cosine_similarity_matrix",

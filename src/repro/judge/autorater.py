@@ -25,27 +25,20 @@ class Autorater:
     comparison; the average is continuous.
     """
 
-    def __init__(self, name: str = "autorater", score_gain: float = SCORE_GAIN,
-                 noise_std: float = JUDGE_NOISE_STD,
-                 position_bias: float = POSITION_BIAS,
-                 samples_per_order: int = 8, seed: int = 0) -> None:
+    def __init__(self, name: str = "autorater", samples_per_order: int = 8,
+                 seed: int = 0) -> None:
         if samples_per_order < 1:
             raise ValueError(f"samples_per_order must be >= 1: {samples_per_order}")
-        if noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0: {noise_std}")
         self.name = name
-        self.score_gain = score_gain
-        self.noise_std = noise_std
-        self.position_bias = position_bias
         self.samples_per_order = samples_per_order
         self._rng = make_rng(stable_hash("autorater", name, seed))
 
     def score_once(self, quality_first: float, quality_second: float) -> int:
         """One comparison, first-listed perspective; integer in [-3, 3]."""
         raw = (
-            self.score_gain * (quality_first - quality_second)
-            + self.position_bias
-            + self._rng.normal(0.0, self.noise_std)
+            SCORE_GAIN * (quality_first - quality_second)
+            + POSITION_BIAS
+            + self._rng.normal(0.0, JUDGE_NOISE_STD)
         )
         return int(np.clip(round(raw), -3, 3))
 

@@ -9,20 +9,18 @@ The paper's evaluation observes models through exactly three lenses:
 :class:`SimulatedLLM` models those three observables and nothing else.  Its
 capability/latency constants are calibrated against the paper's own
 measurements (Fig. 1, Fig. 4b, Fig. 18); :mod:`repro.llm.quality` documents
-the quality model and :mod:`repro.llm.icl` the in-context-learning boost.
+the quality model and :mod:`repro.llm.icl` the in-context-learning boost;
+both are module functions over calibrated module constants.
 """
 
 from repro.llm.model import GenerationResult, ModelSpec, SimulatedLLM
-from repro.llm.quality import QualityModel
-from repro.llm.icl import ICLBoostModel, example_utility
+from repro.llm.icl import example_utility
 from repro.llm.zoo import MODEL_SPECS, get_model, get_model_pair, MODEL_PAIRS
 
 __all__ = [
     "GenerationResult",
     "ModelSpec",
     "SimulatedLLM",
-    "QualityModel",
-    "ICLBoostModel",
     "example_utility",
     "MODEL_SPECS",
     "MODEL_PAIRS",

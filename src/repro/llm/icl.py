@@ -42,7 +42,7 @@ from repro.embedding.similarity import (
 
 _FLOAT64 = np.dtype(np.float64)
 
-# Calibrated constants (see module docstring for roles).
+# Calibrated constants (see module docstring for roles), read at each call.
 REL_GATE = 0.55            # below this, an example cannot help
 REL_FULL = 0.95            # above this, relevance gating is fully open
 DISTRACT_GATE = 0.30       # below this, an example actively hurts
@@ -98,60 +98,48 @@ def example_utility(request_latent: np.ndarray, example: ExampleView,
     return gate * headroom
 
 
-class ICLBoostModel:
-    """Aggregates per-example utilities into the realized quality boost."""
-
-    def __init__(self, max_boost: float = MAX_BOOST,
-                 saturation: float = SATURATION,
-                 exceed_margin: float = EXCEED_MARGIN) -> None:
-        if max_boost < 0 or saturation <= 0:
-            raise ValueError("max_boost must be >= 0 and saturation > 0")
-        self.max_boost = max_boost
-        self.saturation = saturation
-        self.exceed_margin = exceed_margin
-
-    def boost(self, request_latent: np.ndarray, examples: list[ExampleView],
+def icl_boost(request_latent: np.ndarray, examples: list[ExampleView],
               base_quality: float) -> float:
-        """Quality delta from prepending ``examples`` (may be negative)."""
-        if not examples:
-            return 0.0
-        positive_sum = 0.0
-        distraction = 0.0
-        best_teacher = 0.0
-        # Inlined :func:`example_utility` with the latent norms hoisted (the
-        # request's out of the loop, a cached example's into its view) and
-        # one cosine per example instead of two.  Scalar
-        # numpy and the min/max builtins are written out as the IEEE
-        # operations and comparisons they perform, so every float result is
-        # unchanged (``tests/hotpath_reference.py`` keeps the old form).
-        q = np.asarray(request_latent, dtype=float)
-        qnorm = vector_norm(q)
-        for example in examples:
-            latent, norm = example.latent, example.latent_norm
-            relevance = cosine_from_norms(q, latent, qnorm * (
-                latent_norm(latent) if norm is None else norm))
-            if relevance < DISTRACT_GATE:
-                distraction += DISTRACTION_PENALTY
-                continue
-            gate = _smoothstep((relevance - REL_GATE) / (REL_FULL - REL_GATE))
-            quality = example.quality
-            headroom = quality - base_quality
-            if headroom > 0.0:
-                positive_sum += gate * headroom
-            if relevance >= REL_GATE and quality > best_teacher:
-                best_teacher = quality
+    """Quality delta from prepending ``examples`` (may be negative): the
+    per-example utilities aggregated under saturation and the imitation cap."""
+    if not examples:
+        return 0.0
+    positive_sum = 0.0
+    distraction = 0.0
+    best_teacher = 0.0
+    # Inlined :func:`example_utility` with the latent norms hoisted (the
+    # request's out of the loop, a cached example's into its view) and
+    # one cosine per example instead of two.  Scalar
+    # numpy and the min/max builtins are written out as the IEEE
+    # operations and comparisons they perform, so every float result is
+    # unchanged (``tests/hotpath_reference.py`` keeps the old form).
+    q = np.asarray(request_latent, dtype=float)
+    qnorm = vector_norm(q)
+    for example in examples:
+        latent, norm = example.latent, example.latent_norm
+        relevance = cosine_from_norms(q, latent, qnorm * (
+            latent_norm(latent) if norm is None else norm))
+        if relevance < DISTRACT_GATE:
+            distraction += DISTRACTION_PENALTY
+            continue
+        gate = _smoothstep((relevance - REL_GATE) / (REL_FULL - REL_GATE))
+        quality = example.quality
+        headroom = quality - base_quality
+        if headroom > 0.0:
+            positive_sum += gate * headroom
+        if relevance >= REL_GATE and quality > best_teacher:
+            best_teacher = quality
 
-        # Imitation cap: the augmented model approaches (and may slightly
-        # exceed) the best relevant teacher example, but cannot leapfrog it;
-        # without a relevant teacher there is no gain at all.
-        gain = 0.0
-        if best_teacher > 0.0:
-            gain = self.max_boost * (
-                1.0 - float(np.exp(-positive_sum / self.saturation)))
-            cap = TRANSFER_EFFICIENCY * (best_teacher - base_quality) \
-                + self.exceed_margin
-            if not cap > 0.0:
-                cap = 0.0
-            if cap < gain:
-                gain = cap
-        return float(gain - distraction)
+    # Imitation cap: the augmented model approaches (and may slightly
+    # exceed) the best relevant teacher example, but cannot leapfrog it;
+    # without a relevant teacher there is no gain at all.
+    gain = 0.0
+    if best_teacher > 0.0:
+        gain = MAX_BOOST * (1.0 - float(np.exp(-positive_sum / SATURATION)))
+        cap = TRANSFER_EFFICIENCY * (best_teacher - base_quality) \
+            + EXCEED_MARGIN
+        if not cap > 0.0:
+            cap = 0.0
+        if cap < gain:
+            gain = cap
+    return float(gain - distraction)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.llm.icl import ExampleView, ICLBoostModel
-from repro.llm.quality import APTITUDE_STD, QualityModel, clip_unit
+from repro.llm.icl import ExampleView, icl_boost
+from repro.llm.quality import APTITUDE_STD, clip_unit, decoded_quality, difficulty_curve
 from repro.utils.rng import make_rng, rng_from_words, seed_words, stable_hash
 from repro.workload.request import Request
 
@@ -96,13 +96,8 @@ class SimulatedLLM:
     which example replay exploits) but the sequence of samples is reproducible.
     """
 
-    def __init__(self, spec: ModelSpec,
-                 quality_model: QualityModel | None = None,
-                 icl_model: ICLBoostModel | None = None,
-                 seed: int = 0) -> None:
+    def __init__(self, spec: ModelSpec, seed: int = 0) -> None:
         self.spec = spec
-        self.quality_model = quality_model or QualityModel()
-        self.icl_model = icl_model or ICLBoostModel()
         self._rng = make_rng(stable_hash("llm", spec.name, seed))
         self._decode_counts: dict[str, int] = {}
         # base_quality is a pure function of (model, request id, difficulty)
@@ -142,9 +137,7 @@ class SimulatedLLM:
         memo = self._base_quality_memo.get(memo_key)
         if memo is not None:
             return memo
-        base = self.quality_model.base_quality(
-            self.spec.capability, request.difficulty
-        )
+        base = difficulty_curve(self.spec.capability, request.difficulty)
         words = self._held.pop(("aptitude", request.request_id), None) \
             if self._held else None
         aptitude_rng = rng_from_words(words) if words is not None else \
@@ -209,8 +202,8 @@ class SimulatedLLM:
                 ).integers(0, 2**63 - 1))
             rng = make_rng(stable_hash(word, "decode", count))
         base = self.base_quality(request)
-        boost = self.icl_model.boost(request.latent, examples, base)
-        return self.quality_model.sample_quality(base, boost, rng), boost, rng
+        boost = icl_boost(request.latent, examples, base)
+        return decoded_quality(base, boost, rng), boost, rng
 
     def sample_quality(self, request: Request) -> float:
         """The quality the next example-free :meth:`generate` of ``request``

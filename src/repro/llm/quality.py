@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Calibrated constants — shared by every experiment.
+# Calibrated constants — shared by every experiment, read at each call.
 PENALTY_CEILING = 1.35   # see module docstring
 DECODE_NOISE_STD = 0.08  # token-sampling variance in quality units
 
@@ -49,36 +49,22 @@ def clip_unit(x: float) -> float:
     return x
 
 
-class QualityModel:
-    """Maps (capability, difficulty, icl boost) to response quality."""
+def difficulty_curve(capability: float, difficulty: float) -> float:
+    """Deterministic quality before aptitude, ICL boost and decode noise."""
+    if not 0.0 < capability <= 1.0:
+        raise ValueError(f"capability must be in (0, 1], got {capability}")
+    if not 0.0 <= difficulty <= 1.0:
+        raise ValueError(f"difficulty must be in [0, 1], got {difficulty}")
+    penalty = difficulty * (PENALTY_CEILING - capability)
+    return clip_unit(capability - penalty)
 
-    def __init__(self, penalty_ceiling: float = PENALTY_CEILING,
-                 noise_std: float = DECODE_NOISE_STD) -> None:
-        if penalty_ceiling <= 1.0:
-            raise ValueError(
-                f"penalty_ceiling must exceed 1.0 so weaker models are "
-                f"penalized more, got {penalty_ceiling}"
-            )
-        if noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {noise_std}")
-        self.penalty_ceiling = penalty_ceiling
-        self.noise_std = noise_std
 
-    def base_quality(self, capability: float, difficulty: float) -> float:
-        """Deterministic quality before ICL boost and decode noise."""
-        if not 0.0 < capability <= 1.0:
-            raise ValueError(f"capability must be in (0, 1], got {capability}")
-        if not 0.0 <= difficulty <= 1.0:
-            raise ValueError(f"difficulty must be in [0, 1], got {difficulty}")
-        penalty = difficulty * (self.penalty_ceiling - capability)
-        return clip_unit(capability - penalty)
+def decoded_quality(base: float, icl_boost: float,
+                    rng: np.random.Generator) -> float:
+    """One stochastic generation's quality around a precomputed base.
 
-    def sample_quality(self, base: float, icl_boost: float,
-                       rng: np.random.Generator) -> float:
-        """One stochastic generation's quality around a precomputed base.
-
-        ``base`` already includes the model's per-request aptitude (see
-        :data:`APTITUDE_STD`); this adds the ICL boost and decode noise.
-        """
-        noise = rng.normal(0.0, self.noise_std) if self.noise_std > 0 else 0.0
-        return clip_unit(base + icl_boost + noise)
+    ``base`` already includes the model's per-request aptitude (see
+    :data:`APTITUDE_STD`); this adds the ICL boost and decode noise.
+    """
+    noise = rng.normal(0.0, DECODE_NOISE_STD) if DECODE_NOISE_STD > 0 else 0.0
+    return clip_unit(base + icl_boost + noise)

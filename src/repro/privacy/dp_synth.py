@@ -21,6 +21,9 @@ import numpy as np
 from repro.core.example import Example
 from repro.utils.rng import make_rng, stable_hash
 
+DELTA = 1e-5              # the (epsilon, delta)-DP budget's delta
+QUALITY_DISCOUNT = 0.05   # mean quality a synthetic example loses
+
 
 def gaussian_sigma(epsilon: float, delta: float, sensitivity: float = 1.0) -> float:
     """Noise scale of the Gaussian mechanism for (epsilon, delta)-DP."""
@@ -32,12 +35,9 @@ def gaussian_sigma(epsilon: float, delta: float, sensitivity: float = 1.0) -> fl
 class DPSynthesizer:
     """Synthesizes a DP example pool from an existing cache's examples."""
 
-    def __init__(self, epsilon: float = 4.0, delta: float = 1e-5,
-                 quality_discount: float = 0.05, seed: int = 0) -> None:
+    def __init__(self, epsilon: float = 4.0, seed: int = 0) -> None:
         self.epsilon = epsilon
-        self.delta = delta
-        self.sigma = gaussian_sigma(epsilon, delta)
-        self.quality_discount = quality_discount
+        self.sigma = gaussian_sigma(epsilon, DELTA)
         self._rng = make_rng(stable_hash("dp-synth", seed))
 
     def synthesize(self, examples: list[Example]) -> list[Example]:
@@ -65,7 +65,7 @@ class DPSynthesizer:
             text=f"[dp-synthetic] {original.request.text}", latent=latent,
             arrival_time=0.0, metadata={})
         quality = float(np.clip(
-            original.quality - self._rng.uniform(0, 2 * self.quality_discount),
+            original.quality - self._rng.uniform(0, 2 * QUALITY_DISCOUNT),
             0.0, 1.0,
         ))
         return Example(

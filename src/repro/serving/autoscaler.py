@@ -26,6 +26,13 @@ from dataclasses import dataclass
 
 from repro.analysis.stats import EMA
 
+# Hysteresis: scale up above the first bias EMA, down below the second
+# while the utilization EMA is under the third.
+SCALE_UP_BIAS = 0.5
+SCALE_DOWN_BIAS = 0.05
+SCALE_DOWN_UTILIZATION = 0.3
+MAX_STEP = 2                  # replicas one scale-up may add
+
 
 @dataclass
 class ScalingDecision:
@@ -40,21 +47,10 @@ class ScalingDecision:
 class BiasAutoscaler:
     """Hysteresis + cooldown autoscaler over the router's bias signal."""
 
-    def __init__(self, scale_up_bias: float = 0.5, scale_down_bias: float = 0.05,
-                 scale_down_utilization: float = 0.3, cooldown_steps: int = 10,
-                 ema_alpha: float = 0.2, max_step: int = 2) -> None:
-        if scale_down_bias >= scale_up_bias:
-            raise ValueError(
-                "hysteresis requires scale_down_bias < scale_up_bias, got "
-                f"{scale_down_bias} >= {scale_up_bias}"
-            )
-        if cooldown_steps < 0 or max_step < 1:
-            raise ValueError("cooldown_steps must be >= 0 and max_step >= 1")
-        self.scale_up_bias = scale_up_bias
-        self.scale_down_bias = scale_down_bias
-        self.scale_down_utilization = scale_down_utilization
+    def __init__(self, cooldown_steps: int = 10, ema_alpha: float = 0.2) -> None:
+        if cooldown_steps < 0:
+            raise ValueError(f"cooldown_steps must be >= 0, got {cooldown_steps}")
         self.cooldown_steps = cooldown_steps
-        self.max_step = max_step
         self.bias_ema = EMA(alpha=ema_alpha)
         self.utilization_ema = EMA(alpha=ema_alpha)
         self._cooldown = 0
@@ -72,15 +68,13 @@ class BiasAutoscaler:
         if self._cooldown > 0:
             self._cooldown -= 1
             decision = ScalingDecision("hold", 0, bias_avg, util_avg)
-        elif bias_avg >= self.scale_up_bias:
+        elif bias_avg >= SCALE_UP_BIAS:
             # Sustained overload bias: add capacity proportional to how
-            # saturated the signal is, capped by max_step.
-            delta = min(self.max_step,
-                        1 + int(bias_avg > 2 * self.scale_up_bias))
+            # saturated the signal is, capped by MAX_STEP.
+            delta = min(MAX_STEP, 1 + int(bias_avg > 2 * SCALE_UP_BIAS))
             self._cooldown = self.cooldown_steps
             decision = ScalingDecision("scale_up", delta, bias_avg, util_avg)
-        elif (bias_avg <= self.scale_down_bias
-              and util_avg <= self.scale_down_utilization):
+        elif bias_avg <= SCALE_DOWN_BIAS and util_avg <= SCALE_DOWN_UTILIZATION:
             self._cooldown = self.cooldown_steps
             decision = ScalingDecision("scale_down", -1, bias_avg, util_avg)
         else:

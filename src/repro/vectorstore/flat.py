@@ -223,11 +223,12 @@ class FlatIndex:
         if qnorm < _EPS:
             return []
         # Score in storage precision: a float64 query against the float32
-        # matrix would silently upcast-copy the whole matrix per call.
-        scores = self.matrix @ (q / qnorm).astype(STORAGE_DTYPE)
-        k = min(k, len(self.keys))
-        top = (-scores).argpartition(k - 1)[:k]
-        return finish(k, [scores[top]], [self.keys], [top])
+        # matrix would silently upcast-copy the whole matrix per call.  As
+        # the trained IVF path does: einsum, whose per-row sum is a function
+        # of the row alone (BLAS gemv's can depend on its position), then one
+        # stable order over every row, so identical rows tie in row order.
+        q32 = (q / qnorm).astype(STORAGE_DTYPE)
+        return finish(k, [np.einsum("ij,j->i", self.matrix, q32)], [self.keys])
 
     def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchResult]]:
         """Exact top-``k`` for a batch of queries in one matmul.

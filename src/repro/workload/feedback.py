@@ -8,11 +8,14 @@ simulator converts latent response quality into those noisy binary signals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.rng import make_rng, stable_hash
+
+THUMBS_UP_THRESHOLD = 0.5   # observed quality at or above it is a thumbs-up
 
 
 @dataclass(frozen=True)
@@ -32,18 +35,21 @@ class FeedbackSimulator:
     """
 
     def __init__(self, rating_noise: float = 0.08, preference_noise: float = 0.12,
-                 thumbs_up_threshold: float = 0.5, seed: int = 0) -> None:
-        if rating_noise < 0 or preference_noise <= 0:
-            raise ValueError("noise parameters must be positive")
+                 seed: int = 0) -> None:
+        # NaN and inf fail both comparisons: either would poison every label.
+        if not (0.0 <= rating_noise < math.inf
+                and 0.0 < preference_noise < math.inf):
+            raise ValueError(
+                "rating_noise must be finite and >= 0 and preference_noise "
+                f"finite and > 0, got {rating_noise!r} and {preference_noise!r}")
         self.rating_noise = rating_noise
         self.preference_noise = preference_noise
-        self.thumbs_up_threshold = thumbs_up_threshold
         self._rng = make_rng(stable_hash("feedback", seed))
 
     def thumbs(self, quality: float) -> bool:
         """Thumbs-up / thumbs-down for one response."""
         observed = quality + self._rng.normal(0.0, self.rating_noise)
-        return bool(observed >= self.thumbs_up_threshold)
+        return bool(observed >= THUMBS_UP_THRESHOLD)
 
     def rating(self, quality: float) -> float:
         """A continuous quality rating in [0, 1] (e.g. reward-model score)."""

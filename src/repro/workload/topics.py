@@ -21,27 +21,26 @@ _WORD_BANK = (
     "translate code math prove sort graph stream shard replica vector"
 ).split()
 
+JITTER = 0.28   # within-topic spread (see TopicModel)
+
 
 class TopicModel:
     """Generates latent vectors and template text for a dataset's topics.
 
-    ``jitter`` controls within-topic spread: two requests from the same topic
-    have expected cosine similarity roughly 1 / (1 + jitter^2), so the default
+    ``JITTER`` controls within-topic spread: two requests from the same topic
+    have expected cosine similarity roughly 1 / (1 + JITTER^2), so its
     0.28 lands near 0.93 — comfortably above the paper's 0.8 "strong semantic
     overlap" threshold — while cross-topic pairs in 64 dimensions sit near 0.
     """
 
-    def __init__(self, n_topics: int, dim: int = 64, jitter: float = 0.28,
+    def __init__(self, n_topics: int, dim: int = 64,
                  zipf_exponent: float = 1.1, seed: int = 0) -> None:
         if n_topics < 1:
             raise ValueError(f"n_topics must be >= 1, got {n_topics}")
         if dim < 8:
             raise ValueError(f"dim must be >= 8, got {dim}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
         self.n_topics = n_topics
         self.dim = dim
-        self.jitter = jitter
         self.zipf_exponent = zipf_exponent
         self.seed = seed
 
@@ -75,10 +74,10 @@ class TopicModel:
     def sample_latent(self, topic_id: int, rng: np.random.Generator) -> np.ndarray:
         """A request latent: topic base + within-topic jitter, unit norm."""
         self._check_topic(topic_id)
-        # Per-component std jitter/sqrt(dim) gives the noise vector an expected
-        # norm of `jitter` relative to the unit base vector.
+        # Per-component std JITTER/sqrt(dim) gives the noise vector an expected
+        # norm of JITTER relative to the unit base vector.
         vec = self._bases[topic_id] + rng.normal(
-            0.0, self.jitter / np.sqrt(self.dim), size=self.dim
+            0.0, JITTER / np.sqrt(self.dim), size=self.dim
         )
         norm = float(np.linalg.norm(vec))
         return vec / norm

@@ -38,8 +38,11 @@ from repro.embedding.similarity import cosine_from_norms
 from repro.llm.icl import (
     DISTRACT_GATE,
     DISTRACTION_PENALTY,
+    EXCEED_MARGIN,
+    MAX_BOOST,
     REL_FULL,
     REL_GATE,
+    SATURATION,
     TRANSFER_EFFICIENCY,
     example_utility,
 )
@@ -92,7 +95,7 @@ def _smoothstep(x: float) -> float:
     return t * t * (3.0 - 2.0 * t)
 
 
-def boost(self, request_latent: np.ndarray, examples: list,
+def boost(request_latent: np.ndarray, examples: list,
           base_quality: float) -> float:
     if not examples:
         return 0.0
@@ -118,12 +121,12 @@ def boost(self, request_latent: np.ndarray, examples: list,
             if relevance >= REL_GATE:
                 best_teacher = max(best_teacher, example.quality)
 
-    gain = self.max_boost * (1.0 - np.exp(-positive_sum / self.saturation))
+    gain = MAX_BOOST * (1.0 - np.exp(-positive_sum / SATURATION))
     if best_teacher > 0.0:
         cap = max(
             0.0,
             TRANSFER_EFFICIENCY * (best_teacher - base_quality)
-            + self.exceed_margin,
+            + EXCEED_MARGIN,
         )
         gain = min(gain, cap)
     else:
@@ -586,7 +589,6 @@ def install(monkeypatch) -> None:
     from repro.core.router import BanditRouter, _LinearTSArm
     from repro.core.selector import ExampleSelector
     from repro.core.service import ICCacheService
-    from repro.llm.icl import ICLBoostModel
     from repro.vectorstore.ivf import IVFIndex
 
     for module in (repro.embedding.similarity, repro.embedding.embedder,
@@ -597,7 +599,7 @@ def install(monkeypatch) -> None:
     for module in (repro.embedding.similarity, repro.llm.icl):
         monkeypatch.setattr(module, "cosine_similarity", cosine_similarity)
     monkeypatch.setattr(repro.llm.icl, "_smoothstep", _smoothstep)
-    monkeypatch.setattr(ICLBoostModel, "boost", boost)
+    monkeypatch.setattr(repro.llm.model, "icl_boost", boost)
     monkeypatch.setattr(repro.core.proxy, "proxy_features", proxy_features)
     monkeypatch.setattr(HelpfulnessProxy, "update", proxy_update)
     monkeypatch.setattr(ExampleManager, "record_use", record_use)

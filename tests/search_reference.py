@@ -8,7 +8,9 @@ einsum performs), stable-sort by score.  The vectorized path — and its
 ``k == 1`` argmax fast path — must return the same keys in the same order
 with the same scores to the last bit, ties included
 (``tests/test_vectorstore_equivalence.py``,
-``tests/test_vectorstore_float32.py``); ``benchmarks/perf_harness.py`` and
+``tests/test_vectorstore_float32.py``).  A single-query search of an
+untrained index or a bare :class:`FlatIndex` scores its one block the same
+way (``tests/test_vectorstore_finish.py``).  ``benchmarks/perf_harness.py`` and
 ``benchmarks/test_perf_batched_retrieval.py`` time it as the in-run speedup
 denominator.  :class:`ShadowPool` is the flat copy of the pool the index
 used to keep, rebuilt beside it from the same mutations.
@@ -39,22 +41,28 @@ class ShadowPool(FlatIndex):
     """
 
 
-def reference_search(index: IVFIndex, query: np.ndarray,
+def reference_search(index: IVFIndex | FlatIndex, query: np.ndarray,
                      k: int) -> list[SearchResult]:
-    assert index.is_trained
+    """A bare :class:`FlatIndex`, or an untrained index's one block, is
+    one probed block: every row, in row order."""
     q = np.asarray(query, dtype=np.float64).reshape(-1)
     qnorm = float(np.linalg.norm(q))
     if qnorm <= 0 or k <= 0:
         return []
     q = q / qnorm
-    nprobe = min(index.nprobe, index.n_clusters)
-    probe = np.argsort(-(index._centroids @ q))[:nprobe]
+    if isinstance(index, FlatIndex):
+        blocks = [index]
+    elif not index.is_trained:
+        blocks = index._blocks[:1]
+    else:
+        nprobe = min(index.nprobe, index.n_clusters)
+        probe = np.argsort(-(index._centroids @ q))[:nprobe]
+        blocks = [index._blocks[cluster] for cluster in probe]
     q32 = q.astype(STORAGE_DTYPE)
     candidates = [
-        SearchResult(key, float(np.einsum(
-            "j,j->", index._blocks[cluster].matrix[row], q32)))
-        for cluster in probe
-        for row, key in enumerate(index._blocks[cluster].keys)
+        SearchResult(key, float(np.einsum("j,j->", block.matrix[row], q32)))
+        for block in blocks
+        for row, key in enumerate(block.keys)
     ]
     order = np.argsort([-c.score for c in candidates], kind="stable")
     return [candidates[i] for i in order[:k]]

@@ -68,13 +68,22 @@ class TestHelpfulnessProxy:
         proxy.update(ex.embedding, ex, 0.5)
         assert proxy.updates == 1
 
+    @pytest.mark.parametrize("observed", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_observation_is_refused_before_anything_moves(
+            self, observed):
+        proxy = HelpfulnessProxy()
+        ex = make_example()
+        proxy.update(ex.embedding, ex, 0.5)
+        weights = proxy.weights
+        with pytest.raises(ValueError, match="finite"):
+            proxy.update(ex.embedding, ex, observed)
+        assert proxy.updates == 1
+        np.testing.assert_array_equal(proxy.weights, weights)
+        assert np.isfinite(proxy.weights).all()
+
     def test_prediction_converges_to_constant_labels(self):
         proxy = HelpfulnessProxy()
         ex = make_example()
         for _ in range(100):
             proxy.update(ex.embedding, ex, 0.25)
         assert predict(proxy, ex.embedding, ex) == pytest.approx(0.25, abs=0.05)
-
-    def test_invalid_ridge(self):
-        with pytest.raises(ValueError):
-            HelpfulnessProxy(ridge=0.0)

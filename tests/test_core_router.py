@@ -60,6 +60,22 @@ class TestRouterConstruction:
         with pytest.raises(KeyError):
             router.update("mystery", np.zeros(N_ROUTER_FEATURES), 0.5)
 
+    @pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_reward_is_refused_before_anything_moves(
+            self, reward):
+        """One NaN reward used to make the arm's moment NaN for good, and
+        the router kept routing on it with no error."""
+        router = two_arm_router()
+        x = routing_features(make_request(), [scored()])
+        router.update("small", x, 0.6)
+        arm = router._posteriors["small"]
+        before = (arm.pulls, arm._precision.copy(), arm._moment.copy())
+        with pytest.raises(ValueError, match="finite"):
+            router.update("small", x, reward)
+        assert arm.pulls == before[0]
+        np.testing.assert_array_equal(arm._precision, before[1])
+        np.testing.assert_array_equal(arm._moment, before[2])
+
 
 class TestConvergence:
     def test_learns_better_arm(self):

@@ -144,7 +144,7 @@ def test_doc_imports_resolve(path: Path, line: str):
 #: ``src/`` past it raises the number in its own diff and says in
 #: ``CHANGES.md`` which deletion pays the growth back; a PR that shrinks
 #: ``src/`` lowers it to its result.
-SRC_LINE_CEILING = 13_435
+SRC_LINE_CEILING = 13_337
 
 
 def test_src_stays_under_its_line_ceiling():
@@ -173,7 +173,9 @@ def test_src_stays_under_its_line_ceiling():
 #: ``ServeContext`` a serve returns.  Also the second check of a record:
 #: ``check_record`` beside ``repro.workload.request.RECORD`` is the one.
 #: Also the in-place write of a cached example: add and remove are the
-#: cache's only writes.
+#: cache's only writes.  Also the classes that held nothing but calibrated
+#: constants (now module functions over them), and the embedder of text
+#: without a latent, which no request is.
 DELETED_FROM_SRC = [
     "repro.llm.prompts",
     "repro.workload.preprocess",
@@ -262,6 +264,12 @@ DELETED_FROM_SRC = [
     *(f"repro.workload{module}.{name}" for module in ("", ".adversarial")
       for name in ("TenantSkewTrace", "tenant_skew_trace", "TopicBurstTrace",
                    "topic_burst_trace", "CompositeTrace", "composite_trace")),
+    "repro.llm.QualityModel",
+    "repro.llm.quality.QualityModel",
+    "repro.llm.ICLBoostModel",
+    "repro.llm.icl.ICLBoostModel",
+    "repro.embedding.HashingEmbedder",
+    "repro.embedding.embedder.HashingEmbedder",
 ]
 
 #: Every value a caller can set, each with the caller that sets a second
@@ -294,7 +302,7 @@ def _constant_rows():
 
 
 def test_the_constants_table_lists_each_deleted_knob_once():
-    assert len(dict(_constant_rows())) == len(_constant_rows()) == 29
+    assert len(dict(_constant_rows())) == len(_constant_rows()) == 50
 
 
 @pytest.mark.parametrize("dotted, shown", _constant_rows())

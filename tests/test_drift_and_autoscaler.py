@@ -75,7 +75,7 @@ class TestBiasAutoscaler:
 
     def test_hysteresis_band_holds(self):
         # Bias between the two thresholds with busy cluster: do nothing.
-        scaler = BiasAutoscaler(scale_up_bias=0.5, scale_down_bias=0.05)
+        scaler = BiasAutoscaler()
         decisions = [scaler.observe(bias=0.2, utilization=0.8)
                      for _ in range(10)]
         assert all(d.action == "hold" for d in decisions)
@@ -98,10 +98,8 @@ class TestBiasAutoscaler:
         assert decision.action == "hold"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BiasAutoscaler(scale_up_bias=0.1, scale_down_bias=0.2)
-        with pytest.raises(ValueError):
-            BiasAutoscaler(max_step=0)
+        with pytest.raises(ValueError, match="cooldown_steps"):
+            BiasAutoscaler(cooldown_steps=-1)
         scaler = BiasAutoscaler()
         with pytest.raises(ValueError):
             scaler.observe(bias=-1.0, utilization=0.5)

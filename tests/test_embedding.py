@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.embedding import embedder as embedder_module
-from repro.embedding.embedder import HashingEmbedder, LatentEmbedder
+from repro.embedding.embedder import LatentEmbedder
 from repro.embedding.similarity import cosine_similarity, cosine_similarity_matrix
 
 
@@ -100,51 +100,12 @@ class TestLatentEmbedder:
         with pytest.raises(ValueError, match="latent is not finite"):
             LatentEmbedder(dim=8).embed("x", latent)
 
-    def test_no_latent_falls_back_to_hashing(self):
-        emb = LatentEmbedder(dim=16)
-        out = emb.embed("fallback text")
-        assert out.shape == (16,)
-        assert np.linalg.norm(out) == pytest.approx(1.0)
+    def test_a_missing_latent_is_refused(self):
+        # Every request carries its latent; there is no text-only path.
+        with pytest.raises(ValueError, match="latent dim"):
+            LatentEmbedder(dim=16).embed("free text", None)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             LatentEmbedder(dim=1)
 
-
-class TestHashingEmbedder:
-    def test_unit_norm_and_deterministic(self):
-        emb = HashingEmbedder(dim=32)
-        a = emb.embed("the quick brown fox")
-        b = emb.embed("the quick brown fox")
-        assert np.allclose(a, b)
-        assert np.linalg.norm(a) == pytest.approx(1.0)
-
-    def test_similar_strings_closer_than_dissimilar(self):
-        emb = HashingEmbedder(dim=64)
-        base = emb.embed("how do I sort a list in python")
-        near = emb.embed("how do I sort a list in python quickly")
-        far = emb.embed("recipe for chocolate cake with frosting")
-        assert cosine_similarity(base, near) > cosine_similarity(base, far)
-
-    def test_instances_share_projection(self):
-        a = HashingEmbedder(dim=32).embed("stable")
-        b = HashingEmbedder(dim=32).embed("stable")
-        assert np.allclose(a, b)
-
-    def test_empty_string_is_well_defined(self):
-        out = HashingEmbedder(dim=16).embed("")
-        assert np.linalg.norm(out) == pytest.approx(1.0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.text(min_size=0, max_size=60))
-    def test_always_unit_norm(self, text):
-        out = HashingEmbedder(dim=16).embed(text)
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-6)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            HashingEmbedder(dim=1)
-        with pytest.raises(ValueError):
-            HashingEmbedder(ngram=0)
-        with pytest.raises(ValueError):
-            HashingEmbedder(dim=64, buckets=32)

@@ -51,7 +51,7 @@ from repro.embedding.similarity import (
     cosine_similarity,
     vector_norm,
 )
-from repro.llm.icl import ExampleView, ICLBoostModel, latent_norm
+from repro.llm.icl import ExampleView, icl_boost, latent_norm
 from repro.llm.quality import clip_unit
 from repro.persistence import Checkpointer, WriteAheadLog
 from repro.utils.rng import make_rng, stable_hash
@@ -290,9 +290,8 @@ def test_boost_equals_reference(seed, n, base, dtype, twist, carry_norm):
         views.append(ExampleView(latent, float(rng.random()),
                                  int(rng.integers(5, 90)),
                                  latent_norm(latent) if carry_norm else None))
-    model = ICLBoostModel()
-    assert _same_float(model.boost(request_latent, views, base),
-                       reference.boost(model, request_latent, views, base))
+    assert _same_float(icl_boost(request_latent, views, base),
+                       reference.boost(request_latent, views, base))
 
 
 @settings(**DETERMINISM)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.judge import autorater
 from repro.judge.autorater import Autorater, TIE_BAND
 from repro.judge.metrics import evaluate_pairwise, win_rate_from_scores
 
@@ -24,10 +25,11 @@ class TestAutorater:
         scores = [rater.compare(0.5, 0.5) for _ in range(50)]
         assert abs(np.mean(scores)) < 0.15
 
-    def test_order_bias_cancels(self):
+    def test_order_bias_cancels(self, monkeypatch):
         # With a huge position bias, the two-order protocol still nets ~0
         # at quality parity.
-        rater = Autorater(seed=3, position_bias=1.0, samples_per_order=64)
+        monkeypatch.setattr(autorater, "POSITION_BIAS", 1.0)
+        rater = Autorater(seed=3, samples_per_order=64)
         assert abs(rater.compare(0.5, 0.5)) < 0.3
 
     def test_antisymmetry_in_expectation(self):
@@ -36,8 +38,10 @@ class TestAutorater:
         ba = np.mean([rater.compare(0.4, 0.8) for _ in range(20)])
         assert ab == pytest.approx(-ba, abs=0.2)
 
-    def test_verdict_labels(self):
-        rater = Autorater(seed=5, noise_std=0.0, position_bias=0.0)
+    def test_verdict_labels(self, monkeypatch):
+        monkeypatch.setattr(autorater, "JUDGE_NOISE_STD", 0.0)
+        monkeypatch.setattr(autorater, "POSITION_BIAS", 0.0)
+        rater = Autorater(seed=5)
         assert rater.verdict(0.9, 0.1) == "win"
         assert rater.verdict(0.1, 0.9) == "loss"
         assert rater.verdict(0.5, 0.5) == "tie"
@@ -45,8 +49,6 @@ class TestAutorater:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             Autorater(samples_per_order=0)
-        with pytest.raises(ValueError):
-            Autorater(noise_std=-1.0)
 
 
 class TestWinRate:

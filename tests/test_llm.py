@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.llm import quality
 from repro.llm.icl import (
     DISTRACT_GATE,
     ExampleView,
-    ICLBoostModel,
     REL_GATE,
     example_utility,
+    icl_boost,
 )
 from repro.llm.model import ModelSpec
-from repro.llm.quality import QualityModel
+from repro.llm.quality import decoded_quality, difficulty_curve
 from repro.llm.zoo import MODEL_PAIRS, MODEL_SPECS, get_model, get_model_pair
 from repro.utils.rng import make_rng, spawn_rng, stable_hash
 
@@ -28,44 +29,37 @@ def view_for(latent, quality=0.8, tokens=60):
 
 class TestQualityModel:
     def test_base_quality_monotone_in_capability(self):
-        qm = QualityModel()
-        assert qm.base_quality(0.8, 0.5) > qm.base_quality(0.6, 0.5)
+        assert difficulty_curve(0.8, 0.5) > difficulty_curve(0.6, 0.5)
 
     def test_base_quality_monotone_in_difficulty(self):
-        qm = QualityModel()
-        assert qm.base_quality(0.7, 0.2) > qm.base_quality(0.7, 0.8)
+        assert difficulty_curve(0.7, 0.2) > difficulty_curve(0.7, 0.8)
 
     def test_capability_gap_widens_with_difficulty(self):
         # The Fig. 1 effect: big models pull ahead on hard requests.
-        qm = QualityModel()
-        gap_easy = qm.base_quality(0.8, 0.1) - qm.base_quality(0.6, 0.1)
-        gap_hard = qm.base_quality(0.8, 0.9) - qm.base_quality(0.6, 0.9)
+        gap_easy = difficulty_curve(0.8, 0.1) - difficulty_curve(0.6, 0.1)
+        gap_hard = difficulty_curve(0.8, 0.9) - difficulty_curve(0.6, 0.9)
         assert gap_hard > gap_easy
 
     def test_bounds(self):
-        qm = QualityModel()
-        assert 0.0 <= qm.base_quality(0.5, 1.0) <= 1.0
-        assert 0.0 <= qm.base_quality(1.0, 0.0) <= 1.0
+        assert 0.0 <= difficulty_curve(0.5, 1.0) <= 1.0
+        assert 0.0 <= difficulty_curve(1.0, 0.0) <= 1.0
 
     def test_invalid_inputs(self):
-        qm = QualityModel()
         with pytest.raises(ValueError):
-            qm.base_quality(0.0, 0.5)
+            difficulty_curve(0.0, 0.5)
         with pytest.raises(ValueError):
-            qm.base_quality(0.5, 1.5)
-        with pytest.raises(ValueError):
-            QualityModel(penalty_ceiling=0.9)
+            difficulty_curve(0.5, 1.5)
 
-    def test_sample_quality_clipped(self):
-        qm = QualityModel(noise_std=0.5)
+    def test_sample_quality_clipped(self, monkeypatch):
+        monkeypatch.setattr(quality, "DECODE_NOISE_STD", 0.5)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            assert 0.0 <= qm.sample_quality(0.5, 0.3, rng) <= 1.0
+            assert 0.0 <= decoded_quality(0.5, 0.3, rng) <= 1.0
 
     @given(st.floats(min_value=0.01, max_value=1.0),
            st.floats(min_value=0, max_value=1))
     def test_base_always_in_unit_interval(self, cap, diff):
-        assert 0.0 <= QualityModel().base_quality(cap, diff) <= 1.0
+        assert 0.0 <= difficulty_curve(cap, diff) <= 1.0
 
 
 class TestExampleUtility:
@@ -107,14 +101,13 @@ class TestICLBoostModel:
     def setup_method(self):
         self.latent = np.zeros(8)
         self.latent[0] = 1.0
-        self.model = ICLBoostModel()
 
     def test_no_examples_no_boost(self):
-        assert self.model.boost(self.latent, [], 0.4) == 0.0
+        assert icl_boost(self.latent, [], 0.4) == 0.0
 
     def test_good_examples_boost(self):
         examples = [view_for(self.latent, quality=0.8) for _ in range(3)]
-        assert self.model.boost(self.latent, examples, 0.4) > 0.1
+        assert icl_boost(self.latent, examples, 0.4) > 0.1
 
     def test_random_examples_hurt(self):
         # The Fig. 4(a) effect: random examples degrade quality.
@@ -124,12 +117,12 @@ class TestICLBoostModel:
             v = rng.normal(size=8)
             v[0] = 0.0  # orthogonal to the request
             randoms.append(view_for(v / np.linalg.norm(v), quality=0.9))
-        assert self.model.boost(self.latent, randoms, 0.4) < 0.0
+        assert icl_boost(self.latent, randoms, 0.4) < 0.0
 
     def test_diminishing_returns(self):
         def gain(n):
             examples = [view_for(self.latent, quality=0.8)] * n
-            return self.model.boost(self.latent, examples, 0.3)
+            return icl_boost(self.latent, examples, 0.3)
 
         first = gain(1)
         marginal_fifth = gain(5) - gain(4)
@@ -137,18 +130,12 @@ class TestICLBoostModel:
 
     def test_boost_capped_near_teacher(self):
         examples = [view_for(self.latent, quality=0.6)] * 10
-        boost = self.model.boost(self.latent, examples, 0.3)
+        boost = icl_boost(self.latent, examples, 0.3)
         assert 0.3 + boost <= 0.6 + 0.05  # cannot leapfrog the teacher
 
     def test_weak_teacher_no_gain(self):
         examples = [view_for(self.latent, quality=0.2)] * 5
-        assert self.model.boost(self.latent, examples, 0.5) == pytest.approx(0.0)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ICLBoostModel(max_boost=-0.1)
-        with pytest.raises(ValueError):
-            ICLBoostModel(saturation=0.0)
+        assert icl_boost(self.latent, examples, 0.5) == pytest.approx(0.0)
 
 
 class TestModelSpec:
@@ -250,17 +237,19 @@ class TestDecodeStreams:
     was cleared in between, or from the empty memo of a restored service."""
 
     @staticmethod
-    def _recorded(model) -> list[dict]:
-        """States of the generators ``model.generate`` hands on, at the
-        moment they are handed on (nothing drawn yet)."""
+    def _recorded(monkeypatch) -> list[dict]:
+        """States of the generators every model's ``generate`` hands on, at
+        the moment they are handed on (nothing drawn yet)."""
+        import repro.llm.model
+
         states: list[dict] = []
-        sample = model.quality_model.sample_quality
+        sample = repro.llm.model.decoded_quality
 
         def recording(base, boost, rng):
             states.append(rng.bit_generator.state)
             return sample(base, boost, rng)
 
-        model.quality_model.sample_quality = recording
+        monkeypatch.setattr(repro.llm.model, "decoded_quality", recording)
         return states
 
     @staticmethod
@@ -275,11 +264,12 @@ class TestDecodeStreams:
         assert drawn.normal() == reference.normal()
         assert drawn.lognormal(0.0, 0.08) == reference.lognormal(0.0, 0.08)
 
-    def test_a_thousand_triples_draw_from_the_spawned_generator(self):
+    def test_a_thousand_triples_draw_from_the_spawned_generator(
+            self, monkeypatch):
         triples = 0
+        states = self._recorded(monkeypatch)
         for name in ("gemma-2-2b", "gemma-2-27b"):
             model = get_model(name)
-            states = self._recorded(model)
             requests = [make_request(request_id=f"stream-{i}")
                         for i in range(100)]
             for count in range(5):          # request-major within a count:
@@ -291,9 +281,9 @@ class TestDecodeStreams:
             assert len(model._decode_seed_memo) == 100
         assert triples == 1000
 
-    def test_equality_holds_across_the_memo_clear(self):
+    def test_equality_holds_across_the_memo_clear(self, monkeypatch):
         model = get_model("gemma-2-2b")
-        states = self._recorded(model)
+        states = self._recorded(monkeypatch)
         first = make_request(request_id="before-the-clear")
         model.generate(first)
         word = model._decode_seed_memo[first.request_id]
@@ -309,7 +299,8 @@ class TestDecodeStreams:
 
     def test_a_restored_service_resumes_every_stream(self, tmp_path,
                                                      service,
-                                                     small_dataset):
+                                                     small_dataset,
+                                                     monkeypatch):
         """The memo is no snapshot state: a snapshot taken with it full is
         byte for byte the one taken with it empty, and the restored
         service (empty memo, restored decode counts) draws from the same
@@ -335,17 +326,18 @@ class TestDecodeStreams:
 
         restored = restore_service(load_snapshot(full),
                                    config=service.config)
+        states = self._recorded(monkeypatch)
         for name, model in restored.models.items():
             assert not model._decode_seed_memo
-            states = self._recorded(model)
             live = service.models[name]
             for request in requests:
                 count = model.decode_count(request.request_id)
                 assert count == live.decode_count(request.request_id)
                 assert model.generate(request).quality == \
                     live.generate(request).quality
-                self._assert_stream(states[-1], name, request.request_id,
-                                    count)
+                for state in states[-2:]:       # the restored, then the live
+                    self._assert_stream(state, name, request.request_id,
+                                        count)
 
 
 class TestZoo:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.embedding.similarity import cosine_similarity
+from repro.privacy import dp_synth
 from repro.privacy.dp_synth import DPSynthesizer, gaussian_sigma
 from repro.privacy.sanitizer import PII_PATTERNS, sanitize_text
 
@@ -151,8 +152,9 @@ class TestDPSynthesizer:
             ])
         assert sims[1.0] < sims[16.0]
 
-    def test_quality_discounted(self):
-        synth = DPSynthesizer(quality_discount=0.1, seed=4)
+    def test_quality_discounted(self, monkeypatch):
+        monkeypatch.setattr(dp_synth, "QUALITY_DISCOUNT", 0.1)
+        synth = DPSynthesizer(seed=4)
         original = make_example(quality=0.9)
         synthetic = synth.synthesize([original])[0]
         assert synthetic.quality <= original.quality

@@ -120,20 +120,16 @@ def test_search_batch_equals_the_per_candidate_tail(seeded, kind, k):
 @pytest.mark.parametrize("seed", range(3))
 def test_single_search_equals_the_per_candidate_tail(seed, k):
     """The one-query entry point ends in the same tail, bit for bit: a
-    trained index answers as the per-key oracle does, an untrained one or a
-    flat index as the oracle's batch of one, and a query below ``_EPS`` has
+    trained index, an untrained one and a flat index all answer as the
+    per-key oracle does (ties in row order), and a query below ``_EPS`` has
     no hits.  The indexes are fresh, so no receipt a batch filed answers a
     ``k == 1`` probe here."""
     indexes, queries = _indexes(seed), _queries(_pool(seed), seed)
     for kind in KINDS:
         index = indexes[kind]
         for query in queries:
-            if np.linalg.norm(query) < _EPS:
-                want = []
-            elif getattr(index, "is_trained", False):
-                want = reference_search(index, query, k)
-            else:
-                want = reference_search_batch(index, query[None], k)[0]
+            want = [] if np.linalg.norm(query) < _EPS \
+                else reference_search(index, query, k)
             assert index.search(query, k) == want, kind
 
 
@@ -192,3 +188,23 @@ def test_a_tiny_query_behaves_the_same_either_side_of_min_train_size():
         assert index.search(tiny, 3) == []
         assert index.search(tiny, 1) == []
         assert index.search_batch(np.stack([tiny, vectors[2]]), 3)[0] == []
+
+
+def test_identical_best_rows_tie_in_row_order_below_min_train_size():
+    """In 200 pools of 8–62 rows with four bit-identical best rows, a
+    single-query search of an untrained index, or of the flat store itself,
+    returns the lowest two of the four, in row order, with equal scores.
+    BLAS gemv scored such rows by their position, and ``argpartition`` then
+    picked among them."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, ivf.MIN_TRAIN_SIZE - 1))
+        vectors = rng.normal(size=(n, DIM))
+        best = np.sort(rng.choice(n, size=4, replace=False))
+        vectors[best] = vectors[best[0]]
+        query = vectors[best[0]] + rng.normal(0.0, 1e-3, size=DIM)
+        for index in (_filled(IVFIndex(dim=DIM, seed=seed), vectors),
+                      _filled(FlatIndex(DIM), vectors)):
+            hits = index.search(query, 2)
+            assert [hit.key for hit in hits] == best[:2].tolist(), seed
+            assert hits[0].score == hits[1].score, seed

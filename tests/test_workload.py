@@ -64,7 +64,7 @@ class TestRequest:
 
 class TestTopicModel:
     def test_same_topic_similarity_high(self):
-        topics = TopicModel(n_topics=20, dim=64, jitter=0.28, seed=0)
+        topics = TopicModel(n_topics=20, dim=64, seed=0)
         rng = np.random.default_rng(0)
         a = topics.sample_latent(3, rng)
         b = topics.sample_latent(3, rng)
@@ -368,6 +368,17 @@ class TestFeedbackSimulator:
             FeedbackSimulator(rating_noise=-0.1)
         with pytest.raises(ValueError):
             FeedbackSimulator(preference_noise=0.0)
+
+    @pytest.mark.parametrize("noise", [
+        {"rating_noise": float("nan")}, {"rating_noise": float("inf")},
+        {"preference_noise": float("nan")},
+        {"preference_noise": float("inf")}],
+        ids=["rating-nan", "rating-inf", "preference-nan", "preference-inf"])
+    def test_non_finite_noise_is_refused(self, noise):
+        # A NaN noise made every rating NaN, and one NaN reward poisons the
+        # router arm it reaches for good.
+        with pytest.raises(ValueError, match="finite"):
+            FeedbackSimulator(**noise)
 
     @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
     @settings(max_examples=30, deadline=None)
