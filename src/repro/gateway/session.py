@@ -210,7 +210,7 @@ class GatewaySession:
         record (the request was shed or never submitted).
         """
         while request_id not in self.records:
-            if self._loop.step() is None:
+            if not self._loop.step():
                 raise KeyError(
                     f"request {request_id!r} has no pending completion "
                     "(shed, rate-limited, or never submitted)"

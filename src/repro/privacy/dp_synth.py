@@ -26,8 +26,11 @@ QUALITY_DISCOUNT = 0.05   # mean quality a synthetic example loses
 
 
 def gaussian_sigma(epsilon: float, delta: float, sensitivity: float = 1.0) -> float:
-    """Noise scale of the Gaussian mechanism for (epsilon, delta)-DP."""
-    if epsilon <= 0 or not 0 < delta < 1:
+    """Noise scale of the Gaussian mechanism for (epsilon, delta)-DP.
+
+    ``epsilon`` must be positive and finite: a NaN would make every noised
+    vector NaN, and an infinite budget means no noise at all."""
+    if not 0 < epsilon < math.inf or not 0 < delta < 1:
         raise ValueError(f"invalid privacy budget: epsilon={epsilon}, delta={delta}")
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 

@@ -7,6 +7,9 @@ deterministic discrete-event core (:class:`EventLoop`) and the pluggable
 :class:`EventSource`\\ s that produce those events;
 :class:`repro.serving.cluster.ClusterSimulator` composes them into runs.
 
+An event is a callback at a simulated time: each source schedules its own
+bound methods, and the loop keeps no vocabulary of event kinds.
+
 Determinism rules (see ``docs/RUNTIME.md``):
 
 * same-time events dispatch in scheduling order (monotonic sequence
@@ -18,22 +21,14 @@ Determinism rules (see ``docs/RUNTIME.md``):
 """
 
 from repro.runtime.chaos import (
-    CRASH_RECOVERY,
-    REPLICA_CHAOS,
     CrashRecoverySource,
     FaultScheduleSource,
     ReplicaKillSource,
     ServiceHolder,
     SlowShardSource,
 )
-from repro.runtime.loop import Event, EventLoop
+from repro.runtime.loop import EventLoop
 from repro.runtime.sources import (
-    ARRIVAL,
-    AUTOSCALE_TICK,
-    CHECKPOINT_TICK,
-    FINISH,
-    FLUSH,
-    MAINTENANCE_TICK,
     AutoscalerTickSource,
     CheckpointTickSource,
     EventSource,
@@ -43,7 +38,6 @@ from repro.runtime.sources import (
 )
 
 __all__ = [
-    "Event",
     "EventLoop",
     "EventSource",
     "TraceArrivalSource",
@@ -56,12 +50,4 @@ __all__ = [
     "SlowShardSource",
     "FaultScheduleSource",
     "CrashRecoverySource",
-    "ARRIVAL",
-    "FLUSH",
-    "FINISH",
-    "AUTOSCALE_TICK",
-    "MAINTENANCE_TICK",
-    "CHECKPOINT_TICK",
-    "REPLICA_CHAOS",
-    "CRASH_RECOVERY",
 ]

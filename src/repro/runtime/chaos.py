@@ -27,8 +27,8 @@ indirection: sources and simulators hold the *holder*, whose
 ``route_batch`` / ``on_complete`` delegate to whichever service generation is currently
 adopted.
 
-Determinism: every source here schedules plain events on the shared loop
-and mutates state only inside handlers, so a chaos scenario is as
+Determinism: every source here schedules its own bound methods on the
+shared loop and mutates state only inside them, so a chaos scenario is as
 replayable as a benign one — ``tests/test_chaos.py`` pins that a kill +
 WAL recovery inside a flash crowd finishes bit-identically across two
 same-seed runs.
@@ -36,10 +36,10 @@ same-seed runs.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.runtime.loop import EventLoop
-from repro.runtime.sources import _register_dispatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.config import ICCacheConfig
@@ -48,10 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.cluster import ClusterSimulator
     from repro.serving.records import ServedRequest
     from repro.workload.request import Request
-
-# Chaos event kinds (plain strings, extending the standard vocabulary).
-REPLICA_CHAOS = "replica_chaos"
-CRASH_RECOVERY = "crash_recovery"
 
 Window = tuple[float, float]
 
@@ -121,13 +117,13 @@ class ReplicaKillSource:
 
     def __init__(self, model_name: str, kills: Sequence[tuple[float, int]],
                  restore_after_s: float | None = None) -> None:
-        if restore_after_s is not None and restore_after_s <= 0:
-            raise ValueError(
-                f"restore_after_s must be positive, got {restore_after_s}"
-            )
+        if restore_after_s is not None and not 0 < restore_after_s < math.inf:
+            raise ValueError("restore_after_s must be positive and finite, "
+                             f"got {restore_after_s}")
         for at_s, n in kills:
-            if at_s < 0 or n < 1:
-                raise ValueError(f"bad kill ({at_s}, {n}): need at_s >= 0, n >= 1")
+            if not 0 <= at_s < math.inf or n < 1:
+                raise ValueError(f"bad kill ({at_s}, {n}): need a finite "
+                                 "at_s >= 0, n >= 1")
         self.model_name = model_name
         self.kills = [(float(at_s), int(n)) for at_s, n in kills]
         self.restore_after_s = restore_after_s
@@ -136,9 +132,8 @@ class ReplicaKillSource:
     def attach(self, loop: EventLoop, cluster: "ClusterSimulator") -> None:
         self._loop = loop
         self._cluster = cluster
-        _register_dispatch(loop, REPLICA_CHAOS)
         for at_s, n in self.kills:
-            loop.schedule(at_s, REPLICA_CHAOS, (self._on_event, ("kill", n)))
+            loop.schedule(at_s, self._on_event, ("kill", n))
 
     def _on_event(self, data: tuple[str, int]) -> None:
         action, n = data
@@ -153,7 +148,7 @@ class ReplicaKillSource:
         })
         if action == "kill" and applied != 0 and self.restore_after_s is not None:
             self._loop.schedule(self._loop.now + self.restore_after_s,
-                                REPLICA_CHAOS, (self._on_event, ("restore", -applied)))
+                                self._on_event, ("restore", -applied))
 
 
 class SlowShardSource:
@@ -169,8 +164,9 @@ class SlowShardSource:
 
     def __init__(self, windows: Sequence[Window], penalty_s: float,
                  model_names: Sequence[str] | None = None) -> None:
-        if penalty_s < 0:
-            raise ValueError(f"penalty_s must be >= 0, got {penalty_s}")
+        if not 0 <= penalty_s < math.inf:
+            raise ValueError(
+                f"penalty_s must be >= 0 and finite, got {penalty_s}")
         for start, end in windows:
             if not 0 <= start < end:
                 raise ValueError(f"bad window ({start}, {end})")
@@ -267,8 +263,8 @@ class CrashRecoverySource:
     def __init__(self, holder: ServiceHolder, checkpointer: "Checkpointer",
                  at_s: float, config: "ICCacheConfig | None" = None,
                  recheckpoint: bool = True) -> None:
-        if at_s < 0:
-            raise ValueError(f"at_s must be >= 0, got {at_s}")
+        if not 0 <= at_s < math.inf:
+            raise ValueError(f"at_s must be >= 0 and finite, got {at_s}")
         self.holder = holder
         self.checkpointer = checkpointer
         self.at_s = float(at_s)
@@ -279,8 +275,7 @@ class CrashRecoverySource:
     def attach(self, loop: EventLoop, cluster: "ClusterSimulator") -> None:
         self._loop = loop
         self._cluster = cluster
-        _register_dispatch(loop, CRASH_RECOVERY)
-        loop.schedule(self.at_s, CRASH_RECOVERY, (self._on_event, None))
+        loop.schedule(self.at_s, self._on_event)
 
     def _on_event(self, _: None) -> None:
         from repro.persistence.wal import Checkpointer

@@ -7,8 +7,8 @@ others on a shared :class:`~repro.runtime.loop.EventLoop`:
   (closed-loop trace replay or the open-loop Poisson/diurnal processes of
   :mod:`repro.workload.trace`) as routed micro-batches: it drives a
   :class:`~repro.serving.engine.RequestBatcher` with the event clock, size
-  flushes inline and timeout flushes as ``flush`` events carrying a
-  generation stamp so stale timers no-op.
+  flushes inline and timeout flushes as scheduled ``_flush`` calls
+  carrying a generation stamp so stale timers no-op.
 * :class:`AutoscalerTickSource` — the paper's section-4.2 control loop made
   live: on a fixed cadence it feeds the router's bias signal and the
   cluster's utilization to a :class:`~repro.serving.autoscaler.BiasAutoscaler`
@@ -22,7 +22,9 @@ others on a shared :class:`~repro.runtime.loop.EventLoop`:
   recovery (snapshot + WAL, ``docs/PERSISTENCE.md``) bounds its data loss
   to one tick of serving even in live cluster scenarios.
 
-Sources read live state at event time, never snapshots taken at
+Every source schedules its own bound methods on the loop (an event is a
+callback at a time), so any number of sources of one class compose on one
+loop.  Sources read live state at event time, never snapshots taken at
 construction — benchmarks toggle ``service.router_enabled`` and friends
 mid-run, and the golden-path tests pin that those toggles take effect on
 the next event.
@@ -30,10 +32,11 @@ the next event.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, runtime_checkable
 
-from repro.runtime.loop import Event, EventLoop
+from repro.runtime.loop import EventLoop
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> runtime)
     from repro.serving.autoscaler import BiasAutoscaler, ScalingDecision
@@ -41,22 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> runtime)
     from repro.serving.engine import BatchPolicy
     from repro.workload.request import Request
 
-# Event kinds the standard sources schedule.  Kinds are plain strings so
-# user-defined sources extend the vocabulary without touching this module.
-ARRIVAL = "arrival"
-FLUSH = "flush"
-FINISH = "finish"
-AUTOSCALE_TICK = "autoscale_tick"
-MAINTENANCE_TICK = "maintenance_tick"
-CHECKPOINT_TICK = "checkpoint_tick"
-
 
 @runtime_checkable
 class EventSource(Protocol):
     """Anything that can plug into a serving run.
 
-    ``attach(loop, cluster)`` is called once before the loop runs: register
-    handlers with :meth:`EventLoop.on` and schedule initial events.  Attach
+    ``attach(loop, cluster)`` is called once before the loop runs: schedule
+    the source's initial callbacks with :meth:`EventLoop.schedule`.  Attach
     order is the determinism contract for same-time events (insertion order
     breaks ties), so compositions should attach arrival sources first.
     """
@@ -65,55 +59,26 @@ class EventSource(Protocol):
         ...
 
 
-def _dispatch_to_source(event: Event) -> None:
-    """Shared handler for source-owned kinds: payload is (handler, data),
-    the handler a bound method of the source that scheduled the event."""
-    handler, data = event.payload
-    handler(data)
-
-
-def _register_dispatch(loop: EventLoop, kind: str) -> None:
-    """Idempotently register the per-source dispatcher for ``kind``.
-
-    The standard sources schedule their events with a ``(handler, data)``
-    payload and share one dispatcher per kind, so several sources of the
-    same class compose on one loop (two arrival traces, autoscalers on two
-    tiers, ...) without fighting over the one-handler-per-kind rule.  A
-    *foreign* handler already claiming the kind is an error — reusing it
-    silently would route standard events to it (or vice versa) depending
-    on attach order.
-    """
-    existing = loop.handler(kind)
-    if existing is None:
-        loop.on(kind, _dispatch_to_source)
-    elif existing is not _dispatch_to_source:
-        raise ValueError(
-            f"event kind {kind!r} is already handled by {existing!r}, which "
-            "is not the shared per-source dispatcher; custom sources must "
-            "use their own event kinds"
-        )
-
-
-def _periodic(loop: EventLoop, source, kind: str, interval_s: float,
-              horizon_s: float) -> int:
-    """Schedule a bounded tick train for ``source``; returns the tick count.
+def _periodic(loop: EventLoop, tick: Callable[[None], None],
+              interval_s: float, horizon_s: float) -> None:
+    """Schedule a bounded train of ``tick`` calls.
 
     Ticks are primed up-front (not self-rescheduled) so the loop drains
     once real work is done and the event count stays bounded and
-    deterministic regardless of what handlers do.  Tick times are computed
+    deterministic regardless of what the ticks do.  Tick times are computed
     on the ``i * interval_s`` grid — accumulating ``t += interval_s`` would
     drift under float rounding and silently drop the final tick for
     fractional intervals.
     """
-    if interval_s <= 0:
-        raise ValueError(f"interval_s must be positive, got {interval_s}")
-    if horizon_s < 0:
-        raise ValueError(f"horizon_s must be >= 0, got {horizon_s}")
+    if not 0 < interval_s < math.inf:
+        raise ValueError(
+            f"interval_s must be positive and finite, got {interval_s}")
+    if not 0 <= horizon_s < math.inf:
+        raise ValueError(
+            f"horizon_s must be >= 0 and finite, got {horizon_s}")
     ticks = int(horizon_s / interval_s + 1e-9)
-    tick = source._on_event
     for i in range(1, ticks + 1):
-        loop.schedule(i * interval_s, kind, (tick, None))
-    return ticks
+        loop.schedule(i * interval_s, tick)
 
 
 class TraceArrivalSource:
@@ -123,7 +88,7 @@ class TraceArrivalSource:
     ``policy``; the default ``BatchPolicy()`` is the batch of one, which
     dispatches each arrival as it fires and arms no timer.  A batch
     dispatches inline the moment it reaches ``max_batch``; otherwise its
-    first item arms a ``flush`` event at the batcher's deadline, stamped
+    first item schedules :meth:`_flush` at the batcher's deadline, stamped
     with the batcher's generation so a timer armed for a batch that already
     size-flushed falls through as a no-op.  ``route_batch(requests,
     cluster)`` returns one ``(model_name, examples)`` decision per request.
@@ -160,11 +125,9 @@ class TraceArrivalSource:
     def attach(self, loop: EventLoop, cluster: "ClusterSimulator") -> None:
         self._loop = loop
         self._cluster = cluster
-        _register_dispatch(loop, ARRIVAL)
-        _register_dispatch(loop, FLUSH)
         arrive = self._arrive
         for timestamp, request in self.arrivals:
-            loop.schedule(timestamp, ARRIVAL, (arrive, request))
+            loop.schedule(timestamp, arrive, request)
 
     def _arrive(self, request: "Request") -> None:
         """One arrival fired: park it, then dispatch or arm the timeout.
@@ -181,8 +144,8 @@ class TraceArrivalSource:
         if full is not None:
             self._dispatch(full)
         elif opened:
-            self._loop.schedule(self.batcher.deadline, FLUSH,
-                                (self._flush, self.batcher.generation))
+            self._loop.schedule(self.batcher.deadline, self._flush,
+                                self.batcher.generation)
 
     def _flush(self, generation: int) -> None:
         """A timeout flush fired for the batch stamped ``generation``."""
@@ -222,8 +185,7 @@ class AutoscalerTickSource:
     def attach(self, loop: EventLoop, cluster: "ClusterSimulator") -> None:
         self._loop = loop
         self._cluster = cluster
-        _register_dispatch(loop, AUTOSCALE_TICK)
-        _periodic(loop, self, AUTOSCALE_TICK, self.interval_s, self.horizon_s)
+        _periodic(loop, self._on_event, self.interval_s, self.horizon_s)
 
     def _on_event(self, _: None) -> None:
         """One autoscaler tick: observe the section-4.2 bias, maybe scale.
@@ -267,32 +229,25 @@ class MaintenanceTickSource:
 
     Every ``interval_s`` up to ``horizon_s``: advance the service clock to
     simulated now (so gain decay sees true elapsed time) and run one
-    ``ICCacheService.run_maintenance`` pass — capacity enforcement plus,
-    when ``replay=True``, a section-4.3 replay sweep.  The pass emits the
+    ``ICCacheService.run_maintenance`` pass — gain decay, capacity
+    enforcement and a section-4.3 replay sweep.  The pass emits the
     pipeline's ``on_maintenance`` middleware hook, preserving
     ``LearningHook`` ordering for observers of cache lifecycle events.
     """
 
-    def __init__(self, service, *, interval_s: float, horizon_s: float,
-                 replay: bool = True, expected_reuse: float = 20.0) -> None:
-        if not 0.0 < expected_reuse < float("inf"):
-            raise ValueError(
-                f"expected_reuse must be positive and finite: {expected_reuse}")
+    def __init__(self, service, *, interval_s: float,
+                 horizon_s: float) -> None:
         self.service = service
         self.interval_s = interval_s
         self.horizon_s = horizon_s
-        self.replay = replay
-        self.expected_reuse = expected_reuse
         self.history: list[dict] = []
 
     def attach(self, loop: EventLoop, cluster: "ClusterSimulator") -> None:
         self._loop = loop
-        _register_dispatch(loop, MAINTENANCE_TICK)
-        _periodic(loop, self, MAINTENANCE_TICK, self.interval_s,
-                  self.horizon_s)
+        _periodic(loop, self._on_event, self.interval_s, self.horizon_s)
 
     def _on_event(self, _: None) -> None:
-        """One maintenance tick: decay, evict, (optionally) replay.
+        """One maintenance tick: decay, evict, replay.
 
         Advances the service clock first so the section-4.3 hourly gain
         decay sees true elapsed simulated time, then delegates to
@@ -300,9 +255,7 @@ class MaintenanceTickSource:
         ``on_maintenance`` hook).
         """
         self.service.clock.advance_to(self._loop.now)
-        outcome = self.service.run_maintenance(
-            replay=self.replay, expected_reuse=self.expected_reuse
-        )
+        outcome = self.service.run_maintenance()
         outcome["time_s"] = self._loop.now
         self.history.append(outcome)
 
@@ -333,9 +286,7 @@ class CheckpointTickSource:
 
     def attach(self, loop: EventLoop, cluster: "ClusterSimulator") -> None:
         self._loop = loop
-        _register_dispatch(loop, CHECKPOINT_TICK)
-        _periodic(loop, self, CHECKPOINT_TICK, self.interval_s,
-                  self.horizon_s)
+        _periodic(loop, self._on_event, self.interval_s, self.horizon_s)
 
     def _on_event(self, _: None) -> None:
         service = self.checkpointer.service

@@ -5,7 +5,7 @@ Since the event-runtime refactor, the scheduling core lives in
 plus pluggable event sources — and :class:`ClusterSimulator` is a thin
 composition over it: the simulator owns cluster *state* (per-model FIFO
 queues, continuous-batching slot accounting, the run report) and the event
-*handlers* that mutate it, while arrivals, batch flushes, autoscaler ticks,
+*callbacks* that mutate it, while arrivals, batch flushes, autoscaler ticks,
 and maintenance ticks are produced by the sources attached to a run.  Every
 router is a batch router, ``route_batch(requests, sim) -> [(model_name,
 examples)]``; a request routed alone is a batch of one.
@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 from repro.llm.icl import ExampleView
 from repro.llm.model import SimulatedLLM
-from repro.runtime.loop import Event, EventLoop
-from repro.runtime.sources import FINISH, TraceArrivalSource
+from repro.runtime.loop import EventLoop
+from repro.runtime.sources import TraceArrivalSource
 from repro.serving.engine import BatchPolicy
 from repro.serving.records import (
     ScalingEvent,
@@ -122,12 +122,13 @@ class _ModelQueue:
 
 
 class ClusterSimulator:
-    """Cluster state and event handlers over the deterministic runtime.
+    """Cluster state and event callbacks over the deterministic runtime.
 
     The event model behind the paper's serving experiments (section 6's
-    16xA100 cluster, Fig. 12/13): an ``arrival`` routes a request and
-    enqueues it; a ``finish`` frees a continuous-batching slot and starts
-    queued work; a ``flush`` dispatches a retrieval micro-batch; autoscale
+    16xA100 cluster, Fig. 12/13): an arrival routes a request and
+    enqueues it; a finish (:meth:`_finish`) frees a continuous-batching
+    slot and starts queued work; a flush dispatches a retrieval
+    micro-batch; autoscale
     and maintenance ticks adjust capacity and curate the cache mid-run.
     Routing callbacks see the live simulator, so load-aware policies read
     :meth:`load` / :meth:`total_load` at decision time — the signal the
@@ -146,7 +147,6 @@ class ClusterSimulator:
         self._loop: EventLoop | None = None
         self._events_prior = 0   # processed by earlier runs' loops
         self.report = ServingReport()
-        self.dropped: list[str] = []
         self._on_complete: Callable[[Request, ServedRequest], None] | None = None
         # Optional (model_name, request, now) -> extra seconds of TTFT,
         # installed by chaos sources (slow-shard injection); None = healthy.
@@ -208,13 +208,13 @@ class ClusterSimulator:
                     ) -> ServingReport:
         """Drive an event-source composition to completion.
 
-        Builds a fresh :class:`~repro.runtime.loop.EventLoop`, registers the
-        cluster's own ``finish`` handler, attaches ``sources`` in order
-        (attach order breaks same-time ties — put arrival sources first),
-        and runs until the event heap drains.  Queue/replica state, the
-        report, and :attr:`events_processed` carry over across runs on one
-        simulator (matching the pre-runtime accumulation semantics); use a
-        fresh ``ClusterSimulator`` per independently-measured run.
+        Builds a fresh :class:`~repro.runtime.loop.EventLoop`, attaches
+        ``sources`` in order (attach order breaks same-time ties — put
+        arrival sources first), and runs until the event heap drains.
+        Queue/replica state, the report, and :attr:`events_processed`
+        carry over across runs on one simulator (matching the pre-runtime
+        accumulation semantics); use a fresh ``ClusterSimulator`` per
+        independently-measured run.
         """
         loop = self.start_sources(sources, on_complete=on_complete)
         loop.run()
@@ -225,8 +225,8 @@ class ClusterSimulator:
                       ) -> EventLoop:
         """Open an *incremental* run: attach sources, but do not drain.
 
-        Same setup as :meth:`run_sources` — fresh loop, ``finish`` handler,
-        sources attached in order — returning the live loop instead of
+        Same setup as :meth:`run_sources` — fresh loop, sources attached
+        in order — returning the live loop instead of
         running it to completion.  The caller then interleaves its own
         work with :meth:`advance_to` / :meth:`run_pending`, which is how
         the serving gateway feeds network arrivals into the identical
@@ -238,7 +238,6 @@ class ClusterSimulator:
         loop = EventLoop()
         self._loop = loop
         self._on_complete = on_complete
-        loop.on(FINISH, self._handle_finish)
         for source in sources:
             source.attach(loop, self)
         return loop
@@ -325,7 +324,7 @@ class ClusterSimulator:
 
         Each started request generates immediately (quality and token
         counts are decided at start time; section 6's latency model) and
-        schedules its own ``finish`` event at start + TTFT + decode — the
+        schedules its own :meth:`_finish` at start + TTFT + decode — the
         event chain that frees the slot and admits the next request, i.e.
         continuous batching as an event process.
         """
@@ -352,7 +351,7 @@ class ClusterSimulator:
                 cost=result.cost,
             )
             self._loop.schedule(
-                record.finish_s, FINISH,
+                record.finish_s, self._finish,
                 (queue.deployment.model.name, record, request),
             )
 
@@ -400,7 +399,7 @@ class ClusterSimulator:
             known = ", ".join(self._queues)
             raise KeyError(f"model {model_name!r} not deployed; have: {known}") from None
 
-    def _handle_finish(self, event: Event) -> None:
+    def _finish(self, payload: tuple[str, ServedRequest, Request]) -> None:
         """A request completed: free its slot, record, learn, drain.
 
         ``on_complete`` fires here — in simulation order, at the finish
@@ -408,7 +407,7 @@ class ClusterSimulator:
         observes realistic serving delay rather than decision-time state;
         the section-4 feedback loops depend on that ordering.
         """
-        model_name, record, request = event.payload
+        model_name, record, request = payload
         queue = self._queue(model_name)
         queue.in_service -= 1
         self.report.records.append(record)

@@ -106,6 +106,16 @@ class TestReplicaKill:
         with pytest.raises(ValueError, match="bad kill"):
             ReplicaKillSource("m", kills=[(1.0, 0)])
 
+    @pytest.mark.parametrize("field", ["at_s", "restore_after_s"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_time_that_is_not_finite_is_refused(self, field, bad):
+        # A NaN restore delay used to pass: the kill removed its replicas,
+        # then scheduling the restore raised mid-run and left them removed.
+        times = {"at_s": 2.0, "restore_after_s": 5.0, field: bad}
+        with pytest.raises(ValueError, match=field):
+            ReplicaKillSource("m", kills=[(times["at_s"], 1)],
+                              restore_after_s=times["restore_after_s"])
+
 
 class TestSlowShard:
     def test_penalty_applies_only_inside_windows(self):
@@ -155,6 +165,13 @@ class TestSlowShard:
             SlowShardSource([(0.0, 1.0)], penalty_s=-1.0)
         with pytest.raises(ValueError, match="bad window"):
             SlowShardSource([(5.0, 2.0)], penalty_s=1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_penalty_that_is_not_finite_is_refused(self, bad):
+        # Accepted before: the first penalized start then asked the loop
+        # for a finish at a time that is not finite.
+        with pytest.raises(ValueError, match="penalty_s"):
+            SlowShardSource([(0.0, 1.0)], penalty_s=bad)
 
 
 class TestFaultSchedule:
@@ -323,3 +340,11 @@ class TestChaosDeterminism:
         assert holder_a.service.stats.served == holder_b.service.stats.served
         assert holder_a.service.stats.served > 0
         assert any(r.arrival_s > 22.0 for r in report_a.records)
+
+
+class TestCrashRecoveryValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_crash_time_that_is_not_finite_is_refused(self, bad):
+        # The time is checked before the holder or checkpointer is read.
+        with pytest.raises(ValueError, match="at_s"):
+            CrashRecoverySource(None, None, at_s=bad)

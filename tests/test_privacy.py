@@ -115,6 +115,13 @@ class TestGaussianSigma:
         with pytest.raises(ValueError):
             gaussian_sigma(1.0, 1.5)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_a_budget_that_is_not_finite_is_refused(self, epsilon):
+        # NaN gave sigma NaN (every embedding NaN); inf gave sigma 0, a
+        # "DP" pool with no noise.
+        with pytest.raises(ValueError, match="epsilon"):
+            DPSynthesizer(epsilon=epsilon)
+
 
 class TestDPSynthesizer:
     def test_pool_size_preserved(self):

@@ -8,7 +8,7 @@ from repro.core.service import ICCacheService
 from repro.llm.zoo import get_model
 from repro.runtime import (
     AutoscalerTickSource,
-    Event,
+    CheckpointTickSource,
     EventLoop,
     MaintenanceTickSource,
     TraceArrivalSource,
@@ -30,6 +30,10 @@ def small_cluster(replicas_small=2, replicas_large=1, budget=None):
     ))
 
 
+def ignore(_) -> None:
+    pass
+
+
 def always(model_name):
     return lambda requests, sim: [(model_name, []) for _ in requests]
 
@@ -38,9 +42,8 @@ class TestEventLoop:
     def test_time_order(self):
         loop = EventLoop()
         seen = []
-        loop.on("e", lambda ev: seen.append(ev.payload))
-        loop.schedule(2.0, "e", "late")
-        loop.schedule(1.0, "e", "early")
+        loop.schedule(2.0, seen.append, "late")
+        loop.schedule(1.0, seen.append, "early")
         loop.run()
         assert seen == ["early", "late"]
         assert loop.now == 2.0
@@ -50,9 +53,8 @@ class TestEventLoop:
         # order, regardless of payload content or hash seed.
         loop = EventLoop()
         seen = []
-        loop.on("e", lambda ev: seen.append(ev.payload))
         for i in range(50):
-            loop.schedule(1.0, "e", i)
+            loop.schedule(1.0, seen.append, i)
         loop.run()
         assert seen == list(range(50))
 
@@ -60,35 +62,21 @@ class TestEventLoop:
         loop = EventLoop()
         seen = []
 
-        def chain(event: Event) -> None:
-            seen.append((loop.now, event.payload))
-            if event.payload < 3:
-                loop.schedule(loop.now + 1.0, "chain", event.payload + 1)
+        def chain(n: int) -> None:
+            seen.append((loop.now, n))
+            if n < 3:
+                loop.schedule(loop.now + 1.0, chain, n + 1)
 
-        loop.on("chain", chain)
-        loop.schedule(0.0, "chain", 0)
+        loop.schedule(0.0, chain, 0)
         loop.run()
         assert seen == [(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 3)]
 
-    def test_unknown_kind_raises(self):
-        loop = EventLoop()
-        loop.schedule(0.0, "mystery")
-        with pytest.raises(KeyError, match="mystery"):
-            loop.run()
-
-    def test_duplicate_handler_rejected(self):
-        loop = EventLoop()
-        loop.on("e", lambda ev: None)
-        with pytest.raises(ValueError):
-            loop.on("e", lambda ev: None)
-
     def test_schedule_into_past_rejected(self):
         loop = EventLoop()
-        loop.on("e", lambda ev: None)
-        loop.schedule(5.0, "e")
+        loop.schedule(5.0, ignore)
         loop.run()
         with pytest.raises(ValueError):
-            loop.schedule(1.0, "e")
+            loop.schedule(1.0, ignore)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_time_rejected(self, bad):
@@ -97,32 +85,31 @@ class TestEventLoop:
         # running ``now`` backwards.  Infinity parked the clock for good.
         loop = EventLoop()
         seen = []
-        loop.on("e", lambda ev: seen.append(loop.now))
+        mark = lambda _: seen.append(loop.now)  # noqa: E731
         for t in (2.0, 1.0, 0.5, 3.0):
-            loop.schedule(t, "e")
+            loop.schedule(t, mark)
         with pytest.raises(ValueError, match="finite"):
-            loop.schedule(bad, "e")
+            loop.schedule(bad, mark)
         assert loop.scheduled == 4
         loop.run()
         assert seen == [0.5, 1.0, 2.0, 3.0]
 
     def test_counters(self):
         loop = EventLoop()
-        loop.on("e", lambda ev: None)
         for t in range(5):
-            loop.schedule(float(t), "e")
+            loop.schedule(float(t), ignore)
         assert len(loop) == 5 and loop.scheduled == 5
         assert loop.run() == 5
         assert loop.processed == 5 and len(loop) == 0
+        assert loop.step() is False
 
     def test_run_returns_per_call_count_on_reuse(self):
         loop = EventLoop()
-        loop.on("e", lambda ev: None)
         for t in range(5):
-            loop.schedule(float(t), "e")
+            loop.schedule(float(t), ignore)
         assert loop.run() == 5
         for t in range(3):
-            loop.schedule(loop.now + 1.0 + t, "e")
+            loop.schedule(loop.now + 1.0 + t, ignore)
         assert loop.run() == 3          # this call's events, not the total
         assert loop.processed == 8      # lifetime total
 
@@ -166,8 +153,8 @@ class TestTraceArrivalSource:
         assert sim.report.n == 8 and sim.events_processed == 16
 
     def test_two_arrival_sources_compose_on_one_loop(self):
-        # Foreground trace + background load: same event kind, two sources;
-        # the shared per-source dispatcher keeps them independent.
+        # Foreground trace + background load: two sources of one class,
+        # each scheduling its own bound methods, stay independent.
         fg = [(i * 0.2, make_request(request_id=f"fg{i}")) for i in range(10)]
         bg = [(0.1 + i * 0.5, make_request(request_id=f"bg{i}"))
               for i in range(4)]
@@ -180,19 +167,6 @@ class TestTraceArrivalSource:
         by_model = report.by_model()
         assert by_model["gemma-2-2b"].n == 10
         assert by_model["gemma-2-27b"].n == 4
-
-    def test_foreign_handler_on_standard_kind_rejected(self):
-        # A custom source must not silently capture (or be captured by) the
-        # standard sources' events: claiming a standard kind with a foreign
-        # handler errors loudly regardless of attach order.
-        class Rogue:
-            def attach(self, loop, cluster):
-                loop.on("arrival", lambda event: None)
-
-        arrivals = [(0.0, make_request())]
-        source = TraceArrivalSource(arrivals, always("gemma-2-2b"))
-        with pytest.raises(ValueError, match="per-source dispatcher"):
-            small_cluster().run_sources([Rogue(), source])
 
     def test_from_trace_pairs_times_with_requests(self):
         from repro.workload.trace import poisson_trace
@@ -234,7 +208,7 @@ class TestAutoscalerTickSource:
         assert ticks.history[-1].time_s == pytest.approx(0.3)
 
     def test_two_tick_sources_compose_on_one_loop(self):
-        # Autoscalers on both tiers share the autoscale_tick kind.
+        # Autoscalers on both tiers tick on one loop.
         sim = small_cluster(budget=None)
         small_ticks = AutoscalerTickSource(
             BiasAutoscaler(cooldown_steps=0, ema_alpha=1.0), "gemma-2-2b",
@@ -279,6 +253,26 @@ class TestAutoscalerTickSource:
         assert actions[0] != "scale_up" and "scale_up" in actions
 
 
+class TestTickTrain:
+    @pytest.mark.parametrize("make", [
+        lambda **t: AutoscalerTickSource(BiasAutoscaler(), "gemma-2-2b",
+                                         bias_fn=lambda: 0.0, **t),
+        lambda **t: MaintenanceTickSource(None, **t),
+        lambda **t: CheckpointTickSource(None, **t),
+    ], ids=["autoscaler", "maintenance", "checkpoint"])
+    @pytest.mark.parametrize("field", ["interval_s", "horizon_s"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_tick_time_that_is_not_finite_is_refused(self, make, field,
+                                                       bad):
+        # Before: an infinite horizon raised OverflowError, a NaN "cannot
+        # convert float NaN to integer", an infinite interval no tick.
+        times = {"interval_s": 1.0, "horizon_s": 5.0, field: bad}
+        loop = EventLoop()
+        with pytest.raises(ValueError, match=field):
+            make(**times).attach(loop, small_cluster())
+        assert loop.scheduled == 0
+
+
 class TestMaintenanceTickSource:
     def _service(self) -> tuple[ICCacheService, SyntheticDataset]:
         service = ICCacheService(ICCacheConfig(
@@ -297,7 +291,7 @@ class TestMaintenanceTickSource:
             ModelDeployment(service.models[service.large_name], replicas=1),
         ]))
         maintenance = MaintenanceTickSource(service, interval_s=10.0,
-                                            horizon_s=30.0, replay=False)
+                                            horizon_s=30.0)
         report = sim.run_sources(
             [TraceArrivalSource(arrivals, service.pipeline.route_batch),
              maintenance],
@@ -306,15 +300,6 @@ class TestMaintenanceTickSource:
         assert report.n == 30
         assert [h["time_s"] for h in maintenance.history] == [10.0, 20.0, 30.0]
         assert service.clock.now >= 30.0
-
-    @pytest.mark.parametrize("reuse", [0.0, -5.0, float("nan"),
-                                       float("inf")])
-    def test_a_reuse_the_cut_off_cannot_use_fails_at_construction(
-            self, reuse):
-        service, _ = self._service()
-        with pytest.raises(ValueError, match="expected_reuse"):
-            MaintenanceTickSource(service, interval_s=10.0, horizon_s=30.0,
-                                  expected_reuse=reuse)
 
     @pytest.mark.parametrize("reuse", [0.0, float("nan"), float("inf")])
     def test_a_refused_pass_has_run_no_part_of_itself(self, reuse):
@@ -388,8 +373,8 @@ class TestComposedDeterminism:
                     service.router.current_bias,
                     interval_s=2.0, horizon_s=25.0,
                 ),
-                MaintenanceTickSource(service, interval_s=8.0, horizon_s=25.0,
-                                      replay=True),
+                MaintenanceTickSource(service, interval_s=8.0,
+                                      horizon_s=25.0),
             ]
             report = sim.run_sources(sources,
                                      on_complete=service.pipeline.on_complete)
@@ -408,9 +393,8 @@ class TestIncrementalRun:
     def test_run_until_dispatches_strictly_before_watermark(self):
         loop = EventLoop()
         seen = []
-        loop.on("e", lambda ev: seen.append(ev.time))
         for t in (1.0, 2.0, 3.0):
-            loop.schedule(t, "e", None)
+            loop.schedule(t, seen.append, t)
         assert loop.run_until(2.0) == 1      # only t=1.0 fires
         assert seen == [1.0]
         assert loop.now == 2.0               # watermark advances anyway
@@ -423,6 +407,16 @@ class TestIncrementalRun:
         with pytest.raises(ValueError):
             loop.run_until(4.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_run_until_rejects_a_watermark_that_is_not_finite(self, bad):
+        # Before: ``now`` landed on NaN (every later schedule refused) or
+        # on infinity, parking the clock for good.
+        loop = EventLoop()
+        loop.schedule(1.0, ignore)
+        with pytest.raises(ValueError, match="finite"):
+            loop.run_until(bad)
+        assert loop.now == 0.0 and len(loop) == 1
+
     def test_same_time_work_precedes_pending_finish(self):
         # The tie-break contract behind gateway<->simulator equivalence: a
         # finish scheduled *at* the new watermark stays queued across
@@ -432,8 +426,7 @@ class TestIncrementalRun:
         # seq) would on the batch path.
         loop = EventLoop()
         order = []
-        loop.on("finish", lambda ev: order.append("finish"))
-        loop.schedule(1.0, "finish", None)
+        loop.schedule(1.0, order.append, "finish")
         loop.run_until(1.0)                  # finish stays queued
         order.append("arrival")              # inline injection at t=1.0
         loop.run()
