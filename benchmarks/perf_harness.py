@@ -653,7 +653,10 @@ def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
     :func:`bench_floor`'s definition (``call`` events whose caller's frame,
     ``c_call`` events whose own frame, lies under ``src/repro/``), the
     calls issued while ``WriteAheadLog.record`` or ``WriteAheadLog.flush``
-    is on the stack; ``journal_writes_per_request`` the ``write``s
+    is on the stack, and ``admit_calls_per_admission`` the same calls
+    while ``ExampleManager.admit`` is on the stack (journaling, sanitizing,
+    the dedupe probe and eviction included);
+    ``journal_writes_per_request`` the ``write``s
     ``persistence/wal.py`` issued on a raw file while
     ``ExampleManager.admit`` was on the stack (every request of the window
     is admitted — asserted — so it is writes per admission; a ``retrain``
@@ -676,14 +679,15 @@ def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
                      WriteAheadLog.flush.__code__)
     admit_code = ExampleManager.admit.__code__
     state = {"depth": 0, "calls": 0, "admitting": 0, "writes": 0,
-             "writes_outside": 0}
+             "writes_outside": 0, "admit_calls": 0}
 
     def hook(frame, event, arg):
         if event == "call":
             caller = frame.f_back
-            if state["depth"] and caller is not None and \
+            if caller is not None and \
                     caller.f_code.co_filename.startswith(package):
-                state["calls"] += 1
+                state["calls"] += bool(state["depth"])
+                state["admit_calls"] += bool(state["admitting"])
             if frame.f_code in journal_codes:   # itself not counted
                 state["depth"] += 1
             elif frame.f_code is admit_code:
@@ -694,9 +698,9 @@ def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
             elif frame.f_code is admit_code:
                 state["admitting"] -= 1
         elif event == "c_call":
-            if state["depth"] and \
-                    frame.f_code.co_filename.startswith(package):
-                state["calls"] += 1
+            if frame.f_code.co_filename.startswith(package):
+                state["calls"] += bool(state["depth"])
+                state["admit_calls"] += bool(state["admitting"])
             if arg.__name__ == "write" and isinstance(
                     arg.__self__, io.FileIO) and \
                     frame.f_code.co_filename == wal_file:
@@ -732,6 +736,7 @@ def bench_journal(bank_size: int = JOURNAL_BANK, warmup: int = 100,
             "n": bank_size,
             "requests": counted,
             "journal_calls_per_request": state["calls"] / counted,
+            "admit_calls_per_admission": state["admit_calls"] / counted,
             "journal_writes_per_request": state["writes"] / counted,
             "journal_writes_outside_admission": state["writes_outside"],
             "wal_frames_per_request": (len(wal) - frames) / counted,
@@ -1013,8 +1018,9 @@ GATED_COUNTERS = {
     "batch": ("calls_per_request", "results_materialised_per_request",
               "rescored_probes_per_request", "score_batch_calls_per_request",
               "generators_minted_per_request", "seeding_passes_per_request"),
-    "journal": ("journal_calls_per_request", "journal_writes_per_request",
-                "wal_frames_per_request", "wal_bytes_per_request"),
+    "journal": ("journal_calls_per_request", "admit_calls_per_admission",
+                "journal_writes_per_request", "wal_frames_per_request",
+                "wal_bytes_per_request"),
     "replay": ("generators_minted_per_replay_sample",
                "calls_per_replay_sample", "seeding_passes_per_tick"),
     "gateway": ("loop_iterations_per_request", "futures_per_request",
@@ -1131,8 +1137,9 @@ def main(argv: list[str] | None = None) -> int:
     for n, row in results["journal"].items():
         print(f"journal N={n:>6}: {row['journal_calls_per_request']:.2f} "
               f"calls from src/repro inside WriteAheadLog.record / flush per "
-              f"churned serve, {row['journal_writes_per_request']:g} writes "
-              f"per admission "
+              f"churned serve, {row['admit_calls_per_admission']:.2f} "
+              f"inside ExampleManager.admit per admission, "
+              f"{row['journal_writes_per_request']:g} writes per admission "
               f"(+{row['journal_writes_outside_admission']} outside one), "
               f"{row['wal_frames_per_request']:.3f} frames, "
               f"{row['wal_bytes_per_request']:.1f} bytes "

@@ -3,7 +3,7 @@
 ``run_baseline_gate`` is driven with hand-built results/baseline dicts so
 the tests exercise the gate logic itself — the missing-baseline warning
 (which must be loud, not a silent pass), the pass path, each of the
-twenty-five exact work counters failing in both directions, and sections one
+twenty-six exact work counters failing in both directions, and sections one
 side did not run being skipped — in milliseconds.  One more guard: the harness must
 import with numpy and ``repro`` alone, because that is all CI's perf jobs
 install.
@@ -27,7 +27,8 @@ def _results(iterations: int = 9, distance_columns: int = 305,
              batch_calls: float = 461.5, batch_scored: float = 0.0625,
              materialised: float = 20.06, rescored: float = 0.06,
              batch_minted: float = 5.165, batch_passes: float = 0.26,
-             journal_calls: float = 53.975, writes: float = 1.0,
+             journal_calls: float = 53.975, admit_calls: float = 196.9,
+             writes: float = 1.0,
              frames: float = 2.83, wal_bytes: float = 1807.15,
              replay_minted: float = 2840 / 2550,
              replay_calls: float = 93008 / 2550, replay_passes: int = 2,
@@ -55,6 +56,7 @@ def _results(iterations: int = 9, distance_columns: int = 305,
                            "seeding_passes_per_request": batch_passes}},
         "journal": {"1500": {"requests": 400,
                              "journal_calls_per_request": journal_calls,
+                             "admit_calls_per_admission": admit_calls,
                              "journal_writes_per_request": writes,
                              "wal_frames_per_request": frames,
                              "wal_bytes_per_request": wal_bytes}},
@@ -200,12 +202,15 @@ class TestPresentBaseline:
             self, tmp_path, capsys):
         """The moved values are the ungrouped journal's (three
         ``manager_counters`` per admission, one ``write`` per frame: 63.58
-        calls, 4.6575 writes and frames, 1904.0075 bytes) and a step the
-        other way."""
+        calls, 4.6575 writes and frames, 1904.0075 bytes), an admission
+        that builds a standalone example and copies it in (301.0925 calls)
+        and a step the other way."""
         baseline = _baseline(tmp_path)
         for argument, key, moves in (
                 ("journal_calls", "journal_calls_per_request",
                  (53.9725, 63.58)),
+                ("admit_calls", "admit_calls_per_admission",
+                 (194.8975, 301.0925)),
                 ("writes", "journal_writes_per_request", (0.9975, 4.6575)),
                 ("frames", "wal_frames_per_request", (2.8275, 4.6575)),
                 ("wal_bytes", "wal_bytes_per_request",

@@ -43,8 +43,10 @@ job.  Asserted here:
   through ``json.dumps``), at most 3 frames (4.66 while an admission
   journaled ``manager_counters`` three times) and 2 500 bytes (2 957), in
   exactly one ``write`` per admitted request (one per frame before
-  groups).  Upper bounds, the write count aside: the exact call count is
-  ``perf-smoke``'s;
+  groups), and an admission issues at most 200 calls from ``src/repro/``
+  while ``ExampleManager.admit`` is on the stack (301.1 while it built a
+  standalone example and copied it into the pool).  Upper bounds, the
+  write count aside: the exact call counts are ``perf-smoke``'s;
 * one sample of a maintenance tick's replay pass mints at most 1.34
   generators (2.0 while ``generate`` re-derived the per-(model, request)
   word each time; 4/3 is a pass whose every example is new to the teacher);
@@ -166,6 +168,9 @@ def test_perf_serve_hotpath(benchmark):
     assert journal["journal_writes_per_request"] == 1, \
         f"{journal['journal_writes_per_request']:g} journal writes per " \
         f"admitted request: an admission is one group, one write"
+    assert journal["admit_calls_per_admission"] <= 200, \
+        f"one admission issues {journal['admit_calls_per_admission']:.1f} " \
+        f"calls from src/repro/: it writes its example more than once"
 
     # The replay pass: one decode generator per sample, the request's word
     # derived once, and no response built for a sample that loses.

@@ -12,6 +12,9 @@ pools under small budgets) or greedily by value density with the standard
   with online serving), so it has no per-item Python step and, when the
   pool is one item over budget, ranks nothing: :func:`_one_victim` proves
   which single item the greedy rejects;
+* :func:`knapsack_victims` — what the manager calls: the kernel's dropped
+  positions in tie order, with the one-victim proof tried first on the
+  table's own columns and their checks run only when the proof fails;
 * ``tests/knapsack_reference.py`` — the same two solvers over
   ``KnapsackItem`` objects; the greedy one, ``_solve_greedy``, is the
   per-item reference the kernel is tested against.
@@ -53,6 +56,45 @@ def knapsack_keep_mask(weights: np.ndarray, values: np.ndarray,
     *row* order with the insertion rank alongside instead of being
     gathered into insertion order first.
     """
+    weights, values, tie_rank, lightest = _checked(weights, values,
+                                                   capacity, tie_rank)
+    if lightest > 0 and capacity > 0 and weights.size:
+        # The usual pool: nothing is free, so nothing to set aside.
+        return _solve(weights, values, capacity, exact, tie_rank)
+    keep = weights == 0
+    weighted = np.flatnonzero(~keep)
+    if weighted.size and capacity > 0:
+        keep[weighted] = _solve(
+            weights[weighted], values[weighted], capacity, exact,
+            None if tie_rank is None else tie_rank[weighted])
+    return keep
+
+
+def knapsack_victims(weights: np.ndarray, values: np.ndarray,
+                     capacity: int, exact: bool,
+                     tie_rank: np.ndarray) -> list[int]:
+    """The positions :func:`knapsack_keep_mask` drops, in ascending
+    ``tie_rank``, for an :class:`repro.core.table.ExampleTable`'s own int64
+    weight, float64 value and rank columns.  A one-victim proof runs before
+    any check: it gives up on a NaN or negative value, which the checks
+    then refuse."""
+    if capacity > 0 and weights.size and _greedy(weights.size, capacity,
+                                                 exact) \
+            and np.minimum.reduce(weights) > 0:
+        victim = _one_victim(weights, values, capacity, tie_rank)
+        if victim is not None:
+            return [victim]
+        _checked(weights, values, capacity, tie_rank)
+        keep = _greedy_mask(weights, values, capacity, tie_rank)
+    else:
+        keep = knapsack_keep_mask(weights, values, capacity, exact, tie_rank)
+    rows = np.flatnonzero(~keep)
+    return rows[np.argsort(tie_rank[rows])].tolist()
+
+
+def _checked(weights, values, capacity: int, tie_rank):
+    """The kernel's inputs as arrays, and the lightest weight (1 for none),
+    or a ``ValueError`` naming what is wrong with them."""
     if capacity < 0:
         raise ValueError(f"capacity must be non-negative, got {capacity}")
     weights = np.asarray(weights, dtype=np.int64)
@@ -67,23 +109,18 @@ def knapsack_keep_mask(weights: np.ndarray, values: np.ndarray,
         tie_rank = np.asarray(tie_rank)
         if tie_rank.shape != weights.shape:
             raise ValueError("tie_rank must be parallel to weights")
+    return weights, values, tie_rank, lightest
 
-    if lightest > 0 and capacity > 0 and weights.size:
-        # The usual pool: nothing is free, so nothing to set aside.
-        return _solve(weights, values, capacity, exact, tie_rank)
-    keep = weights == 0
-    weighted = np.flatnonzero(~keep)
-    if weighted.size and capacity > 0:
-        keep[weighted] = _solve(
-            weights[weighted], values[weighted], capacity, exact,
-            None if tie_rank is None else tie_rank[weighted])
-    return keep
+
+def _greedy(n: int, capacity: int, exact: bool) -> bool:
+    """The exact DP was not asked for, or would pass DP_MAX_BYTES."""
+    return not exact or (n + 24) * (capacity + 1) > DP_MAX_BYTES
 
 
 def _solve(w: np.ndarray, v: np.ndarray, capacity: int, exact: bool,
            tie_rank: np.ndarray | None) -> np.ndarray:
     """Keep-mask over positive-weight items from the selected solver."""
-    if not exact or (w.size + 24) * (capacity + 1) > DP_MAX_BYTES:
+    if _greedy(w.size, capacity, exact):
         victim = _one_victim(w, v, capacity, tie_rank)
         if victim is None:
             return _greedy_mask(w, v, capacity, tie_rank)
@@ -117,7 +154,8 @@ def _rank(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _one_victim(w: np.ndarray, v: np.ndarray, capacity: int,
                 tie_rank: np.ndarray | None) -> int | None:
     """The one item the greedy rejects, by position, when that is provable
-    without ranking the pool — or ``None``.
+    without ranking the pool — or ``None`` (so too for a NaN or negative
+    value, which the checked kernel refuses).
 
     The candidate is the last-ranked item: lowest density, then lowest
     value, then the highest tie rank (highest position without one) —
@@ -128,17 +166,20 @@ def _one_victim(w: np.ndarray, v: np.ndarray, capacity: int,
     in the greedy total — a sequential float sum of non-negative values,
     never below one of its addends — so the best-single fix-up cannot fire.
     """
-    excess = int(w.sum()) - capacity
+    excess = int(np.add.reduce(w)) - capacity
     if excess <= 0:
         return None
     density = v / w
-    lowest = np.flatnonzero(density == density.min())
+    low = np.minimum.reduce(density)
+    if not low >= 0:        # NaN fails too
+        return None
+    lowest = (density == low).nonzero()[0]
     victim = int(lowest[0])
     if lowest.size > 1:
-        lowest = lowest[v[lowest] == v[lowest].min()]
+        lowest = lowest[v[lowest] == np.minimum.reduce(v[lowest])]
         victim = int(lowest[-1] if tie_rank is None
-                     else lowest[np.argmax(tie_rank[lowest])])
-    if w[victim] < excess or np.count_nonzero(v >= v[victim]) < 2:
+                     else lowest[tie_rank[lowest].argmax()])
+    if w[victim] < excess or np.add.reduce(v >= v[victim]) < 2:
         return None
     return victim
 

@@ -8,7 +8,7 @@ facilitates broader reuse across different models").
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -16,21 +16,7 @@ from repro.core.example import Example
 from repro.core.table import ExampleTable
 from repro.vectorstore.flat import _EPS
 from repro.vectorstore.ivf import IVFIndex
-from repro.workload.request import check_record
-
-
-@contextmanager
-def _journaled(journal, kind: str, example: Example):
-    """Journal ``kind`` *before* the ``with`` body mutates the cache: a
-    record that cannot be encoded raises with the cache and the journal as
-    they were, and the journal's group holds the record's write (and any
-    compaction it triggers) until the mutation is done."""
-    if journal is None:
-        yield
-        return
-    with getattr(journal, "group", nullcontext)():
-        journal(kind, example)
-        yield
+from repro.workload.request import Request, check_record
 
 
 class ExampleCache:
@@ -115,19 +101,18 @@ class ExampleCache:
             self._journal_trainings = trainings
             self._journal("retrain", {"trainings": trainings})
 
-    def _check_insertable(self, example: Example) -> None:
+    def _check_insertable(self, example: Example, embedding: np.ndarray,
+                          norm: float) -> None:
         """Refuse what the table, the index, the journal or the snapshot
         would refuse, before the journal records and before the table is
         mutated, journal or not, so a rejected add leaves the cache and its
-        journal as they were."""
-        if example.__dict__["_table"]._owners is not None:
-            raise ValueError(
-                f"example {example.example_id!r} is already attached")
-        if example.embedding.shape != (self._index.dim,):
+        journal as they were.  The index takes ``embedding`` and its stored
+        ``norm`` as checked here."""
+        if embedding.shape != (self._index.dim,):
             raise ValueError(
                 f"example {example.example_id!r}: embedding dim "
-                f"{example.embedding.shape} != index dim ({self._index.dim},)")
-        if not _EPS <= example.embedding_norm < np.inf:     # NaN fails too
+                f"{embedding.shape} != index dim ({self._index.dim},)")
+        if not _EPS <= norm < np.inf:     # NaN fails too
             raise ValueError(f"cannot index a zero vector (or a non-finite "
                              f"one) for {example.example_id!r}")
         check_record(example)
@@ -142,13 +127,45 @@ class ExampleCache:
             break
 
     def add(self, example: Example) -> None:
+        """Take ``example`` in: a standalone example's row is copied into
+        the pool's, and the row :meth:`add_new` wrote into the pool's next
+        free row becomes a member in place.  The record is journaled
+        *before* the cache moves, in the journal's group: one that cannot
+        be encoded raises with the cache and the journal as they were, and
+        the group holds the record's write (and any compaction it
+        triggers) until the mutation is done."""
         if example.example_id in self._examples:
             raise KeyError(f"duplicate example id {example.example_id!r}")
-        self._check_insertable(example)
-        with _journaled(self._journal, "add", example):
-            self._table.attach(example)
-            self._index.add(example.example_id, example.embedding)
+        d, table = example.__dict__, self._table
+        if d["_table"] is table and d["_row"] == table._n:
+            attach = table.attach_next
+        elif d["_table"]._owners is not None:
+            raise ValueError(
+                f"example {example.example_id!r} is already attached")
+        else:
+            attach = table.attach
+        embedding, norm = example.embedding, example.embedding_norm
+        self._check_insertable(example, embedding, norm)
+        journal = self._journal
+        with getattr(journal, "group", nullcontext)():
+            if journal is not None:
+                journal("add", example)
+            attach(example)
+            self._index.add(example.example_id, embedding, norm)
             self._examples[example.example_id] = example
+
+    def add_new(self, example_id: str, request: Request, response_text: str,
+                embedding: np.ndarray, quality: float, source_model: str,
+                source_cost: float, created_at: float) -> Example:
+        """Admit a new example, written once: straight into the pool's next
+        free row, with the checks of ``Example(...)``, then :meth:`add`
+        takes that row in place.  A refusal leaves the row free and the
+        cache as it was; the example never leaves this method unattached."""
+        example = Example._staged(
+            self._table, example_id, request, response_text, embedding,
+            quality, source_model, source_cost, created_at)
+        self.add(example)
+        return example
 
     def remove(self, example_id: str) -> Example:
         example = self._examples.pop(example_id)

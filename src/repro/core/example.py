@@ -6,13 +6,31 @@ import functools
 
 import numpy as np
 
-from repro.core.table import EMBEDDING, ExampleTable, ema_column
+from repro.core.table import EMBEDDING, ExampleTable
 from repro.llm.icl import ExampleView, latent_norm
 from repro.workload.request import Request
 
 
 #: ``ExampleView(*fields)`` with no Python frame per view.
 _new_view = functools.partial(tuple.__new__, ExampleView)
+
+
+def _check_new(example_id: str, embedding, quality: float) -> None:
+    if not 0.0 <= quality <= 1.0:
+        raise ValueError(f"example {example_id}: quality must be in [0, 1], "
+                         f"got {quality}")
+    if np.ndim(embedding) != 1:
+        raise ValueError(f"example {example_id}: embedding shape "
+                         f"{np.shape(embedding)} is not 1-D")
+
+
+def _bind(example, table, row: int, example_id: str, request: Request,
+          response_text: str, source_model: str) -> None:
+    # One insertion order for every Example, so their dicts share keys.
+    d = example.__dict__
+    d["example_id"], d["request"], d["response_text"] = \
+        example_id, request, response_text
+    d["source_model"], d["_table"], d["_row"] = source_model, table, row
 
 
 def _table_scalar(column: str, cast) -> property:
@@ -51,65 +69,60 @@ class Example:
     bookkeeping fields and the embedding are properties over one row of one
     :class:`~repro.core.table.ExampleTable`: the owning cache's columnar
     table (which is what lets decay, eviction, stage-2 scoring and snapshot
-    restore run over contiguous arrays), or a one-row table of the
-    example's own while no cache holds it.  Only ``ExampleTable`` and these
-    property setters may write the table-backed fields — ``reprolint``
-    WAL003 enforces that.  ``embedding`` is a view of the table row, read
-    afresh on every access: use it, do not keep it across an add or an
-    eviction (the row moves between tables, and a swap-delete may move
-    another row into its place); ``np.array(ex.embedding)`` copies.
+    restore run over contiguous arrays), the pool's departures once the
+    cache evicted it, or a one-row table of the example's own while no
+    cache holds it (an admission skips that one: ``ExampleCache.add_new``
+    writes its example straight into the pool's next free row).  Only
+    ``ExampleTable`` and these property setters may write the table-backed
+    fields — ``reprolint`` WAL003 enforces that.  ``embedding`` is a view
+    of the table row, read afresh on every access: use it, do not keep it
+    across an add or an eviction (the row moves between tables, and a
+    swap-delete may move another row into its place);
+    ``np.array(ex.embedding)`` copies.
     """
 
     def __init__(self, example_id: str, request: Request, response_text: str,
                  embedding: np.ndarray, quality: float, source_model: str,
                  source_cost: float, created_at: float = 0.0,
                  access_count: int = 0, replay_count: int = 0) -> None:
-        if not 0.0 <= quality <= 1.0:
-            raise ValueError(
-                f"example {example_id}: quality must be in [0, 1], "
-                f"got {quality}"
-            )
-        if np.ndim(embedding) != 1:
-            raise ValueError(f"example {example_id}: embedding shape "
-                             f"{np.shape(embedding)} is not 1-D")
-        d = self.__dict__
-        d["_table"] = table = ExampleTable.standalone(len(embedding))
-        d["_row"] = 0
-        d["example_id"] = example_id
-        d["request"] = request
-        d["source_model"] = source_model
-        # Binding the second text measures tokens and plaintext size
-        # (stage-2 scoring and eviction read them per candidate).
-        self.response_text = response_text
+        _check_new(example_id, embedding, quality)
+        table = ExampleTable.standalone(len(embedding))
+        _bind(self, table, 0, example_id, request, response_text, source_model)
         # Copied in: the caller's array may be another cached example's row.
-        table.write_embedding(0, embedding)
-        cols = table._cols
-        cols["quality"][0] = quality
-        cols["source_cost"][0] = source_cost
-        cols["created_at"][0] = created_at
-        cols["access_count"][0] = access_count
-        cols["replay_count"][0] = replay_count
-        # Fresh EMA streams: the zeroed slots, each stream's alpha.
-        for stream, alpha in (("gain_ema", 0.2), ("offload_gain", 0.3),
-                              ("feedback_quality", 0.3)):
-            cols[ema_column(stream, "alpha")][0] = alpha
+        table.write_new_row(0, embedding, request.text, response_text,
+                            quality, source_cost, created_at, access_count,
+                            replay_count)
+
+    @classmethod
+    def _staged(cls, table, example_id: str, request: Request,
+                response_text: str, embedding: np.ndarray, quality: float,
+                source_model: str, source_cost: float,
+                created_at: float) -> "Example":
+        """A new example written into ``table``'s next free row, with the
+        constructor's checks: ``ExampleCache.add_new``'s first step, a
+        member only once ``ExampleCache.add`` takes the row."""
+        _check_new(example_id, embedding, quality)
+        row = table.reserve_row(len(embedding))
+        self = cls._attached_view(table, row, example_id, request,
+                                  response_text, source_model)
+        table.write_new_row(row, embedding, request.text, response_text,
+                            quality, source_cost, created_at)
+        return self
 
     @classmethod
     def _attached_view(cls, table, row: int, example_id: str, request: Request,
                        response_text: str, source_model: str) -> "Example":
-        """A cheap Example bound to an existing table row (bulk restore).
+        """A cheap Example bound to an existing table row (bulk restore,
+        and :meth:`_staged`).
 
         Skips ``__init__`` entirely: validation and the row's derived
-        columns were settled when the row was first written, so a snapshot
-        restore only pays four ``__dict__`` stores per example.
+        columns are the row writer's (a snapshot's columns hold them;
+        :meth:`_staged` writes them next), so a snapshot restore only pays
+        six ``__dict__`` stores per example.
         """
         self = object.__new__(cls)
-        d = self.__dict__
-        d["example_id"] = example_id
-        d["request"] = request
-        d["response_text"] = response_text
-        d["source_model"] = source_model
-        table.bind_owner(row, self)
+        _bind(self, table, row, example_id, request, response_text,
+              source_model)
         return self
 
     quality = _table_scalar("quality", float)

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.analysis.knapsack import knapsack_keep_mask
+from repro.analysis.knapsack import knapsack_victims
 from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
 from repro.core.example import Example
@@ -86,7 +86,8 @@ class ExampleManager:
                 request.text = sanitize_text(request.text)
             example_number = self._next_id
             self._next_id += 1
-            example = Example(
+            # Written once, straight into the pool's next free row.
+            example = self.cache.add_new(
                 example_id=f"ex-{example_number}-{request.request_id}",
                 request=request,
                 response_text=response_text,
@@ -96,7 +97,6 @@ class ExampleManager:
                 source_cost=source_cost,
                 created_at=self.clock.now,
             )
-            self.cache.add(example)
             self.admitted += 1
             self.enforce_capacity()
             return example
@@ -170,21 +170,15 @@ class ExampleManager:
         # a small tiebreaker and a floor so fresh examples can prove
         # themselves before they go.
         table = self.cache.table
-        rank = table.col(INSERTION_RANK)
         values = table.col("offload_gain__value") * (
             1 + table.col("access_count"))
         values += 1e-3
-        keep = knapsack_keep_mask(
-            table.col("plaintext_bytes"), values, capacity,
-            exact=len(table) <= KNAPSACK_EXACT_BELOW,
-            tie_rank=rank,
-        )
         # One journaled remove at a time, oldest first: recovery replays
         # the WAL record sequence and the swap-delete history it implies.
         # Ids are resolved up front — each remove moves a row.
-        rows = (~keep).nonzero()[0]
-        evicted = [table.owner(row).example_id
-                   for row in rows[np.argsort(rank[rows])].tolist()]
+        evicted = [table.owner(row).example_id for row in knapsack_victims(
+            table.col("plaintext_bytes"), values, capacity,
+            len(table) <= KNAPSACK_EXACT_BELOW, table.col(INSERTION_RANK))]
         with self._group():
             for example_id in evicted:
                 self.cache.remove(example_id)

@@ -5,8 +5,10 @@ here as one contiguous numpy column, mirroring the
 :class:`~repro.vectorstore.flat.FlatIndex` discipline: parallel arrays and O(1)
 swap-with-last removal.  ``Example`` keeps its texts and ids; its scalar
 bookkeeping attributes are properties over its row's slots, in a cache's
-table or in a one-row table of its own.  Every lifecycle path reads and
-writes columns, with no per-object Python:
+table, in that pool's departures once evicted, or in a one-row table of its
+own.  An admission writes its example once, into the pool's next free row,
+and an eviction copies the row out once, into the departures.  Every
+lifecycle path reads and writes columns, with no per-object Python:
 
 * ``ExampleManager.apply_decay`` multiplies two value columns by one scalar
   (``values *= factor ** periods``);
@@ -36,9 +38,11 @@ desynchronizes the journaled state the WAL/snapshot machinery replays.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
+from repro.embedding.similarity import vector_norm
 from repro.utils.tokens import count_tokens
 
 #: Scalar bookkeeping columns (name -> dtype).  WAL003 parses this literal
@@ -97,6 +101,14 @@ def ema_column(stream: str, field: str) -> str:
 #: ``stream -> (value, initialized, count, alpha)`` column keys.
 _EMA_KEYS = {stream: tuple(ema_column(stream, field) for field in EMA_FIELDS)
              for stream in EMA_STREAMS}
+#: :meth:`ExampleTable.journal_row`'s numeric slots, in its wire order, and
+#: the columns its bitmask of initialized streams is read from.
+_JOURNAL_COLUMNS = ("quality", "source_cost", "created_at", "access_count",
+                    "replay_count") + tuple(
+    _EMA_KEYS[stream][i] for stream in EMA_STREAMS for i in (3, 0, 2))
+_INITIALIZED = tuple(_EMA_KEYS[stream][1] for stream in EMA_STREAMS)
+#: A fresh example's streams in that order: alpha 0.2 for G(e), else 0.3.
+_FRESH_STREAMS = (0.2, 0.0, 0, 0.3, 0.0, 0, 0.3, 0.0, 0, 0)
 
 
 def row_norm(vector: np.ndarray) -> float:
@@ -137,8 +149,14 @@ class ExampleTable:
 
     Every :class:`~repro.core.example.Example` is one row of one table from
     construction on: a standalone example holds a one-row table of its own
-    (:meth:`standalone`), ``attach`` moves that row into a cache's table
-    and rebinds the example, ``detach`` moves it back out and swap-deletes.
+    (:meth:`standalone`), ``attach`` copies that row into a cache's table
+    and rebinds the example.  An admitted example never has one:
+    :meth:`reserve_row` and :meth:`write_new_row` write it into the next
+    free row, which :meth:`attach_next` makes a member.  ``detach`` copies
+    a row out into the pool's departures and swap-deletes; the departures
+    are one non-pool table whose rows are reused once their example is
+    gone or bound elsewhere, so an evicted example stays readable and
+    writable wherever it is held, and no table is allocated per eviction.
     Rows are dense in [0, n): removal moves the last row into the hole and
     rebinds that example's row index, exactly like ``FlatIndex`` does
     for index vectors.  Row order is therefore an artifact of mutation
@@ -167,6 +185,7 @@ class ExampleTable:
         self._owners: list | None = []
         self._next_rank = 0
         self.total_bytes = 0
+        self._departures: ExampleTable | None = None
 
     @classmethod
     def standalone(cls, dim: int) -> "ExampleTable":
@@ -208,29 +227,20 @@ class ExampleTable:
         streams.  Numpy scalars as they lie (``struct`` packs them
         unchanged); an uninitialized stream's value slot holds 0.0."""
         cols = self._cols
-        out = [cols["quality"][row], cols["source_cost"][row],
-               cols["created_at"][row], cols["access_count"][row],
-               cols["replay_count"][row]]
         flags = 0
-        for bit, stream in enumerate(EMA_STREAMS):
-            value, initialized, count, alpha = _EMA_KEYS[stream]
-            out += (cols[alpha][row], cols[value][row], cols[count][row])
-            flags |= bool(cols[initialized][row]) << bit
-        return (*out, flags)
+        for bit, key in enumerate(_INITIALIZED):
+            flags |= bool(cols[key][row]) << bit
+        return (*[cols[key][row] for key in _JOURNAL_COLUMNS], flags)
 
     def write_journal_row(self, row: int, values) -> None:
         """The inverse of :meth:`journal_row`: write such a tuple back into
         ``row``, every slot as it lies (the texts, the embedding and the
         columns derived from them are the example's own business)."""
         cols = self._cols
-        (cols["quality"][row], cols["source_cost"][row],
-         cols["created_at"][row], cols["access_count"][row],
-         cols["replay_count"][row]) = values[:5]
-        for bit, stream in enumerate(EMA_STREAMS):
-            value, initialized, count, alpha = _EMA_KEYS[stream]
-            cols[alpha][row], cols[value][row], cols[count][row] = \
-                values[5 + 3 * bit:8 + 3 * bit]
-            cols[initialized][row] = bool(values[-1] >> bit & 1)
+        for key, value in zip(_JOURNAL_COLUMNS, values):
+            cols[key][row] = value
+        for bit, key in enumerate(_INITIALIZED):
+            cols[key][row] = bool(values[-1] >> bit & 1)
 
     def nbytes(self) -> int:
         """Resident bytes of the allocated column storage."""
@@ -258,20 +268,51 @@ class ExampleTable:
         d["_table"] = self
         d["_row"] = row
 
+    def reserve_row(self, dim: int) -> int:
+        """The next free row, grown into if need be.  An empty table takes
+        ``dim`` as its matrix's width; a pool with rows refuses another."""
+        row = self._n
+        if row == self._capacity:
+            self._grow(row + 1)
+        matrix = self._cols.get(EMBEDDING)
+        if matrix is None or row == 0 and matrix.shape[1] != dim:
+            self._cols[EMBEDDING] = np.zeros((self._capacity, dim))
+        elif matrix.shape[1] != dim:
+            raise ValueError(f"embedding dim ({dim},) is not the pool's "
+                             f"({matrix.shape[1]},)")
+        return row
+
+    def write_new_row(self, row: int, embedding: np.ndarray, asked: str,
+                      answered: str, quality: float, source_cost: float,
+                      created_at: float, access_count: int = 0,
+                      replay_count: int = 0) -> None:
+        """Write every column of a new example's row, fresh EMA streams
+        included; ``total_bytes`` is moved by :meth:`attach_next`."""
+        self.write_embedding(row, embedding)
+        cols = self._cols
+        cols["tokens"][row] = count_tokens(asked) + count_tokens(answered)
+        cols["plaintext_bytes"][row] = (len(asked.encode("utf-8"))
+                                        + len(answered.encode("utf-8")))
+        self.write_journal_row(row, (quality, source_cost, created_at,
+                                     access_count, replay_count,
+                                     *_FRESH_STREAMS))
+
     def attach(self, example) -> int:
-        """Move a standalone example's row into a new row of this table."""
+        """Copy a standalone example's row into a new row of this table."""
         source = example.__dict__["_table"]
         if source._owners is not None:
             raise ValueError(
                 f"example {example.example_id!r} is already attached")
-        cols = self._cols
-        if self._n == self._capacity:
-            self._grow(self._n + 1)
-        if EMBEDDING not in cols:       # the first row fixes the pool's dim
-            cols[EMBEDDING] = np.zeros(
-                (self._capacity, source._cols[EMBEDDING].shape[1]))
+        row = self.reserve_row(source._cols[EMBEDDING].shape[1])
+        self._move_row(row, example)
+        return self.attach_next(example)
+
+    def attach_next(self, example) -> int:
+        """Make the next free row a member row: ``example``'s, which
+        :meth:`reserve_row` handed out and :meth:`write_new_row` (or
+        :meth:`attach`'s copy) filled."""
         row = self._n
-        self._move_row(row, example)    # an embedding of another dim fails
+        cols = self._cols
         cols[INSERTION_RANK][row] = self._next_rank
         self._next_rank += 1
         self._n = row + 1
@@ -280,17 +321,18 @@ class ExampleTable:
         return row
 
     def detach(self, example) -> None:
-        """Move a row out into a standalone table and swap-delete it."""
+        """Copy a row out into the departures and swap-delete it."""
         d = example.__dict__
         if d["_table"] is not self:
             raise ValueError(
                 f"example {example.example_id!r} is not attached here")
         row = d["_row"]
         cols = self._cols
-        out = ExampleTable.standalone(cols[EMBEDDING].shape[1])
-        out._move_row(0, example)
-        out.total_bytes = int(cols["plaintext_bytes"][row])
-        self.total_bytes -= out.total_bytes
+        self.total_bytes -= int(cols["plaintext_bytes"][row])
+        if self._departures is None:    # no pool, and a weak ref per row
+            self._departures = out = self.standalone(cols[EMBEDDING].shape[1])
+            out._n, out._held = 0, []
+        self._departures._retire(example)
         last = self._n - 1
         if row != last:
             for arr in cols.values():
@@ -300,6 +342,29 @@ class ExampleTable:
             moved.__dict__["_row"] = row
         self._owners.pop()
         self._n = last
+
+    def _retire(self, example) -> None:
+        """Copy a departing example's row in here, first dropping the rows
+        whose example is gone (or bound elsewhere) when all are taken."""
+        if self._n == self._capacity:
+            held = [(row, ref, d) for row, ref in enumerate(self._held)
+                    if (alive := ref()) is not None
+                    and (d := alive.__dict__)["_table"] is self
+                    and d["_row"] == row]
+            self._n = len(held)
+            if held and held[-1][0] != self._n - 1:    # not yet a prefix
+                rows = np.array([row for row, _, _ in held], dtype=np.intp)
+                for arr in self._cols.values():
+                    arr[: self._n] = arr[rows]
+                for row, (_, _, d) in enumerate(held):
+                    d["_row"] = row
+            self._held = [ref for _, ref, _ in held]
+            if 2 * self._n >= self._capacity:
+                self._grow(2 * self._capacity)
+        row = self._n
+        self._move_row(row, example)
+        self._held.append(weakref.ref(example))
+        self._n = row + 1
 
     # -- derived-column maintenance ----------------------------------------
 
@@ -317,7 +382,7 @@ class ExampleTable:
         """Rebind one row's embedding and refresh both of its norms."""
         stored = self._cols[EMBEDDING][row]
         stored[:] = embedding
-        self._cols["embedding_norm"][row] = float(np.linalg.norm(stored))
+        self._cols["embedding_norm"][row] = vector_norm(stored)
         self._cols[EMBEDDING_ROW_NORM][row] = row_norm(stored)
 
     # -- per-request bookkeeping ---------------------------------------------
@@ -377,9 +442,8 @@ class ExampleTable:
         in-place mutation then dirties private pages, never the file.
         Owners must be bound afterwards via :meth:`bind_owner`, one per row.
         """
-        table = object.__new__(cls)
-        table._n = int(n)
-        table._capacity = int(n)
+        table = cls()
+        table._n = table._capacity = int(n)
         cols: dict[str, np.ndarray] = {}
         for name, dtype in COLUMN_SCHEMA:
             arr = np.asarray(columns[name])
@@ -398,12 +462,11 @@ class ExampleTable:
             cols[EMBEDDING], axis=1) if table._n else np.zeros(0)
         table._cols = cols
         table._owners = [None] * table._n
-        table._next_rank = 0
         table.total_bytes = int(cols["plaintext_bytes"].sum())
         return table
 
     def bind_owner(self, row: int, example) -> None:
-        """Bind a restored Example view to its row (adoption path only).
+        """Own a restored Example view of its row (adoption path only).
 
         Binding order is insertion order: the caller builds the cache's
         id dict in the same pass.
@@ -411,6 +474,3 @@ class ExampleTable:
         self._owners[row] = example
         self._cols[INSERTION_RANK][row] = self._next_rank
         self._next_rank += 1
-        d = example.__dict__
-        d["_table"] = self
-        d["_row"] = row

@@ -368,8 +368,9 @@ def _restore_examples_columns(columns: dict) -> tuple[dict, ExampleTable]:
         request = object.__new__(Request)
         request.__dict__.update(zip(request_names, row[split:]))
         own = dict(zip(own_names, row[:split]))
-        examples[own["example_id"]] = Example._attached_view(
-            table, i, request=request, **own)
+        example = Example._attached_view(table, i, request=request, **own)
+        table.bind_owner(i, example)
+        examples[own["example_id"]] = example
     return examples, table
 
 

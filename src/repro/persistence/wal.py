@@ -98,8 +98,10 @@ _SCALARS = record_fields(REQUEST_RECORD, "qd")
 _TEXTS = record_fields(RECORD, "s")
 _VECTORS = record_fields(REQUEST_RECORD, "v")
 _scalars, _texts, _vectors = map(record_getter, (_SCALARS, _TEXTS, _VECTORS))
-_TO_TEXT, _FROM_TEXT = zip(*((KINDS[kind].to_text, KINDS[kind].from_text)
-                             for _, kind, *_ in _TEXTS))
+_FROM_TEXT = [KINDS[kind].from_text for _, kind, *_ in _TEXTS]
+#: ``(position, encoder)`` of the text fields not stored as they are.
+_ENCODED = [(i, KINDS[kind].to_text) for i, (_, kind, *_) in enumerate(_TEXTS)
+            if KINDS[kind].to_text is not None]
 _NAMES = [name for name, *_ in _SCALARS + _TEXTS + _VECTORS]
 #: ``ExampleTable.journal_row``, the request's scalars, the embedding's and
 #: each vector's size.
@@ -111,9 +113,15 @@ _F8 = np.dtype("<f8")
 
 
 def _pack_strings(*strings: str) -> bytes:
-    """The strings' u32 byte lengths, then their UTF-8 bytes."""
-    blobs = [s.encode("utf-8") for s in strings]
-    return struct.pack(f"<{len(blobs)}I", *map(len, blobs)) + b"".join(blobs)
+    """The strings' u32 byte lengths, then their UTF-8 bytes (ASCII text's
+    byte lengths are its lengths, and its bytes one ``encode``)."""
+    joined = "".join(strings)
+    if joined.isascii():
+        blobs, blob = strings, joined.encode("ascii")
+    else:
+        blobs = [s.encode("utf-8") for s in strings]
+        blob = b"".join(blobs)
+    return struct.pack(f"<{len(blobs)}I", *map(len, blobs)) + blob
 
 
 def _unpack_strings(body: bytes, offset: int,
@@ -135,12 +143,13 @@ def _encode_example(example) -> bytes:
     if {vector.ndim for vector in vectors} != {1}:
         raise ValueError(f"example {example.example_id!r}: vector shapes "
                          f"{[vector.shape for vector in vectors]}, not 1-D")
+    texts = [*_texts(example)]
+    for i, encode in _ENCODED:
+        texts[i] = encode(texts[i])
     return b"".join([
         _EXAMPLE.pack(*example.journal_row(), *_scalars(example),
                       *[vector.size for vector in vectors]),
-        _pack_strings(*[text if encode is None else encode(text)
-                        for encode, text in zip(_TO_TEXT, _texts(example))]),
-        *[vector.tobytes() for vector in vectors]])
+        _pack_strings(*texts), *[vector.tobytes() for vector in vectors]])
 
 
 def _decode_example(body: bytes) -> dict:
@@ -416,12 +425,14 @@ class WriteAheadLog:
         except KeyError:
             raise ValueError(f"unknown WAL record kind {kind!r}") from None
         rest = _HEAD.pack(code, self.epoch, self._seq) + encode(payload)
-        frame = _PREFIX.pack(len(rest), zlib.crc32(rest)) + rest
+        size = len(rest)
+        frame = _PREFIX.pack(size, zlib.crc32(rest)) + rest
         if not self._bytes:    # the magic opens a journal, in the same write
             frame = MAGIC + frame
+            size += len(MAGIC)
         self._pending.append(frame)
         self._seq += 1
-        self._bytes += len(frame)
+        self._bytes += _PREFIX.size + size
         if not self._depth:
             self.flush()
 
@@ -630,6 +641,9 @@ class Checkpointer:
             )
             self._epoch = int(header.get("wal_epoch", 0))
         self.wal = WriteAheadLog(self.wal_path, epoch=self._epoch)
+        # Its state is the log's depth: one serves every operation.
+        self._group = _Group(self.wal, self._compact_if_due,
+                             self._journal_counters)
         self.checkpoints = 0
         self.compactions = 0
         self._checkpointing = False
@@ -694,7 +708,7 @@ class Checkpointer:
         """:meth:`WriteAheadLog.group`, closed by the manager's counters
         when they moved, with compaction tested after its write: a
         snapshot never holds half an admission."""
-        return _Group(self.wal, self._compact_if_due, self._journal_counters)
+        return self._group
 
     def _journal_counters(self) -> None:
         """A ``manager_counters`` frame, when the counters differ from the

@@ -7,13 +7,15 @@ seconds).  ``SimClock`` is a tiny monotonic clock that components share.
 
 from __future__ import annotations
 
+import math
+
 
 class SimClock:
     """A monotonic simulated clock measured in seconds."""
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError(f"clock cannot start at negative time: {start}")
+        if not 0 <= start < math.inf:      # NaN fails too
+            raise ValueError(f"clock start must be finite and >= 0: {start}")
         self._now = float(start)
 
     @property
@@ -23,8 +25,8 @@ class SimClock:
 
     def advance(self, delta: float) -> float:
         """Move the clock forward by ``delta`` seconds and return the new time."""
-        if delta < 0:
-            raise ValueError(f"cannot move clock backwards (delta={delta})")
+        if not 0 <= delta < math.inf:
+            raise ValueError(f"clock step must be finite and >= 0: {delta}")
         self._now += delta
         return self._now
 
@@ -36,8 +38,8 @@ class SimClock:
 
     def reset(self, start: float = 0.0) -> None:
         """Reset the clock, e.g. between benchmark repetitions."""
-        if start < 0:
-            raise ValueError(f"clock cannot reset to negative time: {start}")
+        if not 0 <= start < math.inf:
+            raise ValueError(f"clock reset must be finite and >= 0: {start}")
         self._now = float(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -73,10 +73,14 @@ def finish(k: int, chunks: list[np.ndarray], tables: list,
     return [*map(_hit, zip(keys, scores[top].tolist()))]
 
 
-def unit_row(vector: np.ndarray, dim: int, key: object) -> np.ndarray:
+def unit_row(vector: np.ndarray, dim: int, key: object,
+             norm: float | None = None) -> np.ndarray:
     """The stored form of ``vector``: normalized in float64, rounded once to
     :data:`STORAGE_DTYPE`.  Refuses a vector that is not ``dim`` long, or
-    whose norm is zero or not finite, before any index has moved."""
+    whose norm is zero or not finite — unless the caller checked a float64
+    ``(dim,)`` vector and gives its ``float(np.linalg.norm)`` as ``norm``."""
+    if norm is not None:
+        return (vector / norm).astype(STORAGE_DTYPE)
     vec = np.asarray(vector, dtype=np.float64).reshape(-1)
     if vec.shape != (dim,):
         raise ValueError(f"vector dim {vec.shape} != index dim ({dim},)")

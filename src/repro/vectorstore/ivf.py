@@ -129,18 +129,20 @@ class IVFIndex:
         """Resident bytes of dense storage: the cluster blocks."""
         return sum(b.nbytes for b in self._blocks)
 
-    def add(self, key: object, vector: np.ndarray) -> None:
-        """Insert a new ``key``.  A key already held (``KeyError``) or a
-        refused vector leaves the index as it was."""
+    def add(self, key: object, vector: np.ndarray,
+            norm: float | None = None) -> None:
+        """Insert a new ``key`` (``norm``: see
+        :func:`~repro.vectorstore.flat.unit_row`).  A key already held
+        (``KeyError``) or a refused vector leaves the index as it was."""
         if key in self._row:
             raise KeyError(f"duplicate key {key!r}")
-        unit = unit_row(vector, self.dim, key)
+        unit = unit_row(vector, self.dim, key, norm)
         self._row[key] = len(self._keys)
         self._keys.append(key)
         self._churn += 1
         # Trained: the nearest existing centroid, without retraining.
         cluster = 0 if self._centroids is None \
-            else int(np.argmax(self._centroids @ unit))
+            else int((self._centroids @ unit).argmax())
         self._blocks[cluster].append(key, unit)
         self._key_to_cluster[key] = cluster
 

@@ -144,7 +144,7 @@ def test_doc_imports_resolve(path: Path, line: str):
 #: ``src/`` past it raises the number in its own diff and says in
 #: ``CHANGES.md`` which deletion pays the growth back; a PR that shrinks
 #: ``src/`` lowers it to its result.
-SRC_LINE_CEILING = 13_233
+SRC_LINE_CEILING = 13_412
 
 
 def test_src_stays_under_its_line_ceiling():

@@ -86,23 +86,28 @@ class TestSanitizerAgainstTheSixPassLoop:
         ("write 4155551234@corp.io", "write [EMAIL]"),
         ("٤١٥-٥٥٥-١٢٣٤ now", "[PHONE] now"),                 # \d is Unicode
         ("x² + 1.2.3 = 4²", "x² + 1.2.3 = 4²"),              # ² is no \d
+        ("at 10.0.0.1", "at [IP_ADDRESS]"),                  # 3 dots
+        ("v1.2 build 30 of 45", "v1.2 build 30 of 45"),      # 1 dot: no IP
+        ("ssn ١٢٣-٤٥-٦٧٨٩", "ssn [SSN]"),                    # 2 dashes
+        ("http://u:p@host", "http[URL_CREDENTIAL]host"),
     ])
     def test_named_cases(self, text, expected):
         assert sanitize_text(text) == expected
         assert reference_sanitize_text(text) == expected
 
     def test_each_guard_is_the_least_a_match_can_hold(self):
-        """The shortest match of each pattern holds exactly the ``@`` and
-        digits its entry asks for (one fewer and the guard would be loose,
-        one more and it would skip a real match)."""
+        """The shortest match of each pattern holds exactly the digits and
+        the ``@``, ``.``, ``-``, ``:`` and ``/`` its entry asks for (one
+        fewer and the guard would be loose, one more and it would skip a
+        real match)."""
         shortest = {"EMAIL": "a@b.c", "CREDIT_CARD": "1234567890123",
                     "SSN": "123-45-6789", "PHONE": "1234567890",
                     "IP_ADDRESS": "1.2.3.4", "URL_CREDENTIAL": "://u:p@"}
-        for label, pattern, min_ats, min_digits in PII_PATTERNS:
+        for label, pattern, needs in PII_PATTERNS:
             match = shortest[label]
             assert pattern.fullmatch(match), label
-            assert match.count("@") == min_ats, label
-            assert sum(c.isdecimal() for c in match) == min_digits, label
+            assert needs == (sum(c.isdecimal() for c in match),
+                             *map(match.count, "@.-:/")), label
 
 
 class TestGaussianSigma:

@@ -1,5 +1,7 @@
 """Unit tests for repro.utils (rng, clock, tokens)."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,6 +95,20 @@ class TestSimClock:
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
             SimClock(-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_refused(self, bad):
+        """A NaN or infinite clock would stamp every later admission with
+        it and stop the hourly decay for good; each entry point refuses
+        it and the clock reads what it read."""
+        with pytest.raises(ValueError):
+            SimClock(bad)
+        clock = SimClock(5.0)
+        with pytest.raises(ValueError):
+            clock.advance(bad)
+        with pytest.raises(ValueError):
+            clock.reset(bad)
+        assert clock.now == 5.0
 
     def test_reset(self):
         clock = SimClock(5.0)
