@@ -137,9 +137,9 @@ def bench_search(n: int, seed: int = 0, n_queries: int = 200,
     for key in range(n):
         flat.add(key, index.get_vector(key))
     hits = sum(
-        len({r.key for r in index.search(q, TOP_K)}
-            & {r.key for r in flat.search(q, TOP_K)})
-        for q in ref_queries
+        len({r.key for r in index.search(q, TOP_K)} & {r.key for r in truth})
+        for q, truth in zip(ref_queries,
+                            flat.search_batch(ref_queries, TOP_K))
     )
     return {
         "n": n,
@@ -561,8 +561,8 @@ def bench_batch(bank_size: int = FLOOR_BANK, warmup: int = 208,
     ``pre_k`` per stage-1 query, one per rescored probe — the tail it
     replaced built ``nprobe x pre_k`` and sorted them), and
     ``rescored_probes_per_request`` is the ``search(q, 1)`` calls that reach
-    the finish, i.e. found no standing receipt and scored their blocks again
-    (1.0 when the batched kernel filed none).  No index retrain may land in
+    ``search_batch``, i.e. found no standing receipt and scored their blocks
+    again (1.0 when the batched kernel filed none).  No index retrain may land in
     the counted window (asserted).  ``generators_minted_per_request``
     counts :func:`bench_floor`'s two mint sites, and
     ``seeding_passes_per_request`` the non-empty ``seed_words`` passes the
@@ -579,6 +579,7 @@ def bench_batch(bank_size: int = FLOOR_BANK, warmup: int = 208,
     package = _package_root()
     finish_code = finish.__code__
     search_code = IVFIndex.search.__code__
+    batch_code = IVFIndex.search_batch.__code__
     scoring = HelpfulnessProxy.score_batch.__code__
     counts = {"calls": 0, "results": 0, "rescored": 0, "scored": 0,
               "minted": 0, "passes": 0}
@@ -587,7 +588,7 @@ def bench_batch(bank_size: int = FLOOR_BANK, warmup: int = 208,
         if _issued_by(package, frame, event):
             counts["calls"] += 1
             caller = frame.f_back
-            if event == "call" and frame.f_code is finish_code and \
+            if event == "call" and frame.f_code is batch_code and \
                     caller.f_code is search_code and caller.f_locals["k"] == 1:
                 counts["rescored"] += 1
             elif event == "call" and frame.f_code is scoring:
@@ -931,9 +932,9 @@ def bench_scale(n: int = 1_000_000, seed: int = 0, n_queries: int = 200,
     # is ~100 ms/query; 50 queries keep the nightly run bounded).
     flat = FlatIndex(DIM, index._keys, index._pool())  # the retrain's gather
     hits = sum(
-        len({r.key for r in index.search(q, TOP_K)}
-            & {r.key for r in flat.search(q, TOP_K)})
-        for q in queries[:recall_queries]
+        len({r.key for r in index.search(q, TOP_K)} & {r.key for r in truth})
+        for q, truth in zip(queries, flat.search_batch(
+            queries[:recall_queries], TOP_K))
     )
 
     # Steady-state maintenance: churn 1% of the pool, force a retrain, and

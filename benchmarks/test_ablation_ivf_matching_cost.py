@@ -35,7 +35,7 @@ def test_ablation_ivf_vs_flat(benchmark):
         ivf.search(query_embs[0], 1)  # force training before timing
 
         t0 = time.perf_counter()
-        flat_results = [frozenset(r.key for r in flat.search(q, 5))
+        flat_results = [frozenset(r.key for r in flat.search_batch([q], 5)[0])
                         for q in query_embs]
         t_flat = time.perf_counter() - t0
         t0 = time.perf_counter()

@@ -100,17 +100,13 @@ class LongRAGRetriever:
     def retrieve_batch(self, contexts) -> list[list[ScoredExample]]:
         """Each request's top-k documents as its context; relevance is the
         latent cosine similarity :meth:`boost` gates on."""
-        combos = []
-        for ctx in contexts:
-            latent = ctx.request.latent
-            hits = self._index.search(latent, self.top_k)
-            combos.append([
-                ScoredExample(example=doc,
-                              relevance=cosine_similarity(latent, doc.latent),
-                              utility=doc.quality)
-                for doc in (self._documents[h.key] for h in hits)
-            ])
-        return combos
+        latents = [ctx.request.latent for ctx in contexts]
+        return [[ScoredExample(example=doc,
+                               relevance=cosine_similarity(latent, doc.latent),
+                               utility=doc.quality)
+                 for doc in (self._documents[h.key] for h in hits)]
+                for latent, hits in zip(latents, self._index.search_batch(
+                    latents, self.top_k))]
 
     def boost(self, combo: list[ScoredExample]) -> float:
         """Quality delta from appending one request's retrieved documents."""

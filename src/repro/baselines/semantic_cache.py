@@ -111,8 +111,8 @@ class SemanticCache:
         """A hit (top-1 at or above the threshold) is its cached pair as
         the one example; a miss is no context."""
         combos: list[list[ScoredExample]] = []
-        for ctx in contexts:
-            results = self._index.search(ctx.embedding, 1)
+        for results in self._index.search_batch(
+                [ctx.embedding for ctx in contexts], 1):
             if not results or results[0].score < self.similarity_threshold:
                 self.misses += 1
                 combos.append([])

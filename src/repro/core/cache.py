@@ -29,6 +29,7 @@ class ExampleCache:
     """
 
     def __init__(self, dim: int, seed: int = 0) -> None:
+        self.dim = dim
         self._examples: dict[str, Example] = {}
         # Columnar bookkeeping: every cached example's numeric lifecycle
         # state lives in contiguous table columns (decay/eviction/snapshot

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.core.table import INSERTION_RANK, attached_rows
 from repro.llm.model import GenerationResult
 from repro.privacy.sanitizer import sanitize_text
 from repro.utils.clock import SimClock
+from repro.vectorstore.flat import _EPS
 from repro.workload.request import Request
 
 DECAY_FACTOR = 0.9            # section 4.3: gains decay by 0.9 ...
@@ -75,6 +77,10 @@ class ExampleManager:
         ``source_cost`` is the normalized cost of the model that produced the
         response; it feeds both proxy features and the G(e) formula.
         """
+        # Refused before the dedupe probe: no id minted, nothing journaled.
+        if embedding.shape != (self.cache.dim,) or not \
+                _EPS <= math.sqrt(embedding.dot(embedding)) < math.inf:
+            raise ValueError("cannot admit this embedding's shape or norm")
         with self._group():
             if self.cache.nearest_similarity(embedding) \
                     >= ADMISSION_DEDUPE_SIM:

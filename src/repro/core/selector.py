@@ -68,13 +68,9 @@ class ExampleSelector:
 
     def select_batch(self, request_embeddings: np.ndarray
                      ) -> list[list[ScoredExample]]:
-        """Example combinations for a micro-batch of requests.
-
-        Stage 1 runs as one batched index query (one sgemm per probed
-        cluster, where :meth:`select` scores by einsum: same candidates by
-        test, scores equal up to the last float32 ulp); stages 2 and 3 are
-        :meth:`select`'s, bit for bit.
-        """
+        """Example combinations for a micro-batch of requests: stage 1 as
+        one batched index query, each request's answer bit for bit
+        :meth:`select`'s."""
         embeddings = np.atleast_2d(np.asarray(request_embeddings, dtype=float))
         return self._decide(embeddings,
                             self.cache.search_batch(embeddings,

@@ -32,8 +32,7 @@ class ICRetrieval:
     """The two-stage Example Selector (section 4.1) as a RetrievalPolicy.
 
     A batch of one takes the single-request ``select`` path; larger batches
-    take ``select_batch`` (one index pass; stages 2-3 identical by
-    construction, stage 1 by test up to sgemm-vs-einsum last-ulp ties).
+    take ``select_batch`` (one index pass, the same answers).
     """
 
     def __init__(self, selector: ExampleSelector) -> None:

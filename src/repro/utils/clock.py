@@ -32,6 +32,8 @@ class SimClock:
 
     def advance_to(self, timestamp: float) -> float:
         """Move the clock forward to ``timestamp`` (no-op if already past it)."""
+        if not math.isfinite(timestamp):
+            raise ValueError(f"clock time must be finite: {timestamp}")
         if timestamp > self._now:
             self._now = timestamp
         return self._now

@@ -8,13 +8,12 @@
   offline, search the ``nprobe`` nearest clusters online.  Section 4.1
   derives the matching-cost-minimizing K = sqrt(N), which is the default.
   Posting lists are contiguous cluster-major blocks (FAISS-style), each a
-  ``FlatIndex`` and the only copy of its vectors, so a single-query probe
-  is one matrix-vector product and removal is an O(1) swap-delete — see
-  ``docs/PERFORMANCE.md``.
+  ``FlatIndex`` and the only copy of its vectors, so a query scores a
+  probed block in one vectorized pass and removal is an O(1) swap-delete —
+  see ``docs/PERFORMANCE.md``.
 
-All indexes expose both ``search`` (one query, vectorized per probed
-cluster block) and ``search_batch`` (the same blocks multiplied once per
-querying subset for a whole micro-batch).
+Both score through one kernel, ``search_batch``; a lone query is a batch of
+one (``IVFIndex.search``, which also answers the dedupe probe).
 """
 
 from repro.vectorstore.flat import FlatIndex, SearchResult

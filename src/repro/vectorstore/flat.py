@@ -1,18 +1,24 @@
-"""Exact (brute-force) cosine similarity index.
+"""Exact (brute-force) cosine similarity index, and stage 1's one kernel.
 
 Storage is float32 (``STORAGE_DTYPE``): unit vectors lose ~1e-7 relative
 precision per component, which is far below the noise floor of every
 consumer, and resident bytes halve — the difference between fitting an
 N=1M pool in RAM twice (live + snapshot restore) or not.  Normalization
 happens in float64 and rounds once on store, so the stored vector is the
-correctly-rounded float32 image of the exact unit vector.  Scores are
-computed in float32 and returned as Python floats; exact ties between
-identical stored vectors still tie exactly (same bits in, same bits out).
+correctly-rounded float32 image of the exact unit vector.
+
+Every search, flat or IVF, one query or a batch, is :func:`ranked`: one
+:func:`finish` per query row, which scores the blocks it probes by einsum,
+in float32, and keeps the top ``k`` by one stable sort.  A score is a function of the query row and the
+stored row alone, so a lone query is a batch of one bit for bit, and
+identical stored vectors tie exactly, in row order.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -35,42 +41,60 @@ class SearchResult(NamedTuple):
 _hit = functools.partial(tuple.__new__, SearchResult)
 
 
-def unit_rows(queries: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def unit_rows(queries: np.ndarray, dim: int) -> tuple[np.ndarray, list[bool]]:
     """Float64 unit rows of a ``(batch, dim)`` query block, and which rows
-    can be searched at all: a norm below ``_EPS`` has no direction, and every
-    entry point (single or batched, flat or IVF) answers it with no hits."""
-    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if q.shape[1] != dim:
-        raise ValueError(f"query dim {q.shape[1]} != index dim {dim}")
-    norms = np.linalg.norm(q, axis=1)
-    return q / np.maximum(norms, _EPS)[:, None], norms >= _EPS
+    can be searched at all: a norm outside ``[_EPS, inf)`` (NaN included)
+    has no direction, and every entry point answers it with no hits.  Such
+    a row is zero, so nothing downstream warns.  Each norm is its row's own
+    ``dot``, whatever the batch."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != dim:
+        raise ValueError(f"query shape {q.shape} != (batch, {dim})")
+    norms = [math.sqrt(row.dot(row)) for row in q]
+    ok = [_EPS <= norm < math.inf for norm in norms]
+    column = np.array(norms, dtype=np.float64)[:, None]
+    if all(ok):
+        return q / column, ok
+    return np.divide(q, column, out=np.zeros_like(q),
+                     where=np.array(ok, dtype=bool)[:, None]), ok
 
 
-def finish(k: int, chunks: list[np.ndarray], tables: list,
-           rows: list[np.ndarray] | None = None) -> list[SearchResult]:
-    """The tail every search shares: the top ``k`` of its candidates.
+def ranked(k: int, q: np.ndarray, probes: list[list[int]],
+           blocks: list["FlatIndex"]) -> list[list[SearchResult]]:
+    """Top ``k`` for each row ``i`` of the unit queries ``q`` among the
+    rows of the blocks ``probes[i]`` names: one :func:`finish` per query,
+    in storage precision (a float64 query would upcast every block)."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return [finish(k, row, [blocks[b] for b in probe])
+            for row, probe in zip(q.astype(STORAGE_DTYPE), probes)]
 
-    ``chunks[p]`` holds the float32 scores of part ``p`` (a probed block);
-    its candidate ``j`` is ``tables[p][j]``, or
-    ``tables[p][rows[p][j]]`` when the part arrives pre-selected.  One
+
+def finish(k: int, row: np.ndarray, probed: list["FlatIndex"]
+           ) -> list[SearchResult]:
+    """Stage 1's one scoring body: the top ``k`` rows of the ``probed``
+    blocks for the float32 unit query ``row``.
+
+    One einsum per block.  Not BLAS: einsum sums each score in one fixed
+    order over the two rows alone, where a gemv or gemm kernel can round
+    by a row's position or a batch's shape — so a query scores bit for bit
+    the same alone or in any batch, and identical rows tie.  Then one
     *stable* descending argsort over the concatenation, so exact ties
-    resolve in part-then-candidate order, as a per-key loop or
+    resolve in probe-then-row order, as a per-key loop or
     ``list.sort(reverse=True)`` would; at ``k == 1`` argmax, which is that
-    same first winner unsorted.  Keys and ``SearchResult``s are built for
-    the winners only; ``tolist`` widens a float32 exactly as ``float()``.
+    same first winner unsorted.  ``SearchResult``s are built for the
+    winners only; ``tolist`` widens a float32 exactly as ``float()``.
     """
-    if not chunks:
+    scores = np.concatenate([np.einsum("md,d->m", block.matrix, row)
+                             for block in probed]) if probed else ()
+    if not len(scores):
         return []
-    scores = np.concatenate(chunks)
     top = scores.argmax()[None] if k == 1 \
         else (-scores).argsort(kind="stable")[:k]
-    sizes = np.array([chunk.shape[0] for chunk in chunks], dtype=np.intp)
-    ends = sizes.cumsum()
-    owners = ends.searchsorted(top, side="right")
-    local = top - (ends - sizes)[owners] if rows is None \
-        else np.concatenate(rows)[top]
-    keys = [tables[p][i] for p, i in zip(owners.tolist(), local.tolist())]
-    return [*map(_hit, zip(keys, scores[top].tolist()))]
+    keys = probed[0].keys if len(probed) == 1 \
+        else [*chain.from_iterable([block.keys for block in probed])]
+    return [*map(_hit, zip(map(keys.__getitem__, top.tolist()),
+                           scores[top].tolist()))]
 
 
 def unit_row(vector: np.ndarray, dim: int, key: object,
@@ -95,8 +119,8 @@ class FlatIndex:
     """Exact top-k cosine search over unit-normalized vectors; the one
     swap-delete vector store here, and every IVF cluster block.
 
-    Vectors are L2-normalized on insert so search is one matrix-vector
-    product (:meth:`search_batch`: one matrix-matrix product per batch).
+    Vectors are L2-normalized on insert, so a query's scores are one
+    einsum over the matrix (:func:`finish`).
     ``keys[i]`` labels row ``i`` (the live list: iterate, never mutate);
     removal is an O(1) swap-with-last, and capacity doubles.
     ``running_sum`` is the float64 sum of the live rows, kept on every
@@ -214,38 +238,8 @@ class FlatIndex:
         """The stored (normalized, float32) embedding for ``key``."""
         return self._vectors[self._key_to_row[key]].copy()
 
-    def search(self, query: np.ndarray, k: int) -> list[SearchResult]:
-        """Top-``k`` entries by cosine similarity to ``query`` (descending)."""
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if k == 0 or not self.keys:
-            return []
-        q = np.asarray(query, dtype=np.float64).reshape(-1)
-        if q.shape != (self.dim,):
-            raise ValueError(f"query dim {q.shape} != index dim ({self.dim},)")
-        qnorm = float(np.linalg.norm(q))
-        if qnorm < _EPS:
-            return []
-        # Score in storage precision: a float64 query against the float32
-        # matrix would silently upcast-copy the whole matrix per call.  As
-        # the trained IVF path does: einsum, whose per-row sum is a function
-        # of the row alone (BLAS gemv's can depend on its position), then one
-        # stable order over every row, so identical rows tie in row order.
-        q32 = (q / qnorm).astype(STORAGE_DTYPE)
-        return finish(k, [np.einsum("ij,j->i", self.matrix, q32)], [self.keys])
-
     def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchResult]]:
-        """Exact top-``k`` for a batch of queries in one matmul.
-
-        One descending list per row of ``queries``; none for a zero-norm row.
-        """
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        q, valid = unit_rows(queries, self.dim)
-        if k == 0 or not self.keys:
-            return [[] for _ in valid]
-        scores = q.astype(STORAGE_DTYPE) @ self.matrix.T  # the one matmul
-        k = min(k, len(self.keys))
-        top = (-scores).argpartition(k - 1, axis=1)[:, :k]
-        return [finish(k, [scores[i, top[i]]], [self.keys], [top[i]])
-                if ok else [] for i, ok in enumerate(valid.tolist())]
+        """Exact top-``k`` for each row of ``queries`` (descending); none
+        for a row without a direction.  A lone query is a batch of one."""
+        q, ok = unit_rows(queries, self.dim)
+        return ranked(k, q, [[0] if fine else [] for fine in ok], [self])

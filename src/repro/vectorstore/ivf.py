@@ -13,11 +13,11 @@ Lloyd iteration recomputes only what the previous update moved.
 Storage is cluster-major and contiguous, FAISS-style (the section 5
 deployment note): every cluster owns a :class:`FlatIndex`, a dense
 ``(m, dim)`` float32 block plus a parallel key list and the one stored copy
-of its vectors, so a single-query probe is one ``block @ q`` product instead
-of a Python loop over posting-list keys, and ``remove`` is an O(1)
-swap-delete.  The batched path (:meth:`IVFIndex.search_batch`) reuses the
-same blocks, scoring each probed cluster for all of its querying rows in
-one matmul.
+of its vectors, so a query scores a probed cluster in one vectorized pass
+(:func:`~repro.vectorstore.flat.ranked`, the kernel every search shares)
+instead of a Python loop over posting-list keys, and ``remove`` is an O(1)
+swap-delete.  :meth:`IVFIndex.search` is :meth:`IVFIndex.search_batch` of
+one, bit for bit.
 
 **Incremental retrain** (:data:`INCREMENTAL_MIN_N`): above this pool size a
 staleness-triggered retrain stops re-running global K-Means and instead
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.utils.rng import make_rng, stable_hash
 from repro.vectorstore.flat import (_EPS, STORAGE_DTYPE, FlatIndex,
-                                    SearchResult, finish, unit_row,
+                                    SearchResult, ranked, unit_row,
                                     unit_rows)
 from repro.vectorstore.kmeans import KMeans
 
@@ -88,10 +88,9 @@ class IVFIndex:
     swap-delete order a global retrain clusters in; the rows themselves
     live only in the cluster blocks (the whole pool is ``_blocks[0]`` until
     the first training), and a retrain gathers them in that order.
-    Scores are identical to a per-key Python loop up to float32 accumulation
-    order, and candidate ordering — including tie-breaking — matches a
-    per-key loop over the same posting lists exactly (stable sort over
-    cluster-probe order, then block row order).
+    Scores, order and ties match a per-key loop over the same posting
+    lists exactly (stable sort over cluster-probe order, then block row
+    order).
     """
 
     def __init__(self, dim: int, nprobe: int = 2, seed: int = 0) -> None:
@@ -159,106 +158,54 @@ class IVFIndex:
         return self._blocks[self._key_to_cluster[key]].get_vector(key)
 
     def search(self, query: np.ndarray, k: int) -> list[SearchResult]:
-        """Approximate top-k; exact while untrained or small.
-
-        Trained path: one ``block @ q`` matrix-vector product per probed
-        cluster, then :func:`~repro.vectorstore.flat.finish`.
+        """Approximate top-k for one query: :meth:`search_batch` of one.
 
         Admission's dedupe probe asks, at ``k == 1``, the query stage 1 just
-        ran at ``pre_k``.  So every trained stage-1 call (this one at
-        ``k != 1``, :meth:`search_batch`) drops the previous call's receipts
-        and files one per query, ``(trainings, [(probed cluster, its
-        version)...], top hit)``, and ``k == 1`` answers from it while all of
-        those stand — the answer is a function of nothing else
-        (``docs/PERFORMANCE.md``, "The dedupe probe rides on stage 1").
+        ran at ``pre_k``, and is answered from that query's receipt while
+        the receipt stands (``docs/PERFORMANCE.md``, "The dedupe probe
+        rides on stage 1").
         """
-        self._maybe_train()
-        if self._centroids is None:
-            return self._blocks[0].search(query, k)
-
-        raw = np.asarray(query)
-        question = (raw.dtype.char, raw.tobytes(), self.nprobe)
-        every = self._blocks
-        if k != 1:
-            self._receipts = {}
-        else:
-            trainings, probed, hit = self._receipts.get(question, (None, (), None))
+        raw = np.asarray(query).reshape(1, -1)
+        if k == 1:
+            self._maybe_train()
+            trainings, probed, hit = self._receipts.get(
+                (raw.dtype.char, raw.tobytes(), self.nprobe), (None, (), None))
             if trainings == self.trainings:
                 for cluster, version in probed:
-                    if every[cluster].version != version:
+                    if self._blocks[cluster].version != version:
                         break
                 else:
                     return [hit]
-
-        q = np.asarray(query, dtype=np.float64).reshape(-1)
-        qnorm = math.sqrt(q.dot(q))     # np.linalg.norm's own 1-D path
-        if qnorm < _EPS or k <= 0:
-            return []
-        q = q / qnorm
-        probe = (-(self._centroids @ q)).argsort()[:self.nprobe].tolist()
-        # Block scoring happens in storage precision: a float64 query would
-        # silently upcast every probed block per call.
-        q32 = q.astype(STORAGE_DTYPE)
-        blocks = [every[c] for c in probe if every[c].keys]
-        # One vectorized product per probed cluster.  einsum, not BLAS
-        # gemv: its per-row accumulation is a pure function of row
-        # content, so identical vectors score identically wherever they
-        # sit in the block — BLAS kernels can differ in the last ulp by
-        # row position, which would break exact ties nondeterministically.
-        hits = finish(k, [np.einsum("ij,j->i", block.matrix, q32)
-                          for block in blocks], [b.keys for b in blocks])
-        if k != 1 and hits:
-            self._receipts[question] = (self.trainings, [
-                (c, every[c].version) for c in probe], hits[0])
-        return hits
+        return self.search_batch(raw, k)[0]
 
     def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchResult]]:
-        """Approximate top-``k`` for a micro-batch of queries.
+        """Approximate top-``k`` for each row of ``queries``; exact while
+        untrained or small.
 
-        Centroids are scored for the whole batch in one matmul, queries are
-        grouped by probed cluster, and each cluster's contiguous block is
-        multiplied once per querying subset (``Q_sub @ block.T``) — no
-        per-call row gathering, which is the amortization that makes batched
-        serving pay off (section 7's throughput experiments assume this).
-        Every query files a receipt (:meth:`search`) for its sgemm-scored top.
+        Trained: the batch's centroid scores in one product, each row's
+        ``nprobe`` best clusters in descending score, then
+        :func:`~repro.vectorstore.flat.ranked`.  A call at ``k != 1``
+        drops the previous call's receipts and files one per query with a
+        hit, ``(trainings, [(probed cluster, its version)...], top hit)``:
+        while all of its stamps stand, that hit is a function of nothing
+        else.  A ``k == 1`` call is a probe: it files and drops nothing.
         """
         self._maybe_train()
         if self._centroids is None:
             return self._blocks[0].search_batch(queries, k)
-        q, valid = unit_rows(queries, self.dim)
-        if k <= 0:
-            return [[] for _ in valid]
-        nprobe = min(self.nprobe, self.n_clusters)
-        probes = (-(q @ self._centroids.T)).argpartition(    # (batch, K)
-            nprobe - 1, axis=1)[:, :nprobe].tolist()
-        q32 = q.astype(STORAGE_DTYPE)
-
-        by_cluster: dict[int, list[int]] = {}
-        for qi in valid.nonzero()[0].tolist():
-            for cluster in probes[qi]:
-                by_cluster.setdefault(cluster, []).append(qi)
-
+        q, ok = unit_rows(queries, self.dim)
+        probes = [probe if fine else [] for probe, fine in zip(
+            (-(q @ self._centroids.T)).argsort(axis=1)[:, :self.nprobe]
+            .tolist(), ok)]
         every = self._blocks
-        found = [[] for _ in probes]     # per query: (chunk, key list, rows)
-        for cluster, rows in by_cluster.items():
-            members = every[cluster].keys
-            m = len(members)
-            if not m:
-                continue
-            scores = q32[rows] @ every[cluster].matrix.T    # (rows, m)
-            keep = min(k, m)
-            for s, qi in zip(scores, rows):
-                top = (-s).argpartition(keep - 1)[:keep] if m > keep \
-                    else np.arange(m)
-                found[qi].append((s[top], members, top))
-        results = [finish(k, *zip(*parts)) if parts else []
-                   for parts in found]
-        raw = np.asarray(queries).reshape(len(probes), -1)
-        self._receipts = {
-            (raw.dtype.char, raw[qi].tobytes(), self.nprobe): (
-                self.trainings, [(c, every[c].version) for c in probes[qi]],
-                hits[0])
-            for qi, hits in enumerate(results) if hits}
+        results = ranked(k, q, probes, every)
+        if k != 1:
+            raw = np.asarray(queries)
+            self._receipts = {
+                (raw.dtype.char, raw[i].tobytes(), self.nprobe): (
+                    self.trainings, [(c, every[c].version) for c in probes[i]],
+                    hits[0])
+                for i, hits in enumerate(results) if hits}
         return results
 
     def to_state(self) -> dict:

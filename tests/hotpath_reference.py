@@ -46,8 +46,9 @@ from repro.llm.icl import (
     TRANSFER_EFFICIENCY,
     example_utility,
 )
-from repro.vectorstore.flat import STORAGE_DTYPE, SearchResult
+from repro.vectorstore.flat import SearchResult
 from tests.ema_reference import streams, write_streams
+from tests.search_reference import reference_search
 
 N_FEATURES = 7
 _EPS = 1e-12
@@ -521,52 +522,21 @@ def learn(self, ctx) -> None:
 # -- vectorstore/ivf.py -----------------------------------------------------
 
 def ivf_search(self, query: np.ndarray, k: int) -> list[SearchResult]:
+    """The search with the single (question, top hit) slot the index
+    carried before its per-cluster-versioned receipts (the oracle keeps it
+    on the instance), scored by the per-key loop."""
     self._maybe_train()
-    if self._centroids is None:
-        return self._blocks[0].search(query, k)
-
     raw = np.asarray(query)
     question = (raw.dtype.char, raw.tobytes(), self.nprobe,
                 self.trainings, self._churn)
-    # The single (question, top hit) slot the index carried before its
-    # per-cluster-versioned receipts; the oracle keeps it on the instance.
     answered = self.__dict__.get("_answered", (None, None))
+    if self._centroids is None:
+        return reference_search(self, query, k)
     if k == 1 and question == answered[0]:
         return [answered[1]]
-
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    qnorm = float(np.linalg.norm(q))
-    if qnorm <= 0 or k <= 0:
-        return []
-    q = q / qnorm
-    nprobe = min(self.nprobe, self.n_clusters)
-    centroid_scores = self._centroids @ q
-    probe = np.argsort(-centroid_scores)[:nprobe]
-    q32 = q.astype(STORAGE_DTYPE)
-
-    blocks = [self._blocks[c] for c in probe if self._blocks[c].keys]
-    if not blocks:
-        return []
-
-    chunks = [np.einsum("ij,j->i", block.matrix, q32) for block in blocks]
-    scores = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    if k == 1:
-        top = (int(np.argmax(scores)),)
-    else:
-        top = np.argsort(-scores, kind="stable")[: min(k, scores.shape[0])]
-    if len(blocks) == 1:
-        keys0 = blocks[0].keys
-        hits = [SearchResult(keys0[i], float(scores[i])) for i in top]
-    else:
-        offsets = np.zeros(len(blocks) + 1, dtype=np.intp)
-        offsets[1:] = np.cumsum([len(b.keys) for b in blocks])
-        owners = np.searchsorted(offsets, top, side="right") - 1
-        hits = [
-            SearchResult(blocks[b].keys[int(gi - offsets[b])],
-                         float(scores[gi]))
-            for b, gi in zip(owners, top)
-        ]
-    self._answered = (question, hits[0])
+    hits = reference_search(self, query, k)
+    if hits:
+        self._answered = (question, hits[0])
     return hits
 
 

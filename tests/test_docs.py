@@ -144,7 +144,7 @@ def test_doc_imports_resolve(path: Path, line: str):
 #: ``src/`` past it raises the number in its own diff and says in
 #: ``CHANGES.md`` which deletion pays the growth back; a PR that shrinks
 #: ``src/`` lowers it to its result.
-SRC_LINE_CEILING = 13_412
+SRC_LINE_CEILING = 13_352
 
 
 def test_src_stays_under_its_line_ceiling():
@@ -176,7 +176,8 @@ def test_src_stays_under_its_line_ceiling():
 #: cache's only writes.  Also the classes that held nothing but calibrated
 #: constants (now module functions over them), and the embedder of text
 #: without a latent, which no request is.  Also the event-kind vocabulary
-#: and its handler registry: an event is a callback at a time.
+#: and its handler registry: an event is a callback at a time.  Also the
+#: second stage-1 kernel: a lone query is a search batch of one.
 DELETED_FROM_SRC = [
     "repro.llm.prompts",
     "repro.workload.preprocess",
@@ -229,6 +230,8 @@ DELETED_FROM_SRC = [
     "repro.persistence.wal._RETRAIN",
     "repro.persistence.wal._encode_retrain",
     "repro.persistence.wal._decode_retrain",
+    "repro.vectorstore.FlatIndex.search",
+    "repro.vectorstore.flat.FlatIndex.search",
     *(f"repro.core.config.SelectorConfig.{name}" for name in (
         "utility_threshold", "threshold_grid", "adapt_every",
         "diversity_weight", "token_cost_weight")),

@@ -71,8 +71,9 @@ class TestFlatIndexRoundtrip:
         restored = FlatIndex.from_state(_json_roundtrip(index.to_state()))
         assert restored.keys == index.keys          # row order, not set
         assert np.array_equal(restored.matrix, index.matrix)
-        for query in _vectors(10, seed=1):
-            assert _hits(restored.search(query, 5)) == _hits(index.search(query, 5))
+        queries = _vectors(10, seed=1)
+        assert [_hits(hits) for hits in restored.search_batch(queries, 5)] \
+            == [_hits(hits) for hits in index.search_batch(queries, 5)]
 
     def test_add_after_restore(self):
         index = FlatIndex(DIM)

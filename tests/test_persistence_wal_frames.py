@@ -18,6 +18,8 @@ that fails part-way, is cut short by the disk, or is open at ``detach`` /
 
 from __future__ import annotations
 
+import dataclasses
+
 import errno
 import os
 import re
@@ -527,10 +529,10 @@ def test_a_group_that_fails_part_way_keeps_the_frames_before_it(tmp_path):
 
 
 def test_a_refused_add_inside_an_admission_journals_what_happened(tmp_path):
-    """``cache.add`` refuses (a zero embedding) after the id was minted:
-    the admission's group closes on the way out of the exception with one
-    ``manager_counters`` frame holding the advanced ``next_id`` and no
-    ``add``, so a recovered manager never mints that id again."""
+    """``cache.add_new`` refuses (a quality out of range) after the id was
+    minted: the admission's group closes on the way out of the exception
+    with one ``manager_counters`` frame holding the advanced ``next_id``
+    and no ``add``, so a recovered manager never mints that id again."""
     service = ICCacheService(ICCacheConfig(
         seed=SEED, manager=ManagerConfig(sanitize=False)))
     dataset = SyntheticDataset("ms_marco", scale=0.0005, seed=SEED)
@@ -538,11 +540,12 @@ def test_a_refused_add_inside_an_admission_journals_what_happened(tmp_path):
     checkpointer = Checkpointer(service, tmp_path)
     checkpointer.checkpoint()
     request = dataset.online_requests(1)[0]
-    result = service.models[service.large_name].generate(request)
+    result = dataclasses.replace(
+        service.models[service.large_name].generate(request), quality=1.5)
     minted = service.manager._next_id
-    with pytest.raises(ValueError, match="zero vector"):
-        service.manager.admit(request, result,
-                              np.zeros(service.embedder.dim), 1.0)
+    with pytest.raises(ValueError, match="quality"):
+        service.manager.admit(request, result, service.embedder.embed(
+            request.text, request.latent), 1.0)
     assert service.manager._next_id == minted + 1
     checkpointer.detach()
     records = WriteAheadLog.read(checkpointer.wal_path)

@@ -108,6 +108,8 @@ class TestSimClock:
             clock.advance(bad)
         with pytest.raises(ValueError):
             clock.reset(bad)
+        with pytest.raises(ValueError):
+            clock.advance_to(bad)
         assert clock.now == 5.0
 
     def test_reset(self):

@@ -16,12 +16,17 @@ def random_unit_vectors(n, dim, seed=0):
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
+def lone(index, query, k):
+    """A flat store's lone query: its batch of one."""
+    return index.search_batch([query], k)[0]
+
+
 class TestFlatIndex:
     def test_add_and_search_exact_match(self):
         index = FlatIndex(dim=4)
         index.add("a", [1, 0, 0, 0])
         index.add("b", [0, 1, 0, 0])
-        results = index.search([1, 0, 0, 0], k=1)
+        results = lone(index, [1, 0, 0, 0], k=1)
         assert results[0].key == "a"
         assert results[0].score == pytest.approx(1.0)
 
@@ -29,19 +34,19 @@ class TestFlatIndex:
         index = FlatIndex(dim=2)
         index.add("close", [1.0, 0.1])
         index.add("far", [0.1, 1.0])
-        results = index.search([1.0, 0.0], k=2)
+        results = lone(index, [1.0, 0.0], k=2)
         assert [r.key for r in results] == ["close", "far"]
         assert results[0].score >= results[1].score
 
     def test_k_larger_than_size(self):
         index = FlatIndex(dim=2)
         index.add("only", [1.0, 0.0])
-        assert len(index.search([1.0, 0.0], k=10)) == 1
+        assert len(lone(index, [1.0, 0.0], k=10)) == 1
 
     def test_k_zero_and_empty(self):
         index = FlatIndex(dim=2)
-        assert index.search([1, 0], k=0) == []
-        assert index.search([1, 0], k=5) == []
+        assert lone(index, [1, 0], k=0) == []
+        assert lone(index, [1, 0], k=5) == []
 
     def test_remove_swaps_correctly(self):
         index = FlatIndex(dim=2)
@@ -51,7 +56,7 @@ class TestFlatIndex:
         index.remove("a")
         assert "a" not in index
         assert len(index) == 2
-        keys = {r.key for r in index.search([0.0, 1.0], k=2)}
+        keys = {r.key for r in lone(index, [0.0, 1.0], k=2)}
         assert keys == {"b", "c"}
 
     def test_remove_missing_raises(self):
@@ -65,7 +70,7 @@ class TestFlatIndex:
         with pytest.raises(KeyError):
             index.add("a", [0.0, 1.0])
         np.testing.assert_equal((index.to_state(), index.version), before)
-        assert index.search([1.0, 0.0], 1)[0].score == pytest.approx(1.0)
+        assert lone(index, [1.0, 0.0], 1)[0].score == pytest.approx(1.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -84,7 +89,7 @@ class TestFlatIndex:
     def test_zero_query_returns_empty(self):
         index = FlatIndex(dim=2)
         index.add("a", [1.0, 0.0])
-        assert index.search([0.0, 0.0], 1) == []
+        assert lone(index, [0.0, 0.0], 1) == []
 
     def test_stored_vectors_normalized(self):
         index = FlatIndex(dim=3)
@@ -97,7 +102,7 @@ class TestFlatIndex:
         index = FlatIndex(dim=8)
         for i, vec in enumerate(random_unit_vectors(n, 8, seed=n)):
             index.add(i, vec)
-        results = index.search(random_unit_vectors(1, 8, seed=99)[0], k=k)
+        results = lone(index, random_unit_vectors(1, 8, seed=99)[0], k=k)
         scores = [r.score for r in results]
         assert scores == sorted(scores, reverse=True)
         assert len(results) == min(k, n)
@@ -195,7 +200,7 @@ class TestIVFIndex:
         queries = random_unit_vectors(30, dim, seed=12)
         hits = 0
         for q in queries:
-            truth = {r.key for r in flat.search(q, 5)}
+            truth = {r.key for r in lone(flat, q, 5)}
             approx = {r.key for r in ivf.search(q, 5)}
             hits += len(truth & approx)
         recall = hits / (30 * 5)
@@ -217,7 +222,7 @@ class TestIVFIndex:
             ivf.add(i, vec)
         hits = total = 0
         for i in range(0, 300, 10):
-            truth = {r.key for r in flat.search(vectors[i], 5)}
+            truth = {r.key for r in lone(flat, vectors[i], 5)}
             approx = {r.key for r in ivf.search(vectors[i], 5)}
             hits += len(truth & approx)
             total += 5
@@ -307,10 +312,7 @@ class TestFlatSearchBatch:
         queries = random_unit_vectors(7, 8, seed=9)
         batch = index.search_batch(queries, k=5)
         for q, hits in zip(queries, batch):
-            single = index.search(q, k=5)
-            assert keys_of(hits) == keys_of(single)
-            assert [h.score for h in hits] == pytest.approx(
-                [s.score for s in single])
+            assert hits == lone(index, q, k=5)     # bit for bit
 
     def test_zero_query_row_gets_empty_list(self):
         index = FlatIndex(dim=4)

@@ -1,14 +1,15 @@
-"""The shared stage-1 tail (``vectorstore.flat.finish``) against its oracle.
+"""Stage 1's one kernel (``vectorstore.flat.ranked`` and its ``finish``)
+against its oracle.
 
 Every search entry point — :meth:`IVFIndex.search`, :meth:`IVFIndex.search_batch`,
-:meth:`FlatIndex.search` / :meth:`FlatIndex.search_batch` — ends in one routine: candidate score chunks
-in, one stable descending argsort, keys and ``SearchResult``s for the winners
-only.  These tests hold it to the tail it replaced
-(``tests/search_reference.py::reference_search_batch``: one ``SearchResult``
-per candidate, a Python ``sort(reverse=True)`` per query) **bit for bit** —
-keys, Python-float scores, order — on pools with exact duplicates, where the
-order among ties is decided by nothing but the stable tie-break, and they pin
-the one rule for a query without a direction.
+:meth:`FlatIndex.search_batch` — scores through one routine: an einsum per
+(query, probed block), one stable descending argsort per query, keys and
+``SearchResult``s for the winners only.  These tests hold it to the per-key
+loop (``tests/search_reference.py``: every row scored on its own, a stable
+sort) **bit for bit** — keys, Python-float scores, order — on pools with
+exact duplicates, where the order among ties is decided by nothing but the
+stable tie-break; they hold a query in a batch to the same query alone, and
+they pin the one rule for a query without a direction.
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ from repro.vectorstore.flat import _EPS
 
 from tests.clustered_pool import clustered_vectors
 from tests.search_reference import reference_search, reference_search_batch
+
+
+def _lone(index, query: np.ndarray, k: int):
+    """One query through an index's lone entry point: ``search``, or a
+    flat store's batch of one."""
+    if isinstance(index, FlatIndex):
+        return index.search_batch(query[None], k)[0]
+    return index.search(query, k)
 
 DIM = 16
 TOPICS = 10
@@ -119,23 +128,22 @@ def test_search_batch_equals_the_per_candidate_tail(seeded, kind, k):
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("seed", range(3))
 def test_single_search_equals_the_per_candidate_tail(seed, k):
-    """The one-query entry point ends in the same tail, bit for bit: a
-    trained index, an untrained one and a flat index all answer as the
-    per-key oracle does (ties in row order), and a query below ``_EPS`` has
-    no hits.  The indexes are fresh, so no receipt a batch filed answers a
-    ``k == 1`` probe here."""
+    """A lone query scores as the per-key oracle does (ties in row order),
+    on a trained index, an untrained one and a flat store, and exactly as
+    the same query inside a batch; a query below ``_EPS`` has no hits.  The
+    indexes are fresh, so no receipt a batch filed answers a ``k == 1``
+    probe here."""
     indexes, queries = _indexes(seed), _queries(_pool(seed), seed)
     for kind in KINDS:
         index = indexes[kind]
-        for query in queries:
-            want = [] if np.linalg.norm(query) < _EPS \
-                else reference_search(index, query, k)
-            assert index.search(query, k) == want, kind
+        alone = [_lone(index, query, k) for query in queries]
+        assert alone == reference_search_batch(index, queries, k), kind
+        assert alone == index.search_batch(queries, k), kind
 
 
 def test_several_queries_share_a_probed_cluster(seeded):
-    """The batch the oracle is compared on really has the shape the sgemm
-    kernel amortises: some cluster is scored for more than one row."""
+    """The batch the oracle is compared on really has several rows probing
+    one cluster, so a row cannot take another row's scores unseen."""
     indexes, queries = seeded
     index = indexes["ivf-nprobe2"]
     index.search_batch(queries, 5)
@@ -152,7 +160,6 @@ def _entry_points():
     trained = _filled(IVFIndex(dim=DIM, seed=7), vectors)
     assert trained.retrain()
     return {
-        "FlatIndex.search": lambda q: flat.search(q, 5),
         "FlatIndex.search_batch": lambda q: flat.search_batch(q[None], 5)[0],
         "IVFIndex.search": lambda q: trained.search(q, 5),
         "IVFIndex.search_batch":
@@ -160,10 +167,11 @@ def _entry_points():
     }, vectors
 
 
-@pytest.mark.parametrize("entry", ["FlatIndex.search",
-                                   "FlatIndex.search_batch",
-                                   "IVFIndex.search",
-                                   "IVFIndex.search_batch"])
+ENTRIES = ["FlatIndex.search_batch", "IVFIndex.search",
+           "IVFIndex.search_batch"]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
 def test_a_norm_below_eps_has_no_hits(entry):
     entries, vectors = _entry_points()
     search = entries[entry]
@@ -174,6 +182,25 @@ def test_a_norm_below_eps_has_no_hits(entry):
     assert len(tiny) == 5 and tiny[0].score == pytest.approx(1.0, abs=1e-6)
     assert [hit.key for hit in tiny] == \
         [hit.key for hit in search(direction)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_non_finite_norm_has_no_hits_and_raises_no_warning(entry):
+    """The test ``unit_row`` refuses a stored vector by: a query whose norm
+    is infinite or NaN has no direction, so it has no hits, alone or beside
+    a searchable row, and no arithmetic on it warns."""
+    entries, vectors = _entry_points()
+    search = entries[entry]
+    inf, nan = np.full(DIM, np.inf), vectors[5].copy()
+    nan[3] = np.nan
+    for query in (inf, -inf, nan):
+        assert search(query) == []
+    flat, index = FlatIndex(DIM), IVFIndex(dim=DIM, seed=7)
+    _filled(flat, vectors), _filled(index, vectors)
+    for batched in (flat, index):
+        hits = batched.search_batch(np.stack([inf, vectors[5], nan]), 5)
+        assert hits[0] == hits[2] == [] and len(hits[1]) == 5
 
 
 def test_a_tiny_query_behaves_the_same_either_side_of_min_train_size():
@@ -190,21 +217,46 @@ def test_a_tiny_query_behaves_the_same_either_side_of_min_train_size():
         assert index.search_batch(np.stack([tiny, vectors[2]]), 3)[0] == []
 
 
-def test_identical_best_rows_tie_in_row_order_below_min_train_size():
-    """In 200 pools of 8–62 rows with four bit-identical best rows, a
-    single-query search of an untrained index, or of the flat store itself,
-    returns the lowest two of the four, in row order, with equal scores.
-    BLAS gemv scored such rows by their position, and ``argpartition`` then
-    picked among them."""
-    for seed in range(200):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(8, ivf.MIN_TRAIN_SIZE - 1))
-        vectors = rng.normal(size=(n, DIM))
-        best = np.sort(rng.choice(n, size=4, replace=False))
-        vectors[best] = vectors[best[0]]
-        query = vectors[best[0]] + rng.normal(0.0, 1e-3, size=DIM)
-        for index in (_filled(IVFIndex(dim=DIM, seed=seed), vectors),
-                      _filled(FlatIndex(DIM), vectors)):
-            hits = index.search(query, 2)
-            assert [hit.key for hit in hits] == best[:2].tolist(), seed
-            assert hits[0].score == hits[1].score, seed
+def _tied_pool(seed: int, dim: int, low: int, high: int):
+    """``low``–``high`` random rows, four of them bit-identical, and a query
+    a hair off those four: they are its four best rows, tied exactly."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(low, high))
+    vectors = rng.normal(size=(n, dim))
+    best = np.sort(rng.choice(n, size=4, replace=False))
+    vectors[best] = vectors[best[0]]
+    query = vectors[best[0]] + rng.normal(0.0, 1e-3, size=dim)
+    others = rng.normal(size=(15, dim))
+    slot = int(rng.integers(0, 16))
+    batch = np.concatenate([others[:slot], query[None], others[slot:]])
+    return vectors, best.tolist(), query, batch, slot
+
+
+@pytest.mark.parametrize("dim", [16, 17])
+@pytest.mark.parametrize("trained", [False, True], ids=["untrained",
+                                                         "trained"])
+def test_identical_best_rows_tie_in_row_order_alone_and_in_a_batch(
+        dim, trained):
+    """Four bit-identical best rows come back in row order with equal
+    scores — the block's first two at ``k == 2``, all four at ``k == 4`` —
+    from a lone query and from the same query inside a batch of 16, which
+    must agree exactly.  Untrained: 200 pools of 8–62 rows, searched as an
+    IVF index and as the flat store.  Trained: 60 pools of 200–600 rows at
+    ``nprobe`` 2, where the four share one block in key order.  BLAS kernels
+    scored such rows by their position, and ``argpartition`` then picked
+    among them."""
+    pools = 60 if trained else 200
+    low, high = (200, 600) if trained else (8, ivf.MIN_TRAIN_SIZE - 1)
+    for seed in range(pools):
+        vectors, best, query, batch, slot = _tied_pool(seed, dim, low, high)
+        indexes = [_filled(IVFIndex(dim=dim, nprobe=2, seed=seed), vectors)]
+        if trained:
+            assert indexes[0].retrain()
+        else:
+            indexes.append(_filled(FlatIndex(dim), vectors))
+        for index in indexes:
+            for k in (2, 4):
+                alone = _lone(index, query, k)
+                assert [hit.key for hit in alone] == best[:k], (seed, k)
+                assert len({hit.score for hit in alone}) == 1, (seed, k)
+                assert index.search_batch(batch, k)[slot] == alone, (seed, k)

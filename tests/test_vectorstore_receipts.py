@@ -1,15 +1,16 @@
 """Search receipts: the dedupe probe reads what stage 1 already computed.
 
-Every trained stage-1 call (:meth:`IVFIndex.search` at ``k != 1``,
+Every trained stage-1 call at ``k != 1`` (:meth:`IVFIndex.search`,
 :meth:`IVFIndex.search_batch`) files one receipt per query — ``(trainings,
 [(probed cluster, its version)...], top hit)`` — and ``search(q, 1)``
-answers from it while ``trainings`` and every probed block's version stand.
+answers from it while ``trainings`` and every probed block's version stand;
+a ``k == 1`` call, lone or batched, files and drops nothing.
 The properties, over arbitrary interleavings of add / re-add / remove /
 forced retrain / ``search`` / ``search_batch`` / ``search(q, 1)``:
 
 * every ``k == 1`` answer equals the answer of a receipt-free clone
-  (``from_state(to_state())``) asked through the kernel that filed the
-  receipt — einsum for ``search``, the same sgemm batch for ``search_batch``;
+  (``from_state(to_state())``) asked the same query, alone or as the batch
+  that filed the receipt (one kernel: the two agree bit for bit);
 * a mutation of a probed block, or a retrain, always forces a rescoring; a
   mutation anywhere else never does (observed by identity: a receipt hands
   back the very ``SearchResult`` stage 1 returned, a rescoring builds one);
@@ -168,8 +169,12 @@ def _drive(model: _Model, pool: VectorPool, ops):
             model.filed_by("search", query, op[2])
         elif op[0] == "search_batch":
             batch = [queries[i] for i in op[1]]
+            filed = dict(index._receipts)
             index.search_batch(np.stack(batch), op[2])
-            model.filed_by("batch", batch, op[2])
+            if op[2] != 1:
+                model.filed_by("batch", batch, op[2])
+            else:                       # a batched probe files nothing
+                assert index._receipts == filed
         else:
             model.probe(queries[op[1]])
         model.check_bound()
@@ -289,6 +294,8 @@ def test_receipts_are_the_last_calls_and_never_saved():
     index.search(queries[0], 5)
     assert list(index._receipts) == [_question(index, queries[0])]
     index.search(queries[1], 1)             # a probe neither files nor drops
+    assert list(index._receipts) == [_question(index, queries[0])]
+    index.search_batch(queries[2:], 1)      # ... batched or not
     assert list(index._receipts) == [_question(index, queries[0])]
     saved = _state_bytes(index)
     for query in queries:

@@ -118,8 +118,6 @@ def _bad_request(request_fields: dict):
     return request
 
 
-# An infinite query has no direction: the dedupe probe's divide warns.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("path", ["admit", "add_new", "add"])
 @pytest.mark.parametrize("request_fields, result_fields, embedding", REFUSALS)
 def test_refusals_are_unchanged(tmp_path, path, request_fields,
@@ -129,6 +127,7 @@ def test_refusals_are_unchanged(tmp_path, path, request_fields,
     before = _state(cache, checkpointer.wal_path)
     request = _bad_request(request_fields)
     result = dataclasses.replace(_result(), **result_fields)
+    bad_embedding, minted = embedding is not None, manager._next_id
     embedding = _unit(POOL + 1) if embedding is None else embedding
     with pytest.raises(ValueError):
         if path == "admit":
@@ -149,10 +148,35 @@ def test_refusals_are_unchanged(tmp_path, path, request_fields,
     kinds = [record["kind"] for record in
              WriteAheadLog.read(checkpointer.wal_path)]
     # An admission refused after it minted its id journals the counters
-    # that moved, and nothing else (test_persistence_wal_frames.py).
-    assert kinds in (["clock"], ["clock", "manager_counters"])
-    if path != "admit":
+    # that moved, and nothing else (test_persistence_wal_frames.py); an
+    # embedding is refused before the dedupe probe, so before anything.
+    if bad_embedding or path != "admit":
+        assert kinds == ["clock"]
         assert after[4] == before[4]
+        assert manager._next_id == minted
+    else:
+        assert kinds == ["clock", "manager_counters"]
+    checkpointer.detach()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("embedding", [
+    np.ones(DIM - 1), np.ones((1, DIM)), np.zeros(DIM),
+    np.full(DIM, np.nan), np.full(DIM, np.inf)])
+def test_an_embedding_is_refused_before_the_dedupe_probe(tmp_path,
+                                                         embedding):
+    """No search runs, so nothing warns; no id is minted; the request's
+    text is not sanitized."""
+    manager, cache, checkpointer = _pool(tmp_path)
+    manager.config.sanitize = True
+    request = make_request("fresh", topic_latent=_unit(POOL + 1))
+    request.text = "mail me at someone@example.com"
+    minted = manager._next_id
+    cache.nearest_similarity = None     # a probe would raise TypeError
+    with pytest.raises(ValueError):
+        manager.admit(request, _result(), embedding, 1.0)
+    assert manager._next_id == minted and manager.admitted == 0
+    assert request.text == "mail me at someone@example.com"
     checkpointer.detach()
 
 
