@@ -2,7 +2,7 @@
 
 ``stats`` provides the streaming aggregates the paper reports (percentiles,
 CDFs, Pearson correlation, exponential moving averages); ``knapsack`` solves
-the cache-eviction problem of section 4.3 (``knapsack.knapsack_keep_mask``).
+the cache-eviction problem of section 4.3 (``knapsack.knapsack_victims``).
 """
 
 from repro.analysis.stats import (

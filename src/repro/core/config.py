@@ -8,6 +8,8 @@ reads it (``docs/ARCHITECTURE.md`` lists both, with their sources).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 
@@ -33,6 +35,13 @@ class RouterConfig:
     cost_penalty: float = 0.05       # reward shaping: prefer cheap at parity
     bias_lambda: float = 4.0         # lambda_0 in the tanh bias (thm. 4)
 
+    def __setattr__(self, name: str, value: float) -> None:
+        # Checked on assignment too: sweeps set these on a live service.
+        # NaN would reach every arm's moments or every biased score.
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        super().__setattr__(name, value)
+
 
 @dataclass
 class ManagerConfig:
@@ -41,9 +50,16 @@ class ManagerConfig:
     capacity_bytes: int | None = None   # None = unbounded cache
     sanitize: bool = True               # run the PII sanitizer on admission
 
-    def __post_init__(self) -> None:
-        if self.capacity_bytes is not None and self.capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be None or non-negative")
+    def __setattr__(self, name: str, value) -> None:
+        # Checked on assignment too: callers fill a cache, then set the
+        # budget to its size.  NaN would fail ``total <= capacity`` and
+        # evict everything; a float has no byte count.
+        if name == "capacity_bytes" and value is not None:
+            if not hasattr(value, "__index__") or operator.index(value) < 0:
+                raise ValueError(
+                    "capacity_bytes must be None or a non-negative integer")
+            value = operator.index(value)
+        super().__setattr__(name, value)
 
 
 @dataclass

@@ -6,8 +6,8 @@
   its offload-success value; a 0.9-per-hour decay discounts stale usage.
 * **Eviction**: under a byte budget, retention is the 0/1 knapsack of
   section 4.3 — weight = plaintext size, value = decayed offload gain —
-  run on the cache table's live columns, in row order, on every
-  over-budget admission.
+  solved by the greedy with the best-single fix-up on the cache table's
+  live columns, in row order, on every over-budget admission.
 * **Replay**: delegated to :class:`repro.core.replay.ReplayEngine`,
   typically invoked off-peak by the service.
 """
@@ -34,7 +34,6 @@ from repro.workload.request import Request
 DECAY_FACTOR = 0.9            # section 4.3: gains decay by 0.9 ...
 DECAY_PERIOD_S = 3600.0       # ... per hour
 ADMISSION_DEDUPE_SIM = 0.99   # skip admission above this similarity
-KNAPSACK_EXACT_BELOW = 64     # exact DP up to this pool size, greedy above
 
 
 class ExampleManager:
@@ -184,7 +183,7 @@ class ExampleManager:
         # Ids are resolved up front — each remove moves a row.
         evicted = [table.owner(row).example_id for row in knapsack_victims(
             table.col("plaintext_bytes"), values, capacity,
-            len(table) <= KNAPSACK_EXACT_BELOW, table.col(INSERTION_RANK))]
+            table.col(INSERTION_RANK))]
         with self._group():
             for example_id in evicted:
                 self.cache.remove(example_id)

@@ -10,6 +10,7 @@ the 30-minute evaluation window of Fig. 22 (requests arriving in bursts of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,13 @@ class ArrivalTrace:
     rates_per_second: np.ndarray  # average RPS within each bucket
 
     def __post_init__(self) -> None:
-        self.rates_per_second = np.asarray(self.rates_per_second, dtype=float)
-        if self.bucket_seconds <= 0:
+        rates = self.rates_per_second = np.asarray(self.rates_per_second,
+                                                   dtype=float)
+        if not 0 < self.bucket_seconds < math.inf:
             raise ValueError(f"bucket_seconds must be positive: {self.bucket_seconds}")
-        if (self.rates_per_second < 0).any():
-            raise ValueError("rates must be non-negative")
+        # NaN propagates through min() and max() and fails the chain.
+        if not 0 <= rates.min(initial=0.0) <= rates.max(initial=0.0) < math.inf:
+            raise ValueError("rates_per_second must be finite and >= 0")
 
     @property
     def duration_seconds(self) -> float:
@@ -61,7 +64,7 @@ def azure_like_trace(duration_hours: float = 42.0, mean_rps: float = 2.0,
     ``burstiness`` scales the minute-level noise; 1.0 reproduces the paper's
     ~25x peak-to-trough ratio.
     """
-    if duration_hours <= 0:
+    if not 0 < duration_hours < math.inf:
         raise ValueError(f"duration_hours must be positive: {duration_hours}")
     rng = make_rng(stable_hash("azure-trace", seed))
     minutes = int(round(duration_hours * 60))
@@ -97,11 +100,11 @@ def poisson_trace(duration_s: float, rate_rps: float,
     closed-loop trace shapes (diurnal envelope, bursts) would confound the
     effect under study.
     """
-    if duration_s <= 0:
+    if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be positive: {duration_s}")
-    if rate_rps < 0:
+    if not 0 <= rate_rps < math.inf:
         raise ValueError(f"rate_rps must be >= 0: {rate_rps}")
-    if bucket_seconds <= 0:
+    if not 0 < bucket_seconds < math.inf:
         raise ValueError(f"bucket_seconds must be positive: {bucket_seconds}")
     buckets = max(1, int(round(duration_s / bucket_seconds)))
     return ArrivalTrace(
@@ -124,11 +127,11 @@ def diurnal_trace(duration_s: float, mean_rps: float,
     the load shape behind the live-autoscaling scenarios, where the
     router's bias signal must rise at the peak and relax at the trough.
     """
-    if duration_s <= 0 or period_s <= 0:
+    if not (0 < duration_s < math.inf and 0 < period_s < math.inf):
         raise ValueError("duration_s and period_s must be positive")
-    if peak_to_trough < 1.0:
+    if not 1.0 <= peak_to_trough < math.inf:
         raise ValueError(f"peak_to_trough must be >= 1, got {peak_to_trough}")
-    if bucket_seconds <= 0:
+    if not 0 < bucket_seconds < math.inf:
         raise ValueError(f"bucket_seconds must be positive: {bucket_seconds}")
     buckets = max(2, int(round(duration_s / bucket_seconds)))
     t = (np.arange(buckets) + 0.5) * (duration_s / buckets)

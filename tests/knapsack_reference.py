@@ -1,21 +1,17 @@
-"""The per-item knapsack solvers, kept verbatim as the array kernel's oracle.
+"""The per-item knapsack solver, kept verbatim as the array kernel's oracle.
 
-:func:`repro.analysis.knapsack.knapsack_keep_mask` is what the Example
-Manager runs; these are the ``KnapsackItem`` object solvers it was derived
-from, with the bodies they had in ``src/repro/analysis/knapsack.py`` until
-only tests and ``benchmarks/perf_harness.py`` still called them.  The
-greedy one (:func:`_solve_greedy`: density ranking by ``sorted``, an item
-loop, the best-single fix-up) is the reference the kernel must match item
-for item (``tests/test_core_table_properties.py``,
-``tests/test_retention_tail.py``); the exact path delegates to the
-kernel's DP and is itself pinned to a list-of-lists DP there.
+:func:`repro.analysis.knapsack.knapsack_victims` is what the Example
+Manager runs; this is the ``KnapsackItem`` object solver it was derived
+from, with the body it had in ``src/repro/analysis/knapsack.py`` until only
+tests and ``benchmarks/perf_harness.py`` still called it: the greedy
+(:func:`_solve_greedy`: density ranking by ``sorted``, an item loop, the
+best-single fix-up) that the kernel must match item for item
+(``tests/test_core_table_properties.py``, ``tests/test_retention_tail.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.analysis.knapsack import knapsack_keep_mask
 
 
 @dataclass(frozen=True)
@@ -33,14 +29,11 @@ class KnapsackItem:
             raise ValueError(f"negative value for {self.key}: {self.value}")
 
 
-def solve_knapsack(
-    items: list[KnapsackItem], capacity: int, exact: bool = False
-) -> set[object]:
+def solve_knapsack(items: list[KnapsackItem], capacity: int) -> set[object]:
     """Return the set of item keys to *keep* under the weight budget.
 
-    ``exact`` selects the DP solver (optimal, O(n * capacity)); otherwise the
-    greedy density heuristic runs in O(n log n).  Zero-weight items are always
-    kept — they consume no budget.
+    The greedy density heuristic, in O(n log n).  Zero-weight items are
+    always kept — they consume no budget.
     """
     if capacity < 0:
         raise ValueError(f"capacity must be non-negative, got {capacity}")
@@ -48,11 +41,6 @@ def solve_knapsack(
     if len(set(keys)) != len(keys):
         raise ValueError("knapsack items must have unique keys")
 
-    if exact:
-        mask = knapsack_keep_mask([item.weight for item in items],
-                                  [item.value for item in items],
-                                  capacity, exact=True)
-        return {key for key, kept in zip(keys, mask) if kept}
     free = {item.key for item in items if item.weight == 0}
     weighted = [item for item in items if item.weight > 0]
     if not weighted or capacity == 0:

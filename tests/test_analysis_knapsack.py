@@ -3,10 +3,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.knapsack import knapsack_keep_mask
+from repro.analysis.knapsack import knapsack_victims
 from tests.knapsack_reference import KnapsackItem, solve_knapsack
 
 
@@ -38,13 +39,12 @@ class TestKnapsackItem:
         with pytest.raises(ValueError):
             KnapsackItem(key="a", weight=1, value=-0.5)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_nan_value_rejected_by_the_kernel(self, exact):
+    def test_nan_value_rejected_by_the_kernel(self):
         # NaN passed the negative-value guard (it compares False) and
         # was silently evicted.
         with pytest.raises(ValueError, match="NaN"):
-            knapsack_keep_mask([5, 5, 5], [math.nan, 1.0, 2.0], 10,
-                               exact=exact)
+            knapsack_victims(np.array([5, 5, 5]),
+                             np.array([math.nan, 1.0, 2.0]), 10, np.arange(3))
 
 
 class TestSolveKnapsack:
@@ -68,41 +68,13 @@ class TestSolveKnapsack:
         items = [KnapsackItem(i, 1, float(i)) for i in range(5)]
         assert solve_knapsack(items, 5) == {0, 1, 2, 3, 4}
 
-    def test_dp_optimal_on_classic_instance(self):
-        # Greedy-by-density fails here; DP must not.
-        items = [
-            KnapsackItem("a", 10, 60.0),   # density 6.0
-            KnapsackItem("b", 20, 100.0),  # density 5.0
-            KnapsackItem("c", 30, 120.0),  # density 4.0
-        ]
-        keep = solve_knapsack(items, 50, exact=True)
-        assert total_value(items, keep) == pytest.approx(220.0)  # b + c
-
     def test_greedy_single_item_fixup(self):
         # One huge-value item beats many small ones the greedy packs first.
         items = [KnapsackItem("big", 10, 100.0)] + [
             KnapsackItem(f"small-{i}", 1, 2.0) for i in range(9)
         ]
-        keep = solve_knapsack(items, 10, exact=False)
+        keep = solve_knapsack(items, 10)
         assert total_value(items, keep) >= 100.0
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=12),
-                      st.floats(min_value=0, max_value=50)),
-            min_size=0, max_size=9,
-        ),
-        st.integers(min_value=0, max_value=30),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_dp_matches_brute_force(self, raw, capacity):
-        items = [KnapsackItem(i, w, v) for i, (w, v) in enumerate(raw)]
-        keep = solve_knapsack(items, capacity, exact=True)
-        weighted = [it for it in items if it.weight > 0]
-        assert total_weight(weighted, keep) <= capacity
-        assert total_value(weighted, keep) == pytest.approx(
-            brute_force_best(weighted, capacity)
-        )
 
     @given(
         st.lists(
@@ -115,7 +87,7 @@ class TestSolveKnapsack:
     @settings(max_examples=60, deadline=None)
     def test_greedy_respects_capacity_and_half_approximation(self, raw, capacity):
         items = [KnapsackItem(i, w, v) for i, (w, v) in enumerate(raw)]
-        keep = solve_knapsack(items, capacity, exact=False)
+        keep = solve_knapsack(items, capacity)
         assert total_weight(items, keep) <= capacity
         optimal = brute_force_best(items, capacity)
         assert total_value(items, keep) >= 0.5 * optimal - 1e-9

@@ -1,13 +1,14 @@
 """Unit tests for the Example Manager and replay engine."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.analysis import knapsack
 from repro.core import manager as manager_module
 from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
-from repro.core.manager import KNAPSACK_EXACT_BELOW, ExampleManager
+from repro.core.manager import ExampleManager
 from repro.core.replay import REPLAY_MAX_ITERATIONS, ReplayEngine, replay_gain
 from repro.llm.zoo import get_model
 from repro.utils.clock import SimClock
@@ -53,6 +54,22 @@ class TestManagerConfigRefusals:
         with pytest.raises(ValueError, match="capacity_bytes"):
             ManagerConfig(capacity_bytes=-1)
         ManagerConfig(capacity_bytes=0)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, 1.5, -1])
+    def test_a_capacity_that_is_no_byte_count_is_refused_when_set(
+            self, capacity):
+        # Budgets are set after construction (fill, then cap at the size).
+        # A NaN one failed ``total_bytes <= capacity`` and the next pass
+        # evicted every example.
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            ManagerConfig(capacity_bytes=capacity)
+        mgr, cache = manager_with(n_examples=5)
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            mgr.config.capacity_bytes = capacity
+        assert mgr.config.capacity_bytes is None
+        assert mgr.enforce_capacity() == 0 and len(cache) == 5
+        mgr.config.capacity_bytes = np.int64(cache.total_bytes)
+        assert type(mgr.config.capacity_bytes) is int
 
 
 class TestAdmission:
@@ -237,45 +254,3 @@ def _pool(**gains):
         if gain is not None:
             example.record_use(gain, 0.5, 0.0)
     return cache
-
-
-class TestLargeBudget:
-    """A budget in the megabytes over a pool small enough for the exact
-    path: the DP's arrays scale with the budget in bytes, so it would take
-    ~500 MiB and a second per over-budget admission."""
-
-    @staticmethod
-    def _refuse_dp(monkeypatch):
-        def refuse(w, v, capacity):
-            raise AssertionError(
-                f"exact DP over {w.size} items and a {capacity}-byte budget")
-        monkeypatch.setattr(knapsack, "_solve_dp", refuse)
-
-    def test_admission_under_a_16_mib_budget_takes_the_greedy(
-            self, monkeypatch):
-        self._refuse_dp(monkeypatch)
-        mgr, cache = manager_with(config=ManagerConfig(
-            sanitize=False, capacity_bytes=16 << 20))
-        for i in range(9):
-            req = make_request(request_id=f"big-{i}",
-                               topic_latent=_unit_dir(i), text="x" * (2 << 20))
-            assert mgr.admit(req, served_result(), req.latent,
-                             source_cost=1.0) is not None
-        assert len(cache) <= KNAPSACK_EXACT_BELOW
-        assert mgr.evictions > 0
-        assert cache.total_bytes <= mgr.config.capacity_bytes
-
-    def test_the_dp_runs_up_to_its_byte_cap_and_the_greedy_past_it(
-            self, monkeypatch):
-        n = 9
-        fits = knapsack.DP_MAX_BYTES // (n + 24) - 1
-        weights = np.full(n, fits // 4 + 1, dtype=np.int64)
-        values = np.linspace(1.0, 2.0, n)
-        exact = knapsack.knapsack_keep_mask(weights, values, fits, exact=True)
-        assert exact.sum() == 3
-        self._refuse_dp(monkeypatch)
-        for capacity in (fits + 1, 32 << 20):
-            assert knapsack.knapsack_keep_mask(
-                weights, values, capacity, exact=True).tolist() == \
-                knapsack.knapsack_keep_mask(
-                    weights, values, capacity).tolist()

@@ -76,6 +76,21 @@ class TestRouterConstruction:
         np.testing.assert_array_equal(arm._precision, before[1])
         np.testing.assert_array_equal(arm._moment, before[2])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["cost_penalty", "bias_lambda"])
+    def test_a_non_finite_setting_is_refused_when_set(self, name, value):
+        """A NaN ``cost_penalty`` made the shaped reward, hence the arm's
+        moment, NaN past ``update``'s reward guard; a NaN ``bias_lambda``
+        made every biased score NaN, so routing took the first arm."""
+        with pytest.raises(ValueError, match=name):
+            RouterConfig(**{name: value})
+        router = two_arm_router()
+        with pytest.raises(ValueError, match=name):
+            setattr(router.config, name, value)
+        assert getattr(router.config, name) == getattr(RouterConfig(), name)
+        router.update("small", routing_features(make_request(), []), 0.6)
+        assert np.isfinite(router._posteriors["small"]._moment).all()
+
 
 class TestConvergence:
     def test_learns_better_arm(self):

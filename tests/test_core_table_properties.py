@@ -15,12 +15,12 @@ bookkeeping overwrite) — against a pure-Python reference implementing the
 pre-refactor per-object semantics.  After **every** operation the full
 visible state is compared with exact ``==``, no tolerances.
 
-A second property pins :func:`repro.analysis.knapsack.knapsack_keep_mask`
-(the eviction pass's array kernel) to the per-item reference solvers on
-identical inputs: the greedy path against the object solver's item loop,
-the vectorised exact path against a list-of-lists DP kept here.  A third drives :meth:`ExampleManager.enforce_capacity` after
-the same lifecycle interleavings and requires the ids it evicts, and the
-order it evicts them in, to be the reference solvers' over the same pool.
+A second property pins :func:`repro.analysis.knapsack.knapsack_victims`
+(the eviction pass's array kernel) to the per-item reference solver's item
+loop on identical inputs.  A third drives
+:meth:`ExampleManager.enforce_capacity` after the same lifecycle
+interleavings and requires the ids it evicts, and the order it evicts them
+in, to be the reference solver's over the same pool.
 
 A fourth is about the record itself: an ``Example`` is one row of one table
 from construction on (its own one-row table, then the cache's, then its own
@@ -33,14 +33,11 @@ insertion order, and no move between tables changes a bit of an example.
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.knapsack import knapsack_keep_mask
-from repro.core import manager as manager_module
+from repro.analysis.knapsack import knapsack_victims
 from repro.core.cache import ExampleCache
 from repro.core.config import ManagerConfig
 from repro.core.manager import DECAY_FACTOR, DECAY_PERIOD_S, ExampleManager
@@ -228,38 +225,6 @@ def test_detach_reuses_rows_and_keeps_survivors_intact(ops):
     assert len(cache.table) == 0
 
 
-def _reference_dp(items: list[KnapsackItem], capacity: int) -> set[object]:
-    """The per-cell list DP the vectorised ``_solve_dp`` must reproduce:
-    weights iterated downwards, strict ``>`` updates, parent pointers."""
-    best = [0.0] * (capacity + 1)
-    take = [[False] * (capacity + 1) for _ in items]
-    for i, item in enumerate(items):
-        for w in range(capacity, item.weight - 1, -1):
-            candidate = best[w - item.weight] + item.value
-            if candidate > best[w]:
-                best[w] = candidate
-                take[i][w] = True
-    chosen: set[object] = set()
-    w = capacity
-    for i in range(len(items) - 1, -1, -1):
-        if take[i][w]:
-            chosen.add(items[i].key)
-            w -= items[i].weight
-    return chosen
-
-
-def _reference_keep(items: list[KnapsackItem], capacity: int,
-                    exact: bool) -> set[object]:
-    """Kept keys by per-item Python only (no array code on either path)."""
-    if not exact:
-        return solve_knapsack(items, capacity, exact=False)
-    free = {item.key for item in items if item.weight == 0}
-    if capacity == 0:
-        return free
-    return free | _reference_dp(
-        [item for item in items if item.weight > 0], capacity)
-
-
 def _tenths(lo: int, hi: int):
     """Inexact floats (k/10): the order a total is summed in shows in its
     last bits."""
@@ -306,40 +271,38 @@ _SUM_ORDER_CASE = ([(1, 0.6), (3, 0.9), (2, 0.9), (2, 0.7), (1, 0.1),
 
 
 @settings(**QUICK)
-@given(case=_knapsack_cases, exact=st.booleans())
+@given(case=_knapsack_cases)
 # equal density: the more valuable item ranks first and crowds the other out
-@example(case=([(1, 0.5), (2, 1.0)], 2), exact=False)
+@example(case=([(1, 0.5), (2, 1.0)], 2))
 # a single item worth exactly the greedy total does not replace it
-@example(case=([(1, 1.0), (1, 1.0), (3, 2.0)], 3), exact=False)
-@example(case=_SUM_ORDER_CASE, exact=False)
-# DP updates are strict: of two identical items the earlier one is kept
-@example(case=([(2, 1.0), (2, 1.0)], 2), exact=True)
-def test_array_knapsack_matches_per_item_reference(case, exact):
-    """The eviction pass's array kernel keeps the per-item solvers' exact
-    answer, position for position — greedy run-jumping against the item
-    loop, vectorised DP rows against the list DP — and the object solver's
-    exact path agrees with it."""
+@example(case=([(1, 1.0), (1, 1.0), (3, 2.0)], 3))
+@example(case=_SUM_ORDER_CASE)
+# of two identical items the earlier one is kept
+@example(case=([(2, 1.0), (2, 1.0)], 2))
+def test_array_knapsack_matches_per_item_reference(case):
+    """The eviction pass's array kernel drops the per-item solver's exact
+    answer, position for position, in position order — run-jumping
+    against the item loop."""
     pool, capacity = case
     keys = [f"k-{i}" for i in range(len(pool))]
     items = [KnapsackItem(key=key, weight=w, value=v)
              for key, (w, v) in zip(keys, pool)]
     weights = np.array([w for w, _ in pool], dtype=np.int64)
     values = np.array([v for _, v in pool], dtype=np.float64)
-    expected = _reference_keep(items, capacity, exact)
-    mask = knapsack_keep_mask(weights, values, capacity, exact=exact)
-    assert mask.dtype == np.bool_ and mask.shape == (len(pool),)
-    assert {keys[i] for i in np.flatnonzero(mask)} == expected
-    assert solve_knapsack(items, capacity, exact=exact) == expected
+    expected = solve_knapsack(items, capacity)
+    victims = knapsack_victims(weights, values, capacity,
+                               np.arange(len(pool)))
+    assert victims == [i for i, key in enumerate(keys) if key not in expected]
 
 
 @settings(**QUICK)
-@given(ops=_ops, percent=st.integers(0, 100), exact=st.booleans())
+@given(ops=_ops, percent=st.integers(0, 100))
 # equal size and gain: the access count alone decides which one stays
 @example(ops=[("add", "ex-0", 5), ("add", "ex-1", 5),
               ("record_use", "ex-0", 100), ("record_use", "ex-1", 100),
-              ("access", "ex-1", 0)], percent=50, exact=False)
+              ("access", "ex-1", 0)], percent=50)
 def test_enforce_capacity_evicts_what_the_reference_solver_would(
-        ops, percent, exact):
+        ops, percent):
     """After any lifecycle interleaving, one over-budget pass removes the
     ids the per-item solver rejects over the same pool (cache-insertion
     order, per-object weights and values), oldest first, one journaled
@@ -361,15 +324,13 @@ def test_enforce_capacity_evicts_what_the_reference_solver_would(
             + 1e-3)
         for example_id, ref in reference.items()
     ]
-    keep = _reference_keep(items, capacity, exact)
+    keep = solve_knapsack(items, capacity)
     expected = ([] if cache.total_bytes <= capacity
                 else [key for key in reference if key not in keep])
 
     journaled: list[tuple[str, object]] = []
     cache.journal = lambda kind, payload: journaled.append((kind, payload))
-    with mock.patch.object(manager_module, "KNAPSACK_EXACT_BELOW",
-                           64 if exact else 0):
-        assert manager.enforce_capacity() == len(expected)
+    assert manager.enforce_capacity() == len(expected)
     assert [payload for kind, payload in journaled
             if kind == "remove"] == expected
     assert manager.evictions == len(expected)

@@ -743,6 +743,9 @@ def _torn_group_service(directory):
     requests = dataset.online_requests(31)
     for request in requests[:30]:
         service.serve(request, load=0.2)
+    # The greedy may evict past the budget; cap at the size it left, so
+    # the next admission is again one over.
+    service.manager.config.capacity_bytes = service.cache.total_bytes
     checkpointer.checkpoint()
     return service, checkpointer, requests[30]
 

@@ -8,9 +8,9 @@ properties here compare, item for item:
 
 * the tie-ranked, row-order kernel against the per-item ``_solve_greedy``
   loop and against the same kernel fed insertion-order arrays — on pools
-  built to tie (weights and values from small sets, the 1e-3 value floor),
-  with the best-single fix-up firing, zero weights, and excesses from one
-  byte to most of the pool;
+  of one item to a few dozen built to tie (weights and values from small
+  sets, the 1e-3 value floor), with the best-single fix-up firing, zero
+  weights, and excesses from one byte to most of the pool;
 * :meth:`ExampleManager.enforce_capacity` on tables whose rows were
   scrambled by swap-deletes, or restored through
   ``ExampleTable.adopt_columns``, against the per-object reference;
@@ -23,15 +23,12 @@ properties cannot pass by never taking the shortcut.
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import knapsack
-from repro.analysis.knapsack import knapsack_keep_mask
-from repro.core import manager as manager_module
+from repro.analysis.knapsack import knapsack_victims
 from repro.core.cache import ExampleCache
 from repro.core.config import ICCacheConfig, ManagerConfig
 from repro.core.manager import ExampleManager
@@ -50,7 +47,6 @@ from tests.test_core_table_properties import (
     RefExample,
     _apply,
     _assert_state_matches,
-    _reference_keep,
     _restored,
 )
 
@@ -72,7 +68,7 @@ def _values_for(family: str, weights: list[int], picks: list[int]):
 
 @st.composite
 def _over_budget_cases(draw):
-    n = draw(st.integers(16, 72))
+    n = draw(st.integers(1, 72))
     weights = draw(st.lists(st.sampled_from([1, 2, 3, 5, 8, 40]),
                             min_size=n, max_size=n))
     picks = draw(st.lists(st.integers(0, 17), min_size=n, max_size=n))
@@ -97,8 +93,15 @@ def _over_budget_cases(draw):
     return weights, values, max(0, total - excess), rows
 
 
-def _kept(mask) -> set[int]:
-    return set(np.flatnonzero(mask).tolist())
+def _kept(w, v, capacity, tie_rank=None) -> set[int]:
+    """The positions the kernel keeps, ties broken by position unless
+    ``tie_rank`` is given; its victims come in ascending tie rank."""
+    w = np.asarray(w, dtype=np.int64)
+    v = np.asarray(v, dtype=np.float64)
+    tie_rank = np.arange(w.size) if tie_rank is None else tie_rank
+    victims = knapsack_victims(w, v, capacity, tie_rank)
+    assert victims == sorted(victims, key=tie_rank.__getitem__)
+    return set(range(w.size)) - set(victims)
 
 
 @settings(**QUICK)
@@ -122,16 +125,20 @@ def test_row_order_kernel_matches_item_loop_and_insertion_order(case):
     w = np.array(weights, dtype=np.int64)
     v = np.array(values, dtype=np.float64)
     positive = w > 0
-    victim = (knapsack._one_victim(w[positive], v[positive], capacity, None)
+    victim = (knapsack._one_victim(w[positive], v[positive], capacity,
+                                   np.flatnonzero(positive))
               if capacity else None)
     event("ranked everything" if victim is None else "proved one victim")
-    assert _kept(knapsack_keep_mask(w, v, capacity)) == expected
+    event("up to 64 items" if len(weights) <= 64 else "over 64 items")
+    assert _kept(w, v, capacity) == expected
 
     rows = np.array(rows)
     # Gapped, offset ranks: only their order may matter.
-    by_row = knapsack_keep_mask(w[rows], v[rows], capacity,
-                                tie_rank=rows * 3 + 7)
-    assert {int(rows[r]) for r in _kept(by_row)} == expected
+    by_row = _kept(w[rows], v[rows], capacity, tie_rank=rows * 3 + 7)
+    assert {int(rows[r]) for r in by_row} == expected
+
+
+_BY_POSITION = np.arange(64)      # tie ranks for a 64-item pool
 
 
 def _distinct_pool(n: int):
@@ -147,43 +154,41 @@ class TestTheOneVictimProof:
 
     def test_the_proof_holds_one_byte_over(self, monkeypatch):
         w, v = _distinct_pool(64)
-        assert knapsack._one_victim(w, v, 640 - 1, None) == 63
+        assert knapsack._one_victim(w, v, 640 - 1, _BY_POSITION) == 63
         monkeypatch.setattr(knapsack, "_rank", None)   # would raise if called
-        assert _kept(knapsack_keep_mask(w, v, 640 - 1)) == set(range(63))
+        assert _kept(w, v, 640 - 1) == set(range(63))
 
     def test_the_victim_lighter_than_the_excess_ranks_everything(self):
         w, v = _distinct_pool(64)
         w[63], v[63] = 4, 4.0            # still the lowest density
         total = int(w.sum())
-        assert knapsack._one_victim(w, v, total - 4, None) == 63
-        assert knapsack._one_victim(w, v, total - 5, None) is None
-        assert _kept(knapsack_keep_mask(w, v, total - 5)) == \
-            set(range(62)) | {63}
+        assert knapsack._one_victim(w, v, total - 4, _BY_POSITION) == 63
+        assert knapsack._one_victim(w, v, total - 5, _BY_POSITION) is None
+        assert _kept(w, v, total - 5) == set(range(62)) | {63}
 
     def test_the_victim_holding_the_unique_maximum_ranks_everything(self):
         w, v = _distinct_pool(64)
         w[63], v[63] = 3000, 700.0       # lowest density, highest value
         capacity = int(w.sum()) - 1
-        assert knapsack._one_victim(w, v, capacity, None) is None
+        assert knapsack._one_victim(w, v, capacity, _BY_POSITION) is None
         # ...and its equal anywhere else restores the proof
         v[0] = 700.0
-        assert knapsack._one_victim(w, v, capacity, None) == 63
+        assert knapsack._one_victim(w, v, capacity, _BY_POSITION) == 63
 
     def test_within_budget_there_is_no_victim(self):
         w, v = _distinct_pool(64)
-        assert knapsack._one_victim(w, v, 640, None) is None
-        assert knapsack._one_victim(w, v, 641, None) is None
+        assert knapsack._one_victim(w, v, 640, _BY_POSITION) is None
+        assert knapsack._one_victim(w, v, 641, _BY_POSITION) is None
 
     def test_exact_ties_evict_the_highest_tie_rank(self):
         # Items 1, 3 and 4 tie in density (0.5) and value (1.0); item 2
         # ties in density only, at a higher value.
         w = np.array([1, 2, 4, 2, 2], dtype=np.int64)
         v = np.array([5.0, 1.0, 2.0, 1.0, 1.0])
-        assert knapsack._one_victim(w, v, 10, None) == 4
+        assert knapsack._one_victim(w, v, 10, np.arange(5)) == 4
         tie_rank = np.array([0, 9, 5, 2, 1])
         assert knapsack._one_victim(w, v, 10, tie_rank) == 1
-        assert _kept(knapsack_keep_mask(w, v, 10, tie_rank=tie_rank)) == \
-            {0, 2, 3, 4}
+        assert _kept(w, v, 10, tie_rank=tie_rank) == {0, 2, 3, 4}
         items = [KnapsackItem(key=i, weight=int(w[i]), value=float(v[i]))
                  for i in np.argsort(tie_rank).tolist()]
         assert solve_knapsack(items, 10) == {0, 2, 3, 4}
@@ -193,10 +198,9 @@ class TestTheOneVictimProof:
         v = np.array([1.0] * 20 + [18.5], dtype=np.float64)
         # capacity 19: the crowd fills it for 19.0 and the big item is
         # worth less; at 18.4 for the crowd's last unit it would win.
-        keep = knapsack_keep_mask(w, v, 19)
-        assert _kept(keep) == set(range(19))
+        assert _kept(w, v, 19) == set(range(19))
         v[20] = 19.5
-        assert _kept(knapsack_keep_mask(w, v, 19)) == {20}
+        assert _kept(w, v, 19) == {20}
 
 
 # -- the manager over a scrambled or restored table -------------------------
@@ -225,9 +229,7 @@ def _insertion_order(table) -> list[str]:
 
 def _scrambled_pool(sizes, ops, restore):
     """A 40-id pool after swap-deletes and re-adds, plus its
-    per-object reference; optionally round-tripped through a snapshot.
-    Its evictions take the greedy (:func:`_greedy_only`): 40 is an exact
-    DP's pool size."""
+    per-object reference; optionally round-tripped through a snapshot."""
     cache = ExampleCache(dim=64)
     clock = SimClock()
     config = ManagerConfig(sanitize=False)
@@ -241,11 +243,6 @@ def _scrambled_pool(sizes, ops, restore):
         cache = _restored(cache)
         manager = ExampleManager(cache, config, clock=clock)
     return cache, manager, reference
-
-
-def _greedy_only():
-    """The manager's retention on the greedy path at any pool size."""
-    return mock.patch.object(manager_module, "KNAPSACK_EXACT_BELOW", 0)
 
 
 @settings(**DETERMINISM)
@@ -278,13 +275,12 @@ def test_eviction_over_scrambled_rows_matches_the_reference(
             + 1e-3)
         for example_id, ref in reference.items()
     ]
-    keep = _reference_keep(items, capacity, exact=False)
+    keep = solve_knapsack(items, capacity)
     expected = [key for key in reference if key not in keep]
 
     journaled: list[tuple[str, object]] = []
     cache.journal = lambda kind, payload: journaled.append((kind, payload))
-    with _greedy_only():
-        assert manager.enforce_capacity() == len(expected)
+    assert manager.enforce_capacity() == len(expected)
     assert [payload for kind, payload in journaled
             if kind == "remove"] == expected
     for example_id in expected:
@@ -309,8 +305,7 @@ def test_scrambled_restored_pool_takes_the_shortcut(monkeypatch):
     cache, manager, _ = _scrambled_pool([1, 2, 5, 0] * 10, ops,
                                         restore=True)
     manager.config.capacity_bytes = cache.total_bytes - 1
-    with _greedy_only():
-        assert manager.enforce_capacity() == 1
+    assert manager.enforce_capacity() == 1
     assert len(victims) == 1 and victims[0] is not None
 
 

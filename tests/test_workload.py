@@ -292,6 +292,36 @@ class TestOpenLoopProcesses:
             diurnal_trace(duration_s=100.0, mean_rps=1.0, bucket_seconds=-1.0)
 
 
+# (entry point, the arguments it needs, parameter, edge values): each guard
+# was an ordered comparison, which NaN fails, so these built NaN traces.
+TRACE_EDGES = [
+    (ArrivalTrace, {"rates_per_second": np.ones(2)}, "bucket_seconds",
+     [np.nan, np.inf]),
+    (ArrivalTrace, {"bucket_seconds": 60.0}, "rates_per_second",
+     [np.array([1.0, np.nan]), np.array([np.inf])]),
+    (azure_like_trace, {}, "duration_hours", [np.nan]),
+    (poisson_trace, {"duration_s": 10.0, "rate_rps": 1.0}, "duration_s",
+     [np.nan]),
+    (poisson_trace, {"duration_s": 10.0}, "rate_rps", [np.nan, np.inf]),
+    (poisson_trace, {"duration_s": 10.0, "rate_rps": 1.0}, "bucket_seconds",
+     [np.nan, np.inf]),
+    *((diurnal_trace, {"duration_s": 600.0, "mean_rps": 1.0}, name, edges)
+      for name, edges in [("duration_s", [np.nan]),
+                          ("period_s", [np.nan, np.inf]),
+                          ("peak_to_trough", [np.nan, np.inf]),
+                          ("bucket_seconds", [np.nan, np.inf])]),
+]
+
+
+@pytest.mark.parametrize("entry, args, name, edge", [
+    pytest.param(entry, args, name, edge,
+                 id=f"{entry.__name__}-{name}-{np.max(edge)}")
+    for entry, args, name, edges in TRACE_EDGES for edge in edges])
+def test_a_non_finite_trace_parameter_is_refused(entry, args, name, edge):
+    with pytest.raises(ValueError, match=name):
+        entry(**{**args, name: edge})
+
+
 class TestGenerateRequestsCallOrder:
     """``SyntheticDataset.generate_requests`` is call-order dependent.
 
